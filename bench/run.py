@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 bench/run.py --workload sieve-type-ts --seed 0 --seconds 30 --trace 0
+    python3 bench/run.py --workload sieve-type-ts --seed 0 --seconds 50 --trace 0
 
 Workloads are defined, with the reason each exists, in ``workloads.py``.  Each
 is a fixed set of pipeline runs (a "round") made in-process through
@@ -10,22 +10,25 @@ is a fixed set of pipeline runs (a "round") made in-process through
 call at a time, no threads.  A run goes as follows.
 
 ``--trace 0`` (end-to-end metrics, tracing off): one warm-up pipeline call on
-the tiny version of the workload, then cycles while ``--seconds`` last (at
-least one).  A cycle is
+the tiny version of the workload, then cycles for as long as one more cycle,
+as long as the last, fits in ``--seconds`` (at least one).  A cycle is
 
 1. one round, every call timed;
-2. repetitions in which the original and then the final programs of all
-   cases run under ``semantics.run`` from the cases' stores (see
-   ``RunTimes``), until the round has had PIPELINE_SHARE of the cycle's time
-   (at least MIN_REPS repetitions over the run);
+2. repetitions in which each case's original and final programs run
+   under ``semantics.run`` from the case's stores (see ``RunTimes``), until
+   the round has had PIPELINE_SHARE of the cycle's time (at least MIN_REPS
+   repetitions over the run);
 3. one set-up probe: a child process that starts, builds the inputs and
    exits, timed from outside.  Set-up time is the median of these and of
-   SETUP_PROBES probes made before the first cycle.
+   SETUP_PROBES probes made before the first cycle.  The child may run on
+   another CPU than this process, whose calibration runs do not track its
+   speed, so it runs the calibration workload itself, before and after it
+   builds the inputs, and the probe is scaled by these.
 
 The machine's speed drifts over seconds to minutes, so every kind of sample
 is spread over the whole run, each is timed at a reference speed (see
-``Clock``), and each metric is a median.  The raw median call time is printed
-as ``pipeline_p50_wall_s``.
+``Clock``), and each metric is a median.  The raw median
+call time is printed as ``pipeline_p50_wall_s``.
 
 ``--trace 1`` (per-layer metrics): set-up runs traced; untraced rounds run
 for half of ``--seconds`` (at least one), then one traced round.  Per-layer
@@ -69,10 +72,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = Path(__file__).resolve().parent / "out"
 
-SETUP_PROBES = 5
-PIPELINE_SHARE = 0.7
-MIN_REPS = 3
-MIN_SAMPLE_S = 0.2
+SETUP_PROBES = 10
+PIPELINE_SHARE = 0.85
+MIN_REPS = 5
+MIN_REP_S = 0.2
 # What the calibration workload takes at the reference speed: about its time
 # on a quiet 2-vCPU x86-64 VM under Python 3.11.
 CAL_REF_S = 0.0045
@@ -296,60 +299,75 @@ def _round(main, cases, argvs, tally: Tally, clock: Clock, walls: list) -> None:
         walls.append((took, clock.wall))
 
 
-def _probe(workload: str, seed: int, scale: str) -> None:
-    """Runs one child process that starts, builds the inputs and exits."""
+def _probe(workload: str, seed: int, scale: str) -> float:
+    """Time of one child process that starts, builds the inputs and exits:
+    wall time from outside, at the reference speed of the child's own
+    calibration runs."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
            "--workload", workload, "--seed", str(seed), "--scale", scale]
+    start = time.perf_counter()
     # no timeout: with one, the wait polls and rounds the time up to 50 ms steps
-    subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
+    out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True).stdout
+    wall = time.perf_counter() - start
+    before, after = map(float, out.split())
+    return wall * 2 * CAL_REF_S / (before + after)
 
 
 class RunTimes:
-    """Run times of the generated code: one sample runs every case's original
-    (or final) program under ``semantics.run`` from the case's stores, as
-    often as it takes to last MIN_SAMPLE_S, and is the time of one pass.
-    Original and final samples alternate which goes first."""
+    """Run times of the generated code.  One repetition runs, case by case,
+    the case's original program and then its final program (or the other way
+    round, alternating between repetitions) under ``semantics.run`` from the
+    case's stores, each as often as it takes to last MIN_REP_S shared out
+    over the cases, and times one pass of each.  The machine's speed swings within a second, so each
+    case's pair is timed at the reference speed on its own, and pairing the
+    two runs of a case back to back keeps their ratio clear of the swings."""
 
     def __init__(self, clock: Clock):
         self.clock = clock
-        self.orig: list[float] = []
-        self.final: list[float] = []
+        self.final: dict[str, list[float]] = {}  # case -> final passes, at the reference speed
+        self.speedups: list[float] = []  # per repetition: original over final, raw
+        self.reps = 0
 
     def rep(self, cases, finals) -> None:
         from tracelab.semantics import run
-        timed = [c for c in cases if c.name in finals]
+        final_first = self.reps % 2 == 1
+        min_s = MIN_REP_S / len(finals)
 
-        def passes(programs) -> int:
+        def one_pass(case, program) -> float:
             done = 0
             start = time.perf_counter()
-            while not done or time.perf_counter() - start < MIN_SAMPLE_S:
-                for case, p in zip(timed, programs):
-                    for rho in case.stores:
-                        run(p, rho, case.budget)
+            while not done or time.perf_counter() - start < min_s:
+                for rho in case.stores:
+                    run(program, rho, case.budget)
                 done += 1
-            return done
+            return (time.perf_counter() - start) / done
 
-        def sample(programs) -> float:
-            gc.collect()
-            n, took = self.clock.time(passes, programs)
-            return took / n
+        def pair(case) -> tuple[float, float]:
+            if final_first:
+                final = one_pass(case, finals[case.name])
+                return one_pass(case, case.program), final
+            orig = one_pass(case, case.program)
+            return orig, one_pass(case, finals[case.name])
 
-        pair = [([c.program for c in timed], self.orig),
-                ([finals[c.name] for c in timed], self.final)]
-        for programs, times in pair[::-1] if len(self.orig) % 2 else pair:
-            times.append(sample(programs))
-
-    @property
-    def reps(self) -> int:
-        return len(self.orig)
+        gc.collect()
+        orig_sum = final_sum = 0.0
+        for case in cases:
+            if case.name in finals:
+                (orig, final), took = self.clock.time(pair, case)
+                self.final.setdefault(case.name, []).append(final * took / self.clock.wall)
+                orig_sum += orig
+                final_sum += final
+        self.speedups.append(orig_sum / final_sum)
+        self.reps += 1
 
     def metrics(self) -> tuple[float, float]:
-        """(opt_run_ms, jit_speedup): the median time of one pass over the
-        final programs, and the original pass's median over it."""
-        if not self.final:
+        """(opt_run_ms, jit_speedup): one pass over every final program,
+        summing each case's median time, and the median over repetitions of
+        the original passes' time over the final passes'."""
+        if not self.speedups:
             return 0.0, 0.0
-        final = statistics.median(self.final)
-        return 1000 * final, statistics.median(self.orig) / final
+        final = sum(statistics.median(times) for times in self.final.values())
+        return 1000 * final, statistics.median(self.speedups)
 
 
 def measure(args, cases, argvs, main) -> tuple[dict, Judgement, list[str]]:
@@ -358,12 +376,13 @@ def measure(args, cases, argvs, main) -> tuple[dict, Judgement, list[str]]:
     every kind of sample over the whole run."""
     clock = Clock()
     probe = (args.workload, args.seed, args.scale)
-    setups = [clock.time(_probe, *probe)[1] for _ in range(SETUP_PROBES)]
+    setups = [_probe(*probe) for _ in range(SETUP_PROBES)]
     tally = Tally()
     times = RunTimes(clock)
     walls: list = []
     start = time.perf_counter()
-    while not walls or time.perf_counter() - start < args.seconds:
+    cycle = 0.0
+    while not walls or time.perf_counter() - start + cycle < args.seconds:
         round_start = time.perf_counter()
         _round(main, cases, argvs, tally, clock, walls)
         finals = tally.finals(cases)
@@ -373,7 +392,8 @@ def measure(args, cases, argvs, main) -> tuple[dict, Judgement, list[str]]:
             times.rep(cases, finals)
             if times.reps >= MIN_REPS and time.perf_counter() >= until:
                 break
-        setups.append(clock.time(_probe, *probe)[1])
+        setups.append(_probe(*probe))
+        cycle = time.perf_counter() - round_start
     judgement = tally.judge(cases)
     opt_run_ms, speedup = times.metrics()
     metrics = {
@@ -467,12 +487,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=30)
+    ap.add_argument("--seconds", type=float, default=50)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--scale", choices=("full", "tiny"), default="full",
                     help="tiny shrinks every workload, for the self-test")
     ap.add_argument("--setup-probe", action="store_true",
-                    help="only build the inputs, then exit (times set-up)")
+                    help="only build the inputs between two calibration runs, "
+                         "print the calibration times and exit (times set-up)")
     args = ap.parse_args(argv)
 
     if not (SRC / "tracelab" / "cli.py").is_file():
@@ -482,7 +503,9 @@ def main(argv=None) -> int:
     build = WORKLOADS[args.workload].build
     tiny = args.scale == "tiny"
     if args.setup_probe:
+        before = _calibration()
         build(args.seed, tiny)
+        print(before, _calibration())
         return 0
 
     import tracelab
