@@ -17,8 +17,8 @@ from .domains import (AbstractStore, abstract_add_type, cp_domain, eval_type,
                       get_domain, onepoint_domain, type_alpha, type_domain)
 from .observe import (alpha_osch, alpha_out, alpha_rho_sc, alpha_sc, alpha_st,
                       osch, out, out_equiv_check, sc, sc_equiv_check, st)
-from .hotpath import (HotPath, alpha_hot_n, count, hot_n, hotcut, outerhot_n,
-                      sloop, sloop_gp, topo_order)
+from .hotpath import (HotPath, alpha_outerhot_n, count, hot_n, hotcut,
+                      outerhot_n, sloop, sloop_gp, topo_order)
 from .extract import StitchResult, extract, extract_gp, extract_nested
 from .optimize import (const_fold, dead_store_eliminate, free_vars,
                        optimize_full, type_specialize)

@@ -1,13 +1,21 @@
 """Command-line surface.
 
 Subcommands: run, trace, hot, extract, optimize, check, pipeline, gp-compile,
-gp-trace, gp-check, gen, render.  Exit codes: 0 all PASS, 1 any FAIL,
-2 usage or parse errors.  Reports are deterministic for a fixed seed.
+gp-trace, gp-check, gen, render.  Reports are deterministic for a fixed seed.
+
+Exit codes: 0 when every check passes (and for commands that check nothing),
+1 when a check fails, 2 for a usage, parse or input error.  Errors exit 2 with
+one ``error: ...`` line on stderr and no traceback: unreadable files
+(``OSError``), bad JSON stores, parse errors, ill-formed programs, and the
+errors of the library itself (``ExtractError``, ``OptimizeError``,
+``SemanticsError``, ``DomainError``, ``HotPathError``), such as a pass that
+does not fit the domain or a program that is nondeterministic at run time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -15,11 +23,11 @@ from typing import Optional
 
 from . import gen as genmod
 from . import gp as gpmod
-from . import hotpath, observe, optimize, textio, witness
-from .extract import extract_gp, extract_nested
-from .lang import Program, rename_equal, well_formed
-from .semantics import Store, run
-from .values import UNDEF
+from . import hotpath, observe, optimize, textio
+from .domains import DomainError, domain_tags
+from .extract import ExtractError, extract_nested
+from .lang import Program, well_formed
+from .semantics import SemanticsError, Store, run
 
 
 class CliError(Exception):
@@ -38,7 +46,7 @@ def _initial_stores(args) -> list[Store]:
     stores: list[Store] = []
     if getattr(args, "initials", None):
         text = args.initials
-        if Path(text).exists():
+        if not text.lstrip().startswith(("{", "[")):
             text = Path(text).read_text()
         data = json.loads(text)
         if isinstance(data, dict):
@@ -52,16 +60,13 @@ def _initial_stores(args) -> list[Store]:
     return stores
 
 
-def _mine(p: Program, original: Program, stores, args) -> list[tuple[hotpath.HotPath, int]]:
-    found: list[tuple[hotpath.HotPath, int]] = []
-    for rho in stores:
-        r = run(p, rho, args.budget)
-        mined = hotpath.outerhot_n(r.states, original, args.threshold, args.domain, p,
-                                   with_counts=True)
-        for hp, c in mined:
-            if all(hp != h for h, _ in found):
-                found.append((hp, c))
-    return found
+def _hot(p: Program, original: Program, stores, args) -> list[tuple[hotpath.HotPath, int]]:
+    traces = [run(p, rho, args.budget).states for rho in stores]
+    return hotpath.alpha_outerhot_n(traces, original, args.threshold, args.domain, p)
+
+
+def _passes(args) -> list[optimize.Optimization]:
+    return [optimize.PASSES[name] for name in args.passes]
 
 
 def _hp_json(hp: hotpath.HotPath, count_: int) -> dict:
@@ -94,7 +99,7 @@ def cmd_trace(args) -> int:
 def cmd_hot(args) -> int:
     p = _load_program(args.program)
     stores = _initial_stores(args)
-    for hp, c in _mine(p, p, stores, args):
+    for hp, c in _hot(p, p, stores, args):
         print(f"{args.threshold}-hot [{args.domain}] : {hp}  (count {c})")
     return 0
 
@@ -111,7 +116,7 @@ def cmd_extract(args) -> int:
     p = _load_program(args.program)
     original = _load_program(args.original) if args.original else p
     stores = _initial_stores(args)
-    hp = _select_hotpath(_mine(p, original, stores, args), args.hotpath)
+    hp = _select_hotpath(_hot(p, original, stores, args), args.hotpath)
     st = extract_nested(p, hp, original)
     if args.dot:
         Path(args.dot).write_text(textio.program_to_dot(st.transformed, st.stitched))
@@ -123,14 +128,8 @@ def cmd_optimize(args) -> int:
     p = _load_program(args.program)
     original = _load_program(args.original) if args.original else p
     stores = _initial_stores(args)
-    hp = _select_hotpath(_mine(p, original, stores, args), args.hotpath)
-    out = p
-    for name in args.passes:
-        try:
-            opt = optimize.PASSES[name]
-        except KeyError:
-            raise CliError(f"unknown pass {name!r}; have {sorted(optimize.PASSES)}")
-        out = optimize.optimize_full(p, hp, opt, original)
+    hp = _select_hotpath(_hot(p, original, stores, args), args.hotpath)
+    out = optimize.optimize_full(p, hp, _passes(args), original)
     sys.stdout.write(textio.print_program(out))
     return 0
 
@@ -155,25 +154,23 @@ def cmd_pipeline(args) -> int:
     current = p
     hotpaths_json = []
     for _ in range(args.rounds):
-        found = _mine(current, p, stores, args)
+        found = _hot(current, p, stores, args)
         if not found:
             break
         hp, c = found[0]
         hotpaths_json.append(_hp_json(hp, c))
-        if args.passes:
-            for name in args.passes:
-                current = optimize.optimize_full(current, hp, optimize.PASSES[name], p)
-        else:
-            current = extract_nested(current, hp, p).transformed
+        current = optimize.optimize_full(current, hp, _passes(args), p)
     wf = well_formed(current)
     if wf:
         raise CliError("pipeline produced an ill-formed program: " + "; ".join(wf))
 
-    if "dse" in (args.passes or []):
+    # dse does not preserve store changes, so its result is judged by outputs
+    if "dse" in args.passes:
         xs = frozenset(args.vars.split(",")) if args.vars else p.vars()
-        report = observe.out_equiv_check(p, current, stores, args.budget, xs)
+        check = functools.partial(observe.out_equiv_check, xs=xs)
     else:
-        report = observe.sc_equiv_check(p, current, stores, args.budget)
+        check = observe.sc_equiv_check
+    report = check(p, current, stores, args.budget)
 
     verdicts = []
     for v in sorted(report.verdicts, key=lambda v: str(v.initial)):
@@ -181,7 +178,7 @@ def cmd_pipeline(args) -> int:
                 "result": "PASS" if v.passed else "FAIL"}
         if not v.passed:
             item["divergence"] = v.divergence
-            item["minimized"] = _shrink(p, current, v.initial, args)
+            item["minimized"] = _shrink(p, current, v.initial, args.budget, check)
         verdicts.append(item)
     report_json = {
         "hotpaths": hotpaths_json,
@@ -196,14 +193,13 @@ def cmd_pipeline(args) -> int:
     return 0 if report.passed else 1
 
 
-def _shrink(p1: Program, p2: Program, rho: Store, args) -> dict:
+def _shrink(p1: Program, p2: Program, rho: Store, budget: int, check) -> dict:
     """Deterministic shrinking: halve the bound store and the budget while the
-    failure persists."""
-    budget = args.budget
+    failure persists under ``check``, the equivalence check that judged it."""
     store = rho
 
     def fails(s: Store, b: int) -> bool:
-        rep = observe.sc_equiv_check(p1, p2, [s], b)
+        rep = check(p1, p2, [s], b)
         return not rep.passed
 
     changed = True
@@ -218,7 +214,7 @@ def _shrink(p1: Program, p2: Program, rho: Store, args) -> dict:
             if fails(half, budget):
                 store = half
                 changed = True
-    rep = observe.sc_equiv_check(p1, p2, [store], budget)
+    rep = check(p1, p2, [store], budget)
     return {
         "initial": textio.store_to_json(store),
         "budget": budget,
@@ -272,7 +268,7 @@ def cmd_gp_check(args) -> int:
 
 
 def _add_common(sp, sample_default: int = 0):
-    sp.add_argument("--domain", default="onepoint")
+    sp.add_argument("--domain", default="onepoint", choices=domain_tags())
     sp.add_argument("--threshold", "-N", type=int, default=2)
     sp.add_argument("--budget", type=int, default=2000)
     sp.add_argument("--seed", type=int, default=0)
@@ -371,7 +367,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (CliError, textio.ParseError) as e:
+    except (CliError, textio.ParseError, OSError, json.JSONDecodeError, ExtractError,
+            optimize.OptimizeError, SemanticsError, DomainError, hotpath.HotPathError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -11,13 +11,12 @@ variant adds a guardless relabeled chain only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .domains import get_domain
 from .hotpath import HotPath
-from .lang import (Command, Guard, HALT, LabelScope, LangError, Program,
-                   find_cmpl, is_branching, negate_action)
+from .lang import Command, Guard, LabelScope, Program, find_cmpl
 
 
 class ExtractError(Exception):
@@ -74,7 +73,7 @@ def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> Stit
     body: dict[int, Command] = {}
     bar: Optional[str] = None
 
-    cmpl0 = find_cmpl(c0, p_current) if is_branching(c0.action) else None
+    cmpl0 = find_cmpl(c0, p_current)
 
     if in_orig[0]:
         # (1)-(3): swap the head for a guard pair, keep a relabeled slow copy
@@ -103,7 +102,7 @@ def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> Stit
             stitched.add(copy)
             body[i] = copy
             # (5): complement exit
-            compl = find_cmpl(ci, p_current) if is_branching(ci.action) else None
+            compl = find_cmpl(ci, p_current)
             if compl is not None:
                 exit_cmd = Command(ell[i], compl.action, compl.succ)
                 added.add(exit_cmd)

@@ -418,16 +418,6 @@ def _compile_extended(comp: GPCompiler, states: Sequence[GPAnyState]) -> tuple[S
     return tuple(out)
 
 
-def alpha_hot_gp(traces, p: Program) -> list[tuple[Command, ...]]:
-    ord_ = hotpath.topo_order(p)
-    out: list[tuple[Command, ...]] = []
-    for tr in traces:
-        for cmds in hotpath.sloop_gp(tr, ord_, p):
-            if cmds not in out:
-                out.append(cmds)
-    return out
-
-
 @dataclass(frozen=True)
 class GPEquivResult:
     passed: bool

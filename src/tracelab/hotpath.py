@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .domains import AbstractStore, get_domain
-from .lang import Command, HALT, Program, command_key, find_cmpl
+from .lang import Command, HALT, Program, find_cmpl
 from .semantics import State
 
 
@@ -179,16 +179,6 @@ def hot_n(states: Sequence[State], n: int, domain_tag: str, p: Program,
     return [hp for hp, _ in ordered]
 
 
-def alpha_hot_n(traces, n: int, domain_tag: str, p: Program) -> list[HotPath]:
-    ord = topo_order(p)
-    out: list[HotPath] = []
-    for tr in traces:
-        for hp in hot_n(tr, n, domain_tag, p, ord):
-            if hp not in out:
-                out.append(hp)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Nested variant: cut previously stitched regions down to entry/exit states
 # ---------------------------------------------------------------------------
@@ -215,13 +205,16 @@ def outerhot_n(states: Sequence[State], original: Program, n: int, domain_tag: s
 
 
 def alpha_outerhot_n(traces, original: Program, n: int, domain_tag: str,
-                     current: Program) -> list[HotPath]:
-    out: list[HotPath] = []
+                     current: Program) -> list[tuple[HotPath, int]]:
+    """N-hot paths of several traces with their counts, deduplicated across
+    traces in first-found order (a path keeps the count of the trace that
+    found it first); with current == original these are the paper's
+    alpha-hot_N paths of the traces."""
+    found: dict[HotPath, int] = {}
     for tr in traces:
-        for hp in outerhot_n(tr, original, n, domain_tag, current):
-            if hp not in out:
-                out.append(hp)
-    return out
+        for hp, c in outerhot_n(tr, original, n, domain_tag, current, with_counts=True):
+            found.setdefault(hp, c)
+    return list(found.items())
 
 
 # ---------------------------------------------------------------------------

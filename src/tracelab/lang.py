@@ -9,11 +9,11 @@ final commands; it is never the label of a command.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
-from .values import Bool, UNDEF, Value, value_str
+from .values import Value, value_str
 
 HALT = "."  # successor of final commands, never a command label
 
@@ -325,6 +325,25 @@ class Program:
         return frozenset(self.by_label)
 
     @cached_property
+    def complements(self) -> Mapping[Command, tuple[Command, ...]]:
+        """Each branching command, mapped to the commands at its label whose
+        action is its negation: exactly one in a well-formed program.  The
+        only place complements are looked up."""
+        table: dict[Command, tuple[Command, ...]] = {}
+        for cmds in self.by_label.values():
+            for c in cmds:
+                if is_branching(c.action):
+                    neg = negate_action(c.action)
+                    table[c] = tuple(d for d in cmds if d.action == neg)
+        return table
+
+    def deterministic_at(self, label: str) -> bool:
+        """Whether a run has exactly one way on at the label: one command, or
+        a branching command and its complement."""
+        cmds = self.at(label)
+        return len(cmds) == 1 or (len(cmds) == 2 and cmds[1] in self.complements.get(cmds[0], ()))
+
+    @cached_property
     def sorted_commands(self) -> tuple[Command, ...]:
         return tuple(sorted(self.commands, key=command_key))
 
@@ -346,11 +365,10 @@ class Program:
 
 
 def cmpl(c: Command, p: Program) -> Command:
-    """The unique complement conditional of c in p."""
+    """The unique complement conditional of c, a command of p."""
     if not is_branching(c.action):
         raise LangError(f"not a conditional: {c}")
-    neg = negate_action(c.action)
-    matches = [d for d in p.at(c.label) if d.action == neg]
+    matches = p.complements.get(c, ())
     if not matches:
         raise LangError(f"complement missing for: {c}")
     if len(matches) > 1:
@@ -361,8 +379,7 @@ def cmpl(c: Command, p: Program) -> Command:
 def find_cmpl(c: Command, p: Program) -> Optional[Command]:
     if not is_branching(c.action):
         return None
-    neg = negate_action(c.action)
-    matches = [d for d in p.at(c.label) if d.action == neg]
+    matches = p.complements.get(c, ())
     return matches[0] if len(matches) == 1 else None
 
 
@@ -371,20 +388,15 @@ def well_formed(p: Program, deterministic: bool = True) -> list[str]:
     out = []
     for c in p.sorted_commands:
         if is_branching(c.action):
-            neg = negate_action(c.action)
-            matches = [d for d in p.at(c.label) if d.action == neg]
+            matches = p.complements[c]
             if len(matches) == 0:
                 out.append(f"no complement for conditional at {c.label}: {c}")
             elif len(matches) > 1:
                 out.append(f"multiple complements for conditional at {c.label}: {c}")
     if deterministic:
         for label, cmds in sorted(p.by_label.items()):
-            if len(cmds) == 1:
-                continue
-            if len(cmds) == 2 and is_branching(cmds[0].action) and \
-                    cmds[1].action == negate_action(cmds[0].action):
-                continue
-            out.append(f"nondeterministic label {label}: {len(cmds)} commands")
+            if not p.deterministic_at(label):
+                out.append(f"nondeterministic label {label}: {len(cmds)} commands")
     if p.entry not in p.by_label:
         out.append(f"entry label {p.entry} has no command")
     return out

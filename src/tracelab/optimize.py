@@ -8,7 +8,8 @@ rather than trusted.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from dataclasses import replace
+from typing import Callable, Iterable, Optional, Sequence
 
 from .domains import CPConst, INT, STRING, eval_type, get_domain
 from .extract import StitchResult, extract_nested
@@ -178,11 +179,32 @@ def _exit_successors(cmds: Iterable[Command], stitch_labels: frozenset[str]) -> 
     return frozenset(c.succ for c in cmds if c.succ not in stitch_labels)
 
 
-def optimize_full(p: Program, hp: HotPath, opt: Optimization,
+def _rebody(st: StitchResult, new: frozenset[Command]) -> dict[int, Command]:
+    """The action copies after a pass: at each copy's label, the command with
+    the copy's action, else the only command left there (passes rewrite the
+    action or the successor of a copy, never both, and may delete it)."""
+    at: dict[str, list[Command]] = {}
+    for c in new:
+        at.setdefault(c.label, []).append(c)
+    body = {}
+    for i, c in st.body.items():
+        cands = at.get(c.label, [])
+        same = [d for d in cands if d.action == c.action]
+        if same or len(cands) == 1:
+            body[i] = (same or cands)[0]
+    return body
+
+
+def optimize_full(p: Program, hp: HotPath, passes: Sequence[Optimization],
                   original: Optional[Program] = None) -> Program:
-    """Extract then optimize in place: remainder union optimized stitch."""
+    """Extract once, run the passes in turn on the stitch (each sees the
+    previous pass's output), and splice the result next to the remainder."""
     st = extract_nested(p, hp, original if original is not None else p)
-    new = opt(st)
+    cur = st
+    for opt in passes:
+        new = opt(cur)
+        cur = replace(cur, stitched=new, body=_rebody(cur, new))
+    new = cur.stitched
 
     old_labels = st.stitch_labels()
     new_labels = frozenset(c.label for c in new)
@@ -193,12 +215,11 @@ def optimize_full(p: Program, hp: HotPath, opt: Optimization,
     if not _exit_successors(new, new_labels) <= _exit_successors(st.stitched, old_labels):
         raise OptimizeError("optimization changed the stitch exits")
 
-    transformed = Program(
+    return Program(
         (st.transformed.commands - st.stitched) | new,
         st.transformed.entry,
         st.transformed.arrays,
     )
-    return transformed
 
 
 PASSES: dict[str, Optimization] = {

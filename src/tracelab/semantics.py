@@ -4,6 +4,15 @@ Evaluation is total with ``undef`` as the error value; actions map a store to a
 new store or to bottom (None here), and bottom is what makes states stick.
 Array reads resolve their index concretely against the variable family
 ``name_<i>``; an array write to an unbound member is an error (out of bounds).
+
+A run takes the one command at a label, or resolves a complement pair (a
+branching command and its complement, as recorded in the program's complement
+table) by evaluating the test of its first command once, three-valued: true
+takes that command, false takes its complement, and undef leaves both stuck,
+so the run takes the first command (the least ``command_key``) and ends there.
+A test that fires leaves the store unchanged, so the store is carried on
+without evaluating the test again.  Any other label with several commands is
+nondeterministic and raises ``SemanticsError``.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from . import lang
 from .domains import get_domain
 from .lang import (Add, AddTyped, ArrayAssign, Assign, BExpr, Command, Cond,
                    Expr, Guard, HALT, Index, Lit, Mod, Not, And, Leq, Eq, Tt,
-                   Ff, Program, Put, Skip, Var, command_key)
+                   Ff, Program, Put, Skip, Var)
 from .values import Bool, UNDEF, UValue, Value, is_value, value_str
 
 
@@ -191,13 +200,18 @@ def apply_action(a: lang.Action, store: Store) -> Optional[Store]:
             return None  # out of bounds: only initialized members are writable
         v = eval_expr(a.expr, store)
         return None if v is UNDEF else store.set(member, v)
+    if isinstance(a, (Cond, Guard)):
+        return store if fires(a, store) else None
+    raise SemanticsError(f"not an action: {a!r}")
+
+
+def fires(a: lang.Action, store: Store) -> Optional[bool]:
+    """Three-valued test of a conditional or guard: whether it fires, None
+    when the test is undef (then neither it nor its complement fires)."""
     if isinstance(a, Cond):
         v = eval_bexpr(a.test, store)
-        return store if v == Bool(True) else None
-    if isinstance(a, Guard):
-        inside = get_domain(a.domain).contains(a.store, store)
-        return store if inside == a.positive else None
-    raise SemanticsError(f"not an action: {a!r}")
+        return None if v is UNDEF else v.value
+    return get_domain(a.domain).contains(a.store, store) == a.positive
 
 
 # ---------------------------------------------------------------------------
@@ -234,60 +248,33 @@ def step(p: Program, s: State) -> tuple[State, ...]:
     return tuple(State(rho, c) for c in nexts)
 
 
-def _viable(s: State) -> bool:
-    """Whether the state's own action can fire; used to resolve branch pairs."""
-    a = s.command.action
-    if isinstance(a, Cond):
-        return eval_bexpr(a.test, s.store) == Bool(True)
-    if isinstance(a, Guard):
-        return get_domain(a.domain).contains(a.store, s.store) == a.positive
-    return True
-
-
-def _resolve(cands: Sequence[State]) -> Optional[State]:
-    if not cands:
-        return None
-    if len(cands) == 1:
-        return cands[0]
-    if len(cands) == 2:
-        c0, c1 = cands
-        if lang.is_branching(c0.command.action) and \
-                c1.command.action == lang.negate_action(c0.command.action):
-            live = [s for s in cands if _viable(s)]
-            if len(live) == 1:
-                return live[0]
-            if not live:
-                # both stick (undef test): either extension is maximal after
-                # one more state; pick deterministically
-                return min(cands, key=lambda s: command_key(s.command))
-    raise SemanticsError(
-        "nondeterministic choice at label "
-        f"{cands[0].command.label}: {[str(s.command) for s in cands]}"
-    )
-
-
-def initial_states(p: Program, rho0: Store) -> tuple[State, ...]:
-    return tuple(State(rho0, c) for c in p.at(p.entry))
-
-
 def run(p: Program, rho0: Store, budget: int) -> Run:
     """The unique maximal trace from the entry, truncated at ``budget`` states."""
     if budget < 1:
         raise SemanticsError("budget must be at least 1")
-    entry = initial_states(p, rho0)
-    if not entry:
-        raise SemanticsError(f"no command at entry label {p.entry}")
-    cur = _resolve(entry)
-    states = [cur]
-    while len(states) < budget:
-        nxt = _resolve(step(p, cur))
-        if nxt is None:
+    label, rho = p.entry, rho0
+    if not p.at(label):
+        raise SemanticsError(f"no command at entry label {label}")
+    states: list[State] = []
+    while True:
+        cmds = p.at(label)
+        if not p.deterministic_at(label):
+            raise SemanticsError(
+                f"nondeterministic choice at label {label}: {[str(c) for c in cmds]}")
+        if len(states) == budget:
+            # truncated: one more state would have been possible
+            return Run(tuple(states), truncated=True)
+        if len(cmds) == 1:
+            c = cmds[0]
+            nxt = apply_action(c.action, rho)
+        else:
+            taken = fires(cmds[0].action, rho)
+            c = cmds[1] if taken is False else cmds[0]
+            nxt = None if taken is None else rho
+        states.append(State(rho, c))
+        if nxt is None or c.succ == HALT or not p.at(c.succ):
             return Run(tuple(states), truncated=False)
-        states.append(nxt)
-        cur = nxt
-    # truncated iff one more state would have been possible
-    more = _resolve(step(p, cur)) is not None
-    return Run(tuple(states), truncated=more)
+        label, rho = c.succ, nxt
 
 
 def trace_linked(p: Program, states: Sequence[State]) -> bool:

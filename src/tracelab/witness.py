@@ -13,9 +13,9 @@ from typing import Callable, Optional, Sequence
 
 from .domains import get_domain
 from .extract import StitchResult
-from .lang import Add, AddTyped, Assign, Command, Guard, Program
+from .lang import AddTyped, Command, Guard, Program, find_cmpl
 from .semantics import State, Store, eval_expr, trace_linked
-from .values import INT, STRING, UNDEF, type_of
+from .values import INT, STRING, type_of
 
 
 class WitnessError(Exception):
@@ -109,7 +109,6 @@ def tr_out(ctx: WitnessContext, states: Sequence[State], validate: bool = True) 
     hp = ctx.hp
     n = len(hp) - 1
     cmds = hp.commands
-    from .lang import find_cmpl
     cmpls = [find_cmpl(c, ctx.source) for c in cmds]
 
     out: list[State] = []
@@ -169,7 +168,6 @@ def rtr(ctx: WitnessContext, states: Sequence[State], validate: bool = True) -> 
     hp = ctx.hp
     n = len(hp) - 1
     cmds = hp.commands
-    from .lang import find_cmpl
     cmpls = [find_cmpl(c, ctx.source) for c in cmds]
 
     guard_index: dict[Command, int] = {}
@@ -216,12 +214,6 @@ def rtr(ctx: WitnessContext, states: Sequence[State], validate: bool = True) -> 
 # ---------------------------------------------------------------------------
 # Type specialization witnesses
 # ---------------------------------------------------------------------------
-
-def _despecialize(c: Command) -> Command:
-    a = c.action
-    assert isinstance(a, Assign) and isinstance(a.expr, AddTyped)
-    return Command(c.label, Assign(a.var, Add(a.expr.left, a.expr.right)), c.succ)
-
 
 def td(ctx: WitnessContext, spec_map: dict[Command, Command],
        states: Sequence[State], validate: bool = True) -> tuple[State, ...]:

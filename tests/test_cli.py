@@ -1,0 +1,143 @@
+"""CLI reports on the conftest programs, pinned byte for byte, and the exit
+contract: 0 PASS, 1 FAIL, 2 usage, parse or input error, never a traceback."""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from tracelab import cli
+from tests.conftest import CF_SRC, DSE_SRC, LOOP_SRC, SIEVE_SRC
+
+GOLDEN = Path(__file__).parent / "golden" / "cli"
+
+SIEVE_INITIALS = {f"primes_{i}": True for i in range(100)}
+
+# program -> (source, initial store or None, flags of every command, passes,
+# extra pipeline flags)
+PROGRAMS = {
+    "loop": (LOOP_SRC, None, ["--domain", "type"], ["ts"], []),
+    "sieve": (SIEVE_SRC, SIEVE_INITIALS, ["--domain", "type", "--budget", "20000"],
+              ["ts"], ["--rounds", "3"]),
+    "cf": (CF_SRC, None, ["--domain", "onepoint"], ["dse"], []),
+}
+COMMANDS = ("hot", "extract", "optimize", "pipeline")
+
+
+def call(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main([str(a) for a in argv])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def golden_argv(directory: Path, prog: str, cmd: str) -> list[str]:
+    src, initials, common, passes, extra = PROGRAMS[prog]
+    path = directory / f"{prog}.tl"
+    path.write_text(src)
+    argv = [cmd, str(path)] + common
+    if initials is not None:
+        stores = directory / f"{prog}.json"
+        stores.write_text(json.dumps(initials))
+        argv += ["--initials", str(stores)]
+    if cmd in ("optimize", "pipeline"):
+        argv += [f for name in passes for f in ("--pass", name)]
+    if cmd == "pipeline":
+        argv += extra
+    return argv
+
+
+@pytest.mark.parametrize("prog", sorted(PROGRAMS))
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_cli_golden(tmp_path, prog, cmd):
+    rc, out, err = call(golden_argv(tmp_path, prog, cmd))
+    assert (rc, err) == (0, "")
+    assert out == (GOLDEN / f"{prog}_{cmd}.out").read_text()
+
+
+def test_optimize_composes_passes(tmp_path):
+    """Each pass works on the previous pass's stitch: ts survives dse."""
+    path = tmp_path / "loop.tl"
+    path.write_text(LOOP_SRC)
+    rc, out, err = call(["optimize", path, "--domain", "type", "--pass", "ts", "--pass", "dse"])
+    assert (rc, err) == (0, "")
+    assert "x := (x +Int 1)" in out
+
+
+def test_pipeline_with_two_passes_reports(tmp_path):
+    path = tmp_path / "loop.tl"
+    path.write_text(LOOP_SRC)
+    rc, out, err = call(["pipeline", path, "--domain", "type", "--pass", "ts", "--pass", "dse"])
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert [v["result"] for v in report["verdicts"]] == ["PASS"]
+    assert "x := (x +Int 1)" in report["programs"]["after"]
+
+
+def test_shrink_uses_the_check_that_judged(tmp_path, monkeypatch):
+    """A dse result is judged by outputs, so its failure is minimized by
+    outputs too; store changes would shrink it differently."""
+    from tracelab import observe, optimize, textio
+    from tracelab.lang import Assign, Command, Lit
+    from tracelab.semantics import Store
+
+    dse = optimize.PASSES["dse"]
+
+    def broken_dse(st):  # writes a wrong final z inside the stitch
+        return frozenset(Command(c.label, Assign("z", Lit(2)), c.succ)
+                         if c.action == Assign("z", Lit(1)) else c for c in dse(st))
+
+    monkeypatch.setitem(optimize.PASSES, "dse", broken_dse)
+    path = tmp_path / "dse.tl"
+    path.write_text(DSE_SRC)
+    rc, out, err = call(["pipeline", path, "--pass", "dse", "--initials", '{"x": -5, "y": 1}'])
+    assert (rc, err) == (1, "")
+    (verdict,) = json.loads(out)["verdicts"]
+    minimized = {"initial": {"x": -5}, "budget": 62, "divergence": 0}
+    assert verdict["divergence"] == 0 and verdict["minimized"] == minimized
+    report = json.loads(out)["programs"]
+    before, after = (textio.parse_program(report[k]) for k in ("before", "after"))
+    rho = Store({"x": -5, "y": 1})
+    by_sc = cli._shrink(before, after, rho, 2000, observe.sc_equiv_check)
+    assert by_sc == {"initial": {"x": -5}, "budget": 7, "divergence": 1}
+
+
+@pytest.mark.parametrize("case", ["OSError", "JSONDecodeError", "ExtractError", "OptimizeError",
+                                  "SemanticsError", "DomainError", "HotPathError", "bad --domain"])
+def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
+    from tracelab.extract import ExtractError
+    loop = tmp_path / "loop.tl"
+    loop.write_text(LOOP_SRC)
+    bogus = tmp_path / "bogus.tl"
+    bogus.write_text("#entry L0\nL0: guard bogus {x: Int} -> L1\n"
+                     "L0: !guard bogus {x: Int} -> L1\nL1: skip -> .\n")
+
+    def refuse(*args):
+        raise ExtractError("refused")
+
+    monkeypatch.setattr(cli, "extract_nested", refuse)
+    argv = {
+        "OSError": ["run", tmp_path / "missing.tl"],
+        "JSONDecodeError": ["run", loop, "--initials", "{bad"],
+        "ExtractError": ["extract", loop],
+        "OptimizeError": ["optimize", loop, "--domain", "onepoint", "--pass", "ts"],
+        "SemanticsError": ["run", loop, "--budget", "0"],
+        "DomainError": ["run", bogus],
+        "HotPathError": ["hot", loop, "--threshold", "0"],
+        "bad --domain": ["run", loop, "--domain", "bogus"],
+    }[case]
+    rc, out, err = call(argv)
+    assert rc == 2 and out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") or "error: argument --domain" in err
+
+
+def test_long_inline_initials(tmp_path):
+    path = tmp_path / "sieve.tl"
+    path.write_text(SIEVE_SRC)
+    rc, out, err = call(["run", path, "--initials", json.dumps(SIEVE_INITIALS)])
+    assert (rc, err) == (0, "")
+    assert out.startswith("complete after 779 states")

@@ -194,3 +194,40 @@ def test_suffix_enumerator(loop_run):
     assert len(suff) == 5
     assert suff[0] == loop_run.states[:5]
     assert suff[-1] == (loop_run.states[4],)
+
+
+def test_run_nondeterminism_past_the_budget_raises():
+    # the state after the last one decides truncated, so its label is checked too
+    from tracelab.textio import parse_program
+    p = parse_program("#entry L0\nL0: skip -> L1\nL1: skip -> L2\nL1: x := 1 -> L2\nL2: skip -> .\n")
+    with pytest.raises(SemanticsError, match="nondeterministic choice at label L1"):
+        run(p, Store(), 1)
+
+
+def test_run_undef_test_takes_least_command_and_sticks():
+    from tracelab.textio import parse_program
+    p = parse_program("#entry L0\nL0: (x <= 1) -> L1\nL0: !(x <= 1) -> L1\nL1: skip -> .\n")
+    for budget in (1, 5):
+        r = run(p, Store(), budget)
+        assert [str(s.command) for s in r.states] == ["L0: !(x <= 1) -> L1"]
+        assert not r.truncated
+    assert [str(s.command) for s in run(p, Store({"x": 0}), 5).states] == \
+        ["L0: (x <= 1) -> L1", "L1: skip -> ."]
+
+
+def test_run_tests_each_guard_once(monkeypatch, sieve_program, sieve_store):
+    """A guard pair costs one membership test per visit: the chosen side's
+    store is carried on, not tested again when it fires."""
+    from tracelab import domains
+    from tracelab.hotpath import hot_n
+    from tracelab.optimize import optimize_full, type_specialize
+    hp = hot_n(run(sieve_program, sieve_store, 20000).states, 2, "type", sieve_program)[0]
+    p = optimize_full(sieve_program, hp, [type_specialize])
+    calls = []
+    contains = domains.StoreAbstraction.contains
+    monkeypatch.setattr(domains.StoreAbstraction, "contains",
+                        lambda self, a, store: calls.append(a) or contains(self, a, store))
+    r = run(p, sieve_store, 20000)
+    guards = sum(isinstance(s.command.action, lang.Guard) for s in r.states)
+    assert guards > 100 and not r.truncated
+    assert len(calls) == guards

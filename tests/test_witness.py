@@ -257,7 +257,7 @@ def test_lift_full_composes_sp(sieve_program, sieve_store, sieve_ts):
     """Full-trace specialization: optimized program accepts the lifted trace."""
     ctx, smap = sieve_ts
     from tracelab.optimize import optimize_full, type_specialize
-    p_opt = optimize_full(sieve_program, ctx.hp, type_specialize)
+    p_opt = optimize_full(sieve_program, ctx.hp, [type_specialize])
     r = run(ctx.target, sieve_store, 4000)
     lifted = lift_full(lambda seg: sp(ctx, smap, seg), ctx.st.stitched, r.states)
     assert trace_linked(p_opt, lifted)
