@@ -124,11 +124,23 @@ class StoreAbstraction(ABC):
 
     def contains(self, a: AbstractStore, store) -> bool:
         """Decides store in gamma(a).  A non-universal default constrains every
-        variable, including the unmentioned ones; gamma(bottom) is empty."""
+        variable, including the unmentioned ones; gamma(bottom) is empty.
+
+        Costs O(|a| + |store|): one pass over a's bindings, then one over the
+        store's keys that a leaves to its default.  The set of a's keys is
+        built per call, not cached on the element: guards keep their elements
+        alive for as long as the program, and a cached index per element
+        costs more memory than the rebuild costs time."""
         if a.default == self.bot_slot and self.bot_is_empty():
             return False
-        for x in a.keys() | frozenset(store.keys()):
-            if not self.value_has(a.get(x), store.get(x)):
+        has = self.value_has
+        for x, v in a.items:
+            if not has(v, store.get(x)):
+                return False
+        bound = {x for x, _ in a.items}
+        default = a.default
+        for x in store.keys():
+            if x not in bound and not has(default, store.get(x)):
                 return False
         return True
 

@@ -5,6 +5,11 @@ hot when its store-abstracted image occurs at least N times in the abstracted
 trace.  Backward jumps are recognized against a reverse-postorder numbering of
 the command flow graph (cyclic graphs have no true topological order; back
 edge = target rank <= source rank is the usual compiler reading).
+
+A mining call (``alpha_outerhot_n``) numbers the program once and mines every
+trace against that one order.  Abstraction follows store identity: the states
+a firing test leaves with the same store object share one abstract store, so
+equal stores in a run of them compare by identity when paths are counted.
 """
 
 from __future__ import annotations
@@ -151,8 +156,18 @@ class HotPath:
 
 
 def abstract_trace(states: Sequence[State], domain_tag: str) -> list[tuple[AbstractStore, Command]]:
+    """Pairs each state's command with the abstraction of its store.  A state
+    that carries its predecessor's store object on (a test fired) shares the
+    predecessor's element instead of abstracting the store again."""
     dom = get_domain(domain_tag)
-    return [(dom.alpha([s.store]), s.command) for s in states]
+    out: list[tuple[AbstractStore, Command]] = []
+    store = a = None
+    for s in states:
+        if s.store is not store:
+            store = s.store
+            a = dom.alpha([store])
+        out.append((a, s.command))
+    return out
 
 
 def hot_n(states: Sequence[State], n: int, domain_tag: str, p: Program,
@@ -198,10 +213,11 @@ def hotcut(states: Sequence[State], original: Program) -> tuple[State, ...]:
 
 
 def outerhot_n(states: Sequence[State], original: Program, n: int, domain_tag: str,
-               current: Program, with_counts: bool = False):
+               current: Program, with_counts: bool = False,
+               ord: Optional[TopoOrder] = None):
     """hot_n over the hotcut of the trace; equals hot_n when current == original."""
     cut = hotcut(states, original)
-    return hot_n(cut, n, domain_tag, current, with_counts=with_counts)
+    return hot_n(cut, n, domain_tag, current, ord, with_counts)
 
 
 def alpha_outerhot_n(traces, original: Program, n: int, domain_tag: str,
@@ -210,9 +226,10 @@ def alpha_outerhot_n(traces, original: Program, n: int, domain_tag: str,
     traces in first-found order (a path keeps the count of the trace that
     found it first); with current == original these are the paper's
     alpha-hot_N paths of the traces."""
+    ord = topo_order(current)
     found: dict[HotPath, int] = {}
     for tr in traces:
-        for hp, c in outerhot_n(tr, original, n, domain_tag, current, with_counts=True):
+        for hp, c in outerhot_n(tr, original, n, domain_tag, current, True, ord):
             found.setdefault(hp, c)
     return list(found.items())
 

@@ -294,6 +294,12 @@ class Command:
     def __post_init__(self):
         if self.label == HALT:
             raise LangError(f"'{HALT}' cannot label a command")
+        # the value the dataclass would compute, kept: commands key the
+        # miner's and the interpreter's dicts, and a guard's action is deep
+        object.__setattr__(self, "_hash", hash((self.label, self.action, self.succ)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def command_key(c: Command) -> tuple:

@@ -107,6 +107,7 @@ class Verdict:
 @dataclass(frozen=True)
 class EquivReport:
     verdicts: tuple[Verdict, ...]
+    observation: str  # name of the observation that judged, e.g. "sc"
 
     @property
     def passed(self) -> bool:
@@ -116,7 +117,7 @@ class EquivReport:
         lines = []
         for i, v in enumerate(self.verdicts, start=1):
             if v.passed:
-                lines.append(f"ok {i} - rho={v.initial} sc-equal")
+                lines.append(f"ok {i} - rho={v.initial} {self.observation}-equal")
             else:
                 lines.append(f"not ok {i} - rho={v.initial} diverged at index {v.divergence}")
         return "\n".join(lines)
@@ -145,12 +146,13 @@ def _compare(o1: StoreSeq, o2: StoreSeq, r1: Run, r2: Run) -> tuple[bool, Option
 
 
 def equiv_check(p1: Program, p2: Program, initials: Iterable[Store], budget: int,
-                observe: Callable[[Sequence], StoreSeq] = sc) -> EquivReport:
+                observe: Callable[[Sequence], StoreSeq] = sc,
+                name: str = "sc") -> EquivReport:
     """Bounded differential check of two deterministic programs.
 
     For each initial store both programs run to completion or budget; the
     observation sequences must be equal when both runs completed, and in a
-    prefix relation otherwise.
+    prefix relation otherwise.  ``name`` names the observation in the report.
     """
     verdicts = []
     for rho in initials:
@@ -159,15 +161,15 @@ def equiv_check(p1: Program, p2: Program, initials: Iterable[Store], budget: int
         o1, o2 = observe(r1.states), observe(r2.states)
         passed, div = _compare(o1, o2, r1, r2)
         verdicts.append(Verdict(rho, passed, div, not r1.truncated, not r2.truncated))
-    return EquivReport(tuple(verdicts))
+    return EquivReport(tuple(verdicts), name)
 
 
 def sc_equiv_check(p1: Program, p2: Program, initials: Iterable[Store],
                    budget: int) -> EquivReport:
-    return equiv_check(p1, p2, initials, budget, sc)
+    return equiv_check(p1, p2, initials, budget, sc, "sc")
 
 
 def out_equiv_check(p1: Program, p2: Program, initials: Iterable[Store], budget: int,
                     xs: Iterable[str]) -> EquivReport:
     xs = frozenset(xs)
-    return equiv_check(p1, p2, initials, budget, lambda tr: out(tr, xs))
+    return equiv_check(p1, p2, initials, budget, lambda tr: out(tr, xs), "out")

@@ -141,3 +141,24 @@ def test_long_inline_initials(tmp_path):
     rc, out, err = call(["run", path, "--initials", json.dumps(SIEVE_INITIALS)])
     assert (rc, err) == (0, "")
     assert out.startswith("complete after 779 states")
+
+
+@pytest.mark.parametrize("observation", ["sc", "out"])
+def test_check_names_the_observation_that_judged(tmp_path, observation):
+    path = tmp_path / "dse.tl"
+    path.write_text(DSE_SRC)
+    rc, out, err = call(["check", path, path, "--observe", observation,
+                         "--initials", '{"x": -1}'])
+    assert (rc, out, err) == (0, f"ok 1 - rho=[x/-1] {observation}-equal\n", "")
+
+
+def test_pipeline_refuses_gen_seed_75(tmp_path):
+    """Nested extraction on generated program 75 leaves an ill-formed program;
+    the pipeline refuses it with exit 2 rather than reporting on it."""
+    from tracelab import gen, textio
+    path = tmp_path / "gen75.tl"
+    path.write_text(textio.print_program(gen.gen_program(75)))
+    rc, out, err = call(["pipeline", path, "--sample", "4", "--seed", "75", "--domain", "type",
+                         "--pass", "ts", "--rounds", "3"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: pipeline produced an ill-formed program")

@@ -155,6 +155,56 @@ def test_eval_type_soundness(e, rng):
 
 
 # ---------------------------------------------------------------------------
+# guard membership against its reference definition
+# ---------------------------------------------------------------------------
+
+_VARS = ("x", "y", "z", "primes_0", "primes_1")
+_STORE_VALUES = (-1, 0, 1, "", "a", TT, Bool(False))
+_SLOTS = {
+    "type": tuple(domains.TYPE_NAMES),
+    "cp": (CP_BOT, CP_TOP) + tuple(CPConst(v) for v in _STORE_VALUES + (UNDEF,)),
+}
+
+
+def _contains_by_scan(dom, a, store):
+    """The quadratic definition: every key of either side, looked up by a
+    linear scan of the element's bindings."""
+    if a.default == dom.bot_slot and dom.bot_is_empty():
+        return False
+    for x in a.keys() | frozenset(store.keys()):
+        slot = next((v for k, v in a.items if k == x), a.default)
+        if not dom.value_has(slot, store.get(x)):
+            return False
+    return True
+
+
+@st.composite
+def _element_and_store(draw):
+    tag = draw(st.sampled_from(sorted(_SLOTS)))
+    dom = get_domain(tag)
+    slots = st.sampled_from(_SLOTS[tag])
+    default = draw(st.sampled_from(["undef", "bot", "top"]))
+    default = {"undef": dom.undef_slot, "bot": dom.bot_slot, "top": dom.top().default}[default]
+    a = dom.make(draw(st.dictionaries(st.sampled_from(_VARS), slots, max_size=4)), default)
+    # the store may bind keys the element leaves out and miss keys it binds;
+    # it is often drawn from gamma of the bindings so that both answers show up
+    bindings = draw(st.dictionaries(st.sampled_from(_VARS), st.sampled_from(_STORE_VALUES),
+                                    max_size=5))
+    if draw(st.booleans()):
+        for x, slot in a.items:
+            fits = [v for v in _STORE_VALUES if dom.value_has(slot, v)]
+            if fits:
+                bindings[x] = draw(st.sampled_from(fits))
+    return dom, a, Store(bindings)
+
+
+@given(_element_and_store())
+def test_contains_agrees_with_the_scan_definition(case):
+    dom, a, store = case
+    assert dom.contains(a, store) == _contains_by_scan(dom, a, store)
+
+
+# ---------------------------------------------------------------------------
 # constant propagation domain
 # ---------------------------------------------------------------------------
 

@@ -299,3 +299,51 @@ def test_sloop_gp_projects_commands(loop_program, loop_run):
             want.append(cmds)
     assert proj == want
     assert sloop_gp(loop_run.states[:1], ord_, loop_program) == []
+
+
+# ---------------------------------------------------------------------------
+# work done once per mining call
+# ---------------------------------------------------------------------------
+
+def test_one_topo_order_per_mining_call(dse_program, monkeypatch):
+    traces = [run(dse_program, Store({"x": x}), 200).states for x in (-3, -1, 0, 1)]
+    want: dict = {}
+    for tr in traces:  # each trace numbered on its own, as hot_n does alone
+        for hp, c in hot_n(tr, 2, "type", dse_program, with_counts=True):
+            want.setdefault(hp, c)
+    assert want
+    calls = []
+    real = hotpath.topo_order
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(hotpath, "topo_order", counting)
+    found = hotpath.alpha_outerhot_n(traces, dse_program, 2, "type", dse_program)
+    assert calls == [dse_program]
+    assert found == list(want.items())
+
+
+def test_abstract_trace_abstracts_each_store_object_once(sieve_program, sieve_store,
+                                                         monkeypatch):
+    from tracelab.domains import type_domain
+    states = run(sieve_program, sieve_store, 20000).states
+    calls = []
+    real = type_domain.alpha
+
+    def counting(stores):
+        calls.append(stores)
+        return real(stores)
+
+    monkeypatch.setattr(type_domain, "alpha", counting)
+    abs_tr = hotpath.abstract_trace(states, "type")
+    monkeypatch.undo()
+    runs = 1 + sum(s.store is not t.store for t, s in zip(states, states[1:]))
+    assert len(calls) == runs < len(states)
+    assert [c for _, c in abs_tr] == [s.command for s in states]
+    for s, t, (a, _), (b, _) in zip(states, states[1:], abs_tr, abs_tr[1:]):
+        if t.store is s.store:
+            assert b is a
+    # pointwise the old definition, so equal stores map to equal elements
+    assert all(a == type_domain.alpha([s.store]) for s, (a, _) in zip(states, abs_tr))

@@ -179,3 +179,17 @@ def test_action_printing_examples():
     for text in cases:
         cmd = textio.parse_command(text)
         assert str(cmd) == text
+
+
+def test_command_hash_is_the_field_tuple_hash():
+    from tracelab.domains import type_domain
+    def guarded():
+        return Command("L0", lang.Guard("type", type_domain.make({"x": "Int"})), "L1")
+
+    for c in (guarded(), *parse_program(LOOP_SRC).commands):
+        assert hash(c) == hash((c.label, c.action, c.succ))
+    first, second = parse_program(LOOP_SRC), parse_program(LOOP_SRC)
+    for c in first.commands:
+        (twin,) = [d for d in second.commands if lang.command_key(d) == lang.command_key(c)]
+        assert twin is not c and twin == c and hash(twin) == hash(c)
+    assert guarded() == guarded() and hash(guarded()) == hash(guarded())
