@@ -1,4 +1,6 @@
-"""Command-line surface.
+"""Command-line surface: parses arguments, calls the library and formats its
+results.  Mining, the pipeline's rounds, its check and the shrinking of
+failures live in ``pipeline``.
 
 Subcommands: run, trace, hot, extract, optimize, check, pipeline, gp-compile,
 gp-trace, gp-check, gen, render.  Reports are deterministic for a fixed seed.
@@ -8,14 +10,14 @@ Exit codes: 0 when every check passes (and for commands that check nothing),
 one ``error: ...`` line on stderr and no traceback: unreadable files
 (``OSError``), bad JSON stores, parse errors, ill-formed programs, and the
 errors of the library itself (``ExtractError``, ``OptimizeError``,
-``SemanticsError``, ``DomainError``, ``HotPathError``), such as a pass that
-does not fit the domain or a program that is nondeterministic at run time.
+``SemanticsError``, ``DomainError``, ``HotPathError``, ``PipelineError``),
+such as a pass that does not fit the domain or a program that is
+nondeterministic at run time.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from pathlib import Path
@@ -23,7 +25,7 @@ from typing import Optional
 
 from . import gen as genmod
 from . import gp as gpmod
-from . import hotpath, observe, optimize, textio
+from . import hotpath, observe, optimize, pipeline, textio
 from .domains import DomainError, domain_tags
 from .extract import ExtractError, extract_nested
 from .lang import Program, well_formed
@@ -44,7 +46,7 @@ def _load_program(path: str) -> Program:
 
 def _initial_stores(args) -> list[Store]:
     stores: list[Store] = []
-    if getattr(args, "initials", None):
+    if args.initials:
         text = args.initials
         if not text.lstrip().startswith(("{", "[")):
             text = Path(text).read_text()
@@ -52,21 +54,12 @@ def _initial_stores(args) -> list[Store]:
         if isinstance(data, dict):
             data = [data]
         stores.extend(textio.store_from_json(obj) for obj in data)
-    if getattr(args, "sample", 0):
-        pool_vars = getattr(args, "_sample_vars", ("x", "y", "z", "w", "s", "i", "j"))
+    if args.sample:
+        pool_vars = ("x", "y", "z", "w", "s", "i", "j")
         stores.extend(genmod.gen_stores(args.seed, pool_vars, args.sample))
     if not stores:
         stores.append(Store())
     return stores
-
-
-def _hot(p: Program, original: Program, stores, args) -> list[tuple[hotpath.HotPath, int]]:
-    traces = [run(p, rho, args.budget).states for rho in stores]
-    return hotpath.alpha_outerhot_n(traces, original, args.threshold, args.domain, p)
-
-
-def _passes(args) -> list[optimize.Optimization]:
-    return [optimize.PASSES[name] for name in args.passes]
 
 
 def _hp_json(hp: hotpath.HotPath, count_: int) -> dict:
@@ -90,16 +83,15 @@ def cmd_run(args) -> int:
 
 def cmd_trace(args) -> int:
     p = _load_program(args.program)
-    (rho,) = _initial_stores(args)[:1] or [Store()]
-    r = run(p, rho, args.budget)
+    r = run(p, _initial_stores(args)[0], args.budget)
     sys.stdout.write(textio.trace_to_jsonl(r.states, r.truncated))
     return 0
 
 
 def cmd_hot(args) -> int:
     p = _load_program(args.program)
-    stores = _initial_stores(args)
-    for hp, c in _hot(p, p, stores, args):
+    for hp, c in pipeline.mine(p, p, _initial_stores(args), args.budget, args.threshold,
+                               args.domain):
         print(f"{args.threshold}-hot [{args.domain}] : {hp}  (count {c})")
     return 0
 
@@ -115,8 +107,9 @@ def _select_hotpath(found, index: int) -> hotpath.HotPath:
 def cmd_extract(args) -> int:
     p = _load_program(args.program)
     original = _load_program(args.original) if args.original else p
-    stores = _initial_stores(args)
-    hp = _select_hotpath(_hot(p, original, stores, args), args.hotpath)
+    found = pipeline.mine(p, original, _initial_stores(args), args.budget, args.threshold,
+                          args.domain)
+    hp = _select_hotpath(found, args.hotpath)
     st = extract_nested(p, hp, original)
     if args.dot:
         Path(args.dot).write_text(textio.program_to_dot(st.transformed, st.stitched))
@@ -127,9 +120,10 @@ def cmd_extract(args) -> int:
 def cmd_optimize(args) -> int:
     p = _load_program(args.program)
     original = _load_program(args.original) if args.original else p
-    stores = _initial_stores(args)
-    hp = _select_hotpath(_hot(p, original, stores, args), args.hotpath)
-    out = optimize.optimize_full(p, hp, _passes(args), original)
+    found = pipeline.mine(p, original, _initial_stores(args), args.budget, args.threshold,
+                          args.domain)
+    hp = _select_hotpath(found, args.hotpath)
+    out = optimize.optimize_full(p, hp, [optimize.PASSES[name] for name in args.passes], original)
     sys.stdout.write(textio.print_program(out))
     return 0
 
@@ -149,77 +143,30 @@ def cmd_check(args) -> int:
 
 def cmd_pipeline(args) -> int:
     p = _load_program(args.program)
-    stores = _initial_stores(args)
-    before = textio.print_program(p)
-    current = p
-    hotpaths_json = []
-    for _ in range(args.rounds):
-        found = _hot(current, p, stores, args)
-        if not found:
-            break
-        hp, c = found[0]
-        hotpaths_json.append(_hp_json(hp, c))
-        current = optimize.optimize_full(current, hp, _passes(args), p)
-    wf = well_formed(current)
-    if wf:
-        raise CliError("pipeline produced an ill-formed program: " + "; ".join(wf))
-
-    # dse does not preserve store changes, so its result is judged by outputs
-    if "dse" in args.passes:
-        xs = frozenset(args.vars.split(",")) if args.vars else p.vars()
-        check = functools.partial(observe.out_equiv_check, xs=xs)
-    else:
-        check = observe.sc_equiv_check
-    report = check(p, current, stores, args.budget)
-
+    xs = frozenset(args.vars.split(",")) if args.vars else None
+    rep = pipeline.pipeline(p, _initial_stores(args), args.domain, args.threshold, args.budget,
+                            args.passes, args.rounds, xs)
     verdicts = []
-    for v in sorted(report.verdicts, key=lambda v: str(v.initial)):
+    for v in sorted(rep.check.verdicts, key=lambda v: str(v.initial)):
         item = {"initial": textio.store_to_json(v.initial),
                 "result": "PASS" if v.passed else "FAIL"}
         if not v.passed:
+            least, budget = rep.minimized[v]
             item["divergence"] = v.divergence
-            item["minimized"] = _shrink(p, current, v.initial, args.budget, check)
+            item["minimized"] = {"initial": textio.store_to_json(least.initial),
+                                 "budget": budget, "divergence": least.divergence}
         verdicts.append(item)
     report_json = {
-        "hotpaths": hotpaths_json,
+        "hotpaths": [_hp_json(hp, c) for hp, c in rep.hotpaths],
         "verdicts": verdicts,
-        "programs": {"before": before, "after": textio.print_program(current)},
+        "programs": {"before": textio.print_program(p), "after": textio.print_program(rep.program)},
     }
     out = json.dumps(report_json, indent=2, sort_keys=True)
     if args.json:
         Path(args.json).write_text(out + "\n")
     else:
         print(out)
-    return 0 if report.passed else 1
-
-
-def _shrink(p1: Program, p2: Program, rho: Store, budget: int, check) -> dict:
-    """Deterministic shrinking: halve the bound store and the budget while the
-    failure persists under ``check``, the equivalence check that judged it."""
-    store = rho
-
-    def fails(s: Store, b: int) -> bool:
-        rep = check(p1, p2, [s], b)
-        return not rep.passed
-
-    changed = True
-    while changed:
-        changed = False
-        if budget > 2 and fails(store, budget // 2):
-            budget //= 2
-            changed = True
-        keys = sorted(store.keys())
-        if len(keys) > 1:
-            half = Store({k: v for k, v in store.items() if k in keys[: len(keys) // 2]})
-            if fails(half, budget):
-                store = half
-                changed = True
-    rep = check(p1, p2, [store], budget)
-    return {
-        "initial": textio.store_to_json(store),
-        "budget": budget,
-        "divergence": rep.verdicts[0].divergence,
-    }
+    return 0 if rep.check.passed else 1
 
 
 def cmd_gen(args) -> int:
@@ -247,7 +194,7 @@ def cmd_gp_compile(args) -> int:
 
 def cmd_gp_trace(args) -> int:
     stm = textio.parse_gp_program(Path(args.program).read_text())
-    (rho,) = _initial_stores(args)[:1] or [Store()]
+    rho = _initial_stores(args)[0]
     rec = gpmod.gp_record_hot_path(stm, rho, args.budget)
     print("trace:", gpmod.stm_str(rec.trace_stm))
     print("hot path:", " ; ".join(str(c) for c in rec.hot_path))
@@ -257,7 +204,7 @@ def cmd_gp_trace(args) -> int:
 
 def cmd_gp_check(args) -> int:
     stm = textio.parse_gp_program(Path(args.program).read_text())
-    (rho,) = _initial_stores(args)[:1] or [Store()]
+    rho = _initial_stores(args)[0]
     res = gpmod.gp_equivalence_check(stm, rho, args.budget)
     if res.passed:
         renames = ", ".join(f"{a} -> {b}" for a, b in sorted((res.renaming or {}).items()))
@@ -267,13 +214,13 @@ def cmd_gp_check(args) -> int:
     return 1
 
 
-def _add_common(sp, sample_default: int = 0):
+def _add_common(sp):
     sp.add_argument("--domain", default="onepoint", choices=domain_tags())
     sp.add_argument("--threshold", "-N", type=int, default=2)
     sp.add_argument("--budget", type=int, default=2000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--initials", help="JSON store(s), inline or a file path")
-    sp.add_argument("--sample", type=int, default=sample_default,
+    sp.add_argument("--sample", type=int, default=0,
                     help="number of seeded random initial stores to add")
 
 
@@ -368,7 +315,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.fn(args)
     except (CliError, textio.ParseError, OSError, json.JSONDecodeError, ExtractError,
-            optimize.OptimizeError, SemanticsError, DomainError, hotpath.HotPathError) as e:
+            optimize.OptimizeError, SemanticsError, DomainError, hotpath.HotPathError,
+            pipeline.PipelineError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -52,7 +52,8 @@ def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> Stit
     """Stitch ``hp`` into ``p_current``; commands of ``hp`` outside
     ``p_original`` belong to previously stitched paths and are nested rather
     than copied.  With every command in the original program this is exactly
-    the plain transform."""
+    the plain transform.  A path that leaves the same stitched command twice
+    is refused: retargeting it twice would make its label nondeterministic."""
     get_domain(hp.domain)  # fail fast on unregistered guard domains
     cmds = hp.commands
     n = len(cmds) - 1
@@ -115,6 +116,8 @@ def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> Stit
         else:
             # (8)-(9): retarget a nested path's exit into this stitch
             if i < n and in_orig[i + 1]:
+                if ci in removed:
+                    raise ExtractError(f"hot path leaves the stitched command {ci} twice")
                 removed.add(ci)
                 retarget = Command(ci.label, ci.action, bbl[i + 1])
                 added.add(retarget)

@@ -10,7 +10,6 @@ prologue.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from .gp import EMPTY, GAssign, GIf, GSkip, GWhile, GPCompiler, Stm
 from .lang import Add, Eq, Leq, Lit, Mod, Var

@@ -17,8 +17,8 @@ from typing import Optional, Sequence, Union
 from . import hotpath
 from .lang import (BExpr, Command, Expr, HALT, Program, Skip as CoreSkip,
                    Assign as CoreAssign, Cond, negate_bexpr)
-from .semantics import State, Store, Run, eval_bexpr, eval_expr, run
-from .observe import sc, st
+from .semantics import State, Store, eval_bexpr, eval_expr
+from .observe import sc
 from .values import Bool, UNDEF
 
 
@@ -399,9 +399,9 @@ def gp_record_hot_path(stm: Stm, rho0: Store, budget: int) -> RecordResult:
 
     t = states[-1].trace
     compiled = _compile_extended(comp, states)
-    ord_ = hotpath.topo_order(program)
     hp = tuple(s.command for s in compiled[:-1])
-    mined = hotpath.sloop_gp(compiled, ord_, program)
+    mined = (tuple(s.command for s in compiled[i:j + 1])
+             for i, j in hotpath.sloop(compiled, hotpath.topo_order(program), program))
     if hp not in mined:
         raise GPError("recorded path was not mined back from the compiled trace")
     return RecordResult(t, stitched, hp, comp, program, tuple(states))

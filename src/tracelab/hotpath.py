@@ -200,16 +200,12 @@ def hot_n(states: Sequence[State], n: int, domain_tag: str, p: Program,
 
 def hotcut(states: Sequence[State], original: Program) -> tuple[State, ...]:
     """Drops interior states of runs of commands outside the original program,
-    keeping each run's first and last state."""
-    inside = original.commands
-    rest = list(states)
-    out: list[State] = []
-    while rest:
-        if len(rest) >= 3 and all(s.command not in inside for s in rest[:3]):
-            del rest[1]
-        else:
-            out.append(rest.pop(0))
-    return tuple(out)
+    keeping each run's first and last state: a state stays when its command
+    or a neighbour's is in the original program, or when it ends the trace."""
+    inside = [s.command in original.commands for s in states]
+    last = len(states) - 1
+    return tuple(s for i, s in enumerate(states)
+                 if inside[i] or i == 0 or i == last or inside[i - 1] or inside[i + 1])
 
 
 def outerhot_n(states: Sequence[State], original: Program, n: int, domain_tag: str,
@@ -232,19 +228,3 @@ def alpha_outerhot_n(traces, original: Program, n: int, domain_tag: str,
         for hp, c in outerhot_n(tr, original, n, domain_tag, current, True, ord):
             found.setdefault(hp, c)
     return list(found.items())
-
-
-# ---------------------------------------------------------------------------
-# Storeless variant used by the while-language front end
-# ---------------------------------------------------------------------------
-
-def sloop_gp(states: Sequence[State], ord: TopoOrder, p: Program) -> list[tuple[Command, ...]]:
-    """Command-only projections of loop segments, deduplicated in first-occurrence order."""
-    seen: set[tuple[Command, ...]] = set()
-    out: list[tuple[Command, ...]] = []
-    for i, j in sloop(states, ord, p):
-        cmds = tuple(s.command for s in states[i:j + 1])
-        if cmds not in seen:
-            seen.add(cmds)
-            out.append(cmds)
-    return out

@@ -359,38 +359,22 @@ class Program:
             out |= action_vars(c.action)
         return frozenset(out)
 
-    def array_size(self, name: str) -> Optional[int]:
-        for n, size in self.arrays:
-            if n == name:
-                return size
-        return None
-
     def replace(self, remove: Iterable[Command] = (), add: Iterable[Command] = ()) -> "Program":
         cmds = (self.commands - frozenset(remove)) | frozenset(add)
         return Program(cmds, self.entry, self.arrays)
 
 
-def cmpl(c: Command, p: Program) -> Command:
-    """The unique complement conditional of c, a command of p."""
-    if not is_branching(c.action):
-        raise LangError(f"not a conditional: {c}")
-    matches = p.complements.get(c, ())
-    if not matches:
-        raise LangError(f"complement missing for: {c}")
-    if len(matches) > 1:
-        raise LangError(f"complement not unique for: {c}")
-    return matches[0]
-
-
 def find_cmpl(c: Command, p: Program) -> Optional[Command]:
+    """The unique complement of c in p; None when c does not branch or its
+    complement is missing or not unique (``well_formed`` reports which)."""
     if not is_branching(c.action):
         return None
     matches = p.complements.get(c, ())
     return matches[0] if len(matches) == 1 else None
 
 
-def well_formed(p: Program, deterministic: bool = True) -> list[str]:
-    """Diagnostics; empty list means well-formed (and deterministic if requested)."""
+def well_formed(p: Program) -> list[str]:
+    """Diagnostics; empty list means well-formed and deterministic."""
     out = []
     for c in p.sorted_commands:
         if is_branching(c.action):
@@ -399,10 +383,9 @@ def well_formed(p: Program, deterministic: bool = True) -> list[str]:
                 out.append(f"no complement for conditional at {c.label}: {c}")
             elif len(matches) > 1:
                 out.append(f"multiple complements for conditional at {c.label}: {c}")
-    if deterministic:
-        for label, cmds in sorted(p.by_label.items()):
-            if not p.deterministic_at(label):
-                out.append(f"nondeterministic label {label}: {len(cmds)} commands")
+    for label, cmds in sorted(p.by_label.items()):
+        if not p.deterministic_at(label):
+            out.append(f"nondeterministic label {label}: {len(cmds)} commands")
     if p.entry not in p.by_label:
         out.append(f"entry label {p.entry} has no command")
     return out

@@ -68,15 +68,6 @@ def alpha_sc(traces: Iterable[Sequence]) -> frozenset[StoreSeq]:
     return frozenset(sc(t) for t in traces)
 
 
-def alpha_st(traces: Iterable[Sequence]) -> frozenset[StoreSeq]:
-    return frozenset(st(t) for t in traces)
-
-
-def alpha_out(traces: Iterable[Sequence], xs: Iterable[str]) -> frozenset[StoreSeq]:
-    xs = frozenset(xs)
-    return frozenset(out(t, xs) for t in traces)
-
-
 def alpha_osch(traces: Iterable[Sequence], xs: Iterable[str]) -> frozenset[StoreSeq]:
     xs = frozenset(xs)
     return frozenset(osch(t, xs) for t in traces)

@@ -25,10 +25,6 @@ class OptimizeError(Exception):
     pass
 
 
-def identity_opt(st: StitchResult) -> frozenset[Command]:
-    return st.stitched
-
-
 # ---------------------------------------------------------------------------
 # Type specialization
 # ---------------------------------------------------------------------------

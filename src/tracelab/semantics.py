@@ -222,19 +222,6 @@ def collecting_eval(e: Expr, stores: Iterable[Store]) -> set[UValue]:
     return {eval_expr(e, s) for s in stores}
 
 
-def collecting_bexpr(b: BExpr, stores: Iterable[Store]) -> set[Store]:
-    return {s for s in stores if eval_bexpr(b, s) == Bool(True)}
-
-
-def collecting_action(a: lang.Action, stores: Iterable[Store]) -> set[Store]:
-    out = set()
-    for s in stores:
-        r = apply_action(a, s)
-        if r is not None:
-            out.add(r)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Transitions and bounded runs
 # ---------------------------------------------------------------------------
@@ -283,21 +270,3 @@ def trace_linked(p: Program, states: Sequence[State]) -> bool:
         if b not in step(p, a):
             return False
     return all(s.command in p.commands for s in states)
-
-
-def suffixes(states: Sequence[State]):
-    """All nonempty suffixes: the bounded stand-in for traces not starting at entry."""
-    for k in range(len(states)):
-        yield tuple(states[k:])
-
-
-def x_history(states: Sequence[State], var: str) -> list[UValue]:
-    """Distinct consecutive values of one variable along a trace."""
-    out: list[UValue] = []
-    for s in states:
-        v = s.store.get(var)
-        if v is UNDEF:
-            continue
-        if not out or out[-1] != v:
-            out.append(v)
-    return out

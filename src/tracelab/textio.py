@@ -26,10 +26,10 @@ from typing import Optional
 from . import lang
 from .domains import AbstractStore, get_domain
 from .lang import (Add, AddTyped, And, ArrayAssign, Assign, Command, Cond, Eq,
-                   Ff, Guard, HALT, Index, Leq, Lit, Mod, Not, Program, Put,
-                   Skip, Tt, Var, command_key)
+                   Ff, Guard, HALT, Index, Leq, Lit, Mod, Program, Put, Skip,
+                   Tt, Var)
 from .semantics import Store
-from .values import Bool, UNDEF, value_str
+from .values import Bool
 
 
 class ParseError(Exception):
@@ -155,7 +155,7 @@ def _parse_expr(c: _Cursor, typed: bool):
             e = Mod(e, rhs)
         else:
             if not typed:
-                c.fail(f"typed addition {op} not allowed without the typed-syntax flag")
+                c.fail(f"typed addition {op} not allowed in while-language programs")
             e = AddTyped(e, rhs, op[1:])
     return e
 
@@ -308,14 +308,14 @@ def _parse_action(c: _Cursor, typed: bool, arrays: dict[str, int]) -> lang.Actio
     return Cond(_parse_bexpr(c, typed))
 
 
-def parse_command(text: str, line_no: Optional[int] = None, typed: bool = True,
+def parse_command(text: str, line_no: Optional[int] = None,
                   arrays: Optional[dict[str, int]] = None) -> Command:
     c = _Cursor(tokenize(text, line_no), line_no)
     label = c.next()
     if not _NAME_RE.match(label):
         c.fail(f"bad label {label!r}")
     c.expect(":")
-    action = _parse_action(c, typed, arrays or {})
+    action = _parse_action(c, True, arrays or {})
     c.expect("->")
     succ = c.next()
     if succ != HALT and not _NAME_RE.match(succ):
@@ -325,7 +325,7 @@ def parse_command(text: str, line_no: Optional[int] = None, typed: bool = True,
     return Command(label, action, succ)
 
 
-def parse_program(text: str, typed_syntax: bool = True) -> Program:
+def parse_program(text: str) -> Program:
     entry: Optional[str] = None
     arrays: dict[str, int] = {}
     commands: list[Command] = []
@@ -348,7 +348,7 @@ def parse_program(text: str, typed_syntax: bool = True) -> Program:
             continue
         if line.startswith("#"):
             raise ParseError(f"unknown directive: {line.split()[0]}", line_no)
-        cmd = parse_command(line, line_no, typed_syntax, arrays)
+        cmd = parse_command(line, line_no, arrays)
         if cmd in seen:
             raise ParseError(f"duplicate command: {cmd}", line_no)
         seen.add(cmd)

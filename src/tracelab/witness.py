@@ -37,12 +37,6 @@ class WitnessContext:
     def target(self) -> Program:
         return self.st.transformed
 
-    def _cmd(self, label: str, pred) -> Optional[Command]:
-        for c in self.st.stitched | self.target.commands:
-            if c.label == label and pred(c):
-                return c
-        return None
-
     def entry(self, positive: bool) -> Command:
         cands = [c for c in self.st.stitched
                  if c.label == self.st.entry_label and isinstance(c.action, Guard)

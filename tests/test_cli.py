@@ -80,7 +80,7 @@ def test_pipeline_with_two_passes_reports(tmp_path):
 def test_shrink_uses_the_check_that_judged(tmp_path, monkeypatch):
     """A dse result is judged by outputs, so its failure is minimized by
     outputs too; store changes would shrink it differently."""
-    from tracelab import observe, optimize, textio
+    from tracelab import observe, optimize, pipeline, textio
     from tracelab.lang import Assign, Command, Lit
     from tracelab.semantics import Store
 
@@ -101,8 +101,8 @@ def test_shrink_uses_the_check_that_judged(tmp_path, monkeypatch):
     report = json.loads(out)["programs"]
     before, after = (textio.parse_program(report[k]) for k in ("before", "after"))
     rho = Store({"x": -5, "y": 1})
-    by_sc = cli._shrink(before, after, rho, 2000, observe.sc_equiv_check)
-    assert by_sc == {"initial": {"x": -5}, "budget": 7, "divergence": 1}
+    verdict, budget = pipeline.shrink(before, after, rho, 2000, observe.sc_equiv_check)
+    assert (verdict.initial, budget, verdict.divergence) == (Store({"x": -5}), 7, 1)
 
 
 @pytest.mark.parametrize("case", ["OSError", "JSONDecodeError", "ExtractError", "OptimizeError",
@@ -153,12 +153,33 @@ def test_check_names_the_observation_that_judged(tmp_path, observation):
 
 
 def test_pipeline_refuses_gen_seed_75(tmp_path):
-    """Nested extraction on generated program 75 leaves an ill-formed program;
-    the pipeline refuses it with exit 2 rather than reporting on it."""
+    """On generated program 75 the third round's hot path leaves one stitched
+    command twice; nested extraction refuses to retarget it a second time,
+    which would make its label nondeterministic, and the pipeline exits 2."""
     from tracelab import gen, textio
     path = tmp_path / "gen75.tl"
     path.write_text(textio.print_program(gen.gen_program(75)))
     rc, out, err = call(["pipeline", path, "--sample", "4", "--seed", "75", "--domain", "type",
                          "--pass", "ts", "--rounds", "3"])
     assert (rc, out) == (2, "")
-    assert err.startswith("error: pipeline produced an ill-formed program")
+    assert err == "error: hot path leaves the stitched command h4#2: ((j % 3) = 1) -> s11 twice\n"
+
+
+def test_pipeline_refuses_an_ill_formed_result(tmp_path, monkeypatch):
+    """The final well-formedness check stays as a safety net behind the
+    passes: a pass that adds a second command at a stitched label is refused."""
+    from tracelab import optimize
+    from tracelab.lang import Command, Skip
+
+    ts = optimize.PASSES["ts"]
+
+    def forking_ts(st):
+        copy = st.body[0]
+        return ts(st) | {Command(copy.label, Skip(), copy.succ)}
+
+    monkeypatch.setitem(optimize.PASSES, "ts", forking_ts)
+    path = tmp_path / "loop.tl"
+    path.write_text(LOOP_SRC)
+    rc, out, err = call(["pipeline", path, "--domain", "type", "--pass", "ts"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: pipeline produced an ill-formed program: nondeterministic label")

@@ -192,15 +192,21 @@ def test_nested_extraction_correct(loop_program, loop_hp1):
 # while-language extraction
 # ---------------------------------------------------------------------------
 
+def _loop_paths(states, p):
+    """The command sequences of the loop paths of a trace, storeless and in
+    first-occurrence order: the paths the while-language front end stitches."""
+    from tracelab.hotpath import sloop, topo_order
+    segments = sloop(states, topo_order(p), p)
+    return list(dict.fromkeys(tuple(s.command for s in states[i:j + 1]) for i, j in segments))
+
+
 def test_extract_gp_identity_without_interior_conditionals():
     from tracelab.gp import GPCompiler
     from tracelab.textio import parse_gp_program
     stm = parse_gp_program("while x <= 5 do { x := x + 1; }")
     p = GPCompiler().compile(stm)
     r = run(p, Store({"x": 0}), 200)
-    from tracelab.hotpath import sloop_gp, topo_order
-    paths = sloop_gp(r.states, topo_order(p), p)
-    hp = paths[0]
+    hp = _loop_paths(r.states, p)[0]
     assert extract_gp(p, hp) == p
 
 
@@ -211,8 +217,7 @@ def test_extract_gp_adds_relabeled_chain(loop_program):
         "while x <= 20 do { x := x + 1; if (x % 3) = 0 then { x := x + 3; } }")
     p = GPCompiler().compile(stm)
     r = run(p, Store({"x": 0}), 500)
-    from tracelab.hotpath import sloop_gp, topo_order
-    hp = next(h for h in sloop_gp(r.states, topo_order(p), p) if len(h) == 4)
+    hp = next(h for h in _loop_paths(r.states, p) if len(h) == 4)
     q = extract_gp(p, hp)
     added = q.commands - p.commands
     assert len(added) == 6  # 4 copies + 2 complement exits

@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from tracelab import hotpath
 from tracelab.domains import onepoint_domain
 from tracelab.extract import extract
 from tracelab.hotpath import (HotPath, HotPathError, count, hot_n, hotcut,
-                              outerhot_n, sloop, sloop_gp, topo_order)
+                              outerhot_n, sloop, topo_order)
 from tracelab.lang import Command, Skip
 from tracelab.semantics import State, Store, run
 from tracelab.textio import parse_program
@@ -212,7 +213,7 @@ def test_sieve_first_hot_path(sieve_program, sieve_store):
 
 
 # ---------------------------------------------------------------------------
-# hotcut / outerhot / sloop_gp
+# hotcut / outerhot
 # ---------------------------------------------------------------------------
 
 def test_hotcut_identity_inside_original(loop_program, loop_run):
@@ -288,17 +289,24 @@ def test_hotcut_sc_equal_when_dropped_states_preserve_stores(loop_program):
     assert sc(hotcut(states, loop_program)) == sc(states)
 
 
-def test_sloop_gp_projects_commands(loop_program, loop_run):
-    ord_ = topo_order(loop_program)
-    proj = sloop_gp(loop_run.states, ord_, loop_program)
-    segs = sloop(loop_run.states, ord_, loop_program)
-    want = []
-    for i, j in segs:
-        cmds = tuple(s.command for s in loop_run.states[i:j + 1])
-        if cmds not in want:
-            want.append(cmds)
-    assert proj == want
-    assert sloop_gp(loop_run.states[:1], ord_, loop_program) == []
+def _hotcut_by_deletion(states, original):
+    """The reference definition: while the next three states are all outside
+    the original program, delete the middle one; otherwise keep the first."""
+    rest, out = list(states), []
+    while rest:
+        if len(rest) >= 3 and all(s.command not in original.commands for s in rest[:3]):
+            del rest[1]
+        else:
+            out.append(rest.pop(0))
+    return tuple(out)
+
+
+@given(st.lists(st.booleans(), max_size=40))
+def test_hotcut_agrees_with_the_deletion_definition(loop_program, inside):
+    foreign = Command("F", Skip(), "F")
+    keep = command_at(loop_program, "L0")
+    states = [State(Store({"n": i}), keep if b else foreign) for i, b in enumerate(inside)]
+    assert hotcut(states, loop_program) == _hotcut_by_deletion(states, loop_program)
 
 
 # ---------------------------------------------------------------------------

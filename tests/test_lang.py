@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tracelab import lang, textio
-from tracelab.lang import (Command, HALT, LabelScope, Program, cmpl,
+from tracelab.lang import (Command, HALT, LabelScope, Program, find_cmpl,
                            negate_bexpr, rename_equal, well_formed)
 from tracelab.textio import ParseError, parse_program, print_program
 from tests.conftest import LOOP_SRC, command_at
@@ -48,15 +48,19 @@ def test_halt_cannot_label_a_command():
 
 def test_cmpl_involution(loop_program):
     c1 = command_at(loop_program, "L1", lambda c: not str(c.action).startswith("!"))
-    c1c = cmpl(c1, loop_program)
+    c1c = find_cmpl(c1, loop_program)
     assert c1c.succ == "L5"
-    assert cmpl(c1c, loop_program) == c1
+    assert find_cmpl(c1c, loop_program) == c1
 
 
 def test_cmpl_requires_conditional(loop_program):
     c0 = command_at(loop_program, "L0")
-    with pytest.raises(lang.LangError):
-        cmpl(c0, loop_program)
+    assert find_cmpl(c0, loop_program) is None
+    c1 = command_at(loop_program, "L1", lambda c: not str(c.action).startswith("!"))
+    twin = Command("L1", lang.Cond(lang.negate_bexpr(c1.action.test)), "L2")
+    p = loop_program.replace(add=[twin])
+    assert find_cmpl(c1, p) is None
+    assert any("multiple complements for conditional at L1" in d for d in well_formed(p))
 
 
 def test_well_formed_after_removing_complement(loop_program):
@@ -68,8 +72,7 @@ def test_well_formed_after_removing_complement(loop_program):
 
 def test_determinism_diagnostic():
     p = parse_program("#entry L0\nL0: skip -> L1\nL0: x := 1 -> L1\nL1: skip -> .\n")
-    assert any("nondeterministic" in d for d in well_formed(p))
-    assert not any("nondeterministic" in d for d in well_formed(p, deterministic=False))
+    assert well_formed(p) == ["nondeterministic label L0: 2 commands"]
 
 
 @given(st.integers(-5, 5), st.integers(-5, 5))

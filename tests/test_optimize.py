@@ -7,7 +7,7 @@ from tracelab.lang import (Add, AddTyped, Assign, Command, Lit, Skip, Var,
                            rename_equal, well_formed)
 from tracelab.observe import out_equiv_check, sc_equiv_check
 from tracelab.optimize import (OptimizeError, const_fold, dead_store_eliminate,
-                               free_vars, identity_opt, optimize_full,
+                               free_vars, optimize_full,
                                type_specialize)
 from tracelab.semantics import Store, run
 from tracelab.textio import parse_program
@@ -256,7 +256,7 @@ def test_dse_is_out_sound_but_not_sc_sound(dse_program):
 def test_identity_optimization_equals_extraction(loop_program):
     r = run(loop_program, Store(), 500)
     hp = hot_n(r.states, 2, "onepoint", loop_program)[0]
-    assert optimize_full(loop_program, hp, [identity_opt]) == \
+    assert optimize_full(loop_program, hp, []) == \
         extract(loop_program, hp).transformed
 
 
