@@ -17,13 +17,13 @@ from .domains import (AbstractStore, abstract_add_type, cp_domain, eval_type,
                       get_domain, onepoint_domain, type_alpha, type_domain)
 from .observe import (alpha_osch, alpha_rho_sc, alpha_sc, osch, out, out_equiv_check,
                       sc, sc_equiv_check, st)
-from .hotpath import (HotPath, alpha_outerhot_n, count, hot_n, hotcut,
-                      outerhot_n, sloop, topo_order)
+from .hotpath import (HotPath, alpha_outerhot_n, count, hot_n, hotcut, sloop,
+                      topo_order)
 from .extract import StitchResult, extract, extract_gp, extract_nested
 from .optimize import (const_fold, dead_store_eliminate, free_vars,
                        optimize_full, type_specialize)
-from .witness import (WitnessContext, lift_full, make_context, rtr, sp, td,
-                      tr_out, specialization_map)
+from .witness import (WitnessContext, lift_full, rtr, sp, td, tr_out,
+                      specialization_map)
 from .gp import (GPCompiler, GAssign, GBail, GIf, GSkip, GWhile,
                  gp_equivalence_check, gp_record_hot_path, gp_run, gp_step,
                  gp_trace_step)

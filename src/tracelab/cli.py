@@ -10,9 +10,13 @@ Exit codes: 0 when every check passes (and for commands that check nothing),
 one ``error: ...`` line on stderr and no traceback: unreadable files
 (``OSError``), bad JSON stores, parse errors, ill-formed programs, and the
 errors of the library itself (``ExtractError``, ``OptimizeError``,
-``SemanticsError``, ``DomainError``, ``HotPathError``, ``PipelineError``),
-such as a pass that does not fit the domain or a program that is
-nondeterministic at run time.
+``SemanticsError``, ``DomainError``, ``HotPathError``, ``PipelineError``,
+``GPError``), such as a pass that does not fit the domain, a program that is
+nondeterministic at run time, or a while-language loop that gets stuck before
+its hot path is recorded.
+
+Only the mining subcommands (hot, extract, optimize, pipeline) take
+``--domain`` and ``--threshold``.
 """
 
 from __future__ import annotations
@@ -215,13 +219,17 @@ def cmd_gp_check(args) -> int:
 
 
 def _add_common(sp):
-    sp.add_argument("--domain", default="onepoint", choices=domain_tags())
-    sp.add_argument("--threshold", "-N", type=int, default=2)
     sp.add_argument("--budget", type=int, default=2000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--initials", help="JSON store(s), inline or a file path")
     sp.add_argument("--sample", type=int, default=0,
                     help="number of seeded random initial stores to add")
+
+
+def _add_mining(sp):
+    _add_common(sp)
+    sp.add_argument("--domain", default="onepoint", choices=domain_tags())
+    sp.add_argument("--threshold", "-N", type=int, default=2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hot", help="mine hot paths from bounded runs")
     sp.add_argument("program")
-    _add_common(sp)
+    _add_mining(sp)
     sp.set_defaults(fn=cmd_hot)
 
     sp = sub.add_parser("extract", help="stitch a mined hot path")
@@ -248,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hotpath", type=int, default=0, help="index into the mined list")
     sp.add_argument("--original", help="base program for nested extraction")
     sp.add_argument("--dot", help="write a DOT flow graph here")
-    _add_common(sp)
+    _add_mining(sp)
     sp.set_defaults(fn=cmd_extract)
 
     sp = sub.add_parser("optimize", help="extract and optimize a hot path")
@@ -257,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=sorted(optimize.PASSES))
     sp.add_argument("--hotpath", type=int, default=0)
     sp.add_argument("--original")
-    _add_common(sp)
+    _add_mining(sp)
     sp.set_defaults(fn=cmd_optimize)
 
     sp = sub.add_parser("check", help="differential store-change check")
@@ -275,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rounds", type=int, default=1)
     sp.add_argument("--vars")
     sp.add_argument("--json", help="write the report here instead of stdout")
-    _add_common(sp)
+    _add_mining(sp)
     sp.set_defaults(fn=cmd_pipeline)
 
     sp = sub.add_parser("gen", help="generate a seeded random program")
@@ -316,7 +324,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.fn(args)
     except (CliError, textio.ParseError, OSError, json.JSONDecodeError, ExtractError,
             optimize.OptimizeError, SemanticsError, DomainError, hotpath.HotPathError,
-            pipeline.PipelineError) as e:
+            pipeline.PipelineError, gpmod.GPError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

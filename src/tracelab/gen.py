@@ -80,8 +80,7 @@ def gen_while_program(seed: int) -> Stm:
     return stm[1:]  # drop the counter init; callers bind it in the store
 
 
-def gen_stores(seed: int, variables, count: int,
-               int_pool: tuple[int, ...] = _INT_POOL) -> list[Store]:
+def gen_stores(seed: int, variables, count: int) -> list[Store]:
     """Seeded initial stores over the given variables; some slots stay unbound
     and string-typed slots show up occasionally."""
     rng = random.Random(seed)
@@ -96,7 +95,7 @@ def gen_stores(seed: int, variables, count: int,
             if v == "s":
                 bindings[v] = rng.choice(_STR_POOL)
             else:
-                bindings[v] = rng.choice(int_pool)
+                bindings[v] = rng.choice(_INT_POOL)
         bindings["i"] = 0
         bindings["j"] = 0
         bindings.setdefault("s", rng.choice(_STR_POOL))

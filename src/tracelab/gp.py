@@ -17,8 +17,8 @@ from typing import Optional, Sequence, Union
 from . import hotpath
 from .lang import (BExpr, Command, Expr, HALT, Program, Skip as CoreSkip,
                    Assign as CoreAssign, Cond, negate_bexpr)
-from .semantics import State, Store, eval_bexpr, eval_expr
-from .observe import sc
+from .semantics import Run, State, Store, eval_bexpr, eval_expr
+from .observe import compare, sc
 from .values import Bool, UNDEF
 
 
@@ -144,22 +144,18 @@ def gp_step(s: GPState) -> Optional[GPState]:
     raise GPError(f"not a statement head: {head!r}")
 
 
-@dataclass(frozen=True)
-class GPRun:
-    states: tuple[GPState, ...]
-    truncated: bool
-
-
-def gp_run(stm: Stm, rho0: Store, budget: int) -> GPRun:
+def gp_run(stm: Stm, rho0: Store, budget: int) -> Run:
+    """The baseline run from rho0, truncated at ``budget`` states; its states
+    are ``GPState``s."""
     cur = GPState(rho0, stm)
     states = [cur]
     while len(states) < budget:
         nxt = gp_step(cur)
         if nxt is None:
-            return GPRun(tuple(states), truncated=False)
+            return Run(tuple(states), truncated=False)
         states.append(nxt)
         cur = nxt
-    return GPRun(tuple(states), truncated=gp_step(cur) is not None)
+    return Run(tuple(states), truncated=gp_step(cur) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -173,38 +169,36 @@ class GPCompiler:
     a shared continuation compiles to the same label wherever it occurs.
     """
 
-    def __init__(self, prefix: str = "s"):
+    def __init__(self):
         self._labels: dict[Stm, str] = {}
-        self._prefix = prefix
+        self._stms: dict[str, Stm] = {}
 
     def label(self, s: Stm) -> str:
         got = self._labels.get(s)
         if got is None:
-            got = f"{self._prefix}{len(self._labels)}"
+            got = f"s{len(self._labels)}"
             self._labels[s] = got
+            self._stms[got] = s
         return got
 
-    def first_commands(self, s: Stm) -> frozenset[Command]:
+    def first_commands(self, s: Stm) -> tuple[Command, ...]:
+        """The commands at s's label, labeling successors in tuple order."""
         l = self.label
         if not s:
-            return frozenset({Command(l(s), CoreSkip(), HALT)})
+            return (Command(l(s), CoreSkip(), HALT),)
         head, k = s[0], s[1:]
         if isinstance(head, GSkip):
-            return frozenset({Command(l(s), CoreSkip(), l(k))})
+            return (Command(l(s), CoreSkip(), l(k)),)
         if isinstance(head, GAssign):
-            return frozenset({Command(l(s), CoreAssign(head.var, head.expr), l(k))})
+            return (Command(l(s), CoreAssign(head.var, head.expr), l(k)),)
         if isinstance(head, GIf):
-            return frozenset({
-                Command(l(s), Cond(head.test), l(head.body + k)),
-                Command(l(s), Cond(negate_bexpr(head.test)), l(k)),
-            })
+            return (Command(l(s), Cond(head.test), l(head.body + k)),
+                    Command(l(s), Cond(negate_bexpr(head.test)), l(k)))
         if isinstance(head, GWhile):
-            return frozenset({Command(l(s), CoreSkip(), l(_unfolded_if(head, k)))})
+            return (Command(l(s), CoreSkip(), l(_unfolded_if(head, k))),)
         if isinstance(head, GBail):
-            return frozenset({
-                Command(l(s), Cond(head.test), l(head.target)),
-                Command(l(s), Cond(negate_bexpr(head.test)), l(k)),
-            })
+            return (Command(l(s), Cond(head.test), l(head.target)),
+                    Command(l(s), Cond(negate_bexpr(head.test)), l(k)))
         raise GPError(f"not a statement head: {head!r}")
 
     def compile(self, s: Stm) -> Program:
@@ -216,23 +210,12 @@ class GPCompiler:
             if cur in done:
                 continue
             done.add(cur)
-            cmds |= self.first_commands(cur)
-            head, k = (cur[0], cur[1:]) if cur else (None, EMPTY)
-            if head is None:
-                continue
-            if isinstance(head, (GSkip, GAssign)):
-                worklist.append(k)
-            elif isinstance(head, GIf):
-                worklist.append(head.body + k)
-                worklist.append(k)
-            elif isinstance(head, GWhile):
-                worklist.append(_unfolded_if(head, k))
-            elif isinstance(head, GBail):
-                worklist.append(head.target)
-                worklist.append(k)
+            first = self.first_commands(cur)
+            cmds.update(first)
+            worklist.extend(self._stms[c.succ] for c in first if c.succ != HALT)
         return Program(frozenset(cmds), self.label(s))
 
-    def compile_state(self, s: GPState) -> State:
+    def compile_state(self, s: GPAnyState) -> State:
         """The command the statement is about to run; branch-dependent for
         if/bail heads, an error when their test is undefined."""
         rho, stm = s.store, s.stm
@@ -254,7 +237,8 @@ class GPCompiler:
         (c,) = cands
         return State(rho, c)
 
-    def compile_trace(self, states: Sequence[GPState]) -> tuple[State, ...]:
+    def compile_trace(self, states: Sequence[GPAnyState]) -> tuple[State, ...]:
+        """Recording states compile through their current program component."""
         return tuple(self.compile_state(s) for s in states)
 
     def decompile_trace(self, states: Sequence[State], s0: Stm) -> tuple[GPState, ...]:
@@ -398,24 +382,13 @@ def gp_record_hot_path(stm: Stm, rho0: Store, budget: int) -> RecordResult:
         raise GPError("budget exhausted before the stitch rule fired")
 
     t = states[-1].trace
-    compiled = _compile_extended(comp, states)
+    compiled = comp.compile_trace(states)
     hp = tuple(s.command for s in compiled[:-1])
     mined = (tuple(s.command for s in compiled[i:j + 1])
              for i, j in hotpath.sloop(compiled, hotpath.topo_order(program), program))
     if hp not in mined:
         raise GPError("recorded path was not mined back from the compiled trace")
     return RecordResult(t, stitched, hp, comp, program, tuple(states))
-
-
-def _compile_extended(comp: GPCompiler, states: Sequence[GPAnyState]) -> tuple[State, ...]:
-    """Recording states compile through their current program component."""
-    out = []
-    for s in states:
-        if isinstance(s, GPTState):
-            out.append(comp.compile_state(GPState(s.store, s.stm)))
-        else:
-            out.append(comp.compile_state(s))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -441,12 +414,5 @@ def gp_equivalence_check(stm: Stm, rho0: Store, budget: int) -> GPEquivResult:
 
     r1 = gp_run(stm, rho0, budget)
     r2 = gp_run(rec.stitched, rho0, budget)
-    s1 = frozenset({sc(r1.states)})
-    s2 = frozenset({sc(r2.states)})
-    if r1.truncated or r2.truncated:
-        a, b = sc(r1.states), sc(r2.states)
-        k = min(len(a), len(b))
-        agree = a[:k] == b[:k]
-    else:
-        agree = s1 == s2
+    agree, _ = compare(sc(r1.states), sc(r2.states), r1, r2)
     return GPEquivResult(renaming is not None and agree, renaming, agree, rec)

@@ -6,10 +6,11 @@ trace.  Backward jumps are recognized against a reverse-postorder numbering of
 the command flow graph (cyclic graphs have no true topological order; back
 edge = target rank <= source rank is the usual compiler reading).
 
-A mining call (``alpha_outerhot_n``) numbers the program once and mines every
-trace against that one order.  Abstraction follows store identity: the states
-a firing test leaves with the same store object share one abstract store, so
-equal stores in a run of them compare by identity when paths are counted.
+A mining call (``alpha_outerhot_n``) ranks the program's commands once and
+mines every trace against that one order.  Abstraction follows store
+identity: the states a firing test leaves with the same store object share
+one abstract store, so equal stores in a run of them compare by identity when
+paths are counted.
 """
 
 from __future__ import annotations
@@ -30,14 +31,6 @@ class HotPathError(Exception):
 # Topological order (reverse postorder)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TopoOrder:
-    rank: dict[Command, int]
-
-    def lessdot(self, c1: Command, c2: Command) -> bool:
-        return self.rank[c1] <= self.rank[c2]
-
-
 def _branch_key(c: Command) -> tuple:
     """Positive branches explore first, so a loop's head ranks at or before
     its exit commands; negations and failing guards are the cold side."""
@@ -48,10 +41,10 @@ def _branch_key(c: Command) -> tuple:
     return (negated, str(a), c.succ)
 
 
-def topo_order(p: Program) -> TopoOrder:
-    """Reverse-postorder DFS numbering from the entry, with deterministic
-    positive-branch-first tie-breaking; commands unreachable from the entry
-    are numbered afterwards the same way."""
+def topo_order(p: Program) -> dict[Command, int]:
+    """The rank of each command in a reverse-postorder DFS from the entry,
+    with deterministic positive-branch-first tie-breaking; commands
+    unreachable from the entry are numbered afterwards the same way."""
     post: list[Command] = []
     visited: set[Command] = set()
 
@@ -77,17 +70,16 @@ def topo_order(p: Program) -> TopoOrder:
     for c in p.sorted_commands:
         if c not in visited:
             dfs(c)
-    order = list(reversed(post))
-    return TopoOrder({c: i for i, c in enumerate(order)})
+    return {c: i for i, c in enumerate(reversed(post))}
 
 
 # ---------------------------------------------------------------------------
 # Loop paths
 # ---------------------------------------------------------------------------
 
-def sloop(states: Sequence[State], ord: TopoOrder, p: Program) -> list[tuple[int, int]]:
+def sloop(states: Sequence[State], rank: dict[Command, int], p: Program) -> list[tuple[int, int]]:
     """All loop-path segments of a state sequence, as (i, j) index pairs:
-    suc(C_j) = lbl(C_i), C_i before C_j in the order, and no interior
+    suc(C_j) = lbl(C_i), C_i ranked at or before C_j, and no interior
     re-occurrence of C_i or its complement."""
     n = len(states) - 1  # j must have a successor state in the sequence
     segments: list[tuple[int, int]] = []
@@ -98,7 +90,7 @@ def sloop(states: Sequence[State], ord: TopoOrder, p: Program) -> list[tuple[int
             cj = states[j].command
             if j > i and cj in blockers:
                 break
-            if cj.succ == ci.label and ord.rank[ci] <= ord.rank[cj]:
+            if cj.succ == ci.label and rank[ci] <= rank[cj]:
                 segments.append((i, j))
     return segments
 
@@ -171,17 +163,17 @@ def abstract_trace(states: Sequence[State], domain_tag: str) -> list[tuple[Abstr
 
 
 def hot_n(states: Sequence[State], n: int, domain_tag: str, p: Program,
-          ord: Optional[TopoOrder] = None, with_counts: bool = False):
-    """N-hot paths of one trace: abstracted loop segments whose exact image
-    occurs at least n times, in first-occurrence order."""
+          rank: Optional[dict[Command, int]] = None) -> list[tuple[HotPath, int]]:
+    """N-hot paths of one trace with their counts: abstracted loop segments
+    whose exact image occurs at least n times, in first-occurrence order."""
     if n < 1:
         raise HotPathError("threshold must be >= 1")
-    if ord is None:
-        ord = topo_order(p)
+    if rank is None:
+        rank = topo_order(p)
     abs_tr = abstract_trace(states, domain_tag)
     seen: dict[tuple, int] = {}
     ordered: list[tuple[HotPath, int]] = []
-    for i, j in sloop(states, ord, p):
+    for i, j in sloop(states, rank, p):
         pairs = tuple(abs_tr[i:j + 1])
         if pairs in seen:
             continue
@@ -189,9 +181,7 @@ def hot_n(states: Sequence[State], n: int, domain_tag: str, p: Program,
         c = count(abs_tr, pairs)
         if c >= n:
             ordered.append((HotPath(pairs, domain_tag, n), c))
-    if with_counts:
-        return ordered
-    return [hp for hp, _ in ordered]
+    return ordered
 
 
 # ---------------------------------------------------------------------------
@@ -208,23 +198,15 @@ def hotcut(states: Sequence[State], original: Program) -> tuple[State, ...]:
                  if inside[i] or i == 0 or i == last or inside[i - 1] or inside[i + 1])
 
 
-def outerhot_n(states: Sequence[State], original: Program, n: int, domain_tag: str,
-               current: Program, with_counts: bool = False,
-               ord: Optional[TopoOrder] = None):
-    """hot_n over the hotcut of the trace; equals hot_n when current == original."""
-    cut = hotcut(states, original)
-    return hot_n(cut, n, domain_tag, current, ord, with_counts)
-
-
 def alpha_outerhot_n(traces, original: Program, n: int, domain_tag: str,
                      current: Program) -> list[tuple[HotPath, int]]:
-    """N-hot paths of several traces with their counts, deduplicated across
-    traces in first-found order (a path keeps the count of the trace that
-    found it first); with current == original these are the paper's
-    alpha-hot_N paths of the traces."""
-    ord = topo_order(current)
+    """N-hot paths of the hotcuts of several traces with their counts,
+    deduplicated across traces in first-found order (a path keeps the count
+    of the trace that found it first); with current == original the hotcut
+    is the trace and these are the paper's alpha-hot_N paths of the traces."""
+    rank = topo_order(current)
     found: dict[HotPath, int] = {}
     for tr in traces:
-        for hp, c in outerhot_n(tr, original, n, domain_tag, current, True, ord):
+        for hp, c in hot_n(hotcut(tr, original), n, domain_tag, current, rank):
             found.setdefault(hp, c)
     return list(found.items())

@@ -343,11 +343,14 @@ class Program:
                     table[c] = tuple(d for d in cmds if d.action == neg)
         return table
 
-    def deterministic_at(self, label: str) -> bool:
-        """Whether a run has exactly one way on at the label: one command, or
-        a branching command and its complement."""
-        cmds = self.at(label)
-        return len(cmds) == 1 or (len(cmds) == 2 and cmds[1] in self.complements.get(cmds[0], ()))
+    @cached_property
+    def nondeterministic(self) -> frozenset[str]:
+        """The labels where a run has more than one way on: labels with
+        several commands that are not one branching command and its
+        complement."""
+        return frozenset(
+            l for l, cmds in self.by_label.items()
+            if len(cmds) > 1 and not (len(cmds) == 2 and cmds[1] in self.complements.get(cmds[0], ())))
 
     @cached_property
     def sorted_commands(self) -> tuple[Command, ...]:
@@ -383,9 +386,8 @@ def well_formed(p: Program) -> list[str]:
                 out.append(f"no complement for conditional at {c.label}: {c}")
             elif len(matches) > 1:
                 out.append(f"multiple complements for conditional at {c.label}: {c}")
-    for label, cmds in sorted(p.by_label.items()):
-        if not p.deterministic_at(label):
-            out.append(f"nondeterministic label {label}: {len(cmds)} commands")
+    for label in sorted(p.nondeterministic):
+        out.append(f"nondeterministic label {label}: {len(p.at(label))} commands")
     if p.entry not in p.by_label:
         out.append(f"entry label {p.entry} has no command")
     return out

@@ -123,7 +123,7 @@ def _first_divergence(a: StoreSeq, b: StoreSeq) -> Optional[int]:
     return None
 
 
-def _compare(o1: StoreSeq, o2: StoreSeq, r1: Run, r2: Run) -> tuple[bool, Optional[int]]:
+def compare(o1: StoreSeq, o2: StoreSeq, r1: Run, r2: Run) -> tuple[bool, Optional[int]]:
     div = _first_divergence(o1, o2)
     both_complete = not r1.truncated and not r2.truncated
     if o1 == o2:
@@ -150,7 +150,7 @@ def equiv_check(p1: Program, p2: Program, initials: Iterable[Store], budget: int
         r1 = run(p1, rho, budget)
         r2 = run(p2, rho, budget)
         o1, o2 = observe(r1.states), observe(r2.states)
-        passed, div = _compare(o1, o2, r1, r2)
+        passed, div = compare(o1, o2, r1, r2)
         verdicts.append(Verdict(rho, passed, div, not r1.truncated, not r2.truncated))
     return EquivReport(tuple(verdicts), name)
 

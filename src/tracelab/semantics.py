@@ -243,9 +243,10 @@ def run(p: Program, rho0: Store, budget: int) -> Run:
     if not p.at(label):
         raise SemanticsError(f"no command at entry label {label}")
     states: list[State] = []
+    nondeterministic = p.nondeterministic
     while True:
         cmds = p.at(label)
-        if not p.deterministic_at(label):
+        if label in nondeterministic:
             raise SemanticsError(
                 f"nondeterministic choice at label {label}: {[str(c) for c in cmds]}")
         if len(states) == budget:

@@ -39,30 +39,29 @@ class ParseError(Exception):
 
 
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
+    r"""
         (?P<string>"(?:[^"\\]|\\.)*") |
         (?P<int>-?\d+) |
         (?P<name>[A-Za-z_][A-Za-z0-9_#]*) |
         (?P<op>:=|->|<=|&&|\+Int|\+Str|[():{},=%+!\[\].])
-    )""",
+    """,
     re.X,
 )
+_SPACE_RE = re.compile(r"\s*")
 
 
-def tokenize(text: str, line_no: Optional[int] = None) -> list[str]:
+def tokenize(text: str, line_no: Optional[int] = None, pattern: re.Pattern = _TOKEN_RE,
+             comment: str = ";") -> list[str]:
+    """The tokens of one line.  ``comment`` starts a comment between tokens;
+    inside a string literal it is text."""
     toks = []
-    pos = 0
-    while pos < len(text):
-        if text[pos] == ";":
-            break
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(f"cannot tokenize at: {rest[:20]!r}", line_no)
-        toks.append(m.group(0).strip())
-        pos = m.end()
+    pos = _SPACE_RE.match(text).end()
+    while pos < len(text) and text[pos] != comment:
+        m = pattern.match(text, pos)
+        if not m:
+            raise ParseError(f"cannot tokenize at: {text[pos:].rstrip()[:20]!r}", line_no)
+        toks.append(m.group(0))
+        pos = _SPACE_RE.match(text, m.end()).end()
     return toks
 
 
@@ -87,12 +86,6 @@ class _Cursor:
         if t != tok:
             raise ParseError(f"expected {tok!r}, got {t!r}", self.line_no)
 
-    def save(self) -> int:
-        return self.i
-
-    def restore(self, mark: int) -> None:
-        self.i = mark
-
     def fail(self, msg: str):
         raise ParseError(msg, self.line_no)
 
@@ -112,21 +105,18 @@ def _unquote(tok: str) -> str:
 # Expression / boolean grammar
 # ---------------------------------------------------------------------------
 
-def _parse_term(c: _Cursor, typed: bool):
+def _parse_term(c: _Cursor):
     t = c.peek()
     if t is None:
         c.fail("expected expression")
     if t == "(":
         c.next()
-        e = _parse_expr(c, typed)
+        e = _parse_expr(c)
         c.expect(")")
         return e
-    if t == "tt":
+    if t in ("tt", "ff"):
         c.next()
-        return Lit(Bool(True))
-    if t == "ff":
-        c.next()
-        return Lit(Bool(False))
+        return Lit(Bool(t == "tt"))
     if t.startswith('"'):
         c.next()
         return Lit(_unquote(t))
@@ -137,71 +127,58 @@ def _parse_term(c: _Cursor, typed: bool):
         c.next()
         if c.peek() == "[":
             c.next()
-            idx = _parse_expr(c, typed)
+            idx = _parse_expr(c)
             c.expect("]")
             return Index(t, idx)
         return Var(t)
     c.fail(f"expected expression, got {t!r}")
 
 
-def _parse_expr(c: _Cursor, typed: bool):
-    e = _parse_term(c, typed)
+def _parse_expr(c: _Cursor):
+    e = _parse_term(c)
     while c.peek() in ("+", "+Int", "+Str", "%"):
         op = c.next()
-        rhs = _parse_term(c, typed)
+        rhs = _parse_term(c)
         if op == "+":
             e = Add(e, rhs)
         elif op == "%":
             e = Mod(e, rhs)
         else:
-            if not typed:
-                c.fail(f"typed addition {op} not allowed in while-language programs")
             e = AddTyped(e, rhs, op[1:])
     return e
 
 
-def _parse_bexpr(c: _Cursor, typed: bool):
-    b = _parse_bterm(c, typed)
+def _parse_bexpr(c: _Cursor):
+    b = _parse_bterm(c)
     while c.peek() == "&&":
         c.next()
-        b = And(b, _parse_bterm(c, typed))
+        b = And(b, _parse_bterm(c))
     return b
 
 
-def _parse_bterm(c: _Cursor, typed: bool):
+def _parse_bterm(c: _Cursor):
     t = c.peek()
     if t == "!":
         c.next()
-        return lang.negate_bexpr(_parse_bterm(c, typed))
-    if t == "tt":
-        nxt = c.save()
-        c.next()
-        if c.peek() in ("<=", "="):  # boolean literal inside a comparison
-            c.restore(nxt)
-        else:
-            return Tt()
-    if t == "ff":
-        nxt = c.save()
-        c.next()
-        if c.peek() in ("<=", "="):
-            c.restore(nxt)
-        else:
-            return Ff()
+        return lang.negate_bexpr(_parse_bterm(c))
+    if t in ("tt", "ff") and c.toks[c.i + 1:c.i + 2] not in (["<="], ["="]):
+        c.next()  # a boolean literal that is not the left side of a comparison
+        return Tt() if t == "tt" else Ff()
     # try a comparison first; fall back to a parenthesized boolean
-    mark = c.save()
+    mark = c.i
     try:
-        left = _parse_expr(c, typed)
+        left = _parse_expr(c)
         op = c.peek()
         if op in ("<=", "="):
             c.next()
-            right = _parse_expr(c, typed)
+            right = _parse_expr(c)
             return Leq(left, right) if op == "<=" else Eq(left, right)
         raise ParseError("not a comparison", c.line_no)
     except ParseError:
-        c.restore(mark)
+        c.i = mark
     if c.peek() == "(":
         c.next()
-        b = _parse_bexpr(c, typed)
+        b = _parse_bexpr(c)
         c.expect(")")
         return b
     c.fail(f"expected boolean expression, got {c.peek()!r}")
@@ -266,7 +243,7 @@ def _parse_abstract_store(c: _Cursor, tag: str, arrays: dict[str, int]) -> Abstr
 # Actions and whole programs
 # ---------------------------------------------------------------------------
 
-def _parse_action(c: _Cursor, typed: bool, arrays: dict[str, int]) -> lang.Action:
+def _parse_action(c: _Cursor, arrays: dict[str, int]) -> lang.Action:
     t = c.peek()
     if t == "skip":
         c.next()
@@ -292,20 +269,20 @@ def _parse_action(c: _Cursor, typed: bool, arrays: dict[str, int]) -> lang.Actio
         return Guard(tag, store, positive)
     # assignment heads: x := E  or  a[i] := E
     if _is_name(t):
-        mark = c.save()
+        mark = c.i
         name = c.next()
         if c.peek() == ":=":
             c.next()
-            return Assign(name, _parse_expr(c, typed))
+            return Assign(name, _parse_expr(c))
         if c.peek() == "[":
             c.next()
-            idx = _parse_expr(c, typed)
+            idx = _parse_expr(c)
             c.expect("]")
             if c.peek() == ":=":
                 c.next()
-                return ArrayAssign(name, idx, _parse_expr(c, typed))
-        c.restore(mark)
-    return Cond(_parse_bexpr(c, typed))
+                return ArrayAssign(name, idx, _parse_expr(c))
+        c.i = mark
+    return Cond(_parse_bexpr(c))
 
 
 def parse_command(text: str, line_no: Optional[int] = None,
@@ -315,7 +292,7 @@ def parse_command(text: str, line_no: Optional[int] = None,
     if not _NAME_RE.match(label):
         c.fail(f"bad label {label!r}")
     c.expect(":")
-    action = _parse_action(c, True, arrays or {})
+    action = _parse_action(c, arrays or {})
     c.expect("->")
     succ = c.next()
     if succ != HALT and not _NAME_RE.match(succ):
@@ -407,31 +384,14 @@ def trace_to_jsonl(states, truncated: bool = False) -> str:
 
 
 _GP_TOKEN_RE = re.compile(
-    r"""\s*(?:
+    r"""
         (?P<string>"(?:[^"\\]|\\.)*") |
         (?P<int>-?\d+) |
         (?P<name>[A-Za-z_][A-Za-z0-9_]*) |
         (?P<op>:=|<=|&&|[(){},=%+!;])
-    )""",
+    """,
     re.X,
 )
-
-
-def _gp_tokenize(text: str) -> list[str]:
-    toks = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        pos = 0
-        while pos < len(line):
-            m = _GP_TOKEN_RE.match(line, pos)
-            if not m or m.end() == pos:
-                rest = line[pos:].strip()
-                if not rest:
-                    break
-                raise ParseError(f"cannot tokenize at: {rest[:20]!r}", line_no)
-            toks.append(m.group(0).strip())
-            pos = m.end()
-    return toks
 
 
 def parse_gp_program(text: str):
@@ -440,7 +400,8 @@ def parse_gp_program(text: str):
     Comments start with ``#``."""
     from .gp import GAssign, GBail, GIf, GSkip, GWhile
 
-    c = _Cursor(_gp_tokenize(text))
+    c = _Cursor([t for line_no, line in enumerate(text.splitlines(), start=1)
+                 for t in tokenize(line, line_no, _GP_TOKEN_RE, "#")])
 
     def parse_seq(stop_at_brace: bool):
         out = []
@@ -464,23 +425,23 @@ def parse_gp_program(text: str):
             return GSkip()
         if t == "if":
             c.next()
-            b = _parse_bexpr(c, typed=False)
+            b = _parse_bexpr(c)
             c.expect("then")
             return GIf(b, parse_block())
         if t == "while":
             c.next()
-            b = _parse_bexpr(c, typed=False)
+            b = _parse_bexpr(c)
             c.expect("do")
             return GWhile(b, parse_block())
         if t == "bail":
             c.next()
-            b = _parse_bexpr(c, typed=False)
+            b = _parse_bexpr(c)
             c.expect("to")
             return GBail(b, parse_block())
         if _is_name(t):
             name = c.next()
             c.expect(":=")
-            e = _parse_expr(c, typed=False)
+            e = _parse_expr(c)
             c.expect(";")
             return GAssign(name, e)
         c.fail(f"expected a statement, got {t!r}")

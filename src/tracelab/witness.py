@@ -1,8 +1,8 @@
 """Executable proof witnesses: trace unfolding, refolding, and respecialization.
 
 These functions move execution traces between a program and its extracted (or
-type-specialized) form.  They exist to be checked, not to be fast: outputs are
-validated against the claimed program's transition relation by default, which
+type-specialized) form.  They exist to be checked, not to be fast: every
+output is validated against the claimed program's transition relation, which
 is the executable content of their well-definedness lemmas.
 """
 
@@ -79,12 +79,8 @@ class WitnessContext:
         return get_domain(self.hp.domain).contains(a, store)
 
 
-def make_context(source: Program, st: StitchResult) -> WitnessContext:
-    return WitnessContext(source, st)
-
-
-def _check(program: Program, states: Sequence[State], what: str, validate: bool):
-    if validate and not trace_linked(program, states):
+def _check(program: Program, states: Sequence[State], what: str):
+    if not trace_linked(program, states):
         raise WitnessError(f"{what} produced an illegal trace")
 
 
@@ -92,7 +88,7 @@ def _check(program: Program, states: Sequence[State], what: str, validate: bool)
 # Unfolding: source traces into the extracted program
 # ---------------------------------------------------------------------------
 
-def tr_out(ctx: WitnessContext, states: Sequence[State], validate: bool = True) -> tuple[State, ...]:
+def tr_out(ctx: WitnessContext, states: Sequence[State]) -> tuple[State, ...]:
     """Unfold occurrences of the hot path in a source trace into its stitch.
 
     Outside mode enters the stitch at the head command when the entry guard
@@ -147,7 +143,7 @@ def tr_out(ctx: WitnessContext, states: Sequence[State], validate: bool = True) 
             else:
                 out.append(s)
                 mode_in = False
-    _check(ctx.target, out, "tr_out", validate)
+    _check(ctx.target, out, "tr_out")
     return tuple(out)
 
 
@@ -155,7 +151,7 @@ def tr_out(ctx: WitnessContext, states: Sequence[State], validate: bool = True) 
 # Refolding: extracted-program traces back into the source
 # ---------------------------------------------------------------------------
 
-def rtr(ctx: WitnessContext, states: Sequence[State], validate: bool = True) -> tuple[State, ...]:
+def rtr(ctx: WitnessContext, states: Sequence[State]) -> tuple[State, ...]:
     """Map a trace of the extracted program back onto the source: drop guard
     states (a terminal guard becomes the guarded command itself), send the
     relabeled copies back to their path commands, keep everything else."""
@@ -201,7 +197,7 @@ def rtr(ctx: WitnessContext, states: Sequence[State], validate: bool = True) -> 
             out.append(State(s.store, body_to_src[c]))
             continue
         out.append(s)
-    _check(ctx.source, out, "rtr", validate)
+    _check(ctx.source, out, "rtr")
     return tuple(out)
 
 
@@ -210,7 +206,7 @@ def rtr(ctx: WitnessContext, states: Sequence[State], validate: bool = True) -> 
 # ---------------------------------------------------------------------------
 
 def td(ctx: WitnessContext, spec_map: dict[Command, Command],
-       states: Sequence[State], validate: bool = True) -> tuple[State, ...]:
+       states: Sequence[State]) -> tuple[State, ...]:
     """De-specialize a trace of the optimized stitch.  A specialized addition
     whose generic evaluation disagrees with the tag can only sit at the head
     of a (stuck) one-state trace; it maps to the one-state generic trace."""
@@ -227,7 +223,7 @@ def td(ctx: WitnessContext, spec_map: dict[Command, Command],
                 break
         else:
             out.append(s)
-    _check(_fragment_program(ctx, ctx.st.stitched), out, "td", validate)
+    _check(_fragment_program(ctx, ctx.st.stitched), out, "td")
     return tuple(out)
 
 
@@ -236,7 +232,7 @@ def _optimized_set(ctx: WitnessContext, spec_map: dict[Command, Command]) -> fro
 
 
 def sp(ctx: WitnessContext, spec_map: dict[Command, Command],
-       states: Sequence[State], validate: bool = True) -> tuple[State, ...]:
+       states: Sequence[State]) -> tuple[State, ...]:
     """Specialize a trace of the unoptimized stitch, truncating to the stuck
     head when its store escapes the governing guard."""
     if not states:
@@ -248,10 +244,10 @@ def sp(ctx: WitnessContext, spec_map: dict[Command, Command],
         i = _body_index(ctx, head.command)
         if i is not None and not ctx.sat(i, head.store):
             result = (State(head.store, hc),)
-            _check(target, result, "sp", validate)
+            _check(target, result, "sp")
             return result
     out = tuple(State(s.store, spec_map.get(s.command, s.command)) for s in states)
-    _check(target, out, "sp", validate)
+    _check(target, out, "sp")
     return out
 
 

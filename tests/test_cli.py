@@ -106,7 +106,8 @@ def test_shrink_uses_the_check_that_judged(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["OSError", "JSONDecodeError", "ExtractError", "OptimizeError",
-                                  "SemanticsError", "DomainError", "HotPathError", "bad --domain"])
+                                  "SemanticsError", "DomainError", "HotPathError", "GPError",
+                                  "bad --domain"])
 def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
     from tracelab.extract import ExtractError
     loop = tmp_path / "loop.tl"
@@ -114,6 +115,8 @@ def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
     bogus = tmp_path / "bogus.tl"
     bogus.write_text("#entry L0\nL0: guard bogus {x: Int} -> L1\n"
                      "L0: !guard bogus {x: Int} -> L1\nL1: skip -> .\n")
+    prologue = tmp_path / "prologue.w"
+    prologue.write_text(GP_PROLOGUE)
 
     def refuse(*args):
         raise ExtractError("refused")
@@ -127,12 +130,57 @@ def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
         "SemanticsError": ["run", loop, "--budget", "0"],
         "DomainError": ["run", bogus],
         "HotPathError": ["hot", loop, "--threshold", "0"],
-        "bad --domain": ["run", loop, "--domain", "bogus"],
+        "GPError": ["gp-trace", prologue],
+        "bad --domain": ["hot", loop, "--domain", "bogus"],
     }[case]
     rc, out, err = call(argv)
     assert rc == 2 and out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ") or "error: argument --domain" in err
+
+
+GP_PROLOGUE = "x := 0; while (x <= 3) do { x := x + 1; }\n"  # not headed by while
+GP_LOOP = "while (x <= 3) do { x := x + 1; }\n"  # stuck from the empty store
+
+
+@pytest.mark.parametrize("cmd", ["gp-trace", "gp-check"])
+@pytest.mark.parametrize("src, message", [
+    (GP_PROLOGUE, "error: recording needs a while-headed program\n"),
+    (GP_LOOP, "error: stuck before any stitch: <[], if (x <= 3) then"),
+])
+def test_gp_recording_errors_exit_2(tmp_path, cmd, src, message):
+    path = tmp_path / "prog.w"
+    path.write_text(src)
+    rc, out, err = call([cmd, path])
+    assert (rc, out) == (2, "")
+    assert err.startswith(message) and "Traceback" not in err
+
+
+def _options(parser) -> set[str]:
+    return {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+
+
+def test_option_surface():
+    """Each subcommand takes exactly the options it reads."""
+    import argparse
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    stores = {"--budget", "--seed", "--initials", "--sample"}
+    mining = stores | {"--domain", "--threshold", "-N"}
+    assert {name: _options(p) for name, p in sub.choices.items()} == {
+        "run": stores,
+        "trace": stores,
+        "hot": mining,
+        "extract": mining | {"--hotpath", "--original", "--dot"},
+        "optimize": mining | {"--pass", "--hotpath", "--original"},
+        "check": stores | {"--observe", "--vars"},
+        "pipeline": mining | {"--pass", "--rounds", "--vars", "--json"},
+        "gen": {"--seed", "--min-cmds", "--max-cmds"},
+        "render": {"--dot"},
+        "gp-compile": set(),
+        "gp-trace": stores,
+        "gp-check": stores,
+    }
 
 
 def test_long_inline_initials(tmp_path):

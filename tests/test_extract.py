@@ -1,7 +1,7 @@
 import pytest
 
 from tracelab.extract import ExtractError, extract, extract_gp, extract_nested
-from tracelab.hotpath import HotPath, hot_n, outerhot_n
+from tracelab.hotpath import HotPath, hot_n, hotcut
 from tracelab.lang import Guard, rename_equal, well_formed
 from tracelab.observe import sc_equiv_check
 from tracelab.semantics import Store, run
@@ -37,7 +37,7 @@ L5: skip -> .
 @pytest.fixture(scope="module")
 def loop_hp1(loop_program):
     r = run(loop_program, Store(), 1000)
-    return hot_n(r.states, 2, "onepoint", loop_program)[0]
+    return hot_n(r.states, 2, "onepoint", loop_program)[0][0]
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,7 @@ def test_extract_stitch_shape(loop_p1):
 def test_extract_self_loop_single_command():
     p = parse_program("#entry L0\nL0: x := 1 -> L1\nL1: x := x + 1 -> L1\n")
     r = run(p, Store(), 50)
-    hp = hot_n(r.states, 2, "onepoint", p)[0]
+    hp = hot_n(r.states, 2, "onepoint", p)[0][0]
     assert len(hp) == 1
     st = extract(p, hp)
     assert well_formed(st.transformed) == []
@@ -99,7 +99,7 @@ def test_extract_self_loop_single_command():
 
 def test_extract_requires_commands_in_program(loop_program, cf_program):
     r = run(cf_program, Store(), 500)
-    foreign = hot_n(r.states, 2, "onepoint", cf_program)[0]
+    foreign = hot_n(r.states, 2, "onepoint", cf_program)[0][0]
     with pytest.raises(ExtractError):
         extract(loop_program, foreign)
 
@@ -112,7 +112,7 @@ def test_extract_rejects_unregistered_domain(loop_program, loop_hp1):
 
 def test_sieve_stitch_guards(sieve_program, sieve_store):
     r = run(sieve_program, sieve_store, 5000)
-    hp1 = hot_n(r.states, 2, "type", sieve_program)[0]
+    hp1 = hot_n(r.states, 2, "type", sieve_program)[0][0]
     st = extract(sieve_program, hp1)
     for c in st.stitched:
         if isinstance(c.action, Guard):
@@ -154,8 +154,7 @@ L5: skip -> .
 def test_extract_nested_golden(loop_program, loop_hp1):
     p1 = extract(loop_program, loop_hp1).transformed
     r1 = run(p1, Store(), 2000)
-    outer = outerhot_n(r1.states, loop_program, 2, "onepoint", p1)
-    hp2 = outer[0]
+    hp2 = hot_n(hotcut(r1.states, loop_program), 2, "onepoint", p1)[0][0]
     labels = [c.label for c in hp2.commands]
     st1 = extract(loop_program, loop_hp1)
     assert labels == [st1.entry_label, st1.ell[2], "L4"]
@@ -181,7 +180,7 @@ def test_extract_nested_degenerates_to_plain(loop_program, loop_hp1):
 
 def test_nested_extraction_correct(loop_program, loop_hp1):
     p1 = extract(loop_program, loop_hp1).transformed
-    hp2 = outerhot_n(run(p1, Store(), 2000).states, loop_program, 2, "onepoint", p1)[0]
+    hp2 = hot_n(hotcut(run(p1, Store(), 2000).states, loop_program), 2, "onepoint", p1)[0][0]
     p2 = extract_nested(p1, hp2, loop_program).transformed
     initials = [Store()] + [Store({"x": v}) for v in (-5, 3, 19, 20, 21, 100)]
     rep = sc_equiv_check(loop_program, p2, initials, 3000)
@@ -242,7 +241,7 @@ def test_extraction_preserves_well_formedness(seed):
     p = gen_program(seed)
     (rho,) = gen_stores(seed, p.vars(), 1)
     r = run(p, rho, 400)
-    for hp in hot_n(r.states, 2, "onepoint", p)[:2]:
+    for hp, _ in hot_n(r.states, 2, "onepoint", p)[:2]:
         st = extract(p, hp)
         assert well_formed(st.transformed) == []
         # stitched copies of repeated commands carry distinct labels

@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 from tracelab import hotpath
 from tracelab.domains import onepoint_domain
 from tracelab.extract import extract
-from tracelab.hotpath import (HotPath, HotPathError, count, hot_n, hotcut,
-                              outerhot_n, sloop, topo_order)
+from tracelab.hotpath import (HotPath, HotPathError, count, hot_n, hotcut, sloop,
+                              topo_order)
 from tracelab.lang import Command, Skip
 from tracelab.semantics import State, Store, run
 from tracelab.textio import parse_program
@@ -21,27 +21,26 @@ def _cmds(p, labels_actions):
 # ---------------------------------------------------------------------------
 
 def test_topo_order_loop(loop_program):
-    ord_ = topo_order(loop_program)
+    rank = topo_order(loop_program)
     c1 = command_at(loop_program, "L1", lambda c: not str(c.action).startswith("!"))
     c3c = command_at(loop_program, "L3", lambda c: str(c.action).startswith("!"))
-    assert ord_.lessdot(c1, c3c)
-    assert not ord_.lessdot(c3c, c1)
+    assert rank[c1] <= rank[c3c]
+    assert not rank[c3c] <= rank[c1]
 
 
 def test_topo_order_self_loop():
     p = parse_program("#entry L\nL: skip -> L\n")
-    ord_ = topo_order(p)
+    rank = topo_order(p)
     c = command_at(p, "L")
-    assert ord_.rank[c] == 0
-    assert ord_.lessdot(c, c)
+    assert rank[c] == 0
 
 
 def test_topo_order_straight_line_matches_dfs_oracle():
     src = "#entry L0\n" + "\n".join(f"L{i}: skip -> L{i+1}" for i in range(5)) \
         + "\nL5: skip -> .\n"
     p = parse_program(src)
-    ord_ = topo_order(p)
-    ranks = {c.label: r for c, r in ord_.rank.items()}
+    rank = topo_order(p)
+    ranks = {c.label: r for c, r in rank.items()}
     assert ranks == {f"L{i}": i for i in range(6)}
 
 
@@ -69,13 +68,13 @@ def _dfs_oracle_rank(p):
 
 def test_topo_matches_recursive_oracle(loop_program, cf_program, sieve_program):
     for p in (loop_program, cf_program, sieve_program):
-        assert topo_order(p).rank == _dfs_oracle_rank(p)
+        assert topo_order(p) == _dfs_oracle_rank(p)
 
 
 def test_topo_covers_unreachable():
     p = parse_program("#entry L0\nL0: skip -> .\nU0: skip -> U1\nU1: skip -> .\n")
-    ord_ = topo_order(p)
-    assert len(ord_.rank) == 3
+    rank = topo_order(p)
+    assert len(rank) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +82,13 @@ def test_topo_covers_unreachable():
 # ---------------------------------------------------------------------------
 
 def test_sloop_single_state_empty(loop_program, loop_run):
-    ord_ = topo_order(loop_program)
-    assert sloop(loop_run.states[:1], ord_, loop_program) == []
+    rank = topo_order(loop_program)
+    assert sloop(loop_run.states[:1], rank, loop_program) == []
 
 
 def test_sloop_contains_first_loop_segment(loop_program, loop_run):
-    ord_ = topo_order(loop_program)
-    segs = sloop(loop_run.states, ord_, loop_program)
+    rank = topo_order(loop_program)
+    segs = sloop(loop_run.states, rank, loop_program)
     mats = [tuple(s.command.label for s in loop_run.states[i:j + 1]) for i, j in segs]
     assert ("L1", "L2", "L3") in mats
     # the segment carries the stores of its occurrence
@@ -115,8 +114,8 @@ L7: skip -> .
 """
     p = parse_program(src)
     r = run(p, Store(), 500)
-    ord_ = topo_order(p)
-    segs = set(sloop(r.states, ord_, p))
+    rank = topo_order(p)
+    segs = set(sloop(r.states, rank, p))
 
     from tracelab.lang import find_cmpl
     states = r.states
@@ -126,7 +125,7 @@ L7: skip -> .
             ci, cj = states[i].command, states[j].command
             interior = [states[k].command for k in range(i + 1, j + 1)]
             blockers = {ci, find_cmpl(ci, p)} - {None}
-            if cj.succ == ci.label and ord_.rank[ci] <= ord_.rank[cj] \
+            if cj.succ == ci.label and rank[ci] <= rank[cj] \
                     and not any(c in blockers for c in interior):
                 brute.add((i, j))
     assert segs == brute
@@ -141,8 +140,8 @@ L7: skip -> .
 def test_count_golden(loop_program, loop_run):
     abs_tr = hotpath.abstract_trace(loop_run.states, "onepoint")
     hps = hot_n(loop_run.states, 2, "onepoint", loop_program)
-    assert count(abs_tr, hps[0].pairs) == 8
-    assert count(abs_tr, hps[1].pairs) == 4
+    assert count(abs_tr, hps[0][0].pairs) == 8
+    assert count(abs_tr, hps[1][0].pairs) == 4
 
 
 def test_count_too_long_pattern(loop_run):
@@ -163,7 +162,7 @@ def test_count_overlapping():
 # ---------------------------------------------------------------------------
 
 def test_hot2_exact_set(loop_program, loop_run):
-    hps = hot_n(loop_run.states, 2, "onepoint", loop_program, with_counts=True)
+    hps = hot_n(loop_run.states, 2, "onepoint", loop_program)
     assert len(hps) == 2
     (hp1, c1), (hp2, c2) = hps
     assert (c1, c2) == (8, 4)
@@ -175,8 +174,8 @@ def test_hot2_exact_set(loop_program, loop_run):
 
 def test_hot_threshold_antitone(loop_program, loop_run):
     for n in (2, 3, 4, 5, 9):
-        lo = {hp.pairs for hp in hot_n(loop_run.states, n, "onepoint", loop_program)}
-        hi = {hp.pairs for hp in hot_n(loop_run.states, n + 1, "onepoint", loop_program)}
+        lo = {hp.pairs for hp, _ in hot_n(loop_run.states, n, "onepoint", loop_program)}
+        hi = {hp.pairs for hp, _ in hot_n(loop_run.states, n + 1, "onepoint", loop_program)}
         assert hi <= lo
 
 
@@ -185,7 +184,7 @@ def test_hot_high_threshold_empty(loop_program, loop_run):
 
 
 def test_hot_invariants(loop_program, loop_run):
-    for hp in hot_n(loop_run.states, 2, "onepoint", loop_program):
+    for hp, _ in hot_n(loop_run.states, 2, "onepoint", loop_program):
         cmds = hp.commands
         assert cmds[-1].succ == cmds[0].label
         assert all(c.label != cmds[0].label for c in cmds[1:])
@@ -204,8 +203,7 @@ def test_hotpath_validation():
 
 def test_sieve_first_hot_path(sieve_program, sieve_store):
     r = run(sieve_program, sieve_store, 5000)
-    hps = hot_n(r.states, 2, "type", sieve_program)
-    hp1 = hps[0]
+    hp1 = hot_n(r.states, 2, "type", sieve_program)[0][0]
     assert [c.label for c in hp1.commands] == ["L4", "L5", "L6"]
     a = hp1.pairs[0][0]
     assert str(a) == "{i: Int, k: Int, primes: Bool[100]}"
@@ -230,7 +228,7 @@ def test_hotcut_drops_middle_of_foreign_runs(loop_program):
 
 
 def test_hotcut_golden_after_extraction(loop_program, loop_run):
-    hp1 = hot_n(loop_run.states, 2, "onepoint", loop_program)[0]
+    hp1 = hot_n(loop_run.states, 2, "onepoint", loop_program)[0][0]
     p1 = extract(loop_program, hp1).transformed
     r1 = run(p1, Store(), 2000)
     cut = hotcut(r1.states, loop_program)
@@ -251,22 +249,22 @@ def test_hotcut_golden_after_extraction(loop_program, loop_run):
 
 
 def test_outerhot_reduces_to_hot_on_same_program(loop_program, loop_run):
-    a = outerhot_n(loop_run.states, loop_program, 2, "onepoint", loop_program)
+    a = hot_n(hotcut(loop_run.states, loop_program), 2, "onepoint", loop_program)
     b = hot_n(loop_run.states, 2, "onepoint", loop_program)
-    assert [hp.pairs for hp in a] == [hp.pairs for hp in b]
+    assert [hp.pairs for hp, _ in a] == [hp.pairs for hp, _ in b]
 
 
 def test_outerhot_finds_nested_path(loop_program, loop_run):
-    hp1 = hot_n(loop_run.states, 2, "onepoint", loop_program)[0]
+    hp1 = hot_n(loop_run.states, 2, "onepoint", loop_program)[0][0]
     st_ = extract(loop_program, hp1)
     r1 = run(st_.transformed, Store(), 2000)
-    outer = outerhot_n(r1.states, loop_program, 2, "onepoint", st_.transformed)
-    labels = [tuple(c.label for c in hp.commands) for hp in outer]
+    outer = hot_n(hotcut(r1.states, loop_program), 2, "onepoint", st_.transformed)
+    labels = [tuple(c.label for c in hp.commands) for hp, _ in outer]
     assert (st_.entry_label, st_.ell[2], "L4") in labels
 
 
 def test_hotcut_never_changes_stores(loop_program, loop_run):
-    hp1 = hot_n(loop_run.states, 2, "onepoint", loop_program)[0]
+    hp1 = hot_n(loop_run.states, 2, "onepoint", loop_program)[0][0]
     p1 = extract(loop_program, hp1).transformed
     r1 = run(p1, Store(), 2000)
     cut = hotcut(r1.states, loop_program)
@@ -317,7 +315,7 @@ def test_one_topo_order_per_mining_call(dse_program, monkeypatch):
     traces = [run(dse_program, Store({"x": x}), 200).states for x in (-3, -1, 0, 1)]
     want: dict = {}
     for tr in traces:  # each trace numbered on its own, as hot_n does alone
-        for hp, c in hot_n(tr, 2, "type", dse_program, with_counts=True):
+        for hp, c in hot_n(tr, 2, "type", dse_program):
             want.setdefault(hp, c)
     assert want
     calls = []

@@ -35,6 +35,32 @@ def test_parse_errors():
     assert exc.value.line == 2
 
 
+def test_comment_after_whitespace_in_the_documented_example():
+    """The format example of the textio docstring parses, including its
+    ``L0: x := 0 -> L1          ; comment`` line."""
+    example = "\n".join(l.strip() for l in textio.__doc__.splitlines() if l.startswith("    "))
+    p = parse_program(example)
+    assert p.at("L0") == (Command("L0", lang.Assign("x", lang.Lit(0)), "L1"),)
+    assert len(p.commands) == 7
+
+
+def test_comment_character_inside_a_string_is_text():
+    p = parse_program('#entry L0\nL0: s := "a;b" -> .  ; comment\n')
+    assert p.at("L0")[0].action == lang.Assign("s", lang.Lit("a;b"))
+    from tracelab.gp import GAssign
+    stm = textio.parse_gp_program('x := "a#b";  # comment\ny := 1;\n')
+    assert stm == (GAssign("x", lang.Lit("a#b")), GAssign("y", lang.Lit(1)))
+
+
+def test_typed_additions_only_in_the_labeled_command_format():
+    with pytest.raises(ParseError):
+        textio.parse_gp_program("x := y +Int z;")
+    p = parse_program('#entry L0\nL0: x := (x +Int 1) -> L1\nL1: s := (s +Str "a") -> .\n')
+    assert [c.action.expr for c in p.sorted_commands] == [
+        lang.AddTyped(lang.Var("x"), lang.Lit(1), "Int"),
+        lang.AddTyped(lang.Var("s"), lang.Lit("a"), "Str")]
+
+
 def test_missing_complement_is_flagged_not_fatal():
     p = parse_program("#entry L1\nL1: (x <= 20) -> L2\nL2: skip -> .\n")
     diags = well_formed(p)
@@ -73,6 +99,14 @@ def test_well_formed_after_removing_complement(loop_program):
 def test_determinism_diagnostic():
     p = parse_program("#entry L0\nL0: skip -> L1\nL0: x := 1 -> L1\nL1: skip -> .\n")
     assert well_formed(p) == ["nondeterministic label L0: 2 commands"]
+
+
+def test_nondeterministic_labels_are_decided_once_per_program(loop_program):
+    p = parse_program("#entry L0\nL0: skip -> L1\nL0: x := 1 -> L1\n"
+                      "L1: (x <= 1) -> L2\nL1: !(x <= 1) -> L2\nL1: skip -> L2\nL2: skip -> .\n")
+    assert p.nondeterministic == frozenset({"L0", "L1"})
+    assert p.nondeterministic is p.nondeterministic
+    assert loop_program.nondeterministic == frozenset()
 
 
 @given(st.integers(-5, 5), st.integers(-5, 5))

@@ -21,7 +21,7 @@ from tests.conftest import command_at
 
 def _sieve_stitch(sieve_program, sieve_store):
     r = run(sieve_program, sieve_store, 5000)
-    hp1 = hot_n(r.states, 2, "type", sieve_program)[0]
+    hp1 = hot_n(r.states, 2, "type", sieve_program)[0][0]
     return extract(sieve_program, hp1)
 
 
@@ -47,7 +47,7 @@ L3: skip -> .
 """
     p = parse_program(src)
     r = run(p, Store({"y": 1}), 200)
-    hp = hot_n(r.states, 2, "onepoint", p)[0]
+    hp = hot_n(r.states, 2, "onepoint", p)[0][0]
     # rebuild the same path with type guards mapping y to Top
     pairs = tuple((type_domain.make({"x": INT, "y": TOP_T}), c) for _, c in hp.pairs)
     hp_t = HotPath(pairs, "type")
@@ -67,7 +67,7 @@ L4: skip -> .
 """
     p = parse_program(src)
     r = run(p, Store({"n": 0, "b": "q"}), 200)
-    hp = hot_n(r.states, 2, "type", p)[0]
+    hp = hot_n(r.states, 2, "type", p)[0][0]
     st = extract(p, hp)
     new = type_specialize(st)
     specialized = {str(c.action) for c in new - st.stitched}
@@ -77,7 +77,7 @@ L4: skip -> .
 
 def test_type_specialize_requires_type_guards(loop_program):
     r = run(loop_program, Store(), 500)
-    hp = hot_n(r.states, 2, "onepoint", loop_program)[0]
+    hp = hot_n(r.states, 2, "onepoint", loop_program)[0][0]
     st = extract(loop_program, hp)
     with pytest.raises(OptimizeError):
         type_specialize(st)
@@ -157,7 +157,7 @@ L3: skip -> .
 
 def test_cf_requires_cp_guards(loop_program):
     r = run(loop_program, Store(), 500)
-    hp = hot_n(r.states, 2, "onepoint", loop_program)[0]
+    hp = hot_n(r.states, 2, "onepoint", loop_program)[0][0]
     with pytest.raises(OptimizeError):
         const_fold(extract(loop_program, hp))
 
@@ -184,7 +184,7 @@ def test_free_vars_basics():
 
 def _dse_stitch(dse_program):
     r = run(dse_program, Store({"x": -4, "z": 7}), 400)
-    hp = hot_n(r.states, 2, "onepoint", dse_program)[0]
+    hp = hot_n(r.states, 2, "onepoint", dse_program)[0][0]
     assert [str(c.action) for c in hp.commands] == \
         ["(x <= 0)", "z := 0", "x := (x + 1)", "z := 1"]
     return extract(dse_program, hp)
@@ -217,7 +217,7 @@ L6: skip -> .
 """
     p = parse_program(src)
     r = run(p, Store({"x": -4, "z": 0}), 400)
-    hp = hot_n(r.states, 2, "onepoint", p)[0]
+    hp = hot_n(r.states, 2, "onepoint", p)[0][0]
     st = extract(p, hp)
     assert dead_store_eliminate(st) == st.stitched
 
@@ -235,7 +235,7 @@ L6: skip -> .
 """
     p = parse_program(src)
     r = run(p, Store({"x": -4}), 400)
-    hp = hot_n(r.states, 2, "onepoint", p)[0]
+    hp = hot_n(r.states, 2, "onepoint", p)[0][0]
     st = extract(p, hp)
     assert dead_store_eliminate(st) == st.stitched
 
@@ -255,14 +255,14 @@ def test_dse_is_out_sound_but_not_sc_sound(dse_program):
 
 def test_identity_optimization_equals_extraction(loop_program):
     r = run(loop_program, Store(), 500)
-    hp = hot_n(r.states, 2, "onepoint", loop_program)[0]
+    hp = hot_n(r.states, 2, "onepoint", loop_program)[0][0]
     assert optimize_full(loop_program, hp, []) == \
         extract(loop_program, hp).transformed
 
 
 def test_boundary_violations_are_rejected(loop_program):
     r = run(loop_program, Store(), 500)
-    hp = hot_n(r.states, 2, "onepoint", loop_program)[0]
+    hp = hot_n(r.states, 2, "onepoint", loop_program)[0][0]
 
     def drops_entry(st):
         return frozenset(c for c in st.stitched if c.label != st.entry_label)

@@ -6,7 +6,7 @@ from tracelab.lang import find_cmpl
 from tracelab.observe import sc
 from tracelab.optimize import type_specialize
 from tracelab.semantics import State, Store, run, trace_linked
-from tracelab.witness import (WitnessError, lift_full, make_context, rtr, sp,
+from tracelab.witness import (WitnessContext, WitnessError, lift_full, rtr, sp,
                               specialization_map, td, tr_out)
 from tests.conftest import command_at
 
@@ -14,8 +14,8 @@ from tests.conftest import command_at
 @pytest.fixture(scope="module")
 def loop_ctx(loop_program):
     r = run(loop_program, Store(), 1000)
-    hp1 = hot_n(r.states, 2, "onepoint", loop_program)[0]
-    return make_context(loop_program, extract(loop_program, hp1))
+    hp1 = hot_n(r.states, 2, "onepoint", loop_program)[0][0]
+    return WitnessContext(loop_program, extract(loop_program, hp1))
 
 
 def _named_stitch(ctx):
@@ -119,7 +119,7 @@ def test_tr_out_guard_failure_midpath(cf_program):
     c3 = command_at(cf_program, "L3", lambda c: not str(c.action).startswith("!"))
     c4 = command_at(cf_program, "L4")
     hp = HotPath(((a, c2), (a, c3), (a, c4)), "cp")
-    ctx = make_context(cf_program, extract(cf_program, hp))
+    ctx = WitnessContext(cf_program, extract(cf_program, hp))
     # a = 9 violates the guards: entry fails, the slow copies run
     tau = tuple(State(Store({"x": 0, "a": 9}), c) for c in (c2, c3)) + \
         (State(Store({"x": 0, "a": 9}), c4), State(Store({"x": 9, "a": 9}), c2),)
@@ -131,7 +131,7 @@ def test_tr_out_guard_failure_midpath(cf_program):
     # mixed store: passes the entry guard, fails an interior one
     rho_ok = Store({"x": 0, "a": 2})
     tau2 = (State(rho_ok, c2), State(rho_ok, c3))
-    got2 = tr_out(ctx, tau2, validate=True)
+    got2 = tr_out(ctx, tau2)
     assert got2[0].command == ctx.entry(True)
     assert got2[1].command == ctx.body(0)
     assert got2[2].command == ctx.interior_guard(1, True)
@@ -165,9 +165,9 @@ def test_round_trip_command_projection(loop_program, loop_ctx):
 @pytest.fixture(scope="module")
 def sieve_ts(sieve_program, sieve_store):
     r = run(sieve_program, sieve_store, 5000)
-    hp1 = hot_n(r.states, 2, "type", sieve_program)[0]
+    hp1 = hot_n(r.states, 2, "type", sieve_program)[0][0]
     st = extract(sieve_program, hp1)
-    ctx = make_context(sieve_program, st)
+    ctx = WitnessContext(sieve_program, st)
     smap = specialization_map(st, type_specialize(st))
     return ctx, smap
 
@@ -212,8 +212,6 @@ def test_td_stuck_head_singleton(sieve_ts):
 
 
 def test_td_sp_empty():
-    assert td.__defaults__  # signature sanity
-    ctx = None
     assert lift_full(lambda s: s, frozenset(), ()) == ()
 
 
