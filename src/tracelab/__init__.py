@@ -22,8 +22,7 @@ from .hotpath import (HotPath, alpha_outerhot_n, count, hot_n, hotcut, sloop,
 from .extract import StitchResult, extract, extract_gp, extract_nested
 from .optimize import (const_fold, dead_store_eliminate, free_vars,
                        optimize_full, type_specialize)
-from .witness import (WitnessContext, lift_full, rtr, sp, td, tr_out,
-                      specialization_map)
+from .witness import lift_full, rtr, sp, specialization_map, td, tr_out
 from .gp import (GPCompiler, GAssign, GBail, GIf, GSkip, GWhile,
                  gp_equivalence_check, gp_record_hot_path, gp_run, gp_step,
                  gp_trace_step)

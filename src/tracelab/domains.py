@@ -124,14 +124,15 @@ class StoreAbstraction(ABC):
 
     def contains(self, a: AbstractStore, store) -> bool:
         """Decides store in gamma(a).  A non-universal default constrains every
-        variable, including the unmentioned ones; gamma(bottom) is empty.
+        variable, including the unmentioned ones; gamma(bottom) is empty
+        unless the bottom slot is universal (one-point: bottom is top).
 
         Costs O(|a| + |store|): one pass over a's bindings, then one over the
         store's keys that a leaves to its default.  The set of a's keys is
         built per call, not cached on the element: guards keep their elements
         alive for as long as the program, and a cached index per element
         costs more memory than the rebuild costs time."""
-        if a.default == self.bot_slot and self.bot_is_empty():
+        if a.default == self.bot_slot and not self.value_universal(a.default):
             return False
         has = self.value_has
         for x, v in a.items:
@@ -142,9 +143,6 @@ class StoreAbstraction(ABC):
         for x in store.keys():
             if x not in bound and not has(default, store.get(x)):
                 return False
-        return True
-
-    def bot_is_empty(self) -> bool:
         return True
 
     def is_universal(self, a: AbstractStore) -> bool:
@@ -229,20 +227,8 @@ class OnePointDomain(StoreAbstraction):
     def parse_value(self, text):
         raise DomainError("one-point store literals are {}")
 
-    def bot_is_empty(self):
-        return False  # bottom and top coincide
-
     def alpha(self, stores):
-        return self.top()
-
-    def top(self):
-        return AbstractStore(self.tag, (), self._TOP)
-
-    def bottom(self):
-        return self.top()
-
-    def pretty(self, a):
-        return "{}"
+        return self.top()  # skips the per-variable join: this runs once per traced state
 
 
 # ---------------------------------------------------------------------------

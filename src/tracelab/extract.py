@@ -7,6 +7,10 @@ pair in front of every interior copy, and complement exits back into original
 code.  The nested variant additionally relabels into and out of previously
 stitched paths so they are called like subroutines.  The while-language
 variant adds a guardless relabeled chain only.
+
+``extract_nested`` records every command it builds by role and path index
+(``StitchResult``), so that optimizations and the proof witnesses read the
+stitch from that record rather than searching the program for it.
 """
 
 from __future__ import annotations
@@ -25,27 +29,39 @@ class ExtractError(Exception):
 
 @dataclass(frozen=True)
 class StitchResult:
+    """The program after extraction and the commands extraction built, each
+    keyed by its index i on the hot path (``hp.commands[i]``):
+
+    - ``guards[i]``: the (positive, negative) guard pair in front of copy i;
+      ``guards[0]`` is the entry pair at the head label, absent when the head
+      belongs to a previously stitched path;
+    - ``body[i]``: the action copy of command i or, for a command of a
+      previously stitched path, that command retargeted into this stitch;
+    - ``exits[i]``: the complement exit beside copy i, when command i branches;
+    - ``slow``: the relabeled head and then its complement, if it has one;
+      empty without an entry pair.
+
+    ``stitched`` is the union of the guards, the body and the exits; the slow
+    copies are original code under a fresh label and not part of it.
+    Optimization passes replace ``stitched`` and ``body`` only.
+    """
+
     transformed: Program
     stitched: frozenset[Command]
     hp: HotPath
-    ell: dict[int, str]  # fresh labels of the action copies, by path index
-    bbl: dict[int, str]  # fresh labels of the interior guard pairs
-    bar: Optional[str]   # fresh label of the relabeled slow head, if any
-    body: dict[int, Command]  # the action-copy command per path index
+    body: dict[int, Command]
+    exits: dict[int, Command]
+    guards: dict[int, tuple[Command, Command]]
+    slow: tuple[Command, ...]
 
     @property
     def entry_label(self) -> Optional[str]:
         """Label of the entry guard pair; None when the path head is itself
         part of a previously stitched path (no entry clause then)."""
-        return self.hp.commands[0].label if self.bar is not None else None
+        return self.guards[0][0].label if 0 in self.guards else None
 
     def stitch_labels(self) -> frozenset[str]:
         return frozenset(c.label for c in self.stitched)
-
-
-def _guard_pair(label: str, domain: str, store, yes: str, no: str) -> tuple[Command, Command]:
-    return (Command(label, Guard(domain, store, True), yes),
-            Command(label, Guard(domain, store, False), no))
 
 
 def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> StitchResult:
@@ -61,71 +77,54 @@ def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> Stit
         if c not in p_current.commands:
             raise ExtractError(f"hot path command not in program: {c}")
     in_orig = [c in p_original.commands for c in cmds]
-
     scope = LabelScope.fresh_for(p_current, p_original)
-    ell = {i: scope.ell(i) for i in range(n + 1)}
-    bbl = {i: scope.bbl(i) for i in range(1, n + 1)}
+
+    def guard_pair(i: int, label: str, no: str) -> tuple[Command, Command]:
+        a = hp.pairs[i][0]
+        return (Command(label, Guard(hp.domain, a, True), scope.ell(i)),
+                Command(label, Guard(hp.domain, a, False), no))
 
     c0 = cmds[0]
-    a0 = hp.pairs[0][0]
     removed: set[Command] = set()
-    added: set[Command] = set()
-    stitched: set[Command] = set()
     body: dict[int, Command] = {}
-    bar: Optional[str] = None
-
-    cmpl0 = find_cmpl(c0, p_current)
+    exits: dict[int, Command] = {}
+    guards: dict[int, tuple[Command, Command]] = {}
+    slow: tuple[Command, ...] = ()
 
     if in_orig[0]:
         # (1)-(3): swap the head for a guard pair, keep a relabeled slow copy
         bar = scope.bar(c0.label)
-        removed.add(c0)
-        added.add(Command(bar, c0.action, c0.succ))
-        if cmpl0 is not None:
-            removed.add(cmpl0)
-            added.add(Command(bar, cmpl0.action, cmpl0.succ))
-        entry = _guard_pair(c0.label, hp.domain, a0, ell[0], bar)
-        added.update(entry)
-        stitched.update(entry)
+        cmpl0 = find_cmpl(c0, p_current)
+        head = (c0,) if cmpl0 is None else (c0, cmpl0)
+        removed.update(head)
+        slow = tuple(Command(bar, c.action, c.succ) for c in head)
+        guards[0] = guard_pair(0, c0.label, bar)
 
-    for i in range(n + 1):
-        ci = cmds[i]
-        ai = hp.pairs[i][0]
+    for i, ci in enumerate(cmds):
+        if i == n:
+            nxt = c0.label
+        else:
+            nxt = scope.bbl(i + 1) if in_orig[i + 1] else cmds[i + 1].label
         if in_orig[i]:
             # (4)/(7): the freshly labeled action copy
-            if i == n:
-                copy = Command(ell[n], ci.action, c0.label)
-            elif in_orig[i + 1]:
-                copy = Command(ell[i], ci.action, bbl[i + 1])
-            else:
-                copy = Command(ell[i], ci.action, cmds[i + 1].label)
-            added.add(copy)
-            stitched.add(copy)
-            body[i] = copy
+            body[i] = Command(scope.ell(i), ci.action, nxt)
             # (5): complement exit
             compl = find_cmpl(ci, p_current)
             if compl is not None:
-                exit_cmd = Command(ell[i], compl.action, compl.succ)
-                added.add(exit_cmd)
-                stitched.add(exit_cmd)
+                exits[i] = Command(scope.ell(i), compl.action, compl.succ)
             # (6): interior guard pair in front of the copy
             if i >= 1:
-                pair = _guard_pair(bbl[i], hp.domain, ai, ell[i], ci.label)
-                added.update(pair)
-                stitched.update(pair)
-        else:
+                guards[i] = guard_pair(i, scope.bbl(i), ci.label)
+        elif i < n and in_orig[i + 1]:
             # (8)-(9): retarget a nested path's exit into this stitch
-            if i < n and in_orig[i + 1]:
-                if ci in removed:
-                    raise ExtractError(f"hot path leaves the stitched command {ci} twice")
-                removed.add(ci)
-                retarget = Command(ci.label, ci.action, bbl[i + 1])
-                added.add(retarget)
-                stitched.add(retarget)
-                body[i] = retarget
+            if ci in removed:
+                raise ExtractError(f"hot path leaves the stitched command {ci} twice")
+            removed.add(ci)
+            body[i] = Command(ci.label, ci.action, nxt)
 
-    transformed = p_current.replace(remove=removed, add=added)
-    return StitchResult(transformed, frozenset(stitched), hp, ell, bbl, bar, body)
+    stitched = frozenset([*body.values(), *exits.values(), *(c for g in guards.values() for c in g)])
+    transformed = p_current.replace(remove=removed, add=stitched | frozenset(slow))
+    return StitchResult(transformed, stitched, hp, body, exits, guards, slow)
 
 
 def extract(p: Program, hp: HotPath) -> StitchResult:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .domains import AbstractStore, get_domain
-from .lang import Command, HALT, Program, find_cmpl
+from .lang import Command, Cond, Guard, HALT, Not, Program, find_cmpl
 from .semantics import State
 
 
@@ -34,7 +34,6 @@ class HotPathError(Exception):
 def _branch_key(c: Command) -> tuple:
     """Positive branches explore first, so a loop's head ranks at or before
     its exit commands; negations and failing guards are the cold side."""
-    from .lang import Cond, Guard, Not
     a = c.action
     negated = (isinstance(a, Cond) and isinstance(a.test, Not)) or \
         (isinstance(a, Guard) and not a.positive)

@@ -192,10 +192,10 @@ def _rebody(st: StitchResult, new: frozenset[Command]) -> dict[int, Command]:
 
 
 def optimize_full(p: Program, hp: HotPath, passes: Sequence[Optimization],
-                  original: Optional[Program] = None) -> Program:
+                  original: Program) -> Program:
     """Extract once, run the passes in turn on the stitch (each sees the
     previous pass's output), and splice the result next to the remainder."""
-    st = extract_nested(p, hp, original if original is not None else p)
+    st = extract_nested(p, hp, original)
     cur = st
     for opt in passes:
         new = opt(cur)

@@ -66,10 +66,19 @@ def tokenize(text: str, line_no: Optional[int] = None, pattern: re.Pattern = _TO
 
 
 class _Cursor:
-    def __init__(self, toks: list[str], line_no: Optional[int] = None):
+    """Tokens with the line each came from; ``end`` names what running out of
+    tokens ends (a line, or the whole input)."""
+
+    def __init__(self, toks: list[str], lines: list[Optional[int]], end: str = "line"):
         self.toks = toks
+        self.lines = lines
+        self.end = end
         self.i = 0
-        self.line_no = line_no
+
+    @property
+    def line_no(self) -> Optional[int]:
+        """The line of the next token, or of the last one at the end."""
+        return self.lines[min(self.i, len(self.lines) - 1)] if self.lines else None
 
     def peek(self) -> Optional[str]:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -77,14 +86,15 @@ class _Cursor:
     def next(self) -> str:
         t = self.peek()
         if t is None:
-            raise ParseError("unexpected end of line", self.line_no)
+            raise ParseError(f"unexpected end of {self.end}", self.line_no)
         self.i += 1
         return t
 
     def expect(self, tok: str) -> None:
+        line_no = self.line_no
         t = self.next()
         if t != tok:
-            raise ParseError(f"expected {tok!r}, got {t!r}", self.line_no)
+            raise ParseError(f"expected {tok!r}, got {t!r}", line_no)
 
     def fail(self, msg: str):
         raise ParseError(msg, self.line_no)
@@ -287,7 +297,8 @@ def _parse_action(c: _Cursor, arrays: dict[str, int]) -> lang.Action:
 
 def parse_command(text: str, line_no: Optional[int] = None,
                   arrays: Optional[dict[str, int]] = None) -> Command:
-    c = _Cursor(tokenize(text, line_no), line_no)
+    toks = tokenize(text, line_no)
+    c = _Cursor(toks, [line_no] * len(toks))
     label = c.next()
     if not _NAME_RE.match(label):
         c.fail(f"bad label {label!r}")
@@ -400,8 +411,13 @@ def parse_gp_program(text: str):
     Comments start with ``#``."""
     from .gp import GAssign, GBail, GIf, GSkip, GWhile
 
-    c = _Cursor([t for line_no, line in enumerate(text.splitlines(), start=1)
-                 for t in tokenize(line, line_no, _GP_TOKEN_RE, "#")])
+    toks, lines = [], []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line_toks = tokenize(line, line_no, _GP_TOKEN_RE, "#")
+        toks += line_toks
+        lines += [line_no] * len(line_toks)
+    c = _Cursor(toks, lines, "input")
+    blocks = {"if": ("then", GIf), "while": ("do", GWhile), "bail": ("to", GBail)}
 
     def parse_seq(stop_at_brace: bool):
         out = []
@@ -423,21 +439,11 @@ def parse_gp_program(text: str):
             c.next()
             c.expect(";")
             return GSkip()
-        if t == "if":
-            c.next()
+        if t in blocks:
+            keyword, make = blocks[c.next()]
             b = _parse_bexpr(c)
-            c.expect("then")
-            return GIf(b, parse_block())
-        if t == "while":
-            c.next()
-            b = _parse_bexpr(c)
-            c.expect("do")
-            return GWhile(b, parse_block())
-        if t == "bail":
-            c.next()
-            b = _parse_bexpr(c)
-            c.expect("to")
-            return GBail(b, parse_block())
+            c.expect(keyword)
+            return make(b, parse_block())
         if _is_name(t):
             name = c.next()
             c.expect(":=")

@@ -4,16 +4,20 @@ These functions move execution traces between a program and its extracted (or
 type-specialized) form.  They exist to be checked, not to be fast: every
 output is validated against the claimed program's transition relation, which
 is the executable content of their well-definedness lemmas.
+
+They read the stitch from extraction's record (``StitchResult``): the guard
+pair, action copy and complement exit at each path index, and the relabeled
+slow head.  A source complement is the exit's action and successor under the
+path command's label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .domains import get_domain
 from .extract import StitchResult
-from .lang import AddTyped, Command, Guard, Program, find_cmpl
+from .lang import AddTyped, Command, Program
 from .semantics import State, Store, eval_expr, trace_linked
 from .values import INT, STRING, type_of
 
@@ -22,61 +26,12 @@ class WitnessError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class WitnessContext:
-    """Everything needed to walk a hot path's stitch from either side."""
+def _sat(st: StitchResult, i: int, store: Store) -> bool:
+    return get_domain(st.hp.domain).contains(st.hp.pairs[i][0], store)
 
-    source: Program
-    st: StitchResult
 
-    @property
-    def hp(self):
-        return self.st.hp
-
-    @property
-    def target(self) -> Program:
-        return self.st.transformed
-
-    def entry(self, positive: bool) -> Command:
-        cands = [c for c in self.st.stitched
-                 if c.label == self.st.entry_label and isinstance(c.action, Guard)
-                 and c.action.positive == positive]
-        if not cands:
-            raise WitnessError("stitch has no entry guard")
-        return cands[0]
-
-    def interior_guard(self, i: int, positive: bool) -> Command:
-        label = self.st.bbl[i]
-        cands = [c for c in self.st.stitched
-                 if c.label == label and isinstance(c.action, Guard)
-                 and c.action.positive == positive]
-        if not cands:
-            raise WitnessError(f"no interior guard at index {i}")
-        return cands[0]
-
-    def body(self, i: int) -> Command:
-        return self.st.body[i]
-
-    def body_exit(self, i: int) -> Optional[Command]:
-        label = self.st.ell[i]
-        body = self.st.body.get(i)
-        for c in self.st.stitched:
-            if c.label == label and c != body:
-                return c
-        return None
-
-    def bar_cmd(self, complement: bool) -> Optional[Command]:
-        if self.st.bar is None:
-            return None
-        c0 = self.hp.commands[0]
-        for c in self.target.at(self.st.bar):
-            if (c.action == c0.action) != complement:
-                return c
-        return None
-
-    def sat(self, i: int, store: Store) -> bool:
-        a = self.hp.pairs[i][0]
-        return get_domain(self.hp.domain).contains(a, store)
+def _relabel(c: Command, label: str) -> Command:
+    return Command(label, c.action, c.succ)
 
 
 def _check(program: Program, states: Sequence[State], what: str):
@@ -88,62 +43,37 @@ def _check(program: Program, states: Sequence[State], what: str):
 # Unfolding: source traces into the extracted program
 # ---------------------------------------------------------------------------
 
-def tr_out(ctx: WitnessContext, states: Sequence[State]) -> tuple[State, ...]:
+def tr_out(st: StitchResult, states: Sequence[State]) -> tuple[State, ...]:
     """Unfold occurrences of the hot path in a source trace into its stitch.
 
-    Outside mode enters the stitch at the head command when the entry guard
-    holds; inside mode advances position by position, bailing out through the
-    matching negative guard or complement exit when the store or the branch
-    disagrees with the path.
+    Position i (0 outside the stitch) expects path command i or its
+    complement, and such a state goes through guard pair i.  If the store is
+    in the guard, it goes on to copy i (then position i + 1, or 0 after the
+    last) or to exit i (then 0).  If not, it goes on to the negative guard's
+    target, which is the slow head at position 0 and the source command itself
+    further in, and back to 0.  Any other state is kept and resets to 0.
     """
-    hp = ctx.hp
-    n = len(hp) - 1
-    cmds = hp.commands
-    cmpls = [find_cmpl(c, ctx.source) for c in cmds]
-
+    cmds = st.hp.commands
+    n = len(cmds) - 1
     out: list[State] = []
-    mode_in = False
-    expect = 0
+    i = 0
     for s in states:
         rho, c = s.store, s.command
-        if not mode_in:
-            if c == cmds[0] and ctx.sat(0, rho):
-                out.append(State(rho, ctx.entry(True)))
-                out.append(State(rho, ctx.body(0)))
-                mode_in, expect = (True, 1) if n >= 1 else (False, 0)
-            elif c == cmds[0]:
-                out.append(State(rho, ctx.entry(False)))
-                out.append(State(rho, ctx.bar_cmd(complement=False)))
-            elif cmpls[0] is not None and c == cmpls[0] and ctx.sat(0, rho):
-                out.append(State(rho, ctx.entry(True)))
-                out.append(State(rho, ctx.body_exit(0)))
-            elif cmpls[0] is not None and c == cmpls[0]:
-                out.append(State(rho, ctx.entry(False)))
-                out.append(State(rho, ctx.bar_cmd(complement=True)))
-            else:
-                out.append(s)
+        ex = st.exits.get(i)
+        if c != cmds[i] and (ex is None or c != _relabel(ex, cmds[i].label)):
+            out.append(s)
+            i = 0
+            continue
+        if i not in st.guards:
+            raise WitnessError(f"stitch has no guard pair at path index {i}")
+        yes, no = st.guards[i]
+        if _sat(st, i, rho):
+            out += [State(rho, yes), State(rho, st.body[i] if c == cmds[i] else ex)]
+            i = i + 1 if c == cmds[i] and i < n else 0
         else:
-            i = expect
-            if c == cmds[i] and ctx.sat(i, rho):
-                out.append(State(rho, ctx.interior_guard(i, True)))
-                out.append(State(rho, ctx.body(i)))
-                mode_in, expect = (True, i + 1) if i < n else (False, 0)
-            elif c == cmds[i]:
-                out.append(State(rho, ctx.interior_guard(i, False)))
-                out.append(s)
-                mode_in = False
-            elif cmpls[i] is not None and c == cmpls[i] and ctx.sat(i, rho):
-                out.append(State(rho, ctx.interior_guard(i, True)))
-                out.append(State(rho, ctx.body_exit(i)))
-                mode_in = False
-            elif cmpls[i] is not None and c == cmpls[i]:
-                out.append(State(rho, ctx.interior_guard(i, False)))
-                out.append(s)
-                mode_in = False
-            else:
-                out.append(s)
-                mode_in = False
-    _check(ctx.target, out, "tr_out")
+            out += [State(rho, no), State(rho, _relabel(c, no.succ))]
+            i = 0
+    _check(st.transformed, out, "tr_out")
     return tuple(out)
 
 
@@ -151,39 +81,16 @@ def tr_out(ctx: WitnessContext, states: Sequence[State]) -> tuple[State, ...]:
 # Refolding: extracted-program traces back into the source
 # ---------------------------------------------------------------------------
 
-def rtr(ctx: WitnessContext, states: Sequence[State]) -> tuple[State, ...]:
-    """Map a trace of the extracted program back onto the source: drop guard
+def rtr(st: StitchResult, source: Program, states: Sequence[State]) -> tuple[State, ...]:
+    """Map a trace of the extracted program back onto ``source``: drop guard
     states (a terminal guard becomes the guarded command itself), send the
-    relabeled copies back to their path commands, keep everything else."""
-    hp = ctx.hp
-    n = len(hp) - 1
-    cmds = hp.commands
-    cmpls = [find_cmpl(c, ctx.source) for c in cmds]
-
-    guard_index: dict[Command, int] = {}
-    if ctx.st.bar is not None:
-        guard_index[ctx.entry(True)] = 0
-        guard_index[ctx.entry(False)] = 0
-    for i in range(1, n + 1):
-        if i in ctx.st.bbl:
-            try:
-                guard_index[ctx.interior_guard(i, True)] = i
-                guard_index[ctx.interior_guard(i, False)] = i
-            except WitnessError:
-                pass
-
-    body_to_src: dict[Command, Command] = {}
-    for i, copy in ctx.st.body.items():
-        body_to_src[copy] = cmds[i]
-        ex = ctx.body_exit(i)
-        if ex is not None and cmpls[i] is not None:
-            body_to_src[ex] = cmpls[i]
-    bar_act = ctx.bar_cmd(complement=False)
-    bar_neg = ctx.bar_cmd(complement=True)
-    if bar_act is not None:
-        body_to_src[bar_act] = cmds[0]
-    if bar_neg is not None and cmpls[0] is not None:
-        body_to_src[bar_neg] = cmpls[0]
+    copies, exits and slow head back to their path commands, keep everything
+    else."""
+    cmds = st.hp.commands
+    guard_index = {g: i for i, pair in st.guards.items() for g in pair}
+    to_src = {copy: cmds[i] for i, copy in st.body.items()}
+    to_src.update((ex, _relabel(ex, cmds[i].label)) for i, ex in st.exits.items())
+    to_src.update((c, _relabel(c, cmds[0].label)) for c in st.slow)
 
     out: list[State] = []
     last = len(states) - 1
@@ -192,12 +99,9 @@ def rtr(ctx: WitnessContext, states: Sequence[State]) -> tuple[State, ...]:
         if c in guard_index:
             if k == last:
                 out.append(State(s.store, cmds[guard_index[c]]))
-            continue
-        if c in body_to_src:
-            out.append(State(s.store, body_to_src[c]))
-            continue
-        out.append(s)
-    _check(ctx.source, out, "rtr")
+        else:
+            out.append(State(s.store, to_src.get(c, c)))
+    _check(source, out, "rtr")
     return tuple(out)
 
 
@@ -205,7 +109,7 @@ def rtr(ctx: WitnessContext, states: Sequence[State]) -> tuple[State, ...]:
 # Type specialization witnesses
 # ---------------------------------------------------------------------------
 
-def td(ctx: WitnessContext, spec_map: dict[Command, Command],
+def td(st: StitchResult, spec_map: dict[Command, Command],
        states: Sequence[State]) -> tuple[State, ...]:
     """De-specialize a trace of the optimized stitch.  A specialized addition
     whose generic evaluation disagrees with the tag can only sit at the head
@@ -223,26 +127,23 @@ def td(ctx: WitnessContext, spec_map: dict[Command, Command],
                 break
         else:
             out.append(s)
-    _check(_fragment_program(ctx, ctx.st.stitched), out, "td")
+    _check(_fragment_program(st, st.stitched), out, "td")
     return tuple(out)
 
 
-def _optimized_set(ctx: WitnessContext, spec_map: dict[Command, Command]) -> frozenset[Command]:
-    return (ctx.st.stitched - frozenset(spec_map)) | frozenset(spec_map.values())
-
-
-def sp(ctx: WitnessContext, spec_map: dict[Command, Command],
+def sp(st: StitchResult, spec_map: dict[Command, Command],
        states: Sequence[State]) -> tuple[State, ...]:
     """Specialize a trace of the unoptimized stitch, truncating to the stuck
     head when its store escapes the governing guard."""
     if not states:
         return ()
-    target = _fragment_program(ctx, _optimized_set(ctx, spec_map))
+    optimized = (st.stitched - frozenset(spec_map)) | frozenset(spec_map.values())
+    target = _fragment_program(st, optimized)
     head = states[0]
     hc = spec_map.get(head.command)
     if hc is not None and isinstance(hc.action.expr, AddTyped):
-        i = _body_index(ctx, head.command)
-        if i is not None and not ctx.sat(i, head.store):
+        i = next((i for i, c in st.body.items() if c == head.command), None)
+        if i is not None and not _sat(st, i, head.store):
             result = (State(head.store, hc),)
             _check(target, result, "sp")
             return result
@@ -251,15 +152,8 @@ def sp(ctx: WitnessContext, spec_map: dict[Command, Command],
     return out
 
 
-def _body_index(ctx: WitnessContext, cmd: Command) -> Optional[int]:
-    for i, c in ctx.st.body.items():
-        if c == cmd:
-            return i
-    return None
-
-
-def _fragment_program(ctx: WitnessContext, cmds: frozenset[Command]) -> Program:
-    return Program(cmds, ctx.target.entry, ctx.target.arrays)
+def _fragment_program(st: StitchResult, cmds: frozenset[Command]) -> Program:
+    return Program(cmds, st.transformed.entry, st.transformed.arrays)
 
 
 def specialization_map(st: StitchResult, optimized: frozenset[Command]) -> dict[Command, Command]:

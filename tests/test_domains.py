@@ -169,7 +169,7 @@ _SLOTS = {
 def _contains_by_scan(dom, a, store):
     """The quadratic definition: every key of either side, looked up by a
     linear scan of the element's bindings."""
-    if a.default == dom.bot_slot and dom.bot_is_empty():
+    if a.default == dom.bot_slot and not dom.value_universal(a.default):
         return False
     for x in a.keys() | frozenset(store.keys()):
         slot = next((v for k, v in a.items if k == x), a.default)
@@ -319,7 +319,8 @@ def test_store_literal_roundtrip():
     from tracelab.textio import _Cursor, _parse_abstract_store, tokenize
 
     def parse(tag, text):
-        return _parse_abstract_store(_Cursor(tokenize(text)), tag, {})
+        toks = tokenize(text)
+        return _parse_abstract_store(_Cursor(toks, [None] * len(toks)), tag, {})
 
     for tag, text in [
         ("type", "{k: Int, primes: Bool[100], s: String}"),

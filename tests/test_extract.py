@@ -50,9 +50,9 @@ def test_extract_matches_expected_set(loop_program, loop_p1):
     bij = rename_equal(loop_p1.transformed, expected)
     assert bij is not None
     # fresh labels map onto the hand-written ones
-    assert bij[loop_p1.bar] == "slow"
-    assert bij[loop_p1.ell[0]] == "e0"
-    assert bij[loop_p1.bbl[2]] == "b2"
+    assert bij[loop_p1.slow[0].label] == "slow"
+    assert bij[loop_p1.body[0].label] == "e0"
+    assert bij[loop_p1.guards[2][0].label] == "b2"
 
 
 def test_extract_well_formed_and_deterministic(loop_p1):
@@ -76,7 +76,8 @@ def test_extract_stitch_shape(loop_p1):
         assert len(preds) == 1
     # no stitched command loops back into an earlier stitched label except
     # the closing jump to the head
-    order = {st.ell[i]: 2 * i for i in st.ell} | {st.bbl[i]: 2 * i - 1 for i in st.bbl}
+    order = {st.body[i].label: 2 * i for i in st.body} \
+        | {st.guards[i][0].label: 2 * i - 1 for i in st.guards if i >= 1}
     for c in st.stitched:
         if c.succ in order and c.label in order:
             assert order[c.succ] > order[c.label]
@@ -157,7 +158,7 @@ def test_extract_nested_golden(loop_program, loop_hp1):
     hp2 = hot_n(hotcut(r1.states, loop_program), 2, "onepoint", p1)[0][0]
     labels = [c.label for c in hp2.commands]
     st1 = extract(loop_program, loop_hp1)
-    assert labels == [st1.entry_label, st1.ell[2], "L4"]
+    assert labels == [st1.entry_label, st1.body[2].label, "L4"]
 
     p2 = extract_nested(p1, hp2, loop_program).transformed
     assert well_formed(p2) == []
@@ -167,7 +168,7 @@ def test_extract_nested_golden(loop_program, loop_hp1):
     added = p2.commands - p1.commands
     assert len(removed) == 1 and len(added) == 4
     (gone,) = removed
-    assert gone.label == st1.ell[2] and gone.succ == "L4"
+    assert gone.label == st1.body[2].label and gone.succ == "L4"
     expected = parse_program(EXPECTED_NESTED)
     assert rename_equal(p2, expected) is not None
 

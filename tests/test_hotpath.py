@@ -235,7 +235,7 @@ def test_hotcut_golden_after_extraction(loop_program, loop_run):
     head = [(s.store.get("x"), s.command.label) for s in cut[:7]]
     st_ = extract(loop_program, hp1)
     entry_pos = st_.entry_label
-    h5c_label = st_.ell[2]
+    h5c_label = st_.body[2].label
     from tracelab.values import UNDEF
     assert head[0] == (UNDEF, "L0")
     assert head[1] == (0, entry_pos)
@@ -260,7 +260,7 @@ def test_outerhot_finds_nested_path(loop_program, loop_run):
     r1 = run(st_.transformed, Store(), 2000)
     outer = hot_n(hotcut(r1.states, loop_program), 2, "onepoint", st_.transformed)
     labels = [tuple(c.label for c in hp.commands) for hp, _ in outer]
-    assert (st_.entry_label, st_.ell[2], "L4") in labels
+    assert (st_.entry_label, st_.body[2].label, "L4") in labels
 
 
 def test_hotcut_never_changes_stores(loop_program, loop_run):

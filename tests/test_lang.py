@@ -33,6 +33,19 @@ def test_parse_errors():
     with pytest.raises(ParseError) as exc:
         parse_program("#entry L0\nL0: x := -> L1\n")
     assert exc.value.line == 2
+    with pytest.raises(ParseError) as exc:
+        parse_program("#entry L0\nL0: x := 1 ->\n")
+    assert str(exc.value) == "line 2: unexpected end of line"
+
+
+@pytest.mark.parametrize("src, message", [
+    ("x := 1;\ny := ;", "line 2: expected expression, got ';'"),
+    ("x := 0;\nwhile (x <= 3) do {\n  x := x + 1;\n", "line 3: unexpected end of input"),
+])
+def test_while_language_errors_name_their_line(src, message):
+    with pytest.raises(ParseError) as exc:
+        textio.parse_gp_program(src)
+    assert str(exc.value) == message
 
 
 def test_comment_after_whitespace_in_the_documented_example():

@@ -32,7 +32,7 @@ def test_sieve_specializes_the_addition(sieve_program, sieve_store):
     (h5,) = changed
     assert h5.action == Assign("k", AddTyped(Var("k"), Var("i"), "Int"))
     assert h5.succ == "L4"
-    assert h5.label == st.ell[2]
+    assert h5.label == st.body[2].label
     assert len(st.stitched - new) == 1
 
 
@@ -88,7 +88,7 @@ def test_specialized_additions_agree_under_their_guards(sieve_program, sieve_sto
     generic addition would have produced the same value."""
     from tracelab.semantics import eval_expr
     st = _sieve_stitch(sieve_program, sieve_store)
-    p1 = optimize_full(sieve_program, st.hp, [type_specialize])
+    p1 = optimize_full(sieve_program, st.hp, [type_specialize], sieve_program)
     r = run(p1, sieve_store, 8000)
     seen = 0
     for s in r.states:
@@ -119,7 +119,7 @@ def test_cf_golden(cf_program):
     new = const_fold(st)
     (folded,) = new - st.stitched
     assert folded.action == Assign("x", Add(Var("x"), Lit(2)))
-    assert folded.label == st.ell[2]
+    assert folded.label == st.body[2].label
     assert folded.succ == "L2"
 
 
@@ -164,7 +164,7 @@ def test_cf_requires_cp_guards(loop_program):
 
 def test_cf_full_correct(cf_program):
     hp = _cf_hot_path(cf_program)
-    p1 = optimize_full(cf_program, hp, [const_fold])
+    p1 = optimize_full(cf_program, hp, [const_fold], cf_program)
     assert well_formed(p1) == []
     initials = [Store()] + [Store({"x": v}) for v in (-2, 1, 5, 6, 16)] \
         + [Store({"a": v}) for v in (0, 7)] + [Store({"x": 3, "a": 9}), Store({"x": "s"})]
@@ -242,7 +242,7 @@ L6: skip -> .
 
 def test_dse_is_out_sound_but_not_sc_sound(dse_program):
     st = _dse_stitch(dse_program)
-    p1 = optimize_full(dse_program, st.hp, [dead_store_eliminate])
+    p1 = optimize_full(dse_program, st.hp, [dead_store_eliminate], dse_program)
     assert well_formed(p1) == []
     initials = [Store({"x": -4, "z": 7}), Store({"x": -9, "z": 0}), Store({"x": 1, "z": 2})]
     assert not sc_equiv_check(dse_program, p1, initials, 2000).passed
@@ -256,7 +256,7 @@ def test_dse_is_out_sound_but_not_sc_sound(dse_program):
 def test_identity_optimization_equals_extraction(loop_program):
     r = run(loop_program, Store(), 500)
     hp = hot_n(r.states, 2, "onepoint", loop_program)[0][0]
-    assert optimize_full(loop_program, hp, []) == \
+    assert optimize_full(loop_program, hp, [], loop_program) == \
         extract(loop_program, hp).transformed
 
 
@@ -272,15 +272,15 @@ def test_boundary_violations_are_rejected(loop_program):
         return (st.stitched - {c}) | {Command(c.label, c.action, "ELSEWHERE")}
 
     with pytest.raises(OptimizeError):
-        optimize_full(loop_program, hp, [drops_entry])
+        optimize_full(loop_program, hp, [drops_entry], loop_program)
     with pytest.raises(OptimizeError):
-        optimize_full(loop_program, hp, [invents_exit])
+        optimize_full(loop_program, hp, [invents_exit], loop_program)
 
 
 def test_sieve_full_specialization_correct(sieve_program, sieve_store):
     st = _sieve_stitch(sieve_program, sieve_store)
-    p1 = optimize_full(sieve_program, st.hp, [type_specialize])
-    expected_h5 = Command(st.ell[2], Assign("k", AddTyped(Var("k"), Var("i"), "Int")), "L4")
+    p1 = optimize_full(sieve_program, st.hp, [type_specialize], sieve_program)
+    expected_h5 = Command(st.body[2].label, Assign("k", AddTyped(Var("k"), Var("i"), "Int")), "L4")
     assert expected_h5 in p1.commands
     rep = sc_equiv_check(sieve_program, p1, [sieve_store], 8000)
     assert rep.passed

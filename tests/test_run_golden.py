@@ -18,7 +18,7 @@ def ts_stitched(p, stores):
     for rho in stores:
         found = hotpath.hot_n(run(p, rho, 2000).states, 2, "type", p)
         if found:
-            return optimize.optimize_full(p, found[0][0], [optimize.type_specialize])
+            return optimize.optimize_full(p, found[0][0], [optimize.type_specialize], p)
     return None
 
 

@@ -1,32 +1,33 @@
 import pytest
 
+from tracelab import gen, pipeline
 from tracelab.extract import extract
 from tracelab.hotpath import hot_n
 from tracelab.lang import find_cmpl
 from tracelab.observe import sc
 from tracelab.optimize import type_specialize
 from tracelab.semantics import State, Store, run, trace_linked
-from tracelab.witness import (WitnessContext, WitnessError, lift_full, rtr, sp,
-                              specialization_map, td, tr_out)
+from tracelab.witness import (WitnessError, lift_full, rtr, sp, specialization_map,
+                              td, tr_out)
 from tests.conftest import command_at
 
 
 @pytest.fixture(scope="module")
-def loop_ctx(loop_program):
+def loop_st(loop_program):
     r = run(loop_program, Store(), 1000)
     hp1 = hot_n(r.states, 2, "onepoint", loop_program)[0][0]
-    return WitnessContext(loop_program, extract(loop_program, hp1))
+    return extract(loop_program, hp1)
 
 
-def _named_stitch(ctx):
+def _named_stitch(st):
     return {
-        "H0": ctx.entry(True), "H0c": ctx.entry(False),
-        "H1": ctx.body(0), "H1c": ctx.body_exit(0),
-        "H2": ctx.interior_guard(1, True), "H2c": ctx.interior_guard(1, False),
-        "H3": ctx.body(1),
-        "H4": ctx.interior_guard(2, True), "H4c": ctx.interior_guard(2, False),
-        "H5": ctx.body(2), "H5c": ctx.body_exit(2),
-        "barA": ctx.bar_cmd(False), "barN": ctx.bar_cmd(True),
+        "H0": st.guards[0][0], "H0c": st.guards[0][1],
+        "H1": st.body[0], "H1c": st.exits[0],
+        "H2": st.guards[1][0], "H2c": st.guards[1][1],
+        "H3": st.body[1],
+        "H4": st.guards[2][0], "H4c": st.guards[2][1],
+        "H5": st.body[2], "H5c": st.exits[2],
+        "barA": st.slow[0], "barN": st.slow[1],
     }
 
 
@@ -47,14 +48,14 @@ def _trace(p, pairs):
                  for x, n in pairs)
 
 
-def test_tr_out_golden_unfolding(loop_program, loop_ctx):
+def test_tr_out_golden_unfolding(loop_program, loop_st):
     tau = _trace(loop_program, [
         (3, "C0"), (0, "C1"), (0, "C2"), (1, "C3c"), (1, "C1"), (1, "C2"),
         (2, "C3c"), (2, "C1"), (2, "C2"), (3, "C3"), (3, "C4"),
     ])
     assert trace_linked(loop_program, tau)
-    got = tr_out(loop_ctx, tau)
-    names = _named_stitch(loop_ctx)
+    got = tr_out(loop_st, tau)
+    names = _named_stitch(loop_st)
     want_cmds = ["C0"] + ["H0", "H1", "H2", "H3", "H4", "H5"] * 2 \
         + ["H0", "H1", "H2", "H3", "H4", "H5c"] + ["C4"]
     assert len(got) == 20
@@ -64,14 +65,14 @@ def test_tr_out_golden_unfolding(loop_program, loop_ctx):
     assert sc(got) == sc(tau)
 
 
-def test_tr_out_empty(loop_ctx):
-    assert tr_out(loop_ctx, ()) == ()
+def test_tr_out_empty(loop_st):
+    assert tr_out(loop_st, ()) == ()
 
 
-def test_rtr_golden_refolding(loop_program, loop_ctx):
+def test_rtr_golden_refolding(loop_program, loop_st):
     # the published fragment ends on the source conditional itself; the
     # refolding keeps it through the fall-through case
-    names = _named_stitch(loop_ctx)
+    names = _named_stitch(loop_st)
     mk = lambda x, n: State(Store({"x": x}), names[n])
     body = (
         mk(2, "H4"), mk(2, "H5"), mk(2, "H0"), mk(2, "H1"), mk(2, "H2"),
@@ -79,7 +80,7 @@ def test_rtr_golden_refolding(loop_program, loop_ctx):
         State(Store({"x": 3}), _loop_cmd(loop_program, "C4")),
     )
     sigma = body + (State(Store({"x": 6}), _loop_cmd(loop_program, "C1")),)
-    got = rtr(loop_ctx, sigma)
+    got = rtr(loop_st, loop_program, sigma)
     want = _trace(loop_program, [
         (2, "C3c"), (2, "C1"), (2, "C2"), (3, "C3"), (3, "C4"), (6, "C1"),
     ])
@@ -88,24 +89,24 @@ def test_rtr_golden_refolding(loop_program, loop_ctx):
     # the legal-trace variant ends at the entry guard instead; the terminal
     # guard refolds to the same head conditional
     sigma2 = body + (mk(6, "H0"),)
-    assert trace_linked(loop_ctx.target, sigma2)
-    assert rtr(loop_ctx, sigma2) == want
-    assert trace_linked(loop_program, rtr(loop_ctx, sigma2))
+    assert trace_linked(loop_st.transformed, sigma2)
+    assert rtr(loop_st, loop_program, sigma2) == want
+    assert trace_linked(loop_program, rtr(loop_st, loop_program, sigma2))
 
 
-def test_rtr_no_stitched_states_is_identity(loop_program, loop_ctx):
+def test_rtr_no_stitched_states_is_identity(loop_program, loop_st):
     tau = _trace(loop_program, [(3, "C4"), (6, "C1"), (6, "C2")])
-    assert rtr(loop_ctx, tau) == tau
+    assert rtr(loop_st, loop_program, tau) == tau
 
 
-def test_rtr_terminal_guard_singleton(loop_program, loop_ctx):
-    names = _named_stitch(loop_ctx)
+def test_rtr_terminal_guard_singleton(loop_program, loop_st):
+    names = _named_stitch(loop_st)
     s = State(Store({"x": 1}), names["H2"])
-    got = rtr(loop_ctx, (s,))
+    got = rtr(loop_st, loop_program, (s,))
     assert got == (State(Store({"x": 1}), _loop_cmd(loop_program, "C2")),)
     # entry guard terminal maps to the path head
     s0 = State(Store({"x": 1}), names["H0"])
-    assert rtr(loop_ctx, (s0,)) == \
+    assert rtr(loop_st, loop_program, (s0,)) == \
         (State(Store({"x": 1}), _loop_cmd(loop_program, "C1")),)
 
 
@@ -119,41 +120,64 @@ def test_tr_out_guard_failure_midpath(cf_program):
     c3 = command_at(cf_program, "L3", lambda c: not str(c.action).startswith("!"))
     c4 = command_at(cf_program, "L4")
     hp = HotPath(((a, c2), (a, c3), (a, c4)), "cp")
-    ctx = WitnessContext(cf_program, extract(cf_program, hp))
+    st = extract(cf_program, hp)
     # a = 9 violates the guards: entry fails, the slow copies run
     tau = tuple(State(Store({"x": 0, "a": 9}), c) for c in (c2, c3)) + \
         (State(Store({"x": 0, "a": 9}), c4), State(Store({"x": 9, "a": 9}), c2),)
     assert trace_linked(cf_program, tau)
-    got = tr_out(ctx, tau)
-    assert got[0].command == ctx.entry(False)
-    assert got[1].command == ctx.bar_cmd(False)
+    got = tr_out(st, tau)
+    assert got[0].command == st.guards[0][1]
+    assert got[1].command == st.slow[0]
     assert sc(got) == sc(tau)
     # mixed store: passes the entry guard, fails an interior one
     rho_ok = Store({"x": 0, "a": 2})
     tau2 = (State(rho_ok, c2), State(rho_ok, c3))
-    got2 = tr_out(ctx, tau2)
-    assert got2[0].command == ctx.entry(True)
-    assert got2[1].command == ctx.body(0)
-    assert got2[2].command == ctx.interior_guard(1, True)
+    got2 = tr_out(st, tau2)
+    assert got2[0].command == st.guards[0][0]
+    assert got2[1].command == st.body[0]
+    assert got2[2].command == st.guards[1][0]
 
 
-def test_witness_sc_preserved_on_all_prefixes(loop_program, loop_ctx):
+def test_witness_sc_preserved_on_all_prefixes(loop_program, loop_st):
     r = run(loop_program, Store(), 1000)
     for k in range(1, len(r.states) + 1):
         prefix = r.states[:k]
-        assert sc(tr_out(loop_ctx, prefix)) == sc(prefix)
-    r2 = run(loop_ctx.target, Store(), 1000)
+        assert sc(tr_out(loop_st, prefix)) == sc(prefix)
+    r2 = run(loop_st.transformed, Store(), 1000)
     for k in range(1, len(r2.states) + 1):
         prefix = r2.states[:k]
-        assert sc(rtr(loop_ctx, prefix)) == sc(prefix)
+        assert sc(rtr(loop_st, loop_program, prefix)) == sc(prefix)
 
 
-def test_round_trip_command_projection(loop_program, loop_ctx):
+def test_witnesses_refuse_a_trace_that_is_not_linked(loop_program, loop_st):
+    tau = _trace(loop_program, [(3, "C4"), (6, "C2")])  # L4 goes on to L1, not L2
+    with pytest.raises(WitnessError):
+        rtr(loop_st, loop_program, tau)
+
+
+@pytest.mark.parametrize("domain", ["onepoint", "type"])
+@pytest.mark.parametrize("seed", range(10))
+def test_witnesses_on_generated_programs(seed, domain):
+    """Unfolding then refolding a source run gives it back, and both
+    witnesses keep store changes, for the first hot path of each program."""
+    p = gen.gen_program(seed)
+    stores = gen.gen_stores(seed, ("x", "y", "z", "w", "s", "i", "j"), 4)
+    st = extract(p, pipeline.mine(p, p, stores, 2000, 2, domain)[0][0])
+    for rho in stores:
+        tau = run(p, rho, 2000).states
+        unfolded = tr_out(st, tau)
+        assert rtr(st, p, unfolded) == tau
+        assert sc(unfolded) == sc(tau)
+        r = run(st.transformed, rho, 2000).states
+        assert sc(rtr(st, p, r)) == sc(r)
+
+
+def test_round_trip_command_projection(loop_program, loop_st):
     """Fully-in-path iterations: rtr(tr_out(s)) restores the source commands."""
     tau = _trace(loop_program, [
         (0, "C1"), (0, "C2"), (1, "C3c"), (1, "C1"), (1, "C2"), (2, "C3c"),
     ])
-    back = rtr(loop_ctx, tr_out(loop_ctx, tau))
+    back = rtr(loop_st, loop_program, tr_out(loop_st, tau))
     assert [s.command for s in back] == [s.command for s in tau]
     assert back == tau
 
@@ -167,16 +191,15 @@ def sieve_ts(sieve_program, sieve_store):
     r = run(sieve_program, sieve_store, 5000)
     hp1 = hot_n(r.states, 2, "type", sieve_program)[0][0]
     st = extract(sieve_program, hp1)
-    ctx = WitnessContext(sieve_program, st)
     smap = specialization_map(st, type_specialize(st))
-    return ctx, smap
+    return st, smap
 
 
 def test_sp_td_identity_under_guards(sieve_program, sieve_store, sieve_ts):
-    ctx, smap = sieve_ts
-    p1 = ctx.target
+    st, smap = sieve_ts
+    p1 = st.transformed
     r = run(p1, sieve_store, 6000)
-    member = ctx.st.stitched
+    member = st.stitched
     # collect a maximal in-stitch fragment of the unoptimized extraction
     frag = []
     for s in r.states:
@@ -186,29 +209,29 @@ def test_sp_td_identity_under_guards(sieve_program, sieve_store, sieve_ts):
             break
     frag = tuple(frag)
     assert len(frag) >= 4
-    onward = sp(ctx, smap, frag)
+    onward = sp(st, smap, frag)
     assert sc(onward) == sc(frag)
-    back = td(ctx, smap, onward)
+    back = td(st, smap, onward)
     assert back == frag
     assert sc(back) == sc(onward)
 
 
 def test_sp_truncates_on_guard_violation(sieve_ts):
-    ctx, smap = sieve_ts
-    generic = ctx.st.body[2]  # k := k + i
+    st, smap = sieve_ts
+    generic = st.body[2]  # k := k + i
     bad = Store({"k": "oops", "i": 1})
-    got = sp(ctx, smap, (State(bad, generic), ))
+    got = sp(st, smap, (State(bad, generic), ))
     assert len(got) == 1
     spec = got[0].command
     assert str(spec.action) == "k := (k +Int i)"
 
 
 def test_td_stuck_head_singleton(sieve_ts):
-    ctx, smap = sieve_ts
-    spec = smap[ctx.st.body[2]]
+    st, smap = sieve_ts
+    spec = smap[st.body[2]]
     bad = Store({"k": "oops", "i": 1})
-    got = td(ctx, smap, (State(bad, spec),))
-    assert got == (State(bad, ctx.st.body[2]),)
+    got = td(st, smap, (State(bad, spec),))
+    assert got == (State(bad, st.body[2]),)
 
 
 def test_td_sp_empty():
@@ -219,9 +242,9 @@ def test_td_sp_empty():
 # lift_full
 # ---------------------------------------------------------------------------
 
-def test_lift_full_segments(loop_program, loop_ctx):
-    r = run(loop_ctx.target, Store(), 400)
-    member = loop_ctx.st.stitched
+def test_lift_full_segments(loop_program, loop_st):
+    r = run(loop_st.transformed, Store(), 400)
+    member = loop_st.stitched
     calls = []
 
     def probe(seg):
@@ -246,17 +269,17 @@ def test_lift_full_segments(loop_program, loop_ctx):
     assert len(calls) >= 2
 
 
-def test_lift_full_no_member_states(loop_program, loop_ctx):
+def test_lift_full_no_member_states(loop_program, loop_st):
     r = run(loop_program, Store(), 50)
-    assert lift_full(lambda s: (), loop_ctx.st.stitched, r.states) == r.states
+    assert lift_full(lambda s: (), loop_st.stitched, r.states) == r.states
 
 
 def test_lift_full_composes_sp(sieve_program, sieve_store, sieve_ts):
     """Full-trace specialization: optimized program accepts the lifted trace."""
-    ctx, smap = sieve_ts
+    st, smap = sieve_ts
     from tracelab.optimize import optimize_full, type_specialize
-    p_opt = optimize_full(sieve_program, ctx.hp, [type_specialize])
-    r = run(ctx.target, sieve_store, 4000)
-    lifted = lift_full(lambda seg: sp(ctx, smap, seg), ctx.st.stitched, r.states)
+    p_opt = optimize_full(sieve_program, st.hp, [type_specialize], sieve_program)
+    r = run(st.transformed, sieve_store, 4000)
+    lifted = lift_full(lambda seg: sp(st, smap, seg), st.stitched, r.states)
     assert trace_linked(p_opt, lifted)
     assert sc(lifted) == sc(r.states)
