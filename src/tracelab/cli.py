@@ -66,10 +66,10 @@ def _initial_stores(args) -> list[Store]:
     return stores
 
 
-def _hp_json(hp: hotpath.HotPath, count_: int) -> dict:
+def _hp_json(hp: hotpath.HotPath, count_: int, threshold: int) -> dict:
     return {
-        "domain": hp.domain,
-        "threshold": hp.threshold,
+        "domain": hp.domain.tag,
+        "threshold": threshold,
         "count": count_,
         "pairs": [{"store": str(a), "command": str(c)} for a, c in hp.pairs],
     }
@@ -100,20 +100,22 @@ def cmd_hot(args) -> int:
     return 0
 
 
-def _select_hotpath(found, index: int) -> hotpath.HotPath:
-    if not found:
-        raise CliError("no hot path found")
-    if index >= len(found):
-        raise CliError(f"hot path index {index} out of range ({len(found)} found)")
-    return found[index][0]
-
-
-def cmd_extract(args) -> int:
+def _mined_path(args) -> tuple[Program, Program, hotpath.HotPath]:
+    """The program, the original it is mined against, and the mined path
+    that ``--hotpath`` selects."""
     p = _load_program(args.program)
     original = _load_program(args.original) if args.original else p
     found = pipeline.mine(p, original, _initial_stores(args), args.budget, args.threshold,
                           args.domain)
-    hp = _select_hotpath(found, args.hotpath)
+    if not found:
+        raise CliError("no hot path found")
+    if not 0 <= args.hotpath < len(found):
+        raise CliError(f"hot path index {args.hotpath} out of range ({len(found)} found)")
+    return p, original, found[args.hotpath][0]
+
+
+def cmd_extract(args) -> int:
+    p, original, hp = _mined_path(args)
     st = extract_nested(p, hp, original)
     if args.dot:
         Path(args.dot).write_text(textio.program_to_dot(st.transformed, st.stitched))
@@ -122,11 +124,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    p = _load_program(args.program)
-    original = _load_program(args.original) if args.original else p
-    found = pipeline.mine(p, original, _initial_stores(args), args.budget, args.threshold,
-                          args.domain)
-    hp = _select_hotpath(found, args.hotpath)
+    p, original, hp = _mined_path(args)
     out = optimize.optimize_full(p, hp, [optimize.PASSES[name] for name in args.passes], original)
     sys.stdout.write(textio.print_program(out))
     return 0
@@ -161,7 +159,7 @@ def cmd_pipeline(args) -> int:
                                  "budget": budget, "divergence": least.divergence}
         verdicts.append(item)
     report_json = {
-        "hotpaths": [_hp_json(hp, c) for hp, c in rep.hotpaths],
+        "hotpaths": [_hp_json(hp, c, args.threshold) for hp, c in rep.hotpaths],
         "verdicts": verdicts,
         "programs": {"before": textio.print_program(p), "after": textio.print_program(rep.program)},
     }

@@ -5,7 +5,9 @@ lifting of a value abstraction.  Elements are kept sparse: a binding equal to
 the element's default is dropped, and the default of any alpha image is the
 abstraction of {undef}, matching the display convention of omitting v/undef
 bindings.  Concretizations are never materialized; consumers use the decidable
-``contains`` predicate.
+``contains`` predicate.  An abstract store carries the domain that built it,
+so the store alone decides which gamma applies; the registry only maps the
+names that text uses (guard literals, ``--domain``) to the three domains.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ class DomainError(Exception):
 
 @dataclass(frozen=True)
 class AbstractStore:
-    """Nonrelational abstract store: finite exceptions over a default slot value."""
+    """Nonrelational abstract store: finite exceptions over a default slot
+    value, in the store abstraction ``domain`` that built it."""
 
-    domain: str
+    domain: StoreAbstraction
     items: tuple[tuple[str, object], ...]  # sorted, values != default
     default: object
 
@@ -45,13 +48,13 @@ class AbstractStore:
         return frozenset(k for k, _ in self.items)
 
     def __str__(self):
-        return get_domain(self.domain).pretty(self)
+        return self.domain.pretty(self)
 
     def __repr__(self):
-        return f"<{self.domain} {self}>"
+        return f"<{self.domain.tag} {self}>"
 
 
-def _canon(domain: str, bindings: dict[str, object], default: object) -> AbstractStore:
+def _canon(domain: StoreAbstraction, bindings: dict[str, object], default: object) -> AbstractStore:
     items = tuple(sorted((k, v) for k, v in bindings.items() if v != default))
     return AbstractStore(domain, items, default)
 
@@ -98,13 +101,13 @@ class StoreAbstraction(ABC):
     def make(self, bindings: dict[str, object], default: object = None) -> AbstractStore:
         if default is None:
             default = self.undef_slot
-        return _canon(self.tag, dict(bindings), default)
+        return _canon(self, dict(bindings), default)
 
     def top(self) -> AbstractStore:
-        return AbstractStore(self.tag, (), self.value_alpha([1, "a", UNDEF]))
+        return AbstractStore(self, (), self.value_alpha([1, "a", UNDEF]))
 
     def bottom(self) -> AbstractStore:
-        return AbstractStore(self.tag, (), self.bot_slot)
+        return AbstractStore(self, (), self.bot_slot)
 
     def alpha(self, stores: Iterable) -> AbstractStore:
         stores = list(stores)
@@ -114,7 +117,7 @@ class StoreAbstraction(ABC):
         for s in stores:
             keys |= set(s.keys())
         bindings = {x: self.value_alpha([s.get(x) for s in stores]) for x in keys}
-        return _canon(self.tag, bindings, self.undef_slot)
+        return _canon(self, bindings, self.undef_slot)
 
     def leq(self, a1: AbstractStore, a2: AbstractStore) -> bool:
         for x in a1.keys() | a2.keys():
@@ -368,15 +371,13 @@ class CPDomain(StoreAbstraction):
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# Registry: the domains by the name text uses for them
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict[str, StoreAbstraction] = {}
-
-
-def register(domain: StoreAbstraction) -> StoreAbstraction:
-    _REGISTRY[domain.tag] = domain
-    return domain
+onepoint_domain = OnePointDomain()
+type_domain = TypeDomain()
+cp_domain = CPDomain()
+_REGISTRY = {d.tag: d for d in (onepoint_domain, type_domain, cp_domain)}
 
 
 def get_domain(tag: str) -> StoreAbstraction:
@@ -388,11 +389,6 @@ def get_domain(tag: str) -> StoreAbstraction:
 
 def domain_tags() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
-
-
-onepoint_domain = register(OnePointDomain())
-type_domain = register(TypeDomain())
-cp_domain = register(CPDomain())
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +420,7 @@ def eval_type(e, tstore: AbstractStore) -> str:
     """Abstract type of an expression under a type-domain store."""
     from . import lang
 
-    if tstore.domain != type_domain.tag:
+    if tstore.domain is not type_domain:
         raise DomainError("eval_type needs a type-domain store")
     if isinstance(e, lang.Lit):
         return type_of(e.value)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .domains import get_domain
 from .hotpath import HotPath
 from .lang import Command, Guard, LabelScope, Program, find_cmpl
 
@@ -70,7 +69,6 @@ def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> Stit
     than copied.  With every command in the original program this is exactly
     the plain transform.  A path that leaves the same stitched command twice
     is refused: retargeting it twice would make its label nondeterministic."""
-    get_domain(hp.domain)  # fail fast on unregistered guard domains
     cmds = hp.commands
     n = len(cmds) - 1
     for c in cmds:
@@ -81,8 +79,8 @@ def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> Stit
 
     def guard_pair(i: int, label: str, no: str) -> tuple[Command, Command]:
         a = hp.pairs[i][0]
-        return (Command(label, Guard(hp.domain, a, True), scope.ell(i)),
-                Command(label, Guard(hp.domain, a, False), no))
+        return (Command(label, Guard(a, True), scope.ell(i)),
+                Command(label, Guard(a, False), no))
 
     c0 = cmds[0]
     removed: set[Command] = set()

@@ -349,9 +349,7 @@ class RecordResult:
     trace_stm: Stm            # the recorded trace t
     stitched: Stm             # (while B do t) K, the post-stitch program
     hot_path: tuple[Command, ...]
-    compiler: GPCompiler
     compiled_program: Program
-    extended: tuple[GPAnyState, ...]  # recording run, without the post-stitch state
 
 
 def gp_record_hot_path(stm: Stm, rho0: Store, budget: int) -> RecordResult:
@@ -388,14 +386,13 @@ def gp_record_hot_path(stm: Stm, rho0: Store, budget: int) -> RecordResult:
              for i, j in hotpath.sloop(compiled, hotpath.topo_order(program), program))
     if hp not in mined:
         raise GPError("recorded path was not mined back from the compiled trace")
-    return RecordResult(t, stitched, hp, comp, program, tuple(states))
+    return RecordResult(t, stitched, hp, program)
 
 
 @dataclass(frozen=True)
 class GPEquivResult:
     passed: bool
     renaming: Optional[dict[str, str]]
-    sc_agree: bool
     record: RecordResult
 
 
@@ -415,4 +412,4 @@ def gp_equivalence_check(stm: Stm, rho0: Store, budget: int) -> GPEquivResult:
     r1 = gp_run(stm, rho0, budget)
     r2 = gp_run(rec.stitched, rho0, budget)
     agree, _ = compare(sc(r1.states), sc(r2.states), r1, r2)
-    return GPEquivResult(renaming is not None and agree, renaming, agree, rec)
+    return GPEquivResult(renaming is not None and agree, renaming, rec)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .domains import AbstractStore, get_domain
+from .domains import AbstractStore, StoreAbstraction, get_domain
 from .lang import Command, Cond, Guard, HALT, Not, Program, find_cmpl
 from .semantics import State
 
@@ -114,11 +114,10 @@ def count(abstract_trace: Sequence[tuple[AbstractStore, Command]],
 
 @dataclass(frozen=True)
 class HotPath:
-    """Abstracted loop path with the cyclic successor function next(i)."""
+    """Abstracted loop path: each command with the abstract store that will
+    guard it."""
 
     pairs: tuple[tuple[AbstractStore, Command], ...]
-    domain: str
-    threshold: Optional[int] = None
 
     def __post_init__(self):
         # interior pairs need not be successor-linked: nested paths cut
@@ -133,11 +132,13 @@ class HotPath:
             raise HotPathError("interior occurrence of the first command's label")
 
     @property
+    def domain(self) -> StoreAbstraction:
+        """The domain of the stores: a miner abstracts a trace in one domain."""
+        return self.pairs[0][0].domain
+
+    @property
     def commands(self) -> tuple[Command, ...]:
         return tuple(c for _, c in self.pairs)
-
-    def next(self, i: int) -> int:
-        return 0 if i == len(self.pairs) - 1 else i + 1
 
     def __len__(self):
         return len(self.pairs)
@@ -179,7 +180,7 @@ def hot_n(states: Sequence[State], n: int, domain_tag: str, p: Program,
         seen[pairs] = i
         c = count(abs_tr, pairs)
         if c >= n:
-            ordered.append((HotPath(pairs, domain_tag, n), c))
+            ordered.append((HotPath(pairs), c))
     return ordered
 
 

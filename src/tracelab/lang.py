@@ -229,17 +229,16 @@ class Cond:
 class Guard:
     """Membership test of the concrete store in an abstract store's concretization.
 
-    ``store`` is an AbstractStore from the domain registered under ``domain``;
-    negative polarity succeeds exactly when membership fails.
+    ``store`` is an AbstractStore, which carries the domain whose gamma
+    applies; negative polarity succeeds exactly when membership fails.
     """
 
-    domain: str
     store: object  # domains.AbstractStore; hashable with a stable repr
     positive: bool = True
 
     def __str__(self):
         head = "guard" if self.positive else "!guard"
-        return f"{head} {self.domain} {self.store}"
+        return f"{head} {self.store.domain.tag} {self.store}"
 
 
 @dataclass(frozen=True)
@@ -262,7 +261,7 @@ def negate_action(a: Action) -> Action:
     if isinstance(a, Cond):
         return Cond(negate_bexpr(a.test))
     if isinstance(a, Guard):
-        return Guard(a.domain, a.store, not a.positive)
+        return Guard(a.store, not a.positive)
     raise LangError(f"action has no complement: {a}")
 
 

@@ -87,8 +87,6 @@ class Verdict:
     initial: Store
     passed: bool
     divergence: Optional[int]  # first differing observation index on failure
-    left_complete: bool
-    right_complete: bool
 
     def __str__(self):
         tag = "PASS" if self.passed else f"FAIL@{self.divergence}"
@@ -151,7 +149,7 @@ def equiv_check(p1: Program, p2: Program, initials: Iterable[Store], budget: int
         r2 = run(p2, rho, budget)
         o1, o2 = observe(r1.states), observe(r2.states)
         passed, div = compare(o1, o2, r1, r2)
-        verdicts.append(Verdict(rho, passed, div, not r1.truncated, not r2.truncated))
+        verdicts.append(Verdict(rho, passed, div))
     return EquivReport(tuple(verdicts), name)
 
 

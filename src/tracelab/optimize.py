@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Iterable, Optional, Sequence
 
-from .domains import CPConst, INT, STRING, eval_type, get_domain
+from .domains import CPConst, INT, STRING, cp_domain, eval_type, type_domain
 from .extract import StitchResult, extract_nested
 from .hotpath import HotPath
 from .lang import (Add, AddTyped, Assign, Command, Cond, Guard, Program, Put,
@@ -32,7 +32,7 @@ class OptimizeError(Exception):
 def type_specialize(st: StitchResult) -> frozenset[Command]:
     """Replace generic additions in stitched assignments by the type-specific
     form whenever the governing typed guard decides the operand types."""
-    if st.hp.domain != "type":
+    if st.hp.domain is not type_domain:
         raise OptimizeError("type specialization needs type-domain guards")
     out = set(st.stitched)
     for i, cmd in st.body.items():
@@ -72,7 +72,7 @@ def free_vars(commands: Iterable[Command]) -> frozenset[str]:
 def const_fold(st: StitchResult) -> frozenset[Command]:
     """Substitute constants recorded by the cp guards for free variables in
     stitched assignment right-hand sides."""
-    if st.hp.domain != "cp":
+    if st.hp.domain is not cp_domain:
         raise OptimizeError("constant folding needs cp-domain guards")
     fv = free_vars(st.stitched)
     out = set(st.stitched)
@@ -140,7 +140,7 @@ def dead_store_eliminate(st: StitchResult) -> frozenset[Command]:
             visited.add(cur)
             a = cur.action
             if isinstance(a, Guard):
-                if not get_domain(a.domain).is_universal(a.store):
+                if not a.store.domain.is_universal(a.store):
                     break  # the negative twin is a live exit
                 cur = _chain_successor(st, cur)
                 continue

@@ -46,6 +46,8 @@ def pipeline(p: Program, stores: Sequence[Store], domain: str, threshold: int, b
     """Up to ``rounds`` rounds of mining and ``optimize_full`` with the named
     passes, stopping early when no hot path is found, then the check of the
     result; ``xs`` (default: p's variables) are the outputs an out check sees."""
+    if rounds < 1:
+        raise PipelineError("rounds must be at least 1")
     current = p
     hotpaths = []
     for _ in range(rounds):

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import lang
-from .domains import get_domain
 from .lang import (Add, AddTyped, ArrayAssign, Assign, BExpr, Command, Cond,
                    Expr, Guard, HALT, Index, Lit, Mod, Not, And, Leq, Eq, Tt,
                    Ff, Program, Put, Skip, Var)
@@ -211,7 +210,7 @@ def fires(a: lang.Action, store: Store) -> Optional[bool]:
     if isinstance(a, Cond):
         v = eval_bexpr(a.test, store)
         return None if v is UNDEF else v.value
-    return get_domain(a.domain).contains(a.store, store) == a.positive
+    return a.store.domain.contains(a.store, store) == a.positive
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import re
 from typing import Optional
 
 from . import lang
-from .domains import AbstractStore, get_domain
+from .domains import AbstractStore, CPConst, get_domain
 from .lang import (Add, AddTyped, And, ArrayAssign, Assign, Command, Cond, Eq,
                    Ff, Guard, HALT, Index, Leq, Lit, Mod, Program, Put, Skip,
                    Tt, Var)
@@ -107,8 +107,19 @@ def _is_name(tok: Optional[str]) -> bool:
     return tok is not None and bool(_NAME_RE.match(tok)) and tok not in ("tt", "ff", "skip", "guard", "put", "undef")
 
 
-def _unquote(tok: str) -> str:
-    return json.loads(tok)  # the literal syntax matches JSON strings
+def _unquote(c: _Cursor) -> str:
+    line_no, tok = c.line_no, c.next()
+    try:
+        return json.loads(tok)  # the literal syntax matches JSON strings
+    except json.JSONDecodeError as e:
+        raise ParseError(f"bad string literal {tok}: {e.msg}", line_no) from None
+
+
+def _var_name(c: _Cursor) -> str:
+    name = c.next()
+    if not _NAME_RE.match(name):
+        c.fail(f"bad variable name {name!r}")
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +139,7 @@ def _parse_term(c: _Cursor):
         c.next()
         return Lit(Bool(t == "tt"))
     if t.startswith('"'):
-        c.next()
-        return Lit(_unquote(t))
+        return Lit(_unquote(c))
     if re.fullmatch(r"-?\d+", t):
         c.next()
         return Lit(int(t))
@@ -198,30 +208,20 @@ def _parse_bterm(c: _Cursor):
 # Guard store literals
 # ---------------------------------------------------------------------------
 
-_FAMILY_DECL_RE = re.compile(r"^\[(\d*)\]$")
-
-
 def _parse_abstract_store(c: _Cursor, tag: str, arrays: dict[str, int]) -> AbstractStore:
     dom = get_domain(tag)
-    t = c.peek()
-    if t == "bot":
-        c.next()
-        return dom.bottom()
-    if t == "top":
-        c.next()
-        return dom.top()
+    if c.peek() in ("bot", "top"):
+        return dom.bottom() if c.next() == "bot" else dom.top()
     c.expect("{")
     bindings: dict[str, object] = {}
     while c.peek() != "}":
-        name = c.next()
-        if not _NAME_RE.match(name):
-            c.fail(f"bad variable name {name!r}")
+        name = _var_name(c)
         c.expect(":")
-        tok = c.next()
-        if tok.startswith('"'):
-            from .domains import CPConst
-            val = CPConst(_unquote(tok))
+        tok = c.peek()
+        if tok is not None and tok.startswith('"'):
+            val = CPConst(_unquote(c))
         else:
+            c.next()
             try:
                 val = dom.parse_value(tok)
             except Exception as exc:
@@ -239,10 +239,13 @@ def _parse_abstract_store(c: _Cursor, tag: str, arrays: dict[str, int]) -> Abstr
                     c.fail(f"bad family size {size_tok!r}")
                 size = int(size_tok)
             c.expect("]")
-            for i in range(size):
-                bindings[f"{name}_{i}"] = val
+            names = [f"{name}_{i}" for i in range(size)]
         else:
-            bindings[name] = val
+            names = [name]
+        for x in names:
+            if x in bindings:
+                c.fail(f"variable {x} bound twice")
+            bindings[x] = val
         if c.peek() == ",":
             c.next()
     c.expect("}")
@@ -263,20 +266,16 @@ def _parse_action(c: _Cursor, arrays: dict[str, int]) -> lang.Action:
         c.expect("{")
         names = []
         while c.peek() != "}":
-            names.append(c.next())
+            names.append(_var_name(c))
             if c.peek() == ",":
                 c.next()
         c.expect("}")
         return Put(frozenset(names))
-    if t in ("guard",) or (t == "!" and c.toks[c.i + 1:c.i + 2] == ["guard"]):
-        positive = True
-        if t == "!":
-            c.next()
-            positive = False
-        c.expect("guard")
-        tag = c.next()
-        store = _parse_abstract_store(c, tag, arrays)
-        return Guard(tag, store, positive)
+    if t == "guard" or (t == "!" and c.toks[c.i + 1:c.i + 2] == ["guard"]):
+        positive = c.next() == "guard"
+        if not positive:
+            c.expect("guard")
+        return Guard(_parse_abstract_store(c, c.next(), arrays), positive)
     # assignment heads: x := E  or  a[i] := E
     if _is_name(t):
         mark = c.i
@@ -368,7 +367,9 @@ def store_to_json(store: Store) -> dict:
     return out
 
 
-def store_from_json(obj: dict) -> Store:
+def store_from_json(obj) -> Store:
+    if not isinstance(obj, dict):
+        raise ParseError(f"a store is a JSON object, not {obj!r}")
     bindings = {}
     for k, v in obj.items():
         if isinstance(v, bool):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .domains import get_domain
 from .extract import StitchResult
 from .lang import AddTyped, Command, Program
 from .semantics import State, Store, eval_expr, trace_linked
@@ -27,7 +26,8 @@ class WitnessError(Exception):
 
 
 def _sat(st: StitchResult, i: int, store: Store) -> bool:
-    return get_domain(st.hp.domain).contains(st.hp.pairs[i][0], store)
+    a = st.hp.pairs[i][0]
+    return a.domain.contains(a, store)
 
 
 def _relabel(c: Command, label: str) -> Command:

@@ -107,7 +107,8 @@ def test_shrink_uses_the_check_that_judged(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("case", ["OSError", "JSONDecodeError", "ExtractError", "OptimizeError",
                                   "SemanticsError", "DomainError", "HotPathError", "GPError",
-                                  "bad --domain"])
+                                  "bad --domain", "--hotpath -9", "--hotpath -1",
+                                  "--initials [1]", "--initials [[1]]", "--rounds 0"])
 def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
     from tracelab.extract import ExtractError
     loop = tmp_path / "loop.tl"
@@ -132,6 +133,11 @@ def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
         "HotPathError": ["hot", loop, "--threshold", "0"],
         "GPError": ["gp-trace", prologue],
         "bad --domain": ["hot", loop, "--domain", "bogus"],
+        "--hotpath -9": ["extract", loop, "--hotpath", "-9"],
+        "--hotpath -1": ["optimize", loop, "--hotpath", "-1"],
+        "--initials [1]": ["run", loop, "--initials", "[1]"],
+        "--initials [[1]]": ["run", loop, "--initials", "[[1]]"],
+        "--rounds 0": ["pipeline", loop, "--rounds", "0"],
     }[case]
     rc, out, err = call(argv)
     assert rc == 2 and out == ""

@@ -1,7 +1,7 @@
 import pytest
 
 from tracelab.extract import ExtractError, extract, extract_gp, extract_nested
-from tracelab.hotpath import HotPath, hot_n, hotcut
+from tracelab.hotpath import hot_n, hotcut
 from tracelab.lang import Guard, rename_equal, well_formed
 from tracelab.observe import sc_equiv_check
 from tracelab.semantics import Store, run
@@ -103,12 +103,6 @@ def test_extract_requires_commands_in_program(loop_program, cf_program):
     foreign = hot_n(r.states, 2, "onepoint", cf_program)[0][0]
     with pytest.raises(ExtractError):
         extract(loop_program, foreign)
-
-
-def test_extract_rejects_unregistered_domain(loop_program, loop_hp1):
-    fake = HotPath(loop_hp1.pairs, "octagon")
-    with pytest.raises(Exception):
-        extract(loop_program, fake)
 
 
 def test_sieve_stitch_guards(sieve_program, sieve_store):

@@ -188,17 +188,15 @@ def test_hot_invariants(loop_program, loop_run):
         cmds = hp.commands
         assert cmds[-1].succ == cmds[0].label
         assert all(c.label != cmds[0].label for c in cmds[1:])
-        assert hp.next(len(hp) - 1) == 0
-        assert hp.next(0) == (1 if len(hp) > 1 else 0)
 
 
 def test_hotpath_validation():
     c = Command("L", Skip(), "M")
     a = onepoint_domain.top()
     with pytest.raises(HotPathError):
-        HotPath(((a, c),), "onepoint")  # no loop back
+        HotPath(((a, c),))  # no loop back
     with pytest.raises(HotPathError):
-        HotPath((), "onepoint")
+        HotPath(())
 
 
 def test_sieve_first_hot_path(sieve_program, sieve_store):

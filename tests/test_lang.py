@@ -38,6 +38,22 @@ def test_parse_errors():
     assert str(exc.value) == "line 2: unexpected end of line"
 
 
+@pytest.mark.parametrize("line, message", [
+    ("L0: guard type {x: Int, x: String} -> L1", "variable x bound twice"),
+    ("L0: guard type {a: Bool[2], a_1: Int} -> L1", "variable a_1 bound twice"),
+    ("L0: guard cp {a_0: 1, a: 2[2]} -> L1", "variable a_0 bound twice"),
+    ("L0: put {1, ->} -> L1", "bad variable name '1'"),
+    ("L0: put {x, 2} -> L1", "bad variable name '2'"),
+    ('L0: x := "a\\q" -> L1', 'bad string literal "a\\q": Invalid \\escape'),
+    ('L0: guard cp {x: "a\\q"} -> L1', 'bad string literal "a\\q": Invalid \\escape'),
+])
+def test_parse_errors_name_the_line(line, message):
+    """Forms the printer never emits are refused with the line they are on."""
+    with pytest.raises(ParseError) as exc:
+        parse_program(f"#entry L0\n\n{line}\nL1: skip -> .\n")
+    assert str(exc.value) == f"line 3: {message}"
+
+
 @pytest.mark.parametrize("src, message", [
     ("x := 1;\ny := ;", "line 2: expected expression, got ';'"),
     ("x := 0;\nwhile (x <= 3) do {\n  x := x + 1;\n", "line 3: unexpected end of input"),
@@ -234,7 +250,7 @@ def test_action_printing_examples():
 def test_command_hash_is_the_field_tuple_hash():
     from tracelab.domains import type_domain
     def guarded():
-        return Command("L0", lang.Guard("type", type_domain.make({"x": "Int"})), "L1")
+        return Command("L0", lang.Guard(type_domain.make({"x": "Int"})), "L1")
 
     for c in (guarded(), *parse_program(LOOP_SRC).commands):
         assert hash(c) == hash((c.label, c.action, c.succ))

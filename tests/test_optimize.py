@@ -50,7 +50,7 @@ L3: skip -> .
     hp = hot_n(r.states, 2, "onepoint", p)[0][0]
     # rebuild the same path with type guards mapping y to Top
     pairs = tuple((type_domain.make({"x": INT, "y": TOP_T}), c) for _, c in hp.pairs)
-    hp_t = HotPath(pairs, "type")
+    hp_t = HotPath(pairs)
     st = extract(p, hp_t)
     assert type_specialize(st) == st.stitched  # x + y stays generic under Top
 
@@ -110,7 +110,7 @@ def _cf_hot_path(cf_program):
     c2 = command_at(cf_program, "L2", lambda c: not str(c.action).startswith("!"))
     c3 = command_at(cf_program, "L3", lambda c: not str(c.action).startswith("!"))
     c4 = command_at(cf_program, "L4")
-    return HotPath(((a, c2), (a, c3), (a, c4)), "cp")
+    return HotPath(((a, c2), (a, c3), (a, c4)))
 
 
 def test_cf_golden(cf_program):
@@ -147,7 +147,7 @@ L3: skip -> .
     a = cp_domain.make({"x": CP_TOP, "a": CPConst(2), "b": CPConst(3)})
     c1 = command_at(p, "L1", lambda c: not str(c.action).startswith("!"))
     c2 = command_at(p, "L2")
-    hp = HotPath(((a, c1), (a, c2)), "cp")
+    hp = HotPath(((a, c1), (a, c2)))
     st = extract(p, hp)
     (folded,) = const_fold(st) - st.stitched
     # both constant frees substituted simultaneously (substitution oracle)

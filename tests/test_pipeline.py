@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from tracelab import pipeline, textio
 from tracelab.semantics import Store
 
@@ -22,3 +24,9 @@ def test_sieve_matches_the_cli_golden(sieve_program, sieve_store):
     assert textio.print_program(rep.program) == golden["programs"]["after"]
     assert [c for _, c in rep.hotpaths] == [hp["count"] for hp in golden["hotpaths"]]
     assert rep.check.passed and rep.check.observation == "sc"
+
+
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_no_round_is_refused_not_passed(loop_program, rounds):
+    with pytest.raises(pipeline.PipelineError, match="rounds must be at least 1"):
+        pipeline.pipeline(loop_program, [Store()], "onepoint", 2, 2000, [], rounds)

@@ -86,7 +86,7 @@ def test_eq_across_kinds():
 def test_apply_action_guard_type():
     from tracelab.domains import type_domain
     from tracelab.values import STRING, UNDEF_T
-    g = lang.Guard("type", type_domain.make({"x": STRING, "y": UNDEF_T}), True)
+    g = lang.Guard(type_domain.make({"x": STRING, "y": UNDEF_T}), True)
     rho = Store({"x": "foo"})
     assert apply_action(g, rho) == rho
     assert apply_action(g, Store({"x": 1})) is None

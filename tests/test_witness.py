@@ -119,7 +119,7 @@ def test_tr_out_guard_failure_midpath(cf_program):
     c2 = command_at(cf_program, "L2", lambda c: not str(c.action).startswith("!"))
     c3 = command_at(cf_program, "L3", lambda c: not str(c.action).startswith("!"))
     c4 = command_at(cf_program, "L4")
-    hp = HotPath(((a, c2), (a, c3), (a, c4)), "cp")
+    hp = HotPath(((a, c2), (a, c3), (a, c4)))
     st = extract(cf_program, hp)
     # a = 9 violates the guards: entry fails, the slow copies run
     tau = tuple(State(Store({"x": 0, "a": 9}), c) for c in (c2, c3)) + \
