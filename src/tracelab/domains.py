@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .values import (BOOL, BOT_T, Bool, INT, STRING, TOP_T, UNDEF, UNDEF_T,
@@ -90,11 +91,11 @@ class StoreAbstraction(ABC):
         return False
 
     # -- store level ----------------------------------------------------------
-    @property
+    @cached_property
     def undef_slot(self):
         return self.value_alpha([UNDEF])
 
-    @property
+    @cached_property
     def bot_slot(self):
         return self.value_alpha([])
 
@@ -130,19 +131,22 @@ class StoreAbstraction(ABC):
         variable, including the unmentioned ones; gamma(bottom) is empty
         unless the bottom slot is universal (one-point: bottom is top).
 
-        Costs O(|a| + |store|): one pass over a's bindings, then one over the
-        store's keys that a leaves to its default.  The set of a's keys is
-        built per call, not cached on the element: guards keep their elements
-        alive for as long as the program, and a cached index per element
-        costs more memory than the rebuild costs time."""
+        Costs O(|a| + |store|): one pass over a's bindings, then, unless the
+        default is universal (a sliced guard), one over the store's keys that
+        a leaves to its default.  The set of a's keys is built per call, not
+        cached on the element: guards keep their elements alive for as long
+        as the program, and a cached index per element costs more memory
+        than the rebuild costs time."""
         if a.default == self.bot_slot and not self.value_universal(a.default):
             return False
         has = self.value_has
         for x, v in a.items:
             if not has(v, store.get(x)):
                 return False
-        bound = {x for x, _ in a.items}
         default = a.default
+        if self.value_universal(default):
+            return True
+        bound = {x for x, _ in a.items}
         for x in store.keys():
             if x not in bound and not has(default, store.get(x)):
                 return False
@@ -154,18 +158,22 @@ class StoreAbstraction(ABC):
             all(self.value_universal(v) for _, v in a.items)
 
     def pretty(self, a: AbstractStore) -> str:
-        if a.default != self.undef_slot:
-            if a.default == self.bot_slot and not a.items:
+        """``{x: V, a: V[n]}`` over an undef default; any other default is
+        a trailing ``*: V``, and ``bot``/``top`` stand for the bare bottom
+        and universal elements."""
+        if a.default != self.undef_slot and not a.items:
+            if a.default == self.bot_slot:
                 return "bot"
-            if self.value_universal(a.default) and not a.items:
+            if self.value_universal(a.default):
                 return "top"
-            raise DomainError("abstract store with exotic default has no literal syntax")
         parts = []
         for k, v, count in _compress_families(a.items):
             if count is None:
                 parts.append(f"{k}: {self.value_str(v)}")
             else:
                 parts.append(f"{k}: {self.value_str(v)}[{count}]")
+        if a.default != self.undef_slot:
+            parts.append(f"*: {self.value_str(a.default)}")
         return "{" + ", ".join(parts) + "}"
 
 

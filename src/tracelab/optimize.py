@@ -4,6 +4,19 @@ Each optimization maps the stitch's command set to a new command set; the full
 transform splices that back next to the untouched remainder.  Boundary
 preservation (entry label kept, exit successors kept) is verified structurally
 rather than trusted.
+
+After the passes, the guards are sliced: a guard only has to be a sufficient
+condition for its copy's rewrite.  Where a pass rewrote copy i, guard pair i
+keeps the bindings of the variables the original command reads, over the
+universal default; every other pair, the entry pair included, becomes the
+universal store, since an unrewritten copy does what its original command
+does.  A sliced guard contains every store that the full guard contains and
+changes none, so a store that enters the stitch runs rewrites that agree with
+the original commands on it, and store changes (sc) are kept.  Slicing runs
+after the passes, so dse sees the full guards; the passes do not change.  A
+rewrite of a command of a previously stitched path is undone: no guard pair
+of this stitch stands in front of it, and the one of its own stitch was
+sliced for that stitch's rewrites.
 """
 
 from __future__ import annotations
@@ -11,7 +24,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Iterable, Optional, Sequence
 
-from .domains import CPConst, INT, STRING, cp_domain, eval_type, type_domain
+from .domains import (AbstractStore, CPConst, INT, STRING, cp_domain, eval_type,
+                      type_domain)
 from .extract import StitchResult, extract_nested
 from .hotpath import HotPath
 from .lang import (Add, AddTyped, Assign, Command, Cond, Guard, Program, Put,
@@ -191,16 +205,54 @@ def _rebody(st: StitchResult, new: frozenset[Command]) -> dict[int, Command]:
     return body
 
 
+def _slice(a: AbstractStore, reads: frozenset[str]) -> AbstractStore:
+    """``a`` cut down to the variables in ``reads`` and the members
+    ``name_k`` of the arrays among them, over the universal default."""
+    keep = {x: a.get(x) for x in reads}
+    keep.update((x, v) for x, v in a.items if x.rsplit("_", 1)[0] in reads)
+    return a.domain.make(keep, a.domain.top().default)
+
+
+def _sliced_guards(st: StitchResult, cur: StitchResult) -> frozenset[Command]:
+    """``cur.stitched`` with each guard pair cut down to what its copy's
+    rewrite relies on: the variables the original command reads when the
+    copy was rewritten, nothing otherwise.  A pair is found by its label,
+    since dse may have rewired the positive guard's successor.  A rewritten
+    command of a previously stitched path (no guard pair here) gets its
+    action back."""
+    universal = st.hp.domain.top()
+    sliced = {yes.label: universal for yes, _ in st.guards.values()}
+    undo = {}
+    for i, copy in cur.body.items():
+        if copy.action == st.body[i].action:
+            continue
+        if i in st.guards:
+            yes = st.guards[i][0]
+            sliced[yes.label] = _slice(yes.action.store, _action_reads(st.body[i]))
+        else:
+            undo[copy] = Command(copy.label, st.body[i].action, copy.succ)
+
+    def cut(c: Command) -> Command:
+        if c in undo:
+            return undo[c]
+        if c.label in sliced and isinstance(c.action, Guard):
+            return Command(c.label, Guard(sliced[c.label], c.action.positive), c.succ)
+        return c
+
+    return frozenset(map(cut, cur.stitched))
+
+
 def optimize_full(p: Program, hp: HotPath, passes: Sequence[Optimization],
                   original: Program) -> Program:
     """Extract once, run the passes in turn on the stitch (each sees the
-    previous pass's output), and splice the result next to the remainder."""
+    previous pass's output), slice the guards when a pass ran, and splice
+    the result next to the remainder."""
     st = extract_nested(p, hp, original)
     cur = st
     for opt in passes:
         new = opt(cur)
         cur = replace(cur, stitched=new, body=_rebody(cur, new))
-    new = cur.stitched
+    new = _sliced_guards(st, cur) if passes else cur.stitched
 
     old_labels = st.stitch_labels()
     new_labels = frozenset(c.label for c in new)

@@ -52,11 +52,14 @@ class Store:
         return self._m.get(var, UNDEF)
 
     def set(self, var: str, value: Value) -> "Store":
+        """The store with ``var`` bound to ``value``; only the new value is
+        checked, since every other binding was checked when it was stored."""
         if not is_value(value):
             raise SemanticsError(f"not a storable value for {var}: {value!r}")
-        m = dict(self._m)
-        m[var] = value
-        return Store(m)
+        out = Store.__new__(Store)
+        out._m = {**self._m, var: value}
+        out._hash = None
+        return out
 
     def keys(self):
         return self._m.keys()

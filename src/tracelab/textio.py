@@ -14,7 +14,11 @@ Line-oriented, UTF-8::
 
 Comments start with ``;``.  ``.`` is the final successor.  Typed additions
 print as ``+Int`` / ``+Str``.  Array guards may use ``name: Bool[]`` when the
-family size was declared with ``#array``.
+family size was declared with ``#array``.  Entries are separated by commas.
+A guard store leaves every variable it does not mention to its default,
+which is undef unless a last entry ``*: V`` names it: ``{i: Int, *: Top}``
+constrains ``i`` only.  ``bot`` and ``top`` are the empty and the universal
+guard store.  Quoted strings are cp constants only.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import re
 from typing import Optional
 
 from . import lang
-from .domains import AbstractStore, CPConst, get_domain
+from .domains import AbstractStore, CPConst, cp_domain, get_domain
 from .lang import (Add, AddTyped, And, ArrayAssign, Assign, Command, Cond, Eq,
                    Ff, Guard, HALT, Index, Leq, Lit, Mod, Program, Put, Skip,
                    Tt, Var)
@@ -43,7 +47,7 @@ _TOKEN_RE = re.compile(
         (?P<string>"(?:[^"\\]|\\.)*") |
         (?P<int>-?\d+) |
         (?P<name>[A-Za-z_][A-Za-z0-9_#]*) |
-        (?P<op>:=|->|<=|&&|\+Int|\+Str|[():{},=%+!\[\].])
+        (?P<op>:=|->|<=|&&|\+Int|\+Str|[():{},=%+!\[\].*])
     """,
     re.X,
 )
@@ -208,24 +212,46 @@ def _parse_bterm(c: _Cursor):
 # Guard store literals
 # ---------------------------------------------------------------------------
 
+def _braced(c: _Cursor, entry) -> None:
+    """``{``, entries separated by commas, ``}``; ``entry()`` reads one."""
+    c.expect("{")
+    if c.peek() != "}":
+        entry()
+        while c.peek() == ",":
+            c.next()
+            entry()
+    c.expect("}")
+
+
 def _parse_abstract_store(c: _Cursor, tag: str, arrays: dict[str, int]) -> AbstractStore:
     dom = get_domain(tag)
     if c.peek() in ("bot", "top"):
         return dom.bottom() if c.next() == "bot" else dom.top()
-    c.expect("{")
     bindings: dict[str, object] = {}
-    while c.peek() != "}":
+    default = None
+
+    def value():
+        tok = c.peek()
+        if dom is cp_domain and tok is not None and tok.startswith('"'):
+            return CPConst(_unquote(c))
+        c.next()
+        try:
+            return dom.parse_value(tok)
+        except Exception as exc:
+            c.fail(str(exc))
+
+    def entry():
+        nonlocal default
+        if default is not None:
+            c.fail("*: V is the last entry")
+        if c.peek() == "*":
+            c.next()
+            c.expect(":")
+            default = value()
+            return
         name = _var_name(c)
         c.expect(":")
-        tok = c.peek()
-        if tok is not None and tok.startswith('"'):
-            val = CPConst(_unquote(c))
-        else:
-            c.next()
-            try:
-                val = dom.parse_value(tok)
-            except Exception as exc:
-                c.fail(str(exc))
+        val = value()
         # optional family suffix: name: Bool[100] or name: Bool[]
         if c.peek() == "[":
             c.next()
@@ -246,10 +272,9 @@ def _parse_abstract_store(c: _Cursor, tag: str, arrays: dict[str, int]) -> Abstr
             if x in bindings:
                 c.fail(f"variable {x} bound twice")
             bindings[x] = val
-        if c.peek() == ",":
-            c.next()
-    c.expect("}")
-    return dom.make(bindings)
+
+    _braced(c, entry)
+    return dom.make(bindings, default)
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +288,8 @@ def _parse_action(c: _Cursor, arrays: dict[str, int]) -> lang.Action:
         return Skip()
     if t == "put":
         c.next()
-        c.expect("{")
         names = []
-        while c.peek() != "}":
-            names.append(_var_name(c))
-            if c.peek() == ",":
-                c.next()
-        c.expect("}")
+        _braced(c, lambda: names.append(_var_name(c)))
         return Put(frozenset(names))
     if t == "guard" or (t == "!" and c.toks[c.i + 1:c.i + 2] == ["guard"]):
         positive = c.next() == "guard"

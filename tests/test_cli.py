@@ -207,14 +207,15 @@ def test_check_names_the_observation_that_judged(tmp_path, observation):
 
 
 def test_pipeline_refuses_gen_seed_75(tmp_path):
-    """On generated program 75 the third round's hot path leaves one stitched
-    command twice; nested extraction refuses to retarget it a second time,
-    which would make its label nondeterministic, and the pipeline exits 2."""
+    """On generated program 75 with full guards (no pass runs, so none is
+    sliced) the third round's hot path leaves one stitched command twice;
+    nested extraction refuses to retarget it a second time, which would make
+    its label nondeterministic, and the pipeline exits 2."""
     from tracelab import gen, textio
     path = tmp_path / "gen75.tl"
     path.write_text(textio.print_program(gen.gen_program(75)))
     rc, out, err = call(["pipeline", path, "--sample", "4", "--seed", "75", "--domain", "type",
-                         "--pass", "ts", "--rounds", "3"])
+                         "--rounds", "3"])
     assert (rc, out) == (2, "")
     assert err == "error: hot path leaves the stitched command h4#2: ((j % 3) = 1) -> s11 twice\n"
 

@@ -11,6 +11,7 @@ from tracelab.domains import (CPConst, CP_BOT, CP_TOP, abstract_add_type,
                               type_leq)
 from tracelab.lang import Add, Lit, Var
 from tracelab.semantics import Store, collecting_eval, eval_expr
+from tracelab.textio import _Cursor, _parse_abstract_store, tokenize
 from tracelab.values import (BOOL, BOT_T, Bool, INT, STRING, TOP_T, TT, UNDEF,
                              UNDEF_T, type_of)
 
@@ -315,6 +316,11 @@ def test_leq_is_partial_order(tag):
             assert dom.leq(a, c)
 
 
+def _parse_literal(tag, text):
+    toks = tokenize(text)
+    return _parse_abstract_store(_Cursor(toks, [None] * len(toks)), tag, {})
+
+
 def test_store_literal_roundtrip():
     from tracelab.textio import _Cursor, _parse_abstract_store, tokenize
 
@@ -332,6 +338,25 @@ def test_store_literal_roundtrip():
     # explicit undef-default bindings canonicalize away
     assert parse("type", "{x: Top, y: Undef}") == parse("type", "{x: Top}")
     assert parse("cp", "{x: 2, y: undef}") == parse("cp", "{x: 2}")
+
+
+def test_non_undef_defaults_print_as_a_trailing_star():
+    for tag, text in [
+        ("type", "{i: Int, k: Int, *: Top}"),
+        ("type", "{x: Int, *: Bot}"),
+        ("cp", "{a: 2, *: top}"),
+    ]:
+        assert str(_parse_literal(tag, text)) == text
+
+
+@given(_element_and_store(), st.booleans())
+def test_every_element_parses_back_from_its_literal(case, top_default):
+    """Any default prints: undef by omission, bot/top bare, else as ``*: V``;
+    half the cases have the universal default of a sliced guard."""
+    dom, a, _ = case
+    if top_default:
+        a = dom.make(dict(a.items), dom.top().default)
+    assert _parse_literal(dom.tag, str(a)) == a
 
 
 def test_unregistered_domain():

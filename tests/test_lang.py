@@ -46,6 +46,13 @@ def test_parse_errors():
     ("L0: put {x, 2} -> L1", "bad variable name '2'"),
     ('L0: x := "a\\q" -> L1', 'bad string literal "a\\q": Invalid \\escape'),
     ('L0: guard cp {x: "a\\q"} -> L1', 'bad string literal "a\\q": Invalid \\escape'),
+    ('L0: guard type {x: "a"} -> L1', 'unknown type name: "a"'),
+    ('L0: guard onepoint {x: "a"} -> L1', "one-point store literals are {}"),
+    ("L0: put {x y} -> L1", "expected '}', got 'y'"),
+    ("L0: put {x,} -> L1", "bad variable name '}'"),
+    ("L0: guard type {x: Int y: Int} -> L1", "expected '}', got 'y'"),
+    ("L0: guard type {*: Top, x: Int} -> L1", "*: V is the last entry"),
+    ("L0: guard type {x: Int, *: Top[2]} -> L1", "expected '}', got '['"),
 ])
 def test_parse_errors_name_the_line(line, message):
     """Forms the printer never emits are refused with the line they are on."""

@@ -1,18 +1,21 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from tracelab import pipeline
 from tracelab.domains import CPConst, CP_TOP, cp_domain, type_domain
 from tracelab.extract import extract
 from tracelab.hotpath import HotPath, hot_n
-from tracelab.lang import (Add, AddTyped, Assign, Command, Lit, Skip, Var,
+from tracelab.lang import (Add, AddTyped, Assign, Command, Guard, Lit, Skip, Var,
                            rename_equal, well_formed)
 from tracelab.observe import out_equiv_check, sc_equiv_check
 from tracelab.optimize import (OptimizeError, const_fold, dead_store_eliminate,
                                free_vars, optimize_full,
-                               type_specialize)
+                               type_specialize, _slice)
 from tracelab.semantics import Store, run
 from tracelab.textio import parse_program
-from tracelab.values import INT, TOP_T, TT
+from tracelab.values import BOOL, INT, TOP_T, TT
 from tests.conftest import command_at
+from tests.test_domains import _element_and_store
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +287,57 @@ def test_sieve_full_specialization_correct(sieve_program, sieve_store):
     assert expected_h5 in p1.commands
     rep = sc_equiv_check(sieve_program, p1, [sieve_store], 8000)
     assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# guard slicing
+# ---------------------------------------------------------------------------
+
+def _guards(p):
+    return {c.label: c.action.store for c in p.commands if isinstance(c.action, Guard)}
+
+
+def test_only_the_rewritten_copy_keeps_a_guard(sieve_program, sieve_store):
+    """On the sieve only k := k + i is specialized: its guard keeps the types
+    of k and i over a Top default, and every other guard is universal."""
+    st = _sieve_stitch(sieve_program, sieve_store)
+    p1 = optimize_full(sieve_program, st.hp, [type_specialize], sieve_program)
+    guards = _guards(p1)
+    kept = st.guards[2][0].label
+    assert str(guards.pop(kept)) == "{i: Int, k: Int, *: Top}"
+    assert set(guards) == {st.guards[i][0].label for i in st.guards} - {kept}
+    assert all(a == type_domain.top() for a in guards.values())
+
+
+@given(_element_and_store(), st.sets(st.sampled_from(("x", "y", "z", "primes", "w"))))
+def test_a_sliced_guard_contains_what_the_full_guard_contains(case, reads):
+    """Slicing only weakens (every store the full guard admits still enters),
+    and it keeps what the rewrite relies on: each read variable's slot."""
+    dom, a, store = case
+    sliced = _slice(a, frozenset(reads))
+    assert dom.leq(a, sliced)
+    assert all(sliced.get(x) == a.get(x) for x in reads)
+    if dom.contains(a, store):
+        assert dom.contains(sliced, store)
+
+
+def test_an_array_read_keeps_the_members_of_its_family():
+    a = type_domain.make({"i": INT, "primes_0": BOOL, "primes_1": BOOL, "k": INT})
+    sliced = _slice(a, frozenset({"primes", "i"}))
+    assert [sliced.get(x) for x in ("i", "primes_0", "primes_1", "k")] == [INT, BOOL, BOOL, TOP_T]
+
+
+def test_a_rewrite_of_a_nested_command_is_undone(sieve_program, sieve_store):
+    """A command of a previously stitched path has no guard pair in the new
+    stitch, so a pass's rewrite of it does not survive slicing."""
+    p1 = optimize_full(sieve_program, _sieve_stitch(sieve_program, sieve_store).hp,
+                       [type_specialize], sieve_program)
+    hp2 = pipeline.mine(p1, sieve_program, [sieve_store], 20000, 2, "type")[0][0]
+
+    def rewrites_nested(st):
+        nested = {c for i, c in st.body.items() if i not in st.guards}
+        assert nested
+        return (st.stitched - nested) | {Command(c.label, Skip(), c.succ) for c in nested}
+
+    assert optimize_full(p1, hp2, [rewrites_nested], sieve_program) == \
+        optimize_full(p1, hp2, [lambda st: st.stitched], sieve_program)

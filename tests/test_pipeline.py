@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tracelab import pipeline, textio
+from tracelab import gen, pipeline, textio
 from tracelab.semantics import Store
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
@@ -30,3 +30,36 @@ def test_sieve_matches_the_cli_golden(sieve_program, sieve_store):
 def test_no_round_is_refused_not_passed(loop_program, rounds):
     with pytest.raises(pipeline.PipelineError, match="rounds must be at least 1"):
         pipeline.pipeline(loop_program, [Store()], "onepoint", 2, 2000, [], rounds)
+
+
+SAMPLE_VARS = ("x", "y", "z", "w", "s", "i", "j")  # the CLI's --sample variables
+
+
+def _gen_pipeline(seed, domain, passes, rounds):
+    """The report of ``tracelab pipeline`` on generated program ``seed`` with
+    ``--sample 4 --seed seed``."""
+    stores = gen.gen_stores(seed, SAMPLE_VARS, 4)
+    return pipeline.pipeline(gen.gen_program(seed), stores, domain, 2, 2000, passes, rounds)
+
+
+@pytest.mark.parametrize("seed", [75, 210])
+def test_sliced_guards_let_nested_extraction_finish(seed):
+    """With full guards the third round's hot path on these programs leaves
+    a stitched command twice and extraction refuses it; with sliced guards
+    the rounds mine other paths, or none, and every verdict passes."""
+    rep = _gen_pipeline(seed, "type", ["ts"], 3)
+    assert rep.hotpaths and len(rep.check.verdicts) == 4
+    assert all(v.passed for v in rep.check.verdicts)
+
+
+@pytest.mark.parametrize("domain, passes, rounds", [
+    ("type", ["ts"], 3), ("type", ["ts", "dse"], 1), ("cp", ["cf"], 1)])
+def test_final_programs_print_parse_and_check(domain, passes, rounds):
+    """Every final program prints to text that parses back to the same text
+    (the CLI prints it, and the benchmark re-parses and re-checks it), and
+    passes its check."""
+    for seed in range(30):
+        rep = _gen_pipeline(seed, domain, passes, rounds)
+        text = textio.print_program(rep.program)
+        assert textio.print_program(textio.parse_program(text)) == text, seed
+        assert rep.check.passed, seed

@@ -227,3 +227,16 @@ def test_run_tests_each_guard_once(monkeypatch, sieve_program, sieve_store):
     assert guards > 100 and not r.truncated
     assert len(calls) == guards
 
+
+def test_set_checks_only_the_new_value(monkeypatch):
+    from tracelab import semantics
+    rho = Store({f"v{i}": i for i in range(100)})
+    checked = []
+    is_value = semantics.is_value
+    monkeypatch.setattr(semantics, "is_value", lambda v: checked.append(v) or is_value(v))
+    out = rho.set("v0", -1)
+    assert checked == [-1]
+    assert (out.get("v0"), rho.get("v0"), len(out)) == (-1, 0, 100)
+    assert out == Store({**{f"v{i}": i for i in range(100)}, "v0": -1})
+    with pytest.raises(SemanticsError):
+        rho.set("v1", UNDEF)

@@ -274,11 +274,12 @@ def test_lift_full_no_member_states(loop_program, loop_st):
     assert lift_full(lambda s: (), loop_st.stitched, r.states) == r.states
 
 
-def test_lift_full_composes_sp(sieve_program, sieve_store, sieve_ts):
-    """Full-trace specialization: optimized program accepts the lifted trace."""
+def test_lift_full_composes_sp(sieve_store, sieve_ts):
+    """Full-trace specialization: the ts rewrite under full guards accepts
+    the lifted trace (the witnesses prove ts; guard slicing only weakens
+    guards, which test_optimize's inclusion test covers)."""
     st, smap = sieve_ts
-    from tracelab.optimize import optimize_full, type_specialize
-    p_opt = optimize_full(sieve_program, st.hp, [type_specialize], sieve_program)
+    p_opt = st.transformed.replace(remove=st.stitched, add=type_specialize(st))
     r = run(st.transformed, sieve_store, 4000)
     lifted = lift_full(lambda seg: sp(st, smap, seg), st.stitched, r.states)
     assert trace_linked(p_opt, lifted)
