@@ -6,6 +6,12 @@ trace.  Backward jumps are recognized against a reverse-postorder numbering of
 the command flow graph (cyclic graphs have no true topological order; back
 edge = target rank <= source rank is the usual compiler reading).
 
+Counting is one pass over the loop segments: every occurrence of a loop
+path's image is a segment itself (same commands, same tests), except one that
+ends at the trace's last state, which has no successor state, so each image
+also checks that trailing window.  Occurrences of one path never overlap: the
+second's first command would be an interior head of the first.
+
 A mining call (``alpha_outerhot_n``) ranks the program's commands once and
 mines every trace against that one order.  Abstraction follows store
 identity: the states a firing test leaves with the same store object share
@@ -31,18 +37,17 @@ class HotPathError(Exception):
 # Topological order (reverse postorder)
 # ---------------------------------------------------------------------------
 
-def _branch_key(c: Command) -> tuple:
+def _branch_key(c: Command) -> bool:
     """Positive branches explore first, so a loop's head ranks at or before
     its exit commands; negations and failing guards are the cold side."""
     a = c.action
-    negated = (isinstance(a, Cond) and isinstance(a.test, Not)) or \
+    return (isinstance(a, Cond) and isinstance(a.test, Not)) or \
         (isinstance(a, Guard) and not a.positive)
-    return (negated, str(a), c.succ)
 
 
 def topo_order(p: Program) -> dict[Command, int]:
     """The rank of each command in a reverse-postorder DFS from the entry,
-    with deterministic positive-branch-first tie-breaking; commands
+    positive branches first, ties in ``Program.at``'s order; commands
     unreachable from the entry are numbered afterwards the same way."""
     post: list[Command] = []
     visited: set[Command] = set()
@@ -63,10 +68,7 @@ def topo_order(p: Program) -> dict[Command, int]:
             else:
                 post.append(cmd)
 
-    for c in p.at(p.entry):
-        if c not in visited:
-            dfs(c)
-    for c in p.sorted_commands:
+    for c in (*p.at(p.entry), *p.sorted_commands):
         if c not in visited:
             dfs(c)
     return {c: i for i, c in enumerate(reversed(post))}
@@ -94,18 +96,18 @@ def sloop(states: Sequence[State], rank: dict[Command, int], p: Program) -> list
     return segments
 
 
-def count(abstract_trace: Sequence[tuple[AbstractStore, Command]],
-          abstract_path: Sequence[tuple[AbstractStore, Command]]) -> int:
-    """Number of (possibly overlapping) exact occurrences of the path."""
-    n, m = len(abstract_trace), len(abstract_path)
-    if m == 0 or m > n:
-        return 0
-    path = tuple(abstract_path)
-    total = 0
-    for i in range(n - m + 1):
-        if tuple(abstract_trace[i:i + m]) == path:
-            total += 1
-    return total
+def count(abs_tr: Sequence[tuple[AbstractStore, Command]],
+          segments: Sequence[tuple[int, int]]) -> dict[tuple, int]:
+    """Occurrences of each segment's image, in first-occurrence order: one per
+    segment, plus one if the window that ends the trace has the image too
+    (occurrences of a loop path never overlap; see the module docstring)."""
+    counts: dict[tuple, int] = {}
+    for i, j in segments:
+        image = tuple(abs_tr[i:j + 1])
+        if image not in counts:
+            counts[image] = int(tuple(abs_tr[-len(image):]) == image)
+        counts[image] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -164,24 +166,15 @@ def abstract_trace(states: Sequence[State], domain_tag: str) -> list[tuple[Abstr
 
 def hot_n(states: Sequence[State], n: int, domain_tag: str, p: Program,
           rank: Optional[dict[Command, int]] = None) -> list[tuple[HotPath, int]]:
-    """N-hot paths of one trace with their counts: abstracted loop segments
-    whose exact image occurs at least n times, in first-occurrence order."""
+    """N-hot paths of one trace with their counts, in first-occurrence order:
+    abstracted loop segments whose image occurs n times or more, tallied by
+    ``count`` in one pass over the segments (linear in their total length)."""
     if n < 1:
         raise HotPathError("threshold must be >= 1")
     if rank is None:
         rank = topo_order(p)
-    abs_tr = abstract_trace(states, domain_tag)
-    seen: dict[tuple, int] = {}
-    ordered: list[tuple[HotPath, int]] = []
-    for i, j in sloop(states, rank, p):
-        pairs = tuple(abs_tr[i:j + 1])
-        if pairs in seen:
-            continue
-        seen[pairs] = i
-        c = count(abs_tr, pairs)
-        if c >= n:
-            ordered.append((HotPath(pairs), c))
-    return ordered
+    counts = count(abstract_trace(states, domain_tag), sloop(states, rank, p))
+    return [(HotPath(pairs), c) for pairs, c in counts.items() if c >= n]
 
 
 # ---------------------------------------------------------------------------

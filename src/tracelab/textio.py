@@ -12,9 +12,10 @@ Line-oriented, UTF-8::
     L5: put {x, y} -> L6
     L6: skip -> .
 
-Comments start with ``;``.  ``.`` is the final successor.  Typed additions
-print as ``+Int`` / ``+Str``.  Array guards may use ``name: Bool[]`` when the
-family size was declared with ``#array``.  Entries are separated by commas.
+Comments start with ``;``.  ``.`` is the final successor.  ``#entry`` comes
+once, ``#array`` once per family.  Typed additions print as ``+Int`` /
+``+Str``.  Array guards may use ``name: Bool[]`` when the family size was
+declared with ``#array``.  Entries are separated by commas.
 A guard store leaves every variable it does not mention to its default,
 which is undef unless a last entry ``*: V`` names it: ``{i: Int, *: Top}``
 constrains ``i`` only.  ``bot`` and ``top`` are the empty and the universal
@@ -345,12 +346,16 @@ def parse_program(text: str) -> Program:
             toks = tokenize(line[len("#entry"):], line_no)
             if len(toks) != 1:
                 raise ParseError("#entry takes one label", line_no)
+            if entry is not None:
+                raise ParseError("#entry given twice", line_no)
             entry = toks[0]
             continue
         if line.startswith("#array"):
             toks = tokenize(line[len("#array"):], line_no)
             if len(toks) != 2 or not toks[1].isdigit():
                 raise ParseError("#array takes a name and a size", line_no)
+            if toks[0] in arrays:
+                raise ParseError(f"#array {toks[0]} given twice", line_no)
             arrays[toks[0]] = int(toks[1])
             continue
         if line.startswith("#"):

@@ -59,6 +59,7 @@ def test_traced_pipeline_sees_the_mining_layers(spans, tmp_path):
                          "--json", str(tmp_path / "report.json")]) == 0
     layers = tracer.layers()
     assert layers["hotpath.topo_order"].calls == 1  # one mining round, one order
-    for name in ("hotpath.abstract_trace", "hotpath.hot_n", "domains.contains",
-                 "semantics.run", "optimize.optimize", "observe.equiv_check"):
+    for name in ("hotpath.abstract_trace", "hotpath.count", "hotpath.hot_n",
+                 "domains.contains", "semantics.run", "optimize.optimize",
+                 "observe.equiv_check"):
         assert layers[name].calls > 0, name

@@ -71,6 +71,25 @@ def test_topo_matches_recursive_oracle(loop_program, cf_program, sieve_program):
         assert topo_order(p) == _dfs_oracle_rank(p)
 
 
+def test_topo_order_prints_no_guard_store(sieve_program, sieve_store, monkeypatch):
+    """Branches are ordered by polarity over ``Program.at``'s order, so
+    ranking a stitched program never prints its guard stores."""
+    from tracelab.domains import AbstractStore
+    hp = hot_n(run(sieve_program, sieve_store, 5000).states, 2, "type", sieve_program)[0][0]
+    p = extract(sieve_program, hp).transformed
+    want = _dfs_oracle_rank(p)  # builds the program's cached tables
+    calls = []
+    real = AbstractStore.__str__
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(AbstractStore, "__str__", counting)
+    assert topo_order(p) == want
+    assert calls == []
+
+
 def test_topo_covers_unreachable():
     p = parse_program("#entry L0\nL0: skip -> .\nU0: skip -> U1\nU1: skip -> .\n")
     rank = topo_order(p)
@@ -137,24 +156,75 @@ L7: skip -> .
     assert labels.count("L3") >= 2
 
 
+def _counts(p, states, domain_tag):
+    return count(hotpath.abstract_trace(states, domain_tag),
+                 sloop(states, topo_order(p), p))
+
+
 def test_count_golden(loop_program, loop_run):
-    abs_tr = hotpath.abstract_trace(loop_run.states, "onepoint")
+    counts = _counts(loop_program, loop_run.states, "onepoint")
     hps = hot_n(loop_run.states, 2, "onepoint", loop_program)
-    assert count(abs_tr, hps[0][0].pairs) == 8
-    assert count(abs_tr, hps[1][0].pairs) == 4
+    assert counts[hps[0][0].pairs] == 8
+    assert counts[hps[1][0].pairs] == 4
+    assert list(counts)[:2] == [hp.pairs for hp, _ in hps]  # first-occurrence order
 
 
-def test_count_too_long_pattern(loop_run):
-    abs_tr = hotpath.abstract_trace(loop_run.states[:3], "onepoint")
-    long_path = hotpath.abstract_trace(loop_run.states[:5], "onepoint")
-    assert count(abs_tr, long_path) == 0
+def test_count_too_long_pattern(loop_program, loop_run):
+    """A prefix too short for a segment with a successor state counts
+    nothing, though the loop path's one occurrence ends at its last state;
+    one segment further, the occurrence counts once."""
+    assert _counts(loop_program, loop_run.states[:4], "onepoint") == {}
+    counts = _counts(loop_program, loop_run.states[:5], "onepoint")
+    assert [[c.label for _, c in image] for image in counts] == [["L1", "L2", "L3"]]
+    assert list(counts.values()) == [1]
 
 
 def test_count_overlapping():
-    c = Command("L", Skip(), "L")
+    """Four states of a self-loop: three segments and the trailing window."""
+    p = parse_program("#entry L\nL: skip -> L\n")
+    states = [State(Store(), command_at(p, "L"))] * 4
+    assert sloop(states, topo_order(p), p) == [(0, 0), (1, 1), (2, 2)]
     a = onepoint_domain.top()
-    seq = [(a, c)] * 4
-    assert count(seq, [(a, c)] * 2) == 3  # overlapping occurrences
+    assert _counts(p, states, "onepoint") == {((a, command_at(p, "L")),): 4}
+
+
+def _hot_n_by_scan(states, n, domain_tag, p):
+    """The reference definition: each distinct loop segment's image, counted
+    by scanning the whole abstracted trace for it."""
+    abs_tr = hotpath.abstract_trace(states, domain_tag)
+    out, seen = [], set()
+    for i, j in sloop(states, topo_order(p), p):
+        image = tuple(abs_tr[i:j + 1])
+        if image in seen:
+            continue
+        seen.add(image)
+        m = len(image)
+        c = sum(tuple(abs_tr[k:k + m]) == image for k in range(len(abs_tr) - m + 1))
+        if c >= n:
+            out.append((image, c))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_hot_n_agrees_with_the_scan(seed):
+    from tracelab.gen import gen_program, gen_stores
+    p = gen_program(seed)
+    (rho,) = gen_stores(seed, p.vars(), 1)
+    for budget in (2000, 37, 101):
+        states = run(p, rho, budget).states
+        for tag in ("onepoint", "type", "cp"):
+            got = [(hp.pairs, c) for hp, c in hot_n(states, 2, tag, p)]
+            assert got == _hot_n_by_scan(states, 2, tag, p), (budget, tag)
+
+
+def test_the_trailing_window_counts(loop_program):
+    """Runs cut by the budget right after a loop path's last command: the
+    occurrence that ends the trace is no segment, but it is counted."""
+    states = run(loop_program, Store(), 7).states  # L0 (L1 L2 L3!) (L1 L2 L3!)
+    hps = hot_n(states, 2, "onepoint", loop_program)
+    assert [([c.label for c in hp.commands], c) for hp, c in hps] == [(["L1", "L2", "L3"], 2)]
+    states = run(loop_program, Store(), 14).states
+    assert [c for _, c in hot_n(states, 2, "onepoint", loop_program)] == [3]
 
 
 # ---------------------------------------------------------------------------

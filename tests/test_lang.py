@@ -53,12 +53,19 @@ def test_parse_errors():
     ("L0: guard type {x: Int y: Int} -> L1", "expected '}', got 'y'"),
     ("L0: guard type {*: Top, x: Int} -> L1", "*: V is the last entry"),
     ("L0: guard type {x: Int, *: Top[2]} -> L1", "expected '}', got '['"),
+    ("#entry L9", "#entry given twice"),
 ])
 def test_parse_errors_name_the_line(line, message):
     """Forms the printer never emits are refused with the line they are on."""
     with pytest.raises(ParseError) as exc:
         parse_program(f"#entry L0\n\n{line}\nL1: skip -> .\n")
     assert str(exc.value) == f"line 3: {message}"
+
+
+def test_an_array_family_is_declared_once():
+    with pytest.raises(ParseError) as exc:
+        parse_program("#entry L0\n#array a 2\n#array a 5\nL0: a[0] := 1 -> .\n")
+    assert str(exc.value) == "line 3: #array a given twice"
 
 
 @pytest.mark.parametrize("src, message", [
