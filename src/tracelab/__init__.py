@@ -15,10 +15,8 @@ from .semantics import (Run, State, Store, collecting_eval, eval_bexpr,
                         eval_expr, apply_action, run, step)
 from .domains import (AbstractStore, abstract_add_type, cp_domain, eval_type,
                       get_domain, onepoint_domain, type_alpha, type_domain)
-from .observe import (alpha_osch, alpha_rho_sc, alpha_sc, osch, out, out_equiv_check,
-                      sc, sc_equiv_check, st)
-from .hotpath import (HotPath, alpha_outerhot_n, count, hot_n, hotcut, sloop,
-                      topo_order)
+from .observe import out, out_equiv_check, sc, sc_equiv_check, st
+from .hotpath import HotPath, count, hot_n, hotcut, sloop, topo_order
 from .extract import StitchResult, extract, extract_gp, extract_nested
 from .optimize import (const_fold, dead_store_eliminate, free_vars,
                        optimize_full, type_specialize)

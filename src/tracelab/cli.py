@@ -11,9 +11,12 @@ one ``error: ...`` line on stderr and no traceback: unreadable files
 (``OSError``), bad JSON stores, parse errors, ill-formed programs, and the
 errors of the library itself (``ExtractError``, ``OptimizeError``,
 ``SemanticsError``, ``DomainError``, ``HotPathError``, ``PipelineError``,
-``GPError``), such as a pass that does not fit the domain, a program that is
-nondeterministic at run time, or a while-language loop that gets stuck before
-its hot path is recorded.
+``ObserveError``, ``GPError``), such as a pass that does not fit the domain, a
+nondeterministic program, an out check with no ``put`` to observe, or a
+while-language loop stuck before its hot path is recorded.  So is input a
+command would ignore: trace, gp-trace and gp-check take one initial store, and
+only an out check (``check --observe out``, ``pipeline --pass dse``) reads
+``--vars``.
 
 Only the mining subcommands (hot, extract, optimize, pipeline) take
 ``--domain`` and ``--threshold``.
@@ -66,6 +69,13 @@ def _initial_stores(args) -> list[Store]:
     return stores
 
 
+def _one_store(args) -> Store:
+    stores = _initial_stores(args)
+    if len(stores) != 1:
+        raise CliError(f"{args.cmd} runs from one initial store, got {len(stores)}")
+    return stores[0]
+
+
 def _hp_json(hp: hotpath.HotPath, count_: int, threshold: int) -> dict:
     return {
         "domain": hp.domain.tag,
@@ -87,7 +97,7 @@ def cmd_run(args) -> int:
 
 def cmd_trace(args) -> int:
     p = _load_program(args.program)
-    r = run(p, _initial_stores(args)[0], args.budget)
+    r = run(p, _one_store(args), args.budget)
     sys.stdout.write(textio.trace_to_jsonl(r.states, r.truncated))
     return 0
 
@@ -131,6 +141,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.vars is not None and args.observe != "out":
+        raise CliError("--vars is read only by --observe out")
     p1 = _load_program(args.program)
     p2 = _load_program(args.other)
     stores = _initial_stores(args)
@@ -144,6 +156,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    if args.vars is not None and "dse" not in args.passes:
+        raise CliError("--vars is read only by the out check of --pass dse")
     p = _load_program(args.program)
     xs = frozenset(args.vars.split(",")) if args.vars else None
     rep = pipeline.pipeline(p, _initial_stores(args), args.domain, args.threshold, args.budget,
@@ -196,8 +210,7 @@ def cmd_gp_compile(args) -> int:
 
 def cmd_gp_trace(args) -> int:
     stm = textio.parse_gp_program(Path(args.program).read_text())
-    rho = _initial_stores(args)[0]
-    rec = gpmod.gp_record_hot_path(stm, rho, args.budget)
+    rec = gpmod.gp_record_hot_path(stm, _one_store(args), args.budget)
     print("trace:", gpmod.stm_str(rec.trace_stm))
     print("hot path:", " ; ".join(str(c) for c in rec.hot_path))
     print("stitched:", gpmod.stm_str(rec.stitched))
@@ -206,8 +219,7 @@ def cmd_gp_trace(args) -> int:
 
 def cmd_gp_check(args) -> int:
     stm = textio.parse_gp_program(Path(args.program).read_text())
-    rho = _initial_stores(args)[0]
-    res = gpmod.gp_equivalence_check(stm, rho, args.budget)
+    res = gpmod.gp_equivalence_check(stm, _one_store(args), args.budget)
     if res.passed:
         renames = ", ".join(f"{a} -> {b}" for a, b in sorted((res.renaming or {}).items()))
         print(f"ok - stitched compilation matches extraction ({renames})")
@@ -322,7 +334,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.fn(args)
     except (CliError, textio.ParseError, OSError, json.JSONDecodeError, ExtractError,
             optimize.OptimizeError, SemanticsError, DomainError, hotpath.HotPathError,
-            pipeline.PipelineError, gpmod.GPError) as e:
+            pipeline.PipelineError, observe.ObserveError, gpmod.GPError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

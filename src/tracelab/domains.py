@@ -121,6 +121,8 @@ class StoreAbstraction(ABC):
         return _canon(self, bindings, self.undef_slot)
 
     def leq(self, a1: AbstractStore, a2: AbstractStore) -> bool:
+        """a1 below a2 per slot and default (test oracle: the alpha tests in
+        ``test_domains``, guard-slice soundness in ``test_optimize``)."""
         for x in a1.keys() | a2.keys():
             if not self.value_leq(a1.get(x), a2.get(x)):
                 return False

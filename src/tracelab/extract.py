@@ -126,7 +126,8 @@ def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> Stit
 
 
 def extract(p: Program, hp: HotPath) -> StitchResult:
-    """Plain trace extraction: every hot-path command must be in ``p``."""
+    """The paper's plain extraction: every hot-path command must be in ``p``
+    (test oracle: the extract, optimize and witness tests stitch with it)."""
     return extract_nested(p, hp, p)
 
 

@@ -73,13 +73,6 @@ def gen_program(seed: int, min_cmds: int = 4, max_cmds: int = 40):
     return GPCompiler().compile(gen_statement(seed, min_cmds, max_cmds))
 
 
-def gen_while_program(seed: int) -> Stm:
-    """A while-headed statement (no prologue), as the recorder expects."""
-    rng = random.Random(seed)
-    stm = _loop(rng, 0)
-    return stm[1:]  # drop the counter init; callers bind it in the store
-
-
 def gen_stores(seed: int, variables, count: int) -> list[Store]:
     """Seeded initial stores over the given variables; some slots stay unbound
     and string-typed slots show up occasionally."""

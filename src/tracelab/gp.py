@@ -81,19 +81,6 @@ def stm_str(s: Stm) -> str:
     return " ".join(str(c) for c in s) if s else ""
 
 
-def stm_vars(s: Stm) -> frozenset[str]:
-    from .lang import bexpr_vars, expr_vars
-    out: set[str] = set()
-    for c in s:
-        if isinstance(c, GAssign):
-            out |= {c.var} | expr_vars(c.expr)
-        elif isinstance(c, (GIf, GWhile)):
-            out |= bexpr_vars(c.test) | stm_vars(c.body)
-        elif isinstance(c, GBail):
-            out |= bexpr_vars(c.test) | stm_vars(c.target)
-    return frozenset(out)
-
-
 def _unfolded_if(w: GWhile, k: Stm) -> Stm:
     return (GIf(w.test, w.body + (w,)),) + k
 
@@ -240,24 +227,6 @@ class GPCompiler:
     def compile_trace(self, states: Sequence[GPAnyState]) -> tuple[State, ...]:
         """Recording states compile through their current program component."""
         return tuple(self.compile_state(s) for s in states)
-
-    def decompile_trace(self, states: Sequence[State], s0: Stm) -> tuple[GPState, ...]:
-        """Reconstructs the unique statement sequence behind a compiled trace."""
-        if not states:
-            return ()
-        if states[0].command.label != self.label(s0):
-            raise GPError("trace is not anchored at the program entry")
-        cur = GPState(states[0].store, s0)
-        out = [cur]
-        for st_ in states[1:]:
-            nxt = gp_step(cur)
-            if nxt is None:
-                raise GPError("compiled trace continues past a stuck state")
-            if self.compile_state(nxt) != st_:
-                raise GPError(f"trace diverges from the statement semantics at {st_}")
-            out.append(nxt)
-            cur = nxt
-        return tuple(out)
 
 
 # ---------------------------------------------------------------------------

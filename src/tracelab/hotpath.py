@@ -12,7 +12,7 @@ ends at the trace's last state, which has no successor state, so each image
 also checks that trailing window.  Occurrences of one path never overlap: the
 second's first command would be an interior head of the first.
 
-A mining call (``alpha_outerhot_n``) ranks the program's commands once and
+A mining call (``pipeline.mine``) ranks the program's commands once and
 mines every trace against that one order.  Abstraction follows store
 identity: the states a firing test leaves with the same store object share
 one abstract store, so equal stores in a run of them compare by identity when
@@ -189,17 +189,3 @@ def hotcut(states: Sequence[State], original: Program) -> tuple[State, ...]:
     last = len(states) - 1
     return tuple(s for i, s in enumerate(states)
                  if inside[i] or i == 0 or i == last or inside[i - 1] or inside[i + 1])
-
-
-def alpha_outerhot_n(traces, original: Program, n: int, domain_tag: str,
-                     current: Program) -> list[tuple[HotPath, int]]:
-    """N-hot paths of the hotcuts of several traces with their counts,
-    deduplicated across traces in first-found order (a path keeps the count
-    of the trace that found it first); with current == original the hotcut
-    is the trace and these are the paper's alpha-hot_N paths of the traces."""
-    rank = topo_order(current)
-    found: dict[HotPath, int] = {}
-    for tr in traces:
-        for hp, c in hot_n(hotcut(tr, original), n, domain_tag, current, rank):
-            found.setdefault(hp, c)
-    return list(found.items())

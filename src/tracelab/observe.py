@@ -1,10 +1,10 @@
 """Observational abstractions of traces and the bounded equivalence checker.
 
 ``sc`` collapses consecutive equal stores (store changes), ``st`` keeps every
-store, ``out`` keeps restricted stores at output commands only, and ``osch``
-records a store change only when the stable block in front of it performed an
-output.  All of them work on anything whose elements carry a ``store``
-attribute, so core traces and while-language traces share them.
+store, and ``out`` keeps restricted stores at output commands only.  All of
+them work on anything whose elements carry a ``store`` attribute, so core
+traces and while-language traces share them.  An out check refuses programs
+with no output command of its variables, which it would pass unobserved.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ from .semantics import Run, Store, run
 StoreSeq = tuple[Store, ...]
 
 
+class ObserveError(Exception):
+    pass
+
+
 def sc(states: Sequence) -> StoreSeq:
     out: list[Store] = []
     for s in states:
@@ -27,55 +31,14 @@ def sc(states: Sequence) -> StoreSeq:
 
 
 def st(states: Sequence) -> StoreSeq:
+    """Every store (test oracle: while-language runs against their compiled
+    runs in ``test_gp``)."""
     return tuple(s.store for s in states)
 
 
-def _is_put(state, xs: frozenset[str]) -> bool:
-    a = state.command.action
-    return isinstance(a, Put) and a.vars == xs
-
-
 def out(states: Sequence, xs: Iterable[str]) -> StoreSeq:
-    xs = frozenset(xs)
-    return tuple(s.store.restrict(xs) for s in states if _is_put(s, xs))
-
-
-def osch(states: Sequence, xs: Iterable[str]) -> StoreSeq:
-    """Store changes at output points.  A maximal equal-store block contributes
-    its restricted store once iff it contains an output command; the pending
-    output mark rides forward on the block like the marker rewrite in the
-    recursive definition."""
-    xs = frozenset(xs)
-    result: list[Store] = []
-    marked = False
-    n = len(states)
-    for i, s in enumerate(states):
-        is_put = marked or _is_put(s, xs)
-        if i == n - 1:
-            if is_put:
-                result.append(s.store.restrict(xs))
-            break
-        if s.store == states[i + 1].store:
-            marked = is_put
-        else:
-            if is_put:
-                result.append(s.store.restrict(xs))
-            marked = False
-    return tuple(result)
-
-
-def alpha_sc(traces: Iterable[Sequence]) -> frozenset[StoreSeq]:
-    return frozenset(sc(t) for t in traces)
-
-
-def alpha_osch(traces: Iterable[Sequence], xs: Iterable[str]) -> frozenset[StoreSeq]:
-    xs = frozenset(xs)
-    return frozenset(osch(t, xs) for t in traces)
-
-
-def alpha_rho_sc(traces: Iterable[Sequence], rho: Store) -> frozenset[StoreSeq]:
-    """sc images of exactly the traces starting with store rho."""
-    return frozenset(sc(t) for t in traces if len(t) > 0 and t[0].store == rho)
+    put = Put(frozenset(xs))
+    return tuple(s.store.restrict(put.vars) for s in states if s.command.action == put)
 
 
 # ---------------------------------------------------------------------------
@@ -160,5 +123,7 @@ def sc_equiv_check(p1: Program, p2: Program, initials: Iterable[Store],
 
 def out_equiv_check(p1: Program, p2: Program, initials: Iterable[Store], budget: int,
                     xs: Iterable[str]) -> EquivReport:
-    xs = frozenset(xs)
-    return equiv_check(p1, p2, initials, budget, lambda tr: out(tr, xs), "out")
+    put = Put(frozenset(xs))
+    if not any(c.action == put for p in (p1, p2) for c in p.commands):
+        raise ObserveError(f"out check observes nothing: neither program has {put}")
+    return equiv_check(p1, p2, initials, budget, lambda tr: out(tr, put.vars), "out")

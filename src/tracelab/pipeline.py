@@ -5,8 +5,9 @@ traces' hot paths against the input program (nested extraction calls
 previously stitched paths like subroutines) and stitches and optimizes the
 first one.  The final program must be well-formed, and it is checked against
 the input by store changes (sc), or by outputs (out) when dead-store
-elimination ran, since dse does not preserve store changes.  Each failing
-verdict is minimized by the check that judged it.
+elimination ran, since dse does not preserve store changes; an out check
+refuses a program with no output to see.  Each failing verdict is minimized
+by the check that judged it.
 """
 
 from __future__ import annotations
@@ -34,10 +35,16 @@ class PipelineReport:
 
 def mine(p: Program, original: Program, stores: Sequence[Store], budget: int,
          threshold: int, domain: str) -> list[tuple[hotpath.HotPath, int]]:
-    """The threshold-hot paths of p's runs from the stores, with their counts,
-    mined against ``original``."""
+    """The threshold-hot paths of the hotcuts of p's runs from the stores, in
+    first-found order, each with the count of the run that found it first; p
+    is ranked once.  With p == original these are the paper's alpha-hot_N."""
     traces = [run(p, rho, budget).states for rho in stores]
-    return hotpath.alpha_outerhot_n(traces, original, threshold, domain, p)
+    rank = hotpath.topo_order(p)
+    found: dict[hotpath.HotPath, int] = {}
+    for tr in traces:
+        for hp, c in hotpath.hot_n(hotpath.hotcut(tr, original), threshold, domain, p, rank):
+            found.setdefault(hp, c)
+    return list(found.items())
 
 
 def pipeline(p: Program, stores: Sequence[Store], domain: str, threshold: int, budget: int,

@@ -221,6 +221,8 @@ def fires(a: lang.Action, store: Store) -> Optional[bool]:
 # ---------------------------------------------------------------------------
 
 def collecting_eval(e: Expr, stores: Iterable[Store]) -> set[UValue]:
+    """The values of e over a set of stores (test oracle: ``abstract_add_type``
+    soundness in ``test_domains``)."""
     return {eval_expr(e, s) for s in stores}
 
 
@@ -229,7 +231,8 @@ def collecting_eval(e: Expr, stores: Iterable[Store]) -> set[UValue]:
 # ---------------------------------------------------------------------------
 
 def step(p: Program, s: State) -> tuple[State, ...]:
-    """All program successors of a state; empty means stuck."""
+    """All program successors of a state; empty means stuck (the relation
+    ``trace_linked`` checks witnesses against; test oracle in ``test_gp``)."""
     rho = apply_action(s.command.action, s.store)
     if rho is None or s.command.succ == HALT:
         return ()
@@ -268,7 +271,8 @@ def run(p: Program, rho0: Store, budget: int) -> Run:
 
 
 def trace_linked(p: Program, states: Sequence[State]) -> bool:
-    """Checks the partial-trace linkage: each state is a step-successor of the last."""
+    """Checks the partial-trace linkage: each state is a step-successor of the
+    last (the witnesses' validation; test oracle in ``test_gp``)."""
     for a, b in zip(states, states[1:]):
         if b not in step(p, a):
             return False

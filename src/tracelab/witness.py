@@ -9,6 +9,9 @@ They read the stitch from extraction's record (``StitchResult``): the guard
 pair, action copy and complement exit at each path index, and the relabeled
 slow head.  A source complement is the exit's action and successor under the
 path command's label.
+
+Nothing in the pipeline calls this module: it is the executable form of the
+extraction and specialization proofs, which ``test_witness`` checks.
 """
 
 from __future__ import annotations

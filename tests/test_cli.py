@@ -54,6 +54,11 @@ def golden_argv(directory: Path, prog: str, cmd: str) -> list[str]:
 @pytest.mark.parametrize("cmd", COMMANDS)
 def test_cli_golden(tmp_path, prog, cmd):
     rc, out, err = call(golden_argv(tmp_path, prog, cmd))
+    if (prog, cmd) == ("cf", "pipeline"):
+        # dse is judged by outputs, and the cf program has no put to observe
+        assert (rc, out) == (2, "")
+        assert err == "error: out check observes nothing: neither program has put {a, x}\n"
+        return
     assert (rc, err) == (0, "")
     assert out == (GOLDEN / f"{prog}_{cmd}.out").read_text()
 
@@ -68,9 +73,10 @@ def test_optimize_composes_passes(tmp_path):
 
 
 def test_pipeline_with_two_passes_reports(tmp_path):
-    path = tmp_path / "loop.tl"
-    path.write_text(LOOP_SRC)
-    rc, out, err = call(["pipeline", path, "--domain", "type", "--pass", "ts", "--pass", "dse"])
+    path = tmp_path / "dse.tl"
+    path.write_text(DSE_SRC)
+    rc, out, err = call(["pipeline", path, "--domain", "type", "--pass", "ts", "--pass", "dse",
+                         "--initials", '{"x": -5}'])
     assert (rc, err) == (0, "")
     report = json.loads(out)
     assert [v["result"] for v in report["verdicts"]] == ["PASS"]
@@ -106,7 +112,8 @@ def test_shrink_uses_the_check_that_judged(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["OSError", "JSONDecodeError", "ExtractError", "OptimizeError",
-                                  "SemanticsError", "DomainError", "HotPathError", "GPError",
+                                  "SemanticsError", "DomainError", "HotPathError", "ObserveError",
+                                  "GPError",
                                   "bad --domain", "--hotpath -9", "--hotpath -1",
                                   "--initials [1]", "--initials [[1]]", "--rounds 0"])
 def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
@@ -131,6 +138,7 @@ def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
         "SemanticsError": ["run", loop, "--budget", "0"],
         "DomainError": ["run", bogus],
         "HotPathError": ["hot", loop, "--threshold", "0"],
+        "ObserveError": ["check", loop, loop, "--observe", "out"],
         "GPError": ["gp-trace", prologue],
         "bad --domain": ["hot", loop, "--domain", "bogus"],
         "--hotpath -9": ["extract", loop, "--hotpath", "-9"],
@@ -160,6 +168,29 @@ def test_gp_recording_errors_exit_2(tmp_path, cmd, src, message):
     rc, out, err = call([cmd, path])
     assert (rc, out) == (2, "")
     assert err.startswith(message) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", ["trace", "gp-trace", "gp-check"])
+def test_one_store_commands_refuse_more_stores(tmp_path, cmd):
+    """These commands run from one store; a second would be silently dropped."""
+    path = tmp_path / "prog"
+    path.write_text(LOOP_SRC if cmd == "trace" else GP_LOOP)
+    rc, out, err = call([cmd, path, "--initials", '[{"x": 0}, {"x": 1}]'])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {cmd} runs from one initial store, got 2\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "{dse}", "{dse}", "--observe", "sc", "--vars", "x"],
+     "error: --vars is read only by --observe out\n"),
+    (["pipeline", "{dse}", "--pass", "ts", "--domain", "type", "--vars", "x"],
+     "error: --vars is read only by the out check of --pass dse\n"),
+], ids=["check", "pipeline"])
+def test_vars_without_an_out_check_is_refused(tmp_path, argv, message):
+    path = tmp_path / "dse.tl"
+    path.write_text(DSE_SRC)
+    rc, out, err = call([a.format(dse=path) for a in argv])
+    assert (rc, out, err) == (2, "", message)
 
 
 def _options(parser) -> set[str]:

@@ -380,7 +380,9 @@ def test_hotcut_agrees_with_the_deletion_definition(loop_program, inside):
 # ---------------------------------------------------------------------------
 
 def test_one_topo_order_per_mining_call(dse_program, monkeypatch):
-    traces = [run(dse_program, Store({"x": x}), 200).states for x in (-3, -1, 0, 1)]
+    from tracelab import pipeline
+    stores = [Store({"x": x}) for x in (-3, -1, 0, 1)]
+    traces = [run(dse_program, rho, 200).states for rho in stores]
     want: dict = {}
     for tr in traces:  # each trace numbered on its own, as hot_n does alone
         for hp, c in hot_n(tr, 2, "type", dse_program):
@@ -394,7 +396,7 @@ def test_one_topo_order_per_mining_call(dse_program, monkeypatch):
         return real(p)
 
     monkeypatch.setattr(hotpath, "topo_order", counting)
-    found = hotpath.alpha_outerhot_n(traces, dse_program, 2, "type", dse_program)
+    found = pipeline.mine(dse_program, dse_program, stores, 200, 2, "type")
     assert calls == [dse_program]
     assert found == list(want.items())
 
