@@ -6,7 +6,7 @@ pair at the head label, one freshly labeled copy of each path action, a guard
 pair in front of every interior copy, and complement exits back into original
 code.  The nested variant additionally relabels into and out of previously
 stitched paths so they are called like subroutines.  The while-language
-variant adds a guardless relabeled chain only.
+variant adds a guardless relabeled chain only and enters the program there.
 
 ``extract_nested`` records every command it builds by role and path index
 (``StitchResult``), so that optimizations and the proof witnesses read the
@@ -135,9 +135,11 @@ def extract_gp(p_w: Program, hp_commands: tuple[Command, ...]) -> Program:
     """Guardless extraction for compiled while-programs.
 
     The path starts with the loop's skip/conditional head; when it has no
-    branching command past the entry conditional there is nothing to stitch
-    and the program is returned unchanged.  Otherwise a relabeled copy of the
-    whole path is added, with complement exits into the original code.
+    branching command past the loop test there is nothing to stitch and the
+    program is returned unchanged.  Otherwise a relabeled copy of the whole
+    path is added, with complement exits into the original code, and the
+    program is entered at the copy of the path head: it starts in its
+    stitched loop, as the compiled ``(while B do t) K`` does.
     """
     cmds = tuple(hp_commands)
     if not cmds:
@@ -164,4 +166,4 @@ def extract_gp(p_w: Program, hp_commands: tuple[Command, ...]) -> Program:
         compl = find_cmpl(ci, p_w)
         if compl is not None:
             added.add(Command(ell[i], compl.action, compl.succ))
-    return p_w.replace(add=added)
+    return Program(p_w.commands | added, ell[0], p_w.arrays)

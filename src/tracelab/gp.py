@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from . import hotpath
+from .extract import extract_gp
 from .lang import (BExpr, Command, Expr, HALT, Program, Skip as CoreSkip,
-                   Assign as CoreAssign, Cond, negate_bexpr)
+                   Assign as CoreAssign, Cond, negate_bexpr, rename_equal)
 from .semantics import Run, State, Store, eval_bexpr, eval_expr
 from .observe import compare, sc
 from .values import Bool, UNDEF
@@ -368,14 +369,12 @@ class GPEquivResult:
 def gp_equivalence_check(stm: Stm, rho0: Store, budget: int) -> GPEquivResult:
     """Records a hot path, then checks that compiling the stitched program
     agrees with the guardless extraction of the compiled original (equality up
-    to renaming), and that both programs have the same store-change behavior
-    from rho0 at this budget."""
-    from .extract import extract_gp
-
+    to renaming, entry onto entry: both start in the stitched loop), and that
+    both programs have the same store-change behavior from rho0 at this
+    budget."""
     rec = gp_record_hot_path(stm, rho0, budget)
     left = GPCompiler().compile(rec.stitched)
     right = extract_gp(rec.compiled_program, rec.hot_path)
-    from .lang import rename_equal
     renaming = rename_equal(left, right)
 
     r1 = gp_run(stm, rho0, budget)

@@ -266,7 +266,9 @@ def negate_action(a: Action) -> Action:
 
 
 def action_vars(a: Action) -> frozenset[str]:
-    if isinstance(a, Skip):
+    """The program variables the action names; a guard's store keys are not
+    among them."""
+    if isinstance(a, (Skip, Guard)):
         return frozenset()
     if isinstance(a, Assign):
         return frozenset({a.var}) | expr_vars(a.expr)
@@ -274,8 +276,6 @@ def action_vars(a: Action) -> frozenset[str]:
         return frozenset({a.array}) | expr_vars(a.index) | expr_vars(a.expr)
     if isinstance(a, Cond):
         return bexpr_vars(a.test)
-    if isinstance(a, Guard):
-        return frozenset(a.store.keys())
     if isinstance(a, Put):
         return a.vars
     raise LangError(f"not an action: {a!r}")
@@ -396,125 +396,43 @@ def well_formed(p: Program) -> list[str]:
 # Equality up to label renaming
 # ---------------------------------------------------------------------------
 
-def _action_fp(c: Command) -> tuple:
-    return (str(c.action), c.succ == HALT)
-
-
-def _refine_colors(p: Program) -> dict[str, int]:
-    """Iterated successor-color refinement; stable partition of labels."""
-    labels = sorted(p.by_label)
-    color = {l: 0 for l in labels}
-
-    def signature(l: str) -> tuple:
-        sig = []
-        for c in p.at(l):
-            succ = ("halt",) if c.succ == HALT else ("lbl", color.get(c.succ, -1))
-            sig.append((_action_fp(c), succ))
-        return tuple(sorted(sig))
-
-    for _ in range(len(labels) + 1):
-        sigs = {l: (color[l], signature(l)) for l in labels}
-        canon = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
-        new = {l: canon[sigs[l]] for l in labels}
-        if new == color:
-            break
-        color = new
-    return color
-
-
-def _apply_renaming(p: Program, m: Mapping[str, str]) -> frozenset[Command]:
-    return frozenset(
-        Command(m[c.label], c.action, HALT if c.succ == HALT else m[c.succ])
-        for c in p.commands
-    )
-
-
 def rename_equal(p1: Program, p2: Program) -> Optional[dict[str, str]]:
-    """A label bijection making the command sets equal, or None.
+    """The label bijection that maps ``p1`` onto ``p2``, entry onto entry, or None.
 
-    Compares the command sets only; entry labels do not participate (extracted
-    stitches are reachable from fresh heads, not necessarily from the entry).
-    Color refinement narrows the candidates, assignments propagate through
-    successors (unique per action on deterministic labels), and a backtracking
-    search anchored at the verification of the full renaming settles the rest;
-    deterministic throughout.
+    One forced walk from the entry pair: actions never mention labels, and a
+    well-formed label holds one command or a branching command and its
+    complement, so the commands at a label pair are paired by action and their
+    successors pair up in turn.  The mapping is returned only if it covers
+    every label of both programs; a label the entry cannot reach, or two
+    commands with the same action at one label, makes the programs compare
+    unequal.
     """
-    if len(p1.commands) != len(p2.commands):
-        return None
-    l1, l2 = sorted(p1.by_label), sorted(p2.by_label)
-    if len(l1) != len(l2):
-        return None
-    c1, c2 = _refine_colors(p1), _refine_colors(p2)
-
-    def groups(p, colors):
-        g: dict[tuple, list[str]] = {}
-        for l in p.by_label:
-            key = (colors[l], tuple(sorted(_action_fp(c) for c in p.at(l))))
-            g.setdefault(key, []).append(l)
-        return g
-
-    g1, g2 = groups(p1, c1), groups(p2, c2)
-    if set(g1) != set(g2) or any(len(g1[k]) != len(g2[k]) for k in g1):
-        return None
-
-    cands = {l: sorted(g2[k]) for k in g1 for l in g1[k]}
-    order = sorted(l1, key=lambda l: (len(cands[l]), l))
-
     mapping: dict[str, str] = {}
-    taken: dict[str, str] = {}
-
-    def assign(l: str, t: str, trail: list[str]) -> bool:
-        """Map l to t and chase the forced successor assignments."""
-        queue = [(l, t)]
-        while queue:
-            a, b = queue.pop()
-            if a in mapping:
-                if mapping[a] != b:
-                    return False
-                continue
-            if b in taken or b not in cands.get(a, ()):
-                return False
-            mapping[a] = b
-            taken[b] = a
-            trail.append(a)
-            ours, theirs = p1.at(a), p2.at(b)
-            if len(ours) != len(theirs):
-                return False
-            by_fp: dict[tuple, list[Command]] = {}
-            for d in theirs:
-                by_fp.setdefault(_action_fp(d), []).append(d)
-            for c in ours:
-                ds = by_fp.get(_action_fp(c), [])
-                if not ds:
-                    return False
-                if len(ds) == 1 and c.succ != HALT:
-                    queue.append((c.succ, ds[0].succ))
-                # ambiguous fingerprints (nondeterministic labels) are left to
-                # the final verification
-        return True
-
-    def undo(trail: list[str]) -> None:
-        for a in trail:
-            taken.pop(mapping.pop(a))
-
-    def search(i: int) -> bool:
-        while i < len(order) and order[i] in mapping:
-            i += 1
-        if i == len(order):
-            return _apply_renaming(p1, mapping) == p2.commands
-        l = order[i]
-        for t in cands[l]:
-            if t in taken:
-                continue
-            trail: list[str] = []
-            if assign(l, t, trail) and search(i + 1):
-                return True
-            undo(trail)
-        return False
-
-    if not search(0):
+    taken: set[str] = set()
+    todo = [(p1.entry, p2.entry)]
+    while todo:
+        a, b = todo.pop()
+        if a in mapping:
+            if mapping[a] != b:
+                return None
+            continue
+        if b in taken:
+            return None
+        mapping[a] = b
+        taken.add(b)
+        ours = {c.action: c.succ for c in p1.at(a)}
+        theirs = {d.action: d.succ for d in p2.at(b)}
+        if (len(ours) != len(p1.at(a)) or len(theirs) != len(p2.at(b))
+                or ours.keys() != theirs.keys()):
+            return None
+        for action, succ in ours.items():
+            if (succ == HALT) != (theirs[action] == HALT):
+                return None
+            if succ != HALT:
+                todo.append((succ, theirs[action]))
+    if mapping.keys() != p1.by_label.keys() or taken != p2.by_label.keys():
         return None
-    return dict(mapping)
+    return mapping
 
 
 # ---------------------------------------------------------------------------

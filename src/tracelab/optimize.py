@@ -75,8 +75,6 @@ def free_vars(commands: Iterable[Command]) -> frozenset[str]:
     assigned: set[str] = set()
     for c in commands:
         a = c.action
-        if isinstance(a, Guard):
-            continue  # guard keys are metadata, not occurrences
         occurring |= action_vars(a)
         if isinstance(a, Assign):
             assigned.add(a.var)

@@ -55,6 +55,13 @@ def pipeline(p: Program, stores: Sequence[Store], domain: str, threshold: int, b
     result; ``xs`` (default: p's variables) are the outputs an out check sees."""
     if rounds < 1:
         raise PipelineError("rounds must be at least 1")
+    if "dse" in passes:
+        check = functools.partial(observe.out_equiv_check, xs=p.vars() if xs is None else xs)
+        # passes never add or remove a put, so an out check that would observe
+        # nothing is refused here, before any mining
+        check(p, p, (), budget)
+    else:
+        check = observe.sc_equiv_check
     current = p
     hotpaths = []
     for _ in range(rounds):
@@ -68,10 +75,6 @@ def pipeline(p: Program, stores: Sequence[Store], domain: str, threshold: int, b
     if wf:
         raise PipelineError("pipeline produced an ill-formed program: " + "; ".join(wf))
 
-    if "dse" in passes:
-        check = functools.partial(observe.out_equiv_check, xs=p.vars() if xs is None else xs)
-    else:
-        check = observe.sc_equiv_check
     report = check(p, current, stores, budget)
     minimized = {v: shrink(p, current, v.initial, budget, check)
                  for v in report.verdicts if not v.passed}

@@ -269,3 +269,17 @@ def test_pipeline_refuses_an_ill_formed_result(tmp_path, monkeypatch):
     rc, out, err = call(["pipeline", path, "--domain", "type", "--pass", "ts"])
     assert (rc, out) == (2, "")
     assert err.startswith("error: pipeline produced an ill-formed program: nondeterministic label")
+
+
+def test_out_check_of_an_optimized_program_observes_its_puts(tmp_path):
+    """A guard's store keys are not program variables, so the default out
+    set of a stitched program is the variables its commands name: here the
+    put {x, z}, not {x, y, z} with the guards' y."""
+    path, opt = tmp_path / "dse.tl", tmp_path / "opt.tl"
+    path.write_text(DSE_SRC)
+    initials = '{"x": -5, "y": 1}'
+    rc, out, err = call(["optimize", path, "--domain", "type", "--initials", initials])
+    assert (rc, err) == (0, "")
+    opt.write_text(out)
+    rc, out, err = call(["check", path, opt, "--observe", "out", "--initials", initials])
+    assert (rc, out, err) == (0, "ok 1 - rho=[x/-5, y/1] out-equal\n", "")

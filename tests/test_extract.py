@@ -218,6 +218,10 @@ def test_extract_gp_adds_relabeled_chain(loop_program):
     assert well_formed(q) == []
     rep = sc_equiv_check(p, q, [Store({"x": 0}), Store({"x": 18})], 1000)
     assert rep.passed
+    # the program is entered at the copy of the path head, so the check runs the chain
+    fresh = q.labels() - p.labels()
+    assert q.entry in fresh
+    assert fresh <= {s.command.label for s in run(q, Store({"x": 0}), 1000).states}
 
 
 def test_extract_gp_validates_path(loop_program):

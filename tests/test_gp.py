@@ -314,6 +314,8 @@ def test_gp_correctness_of_extraction(qw):
     from tracelab.observe import sc_equiv_check
     initials = [Store({"x": v}) for v in (0, 3, 20, 21, -1)]
     assert sc_equiv_check(p, q, initials, 2000).passed
+    fresh = q.labels() - p.labels()
+    assert fresh and fresh <= {s.command.label for s in run(q, Store({"x": 0}), 2000).states}
     # and the store changes of the two source programs from x = 0 agree
     r1 = gp_run(qw, Store({"x": 0}), 2000)
     r2 = gp_run(rec.stitched, Store({"x": 0}), 2000)
@@ -338,7 +340,7 @@ def test_generated_gp_runs_commute(seed):
     assert comp.compile_trace(r_gp.states) == r_c.states
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", range(30))
 def test_generated_while_extraction_correct(seed):
     from tracelab.gen import gen_statement
     stm = gen_statement(seed)[-1:]  # the loop without its prologue
@@ -351,5 +353,8 @@ def test_generated_while_extraction_correct(seed):
     assert well_formed(q) == []
     from tracelab.observe import sc_equiv_check
     assert sc_equiv_check(rec.compiled_program, q, [rho], 1500).passed
+    # the extraction starts in its chain, so the check above ran every copy
+    fresh = q.labels() - rec.compiled_program.labels()
+    assert fresh <= {s.command.label for s in run(q, rho, 1500).states}
     res = gp_equivalence_check(stm, rho, 3000)
     assert res.passed

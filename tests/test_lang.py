@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -232,6 +233,33 @@ def test_rename_equal_is_equivalence(loop_program, cf_program):
     mapping2 = {f"S{i}": f"T{i}" for i in range(len(mapping))}
     r = _relabel(q, mapping2)
     assert rename_equal(cf_program, r) is not None
+
+
+@pytest.mark.parametrize("domain, passes, rounds", [("type", ["ts"], 3), ("cp", ["cf"], 1)])
+@pytest.mark.parametrize("seed", range(4))
+def test_rename_equal_returns_the_relabeling_of_final_programs(seed, domain, passes, rounds):
+    """The walk from the entries finds exactly the shuffled bijection that
+    relabeled a final program, and no renaming once one edge moves.  The type
+    rounds stitch guarded chains; cp mines no path on these programs."""
+    from tracelab import gen, pipeline
+    stores = gen.gen_stores(seed, ("x", "y", "z", "w", "s", "i", "j"), 4)
+    rep = pipeline.pipeline(gen.gen_program(seed), stores, domain, 2, 2000, passes, rounds)
+    assert bool(rep.hotpaths) == (domain == "type")
+    p = rep.program
+    labels = sorted(p.labels())
+    names = [f"Q{i}" for i in range(len(labels))]
+    random.Random(seed).shuffle(names)
+    mapping = dict(zip(labels, names))
+    assert rename_equal(p, _relabel(p, mapping)) == mapping
+    c = next(c for c in p.sorted_commands if c.succ not in (HALT, p.entry))
+    moved = p.replace(remove=[c], add=[Command(c.label, c.action, p.entry)])
+    assert rename_equal(p, _relabel(moved, mapping)) is None
+
+
+def test_rename_equal_refuses_a_label_the_entry_cannot_reach(loop_program):
+    p = loop_program.replace(add=[Command("U", lang.Skip(), loop_program.entry)])
+    assert brute_force_bijection(p, p) is not None
+    assert rename_equal(p, p) is None
 
 
 def test_fresh_labels_disjoint(loop_program):

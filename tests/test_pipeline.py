@@ -74,3 +74,14 @@ def test_final_programs_print_parse_and_check(domain, passes, rounds):
             program = rep.program
         text = textio.print_program(program)
         assert textio.print_program(textio.parse_program(text)) == text, seed
+
+
+def test_an_out_check_that_observes_nothing_is_refused_before_mining(cf_program, monkeypatch):
+    """Passes never add or remove a put, so the input program alone decides
+    that a dse result's out check would observe nothing."""
+    def no_mining(*args):
+        raise AssertionError("mined before refusing the out check")
+
+    monkeypatch.setattr(pipeline, "mine", no_mining)
+    with pytest.raises(observe.ObserveError, match=r"neither program has put \{a, x\}"):
+        pipeline.pipeline(cf_program, [Store()], "onepoint", 2, 2000, ["dse"], 3)
