@@ -147,7 +147,7 @@ def cmd_check(args) -> int:
     p2 = _load_program(args.other)
     stores = _initial_stores(args)
     if args.observe == "out":
-        xs = frozenset(args.vars.split(",")) if args.vars else p1.vars() | p2.vars()
+        xs = frozenset(args.vars.split(",")) if args.vars else None
         report = observe.out_equiv_check(p1, p2, stores, args.budget, xs)
     else:
         report = observe.sc_equiv_check(p1, p2, stores, args.budget)

@@ -98,8 +98,7 @@ def compare(o1: StoreSeq, o2: StoreSeq, r1: Run, r2: Run) -> tuple[bool, Optiona
 
 
 def equiv_check(p1: Program, p2: Program, initials: Iterable[Store], budget: int,
-                observe: Callable[[Sequence], StoreSeq] = sc,
-                name: str = "sc") -> EquivReport:
+                observe: Callable[[Sequence], StoreSeq], name: str) -> EquivReport:
     """Bounded differential check of two deterministic programs.
 
     For each initial store both programs run to completion or budget; the
@@ -122,8 +121,9 @@ def sc_equiv_check(p1: Program, p2: Program, initials: Iterable[Store],
 
 
 def out_equiv_check(p1: Program, p2: Program, initials: Iterable[Store], budget: int,
-                    xs: Iterable[str]) -> EquivReport:
-    put = Put(frozenset(xs))
+                    xs: Optional[Iterable[str]] = None) -> EquivReport:
+    """Outputs of ``xs`` (default: the variables of both programs) agree."""
+    put = Put(p1.vars() | p2.vars() if xs is None else frozenset(xs))
     if not any(c.action == put for p in (p1, p2) for c in p.commands):
         raise ObserveError(f"out check observes nothing: neither program has {put}")
     return equiv_check(p1, p2, initials, budget, lambda tr: out(tr, put.vars), "out")

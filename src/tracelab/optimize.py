@@ -13,16 +13,18 @@ universal store, since an unrewritten copy does what its original command
 does.  A sliced guard contains every store that the full guard contains and
 changes none, so a store that enters the stitch runs rewrites that agree with
 the original commands on it, and store changes (sc) are kept.  Slicing runs
-after the passes, so dse sees the full guards; the passes do not change.  A
-rewrite of a command of a previously stitched path is undone: no guard pair
-of this stitch stands in front of it, and the one of its own stitch was
-sliced for that stitch's rewrites.
+on every call, after the passes, so dse sees the full guards; with no pass
+no copy is rewritten and every pair becomes the universal store.  A rewrite
+of a command of a previously stitched path is undone: no guard pair of this
+stitch stands in front of it, and the one of its own stitch was sliced for
+that stitch's rewrites.  Like the slicing, dse reads extraction's record by
+path index rather than searching the stitch for labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .domains import (AbstractStore, CPConst, INT, STRING, cp_domain, eval_type,
                       type_domain)
@@ -120,55 +122,42 @@ def _action_reads(cmd: Command) -> frozenset[str]:
     return action_vars(a)
 
 
-def _chain_successor(st: StitchResult, cmd: Command) -> Optional[Command]:
-    """The unique stitched command the chain continues with; None at an exit
-    edge or a branching label (conditional pairs stop the walk)."""
-    if cmd.succ not in st.stitch_labels():
-        return None
-    nexts = [c for c in st.stitched if c.label == cmd.succ]
-    live = [c for c in nexts if not (isinstance(c.action, Guard) and not c.action.positive)]
-    return live[0] if len(live) == 1 else None
-
-
 def dead_store_eliminate(st: StitchResult) -> frozenset[Command]:
     """Remove stitched assignments whose value is overwritten before any read,
-    output, or possible exit from the stitch.
+    output, or possible exit from the stitch; whatever jumped to a removed
+    copy jumps to its successor.
 
-    The safety walk is conservative and syntactic: a guard that can actually
-    fail, a conditional pair (either branch may leave), an output or read of
-    the variable, or an edge leaving the stitch all block elimination; only a
-    reassignment reached first makes the store dead.
+    The walk from copy i reads the record at the path positions after i, in
+    order and round the loop.  A guard pair that can fail or guards a copy
+    with an exit, a position inside a previously stitched path (no guard
+    pair, no body entry), a read of the variable and a branch stop it.  It
+    steps over a copy an earlier pass deleted and over a universal guard of
+    a nested path; only a reassignment reached first makes the store dead.
     """
-    candidates: list[Command] = []
-    for cmd in sorted(st.body.values(), key=lambda c: str(c)):
-        act = cmd.action
-        if not isinstance(act, Assign):
-            continue
-        z = act.var
-        cur = _chain_successor(st, cmd)
-        safe = False
-        visited: set[Command] = set()
-        while cur is not None and cur not in visited:
-            visited.add(cur)
-            a = cur.action
-            if isinstance(a, Guard):
-                if not a.store.domain.is_universal(a.store):
-                    break  # the negative twin is a live exit
-                cur = _chain_successor(st, cur)
-                continue
-            if z in _action_reads(cur):
-                break
-            if is_branching(a):
-                break
-            if isinstance(a, Assign) and a.var == z:
-                safe = True
-                break
-            if cur.succ not in st.stitch_labels():
-                break
-            cur = _chain_successor(st, cur)
-        if safe:
-            candidates.append(cmd)
+    n = len(st.hp.commands)
 
+    def universal(c: Command) -> bool:
+        return c.action.store.domain.is_universal(c.action.store)
+
+    def overwritten(i: int, z: str) -> bool:
+        for j in ((i + k) % n for k in range(1, n + 1)):
+            cmd = st.body.get(j)
+            if j in st.guards and (j in st.exits or not universal(st.guards[j][0])):
+                return False
+            if cmd is None:
+                if j not in st.guards:
+                    return False
+            elif isinstance(cmd.action, Guard):
+                if not universal(cmd):
+                    return False
+            elif z in _action_reads(cmd) or is_branching(cmd.action):
+                return False
+            elif isinstance(cmd.action, Assign) and cmd.action.var == z:
+                return True
+        return False
+
+    candidates = [cmd for i, cmd in sorted(st.body.items(), key=lambda e: str(e[1]))
+                  if isinstance(cmd.action, Assign) and overwritten(i, cmd.action.var)]
     out = set(st.stitched)
     for dead in candidates:
         out.discard(dead)
@@ -243,14 +232,14 @@ def _sliced_guards(st: StitchResult, cur: StitchResult) -> frozenset[Command]:
 def optimize_full(p: Program, hp: HotPath, passes: Sequence[Optimization],
                   original: Program) -> Program:
     """Extract once, run the passes in turn on the stitch (each sees the
-    previous pass's output), slice the guards when a pass ran, and splice
-    the result next to the remainder."""
+    previous pass's output), slice the guards, and splice the result next to
+    the remainder."""
     st = extract_nested(p, hp, original)
     cur = st
     for opt in passes:
         new = opt(cur)
         cur = replace(cur, stitched=new, body=_rebody(cur, new))
-    new = _sliced_guards(st, cur) if passes else cur.stitched
+    new = _sliced_guards(st, cur)
 
     old_labels = st.stitch_labels()
     new_labels = frozenset(c.label for c in new)

@@ -52,11 +52,11 @@ def pipeline(p: Program, stores: Sequence[Store], domain: str, threshold: int, b
              xs: Optional[frozenset[str]] = None) -> PipelineReport:
     """Up to ``rounds`` rounds of mining and ``optimize_full`` with the named
     passes, stopping early when no hot path is found, then the check of the
-    result; ``xs`` (default: p's variables) are the outputs an out check sees."""
+    result; ``xs`` are the outputs an out check sees (see ``out_equiv_check``)."""
     if rounds < 1:
         raise PipelineError("rounds must be at least 1")
     if "dse" in passes:
-        check = functools.partial(observe.out_equiv_check, xs=p.vars() if xs is None else xs)
+        check = functools.partial(observe.out_equiv_check, xs=xs)
         # passes never add or remove a put, so an out check that would observe
         # nothing is refused here, before any mining
         check(p, p, (), budget)

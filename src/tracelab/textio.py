@@ -14,8 +14,8 @@ Line-oriented, UTF-8::
 
 Comments start with ``;``.  ``.`` is the final successor.  ``#entry`` comes
 once, ``#array`` once per family.  Typed additions print as ``+Int`` /
-``+Str``.  Array guards may use ``name: Bool[]`` when the family size was
-declared with ``#array``.  Entries are separated by commas.
+``+Str``.  An array guard entry ``name: Bool[100]`` binds the family
+members ``name_0`` to ``name_99``.  Entries are separated by commas.
 A guard store leaves every variable it does not mention to its default,
 which is undef unless a last entry ``*: V`` names it: ``{i: Int, *: Top}``
 constrains ``i`` only.  ``bot`` and ``top`` are the empty and the universal
@@ -224,7 +224,7 @@ def _braced(c: _Cursor, entry) -> None:
     c.expect("}")
 
 
-def _parse_abstract_store(c: _Cursor, tag: str, arrays: dict[str, int]) -> AbstractStore:
+def _parse_abstract_store(c: _Cursor, tag: str) -> AbstractStore:
     dom = get_domain(tag)
     if c.peek() in ("bot", "top"):
         return dom.bottom() if c.next() == "bot" else dom.top()
@@ -253,22 +253,14 @@ def _parse_abstract_store(c: _Cursor, tag: str, arrays: dict[str, int]) -> Abstr
         name = _var_name(c)
         c.expect(":")
         val = value()
-        # optional family suffix: name: Bool[100] or name: Bool[]
-        if c.peek() == "[":
+        names = [name]
+        if c.peek() == "[":  # a family: name: Bool[100]
             c.next()
-            if c.peek() == "]":
-                size = arrays.get(name)
-                if size is None:
-                    c.fail(f"family {name}[] needs a #array declaration")
-            else:
-                size_tok = c.next()
-                if not size_tok.isdigit():
-                    c.fail(f"bad family size {size_tok!r}")
-                size = int(size_tok)
+            size = c.next()
+            if not size.isdigit():
+                c.fail(f"bad family size {size!r}")
             c.expect("]")
-            names = [f"{name}_{i}" for i in range(size)]
-        else:
-            names = [name]
+            names = [f"{name}_{i}" for i in range(int(size))]
         for x in names:
             if x in bindings:
                 c.fail(f"variable {x} bound twice")
@@ -282,7 +274,7 @@ def _parse_abstract_store(c: _Cursor, tag: str, arrays: dict[str, int]) -> Abstr
 # Actions and whole programs
 # ---------------------------------------------------------------------------
 
-def _parse_action(c: _Cursor, arrays: dict[str, int]) -> lang.Action:
+def _parse_action(c: _Cursor) -> lang.Action:
     t = c.peek()
     if t == "skip":
         c.next()
@@ -296,7 +288,7 @@ def _parse_action(c: _Cursor, arrays: dict[str, int]) -> lang.Action:
         positive = c.next() == "guard"
         if not positive:
             c.expect("guard")
-        return Guard(_parse_abstract_store(c, c.next(), arrays), positive)
+        return Guard(_parse_abstract_store(c, c.next()), positive)
     # assignment heads: x := E  or  a[i] := E
     if _is_name(t):
         mark = c.i
@@ -315,15 +307,14 @@ def _parse_action(c: _Cursor, arrays: dict[str, int]) -> lang.Action:
     return Cond(_parse_bexpr(c))
 
 
-def parse_command(text: str, line_no: Optional[int] = None,
-                  arrays: Optional[dict[str, int]] = None) -> Command:
+def parse_command(text: str, line_no: Optional[int] = None) -> Command:
     toks = tokenize(text, line_no)
     c = _Cursor(toks, [line_no] * len(toks))
     label = c.next()
     if not _NAME_RE.match(label):
         c.fail(f"bad label {label!r}")
     c.expect(":")
-    action = _parse_action(c, arrays or {})
+    action = _parse_action(c)
     c.expect("->")
     succ = c.next()
     if succ != HALT and not _NAME_RE.match(succ):
@@ -360,7 +351,7 @@ def parse_program(text: str) -> Program:
             continue
         if line.startswith("#"):
             raise ParseError(f"unknown directive: {line.split()[0]}", line_no)
-        cmd = parse_command(line, line_no, arrays)
+        cmd = parse_command(line, line_no)
         if cmd in seen:
             raise ParseError(f"duplicate command: {cmd}", line_no)
         seen.add(cmd)

@@ -318,7 +318,7 @@ def test_leq_is_partial_order(tag):
 
 def _parse_literal(tag, text):
     toks = tokenize(text)
-    return _parse_abstract_store(_Cursor(toks, [None] * len(toks)), tag, {})
+    return _parse_abstract_store(_Cursor(toks, [None] * len(toks)), tag)
 
 
 def test_store_literal_roundtrip():
@@ -326,7 +326,7 @@ def test_store_literal_roundtrip():
 
     def parse(tag, text):
         toks = tokenize(text)
-        return _parse_abstract_store(_Cursor(toks, [None] * len(toks)), tag, {})
+        return _parse_abstract_store(_Cursor(toks, [None] * len(toks)), tag)
 
     for tag, text in [
         ("type", "{k: Int, primes: Bool[100], s: String}"),

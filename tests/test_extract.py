@@ -246,3 +246,22 @@ def test_extraction_preserves_well_formedness(seed):
         # stitched copies of repeated commands carry distinct labels
         body_labels = [c.label for c in st.body.values()]
         assert len(body_labels) == len(set(body_labels))
+
+
+@pytest.mark.parametrize("seed, command", [
+    (75, "h4#2: ((j % 3) = 1) -> s11"), (210, "bar_s5#1: skip -> s6")])
+def test_a_path_leaving_a_stitched_command_twice_is_refused(seed, command):
+    """With full guards (plain extraction, no slicing) the third round's hot
+    path on these programs leaves one stitched command twice; retargeting it
+    a second time would make its label nondeterministic."""
+    from tracelab import gen, pipeline
+    p = gen.gen_program(seed)
+    stores = gen.gen_stores(seed, ("x", "y", "z", "w", "s", "i", "j"), 4)
+    current = p
+    for _ in range(2):
+        current = extract_nested(current, pipeline.mine(current, p, stores, 2000, 2, "type")[0][0],
+                                 p).transformed
+    hp = pipeline.mine(current, p, stores, 2000, 2, "type")[0][0]
+    with pytest.raises(ExtractError) as e:
+        extract_nested(current, hp, p)
+    assert str(e.value) == f"hot path leaves the stitched command {command} twice"

@@ -69,6 +69,15 @@ def test_an_array_family_is_declared_once():
     assert str(exc.value) == "line 3: #array a given twice"
 
 
+def test_a_guard_family_names_its_size():
+    """``#array`` declares a family for the program only; a guard literal
+    spells out the size of every family it binds."""
+    with pytest.raises(ParseError) as exc:
+        parse_program("#entry L0\n#array primes 2\nL0: guard type {primes: Bool[]} -> L1\n"
+                      "L1: skip -> .\n")
+    assert str(exc.value) == "line 3: bad family size ']'"
+
+
 @pytest.mark.parametrize("src, message", [
     ("x := 1;\ny := ;", "line 2: expected expression, got ';'"),
     ("x := 0;\nwhile (x <= 3) do {\n  x := x + 1;\n", "line 3: unexpected end of input"),

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
-from tracelab import pipeline
+from tracelab import gen, pipeline
 from tracelab.domains import CPConst, CP_TOP, cp_domain, type_domain
 from tracelab.extract import extract
 from tracelab.hotpath import HotPath, hot_n
@@ -12,7 +14,7 @@ from tracelab.optimize import (OptimizeError, const_fold, dead_store_eliminate,
                                free_vars, optimize_full,
                                type_specialize, _slice)
 from tracelab.semantics import Store, run
-from tracelab.textio import parse_program
+from tracelab.textio import parse_program, print_program
 from tracelab.values import BOOL, INT, TOP_T, TT
 from tests.conftest import command_at
 from tests.test_domains import _element_and_store
@@ -250,6 +252,42 @@ def test_dse_is_out_sound_but_not_sc_sound(dse_program):
     initials = [Store({"x": -4, "z": 7}), Store({"x": -9, "z": 0}), Store({"x": 1, "z": 2})]
     assert not sc_equiv_check(dse_program, p1, initials, 2000).passed
     assert out_equiv_check(dse_program, p1, initials, 2000, {"x", "z"}).passed
+
+
+DSE_GOLDEN = Path(__file__).parent / "golden" / "dse_gen.txt"
+
+
+def test_dse_on_generated_programs_matches_its_golden():
+    """Among gen seeds 0-999 (onepoint, 4 stores, 3 rounds of mining and
+    ``optimize_full`` with dse), dse removes a store on exactly these: in the
+    first round, and on 514 in the second.  On 27 a second dse removes one
+    more, stepping over the copy the first one deleted.  The final programs
+    are pinned as the walk that searched the stitch for labels computed them."""
+    golden = {}
+    for part in DSE_GOLDEN.read_text().split("; seed ")[1:]:
+        head, text = part.split("\n", 1)
+        seed, names = head.split()
+        golden[int(seed), names] = text
+    assert sorted(golden) == [(27, "dse"), (27, "dse,dse"), (113, "dse"), (142, "dse"),
+                              (190, "dse"), (224, "dse"), (514, "dse")]
+    for (seed, names), text in golden.items():
+        p = gen.gen_program(seed)
+        stores = gen.gen_stores(seed, ("x", "y", "z", "w", "s", "i", "j"), 4)
+        removed = []
+
+        def dse(st):
+            new = dead_store_eliminate(st)
+            removed.append(len(st.stitched) - len(new))
+            return new
+
+        current = p
+        for _ in range(3):
+            found = pipeline.mine(current, p, stores, 2000, 2, "onepoint")
+            if not found:
+                break
+            current = optimize_full(current, found[0][0], [dse] * len(names.split(",")), p)
+        assert any(removed), seed
+        assert print_program(current) == text, (seed, names)
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,14 @@ def _gen_pipeline(seed, domain, passes, rounds):
     return pipeline.pipeline(gen.gen_program(seed), stores, domain, 2, 2000, passes, rounds)
 
 
-@pytest.mark.parametrize("seed", [75, 210])
-def test_sliced_guards_let_nested_extraction_finish(seed):
+@pytest.mark.parametrize("seed, passes", [(75, ["ts"]), (210, ["ts"]), (75, []), (210, [])],
+                         ids=["75", "210", "75-no-pass", "210-no-pass"])
+def test_sliced_guards_let_nested_extraction_finish(seed, passes):
     """With full guards the third round's hot path on these programs leaves
-    a stitched command twice and extraction refuses it; with sliced guards
-    the rounds mine other paths, or none, and every verdict passes."""
-    rep = _gen_pipeline(seed, "type", ["ts"], 3)
+    a stitched command twice and extraction refuses it; with sliced guards,
+    with or without a pass, the rounds mine other paths, or none, and every
+    verdict passes."""
+    rep = _gen_pipeline(seed, "type", passes, 3)
     assert rep.hotpaths and len(rep.check.verdicts) == 4
     assert all(v.passed for v in rep.check.verdicts)
 
