@@ -20,6 +20,12 @@ only an out check (``check --observe out``, ``pipeline --pass dse``) reads
 
 Only the mining subcommands (hot, extract, optimize, pipeline) take
 ``--domain`` and ``--threshold``.
+
+The pipeline report's ``status`` says whether anything was stitched:
+``stitched`` when the first round found a hot path, ``no-hot-path`` when it
+found none and the input program was checked against itself.  A no-hot-path
+run still exits by its check (0 then), so a sweep over many programs counts
+it as a call that worked; a caller that needs a stitch reads ``status``.
 """
 
 from __future__ import annotations
@@ -173,6 +179,7 @@ def cmd_pipeline(args) -> int:
                                  "budget": budget, "divergence": least.divergence}
         verdicts.append(item)
     report_json = {
+        "status": "stitched" if rep.hotpaths else "no-hot-path",
         "hotpaths": [_hp_json(hp, c, args.threshold) for hp, c in rep.hotpaths],
         "verdicts": verdicts,
         "programs": {"before": textio.print_program(p), "after": textio.print_program(rep.program)},

@@ -19,6 +19,17 @@ of a command of a previously stitched path is undone: no guard pair of this
 stitch stands in front of it, and the one of its own stitch was sliced for
 that stitch's rewrites.  Like the slicing, dse reads extraction's record by
 path index rather than searching the stitch for labels.
+
+Last, the pairs whose sliced positive store is universal are bypassed: such
+a guard cannot fail, so both its commands go, and whatever jumped to the
+pair (the program entry included) jumps to the positive guard's successor,
+followed through further bypassed pairs.  Then only the labels reachable
+from the entry are kept, which drops the slow head copies once the entry
+pair is gone and the original commands only a dropped negative guard
+reached.  Every store takes the positive branch of a universal guard, so a
+run of the result is the run through the kept pairs minus the bypassed
+guard steps; with no pass nothing is left of the stitch but the original
+loop under fresh labels.
 """
 
 from __future__ import annotations
@@ -229,11 +240,46 @@ def _sliced_guards(st: StitchResult, cur: StitchResult) -> frozenset[Command]:
     return frozenset(map(cut, cur.stitched))
 
 
+def _bypassed(st: StitchResult, cmds: frozenset[Command]) -> Program:
+    """The program of ``cmds``, entered where ``st.transformed`` is, without
+    this stitch's guard pairs whose positive store is universal: whatever
+    jumped to such a pair jumps to its positive guard's successor, followed
+    through further bypassed pairs (dse may have rewired a guard to the next
+    pair), and only the labels reachable from the entry are kept.  A cycle of
+    bypassed pairs (dse deleted every copy of a branchless loop) keeps the
+    first pair on it in path order, so the loop still has a command to run."""
+    index = {yes.label: i for i, (yes, _) in st.guards.items()}
+    universal = [c for c in cmds if c.label in index and isinstance(c.action, Guard)
+                 and c.action.positive and c.action.store.domain.is_universal(c.action.store)]
+    skip = {c.label: c.succ for c in sorted(universal, key=lambda c: index[c.label])}
+
+    def target(label: str) -> str:
+        seen = set()
+        while label in skip and label not in seen:
+            seen.add(label)
+            label = skip[label]
+        return label
+
+    for label in list(skip):
+        skip.pop(target(label), None)  # present only when the chain closes a cycle
+    q = Program(frozenset(Command(c.label, c.action, target(c.succ))
+                          for c in cmds if c.label not in skip),
+                target(st.transformed.entry), st.transformed.arrays)
+    reached, todo = {q.entry}, [q.entry]
+    while todo:
+        for c in q.at(todo.pop()):
+            if c.succ not in reached:
+                reached.add(c.succ)
+                todo.append(c.succ)
+    return Program(frozenset(c for c in q.commands if c.label in reached), q.entry, q.arrays)
+
+
 def optimize_full(p: Program, hp: HotPath, passes: Sequence[Optimization],
                   original: Program) -> Program:
     """Extract once, run the passes in turn on the stitch (each sees the
-    previous pass's output), slice the guards, and splice the result next to
-    the remainder."""
+    previous pass's output), slice the guards, splice the result next to the
+    remainder, then bypass the guard pairs that cannot fail and keep what the
+    entry still reaches."""
     st = extract_nested(p, hp, original)
     cur = st
     for opt in passes:
@@ -250,11 +296,7 @@ def optimize_full(p: Program, hp: HotPath, passes: Sequence[Optimization],
     if not _exit_successors(new, new_labels) <= _exit_successors(st.stitched, old_labels):
         raise OptimizeError("optimization changed the stitch exits")
 
-    return Program(
-        (st.transformed.commands - st.stitched) | new,
-        st.transformed.entry,
-        st.transformed.arrays,
-    )
+    return _bypassed(st, (st.transformed.commands - st.stitched) | new)
 
 
 PASSES: dict[str, Optimization] = {

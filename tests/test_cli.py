@@ -83,6 +83,19 @@ def test_pipeline_with_two_passes_reports(tmp_path):
     assert "x := (x +Int 1)" in report["programs"]["after"]
 
 
+def test_a_pipeline_that_finds_no_hot_path_says_so(tmp_path):
+    """cp mines no hot path on the counting loop (its counter changes every
+    iteration): the report's status says nothing was stitched, and the
+    input program, checked against itself, still exits 0."""
+    path = tmp_path / "loop.tl"
+    path.write_text(LOOP_SRC)
+    rc, out, err = call(["pipeline", path, "--domain", "cp", "--pass", "cf"])
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert (report["status"], report["hotpaths"]) == ("no-hot-path", [])
+    assert report["programs"]["after"] == report["programs"]["before"]
+
+
 def test_shrink_uses_the_check_that_judged(tmp_path, monkeypatch):
     """A dse result is judged by outputs, so its failure is minimized by
     outputs too; store changes would shrink it differently."""
@@ -102,13 +115,13 @@ def test_shrink_uses_the_check_that_judged(tmp_path, monkeypatch):
     rc, out, err = call(["pipeline", path, "--pass", "dse", "--initials", '{"x": -5, "y": 1}'])
     assert (rc, err) == (1, "")
     (verdict,) = json.loads(out)["verdicts"]
-    minimized = {"initial": {"x": -5}, "budget": 62, "divergence": 0}
+    minimized = {"initial": {"x": -5}, "budget": 31, "divergence": 0}
     assert verdict["divergence"] == 0 and verdict["minimized"] == minimized
     report = json.loads(out)["programs"]
     before, after = (textio.parse_program(report[k]) for k in ("before", "after"))
     rho = Store({"x": -5, "y": 1})
     verdict, budget = pipeline.shrink(before, after, rho, 2000, observe.sc_equiv_check)
-    assert (verdict.initial, budget, verdict.divergence) == (Store({"x": -5}), 7, 1)
+    assert (verdict.initial, budget, verdict.divergence) == (Store({"x": -5}), 3, 1)
 
 
 @pytest.mark.parametrize("case", ["OSError", "JSONDecodeError", "ExtractError", "OptimizeError",

@@ -7,7 +7,7 @@ from tracelab import gen, pipeline
 from tracelab.domains import CPConst, CP_TOP, cp_domain, type_domain
 from tracelab.extract import extract
 from tracelab.hotpath import HotPath, hot_n
-from tracelab.lang import (Add, AddTyped, Assign, Command, Guard, Lit, Skip, Var,
+from tracelab.lang import (Add, AddTyped, Assign, Command, Guard, Lit, Program, Skip, Var,
                            rename_equal, well_formed)
 from tracelab.observe import out_equiv_check, sc_equiv_check
 from tracelab.optimize import (OptimizeError, const_fold, dead_store_eliminate,
@@ -259,17 +259,18 @@ DSE_GOLDEN = Path(__file__).parent / "golden" / "dse_gen.txt"
 
 def test_dse_on_generated_programs_matches_its_golden():
     """Among gen seeds 0-999 (onepoint, 4 stores, 3 rounds of mining and
-    ``optimize_full`` with dse), dse removes a store on exactly these: in the
-    first round, and on 514 in the second.  On 27 a second dse removes one
-    more, stepping over the copy the first one deleted.  The final programs
-    are pinned as the walk that searched the stitch for labels computed them."""
+    ``optimize_full`` with dse), dse removes a store on these, each in the
+    first round.  On 27 a second dse removes one more, stepping over the copy
+    the first one deleted.  The final programs are pinned with every
+    universal guard pair bypassed and the code only the pairs reached
+    dropped."""
     golden = {}
     for part in DSE_GOLDEN.read_text().split("; seed ")[1:]:
         head, text = part.split("\n", 1)
         seed, names = head.split()
         golden[int(seed), names] = text
     assert sorted(golden) == [(27, "dse"), (27, "dse,dse"), (113, "dse"), (142, "dse"),
-                              (190, "dse"), (224, "dse"), (514, "dse")]
+                              (190, "dse"), (224, "dse")]
     for (seed, names), text in golden.items():
         p = gen.gen_program(seed)
         stores = gen.gen_stores(seed, ("x", "y", "z", "w", "s", "i", "j"), 4)
@@ -290,15 +291,70 @@ def test_dse_on_generated_programs_matches_its_golden():
         assert print_program(current) == text, (seed, names)
 
 
+def test_the_bypass_follows_a_chain_of_pairs():
+    """On gen seed 27 the first dse deletes copy 3 and the second copy 2, so
+    the positive guard of pair 2 jumps to pair 3 and that of pair 3 to pair
+    4.  Every pair is universal (onepoint): the bypass follows the chain, and
+    the test at copy 1 jumps straight to copy 4."""
+    p = gen.gen_program(27)
+    stores = gen.gen_stores(27, ("x", "y", "z", "w", "s", "i", "j"), 4)
+    hp = pipeline.mine(p, p, stores, 2000, 2, "onepoint")[0][0]
+    passed = []
+
+    def dse(st):
+        passed.append(dead_store_eliminate(st))
+        return passed[-1]
+
+    p1 = optimize_full(p, hp, [dse, dse], p)
+    st = extract(p, hp)
+    label = {i: yes.label for i, (yes, _) in st.guards.items()}
+    succ = {c.label: c.succ for c in passed[-1] if isinstance(c.action, Guard) and c.action.positive}
+    assert (succ[label[2]], succ[label[3]]) == (label[3], label[4])
+    assert Command(st.body[1].label, st.body[1].action, st.body[4].label) in p1.commands
+    assert well_formed(p1) == [] and not any(isinstance(c.action, Guard) for c in p1.commands)
+
+
+def test_a_cycle_of_bypassed_pairs_keeps_its_first_pair():
+    """dse deletes both stores of a branchless loop, so each positive guard
+    jumps to the next pair and the chain closes on itself.  The head's pair,
+    first in path order, is kept and jumps to itself; the run loops on it to
+    the end of its budget, as the original does."""
+    p = parse_program("""
+#entry L0
+L0: x := 1 -> L1
+L1: x := 2 -> L0
+""")
+    hp = hot_n(run(p, Store(), 50).states, 2, "onepoint", p)[0][0]
+    p1 = optimize_full(p, hp, [dead_store_eliminate], p)
+    assert well_formed(p1) == [] and p1.entry == "L0"
+    assert {str(c) for c in p1.at("L0")} == {"L0: guard onepoint {} -> L0",
+                                             "L0: !guard onepoint {} -> bar_L0#1"}
+    assert run(p1, Store(), 20).truncated
+
+
 # ---------------------------------------------------------------------------
 # optimize_full composition
 # ---------------------------------------------------------------------------
 
 def test_identity_optimization_equals_extraction(loop_program):
+    """With no pass every onepoint pair is universal: the result is the
+    extraction with each pair bypassed (whatever jumped to it jumps to its
+    positive guard's successor) and without what only the pairs reached, the
+    slow head copies and the original L2 and L3.  That is the original loop
+    under the stitch's labels."""
     r = run(loop_program, Store(), 500)
     hp = hot_n(r.states, 2, "onepoint", loop_program)[0][0]
-    assert optimize_full(loop_program, hp, [], loop_program) == \
-        extract(loop_program, hp).transformed
+    st = extract(loop_program, hp)
+    skip = {yes.label: yes.succ for yes, _ in st.guards.values()}
+    dropped = set(skip) | {c.label for c in st.slow} | {"L2", "L3"}
+    expected = Program(frozenset(Command(c.label, c.action, skip.get(c.succ, c.succ))
+                                 for c in st.transformed.commands if c.label not in dropped),
+                       st.transformed.entry)
+    p1 = optimize_full(loop_program, hp, [], loop_program)
+    assert p1 == expected
+    assert rename_equal(loop_program, p1) == {"L0": "L0", "L1": st.body[0].label,
+                                              "L2": st.body[1].label, "L3": st.body[2].label,
+                                              "L4": "L4", "L5": "L5"}
 
 
 def test_boundary_violations_are_rejected(loop_program):
@@ -321,7 +377,9 @@ def test_boundary_violations_are_rejected(loop_program):
 def test_sieve_full_specialization_correct(sieve_program, sieve_store):
     st = _sieve_stitch(sieve_program, sieve_store)
     p1 = optimize_full(sieve_program, st.hp, [type_specialize], sieve_program)
-    expected_h5 = Command(st.body[2].label, Assign("k", AddTyped(Var("k"), Var("i"), "Int")), "L4")
+    # the entry pair is universal and bypassed: the copy loops straight to the head copy
+    expected_h5 = Command(st.body[2].label, Assign("k", AddTyped(Var("k"), Var("i"), "Int")),
+                          st.body[0].label)
     assert expected_h5 in p1.commands
     rep = sc_equiv_check(sieve_program, p1, [sieve_store], 8000)
     assert rep.passed
@@ -337,14 +395,12 @@ def _guards(p):
 
 def test_only_the_rewritten_copy_keeps_a_guard(sieve_program, sieve_store):
     """On the sieve only k := k + i is specialized: its guard keeps the types
-    of k and i over a Top default, and every other guard is universal."""
+    of k and i over a Top default, and every other pair is universal, so it
+    is bypassed and only the kept pair is left."""
     st = _sieve_stitch(sieve_program, sieve_store)
     p1 = optimize_full(sieve_program, st.hp, [type_specialize], sieve_program)
-    guards = _guards(p1)
-    kept = st.guards[2][0].label
-    assert str(guards.pop(kept)) == "{i: Int, k: Int, *: Top}"
-    assert set(guards) == {st.guards[i][0].label for i in st.guards} - {kept}
-    assert all(a == type_domain.top() for a in guards.values())
+    assert {label: str(a) for label, a in _guards(p1).items()} == \
+        {st.guards[2][0].label: "{i: Int, k: Int, *: Top}"}
 
 
 @given(_element_and_store(), st.sets(st.sampled_from(("x", "y", "z", "primes", "w"))))

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from tracelab import gen, observe, optimize, pipeline, textio
-from tracelab.semantics import Store
+from tracelab import gen, lang, observe, optimize, pipeline, textio
+from tracelab.lang import Guard
+from tracelab.semantics import Store, run
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 
@@ -87,3 +88,40 @@ def test_an_out_check_that_observes_nothing_is_refused_before_mining(cf_program,
     monkeypatch.setattr(pipeline, "mine", no_mining)
     with pytest.raises(observe.ObserveError, match=r"neither program has put \{a, x\}"):
         pipeline.pipeline(cf_program, [Store()], "onepoint", 2, 2000, ["dse"], 3)
+
+
+def _reachable(p):
+    """The labels a run of p can reach from its entry."""
+    seen, todo = {p.entry}, [p.entry]
+    while todo:
+        for c in p.at(todo.pop()):
+            if c.succ != lang.HALT and c.succ not in seen:
+                seen.add(c.succ)
+                todo.append(c.succ)
+    return seen
+
+
+def test_final_programs_keep_no_guard_that_cannot_fail():
+    """Under type/ts every final program is well-formed and passes sc, no
+    positive guard left in it tests the universal store, and every label is
+    reachable from the entry."""
+    for seed in range(60):
+        rep = _gen_pipeline(seed, "type", ["ts"], 3)
+        assert lang.well_formed(rep.program) == [], seed
+        assert rep.check.passed and rep.check.observation == "sc", seed
+        assert not [c for c in rep.program.commands
+                    if isinstance(c.action, Guard) and c.action.positive
+                    and c.action.store.domain.is_universal(c.action.store)], seed
+        assert _reachable(rep.program) == rep.program.labels(), seed
+
+
+@pytest.mark.parametrize("domain", ["type", "onepoint"])
+def test_without_a_pass_the_final_program_runs_as_long_as_the_original(domain):
+    """With no pass every guard pair is universal and bypassed, so what is
+    left is the original program under other labels: from every store it
+    runs exactly as many states."""
+    for seed in range(60):
+        p, stores = gen.gen_program(seed), gen.gen_stores(seed, SAMPLE_VARS, 4)
+        rep = pipeline.pipeline(p, stores, domain, 2, 2000, [], 3)
+        assert [len(run(rep.program, rho, 2000)) for rho in stores] == \
+            [len(run(p, rho, 2000)) for rho in stores], seed
