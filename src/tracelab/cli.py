@@ -14,9 +14,10 @@ errors of the library itself (``ExtractError``, ``OptimizeError``,
 ``ObserveError``, ``GPError``), such as a pass that does not fit the domain, a
 nondeterministic program, an out check with no ``put`` to observe, or a
 while-language loop stuck before its hot path is recorded.  So is input a
-command would ignore: trace, gp-trace and gp-check take one initial store, and
+command would ignore: trace, gp-trace and gp-check take one initial store,
 only an out check (``check --observe out``, ``pipeline --pass dse``) reads
-``--vars``.
+``--vars``; a negative ``--sample`` or an empty ``--initials`` list is refused
+rather than run as the empty store.
 
 Only the mining subcommands (hot, extract, optimize, pipeline) take
 ``--domain`` and ``--threshold``.
@@ -58,6 +59,8 @@ def _load_program(path: str) -> Program:
 
 
 def _initial_stores(args) -> list[Store]:
+    if args.sample < 0:
+        raise CliError(f"--sample takes a count of stores, got {args.sample}")
     stores: list[Store] = []
     if args.initials:
         text = args.initials
@@ -66,6 +69,8 @@ def _initial_stores(args) -> list[Store]:
         data = json.loads(text)
         if isinstance(data, dict):
             data = [data]
+        if data == []:
+            raise CliError("--initials holds no store")
         stores.extend(textio.store_from_json(obj) for obj in data)
     if args.sample:
         pool_vars = ("x", "y", "z", "w", "s", "i", "j")
@@ -193,7 +198,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    p = genmod.gen_program(args.seed, args.min_cmds, args.max_cmds)
+    p = genmod.gen_program(args.seed)
     sys.stdout.write(textio.print_program(p))
     return 0
 
@@ -305,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen", help="generate a seeded random program")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--min-cmds", type=int, default=4)
-    sp.add_argument("--max-cmds", type=int, default=40)
     sp.set_defaults(fn=cmd_gen)
 
     sp = sub.add_parser("render", help="emit a DOT flow graph")

@@ -42,7 +42,8 @@ class StitchResult:
 
     ``stitched`` is the union of the guards, the body and the exits; the slow
     copies are original code under a fresh label and not part of it.
-    Optimization passes replace ``stitched`` and ``body`` only.
+    Optimization passes replace ``stitched`` and ``body`` only, by rewriting
+    the action of a copy or deleting a copy.
     """
 
     transformed: Program
@@ -58,9 +59,6 @@ class StitchResult:
         """Label of the entry guard pair; None when the path head is itself
         part of a previously stitched path (no entry clause then)."""
         return self.guards[0][0].label if 0 in self.guards else None
-
-    def stitch_labels(self) -> frozenset[str]:
-        return frozenset(c.label for c in self.stitched)
 
 
 def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> StitchResult:

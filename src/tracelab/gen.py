@@ -55,22 +55,22 @@ def _loop(rng: random.Random, depth: int) -> Stm:
     return (GAssign(counter, Lit(0)), loop)
 
 
-def gen_statement(seed: int, min_cmds: int = 4, max_cmds: int = 40) -> Stm:
-    """Deterministic loop-bearing statement; sizes are best-effort bounds on
-    the compiled command count."""
+def gen_statement(seed: int) -> Stm:
+    """Deterministic loop-bearing statement: the first of 64 draws that
+    compiles to 4 to 40 commands, else the last."""
     rng = random.Random(seed)
     for _ in range(64):
         stm = _loop(rng, 0)
         if rng.random() < 0.4:
             stm = (GAssign(rng.choice(_INT_VARS), Lit(rng.choice(_INT_POOL))),) + stm
         size = len(GPCompiler().compile(stm).commands)
-        if min_cmds <= size <= max_cmds:
+        if 4 <= size <= 40:
             return stm
     return stm
 
 
-def gen_program(seed: int, min_cmds: int = 4, max_cmds: int = 40):
-    return GPCompiler().compile(gen_statement(seed, min_cmds, max_cmds))
+def gen_program(seed: int):
+    return GPCompiler().compile(gen_statement(seed))
 
 
 def gen_stores(seed: int, variables, count: int) -> list[Store]:

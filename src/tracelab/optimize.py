@@ -1,35 +1,28 @@
-"""Optimizations confined to stitched hot paths, and their composition scheme.
+"""Optimizations confined to stitched hot paths, and their composition.
 
-Each optimization maps the stitch's command set to a new command set; the full
-transform splices that back next to the untouched remainder.  Boundary
-preservation (entry label kept, exit successors kept) is verified structurally
-rather than trusted.
+A pass maps the stitch (``StitchResult``) to a new set of stitched commands
+and may only rewrite the action of a copy or delete a copy.  ``optimize_full``
+checks that rather than trusting it: every label and successor of a pass's
+output must be one of the stitch, and the entry pair must be kept.  Each pass
+sees the previous one's output.  Passes read extraction's record by path
+index rather than searching the stitch for labels.
 
-After the passes, the guards are sliced: a guard only has to be a sufficient
-condition for its copy's rewrite.  Where a pass rewrote copy i, guard pair i
-keeps the bindings of the variables the original command reads, over the
-universal default; every other pair, the entry pair included, becomes the
-universal store, since an unrewritten copy does what its original command
-does.  A sliced guard contains every store that the full guard contains and
-changes none, so a store that enters the stitch runs rewrites that agree with
-the original commands on it, and store changes (sc) are kept.  Slicing runs
-on every call, after the passes, so dse sees the full guards; with no pass
-no copy is rewritten and every pair becomes the universal store.  A rewrite
-of a command of a previously stitched path is undone: no guard pair of this
-stitch stands in front of it, and the one of its own stitch was sliced for
-that stitch's rewrites.  Like the slicing, dse reads extraction's record by
-path index rather than searching the stitch for labels.
-
-Last, the pairs whose sliced positive store is universal are bypassed: such
-a guard cannot fail, so both its commands go, and whatever jumped to the
-pair (the program entry included) jumps to the positive guard's successor,
-followed through further bypassed pairs.  Then only the labels reachable
-from the entry are kept, which drops the slow head copies once the entry
-pair is gone and the original commands only a dropped negative guard
-reached.  Every store takes the positive branch of a universal guard, so a
-run of the result is the run through the kept pairs minus the bypassed
-guard steps; with no pass nothing is left of the stitch but the original
-loop under fresh labels.
+One residual step then builds the program.  As the paper's residual program
+guards an optimized path with sufficient conditions, guard pair i is kept
+only when a pass rewrote copy i and its slice is not universal: the binding
+of each variable the original command reads, over the universal default.  An
+unrewritten copy does what its original command does, so its pair goes.  A
+sliced guard contains every store that the full guard contains and changes
+none, so store changes (sc) are kept.  A jump to a dropped pair (the program
+entry included) goes to its positive guard's successor, and a jump to a
+deleted copy to the copy's successor, followed through further drops.  If
+that route is a cycle (dse deleted every copy of a branchless loop), its
+first pair in path order is kept with the universal store.  Then only labels
+the entry reaches are kept, which drops the slow head copies and the
+original commands only a dropped negative guard reached; with no pass the
+stitch is the original loop under fresh labels.  A command of a previously
+stitched path has no guard pair here, so a pass's rewrite or deletion of it
+is undone.
 """
 
 from __future__ import annotations
@@ -134,9 +127,8 @@ def _action_reads(cmd: Command) -> frozenset[str]:
 
 
 def dead_store_eliminate(st: StitchResult) -> frozenset[Command]:
-    """Remove stitched assignments whose value is overwritten before any read,
-    output, or possible exit from the stitch; whatever jumped to a removed
-    copy jumps to its successor.
+    """Delete the stitched assignments whose value is overwritten before any
+    read, output, or possible exit from the stitch.
 
     The walk from copy i reads the record at the path positions after i, in
     order and round the loop.  A guard pair that can fail or guards a copy
@@ -167,40 +159,21 @@ def dead_store_eliminate(st: StitchResult) -> frozenset[Command]:
                 return True
         return False
 
-    candidates = [cmd for i, cmd in sorted(st.body.items(), key=lambda e: str(e[1]))
-                  if isinstance(cmd.action, Assign) and overwritten(i, cmd.action.var)]
-    out = set(st.stitched)
-    for dead in candidates:
-        out.discard(dead)
-        rewired = {c for c in out if c.succ == dead.label}
-        for c in rewired:
-            out.discard(c)
-            out.add(Command(c.label, c.action, dead.succ))
-    return frozenset(out)
+    return st.stitched - {cmd for i, cmd in st.body.items()
+                          if isinstance(cmd.action, Assign) and overwritten(i, cmd.action.var)}
 
 
 # ---------------------------------------------------------------------------
 # Full composition
 # ---------------------------------------------------------------------------
 
-def _exit_successors(cmds: Iterable[Command], stitch_labels: frozenset[str]) -> frozenset[str]:
-    return frozenset(c.succ for c in cmds if c.succ not in stitch_labels)
-
-
 def _rebody(st: StitchResult, new: frozenset[Command]) -> dict[int, Command]:
-    """The action copies after a pass: at each copy's label, the command with
-    the copy's action, else the only command left there (passes rewrite the
-    action or the successor of a copy, never both, and may delete it)."""
-    at: dict[str, list[Command]] = {}
-    for c in new:
-        at.setdefault(c.label, []).append(c)
-    body = {}
-    for i, c in st.body.items():
-        cands = at.get(c.label, [])
-        same = [d for d in cands if d.action == c.action]
-        if same or len(cands) == 1:
-            body[i] = (same or cands)[0]
-    return body
+    """The copies after a pass: copy i is the command of ``new`` at its label
+    and successor, which a pass keeps, and is absent if the pass deleted it.
+    The exits are left out: a branching copy shares its label with its exit."""
+    exits = frozenset(st.exits.values())
+    at = {(c.label, c.succ): c for c in new - exits}
+    return {i: at[c.label, c.succ] for i, c in st.body.items() if (c.label, c.succ) in at}
 
 
 def _slice(a: AbstractStore, reads: frozenset[str]) -> AbstractStore:
@@ -211,59 +184,44 @@ def _slice(a: AbstractStore, reads: frozenset[str]) -> AbstractStore:
     return a.domain.make(keep, a.domain.top().default)
 
 
-def _sliced_guards(st: StitchResult, cur: StitchResult) -> frozenset[Command]:
-    """``cur.stitched`` with each guard pair cut down to what its copy's
-    rewrite relies on: the variables the original command reads when the
-    copy was rewritten, nothing otherwise.  A pair is found by its label,
-    since dse may have rewired the positive guard's successor.  A rewritten
-    command of a previously stitched path (no guard pair here) gets its
-    action back."""
-    universal = st.hp.domain.top()
-    sliced = {yes.label: universal for yes, _ in st.guards.values()}
-    undo = {}
-    for i, copy in cur.body.items():
-        if copy.action == st.body[i].action:
+def _residual(st: StitchResult, cur: StitchResult) -> Program:
+    """The program of ``st.transformed`` with the passes' stitch ``cur`` in
+    place, its guard pairs kept or dropped as the module docstring says."""
+    route: dict[str, str] = {}  # where a jump to a dropped label goes, in path order
+    stores: dict[str, AbstractStore] = {}
+    stitched = set(cur.stitched)
+    for i, c in st.body.items():
+        copy = cur.body.get(i)
+        if i not in st.guards:  # a command of a previously stitched path
+            stitched.discard(copy)
+            stitched.add(c)
             continue
-        if i in st.guards:
-            yes = st.guards[i][0]
-            sliced[yes.label] = _slice(yes.action.store, _action_reads(st.body[i]))
-        else:
-            undo[copy] = Command(copy.label, st.body[i].action, copy.succ)
-
-    def cut(c: Command) -> Command:
-        if c in undo:
-            return undo[c]
-        if c.label in sliced and isinstance(c.action, Guard):
-            return Command(c.label, Guard(sliced[c.label], c.action.positive), c.succ)
-        return c
-
-    return frozenset(map(cut, cur.stitched))
-
-
-def _bypassed(st: StitchResult, cmds: frozenset[Command]) -> Program:
-    """The program of ``cmds``, entered where ``st.transformed`` is, without
-    this stitch's guard pairs whose positive store is universal: whatever
-    jumped to such a pair jumps to its positive guard's successor, followed
-    through further bypassed pairs (dse may have rewired a guard to the next
-    pair), and only the labels reachable from the entry are kept.  A cycle of
-    bypassed pairs (dse deleted every copy of a branchless loop) keeps the
-    first pair on it in path order, so the loop still has a command to run."""
-    index = {yes.label: i for i, (yes, _) in st.guards.items()}
-    universal = [c for c in cmds if c.label in index and isinstance(c.action, Guard)
-                 and c.action.positive and c.action.store.domain.is_universal(c.action.store)]
-    skip = {c.label: c.succ for c in sorted(universal, key=lambda c: index[c.label])}
+        yes = st.guards[i][0]
+        a = stores[yes.label] = (st.hp.domain.top() if copy is None or copy.action == c.action
+                                 else _slice(yes.action.store, _action_reads(c)))
+        if a.domain.is_universal(a):
+            route[yes.label] = yes.succ
+        if copy is None:
+            route[c.label] = c.succ
 
     def target(label: str) -> str:
         seen = set()
-        while label in skip and label not in seen:
+        while label in route and label not in seen:
             seen.add(label)
-            label = skip[label]
+            label = route[label]
         return label
 
-    for label in list(skip):
-        skip.pop(target(label), None)  # present only when the chain closes a cycle
-    q = Program(frozenset(Command(c.label, c.action, target(c.succ))
-                          for c in cmds if c.label not in skip),
+    for label in list(route):
+        route.pop(target(label), None)  # present only when the route closes a cycle
+
+    def residual(c: Command) -> Command:
+        act = c.action
+        if c.label in stores and isinstance(act, Guard):
+            act = Guard(stores[c.label], act.positive)
+        return Command(c.label, act, target(c.succ))
+
+    q = Program(frozenset(residual(c) for c in (st.transformed.commands - st.stitched) | stitched
+                          if c.label not in route),
                 target(st.transformed.entry), st.transformed.arrays)
     reached, todo = {q.entry}, [q.entry]
     while todo:
@@ -277,26 +235,19 @@ def _bypassed(st: StitchResult, cmds: frozenset[Command]) -> Program:
 def optimize_full(p: Program, hp: HotPath, passes: Sequence[Optimization],
                   original: Program) -> Program:
     """Extract once, run the passes in turn on the stitch (each sees the
-    previous pass's output), slice the guards, splice the result next to the
-    remainder, then bypass the guard pairs that cannot fail and keep what the
-    entry still reaches."""
+    previous pass's output), check that they kept to the contract, and build
+    the residual program."""
     st = extract_nested(p, hp, original)
+    edges = {(c.label, c.succ) for c in st.stitched}
     cur = st
     for opt in passes:
         new = opt(cur)
+        if not all((c.label, c.succ) in edges for c in new):
+            raise OptimizeError("optimization moved a successor or added a command in the stitch")
         cur = replace(cur, stitched=new, body=_rebody(cur, new))
-    new = _sliced_guards(st, cur)
-
-    old_labels = st.stitch_labels()
-    new_labels = frozenset(c.label for c in new)
-    if not new_labels <= old_labels | ({st.entry_label} - {None}):
-        raise OptimizeError("optimization invented labels outside the stitch")
-    if st.entry_label is not None and st.entry_label not in new_labels:
+    if st.entry_label is not None and all(c.label != st.entry_label for c in cur.stitched):
         raise OptimizeError("optimization dropped the stitch entry")
-    if not _exit_successors(new, new_labels) <= _exit_successors(st.stitched, old_labels):
-        raise OptimizeError("optimization changed the stitch exits")
-
-    return _bypassed(st, (st.transformed.commands - st.stitched) | new)
+    return _residual(st, cur)
 
 
 PASSES: dict[str, Optimization] = {

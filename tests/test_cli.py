@@ -128,7 +128,8 @@ def test_shrink_uses_the_check_that_judged(tmp_path, monkeypatch):
                                   "SemanticsError", "DomainError", "HotPathError", "ObserveError",
                                   "GPError",
                                   "bad --domain", "--hotpath -9", "--hotpath -1",
-                                  "--initials [1]", "--initials [[1]]", "--rounds 0"])
+                                  "--initials [1]", "--initials [[1]]", "--initials []",
+                                  "--sample -1", "--rounds 0"])
 def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
     from tracelab.extract import ExtractError
     loop = tmp_path / "loop.tl"
@@ -158,6 +159,8 @@ def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
         "--hotpath -1": ["optimize", loop, "--hotpath", "-1"],
         "--initials [1]": ["run", loop, "--initials", "[1]"],
         "--initials [[1]]": ["run", loop, "--initials", "[[1]]"],
+        "--initials []": ["run", loop, "--initials", "[]"],
+        "--sample -1": ["run", loop, "--sample", "-1"],
         "--rounds 0": ["pipeline", loop, "--rounds", "0"],
     }[case]
     rc, out, err = call(argv)
@@ -225,7 +228,7 @@ def test_option_surface():
         "optimize": mining | {"--pass", "--hotpath", "--original"},
         "check": stores | {"--observe", "--vars"},
         "pipeline": mining | {"--pass", "--rounds", "--vars", "--json"},
-        "gen": {"--seed", "--min-cmds", "--max-cmds"},
+        "gen": {"--seed"},
         "render": {"--dot"},
         "gp-compile": set(),
         "gp-trace": stores,

@@ -215,12 +215,16 @@ def test_rename_equal_detects_redirected_edge(loop_program):
     assert brute_force_bijection(loop_program, q) is None
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_rename_equal_agrees_with_brute_force(seed):
+# the first six gen seeds whose programs have at most 8 labels, as many as the
+# exhaustive oracle can permute
+SMALL_SEEDS = (0, 1, 2, 3, 4, 6)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_rename_equal_agrees_with_brute_force(k):
     from tracelab.gen import gen_program
-    p = gen_program(seed, 4, 8)
-    if len(p.labels()) > 8:
-        pytest.skip("too many labels for the exhaustive oracle")
+    p = gen_program(SMALL_SEEDS[k])
+    assert len(p.labels()) <= 8
     mapping = {l: f"R{i}" for i, l in enumerate(sorted(p.labels()))}
     q = _relabel(p, mapping)
     assert rename_equal(p, q) is not None

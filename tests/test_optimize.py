@@ -12,7 +12,7 @@ from tracelab.lang import (Add, AddTyped, Assign, Command, Guard, Lit, Program, 
 from tracelab.observe import out_equiv_check, sc_equiv_check
 from tracelab.optimize import (OptimizeError, const_fold, dead_store_eliminate,
                                free_vars, optimize_full,
-                               type_specialize, _slice)
+                               type_specialize, _rebody, _slice)
 from tracelab.semantics import Store, run
 from tracelab.textio import parse_program, print_program
 from tracelab.values import BOOL, INT, TOP_T, TT
@@ -196,17 +196,12 @@ def _dse_stitch(dse_program):
 
 
 def test_dse_removes_the_dead_store(dse_program):
+    """dse deletes the copy of z := 0 and changes nothing else: every command
+    it keeps is a command of the stitch, successor included."""
     st = _dse_stitch(dse_program)
     new = dead_store_eliminate(st)
-    removed = st.stitched - new
-    gone_actions = {str(c.action) for c in removed if not str(c.action).startswith("guard")}
-    assert "z := 0" in gone_actions
-    kept = {str(c.action) for c in new}
-    assert "z := 1" in kept
-    # predecessor rewired past the dead assignment
-    dead = next(c for c in removed if str(c.action) == "z := 0")
-    rewired = [c for c in new if c.succ == dead.succ and c.label != dead.label]
-    assert rewired
+    assert new < st.stitched and st.stitched - new == {st.body[1]}
+    assert str(st.body[1].action) == "z := 0"
 
 
 def test_dse_blocked_by_read():
@@ -292,25 +287,17 @@ def test_dse_on_generated_programs_matches_its_golden():
 
 
 def test_the_bypass_follows_a_chain_of_pairs():
-    """On gen seed 27 the first dse deletes copy 3 and the second copy 2, so
-    the positive guard of pair 2 jumps to pair 3 and that of pair 3 to pair
-    4.  Every pair is universal (onepoint): the bypass follows the chain, and
-    the test at copy 1 jumps straight to copy 4."""
+    """On gen seed 27 the first dse deletes copy 3 and the second copy 2.
+    Every pair is universal (onepoint) and dropped, so the route from copy 1
+    runs through pair 2, copy 2, pair 3, copy 3 and pair 4, and the test at
+    copy 1 jumps straight to copy 4."""
     p = gen.gen_program(27)
     stores = gen.gen_stores(27, ("x", "y", "z", "w", "s", "i", "j"), 4)
     hp = pipeline.mine(p, p, stores, 2000, 2, "onepoint")[0][0]
-    passed = []
-
-    def dse(st):
-        passed.append(dead_store_eliminate(st))
-        return passed[-1]
-
-    p1 = optimize_full(p, hp, [dse, dse], p)
+    p1 = optimize_full(p, hp, [dead_store_eliminate, dead_store_eliminate], p)
     st = extract(p, hp)
-    label = {i: yes.label for i, (yes, _) in st.guards.items()}
-    succ = {c.label: c.succ for c in passed[-1] if isinstance(c.action, Guard) and c.action.positive}
-    assert (succ[label[2]], succ[label[3]]) == (label[3], label[4])
     assert Command(st.body[1].label, st.body[1].action, st.body[4].label) in p1.commands
+    assert not p1.labels() & {st.body[2].label, st.body[3].label}
     assert well_formed(p1) == [] and not any(isinstance(c.action, Guard) for c in p1.commands)
 
 
@@ -368,10 +355,38 @@ def test_boundary_violations_are_rejected(loop_program):
         c = next(iter(st.body.values()))
         return (st.stitched - {c}) | {Command(c.label, c.action, "ELSEWHERE")}
 
-    with pytest.raises(OptimizeError):
-        optimize_full(loop_program, hp, [drops_entry], loop_program)
-    with pytest.raises(OptimizeError):
-        optimize_full(loop_program, hp, [invents_exit], loop_program)
+    def rewires_inside(st):  # the first copy jumps past its successor's guard pair
+        c = st.body[0]
+        return (st.stitched - {c}) | {Command(c.label, c.action, st.body[1].label)}
+
+    def adds_a_label(st):
+        return st.stitched | {Command("FRESH", Skip(), st.body[0].label)}
+
+    for bad in (drops_entry, invents_exit, rewires_inside, adds_a_label):
+        with pytest.raises(OptimizeError):
+            optimize_full(loop_program, hp, [bad], loop_program)
+
+
+def test_a_copy_is_told_from_an_exit_with_its_label_and_successor():
+    """Both branches of L2 jump to the head, so the last copy and its exit
+    share a label and a successor.  A pass's copies are still found by them,
+    and the unrewritten branch is not taken for a rewrite that needs a guard:
+    only the specialized addition keeps one."""
+    p = parse_program("""
+#entry L0
+L0: (x <= 10) -> L1
+L0: !(x <= 10) -> L3
+L1: x := x + 1 -> L2
+L2: (y <= 0) -> L0
+L2: !(y <= 0) -> L0
+L3: skip -> .
+""")
+    hp = pipeline.mine(p, p, [Store({"x": 0, "y": 1})], 500, 2, "type")[0][0]
+    st = extract(p, hp)
+    assert (st.exits[2].label, st.exits[2].succ) == (st.body[2].label, st.body[2].succ)
+    assert _rebody(st, st.stitched) == st.body
+    p1 = optimize_full(p, hp, [type_specialize], p)
+    assert {str(a) for a in _guards(p1).values()} == {"{x: Int, *: Top}"}
 
 
 def test_sieve_full_specialization_correct(sieve_program, sieve_store):
