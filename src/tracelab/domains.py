@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
+from . import lang
 from .values import (BOOL, BOT_T, Bool, INT, STRING, TOP_T, UNDEF, UNDEF_T,
                      UValue, type_of, value_str)
 
@@ -90,6 +91,24 @@ class StoreAbstraction(ABC):
         """gamma(a) is all of UValue."""
         return False
 
+    def value_meet(self, a, b):
+        """Greatest lower bound of two slots: every lattice here is flat, so
+        two incomparable slots have disjoint concretizations."""
+        if self.value_leq(a, b):
+            return a
+        return b if self.value_leq(b, a) else self.bot_slot
+
+    def value_join(self, a, b):
+        """Least upper bound of two slots in a flat lattice."""
+        if self.value_leq(a, b):
+            return b
+        return a if self.value_leq(b, a) else self.top().default
+
+    def stored_slot(self, expr, a: AbstractStore):
+        """A slot over every value ``expr`` takes in a store of gamma(a):
+        top, unless a domain evaluates expressions (the type domain)."""
+        return self.top().default
+
     # -- store level ----------------------------------------------------------
     @cached_property
     def undef_slot(self):
@@ -121,12 +140,37 @@ class StoreAbstraction(ABC):
         return _canon(self, bindings, self.undef_slot)
 
     def leq(self, a1: AbstractStore, a2: AbstractStore) -> bool:
-        """a1 below a2 per slot and default (test oracle: the alpha tests in
-        ``test_domains``, guard-slice soundness in ``test_optimize``)."""
+        """a1 below a2 per slot and default."""
         for x in a1.keys() | a2.keys():
             if not self.value_leq(a1.get(x), a2.get(x)):
                 return False
         return self.value_leq(a1.default, a2.default)
+
+    def meet(self, a1: AbstractStore, a2: AbstractStore) -> AbstractStore:
+        """a1 and a2 met per slot and default: gamma(a1 meet a2) is
+        gamma(a1) & gamma(a2)."""
+        meet = self.value_meet
+        return _canon(self, {x: meet(a1.get(x), a2.get(x)) for x in a1.keys() | a2.keys()},
+                      meet(a1.default, a2.default))
+
+    def post(self, action, a: AbstractStore) -> AbstractStore:
+        """Abstract transfer of one action: every store of gamma(a) that the
+        action does not stick lands in gamma(post(action, a)).  An assignment
+        binds its variable to the stored slot (``stored_slot``) and is bottom
+        when that slot holds undef at most, since an undef assignment sticks.
+        An array store joins the stored slot into the known members of its
+        family; a member left to the default is unbound, whose write sticks,
+        or the default is top, as a finite store is undef almost everywhere.
+        Every other action is the identity."""
+        if not isinstance(action, (lang.Assign, lang.ArrayAssign)):
+            return a
+        v = self.stored_slot(action.expr, a)
+        if not self.value_universal(v) and self.value_leq(v, self.undef_slot):
+            return self.bottom()
+        if isinstance(action, lang.Assign):
+            return _canon(self, {**dict(a.items), action.var: v}, a.default)
+        return _canon(self, {x: self.value_join(s, v) if x.rsplit("_", 1)[0] == action.array else s
+                             for x, s in a.items}, a.default)
 
     def contains(self, a: AbstractStore, store) -> bool:
         """Decides store in gamma(a).  A non-universal default constrains every
@@ -298,6 +342,9 @@ class TypeDomain(StoreAbstraction):
     def value_str(self, a):
         return a
 
+    def stored_slot(self, expr, a):
+        return eval_type(expr, a)
+
     def parse_value(self, text):
         alias = {"Str": STRING}
         t = alias.get(text, text)
@@ -428,8 +475,6 @@ def _abstract_typed_add(t1: str, t2: str, want: str) -> str:
 
 def eval_type(e, tstore: AbstractStore) -> str:
     """Abstract type of an expression under a type-domain store."""
-    from . import lang
-
     if tstore.domain is not type_domain:
         raise DomainError("eval_type needs a type-domain store")
     if isinstance(e, lang.Lit):

@@ -8,21 +8,30 @@ sees the previous one's output.  Passes read extraction's record by path
 index rather than searching the stitch for labels.
 
 One residual step then builds the program.  As the paper's residual program
-guards an optimized path with sufficient conditions, guard pair i is kept
-only when a pass rewrote copy i and its slice is not universal: the binding
-of each variable the original command reads, over the universal default.  An
-unrewritten copy does what its original command does, so its pair goes.  A
-sliced guard contains every store that the full guard contains and changes
-none, so store changes (sc) are kept.  A jump to a dropped pair (the program
-entry included) goes to its positive guard's successor, and a jump to a
-deleted copy to the copy's successor, followed through further drops.  If
-that route is a cycle (dse deleted every copy of a branchless loop), its
-first pair in path order is kept with the universal store.  Then only labels
-the entry reaches are kept, which drops the slow head copies and the
-original commands only a dropped negative guard reached; with no pass the
-stitch is the original loop under fresh labels.  A command of a previously
-stitched path has no guard pair here, so a pass's rewrite or deletion of it
-is undone.
+guards an optimized path with sufficient conditions, it walks each stitch
+once in path order with an abstract store, from top: a kept guard pair meets
+the walk state with its slice, a copy a pass deleted leaves it as it is, any
+other copy applies the domain's transfer function (``post``) to the pass's
+action, and a command of a previously stitched path, which has no guard pair
+here, resets it to top.  Guard pair i is kept only when a pass rewrote copy i,
+its slice is not universal, and the walk state at the pair is not already
+below the slice.  The slice is the binding of each variable the original
+command reads, over the universal default; an unrewritten copy does what its
+original command does, so its pair goes.  The walk is sound because a
+stitch's interior is entered only along its own chain (a pair's label is the
+successor of the command before it on the path and of nothing else), and its
+head pair, which the entry and the back edge both reach, is walked from top.
+A sliced guard contains every store that the full guard contains and changes
+none, and a dropped pair fails on no store that reaches it, so store changes
+(sc) are kept.  A jump to a dropped pair (the program entry included) goes
+to its positive guard's successor, and a jump to a deleted copy to the
+copy's successor, followed through further drops.  If that route is a cycle
+(dse deleted every copy of a branchless loop), its first pair in path order
+is kept with the universal store.  Then only labels the entry reaches are
+kept, which drops the slow head copies and the original commands only a
+dropped negative guard reached; with no pass the stitch is the original loop
+under fresh labels.  A pass's rewrite or deletion of a command of a
+previously stitched path is undone.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from .domains import (AbstractStore, CPConst, INT, STRING, cp_domain, eval_type,
                       type_domain)
 from .extract import StitchResult, extract_nested
 from .hotpath import HotPath
-from .lang import (Add, AddTyped, Assign, Command, Cond, Guard, Program, Put,
+from .lang import (Add, AddTyped, Assign, Command, Cond, Guard, Lit, Program, Put,
                    action_vars, bexpr_vars, expr_vars, is_branching, subst_expr)
 from .values import UNDEF
 
@@ -128,7 +137,10 @@ def _action_reads(cmd: Command) -> frozenset[str]:
 
 def dead_store_eliminate(st: StitchResult) -> frozenset[Command]:
     """Delete the stitched assignments whose value is overwritten before any
-    read, output, or possible exit from the stitch.
+    read, output, or possible exit from the stitch.  A store is dead only if
+    it cannot stick: an assignment of undef sticks the run, and deleting it
+    would let the optimized run go on where the original stopped, so only a
+    literal right-hand side is deleted.
 
     The walk from copy i reads the record at the path positions after i, in
     order and round the loop.  A guard pair that can fail or guards a copy
@@ -160,7 +172,8 @@ def dead_store_eliminate(st: StitchResult) -> frozenset[Command]:
         return False
 
     return st.stitched - {cmd for i, cmd in st.body.items()
-                          if isinstance(cmd.action, Assign) and overwritten(i, cmd.action.var)}
+                          if isinstance(cmd.action, Assign) and isinstance(cmd.action.expr, Lit)
+                          and overwritten(i, cmd.action.var)}
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +200,30 @@ def _slice(a: AbstractStore, reads: frozenset[str]) -> AbstractStore:
 def _residual(st: StitchResult, cur: StitchResult) -> Program:
     """The program of ``st.transformed`` with the passes' stitch ``cur`` in
     place, its guard pairs kept or dropped as the module docstring says."""
+    dom = st.hp.domain
     route: dict[str, str] = {}  # where a jump to a dropped label goes, in path order
     stores: dict[str, AbstractStore] = {}
     stitched = set(cur.stitched)
-    for i, c in st.body.items():
-        copy = cur.body.get(i)
+    state = dom.top()  # the walk: what every store reaching position i is known to be in
+    for i in range(len(st.hp.commands)):
+        c, copy = st.body.get(i), cur.body.get(i)
         if i not in st.guards:  # a command of a previously stitched path
-            stitched.discard(copy)
-            stitched.add(c)
+            if c is not None:
+                stitched.discard(copy)
+                stitched.add(c)
+            state = dom.top()
             continue
         yes = st.guards[i][0]
-        a = stores[yes.label] = (st.hp.domain.top() if copy is None or copy.action == c.action
+        a = stores[yes.label] = (dom.top() if copy is None or copy.action == c.action
                                  else _slice(yes.action.store, _action_reads(c)))
-        if a.domain.is_universal(a):
+        if dom.leq(state, a):  # implied, or universal: a universal slice is above any state
             route[yes.label] = yes.succ
+        else:
+            state = dom.meet(state, a)
         if copy is None:
             route[c.label] = c.succ
+        else:
+            state = dom.post(copy.action, state)
 
     def target(label: str) -> str:
         seen = set()

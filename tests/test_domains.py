@@ -2,15 +2,15 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from tracelab import domains
 from tracelab.domains import (CPConst, CP_BOT, CP_TOP, abstract_add_type,
                               cp_domain, eval_type, get_domain,
                               onepoint_domain, type_alpha, type_domain,
                               type_leq)
-from tracelab.lang import Add, Lit, Var
-from tracelab.semantics import Store, collecting_eval, eval_expr
+from tracelab.lang import Add, AddTyped, ArrayAssign, Assign, Index, Lit, Mod, Var
+from tracelab.semantics import Store, apply_action, collecting_eval, eval_expr
 from tracelab.textio import _Cursor, _parse_abstract_store, tokenize
 from tracelab.values import (BOOL, BOT_T, Bool, INT, STRING, TOP_T, TT, UNDEF,
                              UNDEF_T, type_of)
@@ -179,14 +179,18 @@ def _contains_by_scan(dom, a, store):
     return True
 
 
-@st.composite
-def _element_and_store(draw):
-    tag = draw(st.sampled_from(sorted(_SLOTS)))
-    dom = get_domain(tag)
-    slots = st.sampled_from(_SLOTS[tag])
+def _element(draw, dom):
+    """An element of ``dom`` over ``_VARS`` with an undef, bottom or top default."""
     default = draw(st.sampled_from(["undef", "bot", "top"]))
     default = {"undef": dom.undef_slot, "bot": dom.bot_slot, "top": dom.top().default}[default]
-    a = dom.make(draw(st.dictionaries(st.sampled_from(_VARS), slots, max_size=4)), default)
+    slots = st.sampled_from(_SLOTS.get(dom.tag, (default,)))
+    return dom.make(draw(st.dictionaries(st.sampled_from(_VARS), slots, max_size=4)), default)
+
+
+@st.composite
+def _element_and_store(draw):
+    dom = get_domain(draw(st.sampled_from(sorted(_SLOTS))))
+    a = _element(draw, dom)
     # the store may bind keys the element leaves out and miss keys it binds;
     # it is often drawn from gamma of the bindings so that both answers show up
     bindings = draw(st.dictionaries(st.sampled_from(_VARS), st.sampled_from(_STORE_VALUES),
@@ -203,6 +207,77 @@ def _element_and_store(draw):
 def test_contains_agrees_with_the_scan_definition(case):
     dom, a, store = case
     assert dom.contains(a, store) == _contains_by_scan(dom, a, store)
+
+
+# ---------------------------------------------------------------------------
+# meet and the abstract transfer function, in every domain
+# ---------------------------------------------------------------------------
+
+_ALL_DOMAINS = st.sampled_from(["onepoint", "type", "cp"]).map(get_domain)
+
+
+def _member(draw, dom, a):
+    """A store of gamma(a) that binds only ``_VARS``, or None when gamma(a)
+    has no such store."""
+    if not dom.value_has(a.default, UNDEF):
+        return None
+    bindings = {}
+    for x in _VARS:
+        fits = [v for v in _STORE_VALUES + (UNDEF,) if dom.value_has(a.get(x), v)]
+        if not fits:
+            return None
+        v = draw(st.sampled_from(fits))
+        if v is not UNDEF:
+            bindings[x] = v
+    return Store(bindings)
+
+
+_EXPRS = st.recursive(
+    st.sampled_from([Lit(-1), Lit(0), Lit(1), Lit("a"), Lit(TT)])
+    | st.sampled_from(_VARS).map(Var),
+    lambda e: (st.builds(Add, e, e) | st.builds(AddTyped, e, e, st.sampled_from(["Int", "Str"]))
+               | st.builds(Mod, e, e) | st.builds(Index, st.just("primes"), e)),
+    max_leaves=4)
+_ACTIONS = (st.builds(Assign, st.sampled_from(_VARS), _EXPRS)
+            | st.builds(ArrayAssign, st.just("primes"),
+                        st.sampled_from([Lit(0), Lit(1), Var("x")]), _EXPRS))
+
+
+@given(st.data(), _ALL_DOMAINS, _ACTIONS)
+def test_post_is_sound(data, dom, action):
+    """Every store of gamma(a) that the action does not stick lands in
+    gamma(post(action, a))."""
+    a = _element(data.draw, dom)
+    rho = _member(data.draw, dom, a)
+    assume(rho is not None)
+    assert dom.contains(a, rho)
+    after = apply_action(action, rho)
+    assert after is None or dom.contains(dom.post(action, a), after)
+
+
+@given(st.data(), _ALL_DOMAINS, st.sampled_from(["first", "second", "any"]))
+def test_meet_is_the_intersection(data, dom, source):
+    """gamma(a meet b) is gamma(a) & gamma(b), on stores drawn from either
+    concretization or at random."""
+    a, b = _element(data.draw, dom), _element(data.draw, dom)
+    if source == "any":
+        rho = Store(data.draw(st.dictionaries(st.sampled_from(_VARS), st.sampled_from(_STORE_VALUES))))
+    else:
+        rho = _member(data.draw, dom, a if source == "first" else b)
+    assume(rho is not None)
+    assert dom.contains(dom.meet(a, b), rho) == (dom.contains(a, rho) and dom.contains(b, rho))
+
+
+def test_the_type_domain_refines_post_by_the_stored_type():
+    """An assignment whose value is undef sticks, so nothing gets past it;
+    an array store joins its value's type into the family's known members.
+    The cp domain only forgets the assigned variable."""
+    a = type_domain.make({"x": INT, "s": STRING, "primes_0": BOOL}, type_domain.top().default)
+    assert type_domain.post(Assign("y", Add(Var("x"), Var("s"))), a) == type_domain.bottom()
+    assert type_domain.post(Assign("y", Add(Var("x"), Var("x"))), a).get("y") == INT
+    stored = type_domain.post(ArrayAssign("primes", Var("x"), Var("x")), a)
+    assert (stored.get("primes_0"), stored.get("x")) == (TOP_T, INT)
+    assert cp_domain.post(Assign("y", Lit(3)), cp_domain.make({"y": CPConst(3)})).get("y") is CP_TOP
 
 
 # ---------------------------------------------------------------------------

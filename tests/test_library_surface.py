@@ -11,8 +11,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tracelab"
 
 # qualified name -> the tests that use it as an oracle
 ORACLES = {
-    "domains.StoreAbstraction.leq": "alpha monotonicity, adjunction and order in test_domains; "
-                                    "guard-slice soundness in test_optimize",
     "semantics.collecting_eval": "abstract_add_type soundness in test_domains",
     "observe.st": "while-language runs against their compiled runs in test_gp",
     "extract.extract": "the paper's plain transform; extract, optimize and witness tests",
