@@ -14,7 +14,7 @@ from .lang import Command, Program, find_cmpl, rename_equal, well_formed
 from .semantics import (Run, State, Store, collecting_eval, eval_bexpr,
                         eval_expr, apply_action, run, step)
 from .domains import (AbstractStore, abstract_add_type, cp_domain, eval_type,
-                      get_domain, onepoint_domain, type_alpha, type_domain)
+                      get_domain, onepoint_domain, type_domain)
 from .observe import out, out_equiv_check, sc, sc_equiv_check, st
 from .hotpath import HotPath, count, hot_n, hotcut, sloop, topo_order
 from .extract import StitchResult, extract, extract_gp, extract_nested

@@ -1,7 +1,12 @@
 """Pluggable store abstractions: one-point, types, constant propagation.
 
 Each domain abstracts sets of concrete stores nonrelationally, by pointwise
-lifting of a value abstraction.  Elements are kept sparse: a binding equal to
+lifting of a flat value lattice.  A domain supplies only the facts of its
+lattice: ``of(v)``, the slot of one value; ``bot_slot`` and ``top_slot``; and
+the text hooks ``value_str`` and ``parse_value`` (the type domain also types
+stored expressions, ``stored_slot``).  The lattice operations (order, join,
+meet, membership, alpha) and everything built on them are shared, in
+``StoreAbstraction``.  Elements are kept sparse: a binding equal to
 the element's default is dropped, and the default of any alpha image is the
 abstraction of {undef}, matching the display convention of omitting v/undef
 bindings.  Concretizations are never materialized; consumers use the decidable
@@ -62,22 +67,18 @@ def _canon(domain: StoreAbstraction, bindings: dict[str, object], default: objec
 
 
 class StoreAbstraction(ABC):
-    """Behavioral interface of a store abstraction (Galois-style, sparse elements)."""
+    """Behavioral interface of a store abstraction (Galois-style, sparse
+    elements) over a flat value lattice: ``bot_slot`` below the slots of
+    single values (``of``), each below ``top_slot`` and incomparable to the
+    others."""
 
     tag: str
-
-    # -- value-level hooks ---------------------------------------------------
-    @abstractmethod
-    def value_alpha(self, values: Iterable[UValue]):
-        ...
+    bot_slot: object
+    top_slot: object
 
     @abstractmethod
-    def value_leq(self, a, b) -> bool:
-        ...
-
-    @abstractmethod
-    def value_has(self, a, v: UValue) -> bool:
-        """Decides v in gamma(a)."""
+    def of(self, v: UValue):
+        """The slot of one value: an atom, or top in a one-point lattice."""
 
     @abstractmethod
     def value_str(self, a) -> str:
@@ -87,36 +88,48 @@ class StoreAbstraction(ABC):
     def parse_value(self, text: str):
         ...
 
-    def value_universal(self, a) -> bool:
-        """gamma(a) is all of UValue."""
-        return False
+    # -- the flat value lattice -----------------------------------------------
+    def value_leq(self, a, b) -> bool:
+        return a == self.bot_slot or b == self.top_slot or a == b
+
+    def value_join(self, a, b):
+        """Least upper bound: two incomparable slots join to top."""
+        if self.value_leq(a, b):
+            return b
+        return a if self.value_leq(b, a) else self.top_slot
 
     def value_meet(self, a, b):
-        """Greatest lower bound of two slots: every lattice here is flat, so
-        two incomparable slots have disjoint concretizations."""
+        """Greatest lower bound: two incomparable slots have disjoint
+        concretizations."""
         if self.value_leq(a, b):
             return a
         return b if self.value_leq(b, a) else self.bot_slot
 
-    def value_join(self, a, b):
-        """Least upper bound of two slots in a flat lattice."""
-        if self.value_leq(a, b):
-            return b
-        return a if self.value_leq(b, a) else self.top().default
+    def value_has(self, a, v: UValue) -> bool:
+        """Decides v in gamma(a), that is of(v) <= a, where of(v) is an atom
+        unless it is top."""
+        return a == self.top_slot or (a != self.bot_slot and self.of(v) == a)
+
+    def value_universal(self, a) -> bool:
+        """gamma(a) is all of UValue."""
+        return a == self.top_slot
+
+    def value_alpha(self, values: Iterable[UValue]):
+        """The least slot covering finitely many values."""
+        slot = self.bot_slot
+        for v in values:
+            slot = self.value_join(slot, self.of(v))
+        return slot
 
     def stored_slot(self, expr, a: AbstractStore):
         """A slot over every value ``expr`` takes in a store of gamma(a):
         top, unless a domain evaluates expressions (the type domain)."""
-        return self.top().default
+        return self.top_slot
 
     # -- store level ----------------------------------------------------------
     @cached_property
     def undef_slot(self):
-        return self.value_alpha([UNDEF])
-
-    @cached_property
-    def bot_slot(self):
-        return self.value_alpha([])
+        return self.of(UNDEF)
 
     def make(self, bindings: dict[str, object], default: object = None) -> AbstractStore:
         if default is None:
@@ -124,20 +137,24 @@ class StoreAbstraction(ABC):
         return _canon(self, dict(bindings), default)
 
     def top(self) -> AbstractStore:
-        return AbstractStore(self, (), self.value_alpha([1, "a", UNDEF]))
+        return AbstractStore(self, (), self.top_slot)
 
     def bottom(self) -> AbstractStore:
         return AbstractStore(self, (), self.bot_slot)
 
     def alpha(self, stores: Iterable) -> AbstractStore:
+        """The least element over finitely many stores, slot by slot.  One
+        store, the case of every traced state, binds each of its variables to
+        the slot of its value, with no join."""
         stores = list(stores)
+        if len(stores) == 1:
+            of = self.of
+            return _canon(self, {x: of(v) for x, v in stores[0].items()}, self.undef_slot)
         if not stores:
             return self.bottom()
-        keys = set()
-        for s in stores:
-            keys |= set(s.keys())
-        bindings = {x: self.value_alpha([s.get(x) for s in stores]) for x in keys}
-        return _canon(self, bindings, self.undef_slot)
+        keys = set().union(*(s.keys() for s in stores))
+        return _canon(self, {x: self.value_alpha([s.get(x) for s in stores]) for x in keys},
+                      self.undef_slot)
 
     def leq(self, a1: AbstractStore, a2: AbstractStore) -> bool:
         """a1 below a2 per slot and default."""
@@ -264,19 +281,10 @@ class OnePointDomain(StoreAbstraction):
     """Store# = {top}: every store set abstracts to the same element."""
 
     tag = "onepoint"
-    _TOP = "the-one-point"
+    bot_slot = top_slot = "the-one-point"
 
-    def value_alpha(self, values):
-        return self._TOP
-
-    def value_leq(self, a, b):
-        return True
-
-    def value_has(self, a, v):
-        return True
-
-    def value_universal(self, a):
-        return True
+    def of(self, v):
+        return self.top_slot
 
     def value_str(self, a):
         raise DomainError("one-point elements print as {}")
@@ -284,60 +292,20 @@ class OnePointDomain(StoreAbstraction):
     def parse_value(self, text):
         raise DomainError("one-point store literals are {}")
 
-    def alpha(self, stores):
-        return self.top()  # skips the per-variable join: this runs once per traced state
-
 
 # ---------------------------------------------------------------------------
 # Type domain
 # ---------------------------------------------------------------------------
 
 TYPE_NAMES = (BOT_T, INT, STRING, BOOL, UNDEF_T, TOP_T)
-_MIDDLE = {INT, STRING, BOOL, UNDEF_T}
-
-
-def type_leq(t1: str, t2: str) -> bool:
-    return t1 == BOT_T or t2 == TOP_T or t1 == t2
-
-
-def type_join(t1: str, t2: str) -> str:
-    if t1 == BOT_T:
-        return t2
-    if t2 == BOT_T:
-        return t1
-    if t1 == t2:
-        return t1
-    return TOP_T
-
-
-def type_alpha(values: Iterable[UValue]) -> str:
-    """Smallest type covering a finite set of possibly undefined values."""
-    t = BOT_T
-    for v in values:
-        t = type_join(t, type_of(v))
-    return t
 
 
 class TypeDomain(StoreAbstraction):
     """Pointwise lifting of the five-point type lattice (plus Bool for arrays)."""
 
     tag = "type"
-
-    def value_alpha(self, values):
-        return type_alpha(values)
-
-    def value_leq(self, a, b):
-        return type_leq(a, b)
-
-    def value_has(self, a, v):
-        if a == BOT_T:
-            return False
-        if a == TOP_T:
-            return True
-        return type_of(v) == a
-
-    def value_universal(self, a):
-        return a == TOP_T
+    bot_slot, top_slot = BOT_T, TOP_T
+    of = staticmethod(type_of)
 
     def value_str(self, a):
         return a
@@ -385,28 +353,8 @@ class CPDomain(StoreAbstraction):
     """Flat constant lattice per variable: bot <= each value <= top."""
 
     tag = "cp"
-
-    def value_alpha(self, values):
-        found = None
-        for v in values:
-            if found is None:
-                found = CPConst(v)
-            elif found != CPConst(v):
-                return CP_TOP
-        return CP_BOT if found is None else found
-
-    def value_leq(self, a, b):
-        return a is CP_BOT or b is CP_TOP or a == b
-
-    def value_has(self, a, v):
-        if a is CP_BOT:
-            return False
-        if a is CP_TOP:
-            return True
-        return a == CPConst(v)
-
-    def value_universal(self, a):
-        return a is CP_TOP
+    bot_slot, top_slot = CP_BOT, CP_TOP
+    of = CPConst
 
     def value_str(self, a):
         return repr(a)
@@ -486,8 +434,9 @@ def eval_type(e, tstore: AbstractStore) -> str:
     if isinstance(e, lang.AddTyped):
         want = INT if e.tag == "Int" else STRING
         return _abstract_typed_add(eval_type(e.left, tstore), eval_type(e.right, tstore), want)
-    if isinstance(e, lang.Mod):
-        return _abstract_typed_add(eval_type(e.left, tstore), eval_type(e.right, tstore), INT)
+    if isinstance(e, lang.Mod):  # x % 0 is undef, so Int % Int is Int or undef
+        t = _abstract_typed_add(eval_type(e.left, tstore), eval_type(e.right, tstore), INT)
+        return TOP_T if t == INT else t
     if isinstance(e, lang.Index):
         return TOP_T  # index resolution is concrete; no relational precision here
     raise DomainError(f"not an expression: {e!r}")

@@ -2,18 +2,19 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from tracelab import domains
 from tracelab.domains import (CPConst, CP_BOT, CP_TOP, abstract_add_type,
                               cp_domain, eval_type, get_domain,
-                              onepoint_domain, type_alpha, type_domain,
-                              type_leq)
+                              onepoint_domain, type_domain)
 from tracelab.lang import Add, AddTyped, ArrayAssign, Assign, Index, Lit, Mod, Var
 from tracelab.semantics import Store, apply_action, collecting_eval, eval_expr
 from tracelab.textio import _Cursor, _parse_abstract_store, tokenize
 from tracelab.values import (BOOL, BOT_T, Bool, INT, STRING, TOP_T, TT, UNDEF,
                              UNDEF_T, type_of)
+
+type_alpha, type_leq = type_domain.value_alpha, type_domain.value_leq
 
 SAMPLE_VALUES = (-1, 0, 1, "", "a", UNDEF)
 
@@ -44,19 +45,24 @@ def test_type_alpha_cases():
     assert type_alpha({TT}) == BOOL
 
 
-def test_type_alpha_is_least_covering_type():
+@pytest.mark.parametrize("tag", ["onepoint", "type", "cp"])
+def test_value_alpha_is_least_covering_slot(tag):
     # check against the lattice directly: smallest t with S subset gamma(t)
-    universe = [BOT_T, INT, STRING, BOOL, UNDEF_T, TOP_T]
+    dom = get_domain(tag)
+    values = _STORE_VALUES + (UNDEF,)
     gammas = {
-        BOT_T: set(), INT: {-1, 0, 1}, STRING: {"", "a"}, BOOL: {TT},
-        UNDEF_T: {UNDEF}, TOP_T: {-1, 0, 1, "", "a", TT, UNDEF},
-    }
+        "onepoint": {dom.top_slot: set(values)},
+        "type": {BOT_T: set(), INT: {-1, 0, 1}, STRING: {"", "a"}, BOOL: {TT, Bool(False)},
+                 UNDEF_T: {UNDEF}, TOP_T: set(values)},
+        "cp": {CP_BOT: set(), CP_TOP: set(values), **{CPConst(v): {v} for v in values}},
+    }[tag]
+    universe = list(gammas)
     for size in (0, 1, 2, 3):
-        for s in itertools.combinations(gammas[TOP_T], size):
+        for s in itertools.combinations(values, size):
             s = set(s)
             best = [t for t in universe if s <= gammas[t]]
-            least = min(best, key=lambda t: sum(type_leq(u, t) for u in universe))
-            assert type_alpha(s) == least
+            least = min(best, key=lambda t: sum(dom.value_leq(u, t) for u in universe))
+            assert dom.value_alpha(s) == least
 
 
 def test_type_store_membership():
@@ -136,10 +142,17 @@ def _expr_strategy(draw, depth=0):
         if kind == "lit_str":
             return Lit(draw(st.sampled_from(["", "a", "ab"])))
         return Var(draw(st.sampled_from(["x", "y", "z"])))
-    return Add(draw(_expr_strategy(depth + 1)), draw(_expr_strategy(depth + 1)))
+    left, right = draw(_expr_strategy(depth + 1)), draw(_expr_strategy(depth + 1))
+    kind = draw(st.sampled_from(["add", "add_int", "add_str", "mod"]))
+    if kind == "add":
+        return Add(left, right)
+    if kind == "mod":
+        return Mod(left, right)
+    return AddTyped(left, right, "Int" if kind == "add_int" else "Str")
 
 
 @given(_expr_strategy(), st.randoms(use_true_random=False))
+@example(Mod(Lit(1), Lit(0)), random.Random(0))  # x % 0 is undef
 def test_eval_type_soundness(e, rng):
     tstore_bindings = {}
     store_bindings = {}
@@ -201,6 +214,24 @@ def _element_and_store(draw):
             if fits:
                 bindings[x] = draw(st.sampled_from(fits))
     return dom, a, Store(bindings)
+
+
+@pytest.mark.parametrize("tag", ["onepoint", "type", "cp"])
+def test_value_join_and_meet_are_the_bounds_of_the_order(tag):
+    """Exhaustively over the slots: value_leq is a partial order, value_join
+    is the least upper bound and value_meet the greatest lower bound."""
+    dom = get_domain(tag)
+    slots = _SLOTS.get(tag, (dom.top_slot,))
+    leq = dom.value_leq
+    for a, b, c in itertools.product(slots, repeat=3):
+        assert leq(a, a) and (a == b or not (leq(a, b) and leq(b, a)))
+        assert not (leq(a, b) and leq(b, c)) or leq(a, c)
+    for a, b in itertools.product(slots, repeat=2):
+        upper = [c for c in slots if leq(a, c) and leq(b, c)]
+        lower = [c for c in slots if leq(c, a) and leq(c, b)]
+        join, meet = dom.value_join(a, b), dom.value_meet(a, b)
+        assert join in upper and all(leq(join, c) for c in upper), (a, b)
+        assert meet in lower and all(leq(c, meet) for c in lower), (a, b)
 
 
 @given(_element_and_store())

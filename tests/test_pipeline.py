@@ -125,3 +125,26 @@ def test_without_a_pass_the_final_program_runs_as_long_as_the_original(domain):
         rep = pipeline.pipeline(p, stores, domain, 2, 2000, [], 3)
         assert [len(run(rep.program, rho, 2000)) for rho in stores] == \
             [len(run(p, rho, 2000)) for rho in stores], seed
+
+
+def _with_put(p):
+    """p with its halting ``skip`` replaced by a put of all its variables."""
+    (halt,) = [c for c in p.commands if c.succ == lang.HALT]
+    return p.replace(remove=[halt], add=[lang.Command(halt.label, lang.Put(p.vars()), lang.HALT)])
+
+
+@pytest.mark.parametrize("domain, passes", [("onepoint", ["dse"]), ("type", ["dse"]),
+                                            ("type", ["ts", "dse"])],
+                         ids=["onepoint-dse", "type-dse", "type-ts,dse"])
+def test_dse_results_on_generated_programs_pass_their_out_check(domain, passes):
+    """Generated programs put every variable when they halt, so a dse
+    result's out check sees the final store; every result is well-formed
+    (the pipeline refuses one that is not) and passes on every store."""
+    stitched = 0
+    for seed in range(100):
+        p = _with_put(gen.gen_program(seed))
+        rep = pipeline.pipeline(p, gen.gen_stores(seed, SAMPLE_VARS, 4), domain, 2, 2000,
+                                passes, 3)
+        assert rep.check.observation == "out" and rep.check.passed, seed
+        stitched += bool(rep.hotpaths)
+    assert stitched >= 90  # all 100 stitch today; unstitched programs check no dse
