@@ -3,8 +3,10 @@ compilation into labeled commands, and the cross-model checks.
 
 Statements are command sequences in continuation style; ``bail B to S`` jumps
 out of an extracted trace into residual code S, discarding the continuation.
-The recorder follows the published rules: recording starts at a true loop
-guard, ifs record as bails, inner whiles record a skip and unfold, a bail
+The recorder follows the published rules.  Recording starts at a true loop
+guard.  A recording step is the baseline step (``gp_step``) plus a record of
+the head it ran: a skip or an inner while records ``skip``, an assignment
+records itself, and an if records the bail of the branch not taken.  A bail
 aborts recording, and re-reaching the subject loop stitches ``while B do t``
 in place (with the identity optimization).
 """
@@ -18,7 +20,7 @@ from . import hotpath
 from .extract import extract_gp
 from .lang import (BExpr, Command, Expr, HALT, Program, Skip as CoreSkip,
                    Assign as CoreAssign, Cond, negate_bexpr, rename_equal)
-from .semantics import Run, State, Store, eval_bexpr, eval_expr
+from .semantics import Run, State, Store, eval_bexpr, eval_expr, fires
 from .observe import compare, sc
 from .values import Bool, UNDEF
 
@@ -101,7 +103,9 @@ class GPState:
 
 def gp_step(s: GPState) -> Optional[GPState]:
     """One baseline step, or None when stuck (empty program, undefined test
-    or assignment; undefined values stick like in the core language)."""
+    or assignment; undefined values stick like in the core language).  An if
+    and a bail share one rule: a true test goes on to the if's body or the
+    bail's target, a false one to the continuation."""
     rho, stm = s.store, s.stm
     if not stm:
         return None
@@ -110,25 +114,15 @@ def gp_step(s: GPState) -> Optional[GPState]:
         return GPState(rho, k)
     if isinstance(head, GAssign):
         v = eval_expr(head.expr, rho)
-        if v is UNDEF:
-            return None
-        return GPState(rho.set(head.var, v), k)
-    if isinstance(head, GIf):
+        return None if v is UNDEF else GPState(rho.set(head.var, v), k)
+    if isinstance(head, (GIf, GBail)):
         b = eval_bexpr(head.test, rho)
-        if b == Bool(True):
-            return GPState(rho, head.body + k)
-        if b == Bool(False):
-            return GPState(rho, k)
-        return None
+        if b is UNDEF:
+            return None
+        taken = head.body + k if isinstance(head, GIf) else head.target
+        return GPState(rho, taken if b.value else k)
     if isinstance(head, GWhile):
         return GPState(rho, _unfolded_if(head, k))
-    if isinstance(head, GBail):
-        b = eval_bexpr(head.test, rho)
-        if b == Bool(True):
-            return GPState(rho, head.target)
-        if b == Bool(False):
-            return GPState(rho, k)
-        return None
     raise GPError(f"not a statement head: {head!r}")
 
 
@@ -204,26 +198,14 @@ class GPCompiler:
         return Program(frozenset(cmds), self.label(s))
 
     def compile_state(self, s: GPAnyState) -> State:
-        """The command the statement is about to run; branch-dependent for
-        if/bail heads, an error when their test is undefined."""
-        rho, stm = s.store, s.stm
-        cands = self.first_commands(stm)
-        if not stm:
-            (c,) = cands
-            return State(rho, c)
-        head = stm[0]
-        if isinstance(head, (GIf, GBail)):
-            b = eval_bexpr(head.test, rho)
-            if b is UNDEF:
+        """The command the statement is about to run: of an if or bail head's
+        two commands the one that fires, an error when their test is undefined."""
+        first = self.first_commands(s.stm)
+        if len(first) > 1:
+            first = [c for c in first if fires(c.action, s.store)]
+            if not first:
                 raise GPError(f"undefined test at state {s}")
-            want_neg = (b == Bool(False))
-            for c in cands:
-                is_neg = c.action.test == negate_bexpr(head.test)
-                if is_neg == want_neg:
-                    return State(rho, c)
-            raise GPError("branch command missing")
-        (c,) = cands
-        return State(rho, c)
+        return State(s.store, first[0])
 
     def compile_trace(self, states: Sequence[GPAnyState]) -> tuple[State, ...]:
         """Recording states compile through their current program component."""
@@ -268,9 +250,9 @@ def gp_trace_step(s: GPAnyState, record_on: Optional[Stm] = None) -> Optional[GP
 
     From a plain state, recording starts when the state is the unfolded if of
     ``record_on`` (or of any loop when unset) with a true test; otherwise the
-    baseline applies.  In recording mode skips and assignments append to the
-    trace, ifs append bails, an inner while appends a skip and unfolds, the
-    subject loop stitches, and anything else (a bail) aborts recording.
+    baseline applies.  In recording mode the subject loop stitches, a bail
+    aborts recording, and any other head takes the baseline step and appends
+    its record to the trace.
     """
     if isinstance(s, GPState):
         m = _t1_pattern(s)
@@ -282,32 +264,21 @@ def gp_trace_step(s: GPAnyState, record_on: Optional[Stm] = None) -> Optional[GP
         return gp_step(s)
 
     rho, kw, t, stm = s.store, s.kw, s.trace, s.stm
-    if stm and isinstance(stm[0], GSkip):
-        return GPTState(rho, kw, t + (GSkip(),), stm[1:])
-    if stm and isinstance(stm[0], GAssign):
-        head = stm[0]
-        v = eval_expr(head.expr, rho)
-        if v is UNDEF:
-            return None
-        return GPTState(rho.set(head.var, v), kw, t + (head,), stm[1:])
-    if stm and isinstance(stm[0], GIf):
-        head, k = stm[0], stm[1:]
-        b = eval_bexpr(head.test, rho)
-        if b == Bool(True):
-            return GPTState(rho, kw, t + (GBail(negate_bexpr(head.test), k),), head.body + k)
-        if b == Bool(False):
-            return GPTState(rho, kw, t + (GBail(head.test, head.body + k),), k)
-        return None
-    if stm and isinstance(stm[0], GWhile):
-        if stm == kw:
-            # stitch rule; the optimization is the identity
-            return GPState(rho, (GWhile(stm[0].test, t),) + stm[1:])
-        return GPTState(rho, kw, t + (GSkip(),), _unfolded_if(stm[0], stm[1:]))
-    if stm != kw:
-        base = gp_step(GPState(rho, stm))
-        if base is not None:
-            return base  # recording aborted
-    return None
+    if stm == kw:
+        # stitch rule; the optimization is the identity
+        return GPState(rho, (GWhile(stm[0].test, t),) + stm[1:])
+    nxt = gp_step(GPState(rho, stm))
+    if nxt is None or isinstance(stm[0], GBail):
+        return nxt  # stuck, or recording aborted
+    head, k = stm[0], stm[1:]
+    if isinstance(head, GAssign):
+        rec = head
+    elif isinstance(head, GIf):  # the bail of the branch not taken
+        rec = (GBail(negate_bexpr(head.test), k) if eval_bexpr(head.test, rho).value
+               else GBail(head.test, head.body + k))
+    else:
+        rec = GSkip()
+    return GPTState(nxt.store, kw, t + (rec,), nxt.stm)
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,8 @@ from .domains import (AbstractStore, CPConst, INT, STRING, cp_domain, eval_type,
                       type_domain)
 from .extract import StitchResult, extract_nested
 from .hotpath import HotPath
-from .lang import (Add, AddTyped, Assign, Command, Cond, Guard, Lit, Program, Put,
-                   action_vars, bexpr_vars, expr_vars, is_branching, subst_expr)
+from .lang import (Add, AddTyped, Assign, Command, Guard, Lit, Program, action_vars,
+                   expr_vars, is_branching, subst_expr)
 from .values import UNDEF
 
 Optimization = Callable[[StitchResult], frozenset[Command]]
@@ -125,14 +125,9 @@ def const_fold(st: StitchResult) -> frozenset[Command]:
 # ---------------------------------------------------------------------------
 
 def _action_reads(cmd: Command) -> frozenset[str]:
+    """The variables the action names, less an assignment's target."""
     a = cmd.action
-    if isinstance(a, Assign):
-        return expr_vars(a.expr)
-    if isinstance(a, Cond):
-        return bexpr_vars(a.test)
-    if isinstance(a, Put):
-        return a.vars
-    return action_vars(a)
+    return expr_vars(a.expr) if isinstance(a, Assign) else action_vars(a)
 
 
 def dead_store_eliminate(st: StitchResult) -> frozenset[Command]:

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 
 from .extract import StitchResult
 from .lang import AddTyped, Command, Program
+from .optimize import _rebody
 from .semantics import State, Store, eval_expr, trace_linked
 from .values import INT, STRING, type_of
 
@@ -160,14 +161,10 @@ def _fragment_program(st: StitchResult, cmds: frozenset[Command]) -> Program:
 
 
 def specialization_map(st: StitchResult, optimized: frozenset[Command]) -> dict[Command, Command]:
-    """Pairs each rewritten stitched command with its optimized form."""
-    out: dict[Command, Command] = {}
-    by_key = {(c.label, c.succ): c for c in optimized}
-    for c in st.stitched:
-        d = by_key.get((c.label, c.succ))
-        if d is not None and d.action != c.action:
-            out[c] = d
-    return out
+    """Pairs each copy that the pass rewrote with its optimized form, found
+    as ``optimize`` finds a pass's copies: the exits are left out."""
+    new = _rebody(st, optimized)
+    return {c: new[i] for i, c in st.body.items() if i in new and new[i].action != c.action}
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,18 @@ L5: put {x, z} -> L6
 L6: skip -> .
 """
 
+# Both branches of L2 jump to the head, so on the path through L2's positive
+# branch the last copy and its exit share a label and a successor.
+SHARED_EXIT_SRC = """
+#entry L0
+L0: (x <= 10) -> L1
+L0: !(x <= 10) -> L3
+L1: x := x + 1 -> L2
+L2: (y <= 0) -> L0
+L2: !(y <= 0) -> L0
+L3: skip -> .
+"""
+
 
 @pytest.fixture(scope="session")
 def loop_program():

@@ -126,7 +126,7 @@ def test_shrink_uses_the_check_that_judged(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("case", ["OSError", "JSONDecodeError", "ExtractError", "OptimizeError",
                                   "SemanticsError", "DomainError", "HotPathError", "ObserveError",
-                                  "GPError",
+                                  "GPError", "ill-formed",
                                   "bad --domain", "--hotpath -9", "--hotpath -1",
                                   "--initials [1]", "--initials [[1]]", "--initials []",
                                   "--sample -1", "--rounds 0"])
@@ -139,6 +139,8 @@ def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
                      "L0: !guard bogus {x: Int} -> L1\nL1: skip -> .\n")
     prologue = tmp_path / "prologue.w"
     prologue.write_text(GP_PROLOGUE)
+    ill_formed = tmp_path / "ill_formed.tl"
+    ill_formed.write_text("#entry L0\nL0: x := 1 -> L0\nL0: skip -> .\n")
 
     def refuse(*args):
         raise ExtractError("refused")
@@ -154,6 +156,7 @@ def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
         "HotPathError": ["hot", loop, "--threshold", "0"],
         "ObserveError": ["check", loop, loop, "--observe", "out"],
         "GPError": ["gp-trace", prologue],
+        "ill-formed": ["run", ill_formed],
         "bad --domain": ["hot", loop, "--domain", "bogus"],
         "--hotpath -9": ["extract", loop, "--hotpath", "-9"],
         "--hotpath -1": ["optimize", loop, "--hotpath", "-1"],
@@ -165,7 +168,7 @@ def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
     }[case]
     rc, out, err = call(argv)
     assert rc == 2 and out == ""
-    assert "Traceback" not in err
+    assert "Traceback" not in err and err.count("error: ") == 1
     assert err.startswith("error: ") or "error: argument --domain" in err
 
 
@@ -353,3 +356,76 @@ def test_out_check_of_an_optimized_program_observes_its_puts(tmp_path):
     opt.write_text(out)
     rc, out, err = call(["check", path, opt, "--observe", "out", "--initials", initials])
     assert (rc, out, err) == (0, "ok 1 - rho=[x/-5, y/1] out-equal\n", "")
+
+
+# ---------------------------------------------------------------------------
+# the commands that print a run, a generated program or a while-language loop
+# ---------------------------------------------------------------------------
+
+# an if inside a while: recording turns the if into a bail
+GP_IF_LOOP = "while (i <= 5) do { if ((i % 2) = 0) then { x := x + 3; } i := i + 1; }\n"
+GP_IF_STORE = '{"i": 0, "x": 0}'
+
+
+def test_trace_prints_the_run_as_json_lines(tmp_path):
+    path = tmp_path / "loop.tl"
+    path.write_text(LOOP_SRC)
+    rc, out, err = call(["trace", path, "--budget", "6"])
+    assert (rc, err) == (0, "")
+    assert out == (
+        '{"action": "x := 0", "label": "L0", "store": {}, "succ": "L1"}\n'
+        '{"action": "(x <= 20)", "label": "L1", "store": {"x": 0}, "succ": "L2"}\n'
+        '{"action": "x := (x + 1)", "label": "L2", "store": {"x": 0}, "succ": "L3"}\n'
+        '{"action": "!((x % 3) = 0)", "label": "L3", "store": {"x": 1}, "succ": "L1"}\n'
+        '{"action": "(x <= 20)", "label": "L1", "store": {"x": 1}, "succ": "L2"}\n'
+        '{"action": "x := (x + 1)", "label": "L2", "store": {"x": 1}, "succ": "L3"}\n'
+        '{"truncated": true}\n')
+
+
+def test_gen_prints_the_seeded_program():
+    from tracelab import gen, textio
+    from tracelab.lang import well_formed
+    rc, out, err = call(["gen", "--seed", "3"])
+    assert (rc, err) == (0, "")
+    assert out == textio.print_program(gen.gen_program(3))
+    assert well_formed(textio.parse_program(out)) == []
+
+
+def test_gp_compile_prints_the_compiled_loop(tmp_path):
+    path = tmp_path / "loop.w"
+    path.write_text(GP_IF_LOOP)
+    rc, out, err = call(["gp-compile", path])
+    assert (rc, err) == (0, "")
+    assert out == ("#entry s0\n"
+                   "s0: skip -> s1\n"
+                   "s1: !(i <= 5) -> s3\n"
+                   "s1: (i <= 5) -> s2\n"
+                   "s2: !((i % 2) = 0) -> s5\n"
+                   "s2: ((i % 2) = 0) -> s4\n"
+                   "s3: skip -> .\n"
+                   "s4: x := (x + 3) -> s5\n"
+                   "s5: i := (i + 1) -> s0\n")
+
+
+def test_gp_trace_records_the_if_as_a_bail(tmp_path):
+    path = tmp_path / "loop.w"
+    path.write_text(GP_IF_LOOP)
+    rc, out, err = call(["gp-trace", path, "--initials", GP_IF_STORE])
+    assert (rc, err) == (0, "")
+    loop = "while (i <= 5) do { if ((i % 2) = 0) then { x := (x + 3); } i := (i + 1); }"
+    trace = (f"bail !((i % 2) = 0) to {{ i := (i + 1); {loop} }} "
+             "x := (x + 3); i := (i + 1);")
+    assert out == (f"trace: {trace}\n"
+                   "hot path: s0: skip -> s1 ; s1: (i <= 5) -> s2 ; s2: ((i % 2) = 0) -> s4 ; "
+                   "s4: x := (x + 3) -> s5 ; s5: i := (i + 1) -> s0\n"
+                   f"stitched: while (i <= 5) do {{ {trace} }}\n")
+
+
+def test_gp_check_passes_on_the_loop_with_an_if(tmp_path):
+    path = tmp_path / "loop.w"
+    path.write_text(GP_IF_LOOP)
+    rc, out, err = call(["gp-check", path, "--initials", GP_IF_STORE])
+    assert (rc, err) == (0, "")
+    assert out == ("ok - stitched compilation matches extraction (s0 -> h0#1, s1 -> h1#1, "
+                   "s10 -> s4, s2 -> h2#1, s3 -> s3, s4 -> s5, s5 -> h3#1, s6 -> h4#1, "
+                   "s7 -> s0, s8 -> s1, s9 -> s2)\n")

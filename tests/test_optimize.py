@@ -16,7 +16,7 @@ from tracelab.optimize import (OptimizeError, const_fold, dead_store_eliminate,
 from tracelab.semantics import Store, run
 from tracelab.textio import parse_program, print_program
 from tracelab.values import BOOL, INT, TOP_T, TT
-from tests.conftest import command_at
+from tests.conftest import SHARED_EXIT_SRC, command_at
 from tests.test_domains import _element_and_store
 
 
@@ -301,6 +301,26 @@ def test_a_store_that_can_stick_is_not_dead():
         assert "w := (w + 3)" in {str(c.action) for c in rep.program.commands}
 
 
+@pytest.mark.parametrize("between, kept", [("put {z}", True), ("skip", False)])
+def test_a_put_reads_the_store_before_it(between, kept):
+    """``z := 2`` overwrites ``z := 1``, so dse deletes ``z := 1`` unless the
+    put between them reads it; the out check passes either way."""
+    p = parse_program(f"""
+#entry L0
+L0: (i <= 5) -> L1
+L0: !(i <= 5) -> L5
+L1: z := 1 -> L2
+L2: {between} -> L3
+L3: z := 2 -> L4
+L4: i := i + 1 -> L0
+L5: put {{z}} -> .
+""")
+    rep = pipeline.pipeline(p, [Store({"i": 0})], "onepoint", 2, 2000, ["dse"], 1,
+                            frozenset({"z"}))
+    assert rep.hotpaths and [v.passed for v in rep.check.verdicts] == [True]
+    assert ("z := 1" in {str(c.action) for c in rep.program.commands}) == kept
+
+
 def test_the_bypass_follows_a_chain_of_pairs():
     """dse deletes the copies of the literal stores z := 1 and z := 2, which
     z := 3 overwrites.  Every pair is universal (onepoint) and dropped, so the
@@ -398,15 +418,7 @@ def test_a_copy_is_told_from_an_exit_with_its_label_and_successor():
     share a label and a successor.  A pass's copies are still found by them,
     and the unrewritten branch is not taken for a rewrite that needs a guard:
     only the specialized addition keeps one."""
-    p = parse_program("""
-#entry L0
-L0: (x <= 10) -> L1
-L0: !(x <= 10) -> L3
-L1: x := x + 1 -> L2
-L2: (y <= 0) -> L0
-L2: !(y <= 0) -> L0
-L3: skip -> .
-""")
+    p = parse_program(SHARED_EXIT_SRC)
     hp = pipeline.mine(p, p, [Store({"x": 0, "y": 1})], 500, 2, "type")[0][0]
     st = extract(p, hp)
     assert (st.exits[2].label, st.exits[2].succ) == (st.body[2].label, st.body[2].succ)

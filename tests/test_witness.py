@@ -3,13 +3,14 @@ import pytest
 from tracelab import gen, pipeline
 from tracelab.extract import extract
 from tracelab.hotpath import hot_n
-from tracelab.lang import find_cmpl
+from tracelab.lang import AddTyped, Assign, Command, Lit, Var, find_cmpl
 from tracelab.observe import sc
 from tracelab.optimize import type_specialize
 from tracelab.semantics import State, Store, run, trace_linked
+from tracelab.textio import parse_program
 from tracelab.witness import (WitnessError, lift_full, rtr, sp, specialization_map,
                               td, tr_out)
-from tests.conftest import command_at
+from tests.conftest import SHARED_EXIT_SRC, command_at
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +194,18 @@ def sieve_ts(sieve_program, sieve_store):
     st = extract(sieve_program, hp1)
     smap = specialization_map(st, type_specialize(st))
     return st, smap
+
+
+def test_specialization_map_holds_only_the_rewritten_addition():
+    """The exit at L2 shares its label and successor with the copy of L2's
+    positive branch; it is not taken for a rewrite of that copy, so ``sp``
+    keeps it in the optimized fragment."""
+    p = parse_program(SHARED_EXIT_SRC)
+    hp = pipeline.mine(p, p, [Store({"x": 0, "y": 1})], 500, 2, "type")[0][0]
+    st = extract(p, hp)
+    add = st.body[1]
+    assert specialization_map(st, type_specialize(st)) == {
+        add: Command(add.label, Assign("x", AddTyped(Var("x"), Lit(1), "Int")), add.succ)}
 
 
 def test_sp_td_identity_under_guards(sieve_program, sieve_store, sieve_ts):
