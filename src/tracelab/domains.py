@@ -194,21 +194,30 @@ class StoreAbstraction(ABC):
         variable, including the unmentioned ones; gamma(bottom) is empty
         unless the bottom slot is universal (one-point: bottom is top).
 
-        Costs O(|a| + |store|): one pass over a's bindings, then, unless the
-        default is universal (a sliced guard), one over the store's keys that
-        a leaves to its default.  The set of a's keys is built per call, not
-        cached on the element: guards keep their elements alive for as long
-        as the program, and a cached index per element costs more memory
-        than the rebuild costs time."""
-        if a.default == self.bot_slot and not self.value_universal(a.default):
+        With a universal default (every sliced guard, so every pipeline
+        guard) it costs one slot comparison per binding of a.  An element
+        keeps no binding equal to its default, so each binding is then below
+        top, and it holds a value exactly when it is the value's slot:
+        ``of`` never gives bottom unless bottom is top (one-point, whose
+        elements bind nothing).  Otherwise it costs O(|a| + |store|): one
+        pass over a's bindings, then one over the store's keys that a leaves
+        to its default.  The set of a's keys is built per call, not cached on
+        the element: guards keep their elements alive for as long as the
+        program, and a cached index per element costs more memory than the
+        rebuild costs time."""
+        default = a.default
+        if default == self.top_slot:
+            of = self.of
+            for x, v in a.items:
+                if of(store.get(x)) != v:
+                    return False
+            return True
+        if default == self.bot_slot:
             return False
         has = self.value_has
         for x, v in a.items:
             if not has(v, store.get(x)):
                 return False
-        default = a.default
-        if self.value_universal(default):
-            return True
         bound = {x for x, _ in a.items}
         for x in store.keys():
             if x not in bound and not has(default, store.get(x)):

@@ -5,26 +5,39 @@ new store or to bottom (None here), and bottom is what makes states stick.
 Array reads resolve their index concretely against the variable family
 ``name_<i>``; an array write to an unbound member is an error (out of bounds).
 
-A run takes the one command at a label, or resolves a complement pair (a
-branching command and its complement, as recorded in the program's complement
-table) by evaluating the test of its first command once, three-valued: true
-takes that command, false takes its complement, and undef leaves both stuck,
-so the run takes the first command (the least ``command_key``) and ends there.
-A test that fires leaves the store unchanged, so the store is carried on
-without evaluating the test again.  Any other label with several commands is
-nondeterministic and raises ``SemanticsError``.
+Every expression, test and action is compiled once into a closure, shared by
+equal nodes for as long as something holds it: an expression closure reads
+the store's dict and returns a value or undef, a test closure returns True,
+False or None (undef), and an action closure takes the store.  An assignment
+still stores through ``Store.set``, so every stored value is checked.
+``eval_expr``, ``eval_bexpr``, ``apply_action`` and ``fires`` call these
+closures; there is no second evaluator.
+
+A run compiles its program once, on first use, into a table from each label to
+its command, that command's complement (or None) and the compiled step.  It
+takes the one command at a label, or resolves a complement pair (a branching
+command and its complement, as recorded in the program's complement table) by
+evaluating the test of its first command once, three-valued: true takes that
+command, false takes its complement, and undef leaves both stuck, so the run
+takes the first command (the least ``command_key``) and ends there.  A test
+that fires leaves the store unchanged, so the store is carried on without
+evaluating the test again; a guard visit is therefore one
+``StoreAbstraction.contains`` call, looked up when the guard runs.  Any other
+label with several commands is nondeterministic and raises ``SemanticsError``.
+The table does not keep its program alive.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import lang
 from .lang import (Add, AddTyped, ArrayAssign, Assign, BExpr, Command, Cond,
                    Expr, Guard, HALT, Index, Lit, Mod, Not, And, Leq, Eq, Tt,
-                   Ff, Program, Put, Skip, Var)
-from .values import Bool, UNDEF, UValue, Value, is_value, value_str
+                   Ff, Program, Put, Skip, Var, is_branching)
+from .values import Bool, FF, TT, UNDEF, UValue, Value, is_value, value_str
 
 
 class SemanticsError(Exception):
@@ -114,106 +127,216 @@ class Run:
 
 
 # ---------------------------------------------------------------------------
+# Compilation: one closure per node, shared by equal nodes
+# ---------------------------------------------------------------------------
+
+def _compiler(kind: str, rules: Mapping[type, Callable]):
+    """The compile function of one kind of node: it picks the rule for the
+    node's type and keeps each closure for as long as anything else holds
+    it, so equal nodes share one closure across programs."""
+    closures: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    def compile_(node):
+        fn = closures.get(node)
+        if fn is None:
+            rule = rules.get(type(node))
+            if rule is None:
+                raise SemanticsError(f"not {kind}: {node!r}")
+            fn = closures[node] = rule(node)
+        return fn
+
+    return compile_
+
+
+def _lit(e):
+    v = e.value
+    return lambda m: v
+
+
+def _var(e):
+    name, undef = e.name, UNDEF
+    return lambda m: m.get(name, undef)
+
+
+def _add(e):
+    f, g, undef = _expr(e.left), _expr(e.right), UNDEF
+
+    def add(m):
+        a, b = f(m), g(m)
+        t = type(a)
+        return a + b if t is type(b) and (t is int or t is str) else undef
+    return add
+
+
+def _add_typed(e):
+    f, g, undef = _expr(e.left), _expr(e.right), UNDEF
+    want = {"Int": int, "Str": str}.get(e.tag)
+    if want is None:
+        raise SemanticsError(f"unknown addition tag {e.tag}")
+
+    def add_typed(m):
+        a, b = f(m), g(m)
+        return a + b if type(a) is type(b) is want else undef
+    return add_typed
+
+
+def _mod(e):
+    f, g, undef = _expr(e.left), _expr(e.right), UNDEF
+
+    def mod(m):
+        a, b = f(m), g(m)
+        return a % b if type(a) is type(b) is int and b else undef
+    return mod
+
+
+def _index(e):
+    f, prefix, undef = _expr(e.index), e.array + "_", UNDEF
+
+    def index(m):
+        i = f(m)
+        return m.get(prefix + str(i), undef) if type(i) is int else undef
+    return index
+
+
+def _tt(b):
+    return lambda m: True
+
+
+def _ff(b):
+    return lambda m: False
+
+
+def _leq(b):
+    f, g = _expr(b.left), _expr(b.right)
+
+    def leq(m):
+        x, y = f(m), g(m)
+        t = type(x)
+        if t is type(y):
+            if t is int:
+                return x <= y
+            if t is str:
+                return y.startswith(x)  # prefix order, not lexicographic
+        return None
+    return leq
+
+
+def _eq(b):
+    f, g = _expr(b.left), _expr(b.right)
+
+    def eq(m):
+        x, y = f(m), g(m)
+        t = type(x)
+        return x == y if t is type(y) and (t is int or t is str or t is Bool) else None
+    return eq
+
+
+def _not(b):
+    f = _test(b.arg)
+
+    def not_(m):
+        v = f(m)
+        return None if v is None else not v
+    return not_
+
+
+def _and(b):
+    f, g = _test(b.left), _test(b.right)
+
+    def and_(m):
+        x = f(m)
+        if x is None:
+            return None
+        y = g(m)
+        return None if y is None else x and y
+    return and_
+
+
+def _unchanged(store):
+    return store
+
+
+def _skip(a):
+    return _unchanged
+
+
+def _assign(a):
+    f, var, undef = _expr(a.expr), a.var, UNDEF
+
+    def assign(store):
+        v = f(store._m)
+        return None if v is undef else store.set(var, v)
+    return assign
+
+
+def _array_assign(a):
+    f, g, prefix, undef = _expr(a.index), _expr(a.expr), a.array + "_", UNDEF
+
+    def array_assign(store):
+        m = store._m
+        i = f(m)
+        if type(i) is not int:
+            return None
+        member = prefix + str(i)
+        if member not in m:
+            return None  # out of bounds: only initialized members are writable
+        v = g(m)
+        return None if v is undef else store.set(member, v)
+    return array_assign
+
+
+def _cond(a):
+    f = _test(a.test)
+    return lambda store: f(store._m)
+
+
+def _guard(a):
+    abstract, domain, positive = a.store, a.store.domain, a.positive
+    # ``contains`` is looked up at every visit, so a wrapped or patched
+    # membership test sees each guard run
+    return lambda store: domain.contains(abstract, store) == positive
+
+
+# expressions: dict -> value or undef
+_expr = _compiler("an expression", {
+    Lit: _lit, Var: _var, Add: _add, AddTyped: _add_typed, Mod: _mod, Index: _index})
+# tests: dict -> True, False or None (undef)
+_test = _compiler("a boolean expression", {
+    Tt: _tt, Ff: _ff, Leq: _leq, Eq: _eq, Not: _not, And: _and})
+# actions: Store -> Store or None (bottom); a branching action is its
+# three-valued test of the Store instead
+_action = _compiler("an action", {
+    Skip: _skip, Put: _skip, Assign: _assign, ArrayAssign: _array_assign,
+    Cond: _cond, Guard: _guard})
+
+
+# ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+_TRUTH = {True: TT, False: FF, None: UNDEF}
 
 
 def eval_expr(e: Expr, store: Store) -> UValue:
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Var):
-        return store.get(e.name)
-    if isinstance(e, Add):
-        v1, v2 = eval_expr(e.left, store), eval_expr(e.right, store)
-        if _is_int(v1) and _is_int(v2):
-            return v1 + v2
-        if isinstance(v1, str) and isinstance(v2, str):
-            return v1 + v2
-        return UNDEF
-    if isinstance(e, AddTyped):
-        v1, v2 = eval_expr(e.left, store), eval_expr(e.right, store)
-        if e.tag == "Int":
-            return v1 + v2 if _is_int(v1) and _is_int(v2) else UNDEF
-        if e.tag == "Str":
-            return v1 + v2 if isinstance(v1, str) and isinstance(v2, str) else UNDEF
-        raise SemanticsError(f"unknown addition tag {e.tag}")
-    if isinstance(e, Mod):
-        v1, v2 = eval_expr(e.left, store), eval_expr(e.right, store)
-        if _is_int(v1) and _is_int(v2) and v2 != 0:
-            return v1 % v2
-        return UNDEF
-    if isinstance(e, Index):
-        idx = eval_expr(e.index, store)
-        if not _is_int(idx):
-            return UNDEF
-        return store.get(f"{e.array}_{idx}")
-    raise SemanticsError(f"not an expression: {e!r}")
+    return _expr(e)(store._m)
 
 
 def eval_bexpr(b: BExpr, store: Store) -> UValue:
     """Three-valued: Bool(True), Bool(False), or undef."""
-    if isinstance(b, Tt):
-        return Bool(True)
-    if isinstance(b, Ff):
-        return Bool(False)
-    if isinstance(b, Leq):
-        v1, v2 = eval_expr(b.left, store), eval_expr(b.right, store)
-        if _is_int(v1) and _is_int(v2):
-            return Bool(v1 <= v2)
-        if isinstance(v1, str) and isinstance(v2, str):
-            return Bool(v2.startswith(v1))  # prefix order, not lexicographic
-        return UNDEF
-    if isinstance(b, Eq):
-        v1, v2 = eval_expr(b.left, store), eval_expr(b.right, store)
-        if _is_int(v1) and _is_int(v2):
-            return Bool(v1 == v2)
-        if isinstance(v1, str) and isinstance(v2, str):
-            return Bool(v1 == v2)
-        if isinstance(v1, Bool) and isinstance(v2, Bool):
-            return Bool(v1 == v2)
-        return UNDEF
-    if isinstance(b, Not):
-        v = eval_bexpr(b.arg, store)
-        return UNDEF if v is UNDEF else Bool(not v.value)
-    if isinstance(b, And):
-        v1, v2 = eval_bexpr(b.left, store), eval_bexpr(b.right, store)
-        if v1 is UNDEF or v2 is UNDEF:
-            return UNDEF
-        return Bool(v1.value and v2.value)
-    raise SemanticsError(f"not a boolean expression: {b!r}")
+    return _TRUTH[_test(b)(store._m)]
 
 
 def apply_action(a: lang.Action, store: Store) -> Optional[Store]:
     """New store, or None for bottom (failed test, error, guard miss)."""
-    if isinstance(a, (Skip, Put)):
-        return store
-    if isinstance(a, Assign):
-        v = eval_expr(a.expr, store)
-        return None if v is UNDEF else store.set(a.var, v)
-    if isinstance(a, ArrayAssign):
-        idx = eval_expr(a.index, store)
-        if not _is_int(idx):
-            return None
-        member = f"{a.array}_{idx}"
-        if store.get(member) is UNDEF:
-            return None  # out of bounds: only initialized members are writable
-        v = eval_expr(a.expr, store)
-        return None if v is UNDEF else store.set(member, v)
-    if isinstance(a, (Cond, Guard)):
-        return store if fires(a, store) else None
-    raise SemanticsError(f"not an action: {a!r}")
+    if is_branching(a):
+        return store if _action(a)(store) else None
+    return _action(a)(store)
 
 
 def fires(a: lang.Action, store: Store) -> Optional[bool]:
     """Three-valued test of a conditional or guard: whether it fires, None
     when the test is undef (then neither it nor its complement fires)."""
-    if isinstance(a, Cond):
-        v = eval_bexpr(a.test, store)
-        return None if v is UNDEF else v.value
-    return a.store.domain.contains(a.store, store) == a.positive
+    return _action(a)(store)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +346,8 @@ def fires(a: lang.Action, store: Store) -> Optional[bool]:
 def collecting_eval(e: Expr, stores: Iterable[Store]) -> set[UValue]:
     """The values of e over a set of stores (test oracle: ``abstract_add_type``
     soundness in ``test_domains``)."""
-    return {eval_expr(e, s) for s in stores}
+    f = _expr(e)
+    return {f(s._m) for s in stores}
 
 
 # ---------------------------------------------------------------------------
@@ -240,34 +364,63 @@ def step(p: Program, s: State) -> tuple[State, ...]:
     return tuple(State(rho, c) for c in nexts)
 
 
+# label -> (command, its complement or None, compiled step); a
+# nondeterministic label maps to (None, the error message, None)
+_Table = dict[str, tuple]
+_TABLES: weakref.WeakKeyDictionary[Program, _Table] = weakref.WeakKeyDictionary()
+
+
+def _step_table(p: Program) -> _Table:
+    table = _TABLES.get(p)
+    if table is not None:
+        return table
+    table = {}
+    for label, cmds in p.by_label.items():
+        c = cmds[0]
+        if label in p.nondeterministic:
+            table[label] = (None, f"nondeterministic choice at label {label}: "
+                                  f"{[str(c) for c in cmds]}", None)
+        elif len(cmds) == 2:
+            table[label] = (c, cmds[1], _action(c.action))
+        elif is_branching(c.action):  # a test without its complement
+            test = _action(c.action)
+            table[label] = (c, None, lambda store: store if test(store) else None)
+        else:
+            table[label] = (c, None, _action(c.action))
+    _TABLES[p] = table
+    return table
+
+
 def run(p: Program, rho0: Store, budget: int) -> Run:
     """The unique maximal trace from the entry, truncated at ``budget`` states."""
     if budget < 1:
         raise SemanticsError("budget must be at least 1")
-    label, rho = p.entry, rho0
-    if not p.at(label):
-        raise SemanticsError(f"no command at entry label {label}")
+    table = _step_table(p)
+    entry = table.get(p.entry)
+    if entry is None:
+        raise SemanticsError(f"no command at entry label {p.entry}")
     states: list[State] = []
-    nondeterministic = p.nondeterministic
+    append = states.append
+    rho = rho0
     while True:
-        cmds = p.at(label)
-        if label in nondeterministic:
-            raise SemanticsError(
-                f"nondeterministic choice at label {label}: {[str(c) for c in cmds]}")
+        c, other, fn = entry
+        if c is None:
+            raise SemanticsError(other)
         if len(states) == budget:
             # truncated: one more state would have been possible
             return Run(tuple(states), truncated=True)
-        if len(cmds) == 1:
-            c = cmds[0]
-            nxt = apply_action(c.action, rho)
+        if other is None:
+            nxt = fn(rho)
         else:
-            taken = fires(cmds[0].action, rho)
-            c = cmds[1] if taken is False else cmds[0]
+            taken = fn(rho)
+            if taken is False:
+                c = other
             nxt = None if taken is None else rho
-        states.append(State(rho, c))
-        if nxt is None or c.succ == HALT or not p.at(c.succ):
+        append(State(rho, c))
+        entry = table.get(c.succ)  # None at HALT, which labels no command
+        if nxt is None or entry is None:
             return Run(tuple(states), truncated=False)
-        label, rho = c.succ, nxt
+        rho = nxt
 
 
 def trace_linked(p: Program, states: Sequence[State]) -> bool:

@@ -54,23 +54,23 @@ TOP_T = "Top"
 BOT_T = "Bot"
 
 
+# the type name of each value class; raw Python bools are not values
+_TYPE_NAMES = {int: INT, str: STRING, Bool: BOOL, Undef: UNDEF_T}
+_VALUE_CLASSES = frozenset((int, str, Bool))
+
+
 def is_value(v) -> bool:
-    return isinstance(v, (str, Bool)) or (isinstance(v, int) and not isinstance(v, bool))
+    return type(v) in _VALUE_CLASSES
 
 
 def type_of(v: UValue) -> str:
     """Type name of a possibly undefined value."""
-    if v is UNDEF:
-        return UNDEF_T
-    if isinstance(v, Bool):
-        return BOOL
-    if isinstance(v, bool):
-        raise TypeError("raw Python bool leaked into a value position; use Bool")
-    if isinstance(v, int):
-        return INT
-    if isinstance(v, str):
-        return STRING
-    raise TypeError(f"not a value: {v!r}")
+    try:
+        return _TYPE_NAMES[type(v)]
+    except KeyError:
+        if isinstance(v, bool):
+            raise TypeError("raw Python bool leaked into a value position; use Bool") from None
+        raise TypeError(f"not a value: {v!r}") from None
 
 
 def value_str(v: UValue) -> str:

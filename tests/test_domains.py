@@ -240,6 +240,36 @@ def test_contains_agrees_with_the_scan_definition(case):
     assert dom.contains(a, store) == _contains_by_scan(dom, a, store)
 
 
+@st.composite
+def _element_with_any_default_and_store(draw):
+    """An element of any domain whose bindings and default are any slots
+    (bottom, top and single values), and a store, often one that fits the
+    bindings."""
+    dom = get_domain(draw(st.sampled_from(["onepoint", "type", "cp"])))
+    slots = st.sampled_from(_SLOTS.get(dom.tag, (dom.top_slot,)))
+    a = dom.make(draw(st.dictionaries(st.sampled_from(_VARS), slots, max_size=4)), draw(slots))
+    bindings = draw(st.dictionaries(st.sampled_from(_VARS), st.sampled_from(_STORE_VALUES),
+                                    max_size=5))
+    if draw(st.booleans()):
+        for x, slot in a.items:
+            fits = [v for v in _STORE_VALUES if dom.value_has(slot, v)]
+            if fits:
+                bindings[x] = draw(st.sampled_from(fits))
+    return dom, a, Store(bindings)
+
+
+@given(_element_with_any_default_and_store())
+@example((type_domain, type_domain.make({"y": BOT_T}, TOP_T), Store({"y": 1})))
+@example((onepoint_domain, onepoint_domain.make({}, onepoint_domain.bot_slot), Store({"x": 1})))
+@example((cp_domain, cp_domain.make({"x": CPConst(1)}, CP_TOP), Store({"x": 1})))
+@example((type_domain, type_domain.make({"x": INT}, INT), Store({"x": 1, "y": 2})))
+def test_contains_agrees_with_the_per_variable_definition(case):
+    """Membership, whatever the default, is value_has on every variable
+    that either side binds (bottom holds nothing unless it is top)."""
+    dom, a, store = case
+    assert dom.contains(a, store) == _contains_by_scan(dom, a, store)
+
+
 # ---------------------------------------------------------------------------
 # meet and the abstract transfer function, in every domain
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tracelab import lang
 from tracelab.lang import Add, AddTyped, Assign, Cond, Index, Leq, Lit, Mod, Var
@@ -240,3 +240,117 @@ def test_set_checks_only_the_new_value(monkeypatch):
     assert out == Store({**{f"v{i}": i for i in range(100)}, "v0": -1})
     with pytest.raises(SemanticsError):
         rho.set("v1", UNDEF)
+
+
+def test_a_raw_bool_is_not_a_value():
+    from tracelab.values import is_value, type_of
+    with pytest.raises(TypeError, match="raw Python bool"):
+        type_of(True)
+    assert not is_value(True)
+    assert [is_value(v) for v in (0, "", TT, UNDEF)] == [True, True, True, False]
+
+
+def test_a_run_keeps_no_program_alive(loop_program):
+    import gc
+    import weakref
+    from tracelab.textio import print_program, parse_program
+    p = parse_program(print_program(loop_program))
+    ref = weakref.ref(p)
+    assert not run(p, Store(), 1000).truncated
+    del p
+    gc.collect()
+    assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# expressions and tests against a reference evaluator
+# ---------------------------------------------------------------------------
+
+_REF_VALUES = (-2, 0, 1, 3, "", "a", "ab", "b", TT, FF)
+# a_a is bound but is no member: a string index reads undef
+_REF_VARS = ("x", "y", "a_0", "a_1", "a_a")
+
+
+def _ref_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _ref_expr(e, env):
+    """The expression semantics, one node kind at a time; env maps the bound
+    variables."""
+    if isinstance(e, Lit):
+        return e.value
+    if isinstance(e, Var):
+        return env.get(e.name, UNDEF)
+    if isinstance(e, Index):
+        i = _ref_expr(e.index, env)
+        return env.get(f"{e.array}_{i}", UNDEF) if _ref_int(i) else UNDEF
+    x, y = _ref_expr(e.left, env), _ref_expr(e.right, env)
+    ints = _ref_int(x) and _ref_int(y)
+    strs = isinstance(x, str) and isinstance(y, str)
+    if isinstance(e, Add):
+        return x + y if ints or strs else UNDEF
+    if isinstance(e, AddTyped):
+        return x + y if (ints if e.tag == "Int" else strs) else UNDEF
+    assert isinstance(e, Mod)
+    return x % y if ints and y != 0 else UNDEF
+
+
+def _ref_bexpr(b, env):
+    if isinstance(b, (lang.Tt, lang.Ff)):
+        return TT if isinstance(b, lang.Tt) else FF
+    if isinstance(b, lang.Not):
+        v = _ref_bexpr(b.arg, env)
+        return UNDEF if v is UNDEF else Bool(not v.value)
+    if isinstance(b, lang.And):
+        x, y = _ref_bexpr(b.left, env), _ref_bexpr(b.right, env)
+        return UNDEF if UNDEF in (x, y) else Bool(x.value and y.value)
+    x, y = _ref_expr(b.left, env), _ref_expr(b.right, env)
+    if _ref_int(x) and _ref_int(y):
+        return Bool(x <= y if isinstance(b, Leq) else x == y)
+    if isinstance(x, str) and isinstance(y, str):
+        return Bool(y[:len(x)] == x if isinstance(b, Leq) else x == y)
+    if isinstance(b, lang.Eq) and isinstance(x, Bool) and isinstance(y, Bool):
+        return Bool(x.value == y.value)
+    return UNDEF
+
+
+_leaves = st.one_of(st.sampled_from(_REF_VALUES).map(Lit),
+                    st.sampled_from(_REF_VARS + ("u",)).map(Var))
+_exprs = st.recursive(_leaves, lambda sub: st.one_of(
+    st.builds(Add, sub, sub), st.builds(Mod, sub, sub),
+    st.builds(AddTyped, sub, sub, st.sampled_from(["Int", "Str"])),
+    st.builds(Index, st.just("a"), sub)), max_leaves=6)
+_bexprs = st.recursive(
+    st.one_of(st.just(lang.Tt()), st.just(lang.Ff()),
+              st.builds(Leq, _exprs, _exprs), st.builds(lang.Eq, _exprs, _exprs)),
+    lambda sub: st.one_of(st.builds(lang.Not, sub), st.builds(lang.And, sub, sub)),
+    max_leaves=4)
+_envs = st.dictionaries(st.sampled_from(_REF_VARS), st.sampled_from(_REF_VALUES))
+
+
+def _same(got, want):
+    return type(got) is type(want) and got == want
+
+
+@given(_exprs, _envs)
+@example(Add(Var("x"), Lit("b")), {"x": "a"})
+@example(Mod(Var("x"), Lit(0)), {"x": 3})
+@example(AddTyped(Lit(1), Lit("a"), "Int"), {})
+@example(AddTyped(Lit("a"), Var("x"), "Str"), {"x": 1})
+@example(Index("a", Lit("a")), {"a_0": 1, "a_a": 1})
+@example(Index("a", Var("x")), {"x": 1, "a_0": 1})
+def test_eval_expr_matches_the_reference(e, env):
+    assert _same(eval_expr(e, Store(env)), _ref_expr(e, env))
+
+
+@given(_bexprs, _envs)
+@example(Leq(Lit("ab"), Var("x")), {"x": "abc"})
+@example(Leq(Lit("a"), Lit("b")), {})
+@example(lang.Eq(Var("x"), Lit(FF)), {"x": FF})
+@example(lang.Eq(Lit(TT), Lit(1)), {})
+@example(lang.Not(Leq(Var("u"), Lit(0))), {})
+@example(lang.And(lang.Ff(), Leq(Var("u"), Lit(0))), {})
+@example(lang.And(Leq(Var("u"), Lit(0)), lang.Tt()), {})
+def test_eval_bexpr_matches_the_reference(b, env):
+    assert _same(eval_bexpr(b, Store(env)), _ref_bexpr(b, env))
