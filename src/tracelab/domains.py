@@ -45,6 +45,14 @@ class AbstractStore:
     items: tuple[tuple[str, object], ...]  # sorted, values != default
     default: object
 
+    def __post_init__(self):
+        # the value the dataclass would compute, kept: mining hashes an
+        # element, with its bindings, at every state that it abstracts
+        object.__setattr__(self, "_hash", hash((self.domain, self.items, self.default)))
+
+    def __hash__(self):
+        return self._hash
+
     def get(self, var: str):
         for k, v in self.items:
             if k == var:

@@ -13,10 +13,17 @@ also checks that trailing window.  Occurrences of one path never overlap: the
 second's first command would be an interior head of the first.
 
 A mining call (``pipeline.mine``) ranks the program's commands once and
-mines every trace against that one order.  Abstraction follows store
-identity: the states a firing test leaves with the same store object share
-one abstract store, so equal stores in a run of them compare by identity when
-paths are counted.
+mines every trace against that one order.  Abstraction updates one binding
+at a time, since a nonrelational abstraction commutes with a one-binding
+update: alpha(rho[x -> v]) = alpha(rho)[x -> alpha(v)].  A store that is its
+predecessor's with only the binding the predecessor's command writes changed
+(an assignment's variable, or the member an array store's index names in the
+predecessor's store) has that one slot re-abstracted, and keeps the
+predecessor's element object when the slot stays the same; a store object
+carried on by a firing test keeps it too.  Store equality confirms each such
+update rather than assuming it: ``hotcut`` joins states that no step links.
+Any other store is abstracted whole by ``alpha``.  Counting then numbers each
+distinct (element, command) pair once, so images are tuples of small ints.
 """
 
 from __future__ import annotations
@@ -25,8 +32,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .domains import AbstractStore, StoreAbstraction, get_domain
-from .lang import Command, Cond, Guard, HALT, Not, Program, find_cmpl
-from .semantics import State
+from .lang import (ArrayAssign, Assign, Command, Cond, Guard, HALT, Not, Program,
+                   find_cmpl)
+from .semantics import State, Store, eval_expr
+from .values import UNDEF
 
 
 class HotPathError(Exception):
@@ -81,17 +90,35 @@ def topo_order(p: Program) -> dict[Command, int]:
 def sloop(states: Sequence[State], rank: dict[Command, int], p: Program) -> list[tuple[int, int]]:
     """All loop-path segments of a state sequence, as (i, j) index pairs:
     suc(C_j) = lbl(C_i), C_i ranked at or before C_j, and no interior
-    re-occurrence of C_i or its complement."""
+    re-occurrence of C_i or its complement.
+
+    Each distinct command is looked up once, into a row of small ints: its
+    id, its complement's id (its own when it has none), the ids of its label
+    and its successor label, and its rank.  The scan compares ints only."""
     n = len(states) - 1  # j must have a successor state in the sequence
+    ids: dict[Command, int] = {}
+    labels: dict[str, int] = {}
+    table: dict[Command, tuple[int, int, int, int, int]] = {}
+    for s in states[:n]:
+        c = s.command
+        if c not in table:
+            m = find_cmpl(c, p) or c
+            table[c] = (ids.setdefault(c, len(ids)), ids.setdefault(m, len(ids)),
+                        labels.setdefault(c.label, len(labels)),
+                        labels.setdefault(c.succ, len(labels)), rank[c])
+    rows = [table[s.command] for s in states[:n]]
+    own = [r[0] for r in rows]
+    succ = [r[3] for r in rows]
+    ranks = [r[4] for r in rows]
     segments: list[tuple[int, int]] = []
-    for i in range(n):
-        ci = states[i].command
-        blockers = {ci, find_cmpl(ci, p)} - {None}
-        for j in range(i, n):
-            cj = states[j].command
-            if j > i and cj in blockers:
+    for i, (a, b, head, _, r) in enumerate(rows):
+        if succ[i] == head:
+            segments.append((i, i))
+        for j in range(i + 1, n):
+            k = own[j]
+            if k == a or k == b:
                 break
-            if cj.succ == ci.label and rank[ci] <= rank[cj]:
+            if succ[j] == head and r <= ranks[j]:
                 segments.append((i, j))
     return segments
 
@@ -100,14 +127,21 @@ def count(abs_tr: Sequence[tuple[AbstractStore, Command]],
           segments: Sequence[tuple[int, int]]) -> dict[tuple, int]:
     """Occurrences of each segment's image, in first-occurrence order: one per
     segment, plus one if the window that ends the trace has the image too
-    (occurrences of a loop path never overlap; see the module docstring)."""
-    counts: dict[tuple, int] = {}
+    (occurrences of a loop path never overlap; see the module docstring).
+
+    Each distinct (element, command) pair is numbered once, in trace order,
+    so an image is counted as a tuple of small ints; the distinct images are
+    mapped back to tuples of pairs at the end."""
+    ids: dict[tuple[AbstractStore, Command], int] = {}
+    sym = [ids.setdefault(pair, len(ids)) for pair in abs_tr]
+    counts: dict[tuple[int, ...], int] = {}
     for i, j in segments:
-        image = tuple(abs_tr[i:j + 1])
+        image = tuple(sym[i:j + 1])
         if image not in counts:
-            counts[image] = int(tuple(abs_tr[-len(image):]) == image)
+            counts[image] = int(tuple(sym[-len(image):]) == image)
         counts[image] += 1
-    return counts
+    pairs = list(ids)
+    return {tuple(pairs[k] for k in image): c for image, c in counts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -149,18 +183,45 @@ class HotPath:
         return " ; ".join(f"({a}) {c}" for a, c in self.pairs)
 
 
+def _written(action, store: Store) -> Optional[str]:
+    """The variable an action writes from ``store``: an assignment's variable,
+    or the member of an array store's family that its index names there."""
+    if isinstance(action, Assign):
+        return action.var
+    if isinstance(action, ArrayAssign):
+        i = eval_expr(action.index, store)
+        if type(i) is int:
+            return f"{action.array}_{i}"
+    return None
+
+
 def abstract_trace(states: Sequence[State], domain_tag: str) -> list[tuple[AbstractStore, Command]]:
     """Pairs each state's command with the abstraction of its store.  A state
     that carries its predecessor's store object on (a test fired) shares the
-    predecessor's element instead of abstracting the store again."""
+    predecessor's element.  A store that is its predecessor's with only the
+    binding the predecessor's command writes changed has that one slot
+    re-abstracted, and shares the element when the slot stays the same; any
+    other store is abstracted whole."""
     dom = get_domain(domain_tag)
+    of, default = dom.of, dom.undef_slot
     out: list[tuple[AbstractStore, Command]] = []
-    store = a = None
+    store = a = cmd = None
+    slots: dict[str, object] = {}  # the bindings of a
     for s in states:
         if s.store is not store:
+            x = None if store is None else _written(cmd.action, store)
+            v = UNDEF if x is None else s.store.get(x)
+            if v is not UNDEF and s.store == store.set(x, v):
+                slot = of(v)
+                if slot != slots.get(x, default):
+                    slots[x] = slot
+                    a = dom.make(slots)
+            else:
+                a = dom.alpha([s.store])
+                slots = dict(a.items)
             store = s.store
-            a = dom.alpha([store])
-        out.append((a, s.command))
+        cmd = s.command
+        out.append((a, cmd))
     return out
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from tracelab import domains
-from tracelab.domains import (CPConst, CP_BOT, CP_TOP, abstract_add_type,
+from tracelab.domains import (AbstractStore, CPConst, CP_BOT, CP_TOP, abstract_add_type,
                               cp_domain, eval_type, get_domain,
                               onepoint_domain, type_domain)
 from tracelab.lang import Add, AddTyped, ArrayAssign, Assign, Index, Lit, Mod, Var
@@ -327,6 +327,28 @@ def test_meet_is_the_intersection(data, dom, source):
         rho = _member(data.draw, dom, a if source == "first" else b)
     assume(rho is not None)
     assert dom.contains(dom.meet(a, b), rho) == (dom.contains(a, rho) and dom.contains(b, rho))
+
+
+@given(st.data(), _ALL_DOMAINS)
+def test_elements_equal_by_value_hash_equal(data, dom):
+    """An element's hash is computed once, when it is built, as the hash of
+    its fields, so elements equal by value hash equal whether ``make``,
+    ``alpha``, ``meet`` or ``post`` built them."""
+    rho = Store(data.draw(st.dictionaries(st.sampled_from(_VARS), st.sampled_from(_STORE_VALUES))))
+    x, v = data.draw(st.sampled_from(_VARS)), data.draw(st.sampled_from(_STORE_VALUES))
+    a = dom.alpha([rho])
+    after = dom.make({**dict(a.items), x: dom.stored_slot(Lit(v), a)})
+    equal_groups = [
+        [a, dom.make({k: dom.of(w) for k, w in rho.items()}), dom.alpha([rho, rho]),
+         dom.meet(a, dom.top()), AbstractStore(dom, tuple(list(a.items)), a.default)],
+        [after, dom.post(Assign(x, Lit(v)), a)],
+        [dom.top(), dom.meet(dom.top(), dom.top()), dom.make({}, dom.top_slot)],
+        [dom.bottom(), dom.meet(a, dom.bottom())],
+    ]
+    for group in equal_groups:
+        for e in group:
+            assert hash(e) == hash((e.domain, e.items, e.default))
+            assert e == group[0] and hash(e) == hash(group[0])
 
 
 def test_the_type_domain_refines_post_by_the_stored_type():
