@@ -32,6 +32,7 @@ it as a call that worked; a caller that needs a stitch reads ``status``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -43,7 +44,7 @@ from . import hotpath, observe, optimize, pipeline, textio
 from .domains import DomainError, domain_tags
 from .extract import ExtractError, extract_nested
 from .lang import Program, well_formed
-from .semantics import SemanticsError, Store, run
+from .semantics import SemanticsError, State, Store, run
 
 
 class CliError(Exception):
@@ -100,9 +101,9 @@ def cmd_run(args) -> int:
     p = _load_program(args.program)
     for rho in _initial_stores(args):
         r = run(p, rho, args.budget)
-        last = r.states[-1]
+        last = State(r.stores[-1], r.commands[-1])
         status = "truncated" if r.truncated else "complete"
-        print(f"{status} after {len(r.states)} states; final {last}")
+        print(f"{status} after {len(r)} states; final {last}")
     return 0
 
 
@@ -115,8 +116,8 @@ def cmd_trace(args) -> int:
 
 def cmd_hot(args) -> int:
     p = _load_program(args.program)
-    for hp, c in pipeline.mine(p, p, _initial_stores(args), args.budget, args.threshold,
-                               args.domain):
+    runs = observe.runs(p, _initial_stores(args), args.budget)
+    for hp, c in pipeline.mine(p, p, runs, args.threshold, args.domain):
         print(f"{args.threshold}-hot [{args.domain}] : {hp}  (count {c})")
     return 0
 
@@ -126,8 +127,8 @@ def _mined_path(args) -> tuple[Program, Program, hotpath.HotPath]:
     that ``--hotpath`` selects."""
     p = _load_program(args.program)
     original = _load_program(args.original) if args.original else p
-    found = pipeline.mine(p, original, _initial_stores(args), args.budget, args.threshold,
-                          args.domain)
+    runs = observe.runs(p, _initial_stores(args), args.budget)
+    found = pipeline.mine(p, original, runs, args.threshold, args.domain)
     if not found:
         raise CliError("no hot path found")
     if not 0 <= args.hotpath < len(found):
@@ -254,7 +255,9 @@ def _add_mining(sp):
     sp.add_argument("--threshold", "-N", type=int, default=2)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing keeps no state in it."""
     ap = argparse.ArgumentParser(prog="tracelab")
     sub = ap.add_subparsers(dest="cmd", required=True)
 

@@ -126,18 +126,24 @@ def gp_step(s: GPState) -> Optional[GPState]:
     raise GPError(f"not a statement head: {head!r}")
 
 
-def gp_run(stm: Stm, rho0: Store, budget: int) -> Run:
-    """The baseline run from rho0, truncated at ``budget`` states; its states
-    are ``GPState``s."""
+class GPRun(Run):
+    """A baseline run: ``commands`` holds the statement left to run at each
+    state, so its states are ``GPState``s."""
+
+    @property
+    def states(self) -> tuple[GPState, ...]:
+        return tuple(map(GPState, self.stores, self.commands))
+
+
+def gp_run(stm: Stm, rho0: Store, budget: int) -> GPRun:
+    """The baseline run from rho0, truncated at ``budget`` states."""
     cur = GPState(rho0, stm)
     states = [cur]
-    while len(states) < budget:
-        nxt = gp_step(cur)
-        if nxt is None:
-            return Run(tuple(states), truncated=False)
+    while (nxt := gp_step(cur)) is not None and len(states) < budget:
         states.append(nxt)
         cur = nxt
-    return Run(tuple(states), truncated=gp_step(cur) is not None)
+    return GPRun(tuple(s.store for s in states), tuple(s.stm for s in states),
+                 truncated=nxt is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +327,9 @@ def gp_record_hot_path(stm: Stm, rho0: Store, budget: int) -> RecordResult:
         raise GPError("budget exhausted before the stitch rule fired")
 
     t = states[-1].trace
-    compiled = comp.compile_trace(states)
-    hp = tuple(s.command for s in compiled[:-1])
-    mined = (tuple(s.command for s in compiled[i:j + 1])
-             for i, j in hotpath.sloop(compiled, hotpath.topo_order(program), program))
+    cmds = tuple(s.command for s in comp.compile_trace(states))
+    hp = cmds[:-1]
+    mined = (cmds[i:j + 1] for i, j in hotpath.sloop(cmds, hotpath.topo_order(program), program))
     if hp not in mined:
         raise GPError("recorded path was not mined back from the compiled trace")
     return RecordResult(t, stitched, hp, program)
@@ -350,5 +355,5 @@ def gp_equivalence_check(stm: Stm, rho0: Store, budget: int) -> GPEquivResult:
 
     r1 = gp_run(stm, rho0, budget)
     r2 = gp_run(rec.stitched, rho0, budget)
-    agree, _ = compare(sc(r1.states), sc(r2.states), r1, r2)
+    agree, _ = compare(sc(r1), sc(r2), r1, r2)
     return GPEquivResult(renaming is not None and agree, renaming, rec)

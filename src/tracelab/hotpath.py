@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 from .domains import AbstractStore, StoreAbstraction, get_domain
 from .lang import (ArrayAssign, Assign, Command, Cond, Guard, HALT, Not, Program,
                    find_cmpl)
-from .semantics import State, Store, eval_expr
+from .semantics import Run, Store, eval_expr
 from .values import UNDEF
 
 
@@ -87,26 +87,26 @@ def topo_order(p: Program) -> dict[Command, int]:
 # Loop paths
 # ---------------------------------------------------------------------------
 
-def sloop(states: Sequence[State], rank: dict[Command, int], p: Program) -> list[tuple[int, int]]:
-    """All loop-path segments of a state sequence, as (i, j) index pairs:
+def sloop(commands: Sequence[Command], rank: dict[Command, int],
+          p: Program) -> list[tuple[int, int]]:
+    """All loop-path segments of a trace's commands, as (i, j) index pairs:
     suc(C_j) = lbl(C_i), C_i ranked at or before C_j, and no interior
     re-occurrence of C_i or its complement.
 
     Each distinct command is looked up once, into a row of small ints: its
     id, its complement's id (its own when it has none), the ids of its label
     and its successor label, and its rank.  The scan compares ints only."""
-    n = len(states) - 1  # j must have a successor state in the sequence
+    n = len(commands) - 1  # j must have a successor state in the sequence
     ids: dict[Command, int] = {}
     labels: dict[str, int] = {}
     table: dict[Command, tuple[int, int, int, int, int]] = {}
-    for s in states[:n]:
-        c = s.command
+    for c in commands[:n]:
         if c not in table:
             m = find_cmpl(c, p) or c
             table[c] = (ids.setdefault(c, len(ids)), ids.setdefault(m, len(ids)),
                         labels.setdefault(c.label, len(labels)),
                         labels.setdefault(c.succ, len(labels)), rank[c])
-    rows = [table[s.command] for s in states[:n]]
+    rows = [table[c] for c in commands[:n]]
     own = [r[0] for r in rows]
     succ = [r[3] for r in rows]
     ranks = [r[4] for r in rows]
@@ -195,8 +195,8 @@ def _written(action, store: Store) -> Optional[str]:
     return None
 
 
-def abstract_trace(states: Sequence[State], domain_tag: str) -> list[tuple[AbstractStore, Command]]:
-    """Pairs each state's command with the abstraction of its store.  A state
+def abstract_trace(r: Run, domain_tag: str) -> list[tuple[AbstractStore, Command]]:
+    """Pairs each command of a run with the abstraction of its store.  A state
     that carries its predecessor's store object on (a test fired) shares the
     predecessor's element.  A store that is its predecessor's with only the
     binding the predecessor's command writes changed has that one slot
@@ -207,34 +207,34 @@ def abstract_trace(states: Sequence[State], domain_tag: str) -> list[tuple[Abstr
     out: list[tuple[AbstractStore, Command]] = []
     store = a = cmd = None
     slots: dict[str, object] = {}  # the bindings of a
-    for s in states:
-        if s.store is not store:
+    for rho, c in zip(r.stores, r.commands):
+        if rho is not store:
             x = None if store is None else _written(cmd.action, store)
-            v = UNDEF if x is None else s.store.get(x)
-            if v is not UNDEF and s.store == store.set(x, v):
+            v = UNDEF if x is None else rho.get(x)
+            if v is not UNDEF and rho == store.set(x, v):
                 slot = of(v)
                 if slot != slots.get(x, default):
                     slots[x] = slot
                     a = dom.make(slots)
             else:
-                a = dom.alpha([s.store])
+                a = dom.alpha([rho])
                 slots = dict(a.items)
-            store = s.store
-        cmd = s.command
-        out.append((a, cmd))
+            store = rho
+        cmd = c
+        out.append((a, c))
     return out
 
 
-def hot_n(states: Sequence[State], n: int, domain_tag: str, p: Program,
+def hot_n(r: Run, n: int, domain_tag: str, p: Program,
           rank: Optional[dict[Command, int]] = None) -> list[tuple[HotPath, int]]:
-    """N-hot paths of one trace with their counts, in first-occurrence order:
+    """N-hot paths of one run with their counts, in first-occurrence order:
     abstracted loop segments whose image occurs n times or more, tallied by
     ``count`` in one pass over the segments (linear in their total length)."""
     if n < 1:
         raise HotPathError("threshold must be >= 1")
     if rank is None:
         rank = topo_order(p)
-    counts = count(abstract_trace(states, domain_tag), sloop(states, rank, p))
+    counts = count(abstract_trace(r, domain_tag), sloop(r.commands, rank, p))
     return [(HotPath(pairs), c) for pairs, c in counts.items() if c >= n]
 
 
@@ -242,11 +242,16 @@ def hot_n(states: Sequence[State], n: int, domain_tag: str, p: Program,
 # Nested variant: cut previously stitched regions down to entry/exit states
 # ---------------------------------------------------------------------------
 
-def hotcut(states: Sequence[State], original: Program) -> tuple[State, ...]:
-    """Drops interior states of runs of commands outside the original program,
-    keeping each run's first and last state: a state stays when its command
-    or a neighbour's is in the original program, or when it ends the trace."""
-    inside = [s.command in original.commands for s in states]
-    last = len(states) - 1
-    return tuple(s for i, s in enumerate(states)
-                 if inside[i] or i == 0 or i == last or inside[i - 1] or inside[i + 1])
+def hotcut(r: Run, original: Program) -> Run:
+    """Drops interior states of stretches of commands outside the original
+    program, keeping each stretch's first and last state: a state stays when
+    its command or a neighbour's is in the original program, or when it ends
+    the trace.  A run that keeps every state is returned as it is."""
+    inside = [c in original.commands for c in r.commands]
+    last = len(inside) - 1
+    keep = [i for i in range(len(inside))
+            if inside[i] or i == 0 or i == last or inside[i - 1] or inside[i + 1]]
+    if len(keep) == len(inside):
+        return r
+    return Run(tuple(r.stores[i] for i in keep), tuple(r.commands[i] for i in keep),
+               r.truncated)

@@ -1,10 +1,14 @@
 """Observational abstractions of traces and the bounded equivalence checker.
 
 ``sc`` collapses consecutive equal stores (store changes), ``st`` keeps every
-store, and ``out`` keeps restricted stores at output commands only.  All of
-them work on anything whose elements carry a ``store`` attribute, so core
-traces and while-language traces share them.  An out check refuses programs
-with no output command of its variables, which it would pass unobserved.
+store, and ``out`` keeps restricted stores at output commands only.  They read
+a run's stores and commands (``Run.stores``, ``Run.commands``), so core runs
+and while-language runs share them.  An out check refuses programs with no
+output command of its variables, which it would pass unobserved.
+
+Every run the checks and the pipeline make goes through ``runs``.  The checks
+judge runs: a caller that has the two programs' runs already (the pipeline
+mined them) passes them in, and a check makes only the runs it is not given.
 """
 
 from __future__ import annotations
@@ -16,29 +20,39 @@ from .lang import Program, Put
 from .semantics import Run, Store, run
 
 StoreSeq = tuple[Store, ...]
+RunPair = tuple[Sequence[Run], Sequence[Run]]
 
 
 class ObserveError(Exception):
     pass
 
 
-def sc(states: Sequence) -> StoreSeq:
+def runs(p: Program, stores: Iterable[Store], budget: int) -> tuple[Run, ...]:
+    """One run of p from each store, in order."""
+    return tuple(run(p, rho, budget) for rho in stores)
+
+
+def sc(r: Run) -> StoreSeq:
+    """Store changes.  A firing test carries its store object on, so identity
+    settles most neighbours before equality is asked."""
     out: list[Store] = []
-    for s in states:
-        if not out or out[-1] != s.store:
-            out.append(s.store)
+    last = None
+    for s in r.stores:
+        if s is not last and s != last:
+            out.append(s)
+        last = s
     return tuple(out)
 
 
-def st(states: Sequence) -> StoreSeq:
+def st(r: Run) -> StoreSeq:
     """Every store (test oracle: while-language runs against their compiled
     runs in ``test_gp``)."""
-    return tuple(s.store for s in states)
+    return r.stores
 
 
-def out(states: Sequence, xs: Iterable[str]) -> StoreSeq:
+def out(r: Run, xs: Iterable[str]) -> StoreSeq:
     put = Put(frozenset(xs))
-    return tuple(s.store.restrict(put.vars) for s in states if s.command.action == put)
+    return tuple(s.restrict(put.vars) for s, c in zip(r.stores, r.commands) if c.action == put)
 
 
 # ---------------------------------------------------------------------------
@@ -97,33 +111,43 @@ def compare(o1: StoreSeq, o2: StoreSeq, r1: Run, r2: Run) -> tuple[bool, Optiona
     return True, None
 
 
-def equiv_check(p1: Program, p2: Program, initials: Iterable[Store], budget: int,
-                observe: Callable[[Sequence], StoreSeq], name: str) -> EquivReport:
-    """Bounded differential check of two deterministic programs.
+def equiv_check(runs1: Sequence[Run], runs2: Sequence[Run],
+                observe: Callable[[Run], StoreSeq], name: str) -> EquivReport:
+    """Bounded differential check of two deterministic programs by their
+    runs, one of each program per initial store, paired in order.
 
-    For each initial store both programs run to completion or budget; the
-    observation sequences must be equal when both runs completed, and in a
-    prefix relation otherwise.  ``name`` names the observation in the report.
-    """
+    The observation sequences must be equal when both runs completed, and in
+    a prefix relation otherwise.  ``name`` names the observation in the
+    report."""
     verdicts = []
-    for rho in initials:
-        r1 = run(p1, rho, budget)
-        r2 = run(p2, rho, budget)
-        o1, o2 = observe(r1.states), observe(r2.states)
-        passed, div = compare(o1, o2, r1, r2)
-        verdicts.append(Verdict(rho, passed, div))
+    for r1, r2 in zip(runs1, runs2, strict=True):
+        passed, div = compare(observe(r1), observe(r2), r1, r2)
+        verdicts.append(Verdict(r1.stores[0], passed, div))
     return EquivReport(tuple(verdicts), name)
 
 
-def sc_equiv_check(p1: Program, p2: Program, initials: Iterable[Store],
-                   budget: int) -> EquivReport:
-    return equiv_check(p1, p2, initials, budget, sc, "sc")
+def _runs(p1: Program, p2: Program, initials: Iterable[Store], budget: int,
+          made: Optional[RunPair]) -> RunPair:
+    if made is not None:
+        return made
+    initials = tuple(initials)
+    return runs(p1, initials, budget), runs(p2, initials, budget)
+
+
+def sc_equiv_check(p1: Program, p2: Program, initials: Iterable[Store], budget: int,
+                   made: Optional[RunPair] = None) -> EquivReport:
+    """Store changes agree.  ``made``, when given, holds the runs of p1 and p2
+    from ``initials`` at ``budget``, which the caller made already."""
+    return equiv_check(*_runs(p1, p2, initials, budget, made), sc, "sc")
 
 
 def out_equiv_check(p1: Program, p2: Program, initials: Iterable[Store], budget: int,
-                    xs: Optional[Iterable[str]] = None) -> EquivReport:
-    """Outputs of ``xs`` (default: the variables of both programs) agree."""
+                    xs: Optional[Iterable[str]] = None,
+                    made: Optional[RunPair] = None) -> EquivReport:
+    """Outputs of ``xs`` (default: the variables of both programs) agree;
+    ``made`` as for ``sc_equiv_check``."""
     put = Put(p1.vars() | p2.vars() if xs is None else frozenset(xs))
     if not any(c.action == put for p in (p1, p2) for c in p.commands):
         raise ObserveError(f"out check observes nothing: neither program has {put}")
-    return equiv_check(p1, p2, initials, budget, lambda tr: out(tr, put.vars), "out")
+    return equiv_check(*_runs(p1, p2, initials, budget, made),
+                       lambda r: out(r, put.vars), "out")

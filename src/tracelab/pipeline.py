@@ -1,13 +1,21 @@
 """The tracing-JIT loop as a library: run, mine, stitch and optimize, check.
 
-Each round runs the current program from every initial store, mines the
-traces' hot paths against the input program (nested extraction calls
-previously stitched paths like subroutines) and stitches and optimizes the
-first one.  The final program must be well-formed, and it is checked against
-the input by store changes (sc), or by outputs (out) when dead-store
+Each round mines the runs of the current program from every initial store for
+hot paths against the input program (nested extraction calls previously
+stitched paths like subroutines) and stitches and optimizes the first one.
+Each stitched program must be well-formed.  The final program is checked
+against the input by store changes (sc), or by outputs (out) when dead-store
 elimination ran, since dse does not preserve store changes; an out check
 refuses a program with no output to see.  Each failing verdict is minimized
 by the check that judged it.
+
+A call runs each program once per store, through ``observe.runs``.  The input
+program's runs are round 1's traces and the check's left side.  The runs of
+each stitched program are the next round's traces; the runs of the last one
+are the check's right side, whether the next round found no hot path or no
+round was left.  So a call that finds no hot path makes one run per store,
+and a call whose R rounds all stitch makes R + 1.  Only ``shrink`` runs
+again, on a failure.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import Optional, Sequence
 
 from . import hotpath, lang, observe, optimize
 from .lang import Program
-from .semantics import Store, run
+from .semantics import Run, Store
 
 
 class PipelineError(Exception):
@@ -33,16 +41,15 @@ class PipelineReport:
     minimized: dict[observe.Verdict, tuple[observe.Verdict, int]]  # per failing verdict: see shrink
 
 
-def mine(p: Program, original: Program, stores: Sequence[Store], budget: int,
-         threshold: int, domain: str) -> list[tuple[hotpath.HotPath, int]]:
-    """The threshold-hot paths of the hotcuts of p's runs from the stores, in
-    first-found order, each with the count of the run that found it first; p
-    is ranked once.  With p == original these are the paper's alpha-hot_N."""
-    traces = [run(p, rho, budget).states for rho in stores]
+def mine(p: Program, original: Program, runs: Sequence[Run], threshold: int,
+         domain: str) -> list[tuple[hotpath.HotPath, int]]:
+    """The threshold-hot paths of the hotcuts of p's runs, in first-found
+    order, each with the count of the run that found it first; p is ranked
+    once.  With p == original these are the paper's alpha-hot_N."""
     rank = hotpath.topo_order(p)
     found: dict[hotpath.HotPath, int] = {}
-    for tr in traces:
-        for hp, c in hotpath.hot_n(hotpath.hotcut(tr, original), threshold, domain, p, rank):
+    for r in runs:
+        for hp, c in hotpath.hot_n(hotpath.hotcut(r, original), threshold, domain, p, rank):
             found.setdefault(hp, c)
     return list(found.items())
 
@@ -62,20 +69,23 @@ def pipeline(p: Program, stores: Sequence[Store], domain: str, threshold: int, b
         check(p, p, (), budget)
     else:
         check = observe.sc_equiv_check
+    before = current_runs = observe.runs(p, stores, budget)
     current = p
     hotpaths = []
     for _ in range(rounds):
-        found = mine(current, p, stores, budget, threshold, domain)
+        found = mine(current, p, current_runs, threshold, domain)
         if not found:
             break
         hotpaths.append(found[0])
         current = optimize.optimize_full(current, found[0][0],
                                          [optimize.PASSES[name] for name in passes], p)
-    wf = lang.well_formed(current)
-    if wf:
-        raise PipelineError("pipeline produced an ill-formed program: " + "; ".join(wf))
+        wf = lang.well_formed(current)
+        if wf:
+            raise PipelineError("pipeline produced an ill-formed program: " + "; ".join(wf))
+        del current_runs  # a round's runs go before the next round's are made
+        current_runs = observe.runs(current, stores, budget)
 
-    report = check(p, current, stores, budget)
+    report = check(p, current, stores, budget, made=(before, current_runs))
     minimized = {v: shrink(p, current, v.initial, budget, check)
                  for v in report.verdicts if not v.passed}
     return PipelineReport(tuple(hotpaths), current, report, minimized)

@@ -25,6 +25,11 @@ evaluating the test again; a guard visit is therefore one
 ``StoreAbstraction.contains`` call, looked up when the guard runs.  Any other
 label with several commands is nondeterministic and raises ``SemanticsError``.
 The table does not keep its program alive.
+
+A ``Run`` holds its trace as two tuples, the store and the command of each
+state, so a step appends to two lists and builds no ``State``; ``Run.states``
+builds the states on demand, for the witnesses, the CLI's ``run`` and
+``trace`` and the tests.  Mining and the observations read the two tuples.
 """
 
 from __future__ import annotations
@@ -112,18 +117,22 @@ class State:
         return f"<{self.store}, {self.command}>"
 
 
-Trace = tuple[State, ...]
-
-
 @dataclass(frozen=True)
 class Run:
-    """A bounded maximal trace; truncated means the budget ran out first."""
+    """A bounded maximal trace as its stores and its commands, position by
+    position; truncated means the budget ran out first."""
 
-    states: Trace
+    stores: tuple[Store, ...]
+    commands: tuple[Command, ...]
     truncated: bool
 
+    @property
+    def states(self) -> tuple[State, ...]:
+        """The trace as states, built anew at each call."""
+        return tuple(map(State, self.stores, self.commands))
+
     def __len__(self):
-        return len(self.states)
+        return len(self.stores)
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +408,14 @@ def run(p: Program, rho0: Store, budget: int) -> Run:
     entry = table.get(p.entry)
     if entry is None:
         raise SemanticsError(f"no command at entry label {p.entry}")
-    states: list[State] = []
-    append = states.append
+    stores: list[Store] = []
+    commands: list[Command] = []
+    add_store, add_command = stores.append, commands.append
     rho = rho0
-    while True:
+    for _ in range(budget):
         c, other, fn = entry
         if c is None:
             raise SemanticsError(other)
-        if len(states) == budget:
-            # truncated: one more state would have been possible
-            return Run(tuple(states), truncated=True)
         if other is None:
             nxt = fn(rho)
         else:
@@ -416,11 +423,16 @@ def run(p: Program, rho0: Store, budget: int) -> Run:
             if taken is False:
                 c = other
             nxt = None if taken is None else rho
-        append(State(rho, c))
+        add_store(rho)
+        add_command(c)
         entry = table.get(c.succ)  # None at HALT, which labels no command
         if nxt is None or entry is None:
-            return Run(tuple(states), truncated=False)
+            return Run(tuple(stores), tuple(commands), truncated=False)
         rho = nxt
+    if entry[0] is None:
+        raise SemanticsError(entry[1])
+    # truncated: one more state would have been possible
+    return Run(tuple(stores), tuple(commands), truncated=True)
 
 
 def trace_linked(p: Program, states: Sequence[State]) -> bool:

@@ -1,7 +1,7 @@
 import pytest
 
 from tracelab import textio
-from tracelab.semantics import Store, run
+from tracelab.semantics import Run, Store, run
 from tracelab.values import TT
 
 
@@ -104,6 +104,12 @@ def cf_program():
 @pytest.fixture(scope="session")
 def dse_program():
     return textio.parse_program(DSE_SRC)
+
+
+def run_of(states, truncated=False):
+    """A run made of given states: a prefix of a run, or a hand-built or
+    witness trace, for the functions that read runs."""
+    return Run(tuple(s.store for s in states), tuple(s.command for s in states), truncated)
 
 
 def command_at(p, label, pred=lambda c: True):

@@ -49,10 +49,17 @@ def test_install_wraps_and_restores_every_binding(spans):
     assert optimize.PASSES == passes
 
 
-def test_traced_pipeline_sees_the_mining_layers(spans, tmp_path):
-    from tracelab import cli
+def test_traced_pipeline_sees_the_mining_layers(spans, tmp_path, monkeypatch):
+    from tracelab import cli, observe
     path = tmp_path / "loop.tl"
     path.write_text(LOOP_SRC)
+    runs, real = [], observe.run
+
+    def counting(p, rho, budget):
+        runs.append(p)
+        return real(p, rho, budget)
+
+    monkeypatch.setattr(observe, "run", counting)
     tracer = spans.Tracer()
     with tracer.install():
         assert cli.main(["pipeline", str(path), "--domain", "type", "--pass", "ts",
@@ -63,3 +70,5 @@ def test_traced_pipeline_sees_the_mining_layers(spans, tmp_path):
                  "domains.contains", "semantics.run", "optimize.optimize",
                  "observe.equiv_check"):
         assert layers[name].calls > 0, name
+    # every run of the call is traced: the input's and the stitched program's
+    assert layers["semantics.run"].calls == len(runs) == 2

@@ -262,7 +262,7 @@ def test_render_draws_one_edge_per_command(tmp_path):
 
 
 def test_extract_dot_highlights_exactly_the_stitch(tmp_path):
-    from tracelab import pipeline, textio
+    from tracelab import observe, pipeline, textio
     from tracelab.extract import extract_nested
     from tracelab.semantics import Store
     path, dot = tmp_path / "loop.tl", tmp_path / "loop.dot"
@@ -270,7 +270,7 @@ def test_extract_dot_highlights_exactly_the_stitch(tmp_path):
     rc, out, err = call(["extract", path, "--domain", "type", "--dot", dot])
     assert (rc, err) == (0, "")
     p = textio.parse_program(LOOP_SRC)
-    st = extract_nested(p, pipeline.mine(p, p, [Store()], 2000, 2, "type")[0][0], p)
+    st = extract_nested(p, pipeline.mine(p, p, observe.runs(p, [Store()], 2000), 2, "type")[0][0], p)
     assert out == textio.print_program(st.transformed)
     assert _dot_edges(dot.read_text(), True) == \
         {(c.label, c.succ, str(c.action)) for c in st.stitched}
@@ -429,3 +429,25 @@ def test_gp_check_passes_on_the_loop_with_an_if(tmp_path):
     assert out == ("ok - stitched compilation matches extraction (s0 -> h0#1, s1 -> h1#1, "
                    "s10 -> s4, s2 -> h2#1, s3 -> s3, s4 -> s5, s5 -> h3#1, s6 -> h4#1, "
                    "s7 -> s0, s8 -> s1, s9 -> s2)\n")
+
+
+def test_the_parser_built_once_keeps_no_state_between_calls(tmp_path):
+    """``main`` reuses one parser: a call with ``--pass`` leaks no pass, and
+    no other value, into the next call, which prints what a fresh process
+    prints."""
+    import os
+    import subprocess
+    import sys
+    path = tmp_path / "loop.tl"
+    path.write_text(LOOP_SRC)
+    argv = ["pipeline", str(path), "--domain", "type"]
+    with_pass = call([*argv, "--pass", "ts", "--rounds", "2", "--sample", "2"])
+    without = call(argv)
+    assert cli.build_parser() is cli.build_parser()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = subprocess.run([sys.executable, "-m", "tracelab.cli", *argv],
+                           capture_output=True, text=True, env=env, check=False)
+    assert without == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert with_pass[0] == without[0] == 0 and with_pass[1] != without[1]

@@ -1,5 +1,6 @@
 import pytest
 
+from tracelab import observe
 from tracelab.extract import ExtractError, extract, extract_gp, extract_nested
 from tracelab.hotpath import hot_n, hotcut
 from tracelab.lang import Guard, rename_equal, well_formed
@@ -37,7 +38,7 @@ L5: skip -> .
 @pytest.fixture(scope="module")
 def loop_hp1(loop_program):
     r = run(loop_program, Store(), 1000)
-    return hot_n(r.states, 2, "onepoint", loop_program)[0][0]
+    return hot_n(r, 2, "onepoint", loop_program)[0][0]
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +86,7 @@ def test_extract_stitch_shape(loop_p1):
 def test_extract_self_loop_single_command():
     p = parse_program("#entry L0\nL0: x := 1 -> L1\nL1: x := x + 1 -> L1\n")
     r = run(p, Store(), 50)
-    hp = hot_n(r.states, 2, "onepoint", p)[0][0]
+    hp = hot_n(r, 2, "onepoint", p)[0][0]
     assert len(hp) == 1
     st = extract(p, hp)
     assert well_formed(st.transformed) == []
@@ -99,14 +100,14 @@ def test_extract_self_loop_single_command():
 
 def test_extract_requires_commands_in_program(loop_program, cf_program):
     r = run(cf_program, Store(), 500)
-    foreign = hot_n(r.states, 2, "onepoint", cf_program)[0][0]
+    foreign = hot_n(r, 2, "onepoint", cf_program)[0][0]
     with pytest.raises(ExtractError):
         extract(loop_program, foreign)
 
 
 def test_sieve_stitch_guards(sieve_program, sieve_store):
     r = run(sieve_program, sieve_store, 5000)
-    hp1 = hot_n(r.states, 2, "type", sieve_program)[0][0]
+    hp1 = hot_n(r, 2, "type", sieve_program)[0][0]
     st = extract(sieve_program, hp1)
     for c in st.stitched:
         if isinstance(c.action, Guard):
@@ -148,7 +149,7 @@ L5: skip -> .
 def test_extract_nested_golden(loop_program, loop_hp1):
     p1 = extract(loop_program, loop_hp1).transformed
     r1 = run(p1, Store(), 2000)
-    hp2 = hot_n(hotcut(r1.states, loop_program), 2, "onepoint", p1)[0][0]
+    hp2 = hot_n(hotcut(r1, loop_program), 2, "onepoint", p1)[0][0]
     labels = [c.label for c in hp2.commands]
     st1 = extract(loop_program, loop_hp1)
     assert labels == [st1.entry_label, st1.body[2].label, "L4"]
@@ -174,7 +175,7 @@ def test_extract_nested_degenerates_to_plain(loop_program, loop_hp1):
 
 def test_nested_extraction_correct(loop_program, loop_hp1):
     p1 = extract(loop_program, loop_hp1).transformed
-    hp2 = hot_n(hotcut(run(p1, Store(), 2000).states, loop_program), 2, "onepoint", p1)[0][0]
+    hp2 = hot_n(hotcut(run(p1, Store(), 2000), loop_program), 2, "onepoint", p1)[0][0]
     p2 = extract_nested(p1, hp2, loop_program).transformed
     initials = [Store()] + [Store({"x": v}) for v in (-5, 3, 19, 20, 21, 100)]
     rep = sc_equiv_check(loop_program, p2, initials, 3000)
@@ -185,12 +186,12 @@ def test_nested_extraction_correct(loop_program, loop_hp1):
 # while-language extraction
 # ---------------------------------------------------------------------------
 
-def _loop_paths(states, p):
+def _loop_paths(commands, p):
     """The command sequences of the loop paths of a trace, storeless and in
     first-occurrence order: the paths the while-language front end stitches."""
     from tracelab.hotpath import sloop, topo_order
-    segments = sloop(states, topo_order(p), p)
-    return list(dict.fromkeys(tuple(s.command for s in states[i:j + 1]) for i, j in segments))
+    segments = sloop(commands, topo_order(p), p)
+    return list(dict.fromkeys(commands[i:j + 1] for i, j in segments))
 
 
 def test_extract_gp_identity_without_interior_conditionals():
@@ -199,7 +200,7 @@ def test_extract_gp_identity_without_interior_conditionals():
     stm = parse_gp_program("while x <= 5 do { x := x + 1; }")
     p = GPCompiler().compile(stm)
     r = run(p, Store({"x": 0}), 200)
-    hp = _loop_paths(r.states, p)[0]
+    hp = _loop_paths(r.commands, p)[0]
     assert extract_gp(p, hp) == p
 
 
@@ -210,7 +211,7 @@ def test_extract_gp_adds_relabeled_chain(loop_program):
         "while x <= 20 do { x := x + 1; if (x % 3) = 0 then { x := x + 3; } }")
     p = GPCompiler().compile(stm)
     r = run(p, Store({"x": 0}), 500)
-    hp = next(h for h in _loop_paths(r.states, p) if len(h) == 4)
+    hp = next(h for h in _loop_paths(r.commands, p) if len(h) == 4)
     q = extract_gp(p, hp)
     added = q.commands - p.commands
     assert len(added) == 6  # 4 copies + 2 complement exits
@@ -239,7 +240,7 @@ def test_extraction_preserves_well_formedness(seed):
     p = gen_program(seed)
     (rho,) = gen_stores(seed, p.vars(), 1)
     r = run(p, rho, 400)
-    for hp, _ in hot_n(r.states, 2, "onepoint", p)[:2]:
+    for hp, _ in hot_n(r, 2, "onepoint", p)[:2]:
         st = extract(p, hp)
         assert well_formed(st.transformed) == []
         # stitched copies of repeated commands carry distinct labels
@@ -258,9 +259,10 @@ def test_a_path_leaving_a_stitched_command_twice_is_refused(seed, command):
     stores = gen.gen_stores(seed, ("x", "y", "z", "w", "s", "i", "j"), 4)
     current = p
     for _ in range(2):
-        current = extract_nested(current, pipeline.mine(current, p, stores, 2000, 2, "type")[0][0],
+        runs = observe.runs(current, stores, 2000)
+        current = extract_nested(current, pipeline.mine(current, p, runs, 2, "type")[0][0],
                                  p).transformed
-    hp = pipeline.mine(current, p, stores, 2000, 2, "type")[0][0]
+    hp = pipeline.mine(current, p, observe.runs(current, stores, 2000), 2, "type")[0][0]
     with pytest.raises(ExtractError) as e:
         extract_nested(current, hp, p)
     assert str(e.value) == f"hot path leaves the stitched command {command} twice"

@@ -11,6 +11,7 @@ from tracelab.observe import sc, st
 from tracelab.semantics import Store, fires, run, step, trace_linked
 from tracelab.textio import parse_gp_program, parse_program
 from tracelab.values import UNDEF
+from tests.conftest import run_of
 
 QW_SRC = "while x <= 20 do { x := x + 1; if (x % 3) = 0 then { x := x + 3; } }"
 
@@ -163,7 +164,7 @@ def test_compile_trace_is_initial_trace(qw):
     ct = comp.compile_trace(r.states)
     assert trace_linked(p, ct)
     assert ct[0].command.label == p.entry
-    assert st(ct) == st(r.states)
+    assert st(run_of(ct)) == st(r)
 
 
 def test_alpha_st_agreement_on_compiled_runs(qw):
@@ -172,7 +173,7 @@ def test_alpha_st_agreement_on_compiled_runs(qw):
     for x0 in (0, 7, 19, 21):
         r_gp = gp_run(qw, Store({"x": x0}), 400)
         r_c = run(p, Store({"x": x0}), 400)
-        assert st(r_gp.states) == st(r_c.states)
+        assert st(r_gp) == st(r_c)
 
 
 def test_monotone_compilation_along_runs(qw):
@@ -319,7 +320,7 @@ def test_gp_correctness_of_extraction(qw):
     # and the store changes of the two source programs from x = 0 agree
     r1 = gp_run(qw, Store({"x": 0}), 2000)
     r2 = gp_run(rec.stitched, Store({"x": 0}), 2000)
-    assert sc(r1.states) == sc(r2.states)
+    assert sc(r1) == sc(r2)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +337,7 @@ def test_generated_gp_runs_commute(seed):
     (rho,) = gen_stores(seed, p.vars(), 1)
     r_gp = gp_run(stm, rho, 250)
     r_c = run(p, rho, 250)
-    assert st(r_gp.states) == st(r_c.states)
+    assert st(r_gp) == st(r_c)
     assert comp.compile_trace(r_gp.states) == r_c.states
 
 

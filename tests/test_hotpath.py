@@ -3,7 +3,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from tracelab import hotpath
+from tracelab import hotpath, observe
 from tracelab.domains import get_domain, onepoint_domain
 from tracelab.extract import extract
 from tracelab.hotpath import (HotPath, HotPathError, count, hot_n, hotcut, sloop,
@@ -12,7 +12,7 @@ from tracelab.lang import ArrayAssign, Assign, Command, Lit, Skip, Var, find_cmp
 from tracelab.semantics import State, Store, run
 from tracelab.textio import parse_program
 from tracelab.values import FF, TT
-from tests.conftest import command_at
+from tests.conftest import command_at, run_of
 
 
 def _cmds(p, labels_actions):
@@ -78,7 +78,7 @@ def test_topo_order_prints_no_guard_store(sieve_program, sieve_store, monkeypatc
     """Branches are ordered by polarity over ``Program.at``'s order, so
     ranking a stitched program never prints its guard stores."""
     from tracelab.domains import AbstractStore
-    hp = hot_n(run(sieve_program, sieve_store, 5000).states, 2, "type", sieve_program)[0][0]
+    hp = hot_n(run(sieve_program, sieve_store, 5000), 2, "type", sieve_program)[0][0]
     p = extract(sieve_program, hp).transformed
     want = _dfs_oracle_rank(p)  # builds the program's cached tables
     calls = []
@@ -105,12 +105,12 @@ def test_topo_covers_unreachable():
 
 def test_sloop_single_state_empty(loop_program, loop_run):
     rank = topo_order(loop_program)
-    assert sloop(loop_run.states[:1], rank, loop_program) == []
+    assert sloop(loop_run.commands[:1], rank, loop_program) == []
 
 
 def test_sloop_contains_first_loop_segment(loop_program, loop_run):
     rank = topo_order(loop_program)
-    segs = sloop(loop_run.states, rank, loop_program)
+    segs = sloop(loop_run.commands, rank, loop_program)
     mats = [tuple(s.command.label for s in loop_run.states[i:j + 1]) for i, j in segs]
     assert ("L1", "L2", "L3") in mats
     # the segment carries the stores of its occurrence
@@ -137,7 +137,7 @@ L7: skip -> .
     p = parse_program(src)
     r = run(p, Store(), 500)
     rank = topo_order(p)
-    segs = set(sloop(r.states, rank, p))
+    segs = set(sloop(r.commands, rank, p))
 
     states = r.states
     brute = set()
@@ -158,14 +158,14 @@ L7: skip -> .
     assert labels.count("L3") >= 2
 
 
-def _counts(p, states, domain_tag):
-    return count(hotpath.abstract_trace(states, domain_tag),
-                 sloop(states, topo_order(p), p))
+def _counts(p, r, domain_tag):
+    return count(hotpath.abstract_trace(r, domain_tag),
+                 sloop(r.commands, topo_order(p), p))
 
 
 def test_count_golden(loop_program, loop_run):
-    counts = _counts(loop_program, loop_run.states, "onepoint")
-    hps = hot_n(loop_run.states, 2, "onepoint", loop_program)
+    counts = _counts(loop_program, loop_run, "onepoint")
+    hps = hot_n(loop_run, 2, "onepoint", loop_program)
     assert counts[hps[0][0].pairs] == 8
     assert counts[hps[1][0].pairs] == 4
     assert list(counts)[:2] == [hp.pairs for hp, _ in hps]  # first-occurrence order
@@ -175,8 +175,8 @@ def test_count_too_long_pattern(loop_program, loop_run):
     """A prefix too short for a segment with a successor state counts
     nothing, though the loop path's one occurrence ends at its last state;
     one segment further, the occurrence counts once."""
-    assert _counts(loop_program, loop_run.states[:4], "onepoint") == {}
-    counts = _counts(loop_program, loop_run.states[:5], "onepoint")
+    assert _counts(loop_program, run_of(loop_run.states[:4]), "onepoint") == {}
+    counts = _counts(loop_program, run_of(loop_run.states[:5]), "onepoint")
     assert [[c.label for _, c in image] for image in counts] == [["L1", "L2", "L3"]]
     assert list(counts.values()) == [1]
 
@@ -184,10 +184,10 @@ def test_count_too_long_pattern(loop_program, loop_run):
 def test_count_overlapping():
     """Four states of a self-loop: three segments and the trailing window."""
     p = parse_program("#entry L\nL: skip -> L\n")
-    states = [State(Store(), command_at(p, "L"))] * 4
-    assert sloop(states, topo_order(p), p) == [(0, 0), (1, 1), (2, 2)]
+    r = run_of([State(Store(), command_at(p, "L"))] * 4)
+    assert sloop(r.commands, topo_order(p), p) == [(0, 0), (1, 1), (2, 2)]
     a = onepoint_domain.top()
-    assert _counts(p, states, "onepoint") == {((a, command_at(p, "L")),): 4}
+    assert _counts(p, r, "onepoint") == {((a, command_at(p, "L")),): 4}
 
 
 def _sloop_by_definition(states, rank, p):
@@ -226,7 +226,7 @@ def _hot_n_by_scan(states, n, domain_tag, p):
 
 
 def _scan_cases(seed):
-    """(program, states, nested) at three budgets: seed ``seed``'s generated
+    """(program, run, nested) at three budgets: seed ``seed``'s generated
     program with its run, and its 1-round type/ts final program with its
     run cut by ``hotcut`` against the original, which leaves neighbours
     that no step links."""
@@ -236,20 +236,21 @@ def _scan_cases(seed):
     (rho,) = gen_stores(seed, p.vars(), 1)
     final = pipeline(p, [rho], "type", 2, 2000, ["ts"], 1).program
     for budget in (2000, 37, 101):
-        yield p, run(p, rho, budget).states, False
-        yield final, hotcut(run(final, rho, budget).states, p), True
+        yield p, run(p, rho, budget), False
+        yield final, hotcut(run(final, rho, budget), p), True
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_hot_n_agrees_with_the_scan(seed):
-    for p, states, _ in _scan_cases(seed):
-        assert sloop(states, topo_order(p), p) == \
+    for p, r, _ in _scan_cases(seed):
+        states = r.states
+        assert sloop(r.commands, topo_order(p), p) == \
             _sloop_by_definition(states, topo_order(p), p)
         for tag in ("onepoint", "type", "cp"):
             alpha = get_domain(tag).alpha
-            assert hotpath.abstract_trace(states, tag) == \
+            assert hotpath.abstract_trace(r, tag) == \
                 [(alpha([s.store]), s.command) for s in states]
-            got = [(hp.pairs, c) for hp, c in hot_n(states, 2, tag, p)]
+            got = [(hp.pairs, c) for hp, c in hot_n(r, 2, tag, p)]
             assert got == _hot_n_by_scan(states, 2, tag, p), (len(states), tag)
 
 
@@ -269,9 +270,9 @@ def test_only_unlinked_stores_are_abstracted_whole(monkeypatch):
     monkeypatch.setattr(type_domain, "alpha", counting)
     fallbacks = 0
     for seed in range(30):
-        for _, states, nested in _scan_cases(seed):
+        for _, r, nested in _scan_cases(seed):
             calls.clear()
-            hotpath.abstract_trace(states, "type")
+            hotpath.abstract_trace(r, "type")
             if nested:
                 fallbacks += len(calls) > 1
             else:
@@ -282,11 +283,11 @@ def test_only_unlinked_stores_are_abstracted_whole(monkeypatch):
 def test_the_trailing_window_counts(loop_program):
     """Runs cut by the budget right after a loop path's last command: the
     occurrence that ends the trace is no segment, but it is counted."""
-    states = run(loop_program, Store(), 7).states  # L0 (L1 L2 L3!) (L1 L2 L3!)
-    hps = hot_n(states, 2, "onepoint", loop_program)
+    r = run(loop_program, Store(), 7)  # L0 (L1 L2 L3!) (L1 L2 L3!)
+    hps = hot_n(r, 2, "onepoint", loop_program)
     assert [([c.label for c in hp.commands], c) for hp, c in hps] == [(["L1", "L2", "L3"], 2)]
-    states = run(loop_program, Store(), 14).states
-    assert [c for _, c in hot_n(states, 2, "onepoint", loop_program)] == [3]
+    r = run(loop_program, Store(), 14)
+    assert [c for _, c in hot_n(r, 2, "onepoint", loop_program)] == [3]
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +336,7 @@ def test_abstract_trace_is_pointwise_alpha_after_one_write(case, tag):
     changed = {x for x in (*first.keys(), *second.keys()) if first.get(x) != second.get(x)}
     dom = get_domain(tag)
     with mock.patch.object(dom, "alpha", wraps=dom.alpha) as alpha:
-        abs_tr = hotpath.abstract_trace(states, tag)
+        abs_tr = hotpath.abstract_trace(run_of(states), tag)
     assert abs_tr == [(dom.alpha([s.store]), s.command) for s in states]
     assert alpha.call_count == (1 if named is not None and changed <= {named} else 2)
 
@@ -345,7 +346,7 @@ def test_abstract_trace_is_pointwise_alpha_after_one_write(case, tag):
 # ---------------------------------------------------------------------------
 
 def test_hot2_exact_set(loop_program, loop_run):
-    hps = hot_n(loop_run.states, 2, "onepoint", loop_program)
+    hps = hot_n(loop_run, 2, "onepoint", loop_program)
     assert len(hps) == 2
     (hp1, c1), (hp2, c2) = hps
     assert (c1, c2) == (8, 4)
@@ -357,17 +358,17 @@ def test_hot2_exact_set(loop_program, loop_run):
 
 def test_hot_threshold_antitone(loop_program, loop_run):
     for n in (2, 3, 4, 5, 9):
-        lo = {hp.pairs for hp, _ in hot_n(loop_run.states, n, "onepoint", loop_program)}
-        hi = {hp.pairs for hp, _ in hot_n(loop_run.states, n + 1, "onepoint", loop_program)}
+        lo = {hp.pairs for hp, _ in hot_n(loop_run, n, "onepoint", loop_program)}
+        hi = {hp.pairs for hp, _ in hot_n(loop_run, n + 1, "onepoint", loop_program)}
         assert hi <= lo
 
 
 def test_hot_high_threshold_empty(loop_program, loop_run):
-    assert hot_n(loop_run.states, 100, "onepoint", loop_program) == []
+    assert hot_n(loop_run, 100, "onepoint", loop_program) == []
 
 
 def test_hot_invariants(loop_program, loop_run):
-    for hp, _ in hot_n(loop_run.states, 2, "onepoint", loop_program):
+    for hp, _ in hot_n(loop_run, 2, "onepoint", loop_program):
         cmds = hp.commands
         assert cmds[-1].succ == cmds[0].label
         assert all(c.label != cmds[0].label for c in cmds[1:])
@@ -384,7 +385,7 @@ def test_hotpath_validation():
 
 def test_sieve_first_hot_path(sieve_program, sieve_store):
     r = run(sieve_program, sieve_store, 5000)
-    hp1 = hot_n(r.states, 2, "type", sieve_program)[0][0]
+    hp1 = hot_n(r, 2, "type", sieve_program)[0][0]
     assert [c.label for c in hp1.commands] == ["L4", "L5", "L6"]
     a = hp1.pairs[0][0]
     assert str(a) == "{i: Int, k: Int, primes: Bool[100]}"
@@ -396,7 +397,7 @@ def test_sieve_first_hot_path(sieve_program, sieve_store):
 # ---------------------------------------------------------------------------
 
 def test_hotcut_identity_inside_original(loop_program, loop_run):
-    assert hotcut(loop_run.states, loop_program) == loop_run.states
+    assert hotcut(loop_run, loop_program) == loop_run
 
 
 def test_hotcut_drops_middle_of_foreign_runs(loop_program):
@@ -404,15 +405,15 @@ def test_hotcut_drops_middle_of_foreign_runs(loop_program):
     keep = command_at(loop_program, "L0")
     states = [State(Store({"n": i}), foreign) for i in range(4)]
     states.append(State(Store({"n": 9}), keep))
-    cut = hotcut(states, loop_program)
-    assert [s.store.get("n") for s in cut] == [0, 3, 9]
+    cut = hotcut(run_of(states), loop_program)
+    assert [rho.get("n") for rho in cut.stores] == [0, 3, 9]
 
 
 def test_hotcut_golden_after_extraction(loop_program, loop_run):
-    hp1 = hot_n(loop_run.states, 2, "onepoint", loop_program)[0][0]
+    hp1 = hot_n(loop_run, 2, "onepoint", loop_program)[0][0]
     p1 = extract(loop_program, hp1).transformed
     r1 = run(p1, Store(), 2000)
-    cut = hotcut(r1.states, loop_program)
+    cut = hotcut(r1, loop_program).states
     head = [(s.store.get("x"), s.command.label) for s in cut[:7]]
     st_ = extract(loop_program, hp1)
     entry_pos = st_.entry_label
@@ -430,30 +431,30 @@ def test_hotcut_golden_after_extraction(loop_program, loop_run):
 
 
 def test_outerhot_reduces_to_hot_on_same_program(loop_program, loop_run):
-    a = hot_n(hotcut(loop_run.states, loop_program), 2, "onepoint", loop_program)
-    b = hot_n(loop_run.states, 2, "onepoint", loop_program)
+    a = hot_n(hotcut(loop_run, loop_program), 2, "onepoint", loop_program)
+    b = hot_n(loop_run, 2, "onepoint", loop_program)
     assert [hp.pairs for hp, _ in a] == [hp.pairs for hp, _ in b]
 
 
 def test_outerhot_finds_nested_path(loop_program, loop_run):
-    hp1 = hot_n(loop_run.states, 2, "onepoint", loop_program)[0][0]
+    hp1 = hot_n(loop_run, 2, "onepoint", loop_program)[0][0]
     st_ = extract(loop_program, hp1)
     r1 = run(st_.transformed, Store(), 2000)
-    outer = hot_n(hotcut(r1.states, loop_program), 2, "onepoint", st_.transformed)
+    outer = hot_n(hotcut(r1, loop_program), 2, "onepoint", st_.transformed)
     labels = [tuple(c.label for c in hp.commands) for hp, _ in outer]
     assert (st_.entry_label, st_.body[2].label, "L4") in labels
 
 
 def test_hotcut_never_changes_stores(loop_program, loop_run):
-    hp1 = hot_n(loop_run.states, 2, "onepoint", loop_program)[0][0]
+    hp1 = hot_n(loop_run, 2, "onepoint", loop_program)[0][0]
     p1 = extract(loop_program, hp1).transformed
     r1 = run(p1, Store(), 2000)
-    cut = hotcut(r1.states, loop_program)
+    cut = hotcut(r1, loop_program)
     # the cut is a subsequence of the input, states untouched
     it = iter(r1.states)
-    assert all(any(s == t for t in it) for s in cut)
+    assert all(any(s == t for t in it) for s in cut.states)
     from tracelab.observe import sc
-    sc_cut, sc_full = sc(cut), sc(r1.states)
+    sc_cut, sc_full = sc(cut), sc(r1)
     it = iter(sc_full)
     assert all(any(x == y for y in it) for x in sc_cut)  # subsequence collapse
 
@@ -465,7 +466,7 @@ def test_hotcut_sc_equal_when_dropped_states_preserve_stores(loop_program):
     rho = Store({"n": 1})
     states = [State(rho, foreign) for _ in range(5)] + [State(rho, keep)]
     from tracelab.observe import sc
-    assert sc(hotcut(states, loop_program)) == sc(states)
+    assert sc(hotcut(run_of(states), loop_program)) == sc(run_of(states))
 
 
 def _hotcut_by_deletion(states, original):
@@ -485,7 +486,8 @@ def test_hotcut_agrees_with_the_deletion_definition(loop_program, inside):
     foreign = Command("F", Skip(), "F")
     keep = command_at(loop_program, "L0")
     states = [State(Store({"n": i}), keep if b else foreign) for i, b in enumerate(inside)]
-    assert hotcut(states, loop_program) == _hotcut_by_deletion(states, loop_program)
+    assert hotcut(run_of(states), loop_program).states == \
+        _hotcut_by_deletion(states, loop_program)
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +497,10 @@ def test_hotcut_agrees_with_the_deletion_definition(loop_program, inside):
 def test_one_topo_order_per_mining_call(dse_program, monkeypatch):
     from tracelab import pipeline
     stores = [Store({"x": x}) for x in (-3, -1, 0, 1)]
-    traces = [run(dse_program, rho, 200).states for rho in stores]
+    runs = observe.runs(dse_program, stores, 200)
     want: dict = {}
-    for tr in traces:  # each trace numbered on its own, as hot_n does alone
-        for hp, c in hot_n(tr, 2, "type", dse_program):
+    for r in runs:  # each trace numbered on its own, as hot_n does alone
+        for hp, c in hot_n(r, 2, "type", dse_program):
             want.setdefault(hp, c)
     assert want
     calls = []
@@ -509,7 +511,7 @@ def test_one_topo_order_per_mining_call(dse_program, monkeypatch):
         return real(p)
 
     monkeypatch.setattr(hotpath, "topo_order", counting)
-    found = pipeline.mine(dse_program, dse_program, stores, 200, 2, "type")
+    found = pipeline.mine(dse_program, dse_program, runs, 2, "type")
     assert calls == [dse_program]
     assert found == list(want.items())
 
@@ -521,7 +523,8 @@ def test_abstract_trace_abstracts_each_store_object_once(sieve_program, sieve_st
     writes changed, so only the first store is abstracted whole: one call
     for the run's 413 store objects."""
     from tracelab.domains import type_domain
-    states = run(sieve_program, sieve_store, 20000).states
+    r = run(sieve_program, sieve_store, 20000)
+    states = r.states
     calls = []
     real = type_domain.alpha
 
@@ -530,7 +533,7 @@ def test_abstract_trace_abstracts_each_store_object_once(sieve_program, sieve_st
         return real(stores)
 
     monkeypatch.setattr(type_domain, "alpha", counting)
-    abs_tr = hotpath.abstract_trace(states, "type")
+    abs_tr = hotpath.abstract_trace(r, "type")
     monkeypatch.undo()
     runs = 1 + sum(s.store is not t.store for t, s in zip(states, states[1:]))
     assert len(calls) <= runs < len(states)

@@ -5,9 +5,9 @@ import pytest
 from tracelab import observe
 from tracelab.lang import Command, Put, Skip
 from tracelab.observe import out, out_equiv_check, sc, sc_equiv_check, st
-from tracelab.semantics import State, Store, run
+from tracelab.semantics import State, Store, run, trace_linked
 from tracelab.textio import parse_program
-from tests.conftest import command_at
+from tests.conftest import command_at, run_of
 
 
 def _state(bindings, label="L", action=None, succ="M"):
@@ -15,19 +15,19 @@ def _state(bindings, label="L", action=None, succ="M"):
 
 
 def test_sc_collapses_consecutive_stores(loop_program, loop_run):
-    seq = sc(loop_run.states[:2])
+    seq = sc(run_of(loop_run.states[:2]))
     assert seq == (Store(), Store({"x": 0}))
 
 
 def test_sc_all_skip_trace():
     states = [_state({"a": 1}) for _ in range(5)]
-    assert sc(states) == (Store({"a": 1}),)
-    assert sc([]) == ()
+    assert sc(run_of(states)) == (Store({"a": 1}),)
+    assert sc(run_of([])) == ()
 
 
 def test_sc_is_subsequence_of_st(loop_run):
-    full = st(loop_run.states)
-    changes = sc(loop_run.states)
+    full = st(loop_run)
+    changes = sc(loop_run)
     assert len(changes) <= len(full)
     it = iter(full)
     assert all(any(x == y for y in it) for x in changes)  # subsequence check
@@ -41,7 +41,7 @@ def test_sc_stuttering_idempotent(loop_run):
         stuttered.append(s)
         if rng.random() < 0.4:
             stuttered.append(State(s.store, Command("pad", Skip(), "pad")))
-    assert sc(stuttered) == sc(states)
+    assert sc(run_of(stuttered)) == sc(run_of(states))
 
 
 def test_out_filters_put_states():
@@ -49,10 +49,10 @@ def test_out_filters_put_states():
     s1 = _state({"x": 1, "y": 9})
     s2 = _state({"x": 2, "y": 9}, action=Put(xs))
     s3 = _state({"x": 3})
-    assert out([s1, s2, s3], xs) == (Store({"x": 2}),)
-    assert out([s1, s3], xs) == ()
+    assert out(run_of([s1, s2, s3]), xs) == (Store({"x": 2}),)
+    assert out(run_of([s1, s3]), xs) == ()
     # only exact put sets for this observation record
-    assert out([_state({"x": 1}, action=Put(frozenset({"x", "y"})))], xs) == ()
+    assert out(run_of([_state({"x": 1}, action=Put(frozenset({"x", "y"})))]), xs) == ()
 
 
 def test_sc_equiv_check_self(loop_program):
@@ -100,3 +100,36 @@ def test_out_check_refuses_programs_without_put():
     assert not sc_equiv_check(p3, p4, stores, 2000).passed
     with pytest.raises(observe.ObserveError, match=r"neither program has put \{i, w, x\}"):
         out_equiv_check(p3, p4, stores, 2000, p3.vars() | p4.vars())
+
+
+def _sc_by_scan(states):
+    """Store changes straight from their definition, over states."""
+    changes = []
+    for s in states:
+        if not changes or changes[-1] != s.store:
+            changes.append(s.store)
+    return tuple(changes)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 2000])
+def test_observations_of_a_run_agree_with_a_scan_of_its_states(budget):
+    """A run keeps its stores and commands apart; its states are built from
+    them, and ``sc`` and ``out`` over the run see what a scan of those states
+    sees.  Generated programs put every variable when they halt."""
+    from tracelab.gen import gen_program, gen_stores
+    from tests.test_pipeline import _with_put
+    seen = 0
+    for seed in range(30):
+        p = _with_put(gen_program(seed))
+        put = Put(p.vars())
+        for rho in gen_stores(seed, p.vars(), 2):
+            r = run(p, rho, budget)
+            assert r.states == tuple(map(State, r.stores, r.commands))
+            assert len(r) == len(r.states) <= budget and trace_linked(p, r.states)
+            assert sc(r) == _sc_by_scan(r.states)
+            outputs = tuple(s.store.restrict(put.vars) for s in r.states
+                            if s.command.action == put)
+            assert out(r, put.vars) == outputs
+            seen += bool(outputs)
+    if budget == 2000:
+        assert seen  # runs that halt put their final store

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from tracelab import gen, pipeline
+from tracelab import gen, observe, pipeline
 from tracelab.domains import CPConst, CP_TOP, cp_domain, type_domain
 from tracelab.extract import extract, extract_nested
 from tracelab.hotpath import HotPath, hot_n
@@ -26,7 +26,7 @@ from tests.test_domains import _element_and_store
 
 def _sieve_stitch(sieve_program, sieve_store):
     r = run(sieve_program, sieve_store, 5000)
-    hp1 = hot_n(r.states, 2, "type", sieve_program)[0][0]
+    hp1 = hot_n(r, 2, "type", sieve_program)[0][0]
     return extract(sieve_program, hp1)
 
 
@@ -52,7 +52,7 @@ L3: skip -> .
 """
     p = parse_program(src)
     r = run(p, Store({"y": 1}), 200)
-    hp = hot_n(r.states, 2, "onepoint", p)[0][0]
+    hp = hot_n(r, 2, "onepoint", p)[0][0]
     # rebuild the same path with type guards mapping y to Top
     pairs = tuple((type_domain.make({"x": INT, "y": TOP_T}), c) for _, c in hp.pairs)
     hp_t = HotPath(pairs)
@@ -72,7 +72,7 @@ L4: skip -> .
 """
     p = parse_program(src)
     r = run(p, Store({"n": 0, "b": "q"}), 200)
-    hp = hot_n(r.states, 2, "type", p)[0][0]
+    hp = hot_n(r, 2, "type", p)[0][0]
     st = extract(p, hp)
     new = type_specialize(st)
     specialized = {str(c.action) for c in new - st.stitched}
@@ -82,7 +82,7 @@ L4: skip -> .
 
 def test_type_specialize_requires_type_guards(loop_program):
     r = run(loop_program, Store(), 500)
-    hp = hot_n(r.states, 2, "onepoint", loop_program)[0][0]
+    hp = hot_n(r, 2, "onepoint", loop_program)[0][0]
     st = extract(loop_program, hp)
     with pytest.raises(OptimizeError):
         type_specialize(st)
@@ -162,7 +162,7 @@ L3: skip -> .
 
 def test_cf_requires_cp_guards(loop_program):
     r = run(loop_program, Store(), 500)
-    hp = hot_n(r.states, 2, "onepoint", loop_program)[0][0]
+    hp = hot_n(r, 2, "onepoint", loop_program)[0][0]
     with pytest.raises(OptimizeError):
         const_fold(extract(loop_program, hp))
 
@@ -189,7 +189,7 @@ def test_free_vars_basics():
 
 def _dse_stitch(dse_program):
     r = run(dse_program, Store({"x": -4, "z": 7}), 400)
-    hp = hot_n(r.states, 2, "onepoint", dse_program)[0][0]
+    hp = hot_n(r, 2, "onepoint", dse_program)[0][0]
     assert [str(c.action) for c in hp.commands] == \
         ["(x <= 0)", "z := 0", "x := (x + 1)", "z := 1"]
     return extract(dse_program, hp)
@@ -217,7 +217,7 @@ L6: skip -> .
 """
     p = parse_program(src)
     r = run(p, Store({"x": -4, "z": 0}), 400)
-    hp = hot_n(r.states, 2, "onepoint", p)[0][0]
+    hp = hot_n(r, 2, "onepoint", p)[0][0]
     st = extract(p, hp)
     assert dead_store_eliminate(st) == st.stitched
 
@@ -235,7 +235,7 @@ L6: skip -> .
 """
     p = parse_program(src)
     r = run(p, Store({"x": -4}), 400)
-    hp = hot_n(r.states, 2, "onepoint", p)[0][0]
+    hp = hot_n(r, 2, "onepoint", p)[0][0]
     st = extract(p, hp)
     assert dead_store_eliminate(st) == st.stitched
 
@@ -277,7 +277,7 @@ def test_dse_on_generated_programs_matches_its_golden():
 
         current = p
         for _ in range(3):
-            found = pipeline.mine(current, p, stores, 2000, 2, "onepoint")
+            found = pipeline.mine(current, p, observe.runs(current, stores, 2000), 2, "onepoint")
             if not found:
                 break
             current = optimize_full(current, found[0][0], [dse] * len(names.split(",")), p)
@@ -336,7 +336,7 @@ L3: z := 3 -> L4
 L4: i := i + z -> L0
 L5: put {i} -> .
 """)
-    hp = pipeline.mine(p, p, [Store({"i": 0})], 2000, 2, "onepoint")[0][0]
+    hp = pipeline.mine(p, p, observe.runs(p, [Store({"i": 0})], 2000), 2, "onepoint")[0][0]
     st = extract(p, hp)
     assert [str(c.action) for c in hp.commands[1:4]] == ["z := 1", "z := 2", "z := 3"]
     p1 = optimize_full(p, hp, [dead_store_eliminate], p)
@@ -357,7 +357,7 @@ def test_a_cycle_of_bypassed_pairs_keeps_its_first_pair():
 L0: x := 1 -> L1
 L1: x := 2 -> L0
 """)
-    hp = hot_n(run(p, Store(), 50).states, 2, "onepoint", p)[0][0]
+    hp = hot_n(run(p, Store(), 50), 2, "onepoint", p)[0][0]
     p1 = optimize_full(p, hp, [dead_store_eliminate], p)
     assert well_formed(p1) == [] and p1.entry == "L0"
     assert {str(c) for c in p1.at("L0")} == {"L0: guard onepoint {} -> L0",
@@ -376,7 +376,7 @@ def test_identity_optimization_equals_extraction(loop_program):
     slow head copies and the original L2 and L3.  That is the original loop
     under the stitch's labels."""
     r = run(loop_program, Store(), 500)
-    hp = hot_n(r.states, 2, "onepoint", loop_program)[0][0]
+    hp = hot_n(r, 2, "onepoint", loop_program)[0][0]
     st = extract(loop_program, hp)
     skip = {yes.label: yes.succ for yes, _ in st.guards.values()}
     dropped = set(skip) | {c.label for c in st.slow} | {"L2", "L3"}
@@ -392,7 +392,7 @@ def test_identity_optimization_equals_extraction(loop_program):
 
 def test_boundary_violations_are_rejected(loop_program):
     r = run(loop_program, Store(), 500)
-    hp = hot_n(r.states, 2, "onepoint", loop_program)[0][0]
+    hp = hot_n(r, 2, "onepoint", loop_program)[0][0]
 
     def drops_entry(st):
         return frozenset(c for c in st.stitched if c.label != st.entry_label)
@@ -419,7 +419,7 @@ def test_a_copy_is_told_from_an_exit_with_its_label_and_successor():
     and the unrewritten branch is not taken for a rewrite that needs a guard:
     only the specialized addition keeps one."""
     p = parse_program(SHARED_EXIT_SRC)
-    hp = pipeline.mine(p, p, [Store({"x": 0, "y": 1})], 500, 2, "type")[0][0]
+    hp = pipeline.mine(p, p, observe.runs(p, [Store({"x": 0, "y": 1})], 500), 2, "type")[0][0]
     st = extract(p, hp)
     assert (st.exits[2].label, st.exits[2].succ) == (st.body[2].label, st.body[2].succ)
     assert _rebody(st, st.stitched) == st.body
@@ -479,7 +479,7 @@ def test_a_rewrite_of_a_nested_command_is_undone(sieve_program, sieve_store):
     stitch, so a pass's rewrite of it does not survive slicing."""
     p1 = optimize_full(sieve_program, _sieve_stitch(sieve_program, sieve_store).hp,
                        [type_specialize], sieve_program)
-    hp2 = pipeline.mine(p1, sieve_program, [sieve_store], 20000, 2, "type")[0][0]
+    hp2 = pipeline.mine(p1, sieve_program, observe.runs(p1, [sieve_store], 20000), 2, "type")[0][0]
 
     def rewrites_nested(st):
         nested = {c for i, c in st.body.items() if i not in st.guards}
@@ -507,7 +507,7 @@ L3: (x <= 20) -> L1
 L3: !(x <= 20) -> L4
 L4: skip -> .
 """)
-    hp = pipeline.mine(p, p, [Store()], 2000, 2, "type")[0][0]
+    hp = pipeline.mine(p, p, observe.runs(p, [Store()], 2000), 2, "type")[0][0]
     st = extract(p, hp)
     assert [str(c.action) for c in hp.commands] == ["x := (x + 1)", "y := (x + x)", "(x <= 20)"]
     p1 = optimize_full(p, hp, [type_specialize], p)
@@ -539,9 +539,9 @@ L5: k := k + 1 -> L4
 L6: j := i + i -> L1
 L9: skip -> .
 """)
-    p1 = optimize_full(p, pipeline.mine(p, p, [Store()], 2000, 2, "type")[0][0],
+    p1 = optimize_full(p, pipeline.mine(p, p, observe.runs(p, [Store()], 2000), 2, "type")[0][0],
                        [type_specialize], p)
-    hp = pipeline.mine(p1, p, [Store()], 2000, 2, "type")[0][0]
+    hp = pipeline.mine(p1, p, observe.runs(p1, [Store()], 2000), 2, "type")[0][0]
     st = extract_nested(p1, hp, p)
     assert [i for i in range(len(hp.commands)) if i not in st.guards] == [2, 3]
     p2 = optimize_full(p1, hp, [type_specialize], p)

@@ -68,7 +68,8 @@ def test_final_programs_print_parse_and_check(domain, passes, rounds):
             with pytest.raises(observe.ObserveError, match="out check observes nothing"):
                 _gen_pipeline(seed, domain, passes, rounds)
             p = gen.gen_program(seed)
-            found = pipeline.mine(p, p, gen.gen_stores(seed, SAMPLE_VARS, 4), 2000, 2, domain)
+            runs = observe.runs(p, gen.gen_stores(seed, SAMPLE_VARS, 4), 2000)
+            found = pipeline.mine(p, p, runs, 2, domain)
             program = optimize.optimize_full(p, found[0][0],
                                              [optimize.PASSES[name] for name in passes], p)
         else:
@@ -148,3 +149,62 @@ def test_dse_results_on_generated_programs_pass_their_out_check(domain, passes):
         assert rep.check.observation == "out" and rep.check.passed, seed
         stitched += bool(rep.hotpaths)
     assert stitched >= 90  # all 100 stitch today; unstitched programs check no dse
+
+
+# ---------------------------------------------------------------------------
+# one run per program and store
+# ---------------------------------------------------------------------------
+
+def _counted_runs(monkeypatch):
+    """The programs of every run made through ``observe``, in order."""
+    runs, real = [], observe.run
+
+    def counting(p, rho, budget):
+        runs.append(p)
+        return real(p, rho, budget)
+
+    monkeypatch.setattr(observe, "run", counting)
+    return runs
+
+
+def test_a_sieve_call_runs_three_programs_once(sieve_program, sieve_store, monkeypatch):
+    """The input, the round-1 program and the round-2 program; round 3 finds
+    nothing in the round-2 program's run, which the check then judges."""
+    runs = _counted_runs(monkeypatch)
+    rep = pipeline.pipeline(sieve_program, [sieve_store], "type", 2, 20000, ["ts"], 3)
+    assert len(rep.hotpaths) == 2
+    assert len(runs) == 3 and runs[0] is sieve_program and runs[-1] is rep.program
+
+
+def test_a_call_with_no_hot_path_runs_once_per_store(cf_program, monkeypatch):
+    runs = _counted_runs(monkeypatch)
+    rep = pipeline.pipeline(cf_program, [Store(), Store({"x": 9})], "cp", 2, 2000, ["cf"], 3)
+    assert rep.hotpaths == () and runs == [cf_program, cf_program]
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+def test_a_call_runs_each_stitched_program_once_per_store(rounds, monkeypatch):
+    """R stitched rounds make R + 1 runs per store, whether the call stops
+    because no round is left or because the next round found nothing."""
+    runs = _counted_runs(monkeypatch)
+    every_round_stitched = 0
+    for seed in range(60):
+        runs.clear()
+        rep = _gen_pipeline(seed, "type", ["ts"], rounds)
+        assert len(runs) == 4 * (len(rep.hotpaths) + 1), seed
+        every_round_stitched += len(rep.hotpaths) == rounds
+    assert every_round_stitched > 0
+
+
+@pytest.mark.parametrize("domain, passes", [("type", ["ts"]), ("onepoint", ["dse"])])
+def test_reused_runs_judge_as_fresh_runs_do(domain, passes):
+    """The check judges the runs that mining made; a fresh check of the input
+    against the final program, which runs both again, gives the same report."""
+    fresh = observe.out_equiv_check if "dse" in passes else observe.sc_equiv_check
+    for seed in range(50):
+        p = gen.gen_program(seed)
+        if "dse" in passes:
+            p = _with_put(p)
+        stores = gen.gen_stores(seed, SAMPLE_VARS, 4)
+        rep = pipeline.pipeline(p, stores, domain, 2, 2000, passes, 3)
+        assert rep.check == fresh(p, rep.program, stores, 2000), seed

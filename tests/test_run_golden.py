@@ -16,7 +16,7 @@ def ts_stitched(p, stores):
     """p with its first type-domain 2-hot path stitched and type-specialized,
     or None when no run of p has one."""
     for rho in stores:
-        found = hotpath.hot_n(run(p, rho, 2000).states, 2, "type", p)
+        found = hotpath.hot_n(run(p, rho, 2000), 2, "type", p)
         if found:
             return optimize.optimize_full(p, found[0][0], [optimize.type_specialize], p)
     return None

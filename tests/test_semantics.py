@@ -216,7 +216,7 @@ def test_run_tests_each_guard_once(monkeypatch, sieve_program, sieve_store):
     from tracelab import domains
     from tracelab.hotpath import hot_n
     from tracelab.optimize import optimize_full, type_specialize
-    hp = hot_n(run(sieve_program, sieve_store, 20000).states, 2, "type", sieve_program)[0][0]
+    hp = hot_n(run(sieve_program, sieve_store, 20000), 2, "type", sieve_program)[0][0]
     p = optimize_full(sieve_program, hp, [type_specialize], sieve_program)
     calls = []
     contains = domains.StoreAbstraction.contains

@@ -1,6 +1,6 @@
 import pytest
 
-from tracelab import gen, pipeline
+from tracelab import gen, observe, pipeline
 from tracelab.extract import extract
 from tracelab.hotpath import hot_n
 from tracelab.lang import AddTyped, Assign, Command, Lit, Var, find_cmpl
@@ -10,13 +10,13 @@ from tracelab.semantics import State, Store, run, trace_linked
 from tracelab.textio import parse_program
 from tracelab.witness import (WitnessError, lift_full, rtr, sp, specialization_map,
                               td, tr_out)
-from tests.conftest import SHARED_EXIT_SRC, command_at
+from tests.conftest import SHARED_EXIT_SRC, command_at, run_of
 
 
 @pytest.fixture(scope="module")
 def loop_st(loop_program):
     r = run(loop_program, Store(), 1000)
-    hp1 = hot_n(r.states, 2, "onepoint", loop_program)[0][0]
+    hp1 = hot_n(r, 2, "onepoint", loop_program)[0][0]
     return extract(loop_program, hp1)
 
 
@@ -63,7 +63,7 @@ def test_tr_out_golden_unfolding(loop_program, loop_st):
     for s, w in zip(got, want_cmds):
         expected = names[w] if w in names else _loop_cmd(loop_program, w)
         assert s.command == expected
-    assert sc(got) == sc(tau)
+    assert sc(run_of(got)) == sc(run_of(tau))
 
 
 def test_tr_out_empty(loop_st):
@@ -86,7 +86,7 @@ def test_rtr_golden_refolding(loop_program, loop_st):
         (2, "C3c"), (2, "C1"), (2, "C2"), (3, "C3"), (3, "C4"), (6, "C1"),
     ])
     assert got == want
-    assert sc(got) == sc(sigma)
+    assert sc(run_of(got)) == sc(run_of(sigma))
     # the legal-trace variant ends at the entry guard instead; the terminal
     # guard refolds to the same head conditional
     sigma2 = body + (mk(6, "H0"),)
@@ -129,7 +129,7 @@ def test_tr_out_guard_failure_midpath(cf_program):
     got = tr_out(st, tau)
     assert got[0].command == st.guards[0][1]
     assert got[1].command == st.slow[0]
-    assert sc(got) == sc(tau)
+    assert sc(run_of(got)) == sc(run_of(tau))
     # mixed store: passes the entry guard, fails an interior one
     rho_ok = Store({"x": 0, "a": 2})
     tau2 = (State(rho_ok, c2), State(rho_ok, c3))
@@ -143,11 +143,11 @@ def test_witness_sc_preserved_on_all_prefixes(loop_program, loop_st):
     r = run(loop_program, Store(), 1000)
     for k in range(1, len(r.states) + 1):
         prefix = r.states[:k]
-        assert sc(tr_out(loop_st, prefix)) == sc(prefix)
+        assert sc(run_of(tr_out(loop_st, prefix))) == sc(run_of(prefix))
     r2 = run(loop_st.transformed, Store(), 1000)
     for k in range(1, len(r2.states) + 1):
         prefix = r2.states[:k]
-        assert sc(rtr(loop_st, loop_program, prefix)) == sc(prefix)
+        assert sc(run_of(rtr(loop_st, loop_program, prefix))) == sc(run_of(prefix))
 
 
 def test_witnesses_refuse_a_trace_that_is_not_linked(loop_program, loop_st):
@@ -163,14 +163,14 @@ def test_witnesses_on_generated_programs(seed, domain):
     witnesses keep store changes, for the first hot path of each program."""
     p = gen.gen_program(seed)
     stores = gen.gen_stores(seed, ("x", "y", "z", "w", "s", "i", "j"), 4)
-    st = extract(p, pipeline.mine(p, p, stores, 2000, 2, domain)[0][0])
+    st = extract(p, pipeline.mine(p, p, observe.runs(p, stores, 2000), 2, domain)[0][0])
     for rho in stores:
         tau = run(p, rho, 2000).states
         unfolded = tr_out(st, tau)
         assert rtr(st, p, unfolded) == tau
-        assert sc(unfolded) == sc(tau)
+        assert sc(run_of(unfolded)) == sc(run_of(tau))
         r = run(st.transformed, rho, 2000).states
-        assert sc(rtr(st, p, r)) == sc(r)
+        assert sc(run_of(rtr(st, p, r))) == sc(run_of(r))
 
 
 def test_round_trip_command_projection(loop_program, loop_st):
@@ -190,7 +190,7 @@ def test_round_trip_command_projection(loop_program, loop_st):
 @pytest.fixture(scope="module")
 def sieve_ts(sieve_program, sieve_store):
     r = run(sieve_program, sieve_store, 5000)
-    hp1 = hot_n(r.states, 2, "type", sieve_program)[0][0]
+    hp1 = hot_n(r, 2, "type", sieve_program)[0][0]
     st = extract(sieve_program, hp1)
     smap = specialization_map(st, type_specialize(st))
     return st, smap
@@ -201,7 +201,7 @@ def test_specialization_map_holds_only_the_rewritten_addition():
     positive branch; it is not taken for a rewrite of that copy, so ``sp``
     keeps it in the optimized fragment."""
     p = parse_program(SHARED_EXIT_SRC)
-    hp = pipeline.mine(p, p, [Store({"x": 0, "y": 1})], 500, 2, "type")[0][0]
+    hp = pipeline.mine(p, p, observe.runs(p, [Store({"x": 0, "y": 1})], 500), 2, "type")[0][0]
     st = extract(p, hp)
     add = st.body[1]
     assert specialization_map(st, type_specialize(st)) == {
@@ -223,10 +223,10 @@ def test_sp_td_identity_under_guards(sieve_program, sieve_store, sieve_ts):
     frag = tuple(frag)
     assert len(frag) >= 4
     onward = sp(st, smap, frag)
-    assert sc(onward) == sc(frag)
+    assert sc(run_of(onward)) == sc(run_of(frag))
     back = td(st, smap, onward)
     assert back == frag
-    assert sc(back) == sc(onward)
+    assert sc(run_of(back)) == sc(run_of(onward))
 
 
 def test_sp_truncates_on_guard_violation(sieve_ts):
@@ -296,4 +296,4 @@ def test_lift_full_composes_sp(sieve_store, sieve_ts):
     r = run(st.transformed, sieve_store, 4000)
     lifted = lift_full(lambda seg: sp(st, smap, seg), st.stitched, r.states)
     assert trace_linked(p_opt, lifted)
-    assert sc(lifted) == sc(r.states)
+    assert sc(run_of(lifted)) == sc(r)
