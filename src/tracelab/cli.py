@@ -117,7 +117,7 @@ def cmd_trace(args) -> int:
 def cmd_hot(args) -> int:
     p = _load_program(args.program)
     runs = observe.runs(p, _initial_stores(args), args.budget)
-    for hp, c in pipeline.mine(p, p, runs, args.threshold, args.domain):
+    for hp, c in list(pipeline.mine(p, p, runs, args.threshold, args.domain)):
         print(f"{args.threshold}-hot [{args.domain}] : {hp}  (count {c})")
     return 0
 
@@ -128,7 +128,7 @@ def _mined_path(args) -> tuple[Program, Program, hotpath.HotPath]:
     p = _load_program(args.program)
     original = _load_program(args.original) if args.original else p
     runs = observe.runs(p, _initial_stores(args), args.budget)
-    found = pipeline.mine(p, original, runs, args.threshold, args.domain)
+    found = list(pipeline.mine(p, original, runs, args.threshold, args.domain))
     if not found:
         raise CliError("no hot path found")
     if not 0 <= args.hotpath < len(found):

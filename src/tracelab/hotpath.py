@@ -13,7 +13,7 @@ also checks that trailing window.  Occurrences of one path never overlap: the
 second's first command would be an interior head of the first.
 
 A mining call (``pipeline.mine``) ranks the program's commands once and
-mines every trace against that one order.  Abstraction updates one binding
+mines its traces against that one order.  Abstraction updates one binding
 at a time, since a nonrelational abstraction commutes with a one-binding
 update: alpha(rho[x -> v]) = alpha(rho)[x -> alpha(v)].  A store that is its
 predecessor's with only the binding the predecessor's command writes changed
@@ -57,7 +57,9 @@ def _branch_key(c: Command) -> bool:
 def topo_order(p: Program) -> dict[Command, int]:
     """The rank of each command in a reverse-postorder DFS from the entry,
     positive branches first, ties in ``Program.at``'s order; commands
-    unreachable from the entry are numbered afterwards the same way."""
+    unreachable from the entry are numbered afterwards the same way, from
+    DFS roots in ``sorted_commands`` order.  That order prints every action,
+    a guard's with its store, so it is built only when such commands exist."""
     post: list[Command] = []
     visited: set[Command] = set()
 
@@ -77,7 +79,10 @@ def topo_order(p: Program) -> dict[Command, int]:
             else:
                 post.append(cmd)
 
-    for c in (*p.at(p.entry), *p.sorted_commands):
+    for c in p.at(p.entry):
+        if c not in visited:
+            dfs(c)
+    for c in p.sorted_commands if len(visited) < len(p.commands) else ():
         if c not in visited:
             dfs(c)
     return {c: i for i, c in enumerate(reversed(post))}

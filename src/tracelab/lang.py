@@ -318,10 +318,14 @@ class Program:
 
     @cached_property
     def by_label(self) -> Mapping[str, tuple[Command, ...]]:
+        """The commands at each label, in ``command_key`` order.  A label
+        with one command is not sorted: the key prints the action, and a
+        guard's action prints its whole store."""
         table: dict[str, list[Command]] = {}
         for c in self.commands:
             table.setdefault(c.label, []).append(c)
-        return {l: tuple(sorted(cs, key=command_key)) for l, cs in table.items()}
+        return {l: tuple(cs) if len(cs) == 1 else tuple(sorted(cs, key=command_key))
+                for l, cs in table.items()}
 
     def at(self, label: str) -> tuple[Command, ...]:
         return self.by_label.get(label, ())
@@ -378,13 +382,10 @@ def find_cmpl(c: Command, p: Program) -> Optional[Command]:
 def well_formed(p: Program) -> list[str]:
     """Diagnostics; empty list means well-formed and deterministic."""
     out = []
-    for c in p.sorted_commands:
-        if is_branching(c.action):
-            matches = p.complements[c]
-            if len(matches) == 0:
-                out.append(f"no complement for conditional at {c.label}: {c}")
-            elif len(matches) > 1:
-                out.append(f"multiple complements for conditional at {c.label}: {c}")
+    bad = [c for c, matches in p.complements.items() if len(matches) != 1]
+    for c in sorted(bad, key=command_key):  # the key prints the action
+        kind = "multiple complements" if p.complements[c] else "no complement"
+        out.append(f"{kind} for conditional at {c.label}: {c}")
     for label in sorted(p.nondeterministic):
         out.append(f"nondeterministic label {label}: {len(p.at(label))} commands")
     if p.entry not in p.by_label:

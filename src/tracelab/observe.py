@@ -99,14 +99,15 @@ def _first_divergence(a: StoreSeq, b: StoreSeq) -> Optional[int]:
 
 
 def compare(o1: StoreSeq, o2: StoreSeq, r1: Run, r2: Run) -> tuple[bool, Optional[int]]:
+    """One walk of the two observation sequences: no divergence means they
+    are equal."""
     div = _first_divergence(o1, o2)
-    both_complete = not r1.truncated and not r2.truncated
-    if o1 == o2:
+    if div is None:
         return True, None
-    if both_complete:
+    if not r1.truncated and not r2.truncated:
         return False, div
     # truncated somewhere: a prefix relationship is all the budget can certify
-    if div is not None and div < min(len(o1), len(o2)):
+    if div < min(len(o1), len(o2)):
         return False, div
     return True, None
 

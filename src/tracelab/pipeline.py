@@ -1,8 +1,11 @@
 """The tracing-JIT loop as a library: run, mine, stitch and optimize, check.
 
-Each round mines the runs of the current program from every initial store for
+Each round mines the runs of the current program, one per initial store, for
 hot paths against the input program (nested extraction calls previously
 stitched paths like subroutines) and stitches and optimizes the first one.
+Mining is lazy: a round mines its runs in order until one yields a hot path,
+since it stitches only that one; a round that finds nothing mines them all.
+The CLI's ``hot`` lists every hot path.
 Each stitched program must be well-formed.  The final program is checked
 against the input by store changes (sc), or by outputs (out) when dead-store
 elimination ran, since dse does not preserve store changes; an out check
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import hotpath, lang, observe, optimize
 from .lang import Program
@@ -42,16 +45,21 @@ class PipelineReport:
 
 
 def mine(p: Program, original: Program, runs: Sequence[Run], threshold: int,
-         domain: str) -> list[tuple[hotpath.HotPath, int]]:
-    """The threshold-hot paths of the hotcuts of p's runs, in first-found
-    order, each with the count of the run that found it first; p is ranked
-    once.  With p == original these are the paper's alpha-hot_N."""
+         domain: str) -> Iterator[tuple[hotpath.HotPath, int]]:
+    """The threshold-hot paths of the hotcuts of p's runs, yielded in
+    first-found order, each with the count of the run that found it first;
+    p is ranked once.  Runs are mined one at a time as the caller iterates,
+    so ``next`` mines only up to the first run with a hot path.  When p is
+    the original, a run is its own hotcut and is mined as it is; these are
+    then the paper's alpha-hot_N."""
     rank = hotpath.topo_order(p)
-    found: dict[hotpath.HotPath, int] = {}
+    seen: set[hotpath.HotPath] = set()
     for r in runs:
-        for hp, c in hotpath.hot_n(hotpath.hotcut(r, original), threshold, domain, p, rank):
-            found.setdefault(hp, c)
-    return list(found.items())
+        cut = r if p is original else hotpath.hotcut(r, original)
+        for hp, c in hotpath.hot_n(cut, threshold, domain, p, rank):
+            if hp not in seen:
+                seen.add(hp)
+                yield hp, c
 
 
 def pipeline(p: Program, stores: Sequence[Store], domain: str, threshold: int, budget: int,
@@ -73,11 +81,11 @@ def pipeline(p: Program, stores: Sequence[Store], domain: str, threshold: int, b
     current = p
     hotpaths = []
     for _ in range(rounds):
-        found = mine(current, p, current_runs, threshold, domain)
-        if not found:
+        found = next(mine(current, p, current_runs, threshold, domain), None)
+        if found is None:
             break
-        hotpaths.append(found[0])
-        current = optimize.optimize_full(current, found[0][0],
+        hotpaths.append(found)
+        current = optimize.optimize_full(current, found[0],
                                          [optimize.PASSES[name] for name in passes], p)
         wf = lang.well_formed(current)
         if wf:

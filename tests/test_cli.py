@@ -270,7 +270,8 @@ def test_extract_dot_highlights_exactly_the_stitch(tmp_path):
     rc, out, err = call(["extract", path, "--domain", "type", "--dot", dot])
     assert (rc, err) == (0, "")
     p = textio.parse_program(LOOP_SRC)
-    st = extract_nested(p, pipeline.mine(p, p, observe.runs(p, [Store()], 2000), 2, "type")[0][0], p)
+    runs = observe.runs(p, [Store()], 2000)
+    st = extract_nested(p, list(pipeline.mine(p, p, runs, 2, "type"))[0][0], p)
     assert out == textio.print_program(st.transformed)
     assert _dot_edges(dot.read_text(), True) == \
         {(c.label, c.succ, str(c.action)) for c in st.stitched}

@@ -260,9 +260,9 @@ def test_a_path_leaving_a_stitched_command_twice_is_refused(seed, command):
     current = p
     for _ in range(2):
         runs = observe.runs(current, stores, 2000)
-        current = extract_nested(current, pipeline.mine(current, p, runs, 2, "type")[0][0],
+        current = extract_nested(current, list(pipeline.mine(current, p, runs, 2, "type"))[0][0],
                                  p).transformed
-    hp = pipeline.mine(current, p, observe.runs(current, stores, 2000), 2, "type")[0][0]
+    hp = list(pipeline.mine(current, p, observe.runs(current, stores, 2000), 2, "type"))[0][0]
     with pytest.raises(ExtractError) as e:
         extract_nested(current, hp, p)
     assert str(e.value) == f"hot path leaves the stitched command {command} twice"

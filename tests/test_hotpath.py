@@ -60,10 +60,7 @@ def _dfs_oracle_rank(p):
                     go(nxt)
         post.append(c)
 
-    for c in p.at(p.entry):
-        if c not in seen:
-            go(c)
-    for c in p.sorted_commands:
+    for c in (*p.at(p.entry), *p.sorted_commands):
         if c not in seen:
             go(c)
     return {c: i for i, c in enumerate(reversed(post))}
@@ -72,6 +69,25 @@ def _dfs_oracle_rank(p):
 def test_topo_matches_recursive_oracle(loop_program, cf_program, sieve_program):
     for p in (loop_program, cf_program, sieve_program):
         assert topo_order(p) == _dfs_oracle_rank(p)
+
+
+def test_topo_order_matches_the_oracle_on_generated_finals_and_unreachable_commands():
+    """``topo_order`` reads the sorted commands only when the entry leaves
+    some unvisited; its ranks are the oracle's, which always seeds from them.
+    Each final program is also ranked behind a fresh entry that halts, so
+    that none of its commands is reachable."""
+    from tracelab import gen, pipeline
+    from tracelab.lang import HALT, Program
+    for seed in range(30):
+        stores = gen.gen_stores(seed, ("x", "y", "z", "w", "s", "i", "j"), 4)
+        final = pipeline.pipeline(gen.gen_program(seed), stores, "type", 2, 2000, ["ts"],
+                                  3).program
+        fresh = Program(final.commands, final.entry, final.arrays)  # no cached tables
+        cut_off = Program(final.commands | {Command("E#0", Skip(), HALT)}, "E#0", final.arrays)
+        for p in (fresh, cut_off):
+            rank = topo_order(p)
+            assert ("sorted_commands" in p.__dict__) == (p is cut_off), seed
+            assert rank == _dfs_oracle_rank(p), seed
 
 
 def test_topo_order_prints_no_guard_store(sieve_program, sieve_store, monkeypatch):
@@ -511,7 +527,7 @@ def test_one_topo_order_per_mining_call(dse_program, monkeypatch):
         return real(p)
 
     monkeypatch.setattr(hotpath, "topo_order", counting)
-    found = pipeline.mine(dse_program, dse_program, runs, 2, "type")
+    found = list(pipeline.mine(dse_program, dse_program, runs, 2, "type"))
     assert calls == [dse_program]
     assert found == list(want.items())
 

@@ -120,6 +120,49 @@ def test_missing_complement_is_flagged_not_fatal():
     assert len(diags) == 1 and "L1" in diags[0]
 
 
+def test_well_formed_reports_in_a_fixed_order():
+    """Commands without a complement or with several are reported in
+    ``command_key`` order, then nondeterministic labels in label order,
+    whatever order the program's set iterates in."""
+    p = parse_program("#entry L0\n"
+                      "L0: (z = 0) -> L1\n"
+                      "L1: (x <= 5) -> L2\nL1: !(x <= 5) -> L3\nL1: !(x <= 5) -> L4\n"
+                      "L2: (y <= 1) -> L4\nL2: (x <= 1) -> L4\n"
+                      "L3: skip -> .\nL3: x := 2 -> .\n"
+                      "L4: skip -> .\n")
+    assert well_formed(p) == [
+        "no complement for conditional at L0: L0: (z = 0) -> L1",
+        "multiple complements for conditional at L1: L1: (x <= 5) -> L2",
+        "no complement for conditional at L2: L2: (x <= 1) -> L4",
+        "no complement for conditional at L2: L2: (y <= 1) -> L4",
+        "nondeterministic label L1: 3 commands",
+        "nondeterministic label L2: 2 commands",
+        "nondeterministic label L3: 2 commands",
+    ]
+
+
+def test_only_labels_with_several_commands_are_sorted(monkeypatch):
+    """``command_key`` prints an action, and a guard's action prints its
+    store: a label with one command is not sorted, and ``well_formed`` of a
+    well-formed program sorts nothing more."""
+    from tracelab import gen, pipeline
+    stores = gen.gen_stores(3, ("x", "y", "z", "w", "s", "i", "j"), 4)
+    final = pipeline.pipeline(gen.gen_program(3), stores, "type", 2, 2000, ["ts"], 3).program
+    assert any(isinstance(c.action, lang.Guard) for c in final.commands)
+    keys, real = [], lang.command_key
+
+    def counting(c):
+        keys.append(c)
+        return real(c)
+
+    monkeypatch.setattr(lang, "command_key", counting)
+    p = Program(final.commands, final.entry, final.arrays)  # no cached tables
+    assert well_formed(p) == []
+    shared = [c for c in p.commands if len(p.at(c.label)) > 1]
+    assert shared and len(keys) == len(shared) and set(keys) == set(shared)
+    assert "sorted_commands" not in p.__dict__
+
+
 def test_halt_cannot_label_a_command():
     with pytest.raises(lang.LangError):
         Command(HALT, lang.Skip(), "L1")

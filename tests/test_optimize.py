@@ -277,7 +277,8 @@ def test_dse_on_generated_programs_matches_its_golden():
 
         current = p
         for _ in range(3):
-            found = pipeline.mine(current, p, observe.runs(current, stores, 2000), 2, "onepoint")
+            runs = observe.runs(current, stores, 2000)
+            found = list(pipeline.mine(current, p, runs, 2, "onepoint"))
             if not found:
                 break
             current = optimize_full(current, found[0][0], [dse] * len(names.split(",")), p)
@@ -336,7 +337,7 @@ L3: z := 3 -> L4
 L4: i := i + z -> L0
 L5: put {i} -> .
 """)
-    hp = pipeline.mine(p, p, observe.runs(p, [Store({"i": 0})], 2000), 2, "onepoint")[0][0]
+    hp = list(pipeline.mine(p, p, observe.runs(p, [Store({"i": 0})], 2000), 2, "onepoint"))[0][0]
     st = extract(p, hp)
     assert [str(c.action) for c in hp.commands[1:4]] == ["z := 1", "z := 2", "z := 3"]
     p1 = optimize_full(p, hp, [dead_store_eliminate], p)
@@ -419,7 +420,7 @@ def test_a_copy_is_told_from_an_exit_with_its_label_and_successor():
     and the unrewritten branch is not taken for a rewrite that needs a guard:
     only the specialized addition keeps one."""
     p = parse_program(SHARED_EXIT_SRC)
-    hp = pipeline.mine(p, p, observe.runs(p, [Store({"x": 0, "y": 1})], 500), 2, "type")[0][0]
+    hp = list(pipeline.mine(p, p, observe.runs(p, [Store({"x": 0, "y": 1})], 500), 2, "type"))[0][0]
     st = extract(p, hp)
     assert (st.exits[2].label, st.exits[2].succ) == (st.body[2].label, st.body[2].succ)
     assert _rebody(st, st.stitched) == st.body
@@ -479,7 +480,8 @@ def test_a_rewrite_of_a_nested_command_is_undone(sieve_program, sieve_store):
     stitch, so a pass's rewrite of it does not survive slicing."""
     p1 = optimize_full(sieve_program, _sieve_stitch(sieve_program, sieve_store).hp,
                        [type_specialize], sieve_program)
-    hp2 = pipeline.mine(p1, sieve_program, observe.runs(p1, [sieve_store], 20000), 2, "type")[0][0]
+    runs = observe.runs(p1, [sieve_store], 20000)
+    hp2 = list(pipeline.mine(p1, sieve_program, runs, 2, "type"))[0][0]
 
     def rewrites_nested(st):
         nested = {c for i, c in st.body.items() if i not in st.guards}
@@ -507,7 +509,7 @@ L3: (x <= 20) -> L1
 L3: !(x <= 20) -> L4
 L4: skip -> .
 """)
-    hp = pipeline.mine(p, p, observe.runs(p, [Store()], 2000), 2, "type")[0][0]
+    hp = list(pipeline.mine(p, p, observe.runs(p, [Store()], 2000), 2, "type"))[0][0]
     st = extract(p, hp)
     assert [str(c.action) for c in hp.commands] == ["x := (x + 1)", "y := (x + x)", "(x <= 20)"]
     p1 = optimize_full(p, hp, [type_specialize], p)
@@ -539,9 +541,9 @@ L5: k := k + 1 -> L4
 L6: j := i + i -> L1
 L9: skip -> .
 """)
-    p1 = optimize_full(p, pipeline.mine(p, p, observe.runs(p, [Store()], 2000), 2, "type")[0][0],
-                       [type_specialize], p)
-    hp = pipeline.mine(p1, p, observe.runs(p1, [Store()], 2000), 2, "type")[0][0]
+    hp1 = list(pipeline.mine(p, p, observe.runs(p, [Store()], 2000), 2, "type"))[0][0]
+    p1 = optimize_full(p, hp1, [type_specialize], p)
+    hp = list(pipeline.mine(p1, p, observe.runs(p1, [Store()], 2000), 2, "type"))[0][0]
     st = extract_nested(p1, hp, p)
     assert [i for i in range(len(hp.commands)) if i not in st.guards] == [2, 3]
     p2 = optimize_full(p1, hp, [type_specialize], p)

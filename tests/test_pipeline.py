@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tracelab import gen, lang, observe, optimize, pipeline, textio
+from tracelab import gen, hotpath, lang, observe, optimize, pipeline, textio
 from tracelab.lang import Guard
 from tracelab.semantics import Store, run
 
@@ -69,7 +69,7 @@ def test_final_programs_print_parse_and_check(domain, passes, rounds):
                 _gen_pipeline(seed, domain, passes, rounds)
             p = gen.gen_program(seed)
             runs = observe.runs(p, gen.gen_stores(seed, SAMPLE_VARS, 4), 2000)
-            found = pipeline.mine(p, p, runs, 2, domain)
+            found = list(pipeline.mine(p, p, runs, 2, domain))
             program = optimize.optimize_full(p, found[0][0],
                                              [optimize.PASSES[name] for name in passes], p)
         else:
@@ -208,3 +208,57 @@ def test_reused_runs_judge_as_fresh_runs_do(domain, passes):
         stores = gen.gen_stores(seed, SAMPLE_VARS, 4)
         rep = pipeline.pipeline(p, stores, domain, 2, 2000, passes, 3)
         assert rep.check == fresh(p, rep.program, stores, 2000), seed
+
+
+# ---------------------------------------------------------------------------
+# mining up to the hot path a round stitches
+# ---------------------------------------------------------------------------
+
+def _mine_fully_then_stitch(p, stores, domain, passes, rounds):
+    """The pipeline's rounds with every run mined in full: each round
+    stitches the first of ``list(pipeline.mine(...))``."""
+    current, hotpaths = p, []
+    for _ in range(rounds):
+        runs = observe.runs(current, stores, 2000)
+        found = list(pipeline.mine(current, p, runs, 2, domain))
+        if not found:
+            break
+        hotpaths.append(found[0])
+        current = optimize.optimize_full(current, found[0][0],
+                                         [optimize.PASSES[name] for name in passes], p)
+    return tuple(hotpaths)
+
+
+@pytest.mark.parametrize("domain, passes", [("type", ["ts"]), ("onepoint", ["dse"])])
+def test_a_round_mines_only_up_to_the_hot_path_it_stitches(domain, passes, monkeypatch):
+    """A round that stitches mines its runs in order up to and including the
+    first that yields a hot path; a round that finds nothing mines one run
+    per store; and the paths stitched are those of a miner that mines every
+    run."""
+    rounds, real_topo, real_hot = [], hotpath.topo_order, hotpath.hot_n
+
+    def topo_order(p):  # one order per mining round
+        rounds.append([])
+        return real_topo(p)
+
+    def hot_n(*args):
+        found = real_hot(*args)
+        rounds[-1].append(bool(found))
+        return found
+
+    monkeypatch.setattr(hotpath, "topo_order", topo_order)
+    monkeypatch.setattr(hotpath, "hot_n", hot_n)
+    for seed in range(60):
+        p, stores = gen.gen_program(seed), gen.gen_stores(seed, SAMPLE_VARS, 4)
+        if "dse" in passes:
+            p = _with_put(p)
+        want = _mine_fully_then_stitch(p, stores, domain, passes, 3)
+        rounds.clear()
+        rep = pipeline.pipeline(p, stores, domain, 2, 2000, passes, 3)
+        assert rep.hotpaths == want, seed
+        stitched = len(want)
+        assert len(rounds) == min(stitched + 1, 3), seed
+        for calls in rounds[:stitched]:
+            assert calls[-1] and not any(calls[:-1]), seed
+        for calls in rounds[stitched:]:
+            assert calls == [False] * len(stores), seed

@@ -163,7 +163,7 @@ def test_witnesses_on_generated_programs(seed, domain):
     witnesses keep store changes, for the first hot path of each program."""
     p = gen.gen_program(seed)
     stores = gen.gen_stores(seed, ("x", "y", "z", "w", "s", "i", "j"), 4)
-    st = extract(p, pipeline.mine(p, p, observe.runs(p, stores, 2000), 2, domain)[0][0])
+    st = extract(p, list(pipeline.mine(p, p, observe.runs(p, stores, 2000), 2, domain))[0][0])
     for rho in stores:
         tau = run(p, rho, 2000).states
         unfolded = tr_out(st, tau)
@@ -201,7 +201,7 @@ def test_specialization_map_holds_only_the_rewritten_addition():
     positive branch; it is not taken for a rewrite of that copy, so ``sp``
     keeps it in the optimized fragment."""
     p = parse_program(SHARED_EXIT_SRC)
-    hp = pipeline.mine(p, p, observe.runs(p, [Store({"x": 0, "y": 1})], 500), 2, "type")[0][0]
+    hp = list(pipeline.mine(p, p, observe.runs(p, [Store({"x": 0, "y": 1})], 500), 2, "type"))[0][0]
     st = extract(p, hp)
     add = st.body[1]
     assert specialization_map(st, type_specialize(st)) == {
