@@ -101,7 +101,7 @@ def cmd_run(args) -> int:
     p = _load_program(args.program)
     for rho in _initial_stores(args):
         r = run(p, rho, args.budget)
-        last = State(r.stores[-1], r.commands[-1])
+        last = State(r.stores_at([len(r) - 1])[0], r.commands[-1])
         status = "truncated" if r.truncated else "complete"
         print(f"{status} after {len(r)} states; final {last}")
     return 0

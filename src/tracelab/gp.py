@@ -136,14 +136,17 @@ class GPRun(Run):
 
 
 def gp_run(stm: Stm, rho0: Store, budget: int) -> GPRun:
-    """The baseline run from rho0, truncated at ``budget`` states."""
+    """The baseline run from rho0, truncated at ``budget`` states, recorded
+    as a core run is: the write of an assignment step is its one binding."""
     cur = GPState(rho0, stm)
-    states = [cur]
-    while (nxt := gp_step(cur)) is not None and len(states) < budget:
-        states.append(nxt)
+    stms, writes = [stm], []
+    while (nxt := gp_step(cur)) is not None and len(stms) < budget:
+        head = cur.stm[0]
+        writes.append(((head.var, nxt.store.get(head.var)),) if isinstance(head, GAssign) else ())
+        stms.append(nxt.stm)
         cur = nxt
-    return GPRun(tuple(s.store for s in states), tuple(s.stm for s in states),
-                 truncated=nxt is not None)
+    reason = "budget" if nxt is not None else "halt" if not cur.stm else "stuck"
+    return GPRun(rho0, tuple(stms), tuple(writes), reason)
 
 
 # ---------------------------------------------------------------------------

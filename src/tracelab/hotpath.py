@@ -13,29 +13,26 @@ also checks that trailing window.  Occurrences of one path never overlap: the
 second's first command would be an interior head of the first.
 
 A mining call (``pipeline.mine``) ranks the program's commands once and
-mines its traces against that one order.  Abstraction updates one binding
-at a time, since a nonrelational abstraction commutes with a one-binding
-update: alpha(rho[x -> v]) = alpha(rho)[x -> alpha(v)].  A store that is its
-predecessor's with only the binding the predecessor's command writes changed
-(an assignment's variable, or the member an array store's index names in the
-predecessor's store) has that one slot re-abstracted, and keeps the
-predecessor's element object when the slot stays the same; a store object
-carried on by a firing test keeps it too.  Store equality confirms each such
-update rather than assuming it: ``hotcut`` joins states that no step links.
-Any other store is abstracted whole by ``alpha``.  Counting then numbers each
-distinct (element, command) pair once, so images are tuples of small ints.
+mines its traces against that one order.  Abstraction reads a run's writes,
+since a nonrelational abstraction commutes with an update:
+alpha(rho[x -> v]) = alpha(rho)[x -> alpha(v)].  A run's initial store is
+abstracted whole by ``alpha``; after that, each binding a step writes has its
+one slot re-abstracted, and a state keeps its predecessor's element object
+when no slot changes.  ``hotcut`` gives the two states it joins around a
+dropped stretch the composition of the stretch's writes, so a cut run is
+abstracted the same way.  Counting then numbers each distinct (element,
+command) pair once, so images are tuples of small ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 from .domains import AbstractStore, StoreAbstraction, get_domain
-from .lang import (ArrayAssign, Assign, Command, Cond, Guard, HALT, Not, Program,
-                   find_cmpl)
-from .semantics import Run, Store, eval_expr
-from .values import UNDEF
+from .lang import Command, Cond, Guard, HALT, Not, Program, find_cmpl
+from .semantics import Run, compose
 
 
 class HotPathError(Exception):
@@ -188,44 +185,26 @@ class HotPath:
         return " ; ".join(f"({a}) {c}" for a, c in self.pairs)
 
 
-def _written(action, store: Store) -> Optional[str]:
-    """The variable an action writes from ``store``: an assignment's variable,
-    or the member of an array store's family that its index names there."""
-    if isinstance(action, Assign):
-        return action.var
-    if isinstance(action, ArrayAssign):
-        i = eval_expr(action.index, store)
-        if type(i) is int:
-            return f"{action.array}_{i}"
-    return None
-
-
 def abstract_trace(r: Run, domain_tag: str) -> list[tuple[AbstractStore, Command]]:
-    """Pairs each command of a run with the abstraction of its store.  A state
-    that carries its predecessor's store object on (a test fired) shares the
-    predecessor's element.  A store that is its predecessor's with only the
-    binding the predecessor's command writes changed has that one slot
-    re-abstracted, and shares the element when the slot stays the same; any
-    other store is abstracted whole."""
+    """Pairs each command of a run with the abstraction of its store: the
+    initial store is abstracted whole, and each later store by re-slotting
+    the bindings of the write that leads to it, sharing the predecessor's
+    element when no slot changes."""
+    if not r.commands:
+        return []
     dom = get_domain(domain_tag)
     of, default = dom.of, dom.undef_slot
-    out: list[tuple[AbstractStore, Command]] = []
-    store = a = cmd = None
-    slots: dict[str, object] = {}  # the bindings of a
-    for rho, c in zip(r.stores, r.commands):
-        if rho is not store:
-            x = None if store is None else _written(cmd.action, store)
-            v = UNDEF if x is None else rho.get(x)
-            if v is not UNDEF and rho == store.set(x, v):
-                slot = of(v)
-                if slot != slots.get(x, default):
-                    slots[x] = slot
-                    a = dom.make(slots)
-            else:
-                a = dom.alpha([rho])
-                slots = dict(a.items)
-            store = rho
-        cmd = c
+    a = dom.alpha([r.initial])
+    slots = dict(a.items)  # the bindings of a
+    out = [(a, r.commands[0])]
+    for w, c in zip(r.writes, islice(r.commands, 1, None)):
+        for x, v in w:
+            slot = of(v)
+            if slot != slots.get(x, default):
+                slots[x] = slot
+                a = None  # made anew from the slots below
+        if a is None:
+            a = dom.make(slots)
         out.append((a, c))
     return out
 
@@ -251,12 +230,15 @@ def hotcut(r: Run, original: Program) -> Run:
     """Drops interior states of stretches of commands outside the original
     program, keeping each stretch's first and last state: a state stays when
     its command or a neighbour's is in the original program, or when it ends
-    the trace.  A run that keeps every state is returned as it is."""
+    the trace.  Two kept states joined around a dropped stretch are linked by
+    the composed writes of the stretch.  A run that keeps every state is
+    returned as it is."""
     inside = [c in original.commands for c in r.commands]
     last = len(inside) - 1
     keep = [i for i in range(len(inside))
             if inside[i] or i == 0 or i == last or inside[i - 1] or inside[i + 1]]
     if len(keep) == len(inside):
         return r
-    return Run(tuple(r.stores[i] for i in keep), tuple(r.commands[i] for i in keep),
-               r.truncated)
+    ws = r.writes
+    writes = tuple(ws[i] if j == i + 1 else compose(ws[i:j]) for i, j in zip(keep, keep[1:]))
+    return Run(r.initial, tuple(r.commands[i] for i in keep), writes, r.reason)

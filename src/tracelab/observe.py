@@ -1,9 +1,17 @@
 """Observational abstractions of traces and the bounded equivalence checker.
 
-``sc`` collapses consecutive equal stores (store changes), ``st`` keeps every
-store, and ``out`` keeps restricted stores at output commands only.  They read
-a run's stores and commands (``Run.stores``, ``Run.commands``), so core runs
-and while-language runs share them.  An out check refuses programs with no
+``sc`` observes store changes, ``st`` keeps every store, and ``out`` keeps
+restricted stores at output commands only.  They read a run's record (its
+initial store, commands and writes), so core runs and while-language runs
+share them.  ``sc`` reads the writes: it gives the initial store, then each
+write that changes a value, as the bindings it changes.  Store i + 1 of the
+run's stores with consecutive equal stores collapsed is store i updated by
+change i + 1, so the two sequences have the same length, and two runs' first
+divergence has the same index in both: equal stores up to some index, with
+equal changes, stay equal, and the first unequal pair after equal
+predecessors is an unequal pair of changes.  A change lists its bindings in
+variable order, so equal changes compare equal.  ``out`` replays the writes
+once up to the output commands.  An out check refuses programs with no
 output command of its variables, which it would pass unobserved.
 
 Every run the checks and the pipeline make goes through ``runs``.  The checks
@@ -18,8 +26,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .lang import Program, Put
 from .semantics import Run, Store, run
+from .values import UNDEF
 
-StoreSeq = tuple[Store, ...]
+Observations = tuple  # of stores; ``sc`` gives changes after the first
 RunPair = tuple[Sequence[Run], Sequence[Run]]
 
 
@@ -32,27 +41,40 @@ def runs(p: Program, stores: Iterable[Store], budget: int) -> tuple[Run, ...]:
     return tuple(run(p, rho, budget) for rho in stores)
 
 
-def sc(r: Run) -> StoreSeq:
-    """Store changes.  A firing test carries its store object on, so identity
-    settles most neighbours before equality is asked."""
-    out: list[Store] = []
-    last = None
-    for s in r.stores:
-        if s is not last and s != last:
-            out.append(s)
-        last = s
+def sc(r: Run) -> Observations:
+    """Store changes: the initial store, then each write that changes a
+    value, as the bindings it changes (see the module docstring)."""
+    if not r.commands:
+        return ()
+    m = dict(r.initial.items())
+    get, undef = m.get, UNDEF
+    out: list = [r.initial]
+    for w in r.writes:
+        if not w:
+            continue
+        if len(w) == 1:
+            (x, v), = w
+            if get(x, undef) == v:
+                continue
+        else:  # keep the bindings that change a value
+            w = tuple((x, v) for x, v in w if get(x, undef) != v)
+            if not w:
+                continue
+        out.append(w)
+        m.update(w)  # an unbound variable reads undef, bound to undef or not
     return tuple(out)
 
 
-def st(r: Run) -> StoreSeq:
+def st(r: Run) -> Observations:
     """Every store (test oracle: while-language runs against their compiled
     runs in ``test_gp``)."""
     return r.stores
 
 
-def out(r: Run, xs: Iterable[str]) -> StoreSeq:
+def out(r: Run, xs: Iterable[str]) -> Observations:
     put = Put(frozenset(xs))
-    return tuple(s.restrict(put.vars) for s, c in zip(r.stores, r.commands) if c.action == put)
+    at = [i for i, c in enumerate(r.commands) if c.action == put]
+    return tuple(s.restrict(put.vars) for s in r.stores_at(at))
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +111,7 @@ class EquivReport:
         return "\n".join(lines)
 
 
-def _first_divergence(a: StoreSeq, b: StoreSeq) -> Optional[int]:
+def _first_divergence(a: Observations, b: Observations) -> Optional[int]:
     for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
             return i
@@ -98,7 +120,7 @@ def _first_divergence(a: StoreSeq, b: StoreSeq) -> Optional[int]:
     return None
 
 
-def compare(o1: StoreSeq, o2: StoreSeq, r1: Run, r2: Run) -> tuple[bool, Optional[int]]:
+def compare(o1: Observations, o2: Observations, r1: Run, r2: Run) -> tuple[bool, Optional[int]]:
     """One walk of the two observation sequences: no divergence means they
     are equal."""
     div = _first_divergence(o1, o2)
@@ -113,7 +135,7 @@ def compare(o1: StoreSeq, o2: StoreSeq, r1: Run, r2: Run) -> tuple[bool, Optiona
 
 
 def equiv_check(runs1: Sequence[Run], runs2: Sequence[Run],
-                observe: Callable[[Run], StoreSeq], name: str) -> EquivReport:
+                observe: Callable[[Run], Observations], name: str) -> EquivReport:
     """Bounded differential check of two deterministic programs by their
     runs, one of each program per initial store, paired in order.
 
@@ -123,7 +145,7 @@ def equiv_check(runs1: Sequence[Run], runs2: Sequence[Run],
     verdicts = []
     for r1, r2 in zip(runs1, runs2, strict=True):
         passed, div = compare(observe(r1), observe(r2), r1, r2)
-        verdicts.append(Verdict(r1.stores[0], passed, div))
+        verdicts.append(Verdict(r1.initial, passed, div))
     return EquivReport(tuple(verdicts), name)
 
 

@@ -8,8 +8,11 @@ Array reads resolve their index concretely against the variable family
 Every expression, test and action is compiled once into a closure, shared by
 equal nodes for as long as something holds it: an expression closure reads
 the store's dict and returns a value or undef, a test closure returns True,
-False or None (undef), and an action closure takes the store.  An assignment
-still stores through ``Store.set``, so every stored value is checked.
+False or None (undef), and an action closure takes a store, writes its
+binding into the store's dict and returns the write (see ``Run``), or None
+for bottom; a branching action returns its three-valued test instead.  So an
+action is given only a store that nothing else holds: the run's live store,
+or ``apply_action``'s copy.  A write checks the value it stores.
 ``eval_expr``, ``eval_bexpr``, ``apply_action`` and ``fires`` call these
 closures; there is no second evaluator.
 
@@ -26,16 +29,21 @@ evaluating the test again; a guard visit is therefore one
 label with several commands is nondeterministic and raises ``SemanticsError``.
 The table does not keep its program alive.
 
-A ``Run`` holds its trace as two tuples, the store and the command of each
-state, so a step appends to two lists and builds no ``State``; ``Run.states``
-builds the states on demand, for the witnesses, the CLI's ``run`` and
-``trace`` and the tests.  Mining and the observations read the two tuples.
+A run steps one private dict in place: each step writes at most one
+binding, so a ``Run`` records its initial store, the command of each state
+and the write of each step, and copies no store.  Every action of the run
+is given one ``Store`` view of that dict, which never leaves the run; a
+guard tests that view.  Mining and the observations
+read the writes; ``Run.stores`` and ``Run.states`` replay them on demand,
+for the witnesses, the CLI's ``trace`` and the tests, and
+``Run.stores_at`` replays them once up to the stores asked for.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import lang
@@ -74,8 +82,13 @@ class Store:
         checked, since every other binding was checked when it was stored."""
         if not is_value(value):
             raise SemanticsError(f"not a storable value for {var}: {value!r}")
+        return Store._of({**self._m, var: value})
+
+    @staticmethod
+    def _of(m: dict) -> "Store":
+        """The store over ``m``, whose values are checked already."""
         out = Store.__new__(Store)
-        out._m = {**self._m, var: value}
+        out._m = m
         out._hash = None
         return out
 
@@ -87,7 +100,7 @@ class Store:
 
     def restrict(self, vars: Iterable[str]) -> "Store":
         xs = set(vars)
-        return Store({k: v for k, v in self._m.items() if k in xs})
+        return Store._of({k: v for k, v in self._m.items() if k in xs})
 
     def __eq__(self, other):
         return isinstance(other, Store) and self._m == other._m
@@ -117,14 +130,73 @@ class State:
         return f"<{self.store}, {self.command}>"
 
 
+# What one step writes: (variable, value) bindings in variable order, each
+# variable once.  A step of a run writes one binding (an assignment) or none;
+# a write joined from several steps (``compose``) may bind more.  An undef
+# value unbinds: only runs built from given stores unbind.
+Write = tuple[tuple[str, UValue], ...]
+
+
+def _update(m: dict, w: Write) -> None:
+    for x, v in w:
+        if v is UNDEF:
+            m.pop(x, None)
+        else:
+            m[x] = v
+
+
+def compose(writes: Iterable[Write]) -> Write:
+    """The one write that has the effect of ``writes`` applied in order: the
+    last binding of each variable (sorting compares variables only, since
+    each is bound once)."""
+    return tuple(sorted(dict(chain.from_iterable(writes)).items()))
+
+
 @dataclass(frozen=True)
 class Run:
-    """A bounded maximal trace as its stores and its commands, position by
-    position; truncated means the budget ran out first."""
+    """A bounded maximal trace: its initial store, the command of each state,
+    and the write of each step (``writes[i]`` takes the store of state i to
+    that of state i + 1).  ``reason`` says why it ended: ``halt`` (the last
+    command jumps to the halt label), ``stuck`` (no next state), or
+    ``budget`` (one more state was possible)."""
 
-    stores: tuple[Store, ...]
+    initial: Store
     commands: tuple[Command, ...]
-    truncated: bool
+    writes: tuple[Write, ...]
+    reason: str
+
+    @property
+    def truncated(self) -> bool:
+        return self.reason == "budget"
+
+    @property
+    def stores(self) -> tuple[Store, ...]:
+        """The store of each state, rebuilt from the writes at each call; a
+        step that writes nothing keeps its predecessor's store object."""
+        if not self.commands:
+            return ()
+        out = [self.initial]
+        m = dict(self.initial._m)
+        for w in self.writes:
+            if w:
+                _update(m, w)
+                out.append(Store._of(dict(m)))
+            else:
+                out.append(out[-1])
+        return tuple(out)
+
+    def stores_at(self, positions: Iterable[int]) -> list[Store]:
+        """The stores of the states at ``positions``, in increasing order, by
+        one replay of the writes."""
+        out = []
+        m = dict(self.initial._m)
+        done = 0
+        for i in positions:
+            for w in self.writes[done:i]:
+                _update(m, w)
+            done = i
+            out.append(Store._of(dict(m)))
+        return out
 
     @property
     def states(self) -> tuple[State, ...]:
@@ -132,7 +204,7 @@ class Run:
         return tuple(map(State, self.stores, self.commands))
 
     def __len__(self):
-        return len(self.stores)
+        return len(self.commands)
 
 
 # ---------------------------------------------------------------------------
@@ -261,20 +333,29 @@ def _and(b):
     return and_
 
 
-def _unchanged(store):
-    return store
+def _no_write(store):
+    return ()
 
 
 def _skip(a):
-    return _unchanged
+    return _no_write
+
+
+def _write(m: dict, var: str, v: Value) -> Write:
+    """Binds ``var`` to ``v`` in ``m``, once ``v`` is checked."""
+    if not is_value(v):
+        raise SemanticsError(f"not a storable value for {var}: {v!r}")
+    m[var] = v
+    return ((var, v),)
 
 
 def _assign(a):
     f, var, undef = _expr(a.expr), a.var, UNDEF
 
     def assign(store):
-        v = f(store._m)
-        return None if v is undef else store.set(var, v)
+        m = store._m
+        v = f(m)
+        return None if v is undef else _write(m, var, v)
     return assign
 
 
@@ -290,7 +371,7 @@ def _array_assign(a):
         if member not in m:
             return None  # out of bounds: only initialized members are writable
         v = g(m)
-        return None if v is undef else store.set(member, v)
+        return None if v is undef else _write(m, member, v)
     return array_assign
 
 
@@ -312,8 +393,8 @@ _expr = _compiler("an expression", {
 # tests: dict -> True, False or None (undef)
 _test = _compiler("a boolean expression", {
     Tt: _tt, Ff: _ff, Leq: _leq, Eq: _eq, Not: _not, And: _and})
-# actions: Store -> Store or None (bottom); a branching action is its
-# three-valued test of the Store instead
+# actions: Store -> Write or None (bottom), the write made in the Store's
+# dict; a branching action is its three-valued test of the Store instead
 _action = _compiler("an action", {
     Skip: _skip, Put: _skip, Assign: _assign, ArrayAssign: _array_assign,
     Cond: _cond, Guard: _guard})
@@ -339,7 +420,11 @@ def apply_action(a: lang.Action, store: Store) -> Optional[Store]:
     """New store, or None for bottom (failed test, error, guard miss)."""
     if is_branching(a):
         return store if _action(a)(store) else None
-    return _action(a)(store)
+    new = Store._of(dict(store._m))
+    w = _action(a)(new)
+    if not w:
+        return None if w is None else store
+    return new
 
 
 def fires(a: lang.Action, store: Store) -> Optional[bool]:
@@ -393,7 +478,7 @@ def _step_table(p: Program) -> _Table:
             table[label] = (c, cmds[1], _action(c.action))
         elif is_branching(c.action):  # a test without its complement
             test = _action(c.action)
-            table[label] = (c, None, lambda store: store if test(store) else None)
+            table[label] = (c, None, lambda store: () if test(store) else None)
         else:
             table[label] = (c, None, _action(c.action))
     _TABLES[p] = table
@@ -408,31 +493,33 @@ def run(p: Program, rho0: Store, budget: int) -> Run:
     entry = table.get(p.entry)
     if entry is None:
         raise SemanticsError(f"no command at entry label {p.entry}")
-    stores: list[Store] = []
+    m = dict(rho0._m)
+    view = Store._of(m)  # the live store; it never leaves this call
     commands: list[Command] = []
-    add_store, add_command = stores.append, commands.append
-    rho = rho0
+    writes: list[Write] = []
+    add_command, add_write = commands.append, writes.append
     for _ in range(budget):
         c, other, fn = entry
         if c is None:
             raise SemanticsError(other)
         if other is None:
-            nxt = fn(rho)
+            w = fn(view)
         else:
-            taken = fn(rho)
+            taken = fn(view)
             if taken is False:
                 c = other
-            nxt = None if taken is None else rho
-        add_store(rho)
+            w = None if taken is None else ()
         add_command(c)
         entry = table.get(c.succ)  # None at HALT, which labels no command
-        if nxt is None or entry is None:
-            return Run(tuple(stores), tuple(commands), truncated=False)
-        rho = nxt
+        if w is None or entry is None:
+            reason = "halt" if w is not None and c.succ == HALT else "stuck"
+            return Run(rho0, tuple(commands), tuple(writes), reason)
+        add_write(w)
     if entry[0] is None:
         raise SemanticsError(entry[1])
-    # truncated: one more state would have been possible
-    return Run(tuple(stores), tuple(commands), truncated=True)
+    # one more state would have been possible; the step to it is not recorded
+    writes.pop()
+    return Run(rho0, tuple(commands), tuple(writes), "budget")
 
 
 def trace_linked(p: Program, states: Sequence[State]) -> bool:

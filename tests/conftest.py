@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from tracelab import textio
@@ -106,13 +108,47 @@ def dse_program():
     return textio.parse_program(DSE_SRC)
 
 
+def writes_of(stores):
+    """The write linking each store to the next: every binding that differs,
+    in variable order, an unbound variable as undef."""
+    return tuple(tuple((x, b.get(x)) for x in sorted(a.keys() | b.keys()) if a.get(x) != b.get(x))
+                 for a, b in zip(stores, stores[1:]))
+
+
 def run_of(states, truncated=False):
     """A run made of given states: a prefix of a run, or a hand-built or
     witness trace, for the functions that read runs."""
-    return Run(tuple(s.store for s in states), tuple(s.command for s in states), truncated)
+    stores = [s.store for s in states]
+    return Run(stores[0] if stores else Store(), tuple(s.command for s in states),
+               writes_of(stores), "budget" if truncated else "halt")
 
 
 def command_at(p, label, pred=lambda c: True):
     matches = [c for c in p.at(label) if pred(c)]
     assert len(matches) == 1, f"ambiguous command lookup at {label}: {matches}"
     return matches[0]
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_cases(with_put=False):
+    """(program, original, initial store, budget, run) for generated programs
+    0-59 (with a put of every variable at the halt when ``with_put``) and
+    their 1-round type/ts final programs, whose original is the generated
+    program, from the stores of ``--sample 4 --seed s``.  Each runs at budget
+    2000, and again at half its length there, which truncates every run of
+    two states or more."""
+    from tracelab import gen, pipeline
+    from tests.test_pipeline import SAMPLE_VARS, _with_put
+    cases = []
+    for seed in range(60):
+        p = gen.gen_program(seed)
+        if with_put:
+            p = _with_put(p)
+        stores = gen.gen_stores(seed, SAMPLE_VARS, 4)
+        final = pipeline.pipeline(p, stores, "type", 2, 2000, ["ts"], 1).program
+        for q in (p, final):
+            for rho in stores:
+                r = run(q, rho, 2000)
+                cut = max(1, len(r) // 2)
+                cases += [(q, p, rho, 2000, r), (q, p, rho, cut, run(q, rho, cut))]
+    return tuple(cases)

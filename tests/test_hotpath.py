@@ -8,11 +8,11 @@ from tracelab.domains import get_domain, onepoint_domain
 from tracelab.extract import extract
 from tracelab.hotpath import (HotPath, HotPathError, count, hot_n, hotcut, sloop,
                               topo_order)
-from tracelab.lang import ArrayAssign, Assign, Command, Lit, Skip, Var, find_cmpl
-from tracelab.semantics import State, Store, run
+from tracelab.lang import Assign, Command, Lit, Skip, find_cmpl
+from tracelab.semantics import Run, State, Store, run
 from tracelab.textio import parse_program
-from tracelab.values import FF, TT
-from tests.conftest import command_at, run_of
+from tracelab.values import FF, TT, UNDEF
+from tests.conftest import command_at, oracle_cases, run_of
 
 
 def _cmds(p, labels_actions):
@@ -271,10 +271,10 @@ def test_hot_n_agrees_with_the_scan(seed):
 
 
 def test_only_unlinked_stores_are_abstracted_whole(monkeypatch):
-    """Each new store of a run is its predecessor's with the binding the
-    predecessor's command writes changed, so a run is abstracted whole only
-    at its first store.  The cut runs of the nested cases have neighbours
-    that no step links, and some of them are abstracted whole again."""
+    """Every store of a run but the first is reached by a write, so a run is
+    abstracted whole once, at its first store.  A cut run is too: ``hotcut``
+    links the neighbours it joins by the composed writes of the stretch it
+    drops, some of which bind several variables."""
     from tracelab.domains import type_domain
     calls = []
     real = type_domain.alpha
@@ -284,16 +284,29 @@ def test_only_unlinked_stores_are_abstracted_whole(monkeypatch):
         return real(stores)
 
     monkeypatch.setattr(type_domain, "alpha", counting)
-    fallbacks = 0
+    composed = 0
     for seed in range(30):
         for _, r, nested in _scan_cases(seed):
             calls.clear()
             hotpath.abstract_trace(r, "type")
-            if nested:
-                fallbacks += len(calls) > 1
-            else:
-                assert len(calls) == 1, seed
-    assert fallbacks > 0
+            assert len(calls) == 1, seed
+            composed += nested and any(len(w) > 1 for w in r.writes)
+    assert composed > 0
+
+
+def test_abstract_trace_of_a_cut_run_is_pointwise_alpha():
+    """The type/ts finals of generated programs 0-59, their runs cut against
+    the original: each element is the alpha of the store that the deletion
+    definition of the cut keeps from the whole run."""
+    for q, p, _, budget, r in oracle_cases():
+        if q is p or budget != 2000:
+            continue
+        states = _hotcut_by_deletion(r.states, p)
+        cut = hotcut(r, p)
+        for tag in ("onepoint", "type", "cp"):
+            alpha = get_domain(tag).alpha
+            assert hotpath.abstract_trace(cut, tag) == \
+                [(alpha([s.store]), s.command) for s in states]
 
 
 def test_the_trailing_window_counts(loop_program):
@@ -314,47 +327,32 @@ _VALUES = st.sampled_from([-1, 0, 1, 2, "", "a", TT, FF])
 
 
 @st.composite
-def _two_state_trace(draw):
-    """A store over x, j and a family a_0..a_{n-1}; an assignment to x or an
-    array store to a member in or out of bounds, or through j bound to any
-    value; and the next store: the first with the named variable (x when
-    the index names no member) bound to any value, and maybe one more
-    binding changed.  Returns the states and the variable the command
-    names, or None."""
+def _one_write(draw):
+    """A store over x, j and a family a_0..a_{n-1}, and a write record of one
+    binding or several, in variable order: each to a bound or an unbound
+    variable, of any value, or of undef, which unbinds."""
     n = draw(st.integers(0, 3))
     rho = {f"a_{k}": draw(_VALUES) for k in range(n)}
     rho.update(draw(st.dictionaries(st.sampled_from(["x", "j"]), _VALUES)))
-    rho = Store(rho)
-    kind = draw(st.sampled_from(["assign", "literal index", "variable index"]))
-    if kind == "assign":
-        action, named = Assign("x", Lit(0)), "x"
-    else:
-        index = Lit(draw(st.integers(-1, n))) if kind == "literal index" else Var("j")
-        action = ArrayAssign("a", index, Lit(0))
-        i = index.value if isinstance(index, Lit) else rho.get("j")
-        named = f"a_{i}" if type(i) is int else None
-    after = rho.set(named or "x", draw(_VALUES))
-    if draw(st.booleans()):
-        other = draw(st.sampled_from(["x", "j", "y", "a_0", "a_1"]).filter(
-            lambda y: y != (named or "x")))
-        after = after.set(other, draw(_VALUES))
-    states = [State(rho, Command("L0", action, "L1")), State(after, Command("L1", Skip(), "L0"))]
-    return states, named
+    w = draw(st.dictionaries(st.sampled_from(["x", "j", "y", "a_0", "a_1"]),
+                             _VALUES | st.just(UNDEF), min_size=1))
+    return rho, tuple(sorted(w.items()))
 
 
-@given(_two_state_trace(), st.sampled_from(["onepoint", "type", "cp"]))
+@given(_one_write(), st.sampled_from(["onepoint", "type", "cp"]))
 def test_abstract_trace_is_pointwise_alpha_after_one_write(case, tag):
-    """The second store is abstracted by re-slotting the named variable
-    exactly when it differs from the first in that binding at most;
-    otherwise, as when two bindings changed, it is abstracted whole."""
-    states, named = case
-    first, second = (s.store for s in states)
-    changed = {x for x in (*first.keys(), *second.keys()) if first.get(x) != second.get(x)}
+    """The second store is abstracted by re-slotting the bindings of the
+    write that leads to it, however many: alpha runs once, on the first."""
+    rho, w = case
+    after = {k: v for k, v in {**rho, **dict(w)}.items() if v is not UNDEF}
+    cmds = (Command("L0", Assign("x", Lit(0)), "L1"), Command("L1", Skip(), "L0"))
+    r = Run(Store(rho), cmds, (w,), "budget")
+    assert r.stores == (Store(rho), Store(after))
     dom = get_domain(tag)
     with mock.patch.object(dom, "alpha", wraps=dom.alpha) as alpha:
-        abs_tr = hotpath.abstract_trace(run_of(states), tag)
-    assert abs_tr == [(dom.alpha([s.store]), s.command) for s in states]
-    assert alpha.call_count == (1 if named is not None and changed <= {named} else 2)
+        abs_tr = hotpath.abstract_trace(r, tag)
+    assert alpha.call_count == 1
+    assert abs_tr == [(dom.alpha([Store(rho)]), cmds[0]), (dom.alpha([Store(after)]), cmds[1])]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from tracelab.semantics import (SemanticsError, State, Store, apply_action,
                                 collecting_eval, eval_bexpr, eval_expr, run,
                                 step, trace_linked)
 from tracelab.values import Bool, FF, TT, UNDEF
-from tests.conftest import command_at
+from tests.conftest import command_at, oracle_cases
 
 
 def test_eval_add_undef_operand():
@@ -260,6 +260,72 @@ def test_a_run_keeps_no_program_alive(loop_program):
     del p
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# run against the step relation, and why a run ends
+# ---------------------------------------------------------------------------
+
+def _run_by_steps(p, rho, budget):
+    """The run by its definition: ``step`` iterated from the entry.  Of the
+    candidate states at a label, the one whose action does not stick goes
+    on; when every one sticks (an undef test), the first in ``Program.at``'s
+    order is the last state.  Returns the states and why the run ended."""
+    def pick(cands):
+        live = [s for s in cands if apply_action(s.command.action, s.store) is not None]
+        assert len(live) <= 1
+        return live[0] if live else cands[0]
+
+    states = [pick([State(rho, c) for c in p.at(p.entry)])]
+    while True:
+        last = states[-1]
+        nxt = step(p, last)
+        if not nxt:
+            halts = last.command.succ == lang.HALT and \
+                apply_action(last.command.action, last.store) is not None
+            return tuple(states), "halt" if halts else "stuck"
+        if len(states) == budget:
+            return tuple(states), "budget"
+        states.append(pick(nxt))
+
+
+def test_run_is_the_step_relation_iterated():
+    """Generated programs 0-59 and their type/ts finals, from four stores
+    each, at a budget they finish within and one that truncates them: the
+    run has the states and the reason the step relation gives, and the
+    stores its writes rebuild are the step relation's stores."""
+    reasons = set()
+    for p, _, rho, budget, r in oracle_cases():
+        states, reason = _run_by_steps(p, rho, budget)
+        assert r.states == states
+        assert (r.reason, r.truncated) == (reason, reason == "budget")
+        stores = tuple(s.store for s in states)
+        assert r.stores == stores and r.initial is rho and len(r) == len(states)
+        assert len(r.writes) == len(r) - 1
+        for a, w, b in zip(stores, r.writes, stores[1:]):
+            assert len(w) <= 1 and Store({**dict(a.items()), **dict(w)}) == b
+        ends = [0, len(r) // 3, len(r) - 1]
+        assert r.stores_at(ends) == [stores[i] for i in ends]
+        reasons.add(reason)
+    assert reasons == {"halt", "stuck", "budget"}
+
+
+def test_a_run_says_why_it_ended(loop_program):
+    from tracelab.gen import gen_program
+    assert run(loop_program, Store(), 2000).reason == "halt"
+    assert run(loop_program, Store(), 5).reason == "budget"
+    # an assignment of undef sticks: it is the last state, and the run did not halt
+    r = run(gen_program(3), Store({"x": TT}), 2000)
+    assert (len(r), r.reason, r.truncated) == (4, "stuck", False)
+    assert str(r.commands[-1]) == "s3: w := (w + 3) -> s5"
+    # so does an undef test, and a test with no complement that fails
+    from tracelab.textio import parse_program
+    p = parse_program("#entry L0\nL0: (x <= 1) -> L1\nL0: !(x <= 1) -> L1\nL1: skip -> .\n")
+    assert run(p, Store(), 5).reason == "stuck"
+    p = parse_program("#entry L0\nL0: (x <= 1) -> L1\nL1: skip -> .\n")
+    assert [run(p, Store({"x": x}), 5).reason for x in (1, 2)] == ["halt", "stuck"]
+    # a run that halts at the budget's last state halted
+    assert run(p, Store({"x": 1}), 2).reason == "halt"
 
 
 # ---------------------------------------------------------------------------
