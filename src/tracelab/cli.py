@@ -89,12 +89,19 @@ def _one_store(args) -> Store:
 
 
 def _hp_json(hp: hotpath.HotPath, count_: int, threshold: int) -> dict:
+    # a path often repeats one element (the sieve's, with 100+ bindings, at
+    # every position), so each distinct element is printed once
+    texts = {a: str(a) for a in {a for a, _ in hp.pairs}}
     return {
         "domain": hp.domain.tag,
         "threshold": threshold,
         "count": count_,
-        "pairs": [{"store": str(a), "command": str(c)} for a, c in hp.pairs],
+        "pairs": [{"store": texts[a], "command": str(c)} for a, c in hp.pairs],
     }
+
+
+# what ``run`` prints for each reason a run ends
+_RUN_STATUS = {"halt": "complete", "stuck": "stuck", "budget": "truncated"}
 
 
 def cmd_run(args) -> int:
@@ -102,7 +109,7 @@ def cmd_run(args) -> int:
     for rho in _initial_stores(args):
         r = run(p, rho, args.budget)
         last = State(r.stores_at([len(r) - 1])[0], r.commands[-1])
-        status = "truncated" if r.truncated else "complete"
+        status = _RUN_STATUS[r.reason]
         print(f"{status} after {len(r)} states; final {last}")
     return 0
 

@@ -17,15 +17,14 @@ names that text uses (guard literals, ``--domain``) to the three domains.
 
 from __future__ import annotations
 
-import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
 from . import lang
-from .values import (BOOL, BOT_T, Bool, INT, STRING, TOP_T, UNDEF, UNDEF_T,
-                     UValue, type_of, value_str)
+from .values import (BOOL, BOT_T, Bool, INT, STRING, TOP_T, TYPE_OF_CLASS, UNDEF,
+                     UNDEF_T, UValue, type_of, value_str)
 
 
 class DomainError(Exception):
@@ -83,6 +82,9 @@ class StoreAbstraction(ABC):
     tag: str
     bot_slot: object
     top_slot: object
+    # the slot of each value class, for a domain whose slot of a value
+    # depends only on the value's class (``of(v)`` is ``class_slots[type(v)]``)
+    class_slots: Optional[dict[type, object]] = None
 
     @abstractmethod
     def of(self, v: UValue):
@@ -207,14 +209,24 @@ class StoreAbstraction(ABC):
         keeps no binding equal to its default, so each binding is then below
         top, and it holds a value exactly when it is the value's slot:
         ``of`` never gives bottom unless bottom is top (one-point, whose
-        elements bind nothing).  Otherwise it costs O(|a| + |store|): one
-        pass over a's bindings, then one over the store's keys that a leaves
-        to its default.  The set of a's keys is built per call, not cached on
+        elements bind nothing).  Where a value's slot depends only on its
+        class (``class_slots``, set by the type domain), the slot is one
+        lookup of the class of the value read from the store's dict, with no
+        call per binding.  Otherwise it costs O(|a| + |store|): one pass over
+        a's bindings, then one over the store's keys that a leaves to its
+        default.  The set of a's keys is built per call, not cached on
         the element: guards keep their elements alive for as long as the
         program, and a cached index per element costs more memory than the
         rebuild costs time."""
         default = a.default
         if default == self.top_slot:
+            slots = self.class_slots
+            if slots is not None:
+                m = store._m
+                for x, v in a.items:
+                    if slots[type(m.get(x, UNDEF))] != v:
+                        return False
+                return True
             of = self.of
             for x, v in a.items:
                 if of(store.get(x)) != v:
@@ -257,16 +269,21 @@ class StoreAbstraction(ABC):
         return "{" + ", ".join(parts) + "}"
 
 
-_FAMILY_RE = re.compile(r"^(.+)_(\d+)$")
+def _family(k: str) -> Optional[tuple[str, int]]:
+    """``(name, i)`` for a key ``name_i``, a member of an array family: i is
+    decimal digits, and neither part holds a line break (one may end the
+    key)."""
+    name, _, i = (k[:-1] if k.endswith("\n") else k).rpartition("_")
+    return (name, int(i)) if name and i.isdecimal() and "\n" not in name else None
 
 
 def _compress_families(items) -> list[tuple[str, object, Optional[int]]]:
     """Display name_0..name_{n-1} sharing one slot value as ``name: V[n]``."""
     groups: dict[str, dict[int, object]] = {}
     for k, v in items:
-        m = _FAMILY_RE.match(k)
-        if m:
-            groups.setdefault(m.group(1), {})[int(m.group(2))] = v
+        member = _family(k)
+        if member:
+            groups.setdefault(member[0], {})[member[1]] = v
     full: dict[str, tuple[object, int]] = {}
     skip: set[str] = set()
     for name, idxs in groups.items():
@@ -278,9 +295,8 @@ def _compress_families(items) -> list[tuple[str, object, Optional[int]]]:
     out: list[tuple[str, object, Optional[int]]] = []
     emitted: set[str] = set()
     for k, v in items:
-        m = _FAMILY_RE.match(k)
-        if m and k in skip:
-            name = m.group(1)
+        if k in skip:
+            name = k.rpartition("_")[0]
             if name not in emitted:
                 val, n = full[name]
                 out.append((name, val, n))
@@ -323,6 +339,7 @@ class TypeDomain(StoreAbstraction):
     tag = "type"
     bot_slot, top_slot = BOT_T, TOP_T
     of = staticmethod(type_of)
+    class_slots = TYPE_OF_CLASS
 
     def value_str(self, a):
         return a

@@ -233,7 +233,7 @@ def hotcut(r: Run, original: Program) -> Run:
     the trace.  Two kept states joined around a dropped stretch are linked by
     the composed writes of the stretch.  A run that keeps every state is
     returned as it is."""
-    inside = [c in original.commands for c in r.commands]
+    inside = list(map(original.commands.__contains__, r.commands))
     last = len(inside) - 1
     keep = [i for i in range(len(inside))
             if inside[i] or i == 0 or i == last or inside[i - 1] or inside[i + 1]]

@@ -30,6 +30,16 @@ class LangError(Exception):
 class Lit:
     value: Value
 
+    def __eq__(self, other):
+        # Python takes True for 1, but a raw bool is no value: a literal
+        # equals another of the same class only, so ``x := True`` is not
+        # ``x := 1`` and does not share its compiled closure
+        return type(other) is Lit and type(self.value) is type(other.value) \
+            and self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
+
     def __str__(self):
         return value_str(self.value)
 

@@ -12,17 +12,31 @@ False or None (undef), and an action closure takes a store, writes its
 binding into the store's dict and returns the write (see ``Run``), or None
 for bottom; a branching action returns its three-valued test instead.  So an
 action is given only a store that nothing else holds: the run's live store,
-or ``apply_action``'s copy.  A write checks the value it stores.
-``eval_expr``, ``eval_bexpr``, ``apply_action`` and ``fires`` call these
-closures; there is no second evaluator.
+or ``apply_action``'s copy.  ``eval_expr``, ``eval_bexpr``, ``apply_action``
+and ``fires`` call these closures; there is no second evaluator.
 
-A run compiles its program once, on first use, into a table from each label to
-its command, that command's complement (or None) and the compiled step.  It
-takes the one command at a label, or resolves a complement pair (a branching
-command and its complement, as recorded in the program's complement table) by
-evaluating the test of its first command once, three-valued: true takes that
-command, false takes its complement, and undef leaves both stuck, so the run
-takes the first command (the least ``command_key``) and ends there.  A test
+The shapes that generated programs and the sieve run, before and after the
+type-specialization pass, are specialized, so that a step makes few Python
+calls: ``+``, ``+Int`` and ``+Str`` of a variable and a variable or a
+literal, ``%`` of a variable by a nonzero literal, ``<=`` of a variable and
+an int literal, ``=`` against a literal (the ``%`` or array read on its left
+stays one call) and an array read at a variable are each one closure that
+reads the dict itself.  Every other shape takes the general rule.  A write
+stores its value without checking it: each operator tests its operands'
+classes and a read gives a stored value, so only a literal can give what
+is not a value (a raw Python bool).  Only a write of such a literal, found
+when it compiles, checks its value, and so raises when it runs.
+
+A run compiles its program once, on first use, into a table with one entry
+per label; an entry holds its command's compiled step and the index of its
+successor's entry, so a step looks nothing up by label.  The run takes the
+one command at a label, or resolves a complement pair (a branching command
+and its complement, as recorded in the program's complement table) by one
+three-valued test: true takes the tested command, false its complement, and
+undef leaves both stuck, so the run takes the pair's least command (by
+``command_key``) and ends there.  A pair led by a negation (``!B`` or
+``!guard``, which sort first) tests the positive side and swaps the two,
+which spares the negation's work.  A test
 that fires leaves the store unchanged, so the store is carried on without
 evaluating the test again; a guard visit is therefore one
 ``StoreAbstraction.contains`` call, looked up when the guard runs.  Any other
@@ -239,8 +253,32 @@ def _var(e):
     return lambda m: m.get(name, undef)
 
 
+# The specialized shapes (see the module docstring) read the dict
+# themselves.  An unbound variable reads None there, whose class no operator
+# accepts, so it acts as undef.
+
+def _var_lit(e, classes) -> Optional[tuple[str, Value]]:
+    if type(e.left) is Var and type(e.right) is Lit and type(e.right.value) in classes:
+        return e.left.name, e.right.value
+    return None
+
+
 def _add(e):
-    f, g, undef = _expr(e.left), _expr(e.right), UNDEF
+    undef = UNDEF
+    if type(e.left) is Var and type(e.right) is Var:
+        x, y = e.left.name, e.right.name
+
+        def add_vv(m):
+            a, b = m.get(x), m.get(y)
+            t = type(a)
+            return a + b if t is type(b) and (t is int or t is str) else undef
+        return add_vv
+    vl = _var_lit(e, (int, str))
+    if vl:
+        x, k = vl
+        t = type(k)
+        return lambda m: a + k if type(a := m.get(x)) is t else undef
+    f, g = _expr(e.left), _expr(e.right)
 
     def add(m):
         a, b = f(m), g(m)
@@ -250,10 +288,19 @@ def _add(e):
 
 
 def _add_typed(e):
-    f, g, undef = _expr(e.left), _expr(e.right), UNDEF
+    undef = UNDEF
     want = {"Int": int, "Str": str}.get(e.tag)
     if want is None:
         raise SemanticsError(f"unknown addition tag {e.tag}")
+    # the type-specialization pass makes these of the shapes ``_add`` inlines
+    if type(e.left) is Var and type(e.right) is Var:
+        x, y = e.left.name, e.right.name
+        return lambda m: a + b if type(a := m.get(x)) is type(b := m.get(y)) is want else undef
+    vl = _var_lit(e, (want,))
+    if vl:
+        x, k = vl
+        return lambda m: a + k if type(a := m.get(x)) is want else undef
+    f, g = _expr(e.left), _expr(e.right)
 
     def add_typed(m):
         a, b = f(m), g(m)
@@ -262,6 +309,10 @@ def _add_typed(e):
 
 
 def _mod(e):
+    vl = _var_lit(e, (int,))
+    if vl and vl[1]:  # x % 0 is undef, which the general rule gives
+        (x, k), undef = vl, UNDEF
+        return lambda m: a % k if type(a := m.get(x)) is int else undef
     f, g, undef = _expr(e.left), _expr(e.right), UNDEF
 
     def mod(m):
@@ -271,6 +322,9 @@ def _mod(e):
 
 
 def _index(e):
+    if type(e.index) is Var:
+        y, prefix, undef = e.index.name, e.array + "_", UNDEF
+        return lambda m: m.get(prefix + str(i), undef) if type(i := m.get(y)) is int else undef
     f, prefix, undef = _expr(e.index), e.array + "_", UNDEF
 
     def index(m):
@@ -288,6 +342,10 @@ def _ff(b):
 
 
 def _leq(b):
+    vl = _var_lit(b, (int,))
+    if vl:
+        x, k = vl
+        return lambda m: a <= k if type(a := m.get(x)) is int else None
     f, g = _expr(b.left), _expr(b.right)
 
     def leq(m):
@@ -303,6 +361,11 @@ def _leq(b):
 
 
 def _eq(b):
+    if type(b.right) is Lit and type(b.right.value) in (int, str, Bool):
+        # the left of the generated tests is a ``%`` or an array read
+        f, k = _expr(b.left), b.right.value
+        t = type(k)
+        return lambda m: a == k if type(a := f(m)) is t else None
     f, g = _expr(b.left), _expr(b.right)
 
     def eq(m):
@@ -349,18 +412,32 @@ def _write(m: dict, var: str, v: Value) -> Write:
     return ((var, v),)
 
 
+def _storable(e: Expr) -> bool:
+    """Whether ``e`` gives only values or undef, so that a write may store
+    its value unchecked.  Each operator tests its operands' classes and a
+    read gives a stored value, so only a literal can give what no store may
+    hold (a raw Python bool, say)."""
+    return type(e) is not Lit or is_value(e.value) or e.value is UNDEF
+
+
 def _assign(a):
     f, var, undef = _expr(a.expr), a.var, UNDEF
+    if not _storable(a.expr):
+        return lambda store: _write(store._m, var, f(store._m))
 
     def assign(store):
         m = store._m
         v = f(m)
-        return None if v is undef else _write(m, var, v)
+        if v is undef:
+            return None
+        m[var] = v
+        return ((var, v),)
     return assign
 
 
 def _array_assign(a):
     f, g, prefix, undef = _expr(a.index), _expr(a.expr), a.array + "_", UNDEF
+    checked = not _storable(a.expr)
 
     def array_assign(store):
         m = store._m
@@ -371,7 +448,12 @@ def _array_assign(a):
         if member not in m:
             return None  # out of bounds: only initialized members are writable
         v = g(m)
-        return None if v is undef else _write(m, member, v)
+        if v is undef:
+            return None
+        if checked:
+            return _write(m, member, v)
+        m[member] = v
+        return ((member, v),)
     return array_assign
 
 
@@ -384,7 +466,9 @@ def _guard(a):
     abstract, domain, positive = a.store, a.store.domain, a.positive
     # ``contains`` is looked up at every visit, so a wrapped or patched
     # membership test sees each guard run
-    return lambda store: domain.contains(abstract, store) == positive
+    if positive:
+        return lambda store: domain.contains(abstract, store)
+    return lambda store: not domain.contains(abstract, store)
 
 
 # expressions: dict -> value or undef
@@ -458,30 +542,55 @@ def step(p: Program, s: State) -> tuple[State, ...]:
     return tuple(State(rho, c) for c in nexts)
 
 
-# label -> (command, its complement or None, compiled step); a
-# nondeterministic label maps to (None, the error message, None)
-_Table = dict[str, tuple]
+# One entry per label, successors by index into the table (None at HALT and
+# at a label without commands):
+#   (step, command, successor, None, None, None) for one command, whose step
+#   gives its write or None (bottom);
+#   (test, command, successor, complement, its successor, stuck) for a
+#   complement pair, whose test is three-valued: true takes the command,
+#   false the complement, and undef sticks at ``stuck``, the pair's least
+#   command; a pair led by a negation tests the positive side;
+#   (raiser, None, None, None, None, None) for a nondeterministic label.
+_Table = tuple[tuple[tuple, ...], Optional[int]]  # the entries, the entry label's index
 _TABLES: weakref.WeakKeyDictionary[Program, _Table] = weakref.WeakKeyDictionary()
+
+
+def _raiser(message: str):
+    def raise_(store):
+        raise SemanticsError(message)
+    return raise_
+
+
+def _negated(a) -> bool:
+    """Whether ``a`` is a ``!B`` test or a ``!guard``."""
+    return type(a) is Cond and type(a.test) is Not or type(a) is Guard and not a.positive
+
+
+def _alone(test):
+    """The step of a test without its complement: no write, or bottom."""
+    return lambda store: () if test(store) else None
 
 
 def _step_table(p: Program) -> _Table:
     table = _TABLES.get(p)
     if table is not None:
         return table
-    table = {}
+    index = {label: i for i, label in enumerate(p.by_label)}
+    entries = []
     for label, cmds in p.by_label.items():
         c = cmds[0]
         if label in p.nondeterministic:
-            table[label] = (None, f"nondeterministic choice at label {label}: "
-                                  f"{[str(c) for c in cmds]}", None)
+            entries.append((_raiser(f"nondeterministic choice at label {label}: "
+                                    f"{[str(c) for c in cmds]}"), None, None, None, None, None))
         elif len(cmds) == 2:
-            table[label] = (c, cmds[1], _action(c.action))
-        elif is_branching(c.action):  # a test without its complement
-            test = _action(c.action)
-            table[label] = (c, None, lambda store: () if test(store) else None)
+            yes, no = cmds[::-1] if _negated(c.action) else cmds
+            entries.append((_action(yes.action), yes, index.get(yes.succ),
+                            no, index.get(no.succ), c))
+        elif is_branching(c.action):
+            entries.append((_alone(_action(c.action)), c, index.get(c.succ), None, None, None))
         else:
-            table[label] = (c, None, _action(c.action))
-    _TABLES[p] = table
+            entries.append((_action(c.action), c, index.get(c.succ), None, None, None))
+    table = _TABLES[p] = (tuple(entries), index.get(p.entry))
     return table
 
 
@@ -489,34 +598,33 @@ def run(p: Program, rho0: Store, budget: int) -> Run:
     """The unique maximal trace from the entry, truncated at ``budget`` states."""
     if budget < 1:
         raise SemanticsError("budget must be at least 1")
-    table = _step_table(p)
-    entry = table.get(p.entry)
-    if entry is None:
+    entries, at = _step_table(p)
+    if at is None:
         raise SemanticsError(f"no command at entry label {p.entry}")
     m = dict(rho0._m)
     view = Store._of(m)  # the live store; it never leaves this call
     commands: list[Command] = []
     writes: list[Write] = []
     add_command, add_write = commands.append, writes.append
+    entry = entries[at]
     for _ in range(budget):
-        c, other, fn = entry
-        if c is None:
-            raise SemanticsError(other)
-        if other is None:
-            w = fn(view)
-        else:
-            taken = fn(view)
-            if taken is False:
-                c = other
-            w = None if taken is None else ()
+        fn, c, at, other, other_at, stuck = entry
+        w = fn(view)
+        if other is not None:
+            if w:
+                w = ()
+            elif w is None:
+                c = stuck
+            else:
+                c, at, w = other, other_at, ()
         add_command(c)
-        entry = table.get(c.succ)  # None at HALT, which labels no command
-        if w is None or entry is None:
+        if w is None or at is None:
             reason = "halt" if w is not None and c.succ == HALT else "stuck"
             return Run(rho0, tuple(commands), tuple(writes), reason)
         add_write(w)
-    if entry[0] is None:
-        raise SemanticsError(entry[1])
+        entry = entries[at]
+    if entry[1] is None:
+        entry[0](view)  # a nondeterministic label: raises
     # one more state would have been possible; the step to it is not recorded
     writes.pop()
     return Run(rho0, tuple(commands), tuple(writes), "budget")

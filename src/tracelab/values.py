@@ -55,7 +55,7 @@ BOT_T = "Bot"
 
 
 # the type name of each value class; raw Python bools are not values
-_TYPE_NAMES = {int: INT, str: STRING, Bool: BOOL, Undef: UNDEF_T}
+TYPE_OF_CLASS = {int: INT, str: STRING, Bool: BOOL, Undef: UNDEF_T}
 _VALUE_CLASSES = frozenset((int, str, Bool))
 
 
@@ -66,7 +66,7 @@ def is_value(v) -> bool:
 def type_of(v: UValue) -> str:
     """Type name of a possibly undefined value."""
     try:
-        return _TYPE_NAMES[type(v)]
+        return TYPE_OF_CLASS[type(v)]
     except KeyError:
         if isinstance(v, bool):
             raise TypeError("raw Python bool leaked into a value position; use Bool") from None

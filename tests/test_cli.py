@@ -302,6 +302,24 @@ def test_long_inline_initials(tmp_path):
     assert out.startswith("complete after 779 states")
 
 
+def test_run_names_why_each_run_ended(tmp_path):
+    """A halted run is complete, a run with no next state is stuck, and a run
+    cut by the budget is truncated."""
+    from tracelab import gen, textio
+    path = tmp_path / "g3.tl"
+    path.write_text(textio.print_program(gen.gen_program(3)))
+    stores = json.dumps([{"w": 0}, {"x": True}])
+    rc, out, err = call(["run", path, "--initials", stores])
+    assert (rc, err) == (0, "")
+    halted, stuck = out.splitlines()
+    assert halted.startswith("complete after ")
+    # w is unbound, so w + 3 is undef and the assignment sticks
+    assert stuck == "stuck after 4 states; final <[i/0, x/tt], s3: w := (w + 3) -> s5>"
+    rc, out, err = call(["run", path, "--initials", '{"w": 0}', "--budget", "3"])
+    assert (rc, out, err) == (0, "truncated after 3 states; final "
+                                 "<[i/0, w/0], s2: (i <= 7) -> s3>\n", "")
+
+
 @pytest.mark.parametrize("observation", ["sc", "out"])
 def test_check_names_the_observation_that_judged(tmp_path, observation):
     path = tmp_path / "dse.tl"

@@ -420,3 +420,163 @@ def test_eval_expr_matches_the_reference(e, env):
 @example(lang.And(Leq(Var("u"), Lit(0)), lang.Tt()), {})
 def test_eval_bexpr_matches_the_reference(b, env):
     assert _same(eval_bexpr(b, Store(env)), _ref_bexpr(b, env))
+
+
+# ---------------------------------------------------------------------------
+# every operand shape the compiler specializes, against the reference
+# ---------------------------------------------------------------------------
+
+# The compiler gives some nodes with a variable on the left and a variable or
+# a literal on the right their own closure, and an ``=`` with a literal on
+# the right its own closure whatever the left is.  Every such shape, and the
+# general rule beside it, is checked here with every class of literal and
+# operand: ints (0 and negative), strs (empty and a prefix of another),
+# Bools, and undef, both unbound and computed.
+_SHAPE_VALUES = (-3, 0, 2, "", "a", "ab", "b", TT, FF)
+_LEFTS = (Var("x"), Lit(2), Lit("a"), Lit(TT), Mod(Var("x"), Lit(2)), Index("a", Var("x")))
+# a Bool literal is another object than the store's Bool of the same value
+_RIGHTS = (Var("y"), Var("u")) + tuple(
+    Lit(Bool(v.value) if isinstance(v, Bool) else v) for v in _SHAPE_VALUES)
+_SHAPE_ENVS = tuple(
+    {**{k: v for k, v in (("x", x), ("y", y)) if v is not UNDEF}, "a_0": FF, "a_2": "ab"}
+    for x in _SHAPE_VALUES + (UNDEF,) for y in _SHAPE_VALUES + (UNDEF,))
+_SHAPE_OPS = {"+": Add, "%": Mod, "+Int": lambda l, r: AddTyped(l, r, "Int"),
+              "+Str": lambda l, r: AddTyped(l, r, "Str"), "<=": Leq, "=": lang.Eq}
+
+
+def _shapes(op):
+    return [_SHAPE_OPS[op](left, right) for left in _LEFTS for right in _RIGHTS]
+
+
+def _ref_apply(a, env):
+    """The store ``a`` leads to, as a dict; None for bottom; SemanticsError
+    when it would store what is not a value."""
+    from tracelab.values import is_value
+    if isinstance(a, Cond):
+        return env if _ref_bexpr(a.test, env) == TT else None
+    if isinstance(a, Assign):
+        target = a.var
+    else:
+        i = _ref_expr(a.index, env)
+        target = f"{a.array}_{i}"
+        if not _ref_int(i) or target not in env:
+            return None  # only a bound member is writable
+    v = _ref_expr(a.expr, env)
+    if v is UNDEF:
+        return None
+    return {**env, target: v} if is_value(v) else SemanticsError
+
+
+def _apply(a, env):
+    try:
+        out = apply_action(a, Store(env))
+    except SemanticsError:
+        return SemanticsError
+    return None if out is None else dict(out.items())
+
+
+@pytest.mark.parametrize("op", ["+", "%", "+Int", "+Str"])
+def test_every_expression_shape_matches_the_reference(op):
+    for e in _shapes(op):
+        for env in _SHAPE_ENVS:
+            assert _same(eval_expr(e, Store(env)), _ref_expr(e, env)), (str(e), env)
+            a = Assign("z", e)
+            assert _apply(a, env) == _ref_apply(a, env), (str(a), env)
+
+
+@pytest.mark.parametrize("op", ["<=", "="])
+def test_every_test_shape_fires_as_the_reference(op):
+    from tracelab.semantics import fires
+    truth = {TT: True, FF: False, UNDEF: None}
+    for b in _shapes(op):
+        for env in _SHAPE_ENVS:
+            want = _ref_bexpr(b, env)
+            assert fires(Cond(b), Store(env)) is truth[want], (str(b), env)
+            assert fires(Cond(lang.Not(b)), Store(env)) is \
+                truth[_ref_bexpr(lang.Not(b), env)], (str(b), env)
+            assert _same(eval_bexpr(b, Store(env)), want), (str(b), env)
+
+
+def test_array_writes_and_raw_literals_match_the_reference():
+    """An array write changes only a bound member: an index out of bounds,
+    unbound or not an int sticks.  A raw Python bool literal raises where it
+    would be stored, and sticks where the write never happens; inside an
+    operator it is undef."""
+    actions = [lang.ArrayAssign("a", index, rhs)
+               for index in (Var("x"), Lit(0), Lit(1), Lit(2), Lit(-3), Lit("a"))
+               for rhs in (Var("y"), Lit(7), Add(Var("y"), Lit(1)), Lit(True))]
+    actions += [Assign("z", Lit(True)), Assign("z", Add(Lit(True), Lit(1))),
+                Assign("z", Lit(False))]
+    outcomes = set()
+    for a in actions:
+        for env in _SHAPE_ENVS:
+            want = _ref_apply(a, env)
+            assert _apply(a, env) == want, (str(a), env)
+            outcomes.add(want if want in (None, SemanticsError) else "stored")
+    assert outcomes == {None, SemanticsError, "stored"}
+    with pytest.raises(SemanticsError, match="not a storable value for z: True"):
+        apply_action(Assign("z", Lit(True)), Store())
+    with pytest.raises(SemanticsError, match="not a storable value for a_2: False"):
+        apply_action(lang.ArrayAssign("a", Var("x"), Lit(False)), Store({"x": 2, "a_2": 0}))
+    assert apply_action(Assign("z", Lit(UNDEF)), Store()) is None
+
+
+@pytest.mark.parametrize("b", [Leq(Var("x"), Lit(0)), Leq(Var("x"), Lit("a")),
+                               Leq(Var("x"), Var("y")), lang.Eq(Mod(Var("x"), Lit(2)), Lit(0)),
+                               lang.Eq(Index("a", Var("x")), Lit(FF)), lang.Eq(Var("x"), Var("y"))],
+                         ids=str)
+def test_a_pair_led_by_its_negation_takes_the_side_the_reference_takes(b):
+    """``!B`` sorts before ``B``, and the run tests B and swaps: true takes
+    B, false takes !B, and undef sticks at !B, the least command."""
+    from tracelab.textio import parse_program
+    p = parse_program(f"#entry L0\nL0: {b} -> L1\nL0: !{b} -> L2\n"
+                      "L1: skip -> .\nL2: skip -> .\n")
+    for env in _SHAPE_ENVS:
+        r = run(p, Store(env), 10)
+        taken = {TT: [f"L0: {b} -> L1", "L1: skip -> ."],
+                 FF: [f"L0: !{b} -> L2", "L2: skip -> ."],
+                 UNDEF: [f"L0: !{b} -> L2"]}[_ref_bexpr(b, env)]
+        assert [str(c) for c in r.commands] == taken, env
+        assert r.reason == ("stuck" if len(taken) == 1 else "halt")
+
+
+def test_type_guards_fire_as_the_reference():
+    """A guard with a universal default tests the type of each of its
+    bindings, an unbound variable's type being Undef."""
+    from tracelab.domains import onepoint_domain, type_domain
+    from tracelab.semantics import fires
+    from tracelab.values import type_of
+    slots = {"x": "Int", "y": "String", "u": "Undef", "a_0": "Bool"}
+    guards = [type_domain.make(dict(items), "Top")
+              for n in range(len(slots) + 1) for items in itertools.combinations(slots.items(), n)]
+    guards.append(onepoint_domain.top())
+    for a in guards:
+        for positive in (True, False):
+            for env in _SHAPE_ENVS:
+                want = all(type_of(env.get(x, UNDEF)) == t for x, t in a.items)
+                assert fires(lang.Guard(a, positive), Store(env)) is (want == positive), env
+
+
+def test_a_raw_bool_literal_shares_no_closure_with_an_int_literal():
+    """Python takes True for 1, so a closure cache keyed by plain equality
+    would run ``z := True`` as a live program's ``z := 1``."""
+    from tracelab.textio import parse_program
+    p = parse_program("#entry L0\nL0: z := 1 -> L1\nL1: y := (1 + 1) -> .\n")
+    assert run(p, Store(), 5).reason == "halt"  # p's closures stay alive with p
+    with pytest.raises(SemanticsError, match="not a storable value for z: True"):
+        apply_action(Assign("z", Lit(True)), Store())
+    assert eval_expr(Add(Lit(True), Lit(1)), Store()) is UNDEF
+    assert Lit(True) != Lit(1) and Lit(False) != Lit(0) and Lit(TT) == Lit(Bool(True))
+
+
+def test_each_test_without_a_complement_runs_its_own_test():
+    """Lone tests at several labels each keep their own test (a step built
+    in a loop must not read the loop's last test)."""
+    from tracelab.textio import parse_program
+    for src in ("#entry L0\nL0: (x <= 5) -> L1\nL1: (x <= 1) -> L2\nL2: skip -> .\n",
+                "#entry L0\nL0: (x <= 1) -> L1\nL1: (x <= 5) -> L2\nL2: skip -> .\n"):
+        p = parse_program(src)
+        for x in (0, 3, 9):
+            states, reason = _run_by_steps(p, Store({"x": x}), 10)
+            r = run(p, Store({"x": x}), 10)
+            assert (r.states, r.reason) == (states, reason), (src, x)
