@@ -31,7 +31,7 @@ from itertools import islice
 from typing import Optional, Sequence
 
 from .domains import AbstractStore, StoreAbstraction, get_domain
-from .lang import Command, Cond, Guard, HALT, Not, Program, find_cmpl
+from .lang import Command, HALT, Program, find_cmpl, is_negation
 from .semantics import Run, compose
 
 
@@ -42,14 +42,6 @@ class HotPathError(Exception):
 # ---------------------------------------------------------------------------
 # Topological order (reverse postorder)
 # ---------------------------------------------------------------------------
-
-def _branch_key(c: Command) -> bool:
-    """Positive branches explore first, so a loop's head ranks at or before
-    its exit commands; negations and failing guards are the cold side."""
-    a = c.action
-    return (isinstance(a, Cond) and isinstance(a.test, Not)) or \
-        (isinstance(a, Guard) and not a.positive)
-
 
 def topo_order(p: Program) -> dict[Command, int]:
     """The rank of each command in a reverse-postorder DFS from the entry,
@@ -65,8 +57,10 @@ def topo_order(p: Program) -> dict[Command, int]:
         visited.add(root)
         while stack:
             cmd, i = stack.pop()
+            # positive branches explore first, so a loop's head ranks at or
+            # before its exit commands; negations are the cold side
             succs = () if cmd.succ == HALT else \
-                tuple(sorted(p.at(cmd.succ), key=_branch_key))
+                tuple(sorted(p.at(cmd.succ), key=lambda c: is_negation(c.action)))
             if i < len(succs):
                 stack.append((cmd, i + 1))
                 nxt = succs[i]

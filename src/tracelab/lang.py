@@ -275,6 +275,13 @@ def negate_action(a: Action) -> Action:
     raise LangError(f"action has no complement: {a}")
 
 
+def is_negation(a: Action) -> bool:
+    """Whether ``a`` is a ``!B`` test or a ``!guard``: the side of a branch
+    that sorts first and that mining explores last."""
+    return isinstance(a, Cond) and isinstance(a.test, Not) or \
+        isinstance(a, Guard) and not a.positive
+
+
 def action_vars(a: Action) -> frozenset[str]:
     """The program variables the action names; a guard's store keys are not
     among them."""

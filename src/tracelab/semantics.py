@@ -5,52 +5,47 @@ new store or to bottom (None here), and bottom is what makes states stick.
 Array reads resolve their index concretely against the variable family
 ``name_<i>``; an array write to an unbound member is an error (out of bounds).
 
-Every expression, test and action is compiled once into a closure, shared by
-equal nodes for as long as something holds it: an expression closure reads
-the store's dict and returns a value or undef, a test closure returns True,
-False or None (undef), and an action closure takes a store, writes its
-binding into the store's dict and returns the write (see ``Run``), or None
-for bottom; a branching action returns its three-valued test instead.  So an
-action is given only a store that nothing else holds: the run's live store,
-or ``apply_action``'s copy.  ``eval_expr``, ``eval_bexpr``, ``apply_action``
-and ``fires`` call these closures; there is no second evaluator.
+Every expression, test and action is compiled once into a function, shared
+by equal nodes while something holds it: an expression's reads the store's
+dict and gives a value or undef, a test's gives True, False or None (undef),
+and an action's takes a store that nothing else holds (the run's live store
+or ``apply_action``'s copy), writes its binding into the store's dict and
+returns the write (see ``Run``), or None for bottom; a branching action's
+returns its three-valued test.  ``eval_expr``, ``eval_bexpr``,
+``apply_action`` and ``fires`` call these functions; there is no second
+evaluator.
 
-The shapes that generated programs and the sieve run, before and after the
-type-specialization pass, are specialized, so that a step makes few Python
-calls: ``+``, ``+Int`` and ``+Str`` of a variable and a variable or a
-literal, ``%`` of a variable by a nonzero literal, ``<=`` of a variable and
-an int literal, ``=`` against a literal (the ``%`` or array read on its left
-stays one call) and an array read at a variable are each one closure that
-reads the dict itself.  Every other shape takes the general rule.  A write
-stores its value without checking it: each operator tests its operands'
-classes and a read gives a stored value, so only a literal can give what
-is not a value (a raw Python bool).  Only a write of such a literal, found
-when it compiles, checks its value, and so raises when it runs.
+The functions are emitted as Python source, one emitter per node kind: an
+expression emits a Python expression over the store's dict ``m``, a test a
+three-valued one, and every action but a guard one function body with its
+operands inline, so an action is one call.  Each operator tests its
+operands' classes once; a literal's class is known when it compiles, so its
+test is dropped, and that is the only specialization.  A node's names and
+literals are parameters of a factory (``def make(k1, ...)``), never its
+source, so the source depends on the node's shape only and no program text
+reaches ``exec``.  Each distinct source is compiled once, into a factory
+kept for the life of the process (shapes are few); all factories share one
+globals dict.  An operand nested deeper than ``_DEPTH`` is a call of its own
+function, so no source nests deeper than Python's parser takes.
 
-A run compiles its program once, on first use, into a table with one entry
-per label; an entry holds its command's compiled step and the index of its
-successor's entry, so a step looks nothing up by label.  The run takes the
-one command at a label, or resolves a complement pair (a branching command
-and its complement, as recorded in the program's complement table) by one
-three-valued test: true takes the tested command, false its complement, and
-undef leaves both stuck, so the run takes the pair's least command (by
-``command_key``) and ends there.  A pair led by a negation (``!B`` or
-``!guard``, which sort first) tests the positive side and swaps the two,
-which spares the negation's work.  A test
-that fires leaves the store unchanged, so the store is carried on without
-evaluating the test again; a guard visit is therefore one
-``StoreAbstraction.contains`` call, looked up when the guard runs.  Any other
-label with several commands is nondeterministic and raises ``SemanticsError``.
-The table does not keep its program alive.
+A run compiles its program once into a table with one entry per label,
+holding its command's compiled step and the index of its successor's entry.
+The run takes the one command at a label, or resolves a complement pair (a
+branching command and its complement) by one three-valued test: true takes
+the tested command, false its complement, and undef sticks at the pair's
+least command (by ``command_key``).  A pair led by a negation (``!B`` or
+``!guard``, which sort first) tests the positive side and swaps.  A test
+that fires leaves the store unchanged, so it is not evaluated again, and a
+guard visit is one ``StoreAbstraction.contains`` call, looked up at each
+visit.  Any other label with several commands is nondeterministic and
+raises ``SemanticsError``.  The table does not keep its program alive.
 
-A run steps one private dict in place: each step writes at most one
-binding, so a ``Run`` records its initial store, the command of each state
-and the write of each step, and copies no store.  Every action of the run
-is given one ``Store`` view of that dict, which never leaves the run; a
-guard tests that view.  Mining and the observations
-read the writes; ``Run.stores`` and ``Run.states`` replay them on demand,
-for the witnesses, the CLI's ``trace`` and the tests, and
-``Run.stores_at`` replays them once up to the stores asked for.
+A run steps one private dict in place, given to every action as one
+``Store`` view that never leaves the run, so a ``Run`` records its initial
+store, the command of each state and the write of each step, and copies no
+store.  Mining and the observations read the writes; ``Run.stores`` and
+``Run.states`` replay them on demand, and ``Run.stores_at`` replays them
+once up to the stores asked for.
 """
 
 from __future__ import annotations
@@ -63,7 +58,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from . import lang
 from .lang import (Add, AddTyped, ArrayAssign, Assign, BExpr, Command, Cond,
                    Expr, Guard, HALT, Index, Lit, Mod, Not, And, Leq, Eq, Tt,
-                   Ff, Program, Put, Skip, Var, is_branching)
+                   Ff, Program, Put, Skip, Var, is_branching, is_negation)
 from .values import Bool, FF, TT, UNDEF, UValue, Value, is_value, value_str
 
 
@@ -222,244 +217,172 @@ class Run:
 
 
 # ---------------------------------------------------------------------------
-# Compilation: one closure per node, shared by equal nodes
+# Compilation: one emitter per node kind, one function per node
 # ---------------------------------------------------------------------------
 
-def _compiler(kind: str, rules: Mapping[type, Callable]):
-    """The compile function of one kind of node: it picks the rule for the
-    node's type and keeps each closure for as long as anything else holds
-    it, so equal nodes share one closure across programs."""
-    closures: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-    def compile_(node):
-        fn = closures.get(node)
-        if fn is None:
-            rule = rules.get(type(node))
-            if rule is None:
-                raise SemanticsError(f"not {kind}: {node!r}")
-            fn = closures[node] = rule(node)
-        return fn
-
-    return compile_
+def _dispatch(kind: str, rules: Mapping[type, Callable]) -> Callable:
+    """The rule for the type of the node given first, applied to the rest."""
+    def apply(node, *args):
+        rule = rules.get(type(node))
+        if rule is None:
+            raise SemanticsError(f"not {kind}: {node!r}")
+        return rule(node, *args)
+    return apply
 
 
-def _lit(e):
-    v = e.value
-    return lambda m: v
+# An operand nested deeper than this is a call of its own function, so no
+# source opens more parentheses than Python's parser takes (200).
+_DEPTH = 16
 
 
-def _var(e):
-    name, undef = e.name, UNDEF
-    return lambda m: m.get(name, undef)
+class _Emitter:
+    """The source of one node's function and the values of its parameters:
+    ``k1, k2, ...`` carry the node's names, literals and too deep operands'
+    functions, and ``t1, t2, ...`` are temporaries, so the source depends on
+    the node's shape only."""
+
+    def __init__(self):
+        self.values: list = []
+        self.temps = 0
+        self.depth = 0
+        self.deep: list = []  # (parameter index, compile, node) of too deep operands
+
+    def param(self, value) -> str:
+        self.values.append(value)
+        return f"k{len(self.values)}"
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def expr(self, e: Expr) -> str:
+        return self._operand(e, _emit_expr, _expr)
+
+    def test(self, b: BExpr) -> str:
+        return self._operand(b, _emit_test, _test)
+
+    def _operand(self, node, emit: Callable, compile_: Callable) -> str:
+        """The Python expression of an expression or a test over ``m``, or
+        past ``_DEPTH`` a call of its own function (compiled in
+        ``function``, so that compiles nest once per ``_DEPTH`` levels)."""
+        if self.depth == _DEPTH:
+            self.deep.append((len(self.values), compile_, node))
+            return f"{self.param(None)}(m)"
+        self.depth += 1
+        out = emit(node, self)
+        self.depth -= 1
+        return out
+
+    def classed(self, operands: Sequence[Expr], formulas: Mapping[type, str], fail: str) -> str:
+        """An operator whose operands must all be of one class in
+        ``formulas``, which gives the result for that class over the
+        operands (``{0}``, ``{1}``); otherwise ``fail``.  A literal's class
+        is known here, so only the other operands are tested."""
+        known = {type(e.value) for e in operands if type(e) is Lit}
+        if len(known) > 1 or not known <= formulas.keys():
+            return fail
+        names, tested = [], []
+        for e in operands:
+            if type(e) is Lit:
+                names.append(self.param(e.value))
+            else:
+                names.append(self.temp())
+                tested.append(f"type({names[-1]} := {self.expr(e)})")
+        if known or len(formulas) == 1:
+            (cls,) = known or formulas
+            result = formulas[cls].format(*names)
+            return f"({result} if {' is '.join(tested + [cls.__name__])} else {fail})" \
+                if tested else result
+        c, body = self.temp(), fail
+        for cls, formula in reversed(formulas.items()):
+            body = f"{formula.format(*names)} if {c} is {cls.__name__} else {body}"
+        head = " is ".join([f"({c} := {tested[0]})"] + tested[1:])
+        return f"(({body}) if {head} else {fail})"
+
+    def function(self, arg: str, body: Sequence[str]) -> Callable:
+        """The function of ``arg`` with ``body``: its source's one factory,
+        given this node's parameter values."""
+        for i, compile_, node in self.deep:
+            self.values[i] = compile_(node)
+        params = ", ".join(f"k{i}" for i in range(1, len(self.values) + 1))
+        src = "".join([f"def make({params}):\n    def f({arg}):\n",
+                       *(f"        {line}\n" for line in body), "    return f\n"])
+        make = _FACTORIES.get(src)
+        if make is None:
+            scope: dict = {}
+            exec(src, _GLOBALS, scope)
+            make = _FACTORIES[src] = scope["make"]
+        return make(*self.values)
 
 
-# The specialized shapes (see the module docstring) read the dict
-# themselves.  An unbound variable reads None there, whose class no operator
-# accepts, so it acts as undef.
-
-def _var_lit(e, classes) -> Optional[tuple[str, Value]]:
-    if type(e.left) is Var and type(e.right) is Lit and type(e.right.value) in classes:
-        return e.left.name, e.right.value
-    return None
+# Every factory, by its source, for the life of the process; all share one
+# globals dict, and a node's names and literals reach its function as
+# closure cells.
+_FACTORIES: dict[str, Callable] = {}
+_GLOBALS = {"undef": UNDEF, "Bool": Bool, "SemanticsError": SemanticsError}
 
 
-def _add(e):
-    undef = UNDEF
-    if type(e.left) is Var and type(e.right) is Var:
-        x, y = e.left.name, e.right.name
-
-        def add_vv(m):
-            a, b = m.get(x), m.get(y)
-            t = type(a)
-            return a + b if t is type(b) and (t is int or t is str) else undef
-        return add_vv
-    vl = _var_lit(e, (int, str))
-    if vl:
-        x, k = vl
-        t = type(k)
-        return lambda m: a + k if type(a := m.get(x)) is t else undef
-    f, g = _expr(e.left), _expr(e.right)
-
-    def add(m):
-        a, b = f(m), g(m)
-        t = type(a)
-        return a + b if t is type(b) and (t is int or t is str) else undef
-    return add
+def _member(em: _Emitter, array: str, index: Expr) -> str:
+    """The array member an index names, or None when the index is no int."""
+    return em.classed([index], {int: em.param(array + "_") + " + str({0})"}, "None")
 
 
-def _add_typed(e):
-    undef = UNDEF
+def _add_typed(e, em):
     want = {"Int": int, "Str": str}.get(e.tag)
     if want is None:
         raise SemanticsError(f"unknown addition tag {e.tag}")
-    # the type-specialization pass makes these of the shapes ``_add`` inlines
-    if type(e.left) is Var and type(e.right) is Var:
-        x, y = e.left.name, e.right.name
-        return lambda m: a + b if type(a := m.get(x)) is type(b := m.get(y)) is want else undef
-    vl = _var_lit(e, (want,))
-    if vl:
-        x, k = vl
-        return lambda m: a + k if type(a := m.get(x)) is want else undef
-    f, g = _expr(e.left), _expr(e.right)
-
-    def add_typed(m):
-        a, b = f(m), g(m)
-        return a + b if type(a) is type(b) is want else undef
-    return add_typed
+    return em.classed([e.left, e.right], {want: "{0} + {1}"}, "undef")
 
 
-def _mod(e):
-    vl = _var_lit(e, (int,))
-    if vl and vl[1]:  # x % 0 is undef, which the general rule gives
-        (x, k), undef = vl, UNDEF
-        return lambda m: a % k if type(a := m.get(x)) is int else undef
-    f, g, undef = _expr(e.left), _expr(e.right), UNDEF
-
-    def mod(m):
-        a, b = f(m), g(m)
-        return a % b if type(a) is type(b) is int and b else undef
-    return mod
-
-
-def _index(e):
-    if type(e.index) is Var:
-        y, prefix, undef = e.index.name, e.array + "_", UNDEF
-        return lambda m: m.get(prefix + str(i), undef) if type(i := m.get(y)) is int else undef
-    f, prefix, undef = _expr(e.index), e.array + "_", UNDEF
-
-    def index(m):
-        i = f(m)
-        return m.get(prefix + str(i), undef) if type(i) is int else undef
-    return index
+# expressions: a value or undef
+_emit_expr = _dispatch("an expression", {
+    Lit: lambda e, em: em.param(e.value),
+    Var: lambda e, em: f"m.get({em.param(e.name)}, undef)",
+    Add: lambda e, em: em.classed([e.left, e.right], {int: "{0} + {1}", str: "{0} + {1}"},
+                                  "undef"),
+    AddTyped: _add_typed,
+    Mod: lambda e, em: em.classed([e.left, e.right], {int: "({0} % {1} if {1} else undef)"},
+                                  "undef"),
+    Index: lambda e, em: f"m.get({_member(em, e.array, e.index)}, undef)",
+})
 
 
-def _tt(b):
-    return lambda m: True
+def _not(b, em):
+    t = em.temp()
+    return f"(None if ({t} := {em.test(b.arg)}) is None else not {t})"
 
 
-def _ff(b):
-    return lambda m: False
+def _and(b, em):
+    t, u = em.temp(), em.temp()
+    return f"(None if ({t} := {em.test(b.left)}) is None or " \
+           f"({u} := {em.test(b.right)}) is None else {t} and {u})"
 
 
-def _leq(b):
-    vl = _var_lit(b, (int,))
-    if vl:
-        x, k = vl
-        return lambda m: a <= k if type(a := m.get(x)) is int else None
-    f, g = _expr(b.left), _expr(b.right)
-
-    def leq(m):
-        x, y = f(m), g(m)
-        t = type(x)
-        if t is type(y):
-            if t is int:
-                return x <= y
-            if t is str:
-                return y.startswith(x)  # prefix order, not lexicographic
-        return None
-    return leq
+# tests: True, False or None (undef)
+_emit_test = _dispatch("a boolean expression", {
+    Tt: lambda b, em: "True",
+    Ff: lambda b, em: "False",
+    # ``<=`` on strings is the prefix order, not the lexicographic one
+    Leq: lambda b, em: em.classed([b.left, b.right],
+                                  {int: "{0} <= {1}", str: "{1}.startswith({0})"}, "None"),
+    Eq: lambda b, em: em.classed([b.left, b.right], {
+        int: "{0} == {1}", str: "{0} == {1}", Bool: "{0}.value == {1}.value"}, "None"),
+    Not: _not,
+    And: _and,
+})
 
 
-def _eq(b):
-    if type(b.right) is Lit and type(b.right.value) in (int, str, Bool):
-        # the left of the generated tests is a ``%`` or an array read
-        f, k = _expr(b.left), b.right.value
-        t = type(k)
-        return lambda m: a == k if type(a := f(m)) is t else None
-    f, g = _expr(b.left), _expr(b.right)
-
-    def eq(m):
-        x, y = f(m), g(m)
-        t = type(x)
-        return x == y if t is type(y) and (t is int or t is str or t is Bool) else None
-    return eq
-
-
-def _not(b):
-    f = _test(b.arg)
-
-    def not_(m):
-        v = f(m)
-        return None if v is None else not v
-    return not_
-
-
-def _and(b):
-    f, g = _test(b.left), _test(b.right)
-
-    def and_(m):
-        x = f(m)
-        if x is None:
-            return None
-        y = g(m)
-        return None if y is None else x and y
-    return and_
-
-
-def _no_write(store):
-    return ()
-
-
-def _skip(a):
-    return _no_write
-
-
-def _write(m: dict, var: str, v: Value) -> Write:
-    """Binds ``var`` to ``v`` in ``m``, once ``v`` is checked."""
-    if not is_value(v):
-        raise SemanticsError(f"not a storable value for {var}: {v!r}")
-    m[var] = v
-    return ((var, v),)
-
-
-def _storable(e: Expr) -> bool:
-    """Whether ``e`` gives only values or undef, so that a write may store
-    its value unchecked.  Each operator tests its operands' classes and a
-    read gives a stored value, so only a literal can give what no store may
-    hold (a raw Python bool, say)."""
-    return type(e) is not Lit or is_value(e.value) or e.value is UNDEF
-
-
-def _assign(a):
-    f, var, undef = _expr(a.expr), a.var, UNDEF
-    if not _storable(a.expr):
-        return lambda store: _write(store._m, var, f(store._m))
-
-    def assign(store):
-        m = store._m
-        v = f(m)
-        if v is undef:
-            return None
-        m[var] = v
-        return ((var, v),)
-    return assign
-
-
-def _array_assign(a):
-    f, g, prefix, undef = _expr(a.index), _expr(a.expr), a.array + "_", UNDEF
-    checked = not _storable(a.expr)
-
-    def array_assign(store):
-        m = store._m
-        i = f(m)
-        if type(i) is not int:
-            return None
-        member = prefix + str(i)
-        if member not in m:
-            return None  # out of bounds: only initialized members are writable
-        v = g(m)
-        if v is undef:
-            return None
-        if checked:
-            return _write(m, member, v)
-        m[member] = v
-        return ((member, v),)
-    return array_assign
-
-
-def _cond(a):
-    f = _test(a.test)
-    return lambda store: f(store._m)
+def _assignment(em: _Emitter, target: str, member: Optional[str], e: Expr) -> list[str]:
+    """The body that binds ``target`` to ``e``'s value; a ``member`` sets
+    ``target`` and sticks unless it is bound (only initialized array members
+    are writable).  Only a literal can give what is not a value, so only its
+    write raises."""
+    bound = f"({target} := {member}) not in m or " if member else ""
+    write = [f"m[{target}] = v", f"return (({target}, v),)"] \
+        if type(e) is not Lit or is_value(e.value) or e.value is UNDEF \
+        else [f"raise SemanticsError('not a storable value for %s: %r' % ({target}, v))"]
+    return ["m = store._m", f"if {bound}(v := {em.expr(e)}) is undef:",
+            "    return None", *write]
 
 
 def _guard(a):
@@ -471,17 +394,43 @@ def _guard(a):
     return lambda store: not domain.contains(abstract, store)
 
 
+def _emitted(arg: str, body: Callable) -> Callable:
+    """The rule of a node kind whose function's body ``body(node, em)`` emits."""
+    def rule(node):
+        em = _Emitter()
+        return em.function(arg, body(node, em))
+    return rule
+
+
+def _compiler(rule: Callable) -> Callable:
+    """A compile function that keeps each node's function for as long as
+    anything else holds it, so equal nodes share one function across
+    programs."""
+    functions: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    def compile_(node):
+        fn = functions.get(node)
+        if fn is None:
+            fn = functions[node] = rule(node)
+        return fn
+
+    return compile_
+
+
 # expressions: dict -> value or undef
-_expr = _compiler("an expression", {
-    Lit: _lit, Var: _var, Add: _add, AddTyped: _add_typed, Mod: _mod, Index: _index})
+_expr = _compiler(_emitted("m", lambda e, em: [f"return {em.expr(e)}"]))
 # tests: dict -> True, False or None (undef)
-_test = _compiler("a boolean expression", {
-    Tt: _tt, Ff: _ff, Leq: _leq, Eq: _eq, Not: _not, And: _and})
+_test = _compiler(_emitted("m", lambda b, em: [f"return {em.test(b)}"]))
 # actions: Store -> Write or None (bottom), the write made in the Store's
 # dict; a branching action is its three-valued test of the Store instead
-_action = _compiler("an action", {
-    Skip: _skip, Put: _skip, Assign: _assign, ArrayAssign: _array_assign,
-    Cond: _cond, Guard: _guard})
+_skip = _emitted("store", lambda a, em: ["return ()"])
+_action = _compiler(_dispatch("an action", {
+    Skip: _skip, Put: _skip, Guard: _guard,
+    Assign: _emitted("store", lambda a, em: _assignment(em, em.param(a.var), None, a.expr)),
+    ArrayAssign: _emitted("store", lambda a, em: _assignment(
+        em, em.temp(), _member(em, a.array, a.index), a.expr)),
+    Cond: _emitted("store", lambda a, em: ["m = store._m", f"return {em.test(a.test)}"]),
+}))
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +510,6 @@ def _raiser(message: str):
     return raise_
 
 
-def _negated(a) -> bool:
-    """Whether ``a`` is a ``!B`` test or a ``!guard``."""
-    return type(a) is Cond and type(a.test) is Not or type(a) is Guard and not a.positive
-
-
 def _alone(test):
     """The step of a test without its complement: no write, or bottom."""
     return lambda store: () if test(store) else None
@@ -583,7 +527,7 @@ def _step_table(p: Program) -> _Table:
             entries.append((_raiser(f"nondeterministic choice at label {label}: "
                                     f"{[str(c) for c in cmds]}"), None, None, None, None, None))
         elif len(cmds) == 2:
-            yes, no = cmds[::-1] if _negated(c.action) else cmds
+            yes, no = cmds[::-1] if is_negation(c.action) else cmds
             entries.append((_action(yes.action), yes, index.get(yes.succ),
                             no, index.get(no.succ), c))
         elif is_branching(c.action):

@@ -8,7 +8,7 @@ from tracelab.domains import get_domain, onepoint_domain
 from tracelab.extract import extract
 from tracelab.hotpath import (HotPath, HotPathError, count, hot_n, hotcut, sloop,
                               topo_order)
-from tracelab.lang import Assign, Command, Lit, Skip, find_cmpl
+from tracelab.lang import Assign, Command, Lit, Skip, find_cmpl, is_negation
 from tracelab.semantics import Run, State, Store, run
 from tracelab.textio import parse_program
 from tracelab.values import FF, TT, UNDEF
@@ -55,7 +55,7 @@ def _dfs_oracle_rank(p):
     def go(c):
         seen.add(c)
         if c.succ != ".":
-            for nxt in sorted(p.at(c.succ), key=hotpath._branch_key):
+            for nxt in sorted(p.at(c.succ), key=lambda n: is_negation(n.action)):
                 if nxt not in seen:
                     go(nxt)
         post.append(c)

@@ -423,15 +423,16 @@ def test_eval_bexpr_matches_the_reference(b, env):
 
 
 # ---------------------------------------------------------------------------
-# every operand shape the compiler specializes, against the reference
+# every operand shape of every operator, against the reference
 # ---------------------------------------------------------------------------
 
-# The compiler gives some nodes with a variable on the left and a variable or
-# a literal on the right their own closure, and an ``=`` with a literal on
-# the right its own closure whatever the left is.  Every such shape, and the
-# general rule beside it, is checked here with every class of literal and
-# operand: ints (0 and negative), strs (empty and a prefix of another),
-# Bools, and undef, both unbound and computed.
+# Each operator tests its operands' classes, except a literal's, which is
+# known when the node compiles and drops its test; so a variable, a literal
+# and a nested operator each emit another source for the operator.  Every
+# pairing of these on the left with a variable or a literal on the right is
+# checked here with every class of literal and operand: ints (0 and
+# negative), strs (empty and a prefix of another), Bools, and undef, both
+# unbound and computed.
 _SHAPE_VALUES = (-3, 0, 2, "", "a", "ab", "b", TT, FF)
 _LEFTS = (Var("x"), Lit(2), Lit("a"), Lit(TT), Mod(Var("x"), Lit(2)), Index("a", Var("x")))
 # a Bool literal is another object than the store's Bool of the same value
@@ -580,3 +581,83 @@ def test_each_test_without_a_complement_runs_its_own_test():
             states, reason = _run_by_steps(p, Store({"x": x}), 10)
             r = run(p, Store({"x": x}), 10)
             assert (r.states, r.reason) == (states, reason), (src, x)
+
+
+# ---------------------------------------------------------------------------
+# emitted functions: whole actions, hostile text, one factory per shape
+# ---------------------------------------------------------------------------
+
+@given(_exprs, _exprs, _bexprs, _envs)
+@example(Var("x"), Lit(TT), lang.Eq(Index("a", Var("x")), Lit(TT)), {"x": 0, "a_0": TT})
+@example(Lit(1), Mod(Var("x"), Lit(0)), lang.Not(Leq(Var("x"), Lit("a"))), {"a_1": 2, "x": 3})
+def test_actions_of_any_depth_match_the_reference(e1, e2, b, env):
+    from tracelab.semantics import fires
+    truth = {TT: True, FF: False, UNDEF: None}
+    for a in (Assign("z", e1), Assign("z", e2), lang.ArrayAssign("a", e1, e2)):
+        assert _apply(a, env) == _ref_apply(a, env), str(a)
+    for test in (b, lang.Not(b)):
+        assert fires(Cond(test), Store(env)) is truth[_ref_bexpr(test, env)], str(test)
+
+
+# quotes, backslashes, a newline, a comment sign, keywords, format braces,
+# and the identifiers of the emitted source
+_HOSTILE = ('"', "'", "\\", '\\"', "'''", "a\nb", "#", "x)", "{0}", "if", "None",
+            "m", "undef", "k1", "t1", "t3", "v", "store", "write", "Bool", "int", "make")
+
+
+def test_hostile_names_and_literals_evaluate_as_the_reference():
+    """No name or literal of a program reaches the emitted source: built
+    through the library API, they evaluate as the reference evaluates them."""
+    for n, text in itertools.product(_HOSTILE, repeat=2):
+        env = {n: text, n + "_0": 4, n + "_1": text, "i": 0}
+        exprs = [Var(n), Lit(text), Add(Var(n), Lit(text)), Add(Lit(text), Var(n)),
+                 AddTyped(Var(n), Lit(text), "Str"), Index(n, Var("i")), Index(n, Lit(1)),
+                 Mod(Index(n, Lit(0)), Lit(3))]
+        for e in exprs:
+            assert _same(eval_expr(e, Store(env)), _ref_expr(e, env)), (n, text, str(e))
+            for a in (Assign(n, e), lang.ArrayAssign(n, Lit(0), e)):
+                assert _apply(a, env) == _ref_apply(a, env), (n, text, str(a))
+            for b in (lang.Eq(e, Lit(text)), Leq(Lit(text), e), lang.Not(lang.Eq(Var(n), e))):
+                assert _same(eval_bexpr(b, Store(env)), _ref_bexpr(b, env)), (n, text, str(b))
+                assert _apply(Cond(b), env) == _ref_apply(Cond(b), env), (n, text, str(b))
+
+
+def test_actions_that_differ_in_names_and_int_literals_share_one_factory():
+    """A node's names and literals are parameters of its factory, so its
+    emitted source depends on its shape only."""
+    from tracelab import semantics
+    codes = set()
+    for i in range(1000):
+        w, a = f"w{i}", f"a{i}"
+        e = Add(Mod(Var(w), Lit(i + 2)), AddTyped(Lit(i), Index(a, Var(w)), "Int"))
+        env = {w: i + 1, f"{a}_{i + 1}": 5}
+        assert _apply(Assign(f"v{i}", e), env) == {**env, f"v{i}": (i + 1) + i + 5}
+        codes.add(semantics._action(Assign(f"v{i}", e)).__code__)
+    assert len(codes) == 1
+
+
+@pytest.mark.parametrize("n", [17, 150])
+def test_deep_operand_chains_match_the_reference(n):
+    """A left-nested chain of ``n`` operators, as the parser builds ``x + 1
+    + ... + 1`` and ``B && ... && B``, evaluates as the reference: an
+    operand nested too deep for one function's source is a call of its
+    own."""
+    env = {"x": 3, "a_0": 0}
+    e, b = Var("x"), lang.Tt()
+    for i in range(n):
+        e = Add(e, Lit(1)) if i % 3 else Index("a", Mod(e, Lit(1)))
+        b = lang.And(b, lang.Not(Leq(Var("x"), Lit(i - 2))))
+    assert _same(eval_expr(e, Store(env)), _ref_expr(e, env))
+    assert _same(eval_bexpr(b, Store(env)), _ref_bexpr(b, env))
+    for a in (Assign("z", e), lang.ArrayAssign("a", Mod(e, Lit(1)), e), Cond(b)):
+        assert _apply(a, env) == _ref_apply(a, env)
+
+
+def test_deep_chains_parse_and_run():
+    """``tracelab run``'s path: a parsed 150-term ``+`` and ``&&`` chain."""
+    from tracelab.textio import parse_program
+    terms = " + 1" * 150
+    tests = " && ".join(["(x <= 200)"] * 150)
+    p = parse_program(f"#entry L0\nL0: x := x{terms} -> L1\nL1: ({tests}) -> .\n")
+    r = run(p, Store({"x": 0}), 10)
+    assert (r.reason, r.stores[-1].get("x")) == ("halt", 150)
