@@ -35,22 +35,14 @@ class DomainError(Exception):
 # Abstract stores
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AbstractStore:
+class AbstractStore(lang.Node):
     """Nonrelational abstract store: finite exceptions over a default slot
-    value, in the store abstraction ``domain`` that built it."""
+    value, in the store abstraction ``domain`` that built it.  Hash-consed
+    (``lang.Node``): equal elements are one object, however built."""
 
     domain: StoreAbstraction
     items: tuple[tuple[str, object], ...]  # sorted, values != default
     default: object
-
-    def __post_init__(self):
-        # the value the dataclass would compute, kept: mining hashes an
-        # element, with its bindings, at every state that it abstracts
-        object.__setattr__(self, "_hash", hash((self.domain, self.items, self.default)))
-
-    def __hash__(self):
-        return self._hash
 
     def get(self, var: str):
         for k, v in self.items:
@@ -142,9 +134,7 @@ class StoreAbstraction(ABC):
         return self.of(UNDEF)
 
     def make(self, bindings: dict[str, object], default: object = None) -> AbstractStore:
-        if default is None:
-            default = self.undef_slot
-        return _canon(self, dict(bindings), default)
+        return _canon(self, bindings, self.undef_slot if default is None else default)
 
     def top(self) -> AbstractStore:
         return AbstractStore(self, (), self.top_slot)

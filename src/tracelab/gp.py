@@ -8,7 +8,8 @@ guard.  A recording step is the baseline step (``gp_step``) plus a record of
 the head it ran: a skip or an inner while records ``skip``, an assignment
 records itself, and an if records the bail of the branch not taken.  A bail
 aborts recording, and re-reaching the subject loop stitches ``while B do t``
-in place (with the identity optimization).
+in place (with the identity optimization).  Statements are hash-consed like
+the core syntax (``lang.Node``), so a statement equals only itself.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 from . import hotpath
 from .extract import extract_gp
-from .lang import (BExpr, Command, Expr, HALT, Program, Skip as CoreSkip,
+from .lang import (BExpr, Command, Expr, HALT, Node, Program, Skip as CoreSkip,
                    Assign as CoreAssign, Cond, negate_bexpr, rename_equal)
 from .semantics import Run, State, Store, eval_bexpr, eval_expr, fires
 from .observe import compare, sc
@@ -33,14 +34,12 @@ class GPError(Exception):
 # Statements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GSkip:
+class GSkip(Node):
     def __str__(self):
         return "skip;"
 
 
-@dataclass(frozen=True)
-class GAssign:
+class GAssign(Node):
     var: str
     expr: Expr
 
@@ -48,8 +47,7 @@ class GAssign:
         return f"{self.var} := {self.expr};"
 
 
-@dataclass(frozen=True)
-class GIf:
+class GIf(Node):
     test: BExpr
     body: "Stm"
 
@@ -57,8 +55,7 @@ class GIf:
         return f"if {self.test} then {{ {stm_str(self.body)} }}"
 
 
-@dataclass(frozen=True)
-class GWhile:
+class GWhile(Node):
     test: BExpr
     body: "Stm"
 
@@ -66,8 +63,7 @@ class GWhile:
         return f"while {self.test} do {{ {stm_str(self.body)} }}"
 
 
-@dataclass(frozen=True)
-class GBail:
+class GBail(Node):
     test: BExpr
     target: "Stm"
 

@@ -20,8 +20,8 @@ abstracted whole by ``alpha``; after that, each binding a step writes has its
 one slot re-abstracted, and a state keeps its predecessor's element object
 when no slot changes.  ``hotcut`` gives the two states it joins around a
 dropped stretch the composition of the stretch's writes, so a cut run is
-abstracted the same way.  Counting then numbers each distinct (element,
-command) pair once, so images are tuples of small ints.
+abstracted the same way.  Elements and commands are hash-consed, so every
+test of them here is by identity.
 """
 
 from __future__ import annotations
@@ -87,32 +87,20 @@ def sloop(commands: Sequence[Command], rank: dict[Command, int],
           p: Program) -> list[tuple[int, int]]:
     """All loop-path segments of a trace's commands, as (i, j) index pairs:
     suc(C_j) = lbl(C_i), C_i ranked at or before C_j, and no interior
-    re-occurrence of C_i or its complement.
-
-    Each distinct command is looked up once, into a row of small ints: its
-    id, its complement's id (its own when it has none), the ids of its label
-    and its successor label, and its rank.  The scan compares ints only."""
+    re-occurrence of C_i or its complement (the same object)."""
     n = len(commands) - 1  # j must have a successor state in the sequence
-    ids: dict[Command, int] = {}
-    labels: dict[str, int] = {}
-    table: dict[Command, tuple[int, int, int, int, int]] = {}
-    for c in commands[:n]:
-        if c not in table:
-            m = find_cmpl(c, p) or c
-            table[c] = (ids.setdefault(c, len(ids)), ids.setdefault(m, len(ids)),
-                        labels.setdefault(c.label, len(labels)),
-                        labels.setdefault(c.succ, len(labels)), rank[c])
-    rows = [table[c] for c in commands[:n]]
-    own = [r[0] for r in rows]
-    succ = [r[3] for r in rows]
-    ranks = [r[4] for r in rows]
+    cmds = commands[:n]
+    cmpl = {c: find_cmpl(c, p) or c for c in set(cmds)}
+    succ = [c.succ for c in cmds]
+    ranks = [rank[c] for c in cmds]
     segments: list[tuple[int, int]] = []
-    for i, (a, b, head, _, r) in enumerate(rows):
+    for i, a in enumerate(cmds):
+        b, head, r = cmpl[a], a.label, ranks[i]
         if succ[i] == head:
             segments.append((i, i))
         for j in range(i + 1, n):
-            k = own[j]
-            if k == a or k == b:
+            k = cmds[j]
+            if k is a or k is b:
                 break
             if succ[j] == head and r <= ranks[j]:
                 segments.append((i, j))
@@ -123,21 +111,14 @@ def count(abs_tr: Sequence[tuple[AbstractStore, Command]],
           segments: Sequence[tuple[int, int]]) -> dict[tuple, int]:
     """Occurrences of each segment's image, in first-occurrence order: one per
     segment, plus one if the window that ends the trace has the image too
-    (occurrences of a loop path never overlap; see the module docstring).
-
-    Each distinct (element, command) pair is numbered once, in trace order,
-    so an image is counted as a tuple of small ints; the distinct images are
-    mapped back to tuples of pairs at the end."""
-    ids: dict[tuple[AbstractStore, Command], int] = {}
-    sym = [ids.setdefault(pair, len(ids)) for pair in abs_tr]
-    counts: dict[tuple[int, ...], int] = {}
+    (occurrences of a loop path never overlap; see the module docstring)."""
+    counts: dict[tuple, int] = {}
     for i, j in segments:
-        image = tuple(sym[i:j + 1])
+        image = tuple(abs_tr[i:j + 1])
         if image not in counts:
-            counts[image] = int(tuple(sym[-len(image):]) == image)
+            counts[image] = int(tuple(abs_tr[-len(image):]) == image)
         counts[image] += 1
-    pairs = list(ids)
-    return {tuple(pairs[k] for k in image): c for image, c in counts.items()}
+    return counts
 
 
 # ---------------------------------------------------------------------------

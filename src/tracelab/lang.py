@@ -4,11 +4,18 @@ A program is a finite set of commands ``L: A -> L'`` plus an entry label.
 Well-formedness requires every conditional (and guard) to come with a unique
 complement command at the same label.  The distinguished successor ``.`` marks
 final commands; it is never the label of a command.
+
+Syntax is hash-consed (Ershov 1958; Filliatre and Conchon 2006): building an
+expression, test, action or command (a ``Node``) returns the one live node
+with equal fields, so equal nodes are one object, and ``==`` and ``hash`` are
+identity, done in C and never recursing.
 """
 
 from __future__ import annotations
 
+import inspect
 import re
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
@@ -22,38 +29,55 @@ class LangError(Exception):
     pass
 
 
+class Interning(type):
+    """The metaclass of ``Node``: each class is a frozen dataclass with the
+    identity's ``==`` and ``hash``, and a call returns the live node keyed by
+    the class and the fields, defaults filled in (``Guard(a)`` is ``Guard(a,
+    True)``), and by a literal's value's class (``Lit(True)`` is not
+    ``Lit(1)``).  The table holds its nodes weakly."""
+
+    def __init__(cls, *args):
+        super().__init__(*args)
+        dataclass(frozen=True, eq=False)(cls)
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls.__dataclass_fields__):
+            bound = inspect.signature(cls.__init__).bind(None, *args, **kwargs)
+            bound.apply_defaults()
+            args = tuple(bound.arguments.values())[1:]
+        key = (cls, type(args[0]), *args) if cls is Lit else (cls, *args)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = super().__call__(*args)
+        return node
+
+
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class Node(metaclass=Interning):
+    """A hash-consed node: a subclass lists its fields as a dataclass does."""
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Node):
     value: Value
-
-    def __eq__(self, other):
-        # Python takes True for 1, but a raw bool is no value: a literal
-        # equals another of the same class only, so ``x := True`` is not
-        # ``x := 1`` and does not share its compiled closure
-        return type(other) is Lit and type(self.value) is type(other.value) \
-            and self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
 
     def __str__(self):
         return value_str(self.value)
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Node):
     name: str
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(Node):
     left: "Expr"
     right: "Expr"
 
@@ -61,8 +85,7 @@ class Add:
         return f"({self.left} + {self.right})"
 
 
-@dataclass(frozen=True)
-class AddTyped:
+class AddTyped(Node):
     """Type-specific addition; tag is "Int" or "Str"."""
 
     left: "Expr"
@@ -73,8 +96,7 @@ class AddTyped:
         return f"({self.left} +{self.tag} {self.right})"
 
 
-@dataclass(frozen=True)
-class Mod:
+class Mod(Node):
     left: "Expr"
     right: "Expr"
 
@@ -82,8 +104,7 @@ class Mod:
         return f"({self.left} % {self.right})"
 
 
-@dataclass(frozen=True)
-class Index:
+class Index(Node):
     """Array read; arrays are families of variables name_0, name_1, ..."""
 
     array: str
@@ -100,20 +121,17 @@ Expr = Union[Lit, Var, Add, AddTyped, Mod, Index]
 # Boolean expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Tt:
+class Tt(Node):
     def __str__(self):
         return "tt"
 
 
-@dataclass(frozen=True)
-class Ff:
+class Ff(Node):
     def __str__(self):
         return "ff"
 
 
-@dataclass(frozen=True)
-class Leq:
+class Leq(Node):
     left: Expr
     right: Expr
 
@@ -121,8 +139,7 @@ class Leq:
         return f"({self.left} <= {self.right})"
 
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(Node):
     left: Expr
     right: Expr
 
@@ -130,16 +147,14 @@ class Eq:
         return f"({self.left} = {self.right})"
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Node):
     arg: "BExpr"
 
     def __str__(self):
         return f"!{self.arg}"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Node):
     left: "BExpr"
     right: "BExpr"
 
@@ -202,14 +217,12 @@ def subst_expr(e: Expr, binding: Mapping[str, Value]) -> Expr:
 # Actions and commands
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Skip:
+class Skip(Node):
     def __str__(self):
         return "skip"
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(Node):
     var: str
     expr: Expr
 
@@ -217,8 +230,7 @@ class Assign:
         return f"{self.var} := {self.expr}"
 
 
-@dataclass(frozen=True)
-class ArrayAssign:
+class ArrayAssign(Node):
     array: str
     index: Expr
     expr: Expr
@@ -227,23 +239,21 @@ class ArrayAssign:
         return f"{self.array}[{self.index}] := {self.expr}"
 
 
-@dataclass(frozen=True)
-class Cond:
+class Cond(Node):
     test: BExpr
 
     def __str__(self):
         return str(self.test)
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(Node):
     """Membership test of the concrete store in an abstract store's concretization.
 
     ``store`` is an AbstractStore, which carries the domain whose gamma
     applies; negative polarity succeeds exactly when membership fails.
     """
 
-    store: object  # domains.AbstractStore; hashable with a stable repr
+    store: object  # a domains.AbstractStore
     positive: bool = True
 
     def __str__(self):
@@ -251,8 +261,7 @@ class Guard:
         return f"{head} {self.store.domain.tag} {self.store}"
 
 
-@dataclass(frozen=True)
-class Put:
+class Put(Node):
     vars: frozenset[str]
 
     def __str__(self):
@@ -298,8 +307,7 @@ def action_vars(a: Action) -> frozenset[str]:
     raise LangError(f"not an action: {a!r}")
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(Node):
     label: str
     action: Action
     succ: str
@@ -310,12 +318,6 @@ class Command:
     def __post_init__(self):
         if self.label == HALT:
             raise LangError(f"'{HALT}' cannot label a command")
-        # the value the dataclass would compute, kept: commands key the
-        # miner's and the interpreter's dicts, and a guard's action is deep
-        object.__setattr__(self, "_hash", hash((self.label, self.action, self.succ)))
-
-    def __hash__(self):
-        return self._hash
 
 
 def command_key(c: Command) -> tuple:

@@ -3,17 +3,18 @@
 Evaluation is total with ``undef`` as the error value; actions map a store to a
 new store or to bottom (None here), and bottom is what makes states stick.
 Array reads resolve their index concretely against the variable family
-``name_<i>``; an array write to an unbound member is an error (out of bounds).
+``name_<i>``; an array write to an unbound member is an error (out of bounds),
+and an index of more digits than Python prints names no member.
 
-Every expression, test and action is compiled once into a function, shared
-by equal nodes while something holds it: an expression's reads the store's
-dict and gives a value or undef, a test's gives True, False or None (undef),
-and an action's takes a store that nothing else holds (the run's live store
-or ``apply_action``'s copy), writes its binding into the store's dict and
-returns the write (see ``Run``), or None for bottom; a branching action's
-returns its three-valued test.  ``eval_expr``, ``eval_bexpr``,
-``apply_action`` and ``fires`` call these functions; there is no second
-evaluator.
+Every expression, test and action is compiled once into a function, kept
+while something holds it (equal nodes are one node, ``lang.Node``): an
+expression's reads the store's dict and gives a value or undef, a test's
+gives True, False or None (undef), and an action's takes a store that nothing
+else holds (the run's live store or ``apply_action``'s copy), writes its
+binding into the store's dict and returns the write (see ``Run``), or None
+for bottom; a branching action's returns its three-valued test.
+``eval_expr``, ``eval_bexpr``, ``apply_action`` and ``fires`` call these
+functions; there is no second evaluator.
 
 The functions are emitted as Python source, one emitter per node kind: an
 expression emits a Python expression over the store's dict ``m``, a test a
@@ -50,6 +51,7 @@ once up to the stores asked for.
 
 from __future__ import annotations
 
+import sys
 import weakref
 from dataclasses import dataclass
 from itertools import chain
@@ -73,7 +75,7 @@ class SemanticsError(Exception):
 class Store:
     """Immutable finite map from variables to values; absence reads as undef."""
 
-    __slots__ = ("_m", "_hash")
+    __slots__ = ("_m",)
 
     def __init__(self, bindings: Mapping[str, Value] | Iterable[tuple[str, Value]] = ()):
         m = dict(bindings)
@@ -81,7 +83,6 @@ class Store:
             if not is_value(v):
                 raise SemanticsError(f"not a storable value for {k}: {v!r}")
         self._m = m
-        self._hash: Optional[int] = None
 
     def get(self, var: str) -> UValue:
         return self._m.get(var, UNDEF)
@@ -98,7 +99,6 @@ class Store:
         """The store over ``m``, whose values are checked already."""
         out = Store.__new__(Store)
         out._m = m
-        out._hash = None
         return out
 
     def keys(self):
@@ -115,9 +115,7 @@ class Store:
         return isinstance(other, Store) and self._m == other._m
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._m.items()))
-        return self._hash
+        return hash(frozenset(self._m.items()))
 
     def __str__(self):
         inner = ", ".join(f"{k}/{value_str(v)}" for k, v in sorted(self._m.items()))
@@ -322,9 +320,15 @@ _FACTORIES: dict[str, Callable] = {}
 _GLOBALS = {"undef": UNDEF, "Bool": Bool, "SemanticsError": SemanticsError}
 
 
+# an int index of more digits than Python prints (0: no limit) names no member
+_BOUND = 10 ** sys.get_int_max_str_digits() if sys.get_int_max_str_digits() else float("inf")
+
+
 def _member(em: _Emitter, array: str, index: Expr) -> str:
     """The array member an index names, or None when the index is no int."""
-    return em.classed([index], {int: em.param(array + "_") + " + str({0})"}, "None")
+    name = f"{em.param(array + '_')} + str({{0}})"
+    return em.classed([index], {int: f"({name} if {em.param(-_BOUND)} < {{0}} < "
+                                     f"{em.param(_BOUND)} else None)"}, "None")
 
 
 def _add_typed(e, em):
@@ -403,9 +407,8 @@ def _emitted(arg: str, body: Callable) -> Callable:
 
 
 def _compiler(rule: Callable) -> Callable:
-    """A compile function that keeps each node's function for as long as
-    anything else holds it, so equal nodes share one function across
-    programs."""
+    """A compile function that keeps each node's function while anything else
+    holds it, so programs that share a node share its function."""
     functions: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
     def compile_(node):

@@ -19,7 +19,9 @@ members ``name_0`` to ``name_99``.  Entries are separated by commas.
 A guard store leaves every variable it does not mention to its default,
 which is undef unless a last entry ``*: V`` names it: ``{i: Int, *: Top}``
 constrains ``i`` only.  ``bot`` and ``top`` are the empty and the universal
-guard store.  Quoted strings are cp constants only.
+guard store.  Quoted strings are cp constants only.  An expression or test
+nests at most ``MAX_DEPTH`` levels, each operator, parenthesis, index and
+negation one, so no walk over what it parses to recurses too deep.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ class ParseError(Exception):
         super().__init__(msg if line is None else f"line {line}: {msg}")
 
 
+class _TooDeep(ParseError):
+    """Nesting past ``MAX_DEPTH``, which no other reading of the text avoids."""
+
+
 _TOKEN_RE = re.compile(
     r"""
         (?P<string>"(?:[^"\\]|\\.)*") |
@@ -53,6 +59,7 @@ _TOKEN_RE = re.compile(
     re.X,
 )
 _SPACE_RE = re.compile(r"\s*")
+MAX_DEPTH = 200  # printing a node recurses past Python's limit at about 400
 
 
 def tokenize(text: str, line_no: Optional[int] = None, pattern: re.Pattern = _TOKEN_RE,
@@ -79,6 +86,32 @@ class _Cursor:
         self.lines = lines
         self.end = end
         self.i = 0
+        self.open = self.depth = 0  # levels open around the next token; depth of what was read
+
+    def deeper(self, depth: int) -> None:
+        """Records the depth of what was just read, up to ``MAX_DEPTH`` in all."""
+        if self.open + depth > MAX_DEPTH:
+            raise _TooDeep(f"nested deeper than {MAX_DEPTH} levels", self.line_no)
+        self.depth = depth
+
+    def inner(self, parse, close: str = ""):
+        """``parse(self)`` past the next token, one level down (refused before
+        it recurses), and then the token ``close`` if one is given."""
+        self.next()
+        self.open += 1
+        self.deeper(0)
+        node = parse(self)
+        self.open -= 1
+        self.deeper(self.depth + 1)
+        if close:
+            self.expect(close)
+        return node
+
+    def operand(self, parse):
+        """``parse(self)``, the right operand of a node whose left was read last."""
+        depth, node = self.depth, parse(self)
+        self.deeper(max(depth, self.depth) + 1)
+        return node
 
     @property
     def line_no(self) -> Optional[int]:
@@ -136,10 +169,8 @@ def _parse_term(c: _Cursor):
     if t is None:
         c.fail("expected expression")
     if t == "(":
-        c.next()
-        e = _parse_expr(c)
-        c.expect(")")
-        return e
+        return c.inner(_parse_expr, ")")
+    c.deeper(1)
     if t in ("tt", "ff"):
         c.next()
         return Lit(Bool(t == "tt"))
@@ -151,10 +182,7 @@ def _parse_term(c: _Cursor):
     if _is_name(t):
         c.next()
         if c.peek() == "[":
-            c.next()
-            idx = _parse_expr(c)
-            c.expect("]")
-            return Index(t, idx)
+            return Index(t, c.inner(_parse_expr, "]"))
         return Var(t)
     c.fail(f"expected expression, got {t!r}")
 
@@ -163,7 +191,7 @@ def _parse_expr(c: _Cursor):
     e = _parse_term(c)
     while c.peek() in ("+", "+Int", "+Str", "%"):
         op = c.next()
-        rhs = _parse_term(c)
+        rhs = c.operand(_parse_term)
         if op == "+":
             e = Add(e, rhs)
         elif op == "%":
@@ -177,35 +205,34 @@ def _parse_bexpr(c: _Cursor):
     b = _parse_bterm(c)
     while c.peek() == "&&":
         c.next()
-        b = And(b, _parse_bterm(c))
+        b = And(b, c.operand(_parse_bterm))
     return b
 
 
 def _parse_bterm(c: _Cursor):
     t = c.peek()
     if t == "!":
-        c.next()
-        return lang.negate_bexpr(_parse_bterm(c))
+        return lang.negate_bexpr(c.inner(_parse_bterm))
     if t in ("tt", "ff") and c.toks[c.i + 1:c.i + 2] not in (["<="], ["="]):
         c.next()  # a boolean literal that is not the left side of a comparison
+        c.deeper(1)
         return Tt() if t == "tt" else Ff()
     # try a comparison first; fall back to a parenthesized boolean
-    mark = c.i
+    mark = c.i, c.open
     try:
         left = _parse_expr(c)
         op = c.peek()
         if op in ("<=", "="):
             c.next()
-            right = _parse_expr(c)
+            right = c.operand(_parse_expr)
             return Leq(left, right) if op == "<=" else Eq(left, right)
         raise ParseError("not a comparison", c.line_no)
+    except _TooDeep:
+        raise
     except ParseError:
-        c.i = mark
+        c.i, c.open = mark
     if c.peek() == "(":
-        c.next()
-        b = _parse_bexpr(c)
-        c.expect(")")
-        return b
+        return c.inner(_parse_bexpr, ")")
     c.fail(f"expected boolean expression, got {c.peek()!r}")
 
 
@@ -327,8 +354,7 @@ def parse_command(text: str, line_no: Optional[int] = None) -> Command:
 def parse_program(text: str) -> Program:
     entry: Optional[str] = None
     arrays: dict[str, int] = {}
-    commands: list[Command] = []
-    seen: set[Command] = set()
+    commands: set[Command] = set()  # equal commands are one node
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()  # tokenize stops at ';' outside string literals
         if not line or line.startswith(";"):
@@ -352,10 +378,9 @@ def parse_program(text: str) -> Program:
         if line.startswith("#"):
             raise ParseError(f"unknown directive: {line.split()[0]}", line_no)
         cmd = parse_command(line, line_no)
-        if cmd in seen:
+        if cmd in commands:
             raise ParseError(f"duplicate command: {cmd}", line_no)
-        seen.add(cmd)
-        commands.append(cmd)
+        commands.add(cmd)
     if entry is None:
         raise ParseError("missing #entry directive")
     if not commands:

@@ -23,9 +23,6 @@ class Undef:
     def __repr__(self):
         return "undef"
 
-    def __hash__(self):
-        return hash("tracelab.undef")
-
 
 UNDEF = Undef()
 
@@ -81,4 +78,9 @@ def value_str(v: UValue) -> str:
         return repr(v)
     if isinstance(v, str):
         return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return str(v)
+    try:
+        return str(v)
+    except ValueError:  # more digits than str gives: print each half
+        k = v.bit_length() * 3 // 20  # about half the digits
+        head, low = divmod(abs(v), 10 ** k)
+        return "-" * (v < 0) + value_str(head) + f"{value_str(low):0>{k}}"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tracelab import cli
+from tracelab import cli, textio
 from tests.conftest import CF_SRC, DSE_SRC, LOOP_SRC, SIEVE_SRC
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
@@ -320,6 +320,51 @@ def test_run_names_why_each_run_ended(tmp_path):
                                  "<[i/0, w/0], s2: (i <= 7) -> s3>\n", "")
 
 
+def test_a_program_nested_past_the_bound_exits_2(tmp_path):
+    """A 600-term ``x := x + 1 + ... + 1`` nests 599 levels: refused as a
+    parse error, where printing its command recursed past Python's limit."""
+    path = tmp_path / "deep.tl"
+    path.write_text("#entry L0\nL0: x := x" + " + 1" * 600 + " -> .\n")
+    rc, out, err = call(["run", path, "--initials", '{"x": 0}'])
+    assert (rc, out) == (2, "")
+    assert err == f"error: line 2: nested deeper than {textio.MAX_DEPTH} levels\n"
+
+
+@pytest.mark.parametrize("cmd", ["run", "hot", "pipeline"])
+def test_a_program_nested_to_the_bound_runs(tmp_path, cmd):
+    """A loop whose tests and assignment nest exactly ``MAX_DEPTH`` levels
+    (parentheses around a comparison, a negation, a chain of additions) runs,
+    mines and stitches; one more parenthesis or negation is refused."""
+    n = textio.MAX_DEPTH
+    text = ("#entry L0\n"
+            f"L0: {'(' * (n - 2)}x <= 2000{')' * (n - 2)} -> L1\n"
+            f"L0: !{'(' * (n - 3)}x <= 2000{')' * (n - 3)} -> .\n"
+            f"L1: x := x{' + 1' * (n - 1)} -> L0\n")
+    path = tmp_path / "deep.tl"
+    path.write_text(text)
+    flags = ["--initials", '{"x": 0}'] + (["--domain", "type"] if cmd != "run" else [])
+    rc, out, err = call([cmd, path, *flags])
+    assert (rc, err) == (0, "") and ("stitched" in out if cmd == "pipeline" else out)
+    for deeper in ("L0: ((", "L0: !("):
+        path.write_text(text.replace("L0: (", deeper, 1))
+        rc, out, err = call([cmd, path, *flags])
+        assert (rc, out, err) == (2, "", f"error: line 2: nested deeper than {n} levels\n")
+
+
+def test_run_sticks_at_an_index_too_long_to_print(tmp_path):
+    """A loop doubles x 15,000 times, so ``a[x]`` reads at an index of 4,516
+    digits, more than Python prints: the read is undef and its write sticks,
+    and the final store prints x in full."""
+    path = tmp_path / "double.tl"
+    path.write_text("#entry L0\nL0: (c <= 14999) -> L1\nL0: !(c <= 14999) -> L3\n"
+                    "L1: x := (x + x) -> L2\nL2: c := (c + 1) -> L0\nL3: y := a[x] -> .\n")
+    rc, out, err = call(["run", path, "--initials", '{"x": 1, "c": 0}', "--budget", "50000"])
+    assert (rc, err) == (0, "")
+    head, x = out.split(", x/")
+    assert head == "stuck after 45002 states; final <[c/15000"
+    assert x.endswith("], L3: y := a[x] -> .>\n") and len(x.split("]")[0]) == 4516
+
+
 @pytest.mark.parametrize("observation", ["sc", "out"])
 def test_check_names_the_observation_that_judged(tmp_path, observation):
     path = tmp_path / "dse.tl"
@@ -470,3 +515,28 @@ def test_the_parser_built_once_keeps_no_state_between_calls(tmp_path):
                            capture_output=True, text=True, env=env, check=False)
     assert without == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert with_pass[0] == without[0] == 0 and with_pass[1] != without[1]
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    """Nodes hash by identity, so a set of commands iterates in the order of
+    their addresses, and strings hash by ``PYTHONHASHSEED``: neither order
+    may reach a report.  Two processes with different seeds print the same
+    three-round pipeline, hot paths and extraction of a generated program."""
+    import os
+    import subprocess
+    import sys
+    from tracelab import gen
+    path = tmp_path / "g15.tl"
+    path.write_text(textio.print_program(gen.gen_program(15)))
+    flags = [str(path), "--domain", "type", "--sample", "4", "--seed", "15"]
+    calls = [["pipeline", *flags, "--pass", "ts", "--rounds", "3"], ["hot", *flags],
+             ["extract", *flags]]
+    code = "import json, sys\nfrom tracelab import cli\nfor a in json.loads(sys.argv[1]): cli.main(a)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = [subprocess.run([sys.executable, "-c", code, json.dumps(calls)], capture_output=True,
+                           text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "1")]
+    assert outs[0] == outs[1]
+    assert outs[0] == "".join(call(argv)[1] for argv in calls)
+    assert len(json.loads(outs[0][:outs[0].index("\n}\n") + 2])["hotpaths"]) == 3

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from tracelab import lang, textio
 from tracelab.lang import (Command, HALT, LabelScope, Program, find_cmpl,
                            negate_bexpr, rename_equal, well_formed)
 from tracelab.textio import ParseError, parse_program, print_program
+from tracelab.values import Bool, TT
 from tests.conftest import LOOP_SRC, command_at
 
 
@@ -345,15 +348,45 @@ def test_action_printing_examples():
         assert str(cmd) == text
 
 
-def test_command_hash_is_the_field_tuple_hash():
+def test_equal_nodes_are_one_node():
+    """A node is hash-consed: the parser, a constructor with or without its
+    defaults and a negation give the one live node, and a literal's key holds
+    its value's class."""
     from tracelab.domains import type_domain
-    def guarded():
-        return Command("L0", lang.Guard(type_domain.make({"x": "Int"})), "L1")
-
-    for c in (guarded(), *parse_program(LOOP_SRC).commands):
-        assert hash(c) == hash((c.label, c.action, c.succ))
+    a = type_domain.make({"x": "Int"})
+    guard = Command("L0", lang.Guard(a), "L1")
+    assert guard is Command(label="L0", action=lang.Guard(a, True), succ="L1")
+    assert lang.negate_action(lang.negate_action(guard.action)) is guard.action
     first, second = parse_program(LOOP_SRC), parse_program(LOOP_SRC)
+    assert first.commands == second.commands
     for c in first.commands:
-        (twin,) = [d for d in second.commands if lang.command_key(d) == lang.command_key(c)]
-        assert twin is not c and twin == c and hash(twin) == hash(c)
-    assert guarded() == guarded() and hash(guarded()) == hash(guarded())
+        assert c in second.commands
+        assert textio.parse_command(str(c)) is c
+        assert Command(c.label, c.action, c.succ) is c
+    assert lang.Lit(True) is not lang.Lit(1) and lang.Lit(False) != lang.Lit(0)
+    assert lang.Lit(Bool(True)) is lang.Lit(TT)
+
+
+def test_a_node_that_nothing_holds_leaves_the_table():
+    e = lang.Add(lang.Var("only_in_this_test"), lang.Lit(7))
+    refs = [weakref.ref(e), weakref.ref(e.left)]
+    assert lang._NODES[(lang.Add, e.left, e.right)] is e
+    del e
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+    assert (lang.Var, "only_in_this_test") not in lang._NODES
+
+
+def test_no_node_class_defines_equality_or_a_hash():
+    """Node equality is identity only: no node class, abstract stores and
+    while-language statements included, compares or hashes its fields."""
+    from tracelab import domains, gp  # noqa: F401  (their node classes)
+    classes, todo = set(), [lang.Node]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            classes.add(sub)
+            todo.append(sub)
+    assert {"Lit", "Command", "Guard", "AbstractStore", "GWhile"} <= {c.__name__ for c in classes}
+    for cls in classes:
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
+        assert "_hash" not in vars(cls), cls

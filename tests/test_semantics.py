@@ -8,7 +8,7 @@ from tracelab.lang import Add, AddTyped, Assign, Cond, Index, Leq, Lit, Mod, Var
 from tracelab.semantics import (SemanticsError, State, Store, apply_action,
                                 collecting_eval, eval_bexpr, eval_expr, run,
                                 step, trace_linked)
-from tracelab.values import Bool, FF, TT, UNDEF
+from tracelab.values import Bool, FF, TT, UNDEF, value_str
 from tests.conftest import command_at, oracle_cases
 
 
@@ -108,6 +108,34 @@ def test_apply_action_array_bounds():
     assert apply_action(a, Store({"k": 0, "p_0": TT})) == Store({"k": 0, "p_0": FF})
     assert apply_action(a, Store({"k": 3, "p_0": TT})) is None  # out of bounds
     assert apply_action(a, Store({"p_0": TT})) is None  # undefined index
+
+
+def test_an_index_too_long_to_print_names_no_member():
+    """A member's name holds its index's digits: an int index of more digits
+    than Python prints (4,300 by default) names no member, so a read at it
+    is undef and a write sticks, while a 4,300-digit index names its own."""
+    big = 10 ** 5000
+    rho = Store({"x": big, "y": -big, "a_0": 1})
+    for index in (Var("x"), Var("y"), Lit(big), Add(Var("x"), Lit(1)), Mod(Var("x"), Lit(big + 1))):
+        assert eval_expr(Index("a", index), rho) is UNDEF
+        assert apply_action(lang.ArrayAssign("a", index, Lit(2)), rho) is None
+    long = 10 ** 4299
+    rho = Store({"x": long, f"a_{long}": 1})
+    assert eval_expr(Index("a", Var("x")), rho) == 1
+    assert apply_action(lang.ArrayAssign("a", Var("x"), Lit(2)), rho) == \
+        Store({"x": long, f"a_{long}": 2})
+
+
+@pytest.mark.parametrize("v", [7 ** 6000, -(7 ** 6000), 10 ** 4400 + 1, 10 ** 4300],
+                         ids=["7^6000", "-7^6000", "10^4400+1", "10^4300"])
+def test_an_int_of_more_digits_than_str_gives_prints_in_full(v):
+    text = value_str(v)
+    digits = text.lstrip("-")
+    assert text.startswith("-") == (v < 0) and 10 ** (len(digits) - 1) <= abs(v) < 10 ** len(digits)
+    n = 0
+    for i in range(0, len(digits), 1000):
+        n = n * 10 ** len(digits[i:i + 1000]) + int(digits[i:i + 1000])
+    assert n == abs(v)
 
 
 def test_step_on_final_and_conditional(loop_program):
