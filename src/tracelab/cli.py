@@ -45,6 +45,7 @@ from .domains import DomainError, domain_tags
 from .extract import ExtractError, extract_nested
 from .lang import Program, well_formed
 from .semantics import SemanticsError, State, Store, run
+from .values import int_of
 
 
 class CliError(Exception):
@@ -67,7 +68,10 @@ def _initial_stores(args) -> list[Store]:
         text = args.initials
         if not text.lstrip().startswith(("{", "[")):
             text = Path(text).read_text()
-        data = json.loads(text)
+        try:
+            data = json.loads(text, parse_int=int_of)
+        except RecursionError:
+            raise CliError("--initials nests too deep") from None
         if isinstance(data, dict):
             data = [data]
         if data == []:
@@ -197,7 +201,7 @@ def cmd_pipeline(args) -> int:
         "verdicts": verdicts,
         "programs": {"before": textio.print_program(p), "after": textio.print_program(rep.program)},
     }
-    out = json.dumps(report_json, indent=2, sort_keys=True)
+    out = textio.json_text(report_json, 2)
     if args.json:
         Path(args.json).write_text(out + "\n")
     else:

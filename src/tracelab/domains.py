@@ -23,8 +23,9 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from . import lang
+from .semantics import member_of
 from .values import (BOOL, BOT_T, Bool, INT, STRING, TOP_T, TYPE_OF_CLASS, UNDEF,
-                     UNDEF_T, UValue, type_of, value_str)
+                     UNDEF_T, UValue, int_of, type_of, value_str)
 
 
 class DomainError(Exception):
@@ -186,11 +187,13 @@ class StoreAbstraction(ABC):
             return self.bottom()
         if isinstance(action, lang.Assign):
             return _canon(self, {**dict(a.items), action.var: v}, a.default)
-        return _canon(self, {x: self.value_join(s, v) if x.rsplit("_", 1)[0] == action.array else s
+        return _canon(self, {x: self.value_join(s, v) if member_of(x)[0] == action.array else s
                              for x, s in a.items}, a.default)
 
     def contains(self, a: AbstractStore, store) -> bool:
-        """Decides store in gamma(a).  A non-universal default constrains every
+        """Decides store in gamma(a), for a store given as any mapping from
+        variables to values (a ``Store`` or a run's dict), read through
+        ``get(x, UNDEF)`` and ``keys()``.  A non-universal default constrains every
         variable, including the unmentioned ones; gamma(bottom) is empty
         unless the bottom slot is universal (one-point: bottom is top).
 
@@ -201,7 +204,7 @@ class StoreAbstraction(ABC):
         ``of`` never gives bottom unless bottom is top (one-point, whose
         elements bind nothing).  Where a value's slot depends only on its
         class (``class_slots``, set by the type domain), the slot is one
-        lookup of the class of the value read from the store's dict, with no
+        lookup of the class of the value read from the store, with no Python
         call per binding.  Otherwise it costs O(|a| + |store|): one pass over
         a's bindings, then one over the store's keys that a leaves to its
         default.  The set of a's keys is built per call, not cached on
@@ -212,25 +215,24 @@ class StoreAbstraction(ABC):
         if default == self.top_slot:
             slots = self.class_slots
             if slots is not None:
-                m = store._m
                 for x, v in a.items:
-                    if slots[type(m.get(x, UNDEF))] != v:
+                    if slots[type(store.get(x, UNDEF))] != v:
                         return False
                 return True
             of = self.of
             for x, v in a.items:
-                if of(store.get(x)) != v:
+                if of(store.get(x, UNDEF)) != v:
                     return False
             return True
         if default == self.bot_slot:
             return False
         has = self.value_has
         for x, v in a.items:
-            if not has(v, store.get(x)):
+            if not has(v, store.get(x, UNDEF)):
                 return False
         bound = {x for x, _ in a.items}
         for x in store.keys():
-            if x not in bound and not has(default, store.get(x)):
+            if x not in bound and not has(default, store.get(x, UNDEF)):
                 return False
         return True
 
@@ -259,21 +261,13 @@ class StoreAbstraction(ABC):
         return "{" + ", ".join(parts) + "}"
 
 
-def _family(k: str) -> Optional[tuple[str, int]]:
-    """``(name, i)`` for a key ``name_i``, a member of an array family: i is
-    decimal digits, and neither part holds a line break (one may end the
-    key)."""
-    name, _, i = (k[:-1] if k.endswith("\n") else k).rpartition("_")
-    return (name, int(i)) if name and i.isdecimal() and "\n" not in name else None
-
-
 def _compress_families(items) -> list[tuple[str, object, Optional[int]]]:
     """Display name_0..name_{n-1} sharing one slot value as ``name: V[n]``."""
     groups: dict[str, dict[int, object]] = {}
     for k, v in items:
-        member = _family(k)
-        if member:
-            groups.setdefault(member[0], {})[member[1]] = v
+        name, i = member_of(k)
+        if name is not None:
+            groups.setdefault(name, {})[i] = v
     full: dict[str, tuple[object, int]] = {}
     skip: set[str] = set()
     for name, idxs in groups.items():
@@ -396,7 +390,7 @@ class CPDomain(StoreAbstraction):
             return CPConst(Bool(False))
         if text.startswith('"'):
             raise DomainError("string constants are parsed by the tokenizer")
-        return CPConst(int(text))
+        return CPConst(int_of(text))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ class GIf(Node):
     body: "Stm"
 
     def __str__(self):
-        return f"if {self.test} then {{ {stm_str(self.body)} }}"
+        return stm_str((self,))
 
 
 class GWhile(Node):
@@ -60,7 +60,7 @@ class GWhile(Node):
     body: "Stm"
 
     def __str__(self):
-        return f"while {self.test} do {{ {stm_str(self.body)} }}"
+        return stm_str((self,))
 
 
 class GBail(Node):
@@ -68,16 +68,30 @@ class GBail(Node):
     target: "Stm"
 
     def __str__(self):
-        return f"bail {self.test} to {{ {stm_str(self.target)} }}"
+        return stm_str((self,))
 
 
 GCmd = Union[GSkip, GAssign, GIf, GWhile, GBail]
 Stm = tuple[GCmd, ...]
 EMPTY: Stm = ()
+_HEADS = {GIf: "if {} then {{", GWhile: "while {} do {{", GBail: "bail {} to {{"}
 
 
 def stm_str(s: Stm) -> str:
-    return " ".join(str(c) for c in s) if s else ""
+    """``s`` as text, a block as ``if B then { s1 s2 }``, printed from one
+    stack so that no call nests per block."""
+    out, todo = [], [*reversed(s)]
+    while todo:
+        c = todo.pop()
+        head = _HEADS.get(type(c))
+        if head is None:  # a statement without a block, or a block's "}"
+            out.append(str(c))
+            continue
+        body = c.target if type(c) is GBail else c.body
+        out.append(head.format(c.test) + ("" if body else "  }"))
+        if body:
+            todo += ["}", *reversed(body)]
+    return " ".join(out)
 
 
 def _unfolded_if(w: GWhile, k: Stm) -> Stm:

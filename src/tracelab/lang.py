@@ -13,14 +13,13 @@ identity, done in C and never recursing.
 
 from __future__ import annotations
 
-import inspect
 import re
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
-from .values import Value, value_str
+from .values import Value, int_of, int_str, value_str
 
 HALT = "."  # successor of final commands, never a command label
 
@@ -31,20 +30,16 @@ class LangError(Exception):
 
 class Interning(type):
     """The metaclass of ``Node``: each class is a frozen dataclass with the
-    identity's ``==`` and ``hash``, and a call returns the live node keyed by
-    the class and the fields, defaults filled in (``Guard(a)`` is ``Guard(a,
-    True)``), and by a literal's value's class (``Lit(True)`` is not
-    ``Lit(1)``).  The table holds its nodes weakly."""
+    identity's ``==`` and ``hash``, and a call, which gives every field by
+    position, returns the live node keyed by the class and the fields, and by
+    a literal's value's class (``Lit(True)`` is not ``Lit(1)``).  The table
+    holds its nodes weakly; it is the only table keyed by node."""
 
     def __init__(cls, *args):
         super().__init__(*args)
         dataclass(frozen=True, eq=False)(cls)
 
-    def __call__(cls, *args, **kwargs):
-        if kwargs or len(args) != len(cls.__dataclass_fields__):
-            bound = inspect.signature(cls.__init__).bind(None, *args, **kwargs)
-            bound.apply_defaults()
-            args = tuple(bound.arguments.values())[1:]
+    def __call__(cls, *args):
         key = (cls, type(args[0]), *args) if cls is Lit else (cls, *args)
         node = _NODES.get(key)
         if node is None:
@@ -254,7 +249,7 @@ class Guard(Node):
     """
 
     store: object  # a domains.AbstractStore
-    positive: bool = True
+    positive: bool
 
     def __str__(self):
         head = "guard" if self.positive else "!guard"
@@ -478,14 +473,14 @@ class LabelScope:
         for p in programs:
             for l in p.labels():
                 for m in _SCOPE_RE.finditer(l):
-                    top = max(top, int(m.group(1)))
+                    top = max(top, int_of(m.group(1)))
         return cls(top + 1)
 
     def ell(self, i: int) -> str:
-        return f"h{i}#{self.index}"
+        return f"h{i}#{int_str(self.index)}"
 
     def bbl(self, i: int) -> str:
-        return f"g{i}#{self.index}"
+        return f"g{i}#{int_str(self.index)}"
 
     def bar(self, label: str) -> str:
-        return f"bar_{label}#{self.index}"
+        return f"bar_{label}#{int_str(self.index)}"

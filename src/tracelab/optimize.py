@@ -45,6 +45,7 @@ from .extract import StitchResult, extract_nested
 from .hotpath import HotPath
 from .lang import (Add, AddTyped, Assign, Command, Guard, Lit, Program, action_vars,
                    expr_vars, is_branching, subst_expr)
+from .semantics import member_of
 from .values import UNDEF
 
 Optimization = Callable[[StitchResult], frozenset[Command]]
@@ -186,9 +187,10 @@ def _rebody(st: StitchResult, new: frozenset[Command]) -> dict[int, Command]:
 
 def _slice(a: AbstractStore, reads: frozenset[str]) -> AbstractStore:
     """``a`` cut down to the variables in ``reads`` and the members
-    ``name_k`` of the arrays among them, over the universal default."""
+    (``semantics.member_of``) of the arrays among them, over the universal
+    default."""
     keep = {x: a.get(x) for x in reads}
-    keep.update((x, v) for x, v in a.items if x.rsplit("_", 1)[0] in reads)
+    keep.update((x, v) for x, v in a.items if member_of(x)[0] in reads)
     return a.domain.make(keep, a.domain.top().default)
 
 

@@ -6,15 +6,15 @@ Array reads resolve their index concretely against the variable family
 ``name_<i>``; an array write to an unbound member is an error (out of bounds),
 and an index of more digits than Python prints names no member.
 
-Every expression, test and action is compiled once into a function, kept
-while something holds it (equal nodes are one node, ``lang.Node``): an
-expression's reads the store's dict and gives a value or undef, a test's
-gives True, False or None (undef), and an action's takes a store that nothing
-else holds (the run's live store or ``apply_action``'s copy), writes its
-binding into the store's dict and returns the write (see ``Run``), or None
-for bottom; a branching action's returns its three-valued test.
-``eval_expr``, ``eval_bexpr``, ``apply_action`` and ``fires`` call these
-functions; there is no second evaluator.
+Every expression, test and action is compiled once into a function of a
+store's dict, kept on its node (equal nodes are one node, ``lang.Node``): an
+expression's gives a value or undef, a test's True, False or None (undef),
+and an action's writes its binding into a dict that nothing else holds (the
+run's, or ``apply_action``'s copy) and returns the write (see ``Run``), or
+None for bottom; a branching action's returns its three-valued test.  No
+function refers to its node, so none keeps its node alive.  ``eval_expr``,
+``eval_bexpr``, ``apply_action`` and ``fires`` call these functions with a
+``Store``'s dict; there is no second evaluator.
 
 The functions are emitted as Python source, one emitter per node kind: an
 expression emits a Python expression over the store's dict ``m``, a test a
@@ -37,13 +37,14 @@ the tested command, false its complement, and undef sticks at the pair's
 least command (by ``command_key``).  A pair led by a negation (``!B`` or
 ``!guard``, which sort first) tests the positive side and swaps.  A test
 that fires leaves the store unchanged, so it is not evaluated again, and a
-guard visit is one ``StoreAbstraction.contains`` call, looked up at each
-visit.  Any other label with several commands is nondeterministic and
-raises ``SemanticsError``.  The table does not keep its program alive.
+guard visit is one ``StoreAbstraction.contains`` call on the dict, looked up
+at each visit.  Any other label with several commands is nondeterministic
+and raises ``SemanticsError``.  The table is kept on its program and refers
+to commands only.
 
-A run steps one private dict in place, given to every action as one
-``Store`` view that never leaves the run, so a ``Run`` records its initial
-store, the command of each state and the write of each step, and copies no
+A run steps one private dict in place and hands the dict itself to every
+action, with no ``Store`` view made, so a ``Run`` records its initial store,
+the command of each state and the write of each step, and copies no
 store.  Mining and the observations read the writes; ``Run.stores`` and
 ``Run.states`` replay them on demand, and ``Run.stores_at`` replays them
 once up to the stores asked for.
@@ -52,7 +53,6 @@ once up to the stores asked for.
 from __future__ import annotations
 
 import sys
-import weakref
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -84,8 +84,8 @@ class Store:
                 raise SemanticsError(f"not a storable value for {k}: {v!r}")
         self._m = m
 
-    def get(self, var: str) -> UValue:
-        return self._m.get(var, UNDEF)
+    def get(self, var: str, default=UNDEF) -> UValue:
+        return self._m.get(var, default)
 
     def set(self, var: str, value: Value) -> "Store":
         """The store with ``var`` bound to ``value``; only the new value is
@@ -331,6 +331,19 @@ def _member(em: _Emitter, array: str, index: Expr) -> str:
                                      f"{em.param(_BOUND)} else None)"}, "None")
 
 
+def member_of(key: str) -> tuple[Optional[str], Optional[int]]:
+    """``(array, i)`` when ``key`` is the member that ``array[i]`` names
+    (``_member``): a nonempty ``array``, ``_`` and ``str(i)``; otherwise
+    ``(None, None)``.  So ``a_01`` and ``a_-0`` name no member, and ``a_-1``
+    names ``a[-1]``."""
+    array, _, digits = key.rpartition("_")
+    try:
+        i = int(digits)
+    except ValueError:  # no int, or more digits than ``_member`` names
+        return None, None
+    return (array, i) if array and str(i) == digits else (None, None)
+
+
 def _add_typed(e, em):
     want = {"Int": int, "Str": str}.get(e.tag)
     if want is None:
@@ -385,7 +398,7 @@ def _assignment(em: _Emitter, target: str, member: Optional[str], e: Expr) -> li
     write = [f"m[{target}] = v", f"return (({target}, v),)"] \
         if type(e) is not Lit or is_value(e.value) or e.value is UNDEF \
         else [f"raise SemanticsError('not a storable value for %s: %r' % ({target}, v))"]
-    return ["m = store._m", f"if {bound}(v := {em.expr(e)}) is undef:",
+    return [f"if {bound}(v := {em.expr(e)}) is undef:",
             "    return None", *write]
 
 
@@ -394,8 +407,8 @@ def _guard(a):
     # ``contains`` is looked up at every visit, so a wrapped or patched
     # membership test sees each guard run
     if positive:
-        return lambda store: domain.contains(abstract, store)
-    return lambda store: not domain.contains(abstract, store)
+        return lambda m: domain.contains(abstract, m)
+    return lambda m: not domain.contains(abstract, m)
 
 
 def _emitted(arg: str, body: Callable) -> Callable:
@@ -407,14 +420,12 @@ def _emitted(arg: str, body: Callable) -> Callable:
 
 
 def _compiler(rule: Callable) -> Callable:
-    """A compile function that keeps each node's function while anything else
-    holds it, so programs that share a node share its function."""
-    functions: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
+    """A compile function that keeps each node's function on the node, so
+    programs that share a node share its function."""
     def compile_(node):
-        fn = functions.get(node)
+        fn = node.__dict__.get("_fn")
         if fn is None:
-            fn = functions[node] = rule(node)
+            fn = node.__dict__["_fn"] = rule(node)
         return fn
 
     return compile_
@@ -424,15 +435,15 @@ def _compiler(rule: Callable) -> Callable:
 _expr = _compiler(_emitted("m", lambda e, em: [f"return {em.expr(e)}"]))
 # tests: dict -> True, False or None (undef)
 _test = _compiler(_emitted("m", lambda b, em: [f"return {em.test(b)}"]))
-# actions: Store -> Write or None (bottom), the write made in the Store's
-# dict; a branching action is its three-valued test of the Store instead
-_skip = _emitted("store", lambda a, em: ["return ()"])
+# actions: dict -> Write or None (bottom), the write made in the dict; a
+# branching action is its three-valued test of the dict instead
+_skip = _emitted("m", lambda a, em: ["return ()"])
 _action = _compiler(_dispatch("an action", {
     Skip: _skip, Put: _skip, Guard: _guard,
-    Assign: _emitted("store", lambda a, em: _assignment(em, em.param(a.var), None, a.expr)),
-    ArrayAssign: _emitted("store", lambda a, em: _assignment(
+    Assign: _emitted("m", lambda a, em: _assignment(em, em.param(a.var), None, a.expr)),
+    ArrayAssign: _emitted("m", lambda a, em: _assignment(
         em, em.temp(), _member(em, a.array, a.index), a.expr)),
-    Cond: _emitted("store", lambda a, em: ["m = store._m", f"return {em.test(a.test)}"]),
+    Cond: _emitted("m", lambda a, em: [f"return {em.test(a.test)}"]),
 }))
 
 
@@ -455,18 +466,18 @@ def eval_bexpr(b: BExpr, store: Store) -> UValue:
 def apply_action(a: lang.Action, store: Store) -> Optional[Store]:
     """New store, or None for bottom (failed test, error, guard miss)."""
     if is_branching(a):
-        return store if _action(a)(store) else None
-    new = Store._of(dict(store._m))
-    w = _action(a)(new)
+        return store if _action(a)(store._m) else None
+    m = dict(store._m)
+    w = _action(a)(m)
     if not w:
         return None if w is None else store
-    return new
+    return Store._of(m)
 
 
 def fires(a: lang.Action, store: Store) -> Optional[bool]:
     """Three-valued test of a conditional or guard: whether it fires, None
     when the test is undef (then neither it nor its complement fires)."""
-    return _action(a)(store)
+    return _action(a)(store._m)
 
 
 # ---------------------------------------------------------------------------
@@ -504,22 +515,22 @@ def step(p: Program, s: State) -> tuple[State, ...]:
 #   command; a pair led by a negation tests the positive side;
 #   (raiser, None, None, None, None, None) for a nondeterministic label.
 _Table = tuple[tuple[tuple, ...], Optional[int]]  # the entries, the entry label's index
-_TABLES: weakref.WeakKeyDictionary[Program, _Table] = weakref.WeakKeyDictionary()
 
 
 def _raiser(message: str):
-    def raise_(store):
+    def raise_(m):
         raise SemanticsError(message)
     return raise_
 
 
 def _alone(test):
     """The step of a test without its complement: no write, or bottom."""
-    return lambda store: () if test(store) else None
+    return lambda m: () if test(m) else None
 
 
 def _step_table(p: Program) -> _Table:
-    table = _TABLES.get(p)
+    """The program's table, built at its first run and kept on it."""
+    table = p.__dict__.get("_steps")
     if table is not None:
         return table
     index = {label: i for i, label in enumerate(p.by_label)}
@@ -537,7 +548,7 @@ def _step_table(p: Program) -> _Table:
             entries.append((_alone(_action(c.action)), c, index.get(c.succ), None, None, None))
         else:
             entries.append((_action(c.action), c, index.get(c.succ), None, None, None))
-    table = _TABLES[p] = (tuple(entries), index.get(p.entry))
+    table = p.__dict__["_steps"] = (tuple(entries), index.get(p.entry))
     return table
 
 
@@ -549,14 +560,13 @@ def run(p: Program, rho0: Store, budget: int) -> Run:
     if at is None:
         raise SemanticsError(f"no command at entry label {p.entry}")
     m = dict(rho0._m)
-    view = Store._of(m)  # the live store; it never leaves this call
     commands: list[Command] = []
     writes: list[Write] = []
     add_command, add_write = commands.append, writes.append
     entry = entries[at]
     for _ in range(budget):
         fn, c, at, other, other_at, stuck = entry
-        w = fn(view)
+        w = fn(m)
         if other is not None:
             if w:
                 w = ()
@@ -571,7 +581,7 @@ def run(p: Program, rho0: Store, budget: int) -> Run:
         add_write(w)
         entry = entries[at]
     if entry[1] is None:
-        entry[0](view)  # a nondeterministic label: raises
+        entry[0](m)  # a nondeterministic label: raises
     # one more state would have been possible; the step to it is not recorded
     writes.pop()
     return Run(rho0, tuple(commands), tuple(writes), "budget")

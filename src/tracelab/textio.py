@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _quoted
 from typing import Optional
 
 from . import lang
@@ -36,7 +37,7 @@ from .lang import (Add, AddTyped, And, ArrayAssign, Assign, Command, Cond, Eq,
                    Ff, Guard, HALT, Index, Leq, Lit, Mod, Program, Put, Skip,
                    Tt, Var)
 from .semantics import Store
-from .values import Bool
+from .values import Bool, int_of, int_str
 
 
 class ParseError(Exception):
@@ -178,7 +179,7 @@ def _parse_term(c: _Cursor):
         return Lit(_unquote(c))
     if re.fullmatch(r"-?\d+", t):
         c.next()
-        return Lit(int(t))
+        return Lit(int_of(t))
     if _is_name(t):
         c.next()
         if c.peek() == "[":
@@ -287,7 +288,7 @@ def _parse_abstract_store(c: _Cursor, tag: str) -> AbstractStore:
             if not size.isdigit():
                 c.fail(f"bad family size {size!r}")
             c.expect("]")
-            names = [f"{name}_{i}" for i in range(int(size))]
+            names = [f"{name}_{i}" for i in range(int_of(size))]
         for x in names:
             if x in bindings:
                 c.fail(f"variable {x} bound twice")
@@ -373,7 +374,7 @@ def parse_program(text: str) -> Program:
                 raise ParseError("#array takes a name and a size", line_no)
             if toks[0] in arrays:
                 raise ParseError(f"#array {toks[0]} given twice", line_no)
-            arrays[toks[0]] = int(toks[1])
+            arrays[toks[0]] = int_of(toks[1])
             continue
         if line.startswith("#"):
             raise ParseError(f"unknown directive: {line.split()[0]}", line_no)
@@ -391,7 +392,7 @@ def parse_program(text: str) -> Program:
 def print_program(p: Program) -> str:
     lines = [f"#entry {p.entry}"]
     for name, size in p.arrays:
-        lines.append(f"#array {name} {size}")
+        lines.append(f"#array {name} {int_str(size)}")
     for c in p.sorted_commands:
         lines.append(str(c))
     return "\n".join(lines) + "\n"
@@ -422,17 +423,37 @@ def store_from_json(obj) -> Store:
     return Store(bindings)
 
 
+def json_text(obj, indent: Optional[int] = None, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=indent, sort_keys=True)`` for JSON built
+    from dicts, lists, strings, ints and bools, with ints of any length."""
+    if type(obj) is int:
+        return int_str(obj)
+    if type(obj) is str:
+        return _quoted(obj)
+    if type(obj) is bool:
+        return "true" if obj else "false"
+    if isinstance(obj, dict):
+        items = [f"{_quoted(k)}: {json_text(v, indent, depth + 1)}" for k, v in sorted(obj.items())]
+        ends = "{}"
+    else:
+        items, ends = [json_text(v, indent, depth + 1) for v in obj], "[]"
+    if not items or indent is None:
+        return ends[0] + ", ".join(items) + ends[1]
+    pad = "\n" + " " * indent * (depth + 1)
+    return ends[0] + pad + ("," + pad).join(items) + pad[:-indent] + ends[1]
+
+
 def trace_to_jsonl(states, truncated: bool = False) -> str:
     lines = []
     for s in states:
-        lines.append(json.dumps({
+        lines.append(json_text({
             "store": store_to_json(s.store),
             "label": s.command.label,
             "action": str(s.command.action),
             "succ": s.command.succ,
-        }, sort_keys=True))
+        }))
     if truncated:
-        lines.append(json.dumps({"truncated": True}))
+        lines.append(json_text({"truncated": True}))
     return "\n".join(lines) + "\n"
 
 
@@ -450,7 +471,9 @@ _GP_TOKEN_RE = re.compile(
 def parse_gp_program(text: str):
     """Concrete while-language syntax: ``skip;``, ``x := E;``,
     ``if B then { ... }``, ``while B do { ... }``, ``bail B to { ... }``.
-    Comments start with ``#``."""
+    Comments start with ``#``.  A block is one level of nesting, so blocks
+    and the expressions and tests inside them nest at most ``MAX_DEPTH``
+    levels in all."""
     from .gp import GAssign, GBail, GIf, GSkip, GWhile
 
     toks, lines = [], []
@@ -461,19 +484,13 @@ def parse_gp_program(text: str):
     c = _Cursor(toks, lines, "input")
     blocks = {"if": ("then", GIf), "while": ("do", GWhile), "bail": ("to", GBail)}
 
-    def parse_seq(stop_at_brace: bool):
+    def parse_seq(block: Optional[_Cursor] = None):
+        """The statements up to the end, or in a block (``inner`` passes the
+        cursor) up to its ``}``."""
         out = []
-        while True:
-            t = c.peek()
-            if t is None or (stop_at_brace and t == "}"):
-                return tuple(out)
+        while (t := c.peek()) is not None and not (block and t == "}"):
             out.append(parse_stmt())
-
-    def parse_block():
-        c.expect("{")
-        s = parse_seq(stop_at_brace=True)
-        c.expect("}")
-        return s
+        return tuple(out)
 
     def parse_stmt():
         t = c.peek()
@@ -485,7 +502,9 @@ def parse_gp_program(text: str):
             keyword, make = blocks[c.next()]
             b = _parse_bexpr(c)
             c.expect(keyword)
-            return make(b, parse_block())
+            if c.peek() != "{":
+                c.expect("{")
+            return make(b, c.inner(parse_seq, "}"))
         if _is_name(t):
             name = c.next()
             c.expect(":=")
@@ -494,7 +513,7 @@ def parse_gp_program(text: str):
             return GAssign(name, e)
         c.fail(f"expected a statement, got {t!r}")
 
-    return parse_seq(stop_at_brace=False)
+    return parse_seq()
 
 
 def program_to_dot(p: Program, highlight: frozenset[Command] = frozenset()) -> str:

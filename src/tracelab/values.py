@@ -6,6 +6,7 @@ deliberately not distinguished anywhere downstream.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -78,9 +79,32 @@ def value_str(v: UValue) -> str:
         return repr(v)
     if isinstance(v, str):
         return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return int_str(v)
+
+
+# The conversions between ints and decimal text, of any length: ``str`` and
+# ``int`` refuse more digits than Python's limit (``sys.int_info``), so past
+# it each half is converted on its own.
+
+def int_str(n: int) -> str:
+    """``n`` in decimal."""
     try:
-        return str(v)
-    except ValueError:  # more digits than str gives: print each half
-        k = v.bit_length() * 3 // 20  # about half the digits
-        head, low = divmod(abs(v), 10 ** k)
-        return "-" * (v < 0) + value_str(head) + f"{value_str(low):0>{k}}"
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half the digits
+        head, low = divmod(abs(n), 10 ** k)
+        return "-" * (n < 0) + int_str(head) + f"{int_str(low):0>{k}}"
+
+
+def int_of(text: str) -> int:
+    """The int that ``text``, an optional ``-`` and decimal digits, names
+    (``int_str``'s inverse); a ``ValueError`` for any other text."""
+    negative = text.startswith("-")
+    digits = text[negative:]
+    if not digits.isdecimal():
+        raise ValueError(f"not an int: {text[:20]!r}")
+    if len(digits) <= sys.int_info.str_digits_check_threshold:
+        return int(text)
+    k = len(digits) // 2
+    n = int_of(digits[:-k]) * 10 ** k + int_of(digits[-k:])
+    return -n if negative else n

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from tracelab import cli, textio
+from tracelab.values import int_of
 from tests.conftest import CF_SRC, DSE_SRC, LOOP_SRC, SIEVE_SRC
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
@@ -365,6 +366,53 @@ def test_run_sticks_at_an_index_too_long_to_print(tmp_path):
     assert x.endswith("], L3: y := a[x] -> .>\n") and len(x.split("]")[0]) == 4516
 
 
+NINES = "9" * 5000  # an int of more digits than Python's int and str convert
+
+
+def test_initials_take_an_int_of_any_length(tmp_path):
+    path = tmp_path / "copy.tl"
+    path.write_text("#entry L0\nL0: y := x -> .\n")
+    rc, out, err = call(["run", path, "--initials", f'{{"x": {NINES}}}'])
+    assert (rc, out, err) == (0, f"complete after 1 states; final <[x/{NINES}], L0: y := x -> .>\n", "")
+
+
+def test_initials_nested_too_deep_exit_2(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    path = tmp_path / "skip.tl"
+    path.write_text("#entry L0\nL0: skip -> .\n")
+    assert call(["run", path, "--initials", deep]) == (2, "", "error: --initials nests too deep\n")
+
+
+def test_a_literal_of_any_length_parses_runs_and_prints(tmp_path):
+    path = tmp_path / "lit.tl"
+    path.write_text(f"#entry L0\n#array a {NINES}\nL0: x := -{NINES} -> .\n")
+    rc, out, err = call(["run", path])
+    assert (rc, out, err) == (0, f"complete after 1 states; final <[], L0: x := -{NINES} -> .>\n", "")
+    assert textio.print_program(textio.parse_program(path.read_text())) == path.read_text()
+
+
+def test_trace_writes_ints_of_any_length(tmp_path):
+    """A loop doubles a 4,300-digit x 40 times, past the digits Python's
+    ``json`` writes: every store is written, and reads back."""
+    path = tmp_path / "double.tl"
+    path.write_text(f"#entry L0\nL0: x := {NINES[:4300]} -> L1\nL1: (c <= 39) -> L2\n"
+                    "L1: !(c <= 39) -> .\nL2: x := (x + x) -> L3\nL3: c := (c + 1) -> L1\n")
+    rc, out, err = call(["trace", path, "--initials", '{"c": 0}'])
+    assert (rc, err) == (0, "")
+    lines = [json.loads(line, parse_int=int_of) for line in out.splitlines()]
+    assert len(lines) == 122 and lines[-1]["store"] == {"c": 40, "x": (10 ** 4300 - 1) * 2 ** 40}
+
+
+def test_labels_of_any_scope_index_stitch(tmp_path):
+    """Extraction numbers its fresh labels above every ``#k`` in the program's
+    labels, of any length."""
+    path = tmp_path / "scoped.tl"
+    path.write_text(LOOP_SRC.replace("L1", f"L1#{NINES}"))
+    rc, out, err = call(["pipeline", path, "--domain", "type"])
+    assert (rc, err) == (0, "") and f"h0#1{'0' * 5000}" in json.loads(out)["programs"]["after"]
+
+
 @pytest.mark.parametrize("observation", ["sc", "out"])
 def test_check_names_the_observation_that_judged(tmp_path, observation):
     path = tmp_path / "dse.tl"
@@ -493,6 +541,27 @@ def test_gp_check_passes_on_the_loop_with_an_if(tmp_path):
     assert out == ("ok - stitched compilation matches extraction (s0 -> h0#1, s1 -> h1#1, "
                    "s10 -> s4, s2 -> h2#1, s3 -> s3, s4 -> s5, s5 -> h3#1, s6 -> h4#1, "
                    "s7 -> s0, s8 -> s1, s9 -> s2)\n")
+
+
+def _nested_blocks(n):
+    return "while (x <= 3) do { " + "if tt then { " * n + "x := x + 1; " + "} " * n + "}\n"
+
+
+@pytest.mark.parametrize("cmd", ["gp-compile", "gp-trace", "gp-check"])
+def test_while_blocks_nest_to_the_bound(tmp_path, cmd):
+    """Each block is one level: the while and 197 ifs open 198 levels, and
+    the innermost ``x + 1`` nests two more, ``MAX_DEPTH`` in all.  Every
+    while-language command works there (printing once recursed past Python's
+    limit at 194 blocks), and one more block is refused."""
+    n = textio.MAX_DEPTH - 3
+    path = tmp_path / "deep.w"
+    flags = [] if cmd == "gp-compile" else ["--initials", '{"x": 0}']
+    path.write_text(_nested_blocks(n))
+    rc, out, err = call([cmd, path, *flags])
+    assert (rc, err) == (0, "") and out
+    path.write_text(_nested_blocks(n + 1))
+    assert call([cmd, path, *flags]) == \
+        (2, "", f"error: line 1: nested deeper than {textio.MAX_DEPTH} levels\n")
 
 
 def test_the_parser_built_once_keeps_no_state_between_calls(tmp_path):

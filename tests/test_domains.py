@@ -9,7 +9,7 @@ from tracelab.domains import (AbstractStore, CPConst, CP_BOT, CP_TOP, abstract_a
                               cp_domain, eval_type, get_domain,
                               onepoint_domain, type_domain)
 from tracelab.lang import Add, AddTyped, ArrayAssign, Assign, Index, Lit, Mod, Var
-from tracelab.semantics import Store, apply_action, collecting_eval, eval_expr
+from tracelab.semantics import Store, apply_action, collecting_eval, eval_expr, member_of
 from tracelab.textio import _Cursor, _parse_abstract_store, tokenize
 from tracelab.values import (BOOL, BOT_T, Bool, INT, STRING, TOP_T, TT, UNDEF,
                              UNDEF_T, type_of)
@@ -512,6 +512,35 @@ def test_every_element_parses_back_from_its_literal(case, top_default):
     if top_default:
         a = dom.make(dict(a.items), dom.top().default)
     assert _parse_literal(dom.tag, str(a)) == a
+
+
+def test_only_the_members_an_index_names_print_as_a_family():
+    """A key is a member of ``a`` only when ``a[i]`` names it for an int
+    ``i`` (``semantics.member_of``): ``a_01`` is not ``a_1``, so no element
+    prints as a family with a member it lacks, and each parses back."""
+    for keys, text in [
+        (["a_0", "a_01"], "{a_0: Int, a_01: Int}"),
+        (["a_0", "a_1", "a_01"], "{a: Int[2], a_01: Int}"),
+        (["a_0", "a_1", "a_2", "a_00"], "{a: Int[3], a_00: Int}"),
+        (["a_0", "a_1", "a_-1"], "{a_-1: Int, a_0: Int, a_1: Int}"),  # a[-1] is a member
+    ]:
+        a = type_domain.make(dict.fromkeys(keys, INT))
+        assert str(a) == text
+        if "-" not in text:  # a name holds no minus sign
+            assert _parse_literal("type", text) is a
+
+
+def test_member_of_names_exactly_what_an_index_reads():
+    for i in (-12, -1, 0, 7, 10 ** 40):
+        key = f"arr_{i}"
+        assert member_of(key) == ("arr", i)
+        assert eval_expr(Index("arr", Lit(i)), Store({key: 5})) == 5
+    for key in ("arr_01", "arr_-0", "arr_+1", "arr_ 1", "arr_1_0x", "arr_\u0663", "arr_1\n",
+                "_1", "arr", "arr_", f"arr_{'9' * 5000}"):
+        assert member_of(key) == (None, None), key
+    a = type_domain.make({"arr_1": INT, "arr_01": INT}, type_domain.top().default)
+    stored = type_domain.post(ArrayAssign("arr", Var("i"), Lit("s")), a)
+    assert (stored.get("arr_1"), stored.get("arr_01")) == (TOP_T, INT)
 
 
 def test_unregistered_domain():

@@ -349,13 +349,12 @@ def test_action_printing_examples():
 
 
 def test_equal_nodes_are_one_node():
-    """A node is hash-consed: the parser, a constructor with or without its
-    defaults and a negation give the one live node, and a literal's key holds
-    its value's class."""
+    """A node is hash-consed: the parser, a constructor and a negation give
+    the one live node, and a literal's key holds its value's class."""
     from tracelab.domains import type_domain
     a = type_domain.make({"x": "Int"})
-    guard = Command("L0", lang.Guard(a), "L1")
-    assert guard is Command(label="L0", action=lang.Guard(a, True), succ="L1")
+    guard = Command("L0", lang.Guard(a, True), "L1")
+    assert guard is Command("L0", lang.Guard(a, True), "L1")
     assert lang.negate_action(lang.negate_action(guard.action)) is guard.action
     first, second = parse_program(LOOP_SRC), parse_program(LOOP_SRC)
     assert first.commands == second.commands

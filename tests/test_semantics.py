@@ -290,6 +290,20 @@ def test_a_run_keeps_no_program_alive(loop_program):
     assert ref() is None
 
 
+def test_a_compiled_node_keeps_no_node_alive():
+    """A node keeps its own function, and no function refers to a node, so
+    a node that nothing else holds leaves with its function."""
+    import gc
+    import weakref
+    e = Add(Var("only_in_this_test"), Lit(3))
+    a = Assign("y", e)
+    assert apply_action(a, Store({"only_in_this_test": 1})).get("y") == 4
+    refs = [weakref.ref(n) for n in (a, e, e.left)]
+    del a, e
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+
+
 # ---------------------------------------------------------------------------
 # run against the step relation, and why a run ends
 # ---------------------------------------------------------------------------
