@@ -138,6 +138,12 @@ class StoreAbstraction(ABC):
         return _canon(self, bindings, self.undef_slot if default is None else default)
 
     def top(self) -> AbstractStore:
+        return self._top
+
+    @cached_property
+    def _top(self) -> AbstractStore:
+        # kept here, so that a call is one attribute read rather than an
+        # intern-table lookup, or a new element when nothing else holds it
         return AbstractStore(self, (), self.top_slot)
 
     def bottom(self) -> AbstractStore:

@@ -12,6 +12,14 @@ ends at the trace's last state, which has no successor state, so each image
 also checks that trailing window.  Occurrences of one path never overlap: the
 second's first command would be an interior head of the first.
 
+No pass rescans the trace.  In a well-formed program the commands at a
+label are one command and its complement, so a segment cannot contain a
+second visit of its first command's label; ``sloop`` keeps the latest visit
+of each label in one forward pass, which leaves at most one segment per end
+(O(n + S log S) for n states and S <= n segments, with the sort by start).
+``topo_order`` orders each label's branches once per call, and ``hotcut``
+finds the stretches it drops in one scan of a byte mask of the commands.
+
 A mining call (``pipeline.mine``) ranks the program's commands once and
 mines its traces against that one order.  Abstraction reads a run's writes,
 since a nonrelational abstraction commutes with an update:
@@ -26,12 +34,14 @@ test of them here is by identity.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .domains import AbstractStore, StoreAbstraction, get_domain
-from .lang import Command, HALT, Program, find_cmpl, is_negation
+from .lang import Command, Program, is_negation
 from .semantics import Run, compose
 
 
@@ -48,7 +58,13 @@ def topo_order(p: Program) -> dict[Command, int]:
     positive branches first, ties in ``Program.at``'s order; commands
     unreachable from the entry are numbered afterwards the same way, from
     DFS roots in ``sorted_commands`` order.  That order prints every action,
-    a guard's with its store, so it is built only when such commands exist."""
+    a guard's with its store, so it is built only when such commands exist.
+    Each label's commands are put in branch order once per call, not at
+    every stack pop."""
+    # positive branches explore first, so a loop's head ranks at or before
+    # its exit commands; negations are the cold side
+    order = {label: cs if len(cs) == 1 else tuple(sorted(cs, key=lambda c: is_negation(c.action)))
+             for label, cs in p.by_label.items()}
     post: list[Command] = []
     visited: set[Command] = set()
 
@@ -57,10 +73,7 @@ def topo_order(p: Program) -> dict[Command, int]:
         visited.add(root)
         while stack:
             cmd, i = stack.pop()
-            # positive branches explore first, so a loop's head ranks at or
-            # before its exit commands; negations are the cold side
-            succs = () if cmd.succ == HALT else \
-                tuple(sorted(p.at(cmd.succ), key=lambda c: is_negation(c.action)))
+            succs = order.get(cmd.succ, ())
             if i < len(succs):
                 stack.append((cmd, i + 1))
                 nxt = succs[i]
@@ -85,25 +98,26 @@ def topo_order(p: Program) -> dict[Command, int]:
 
 def sloop(commands: Sequence[Command], rank: dict[Command, int],
           p: Program) -> list[tuple[int, int]]:
-    """All loop-path segments of a trace's commands, as (i, j) index pairs:
-    suc(C_j) = lbl(C_i), C_i ranked at or before C_j, and no interior
-    re-occurrence of C_i or its complement (the same object)."""
-    n = len(commands) - 1  # j must have a successor state in the sequence
-    cmds = commands[:n]
-    cmpl = {c: find_cmpl(c, p) or c for c in set(cmds)}
-    succ = [c.succ for c in cmds]
-    ranks = [rank[c] for c in cmds]
+    """All loop-path segments of a trace's commands, as (i, j) index pairs in
+    increasing order: suc(C_j) = lbl(C_i), C_i ranked at or before C_j, and
+    no interior re-occurrence of C_i or its complement.
+
+    In a well-formed program ``p`` the commands at a label are one command
+    and its complement, so that last condition says that no state in
+    (i, j] visits C_i's label.  One forward pass keeps the latest visit of
+    each label: the one segment that can end at j starts at the latest visit
+    of suc(C_j) up to j (j itself for a self-loop), and is kept when the
+    ranks allow.  The segments, at most one per end, are then sorted by
+    start, which is the order ``count``'s first occurrences follow: O(n + S
+    log S) for n states and S <= n segments."""
+    last: dict[str, int] = {}
     segments: list[tuple[int, int]] = []
-    for i, a in enumerate(cmds):
-        b, head, r = cmpl[a], a.label, ranks[i]
-        if succ[i] == head:
-            segments.append((i, i))
-        for j in range(i + 1, n):
-            k = cmds[j]
-            if k is a or k is b:
-                break
-            if succ[j] == head and r <= ranks[j]:
-                segments.append((i, j))
+    for j, c in enumerate(commands[:-1]):  # j needs a successor state
+        last[c.label] = j
+        i = last.get(c.succ)
+        if i is not None and rank[commands[i]] <= rank[c]:
+            segments.append((i, j))
+    segments.sort(key=itemgetter(0))  # stable: the ends of one start stay in order
     return segments
 
 
@@ -207,13 +221,25 @@ def hotcut(r: Run, original: Program) -> Run:
     its command or a neighbour's is in the original program, or when it ends
     the trace.  Two kept states joined around a dropped stretch are linked by
     the composed writes of the stretch.  A run that keeps every state is
-    returned as it is."""
-    inside = list(map(original.commands.__contains__, r.commands))
-    last = len(inside) - 1
-    keep = [i for i in range(len(inside))
-            if inside[i] or i == 0 or i == last or inside[i - 1] or inside[i + 1]]
-    if len(keep) == len(inside):
+    returned as it is.
+
+    By that rule the dropped states are the interiors of the maximal runs of
+    three or more outside states, so one scan of a byte mask of the commands
+    finds them, and each such run's writes are composed once: linear in the
+    trace."""
+    mask = bytes(map(original.commands.__contains__, r.commands))
+    cmds, ws = r.commands, r.writes
+    commands: list[Command] = []
+    writes: list = []
+    at = 0  # the first state not yet copied
+    for stretch in re.finditer(b"\x00{3,}", mask):
+        first, last = stretch.start(), stretch.end() - 1
+        commands += cmds[at:first + 1]
+        writes += ws[at:first]
+        writes.append(compose(ws[first:last]))
+        at = last
+    if not at:
         return r
-    ws = r.writes
-    writes = tuple(ws[i] if j == i + 1 else compose(ws[i:j]) for i, j in zip(keep, keep[1:]))
-    return Run(r.initial, tuple(r.commands[i] for i in keep), writes, r.reason)
+    commands += cmds[at:]
+    writes += ws[at:]
+    return Run(r.initial, tuple(commands), tuple(writes), r.reason)

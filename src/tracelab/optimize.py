@@ -233,21 +233,24 @@ def _residual(st: StitchResult, cur: StitchResult) -> Program:
         route.pop(target(label), None)  # present only when the route closes a cycle
 
     def residual(c: Command) -> Command:
-        act = c.action
-        if c.label in stores and isinstance(act, Guard):
+        act, succ = c.action, target(c.succ)
+        if c.label in stores and isinstance(act, Guard) and act.store is not stores[c.label]:
             act = Guard(stores[c.label], act.positive)
-        return Command(c.label, act, target(c.succ))
+        return c if act is c.action and succ == c.succ else Command(c.label, act, succ)
 
-    q = Program(frozenset(residual(c) for c in (st.transformed.commands - st.stitched) | stitched
-                          if c.label not in route),
-                target(st.transformed.entry), st.transformed.arrays)
-    reached, todo = {q.entry}, [q.entry]
+    built = [residual(c) for c in (st.transformed.commands - st.stitched) | stitched
+             if c.label not in route]
+    succs: dict[str, list[str]] = {}
+    for c in built:
+        succs.setdefault(c.label, []).append(c.succ)
+    entry = target(st.transformed.entry)
+    reached, todo = {entry}, [entry]
     while todo:
-        for c in q.at(todo.pop()):
-            if c.succ not in reached:
-                reached.add(c.succ)
-                todo.append(c.succ)
-    return Program(frozenset(c for c in q.commands if c.label in reached), q.entry, q.arrays)
+        for succ in succs.get(todo.pop(), ()):
+            if succ not in reached:
+                reached.add(succ)
+                todo.append(succ)
+    return Program(frozenset(c for c in built if c.label in reached), entry, st.transformed.arrays)
 
 
 def optimize_full(p: Program, hp: HotPath, passes: Sequence[Optimization],

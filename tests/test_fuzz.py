@@ -1,0 +1,181 @@
+"""Grammar-driven fuzzing of the CLI contract: whatever the program text, the
+initial stores and the flags, an in-process ``cli.main`` call of ``run``,
+``hot``, ``pipeline`` or ``check`` exits 0, 1 or 2 and prints no traceback.
+
+Programs are drawn from a loop skeleton whose actions and tests are drawn
+from the expression grammar: deep and wide expressions, huge and negative
+literals, strings and Booleans where ints are expected, array reads and
+writes at any index, guards of every domain over drawn store literals, long
+arrays and unusual legal names.  Some are then
+made malformed by cutting, repeating or splicing their text.  The draws are
+derandomized, so every run tries the same cases."""
+
+import contextlib
+import io
+import itertools
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from tracelab import cli
+
+# legal names that look like something else: a label, a member of an
+# array, a keyword with a suffix, a scope-suffixed label, an underscore
+NAMES = ["x", "y", "i", "_", "x#1", "L1", "a_0", "a_01", "tt_", "skipx", "h0#1", "__9"]
+KEYWORDS = ["tt", "ff", "skip", "guard", "put", "undef"]  # not variables
+
+names = st.sampled_from(NAMES) | st.from_regex(r"[A-Za-z_][A-Za-z0-9_#]{0,5}", fullmatch=True)
+# ints as text: some have more digits than Python converts by default
+ints = (st.integers(-3, 12) | st.integers(-(10 ** 30), 10 ** 30)).map(str) | \
+    st.sampled_from(["9" * 4400, "-" + "9" * 4400, str(2 ** 64), "-0"])
+literals = ints | st.sampled_from(['""', '"a"', '"\\u00e9;x"', "tt", "ff"])
+
+
+def _expr(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from(["+", "%", "+Int", "+Str"]), children)
+        .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        children.map(lambda e: f"a[{e}]"),
+    )
+
+
+exprs = st.recursive(names | literals, _expr, max_leaves=12)
+
+
+@st.composite
+def deep_exprs(draw):
+    """A chain of additions or a parenthesized nest, around the parser's
+    depth bound."""
+    depth = draw(st.integers(190, 210))
+    if draw(st.booleans()):
+        return "x" + " + 1" * depth
+    return "(" * depth + "x" + ")" * depth
+
+
+# guard store literals of each domain, families and defaults included
+slots = {"type": st.sampled_from(["Int", "Str", "Bool", "Top", "Bot", "Undef", "Nat"]),
+         "cp": literals | st.sampled_from(["top", "bot", "undef"]),
+         "onepoint": st.sampled_from(["top", "x"])}
+
+
+@st.composite
+def guards(draw):
+    tag = draw(st.sampled_from(["type", "type", "cp", "onepoint", "interval"]))
+    entries = [f"{draw(names)}: {draw(slots.get(tag, names))}"
+               + draw(st.sampled_from(["", "", "[3]", "[5000]", "[-1]"]))
+               for _ in range(draw(st.integers(0, 3)))]
+    entries += draw(st.sampled_from([[], [], [f"*: {draw(slots.get(tag, names))}"]]))
+    store = draw(st.sampled_from(["{" + ", ".join(entries) + "}"] * 3 + ["top", "bot"]))
+    return f"guard {tag} {store}"
+
+
+branch_tests = st.one_of(
+    st.tuples(exprs, st.sampled_from(["<=", "="]), exprs).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+    st.sampled_from(["tt", "ff"]),
+    guards(),
+)
+
+
+@st.composite
+def actions(draw):
+    kind = draw(st.sampled_from(["assign"] * 4 + ["index"] * 2 + ["put", "skip", "deep"]))
+    if kind == "assign":
+        return f"{draw(names)} := {draw(exprs)}"
+    if kind == "index":
+        return f"a[{draw(exprs)}] := {draw(exprs)}"
+    if kind == "put":
+        return "put {" + ", ".join(draw(st.lists(names, max_size=3))) + "}"
+    if kind == "deep":
+        return f"x := {draw(deep_exprs())}"
+    return "skip"
+
+
+@st.composite
+def programs(draw):
+    """A counting loop around drawn actions, with a drawn branch inside."""
+    n = draw(st.sampled_from([0, 1, 3, 100, 5000]))
+    test, body = draw(branch_tests), draw(st.lists(actions(), min_size=1, max_size=3))
+    bound = draw(ints)
+    lines = ["#entry L0"] + ([f"#array a {n}"] if n else [])
+    lines += ["L0: i := 0 -> L1",
+              f"L1: (i <= {bound}) -> B0",
+              f"L1: !(i <= {bound}) -> E",
+              f"B0: {test} -> B1",
+              f"B0: !{test} -> S"]
+    lines += [f"B{k + 1}: {a} -> B{k + 2}" for k, a in enumerate(body)]
+    lines += [f"B{len(body) + 1}: skip -> S",
+              "S: i := (i + 1) -> L1",
+              "E: skip -> ."]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def malformed(draw, texts):
+    """A drawn program cut, with a line repeated or a token spliced in."""
+    text = draw(texts)
+    how = draw(st.sampled_from(["cut", "repeat", "splice", "keyword"]))
+    at = draw(st.integers(0, len(text)))
+    if how == "cut":
+        return text[:at]
+    if how == "repeat":
+        lines = text.splitlines(keepends=True)
+        k = draw(st.integers(0, len(lines) - 1))
+        return "".join(lines[:k + 1] + [lines[k]] + lines[k + 1:])
+    token = draw(st.sampled_from(["(", ")", "[", "]", "{", "}", "->", ":=", "!", "#entry L9",
+                                  "\n", '"', ";", ".", "*"]) if how == "splice"
+                 else st.sampled_from(KEYWORDS))
+    return text[:at] + token + text[at:]
+
+
+# initial stores as JSON text, with values no store holds
+values = st.sampled_from([ints] * 8 + [st.sampled_from(["true", "false", '""', '"a"'])] * 3 +
+                         [st.sampled_from(["[1, 2]", "null", "{}", "1.5"])]).flatmap(lambda s: s)
+initials = st.dictionaries(names | st.sampled_from(["", " ", "a_2", "a_4999"]), values,
+                           max_size=4).map(
+    lambda d: "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in d.items()) + "}")
+
+
+_serial = itertools.count()  # each program goes to a new file
+
+
+@st.composite
+def calls(draw, workdir):
+    text = draw(st.sampled_from([programs()] * 3 + [malformed(programs())]).flatmap(lambda s: s))
+    path = workdir / f"p{next(_serial)}.tl"
+    path.write_text(text)
+    cmd = draw(st.sampled_from(["run", "hot", "pipeline", "check"]))
+    argv = [cmd, str(path)]
+    if cmd == "check":
+        other = workdir / f"q{next(_serial)}.tl"
+        other.write_text(draw(st.just(text) | programs() | malformed(programs())))
+        argv += [str(other), "--observe", draw(st.sampled_from(["sc", "out"]))]
+    if cmd in ("hot", "pipeline"):
+        argv += ["--domain", draw(st.sampled_from(["onepoint", "type", "cp"])),
+                 "--threshold", draw(st.sampled_from(["2"] * 6 + ["1", "3", "0"]))]
+    if cmd == "pipeline":
+        argv += [*(f"--pass={p}" for p in draw(st.lists(st.sampled_from(["ts", "ts", "cf", "dse"]),
+                                                        max_size=2))),
+                 "--rounds", str(draw(st.integers(1, 3)))]
+    stores = draw(st.lists(initials, max_size=2))
+    if stores:
+        argv += ["--initials", "[" + ", ".join(stores) + "]"]
+    argv += ["--budget", str(draw(st.sampled_from([1, 40, 300])))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data())
+def test_the_cli_contract_holds_on_fuzzed_input(workdir, data):
+    argv = data.draw(calls(workdir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

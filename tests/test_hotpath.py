@@ -9,7 +9,7 @@ from tracelab.extract import extract
 from tracelab.hotpath import (HotPath, HotPathError, count, hot_n, hotcut, sloop,
                               topo_order)
 from tracelab.lang import Assign, Command, Lit, Skip, find_cmpl, is_negation
-from tracelab.semantics import Run, State, Store, run
+from tracelab.semantics import Run, State, Store, compose, run
 from tracelab.textio import parse_program
 from tracelab.values import FF, TT, UNDEF
 from tests.conftest import command_at, oracle_cases, run_of
@@ -206,15 +206,15 @@ def test_count_overlapping():
     assert _counts(p, r, "onepoint") == {((a, command_at(p, "L")),): 4}
 
 
-def _sloop_by_definition(states, rank, p):
+def _sloop_by_definition(commands, rank, p):
     """Loop segments straight from their definition: for each start, scan
     until the start's command or its complement re-occurs."""
     out = []
-    for i in range(len(states) - 1):
-        ci = states[i].command
+    for i in range(len(commands) - 1):
+        ci = commands[i]
         blockers = {ci, find_cmpl(ci, p)} - {None}
-        for j in range(i, len(states) - 1):
-            cj = states[j].command
+        for j in range(i, len(commands) - 1):
+            cj = commands[j]
             if j > i and cj in blockers:
                 break
             if cj.succ == ci.label and rank[ci] <= rank[cj]:
@@ -229,7 +229,7 @@ def _hot_n_by_scan(states, n, domain_tag, p):
     alpha = get_domain(domain_tag).alpha
     abs_tr = [(alpha([s.store]), s.command) for s in states]
     out, seen = [], set()
-    for i, j in _sloop_by_definition(states, topo_order(p), p):
+    for i, j in _sloop_by_definition([s.command for s in states], topo_order(p), p):
         image = tuple(abs_tr[i:j + 1])
         if image in seen:
             continue
@@ -261,13 +261,71 @@ def test_hot_n_agrees_with_the_scan(seed):
     for p, r, _ in _scan_cases(seed):
         states = r.states
         assert sloop(r.commands, topo_order(p), p) == \
-            _sloop_by_definition(states, topo_order(p), p)
+            _sloop_by_definition(r.commands, topo_order(p), p)
         for tag in ("onepoint", "type", "cp"):
             alpha = get_domain(tag).alpha
             assert hotpath.abstract_trace(r, tag) == \
                 [(alpha([s.store]), s.command) for s in states]
             got = [(hp.pairs, c) for hp, c in hot_n(r, 2, tag, p)]
             assert got == _hot_n_by_scan(states, 2, tag, p), (len(states), tag)
+
+
+def _spy_sloop(monkeypatch):
+    """Records the arguments of every ``sloop`` call that mining makes."""
+    calls, real = [], hotpath.sloop
+
+    def spy(commands, rank, p):
+        calls.append((commands, rank, p))
+        return real(commands, rank, p)
+
+    monkeypatch.setattr(hotpath, "sloop", spy)
+    return calls
+
+
+def test_sloop_is_the_definition_on_the_sieve_rounds(sieve_program, sieve_store, monkeypatch):
+    """The one-pass scan keeps the latest visit of each label; the sieve's
+    outer iterations are long, which made the rescanning definition
+    superlinear.  Its three mining rounds (the original run, then two runs
+    cut against the original) give the definition's segments, in order."""
+    from tracelab import pipeline
+    calls = _spy_sloop(monkeypatch)
+    rep = pipeline.pipeline(sieve_program, [sieve_store], "type", 2, 20000, ["ts"], 3)
+    assert len(rep.hotpaths) == 2
+    assert [len(commands) for commands, _, _ in calls] == [779, 347, 3]
+    for commands, rank, p in calls:
+        assert sloop(commands, rank, p) == _sloop_by_definition(commands, rank, p)
+
+
+@pytest.mark.parametrize("domain, rounds", [("onepoint", 3), ("type", 2)])
+def test_sloop_is_the_definition_on_finals_without_a_pass(domain, rounds, monkeypatch):
+    """Every mining call of a pipeline with no pass, and the runs of its
+    final program cut against the original, on generated programs."""
+    from tracelab import gen, pipeline
+    from tests.test_pipeline import SAMPLE_VARS
+    for seed in range(0, 60, 3):
+        calls = _spy_sloop(monkeypatch)
+        p = gen.gen_program(seed)
+        stores = gen.gen_stores(seed, SAMPLE_VARS, 4)
+        final = pipeline.pipeline(p, stores, domain, 2, 2000, [], rounds).program
+        monkeypatch.undo()
+        ranked = topo_order(final)
+        calls += [(hotcut(r, p).commands, ranked, final) for r in observe.runs(final, stores, 2000)]
+        for commands, rank, q in calls:
+            assert sloop(commands, rank, q) == _sloop_by_definition(commands, rank, q), seed
+
+
+def test_sloop_is_the_definition_on_a_while_language_trace(monkeypatch):
+    """Recording a while-language hot path mines the compiled trace back
+    with ``sloop``."""
+    from tracelab import gp
+    from tracelab.textio import parse_gp_program
+    calls = _spy_sloop(monkeypatch)
+    stm = parse_gp_program("while (i <= 30) do { if ((i % 2) = 0) then { x := x + 3; } "
+                           "while (j <= 2) do { j := j + 1; } i := i + 1; }")
+    gp.gp_record_hot_path(stm, Store({"i": 0, "j": 0, "x": 0}), 500)
+    ((commands, rank, p),) = calls
+    segments = sloop(commands, rank, p)
+    assert len(segments) > 1 and segments == _sloop_by_definition(commands, rank, p)
 
 
 def test_only_unlinked_stores_are_abstracted_whole(monkeypatch):
@@ -493,6 +551,36 @@ def _hotcut_by_deletion(states, original):
         else:
             out.append(rest.pop(0))
     return tuple(out)
+
+
+def _hotcut_by_definition(r, original):
+    """The per-state keep rule: a state stays when its command or a
+    neighbour's is in the original program, or when it ends the trace; the
+    kept neighbours of a dropped stretch are linked by its composed writes."""
+    inside = [c in original.commands for c in r.commands]
+    last = len(inside) - 1
+    keep = [i for i in range(len(inside))
+            if inside[i] or i == 0 or i == last or inside[i - 1] or inside[i + 1]]
+    ws = r.writes
+    writes = tuple(ws[i] if j == i + 1 else compose(ws[i:j]) for i, j in zip(keep, keep[1:]))
+    return Run(r.initial, tuple(r.commands[i] for i in keep), writes, r.reason)
+
+
+@pytest.mark.parametrize("seed", range(0, 60, 2))
+def test_hotcut_is_the_keep_rule_on_generated_finals(seed):
+    """The runs of the type/ts, onepoint and type finals of a generated
+    program, at three budgets, cut against the original: one scan for the
+    dropped stretches gives the keep rule's run."""
+    from tracelab import gen, pipeline
+    from tests.test_pipeline import SAMPLE_VARS
+    p = gen.gen_program(seed)
+    stores = gen.gen_stores(seed, SAMPLE_VARS, 4)
+    for domain, passes, rounds in [("type", ["ts"], 3), ("onepoint", [], 3), ("type", [], 2)]:
+        final = pipeline.pipeline(p, stores, domain, 2, 2000, passes, rounds).program
+        for rho in stores:
+            for budget in (37, 101, 2000):
+                r = run(final, rho, budget)
+                assert hotcut(r, p) == _hotcut_by_definition(r, p), (domain, budget)
 
 
 @given(st.lists(st.booleans(), max_size=40))

@@ -89,6 +89,67 @@ def test_final_programs_pass_sc_on_held_out_stores():
     assert failed == [] and stitched >= 870  # 897 stitch today
 
 
+# Loops that add two variables.  ``gen`` adds a literal to a variable only,
+# and a ts rewrite of that evaluates as the original on every store; the
+# rewrite of a sum of two variables differs from it when both operands are
+# of the other class (``+Int`` of two strings is undef, ``+`` concatenates).
+ADDING_LOOPS = [
+    """#entry L0
+L0: i := 0 -> L1
+L1: (i <= 6) -> L2
+L1: !(i <= 6) -> L4
+L2: x := (x + y) -> L3
+L3: i := (i + 1) -> L1
+L4: skip -> .
+""",
+    """#entry L0
+L0: i := 0 -> L1
+L1: (i <= 8) -> L2
+L1: !(i <= 8) -> L6
+L2: ((i % 2) = 0) -> L3
+L2: !((i % 2) = 0) -> L4
+L3: x := (x + y) -> L5
+L4: y := (y + x) -> L5
+L5: i := (i + 1) -> L1
+L6: skip -> .
+""",
+    """#entry L0
+L0: i := 0 -> L1
+L1: (i <= 5) -> L2
+L1: !(i <= 5) -> L5
+L2: z := (x + y) -> L3
+L3: x := (z + y) -> L4
+L4: i := (i + 1) -> L1
+L5: skip -> .
+""",
+]
+
+# mining sees ints in both operands, or strings, so ts rewrites to +Int or +Str
+ADDING_STORES = {"int": [{"x": 1, "y": 2}, {"x": -4, "y": 3}],
+                 "str": [{"x": "a", "y": "b"}, {"x": "", "y": "c"}]}
+# the held-out stores add the other class, mixed classes and unbound operands
+ADDING_HELD_OUT = [{"x": 5, "y": 7}, {"x": "p", "y": "q"}, {"x": "p", "y": ""}, {"x": 1, "y": "q"},
+                   {"x": "p", "y": 2}, {"x": 10 ** 20, "y": -1}, {"x": 3}, {"y": "q"}, {}]
+
+
+@pytest.mark.parametrize("src", ADDING_LOOPS, ids=["one-sum", "two-branches", "chained-sums"])
+@pytest.mark.parametrize("mined", ADDING_STORES)
+def test_loops_that_add_two_variables_pass_sc_on_held_out_stores(src, mined):
+    """Mined from stores of one class, each final program passes sc on the
+    mined stores and on held-out stores of the other class, where a guard
+    that admitted them would stick the run where the original concatenates
+    or sums."""
+    p = textio.parse_program(src)
+    held_out = [Store(s) for s in ADDING_HELD_OUT]
+    left = observe.runs(p, held_out, 2000)
+    for config in [("type", ["ts"], 3), ("onepoint", [], 3), ("type", [], 2)]:
+        rep = pipeline.pipeline(p, [Store(s) for s in ADDING_STORES[mined]], config[0], 2, 2000,
+                                config[1], config[2])
+        assert rep.hotpaths and rep.check.passed, config
+        right = observe.runs(rep.program, held_out, 2000)
+        assert observe.equiv_check(left, right, observe.sc, "sc").passed, config
+
+
 @pytest.mark.parametrize("domain, passes, rounds", [
     ("type", ["ts"], 3), ("type", ["ts", "dse"], 1), ("cp", ["cf"], 1)])
 def test_final_programs_print_parse_and_check(domain, passes, rounds):
