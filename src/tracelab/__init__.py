@@ -7,24 +7,48 @@ elimination), and check observational correctness of every transform.
 ``pipeline`` runs that loop for a number of rounds and returns a report the CLI
 only formats.  A while-language front end reproduces the bisimulation-based
 comparison model on top of the same machinery.
+
+Every name in ``__all__`` loads on first use (PEP 562): importing the package
+runs none of its modules, and ``import tracelab.textio`` runs only ``values``,
+``lang``, ``semantics``, ``domains`` and ``textio``.  A module's name is the
+module, so ``tracelab.extract`` is the module, whose ``extract`` function is
+``tracelab.extract.extract``.
 """
 
-from .values import Bool, FF, TT, UNDEF
-from .lang import Command, Program, find_cmpl, rename_equal, well_formed
-from .semantics import (Run, State, Store, collecting_eval, eval_bexpr,
-                        eval_expr, apply_action, run, step)
-from .domains import (AbstractStore, abstract_add_type, cp_domain, eval_type,
-                      get_domain, onepoint_domain, type_domain)
-from .observe import out, out_equiv_check, sc, sc_equiv_check, st
-from .hotpath import HotPath, count, hot_n, hotcut, sloop, topo_order
-from .extract import StitchResult, extract, extract_gp, extract_nested
-from .optimize import (const_fold, dead_store_eliminate, free_vars,
-                       optimize_full, type_specialize)
-from .witness import lift_full, rtr, sp, specialization_map, td, tr_out
-from .gp import (GPCompiler, GAssign, GBail, GIf, GSkip, GWhile,
-                 gp_equivalence_check, gp_record_hot_path, gp_run, gp_step,
-                 gp_trace_step)
-from .textio import parse_gp_program, parse_program, print_program
-from . import pipeline
+import importlib
 
-__all__ = [n for n in dir() if not n.startswith("_")]
+# the names each module exports here, besides the module itself
+_EXPORTS = {
+    "values": "Bool FF TT UNDEF",
+    "lang": "Command Program find_cmpl rename_equal well_formed",
+    "semantics": "Run State Store collecting_eval eval_bexpr eval_expr apply_action run step",
+    "domains": "AbstractStore abstract_add_type cp_domain eval_type get_domain onepoint_domain "
+               "type_domain",
+    "observe": "out out_equiv_check sc sc_equiv_check st",
+    "hotpath": "HotPath count hot_n hotcut sloop topo_order",
+    "extract": "StitchResult extract_gp extract_nested",
+    "optimize": "const_fold dead_store_eliminate free_vars optimize_full type_specialize",
+    "witness": "lift_full rtr sp specialization_map td tr_out",
+    "gp": "GPCompiler GAssign GBail GIf GSkip GWhile gp_equivalence_check gp_record_hot_path "
+          "gp_run gp_step gp_trace_step",
+    "textio": "parse_gp_program parse_program print_program",
+    "pipeline": "",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in (module, *names.split())}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod = importlib.import_module(f"{__name__}.{module}")
+    value = mod if name == module else getattr(mod, name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

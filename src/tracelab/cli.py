@@ -38,14 +38,17 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import gen as genmod
-from . import gp as gpmod
-from . import hotpath, observe, optimize, pipeline, textio
-from .domains import DomainError, domain_tags
-from .extract import ExtractError, extract_nested
+# leaves first, each module after the modules it imports: the order in which
+# the modules are first run sets the layout of the process's heap
+from .values import int_of
 from .lang import Program, well_formed
 from .semantics import SemanticsError, State, Store, run
-from .values import int_of
+from .domains import DomainError, domain_tags
+from . import textio, observe, hotpath
+from .extract import ExtractError, extract_nested
+from . import optimize, pipeline
+from . import gp as gpmod
+from . import gen as genmod
 
 
 class CliError(Exception):

@@ -165,17 +165,20 @@ class StoreAbstraction(ABC):
 
     def leq(self, a1: AbstractStore, a2: AbstractStore) -> bool:
         """a1 below a2 per slot and default."""
-        for x in a1.keys() | a2.keys():
-            if not self.value_leq(a1.get(x), a2.get(x)):
+        leq, d1, d2 = self.value_leq, a1.default, a2.default
+        m1, m2 = dict(a1.items), dict(a2.items)
+        for x in m1.keys() | m2.keys():
+            if not leq(m1.get(x, d1), m2.get(x, d2)):
                 return False
-        return self.value_leq(a1.default, a2.default)
+        return leq(d1, d2)
 
     def meet(self, a1: AbstractStore, a2: AbstractStore) -> AbstractStore:
         """a1 and a2 met per slot and default: gamma(a1 meet a2) is
         gamma(a1) & gamma(a2)."""
-        meet = self.value_meet
-        return _canon(self, {x: meet(a1.get(x), a2.get(x)) for x in a1.keys() | a2.keys()},
-                      meet(a1.default, a2.default))
+        meet, d1, d2 = self.value_meet, a1.default, a2.default
+        m1, m2 = dict(a1.items), dict(a2.items)
+        return _canon(self, {x: meet(m1.get(x, d1), m2.get(x, d2)) for x in m1.keys() | m2.keys()},
+                      meet(d1, d2))
 
     def post(self, action, a: AbstractStore) -> AbstractStore:
         """Abstract transfer of one action: every store of gamma(a) that the
@@ -192,7 +195,11 @@ class StoreAbstraction(ABC):
         if not self.value_universal(v) and self.value_leq(v, self.undef_slot):
             return self.bottom()
         if isinstance(action, lang.Assign):
-            return _canon(self, {**dict(a.items), action.var: v}, a.default)
+            bindings = dict(a.items)
+            if bindings.get(action.var, a.default) == v:
+                return a
+            bindings[action.var] = v
+            return _canon(self, bindings, a.default)
         return _canon(self, {x: self.value_join(s, v) if member_of(x)[0] == action.array else s
                              for x, s in a.items}, a.default)
 

@@ -202,12 +202,15 @@ def hot_n(r: Run, n: int, domain_tag: str, p: Program,
           rank: Optional[dict[Command, int]] = None) -> list[tuple[HotPath, int]]:
     """N-hot paths of one run with their counts, in first-occurrence order:
     abstracted loop segments whose image occurs n times or more, tallied by
-    ``count`` in one pass over the segments (linear in their total length)."""
+    ``count`` in one pass over the segments (linear in their total length).
+    A run with no loop segment is not abstracted."""
     if n < 1:
         raise HotPathError("threshold must be >= 1")
+    get_domain(domain_tag)  # an unknown tag is an error, with or without segments
     if rank is None:
         rank = topo_order(p)
-    counts = count(abstract_trace(r, domain_tag), sloop(r.commands, rank, p))
+    segments = sloop(r.commands, rank, p)
+    counts = count(abstract_trace(r, domain_tag) if segments else [], segments)
     return [(HotPath(pairs), c) for pairs, c in counts.items() if c >= n]
 
 

@@ -223,6 +223,8 @@ def _residual(st: StitchResult, cur: StitchResult) -> Program:
             state = dom.post(copy.action, state)
 
     def target(label: str) -> str:
+        if label not in route:
+            return label
         seen = set()
         while label in route and label not in seen:
             seen.add(label)

@@ -337,9 +337,12 @@ def member_of(key: str) -> tuple[Optional[str], Optional[int]]:
     ``(None, None)``.  So ``a_01`` and ``a_-0`` name no member, and ``a_-1``
     names ``a[-1]``."""
     array, _, digits = key.rpartition("_")
+    unsigned = digits[1:] if digits[:1] == "-" else digits
+    if not (array and unsigned.isascii() and unsigned.isdigit()):  # a plain name, most often
+        return None, None
     try:
         i = int(digits)
-    except ValueError:  # no int, or more digits than ``_member`` names
+    except ValueError:  # more digits than ``_member`` names
         return None, None
     return (array, i) if array and str(i) == digits else (None, None)
 

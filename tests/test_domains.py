@@ -535,8 +535,11 @@ def test_member_of_names_exactly_what_an_index_reads():
         key = f"arr_{i}"
         assert member_of(key) == ("arr", i)
         assert eval_expr(Index("arr", Lit(i)), Store({key: 5})) == 5
+    assert member_of("a_b_3") == ("a_b", 3)
     for key in ("arr_01", "arr_-0", "arr_+1", "arr_ 1", "arr_1_0x", "arr_\u0663", "arr_1\n",
-                "_1", "arr", "arr_", f"arr_{'9' * 5000}"):
+                "_1", "arr", "arr_", f"arr_{'9' * 5000}", f"arr_-{'9' * 5000}", "x", "i",
+                "a_b", "arr_-", "arr_--1", "arr_-01", "arr_1.0", "arr_\u00b9", "arr_-\u0663",
+                "arr_\uff11", "arr_1 "):
         assert member_of(key) == (None, None), key
     a = type_domain.make({"arr_1": INT, "arr_01": INT}, type_domain.top().default)
     stored = type_domain.post(ArrayAssign("arr", Var("i"), Lit("s")), a)

@@ -618,6 +618,33 @@ def test_one_topo_order_per_mining_call(dse_program, monkeypatch):
     assert found == list(want.items())
 
 
+def test_a_run_without_segments_is_not_abstracted(sieve_program, sieve_store, monkeypatch):
+    """The sieve's third mining round is a 3-state cut run with no loop
+    segment: it is counted, with nothing to count, and not abstracted.  An
+    unknown domain tag is still an error."""
+    from tracelab import pipeline
+    from tracelab.domains import DomainError
+    abstracted, counted = [], []
+    real_abstract, real_count = hotpath.abstract_trace, hotpath.count
+
+    def abstract_spy(r, tag):
+        abstracted.append(len(r))
+        return real_abstract(r, tag)
+
+    def count_spy(abs_tr, segments):
+        counted.append(len(segments))
+        return real_count(abs_tr, segments)
+
+    monkeypatch.setattr(hotpath, "abstract_trace", abstract_spy)
+    monkeypatch.setattr(hotpath, "count", count_spy)
+    pipeline.pipeline(sieve_program, [sieve_store], "type", 2, 20000, ["ts"], 3)
+    assert abstracted == [779, 347] and len(counted) == 3 and counted[2] == 0
+    short = run(sieve_program, sieve_store, 1)
+    assert sloop(short.commands, topo_order(sieve_program), sieve_program) == []
+    with pytest.raises(DomainError):
+        hot_n(short, 2, "octagon", sieve_program)
+
+
 def test_abstract_trace_abstracts_each_store_object_once(sieve_program, sieve_store,
                                                          monkeypatch):
     """At most one ``alpha`` call per store object.  Every store of the sieve's
