@@ -10,9 +10,10 @@ prologue.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from .gp import EMPTY, GAssign, GIf, GSkip, GWhile, GPCompiler, Stm
-from .lang import Add, Eq, Leq, Lit, Mod, Var
+from .lang import Add, Eq, Leq, Lit, Mod, Program, Var
 from .semantics import Store
 from .values import Value
 
@@ -63,14 +64,20 @@ def gen_statement(seed: int) -> Stm:
         stm = _loop(rng, 0)
         if rng.random() < 0.4:
             stm = (GAssign(rng.choice(_INT_VARS), Lit(rng.choice(_INT_POOL))),) + stm
-        size = len(GPCompiler().compile(stm).commands)
-        if 4 <= size <= 40:
+        if 4 <= len(_compiled(stm).commands) <= 40:
             return stm
     return stm
 
 
-def gen_program(seed: int):
-    return GPCompiler().compile(gen_statement(seed))
+@lru_cache(maxsize=1)
+def _compiled(stm: Stm) -> Program:
+    """The statement's program.  The draw ``gen_statement`` returns is the
+    last it compiled, so ``gen_program`` finds it here and compiles once."""
+    return GPCompiler().compile(stm)
+
+
+def gen_program(seed: int) -> Program:
+    return _compiled(gen_statement(seed))
 
 
 def gen_stores(seed: int, variables, count: int) -> list[Store]:

@@ -10,6 +10,10 @@ records itself, and an if records the bail of the branch not taken.  A bail
 aborts recording, and re-reaching the subject loop stitches ``while B do t``
 in place (with the identity optimization).  Statements are hash-consed like
 the core syntax (``lang.Node``), so a statement equals only itself.
+
+Recording and checking load the miner, extraction and the check
+(``hotpath``, ``extract``, ``observe``) on their first call, so that
+``gen``, which only compiles statements, runs none of them.
 """
 
 from __future__ import annotations
@@ -17,12 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from . import hotpath
-from .extract import extract_gp
 from .lang import (BExpr, Command, Expr, HALT, Node, Program, Skip as CoreSkip,
                    Assign as CoreAssign, Cond, negate_bexpr, rename_equal)
 from .semantics import Run, State, Store, eval_bexpr, eval_expr, fires
-from .observe import compare, sc
 from .values import Bool, UNDEF
 
 
@@ -316,6 +317,7 @@ def gp_record_hot_path(stm: Stm, rho0: Store, budget: int) -> RecordResult:
     """Drive the tracing relation on a while-headed program until the stitch
     rule fires; returns the recorded trace and its hot path in the compiled
     program, mined by the storeless loop selector."""
+    from . import hotpath
     if not stm or not isinstance(stm[0], GWhile):
         raise GPError("recording needs a while-headed program")
     comp = GPCompiler()
@@ -361,6 +363,8 @@ def gp_equivalence_check(stm: Stm, rho0: Store, budget: int) -> GPEquivResult:
     to renaming, entry onto entry: both start in the stitched loop), and that
     both programs have the same store-change behavior from rho0 at this
     budget."""
+    from .extract import extract_gp
+    from .observe import compare, sc
     rec = gp_record_hot_path(stm, rho0, budget)
     left = GPCompiler().compile(rec.stitched)
     right = extract_gp(rec.compiled_program, rec.hot_path)

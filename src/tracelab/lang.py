@@ -8,14 +8,19 @@ final commands; it is never the label of a command.
 Syntax is hash-consed (Ershov 1958; Filliatre and Conchon 2006): building an
 expression, test, action or command (a ``Node``) returns the one live node
 with equal fields, so equal nodes are one object, and ``==`` and ``hash`` are
-identity, done in C and never recursing.
+identity, done in C and never recursing.  ``Interning`` builds every node
+itself, with no dataclass: a node class lists its fields as annotations, a
+call gives them by position, ``__post_init__`` checks the new node, fields
+cannot be assigned or deleted (``dataclasses.FrozenInstanceError``), and
+``repr`` prints ``Add(left=Var(name='x'), right=Lit(value=1))`` as a
+dataclass would.
 """
 
 from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
@@ -28,30 +33,75 @@ class LangError(Exception):
     pass
 
 
+_NODES: dict[tuple, "_Ref"] = {}
+
+
+class _Ref(weakref.ref):
+    """A table entry's reference to its node, which knows its key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(ref: _Ref, nodes: dict = _NODES) -> None:
+    """The callback of every entry: a dead node leaves the table, unless its
+    key already holds a newer node.  The table is bound as a default, so a
+    node that dies while the interpreter shuts down still finds it."""
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
+
+
+_DEAD = weakref.ref(set())  # a reference whose object is gone: a miss
+
+
 class Interning(type):
-    """The metaclass of ``Node``: each class is a frozen dataclass with the
-    identity's ``==`` and ``hash``, and a call, which gives every field by
-    position, returns the live node keyed by the class and the fields, and by
-    a literal's value's class (``Lit(True)`` is not ``Lit(1)``).  The table
-    holds its nodes weakly; it is the only table keyed by node."""
+    """The metaclass of ``Node``.  A class's fields are its annotations and
+    those of its bases, bases first (``__match_args__``).  A call gives every
+    field by position and returns the live node keyed by the class and the
+    fields, and by a literal's value's class (``Lit(True)`` is not
+    ``Lit(1)``).  Only a new key builds a node: its fields are set in order,
+    ``__post_init__`` runs, and the table then holds the node weakly, by a
+    reference whose callback drops the entry.  ``==`` and ``hash`` are the
+    identity's.  It is the only table keyed by node."""
 
     def __init__(cls, *args):
         super().__init__(*args)
-        dataclass(frozen=True, eq=False)(cls)
+        fields = {}
+        for c in reversed(cls.__mro__):
+            fields.update(dict.fromkeys(c.__dict__.get("__annotations__", ())))
+        cls.__match_args__ = tuple(fields)
 
     def __call__(cls, *args):
-        key = (cls, type(args[0]), *args) if cls is Lit else (cls, *args)
-        node = _NODES.get(key)
+        key = (cls, type(args[0]), *args) if cls is Lit and args else (cls, *args)
+        node = _NODES.get(key, _DEAD)()
         if node is None:
-            node = _NODES[key] = super().__call__(*args)
+            fields = cls.__match_args__
+            if len(args) != len(fields):
+                raise TypeError(f"{cls.__name__}() takes {len(fields)} fields "
+                                f"({', '.join(fields)}) but {len(args)} were given")
+            node = object.__new__(cls)
+            for name, value in zip(fields, args):
+                object.__setattr__(node, name, value)
+            node.__post_init__()
+            ref = _NODES[key] = _Ref(node, _drop)
+            ref.key = key
         return node
 
 
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
 class Node(metaclass=Interning):
-    """A hash-consed node: a subclass lists its fields as a dataclass does."""
+    """A hash-consed node: a subclass lists its fields as annotations."""
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,34 @@ def test_gp_correctness_of_extraction(qw):
 # generated corpora
 # ---------------------------------------------------------------------------
 
+def test_gen_program_compiles_its_draw_once(monkeypatch):
+    """``gen_program`` is the compiled ``gen_statement``, and it compiles
+    each draw once: the accepted draw is not compiled a second time."""
+    from tracelab import gen
+    for seed in range(300):
+        assert gen.gen_program(seed).commands == GPCompiler().compile(gen.gen_statement(seed)).commands
+    compiles, draws = [], []
+    compile_, loop = GPCompiler.compile, gen._loop
+
+    def spy_compile(self, s):
+        compiles.append(s)
+        return compile_(self, s)
+
+    def spy_loop(rng, depth):
+        if depth == 0:
+            draws.append(1)
+        return loop(rng, depth)
+
+    monkeypatch.setattr(GPCompiler, "compile", spy_compile)
+    monkeypatch.setattr(gen, "_loop", spy_loop)
+    for seed in range(300):
+        compiles.clear()
+        draws.clear()
+        gen._compiled.cache_clear()
+        gen.gen_program(seed)
+        assert len(compiles) == len(draws) >= 1, seed
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_generated_gp_runs_commute(seed):
     from tracelab.gen import gen_statement, gen_stores

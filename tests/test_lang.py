@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -369,22 +370,70 @@ def test_equal_nodes_are_one_node():
 def test_a_node_that_nothing_holds_leaves_the_table():
     e = lang.Add(lang.Var("only_in_this_test"), lang.Lit(7))
     refs = [weakref.ref(e), weakref.ref(e.left)]
-    assert lang._NODES[(lang.Add, e.left, e.right)] is e
+    assert lang._NODES[(lang.Add, e.left, e.right)]() is e
     del e
     gc.collect()
     assert [r() for r in refs] == [None, None]
     assert (lang.Var, "only_in_this_test") not in lang._NODES
 
 
-def test_no_node_class_defines_equality_or_a_hash():
-    """Node equality is identity only: no node class, abstract stores and
-    while-language statements included, compares or hashes its fields."""
+def test_a_nested_node_prints_its_fields_as_a_dataclass_would():
+    c = Command("L0", lang.Cond(lang.Not(lang.And(lang.Tt(), lang.Leq(
+        lang.Index("a", lang.Lit(True)), lang.Add(lang.Var("x"), lang.Lit("s")))))), HALT)
+    assert repr(c) == (
+        "Command(label='L0', action=Cond(test=Not(arg=And(left=Tt(), right=Leq("
+        "left=Index(array='a', index=Lit(value=True)), right=Add(left=Var(name='x'), "
+        "right=Lit(value='s')))))), succ='.')")
+    assert repr(lang.Put(frozenset({"x"}))) == "Put(vars=frozenset({'x'}))"
+
+
+def test_a_node_is_frozen():
+    e = lang.Add(lang.Var("x"), lang.Lit(1))
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'left'"):
+        e.left = lang.Var("y")
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'other'"):
+        e.other = 1
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'left'"):
+        del e.left
+    assert e.left is lang.Var("x") and e is lang.Add(lang.Var("x"), lang.Lit(1))
+
+
+def test_a_call_with_too_few_or_too_many_fields_builds_nothing():
+    x, one = lang.Var("x"), lang.Lit(1)
+    before = set(lang._NODES)
+    for cls, args in ((lang.Add, (x,)), (lang.Add, (x, one, one)), (lang.Lit, ()),
+                      (lang.Tt, (x,)), (Command, ("L0", lang.Skip()))):
+        with pytest.raises(TypeError, match=f"{cls.__name__}\\(\\) takes"):
+            cls(*args)
+    assert set(lang._NODES) == before
+
+
+def test_halt_cannot_label_a_command_and_leaves_no_entry():
+    with pytest.raises(lang.LangError, match="cannot label a command"):
+        Command(HALT, lang.Skip(), "L1")
+    assert (Command, HALT, lang.Skip(), "L1") not in lang._NODES
+
+
+def _node_classes():
     from tracelab import domains, gp  # noqa: F401  (their node classes)
     classes, todo = set(), [lang.Node]
     while todo:
         for sub in todo.pop().__subclasses__():
             classes.add(sub)
             todo.append(sub)
+    return classes
+
+
+def test_no_node_class_is_a_dataclass():
+    assert not any(dataclasses.is_dataclass(cls) for cls in _node_classes() | {lang.Node})
+    assert lang.Command.__match_args__ == ("label", "action", "succ")
+    assert lang.Tt.__match_args__ == ()
+
+
+def test_no_node_class_defines_equality_or_a_hash():
+    """Node equality is identity only: no node class, abstract stores and
+    while-language statements included, compares or hashes its fields."""
+    classes = _node_classes()
     assert {"Lit", "Command", "Guard", "AbstractStore", "GWhile"} <= {c.__name__ for c in classes}
     for cls in classes:
         assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls

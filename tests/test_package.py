@@ -26,6 +26,29 @@ def test_importing_the_text_module_runs_only_what_it_imports():
                                "tracelab.semantics", "tracelab.textio", "tracelab.values"]
 
 
+def test_importing_gen_runs_only_the_statement_modules():
+    """``gen`` compiles while-language statements: the miner, extraction and
+    the check stay unloaded."""
+    out = _fresh("import sys, json, tracelab.gen\n"
+                 "print(json.dumps(sorted(m for m in sys.modules if m.startswith('tracelab'))))")
+    assert json.loads(out) == ["tracelab", "tracelab.gen", "tracelab.gp", "tracelab.lang",
+                               "tracelab.semantics", "tracelab.values"]
+
+
+def test_a_first_equivalence_check_loads_what_it_needs():
+    out = _fresh("""
+import sys
+from tracelab.gp import GAssign, GWhile, gp_equivalence_check
+from tracelab.lang import Add, Leq, Lit, Var
+from tracelab.semantics import Store
+loop = GWhile(Leq(Var("x"), Lit(5)), (GAssign("x", Add(Var("x"), Lit(1))),))
+res = gp_equivalence_check((loop,), Store({"x": 0}), 200)
+print(res.passed, len(res.record.hot_path), res.renaming is not None)
+print(all(f"tracelab.{m}" in sys.modules for m in ("hotpath", "extract", "observe")))
+""")
+    assert out.split() == ["True", "3", "True", "True"]
+
+
 def test_importing_the_package_runs_no_module():
     out = _fresh("import sys, tracelab\nprint([m for m in sys.modules if m.startswith('tracelab')])")
     assert out.strip() == "['tracelab']"
