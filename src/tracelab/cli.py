@@ -16,8 +16,8 @@ nondeterministic program, an out check with no ``put`` to observe, or a
 while-language loop stuck before its hot path is recorded.  So is input a
 command would ignore: trace, gp-trace and gp-check take one initial store,
 only an out check (``check --observe out``, ``pipeline --pass dse``) reads
-``--vars``; a negative ``--sample`` or an empty ``--initials`` list is refused
-rather than run as the empty store.
+``--vars``, and only ``--sample`` reads ``--seed``; a negative ``--sample`` or
+an empty ``--initials`` list is refused rather than run as the empty store.
 
 Only the mining subcommands (hot, extract, optimize, pipeline) take
 ``--domain`` and ``--threshold``.
@@ -66,6 +66,8 @@ def _load_program(path: str) -> Program:
 def _initial_stores(args) -> list[Store]:
     if args.sample < 0:
         raise CliError(f"--sample takes a count of stores, got {args.sample}")
+    if args.seed is not None and not args.sample:
+        raise CliError("--seed is read only with --sample")
     stores: list[Store] = []
     if args.initials:
         text = args.initials
@@ -82,7 +84,7 @@ def _initial_stores(args) -> list[Store]:
         stores.extend(textio.store_from_json(obj) for obj in data)
     if args.sample:
         pool_vars = ("x", "y", "z", "w", "s", "i", "j")
-        stores.extend(genmod.gen_stores(args.seed, pool_vars, args.sample))
+        stores.extend(genmod.gen_stores(args.seed or 0, pool_vars, args.sample))
     if not stores:
         stores.append(Store())
     return stores
@@ -108,7 +110,7 @@ def _hp_json(hp: hotpath.HotPath, count_: int, threshold: int) -> dict:
 
 
 # what ``run`` prints for each reason a run ends
-_RUN_STATUS = {"halt": "complete", "stuck": "stuck", "budget": "truncated"}
+_RUN_STATUS = {"halt": "complete", "stuck": "stuck", "budget": "truncated", "length": "too-long"}
 
 
 def cmd_run(args) -> int:
@@ -257,7 +259,7 @@ def cmd_gp_check(args) -> int:
 
 def _add_common(sp):
     sp.add_argument("--budget", type=int, default=2000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, help="seed of the --sample stores (default 0)")
     sp.add_argument("--initials", help="JSON store(s), inline or a file path")
     sp.add_argument("--sample", type=int, default=0,
                     help="number of seeded random initial stores to add")

@@ -210,20 +210,19 @@ class StoreAbstraction(ABC):
         variable, including the unmentioned ones; gamma(bottom) is empty
         unless the bottom slot is universal (one-point: bottom is top).
 
-        With a universal default (every sliced guard, so every pipeline
-        guard) it costs one slot comparison per binding of a.  An element
-        keeps no binding equal to its default, so each binding is then below
-        top, and it holds a value exactly when it is the value's slot:
-        ``of`` never gives bottom unless bottom is top (one-point, whose
-        elements bind nothing).  Where a value's slot depends only on its
-        class (``class_slots``, set by the type domain), the slot is one
-        lookup of the class of the value read from the store, with no Python
-        call per binding.  Otherwise it costs O(|a| + |store|): one pass over
-        a's bindings, then one over the store's keys that a leaves to its
-        default.  The set of a's keys is built per call, not cached on
-        the element: guards keep their elements alive for as long as the
-        program, and a cached index per element costs more memory than the
-        rebuild costs time."""
+        There are two paths.  The class-slot path takes a universal default
+        (every sliced guard, so every pipeline guard) in a domain where a
+        value's slot depends only on its class (``class_slots``, set by the
+        type domain): an element keeps no binding equal to its default, so
+        each binding is below top and holds a value exactly when it is the
+        value's slot, one lookup of the class of the value read from the
+        store, with no Python call per binding.  The general loop decides
+        each binding by ``value_has`` and returns there for a universal
+        default; otherwise it makes one more pass, over the store's keys that
+        a leaves to its default: O(|a| + |store|).  The set of a's keys is
+        built per call, not cached on the element: guards keep their
+        elements alive for as long as the program, and a cached index per
+        element costs more memory than the rebuild costs time."""
         default = a.default
         if default == self.top_slot:
             slots = self.class_slots
@@ -232,17 +231,14 @@ class StoreAbstraction(ABC):
                     if slots[type(store.get(x, UNDEF))] != v:
                         return False
                 return True
-            of = self.of
-            for x, v in a.items:
-                if of(store.get(x, UNDEF)) != v:
-                    return False
-            return True
-        if default == self.bot_slot:
+        elif default == self.bot_slot:
             return False
         has = self.value_has
         for x, v in a.items:
             if not has(v, store.get(x, UNDEF)):
                 return False
+        if default == self.top_slot:
+            return True
         bound = {x for x, _ in a.items}
         for x in store.keys():
             if x not in bound and not has(default, store.get(x, UNDEF)):

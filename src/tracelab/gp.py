@@ -141,9 +141,7 @@ class GPRun(Run):
     """A baseline run: ``commands`` holds the statement left to run at each
     state, so its states are ``GPState``s."""
 
-    @property
-    def states(self) -> tuple[GPState, ...]:
-        return tuple(map(GPState, self.stores, self.commands))
+    state = GPState
 
 
 def gp_run(stm: Stm, rho0: Store, budget: int) -> GPRun:
@@ -344,7 +342,7 @@ def gp_record_hot_path(stm: Stm, rho0: Store, budget: int) -> RecordResult:
     t = states[-1].trace
     cmds = tuple(s.command for s in comp.compile_trace(states))
     hp = cmds[:-1]
-    mined = (cmds[i:j + 1] for i, j in hotpath.sloop(cmds, hotpath.topo_order(program), program))
+    mined = (cmds[i:j + 1] for i, j in hotpath.sloop(cmds, hotpath.topo_order(program)))
     if hp not in mined:
         raise GPError("recorded path was not mined back from the compiled trace")
     return RecordResult(t, stitched, hp, program)

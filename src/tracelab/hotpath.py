@@ -96,13 +96,12 @@ def topo_order(p: Program) -> dict[Command, int]:
 # Loop paths
 # ---------------------------------------------------------------------------
 
-def sloop(commands: Sequence[Command], rank: dict[Command, int],
-          p: Program) -> list[tuple[int, int]]:
+def sloop(commands: Sequence[Command], rank: dict[Command, int]) -> list[tuple[int, int]]:
     """All loop-path segments of a trace's commands, as (i, j) index pairs in
     increasing order: suc(C_j) = lbl(C_i), C_i ranked at or before C_j, and
     no interior re-occurrence of C_i or its complement.
 
-    In a well-formed program ``p`` the commands at a label are one command
+    In a well-formed program the commands at a label are one command
     and its complement, so that last condition says that no state in
     (i, j] visits C_i's label.  One forward pass keeps the latest visit of
     each label: the one segment that can end at j starts at the latest visit
@@ -209,7 +208,7 @@ def hot_n(r: Run, n: int, domain_tag: str, p: Program,
     get_domain(domain_tag)  # an unknown tag is an error, with or without segments
     if rank is None:
         rank = topo_order(p)
-    segments = sloop(r.commands, rank, p)
+    segments = sloop(r.commands, rank)
     counts = count(abstract_trace(r, domain_tag) if segments else [], segments)
     return [(HotPath(pairs), c) for pairs, c in counts.items() if c >= n]
 

@@ -14,6 +14,10 @@ call gives them by position, ``__post_init__`` checks the new node, fields
 cannot be assigned or deleted (``dataclasses.FrozenInstanceError``), and
 ``repr`` prints ``Add(left=Var(name='x'), right=Lit(value=1))`` as a
 dataclass would.
+
+``node_vars`` and ``subst_expr`` walk a node by its declared fields
+(``__match_args__``), not by its kind: one table names the fields that name
+variables, and only ``Var`` is substituted.
 """
 
 from __future__ import annotations
@@ -217,47 +221,6 @@ def negate_bexpr(b: BExpr) -> BExpr:
     return Not(b)
 
 
-def expr_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Lit):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset({e.name})
-    if isinstance(e, (Add, AddTyped, Mod)):
-        return expr_vars(e.left) | expr_vars(e.right)
-    if isinstance(e, Index):
-        return expr_vars(e.index) | frozenset({e.array})
-    raise LangError(f"not an expression: {e!r}")
-
-
-def bexpr_vars(b: BExpr) -> frozenset[str]:
-    if isinstance(b, (Tt, Ff)):
-        return frozenset()
-    if isinstance(b, (Leq, Eq)):
-        return expr_vars(b.left) | expr_vars(b.right)
-    if isinstance(b, Not):
-        return bexpr_vars(b.arg)
-    if isinstance(b, And):
-        return bexpr_vars(b.left) | bexpr_vars(b.right)
-    raise LangError(f"not a boolean expression: {b!r}")
-
-
-def subst_expr(e: Expr, binding: Mapping[str, Value]) -> Expr:
-    """Syntactic substitution of variables by literal values."""
-    if isinstance(e, Lit):
-        return e
-    if isinstance(e, Var):
-        return Lit(binding[e.name]) if e.name in binding else e
-    if isinstance(e, Add):
-        return Add(subst_expr(e.left, binding), subst_expr(e.right, binding))
-    if isinstance(e, AddTyped):
-        return AddTyped(subst_expr(e.left, binding), subst_expr(e.right, binding), e.tag)
-    if isinstance(e, Mod):
-        return Mod(subst_expr(e.left, binding), subst_expr(e.right, binding))
-    if isinstance(e, Index):
-        return Index(e.array, subst_expr(e.index, binding))
-    raise LangError(f"not an expression: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Actions and commands
 # ---------------------------------------------------------------------------
@@ -336,20 +299,32 @@ def is_negation(a: Action) -> bool:
         isinstance(a, Guard) and not a.positive
 
 
-def action_vars(a: Action) -> frozenset[str]:
-    """The program variables the action names; a guard's store keys are not
-    among them."""
-    if isinstance(a, (Skip, Guard)):
-        return frozenset()
-    if isinstance(a, Assign):
-        return frozenset({a.var}) | expr_vars(a.expr)
-    if isinstance(a, ArrayAssign):
-        return frozenset({a.array}) | expr_vars(a.index) | expr_vars(a.expr)
-    if isinstance(a, Cond):
-        return bexpr_vars(a.test)
-    if isinstance(a, Put):
-        return a.vars
-    raise LangError(f"not an action: {a!r}")
+# the fields that name a variable (``Put.vars`` names a set of them)
+_NAMING = {(Var, "name"), (Index, "array"), (Assign, "var"), (ArrayAssign, "array"), (Put, "vars")}
+
+
+def node_vars(node: Node) -> frozenset[str]:
+    """The program variables an expression, test or action names: its
+    naming fields and those of the nodes in its fields.  A guard names none,
+    since its store's keys are not variables."""
+    out: set[str] = set()
+    for field in node.__match_args__:
+        v = getattr(node, field)
+        if isinstance(v, Node):
+            out |= node_vars(v)
+        elif (type(node), field) in _NAMING:
+            out.update((v,) if type(v) is str else v)
+    return frozenset(out)
+
+
+def subst_expr(e: Expr, binding: Mapping[str, Value]) -> Expr:
+    """Syntactic substitution of variables by literal values: a bound
+    ``Var`` becomes its ``Lit``, and any other expression is rebuilt from its
+    fields."""
+    if type(e) is Var:
+        return Lit(binding[e.name]) if e.name in binding else e
+    fields = (getattr(e, f) for f in e.__match_args__)
+    return type(e)(*(subst_expr(v, binding) if isinstance(v, Node) else v for v in fields))
 
 
 class Command(Node):
@@ -424,10 +399,7 @@ class Program:
         return tuple(sorted(self.commands, key=command_key))
 
     def vars(self) -> frozenset[str]:
-        out: set[str] = set()
-        for c in self.commands:
-            out |= action_vars(c.action)
-        return frozenset(out)
+        return frozenset().union(*(node_vars(c.action) for c in self.commands))
 
     def replace(self, remove: Iterable[Command] = (), add: Iterable[Command] = ()) -> "Program":
         cmds = (self.commands - frozenset(remove)) | frozenset(add)

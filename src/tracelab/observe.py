@@ -68,7 +68,7 @@ def sc(r: Run) -> Observations:
 def st(r: Run) -> Observations:
     """Every store (test oracle: while-language runs against their compiled
     runs in ``test_gp``)."""
-    return r.stores
+    return tuple(r.stores_at(range(len(r))))
 
 
 def out(r: Run, xs: Iterable[str]) -> Observations:

@@ -43,8 +43,8 @@ from .domains import (AbstractStore, CPConst, INT, STRING, cp_domain, eval_type,
                       type_domain)
 from .extract import StitchResult, extract_nested
 from .hotpath import HotPath
-from .lang import (Add, AddTyped, Assign, Command, Guard, Lit, Program, action_vars,
-                   expr_vars, is_branching, subst_expr)
+from .lang import (Add, AddTyped, Assign, Command, Expr, Guard, Lit, Program, is_branching,
+                   node_vars, subst_expr)
 from .semantics import member_of
 from .values import UNDEF
 
@@ -59,26 +59,35 @@ class OptimizeError(Exception):
 # Type specialization
 # ---------------------------------------------------------------------------
 
+def _rewrite_assignments(st: StitchResult,
+                         rewrite: Callable[[Expr, AbstractStore], Expr]) -> frozenset[Command]:
+    """The stitch with the right-hand side of each assignment copy i
+    replaced by ``rewrite`` of it under guard store i, where that differs."""
+    out = set(st.stitched)
+    for i, cmd in st.body.items():
+        act = cmd.action
+        if isinstance(act, Assign):
+            new = rewrite(act.expr, st.hp.pairs[i][0])
+            if new is not act.expr:
+                out.discard(cmd)
+                out.add(Command(cmd.label, Assign(act.var, new), cmd.succ))
+    return frozenset(out)
+
+
+_ADD_TAGS = {INT: "Int", STRING: "Str"}
+
+
 def type_specialize(st: StitchResult) -> frozenset[Command]:
     """Replace generic additions in stitched assignments by the type-specific
     form whenever the governing typed guard decides the operand types."""
     if st.hp.domain is not type_domain:
         raise OptimizeError("type specialization needs type-domain guards")
-    out = set(st.stitched)
-    for i, cmd in st.body.items():
-        act = cmd.action
-        if not (isinstance(act, Assign) and isinstance(act.expr, Add)):
-            continue
-        t = eval_type(act.expr, st.hp.pairs[i][0])
-        if t == INT:
-            new_expr = AddTyped(act.expr.left, act.expr.right, "Int")
-        elif t == STRING:
-            new_expr = AddTyped(act.expr.left, act.expr.right, "Str")
-        else:
-            continue
-        out.discard(cmd)
-        out.add(Command(cmd.label, Assign(act.var, new_expr), cmd.succ))
-    return frozenset(out)
+
+    def specialize(e: Expr, a: AbstractStore) -> Expr:
+        tag = _ADD_TAGS.get(eval_type(e, a)) if isinstance(e, Add) else None
+        return e if tag is None else AddTyped(e.left, e.right, tag)
+
+    return _rewrite_assignments(st, specialize)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +100,7 @@ def free_vars(commands: Iterable[Command]) -> frozenset[str]:
     assigned: set[str] = set()
     for c in commands:
         a = c.action
-        occurring |= action_vars(a)
+        occurring |= node_vars(a)
         if isinstance(a, Assign):
             assigned.add(a.var)
     return frozenset(occurring - assigned)
@@ -103,22 +112,12 @@ def const_fold(st: StitchResult) -> frozenset[Command]:
     if st.hp.domain is not cp_domain:
         raise OptimizeError("constant folding needs cp-domain guards")
     fv = free_vars(st.stitched)
-    out = set(st.stitched)
-    for i, cmd in st.body.items():
-        act = cmd.action
-        if not isinstance(act, Assign):
-            continue
-        guard_store = st.hp.pairs[i][0]
-        binding = {}
-        for y in expr_vars(act.expr) & fv:
-            slot = guard_store.get(y)
-            if isinstance(slot, CPConst) and slot.value is not UNDEF:
-                binding[y] = slot.value
-        if not binding:
-            continue
-        out.discard(cmd)
-        out.add(Command(cmd.label, Assign(act.var, subst_expr(act.expr, binding)), cmd.succ))
-    return frozenset(out)
+
+    def fold(e: Expr, a: AbstractStore) -> Expr:
+        return subst_expr(e, {y: slot.value for y in node_vars(e) & fv
+                              if isinstance(slot := a.get(y), CPConst) and slot.value is not UNDEF})
+
+    return _rewrite_assignments(st, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,7 @@ def const_fold(st: StitchResult) -> frozenset[Command]:
 def _action_reads(cmd: Command) -> frozenset[str]:
     """The variables the action names, less an assignment's target."""
     a = cmd.action
-    return expr_vars(a.expr) if isinstance(a, Assign) else action_vars(a)
+    return node_vars(a.expr if isinstance(a, Assign) else a)
 
 
 def dead_store_eliminate(st: StitchResult) -> frozenset[Command]:

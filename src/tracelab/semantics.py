@@ -45,9 +45,15 @@ to commands only.
 A run steps one private dict in place and hands the dict itself to every
 action, with no ``Store`` view made, so a ``Run`` records its initial store,
 the command of each state and the write of each step, and copies no
-store.  Mining and the observations read the writes; ``Run.stores`` and
-``Run.states`` replay them on demand, and ``Run.stores_at`` replays them
-once up to the stores asked for.
+store.  Mining and the observations read the writes; ``Run.stores_at`` is
+the one replay of them, once up to the stores asked for (``Run.states`` asks
+for all), and positions that no write separates share one ``Store``.
+
+A string that ``+`` or ``+Str`` builds holds at most ``STR_MAX`` = 2^20
+characters, so no run exhausts memory by doubling a string.  Only the
+emitted string formula tests the bound; a longer result raises ``TooLong``
+(a ``SemanticsError``), and ``run`` ends at that state with the reason
+``length``, a truncated run.
 """
 
 from __future__ import annotations
@@ -66,6 +72,19 @@ from .values import Bool, FF, TT, UNDEF, UValue, Value, is_value, value_str
 
 class SemanticsError(Exception):
     pass
+
+
+# the most characters a string that ``+`` or ``+Str`` builds may hold
+STR_MAX = 2 ** 20
+
+
+class TooLong(SemanticsError):
+    """A ``+`` or ``+Str`` would build a string of more than ``STR_MAX``
+    characters: ``run`` ends there, and any other evaluation raises."""
+
+
+def _too_long():
+    raise TooLong(f"a string would hold more than {STR_MAX} characters")
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +163,6 @@ class State:
 Write = tuple[tuple[str, UValue], ...]
 
 
-def _update(m: dict, w: Write) -> None:
-    for x, v in w:
-        if v is UNDEF:
-            m.pop(x, None)
-        else:
-            m[x] = v
-
-
 def compose(writes: Iterable[Write]) -> Write:
     """The one write that has the effect of ``writes`` applied in order: the
     last binding of each variable (sorting compares variables only, since
@@ -164,51 +175,44 @@ class Run:
     """A bounded maximal trace: its initial store, the command of each state,
     and the write of each step (``writes[i]`` takes the store of state i to
     that of state i + 1).  ``reason`` says why it ended: ``halt`` (the last
-    command jumps to the halt label), ``stuck`` (no next state), or
-    ``budget`` (one more state was possible)."""
+    command jumps to the halt label), ``stuck`` (no next state), ``budget``
+    (one more state was possible) or ``length`` (the last state's step would
+    build a string longer than ``STR_MAX``)."""
 
     initial: Store
     commands: tuple[Command, ...]
     writes: tuple[Write, ...]
     reason: str
+    state = State  # the class of its states
 
     @property
     def truncated(self) -> bool:
-        return self.reason == "budget"
-
-    @property
-    def stores(self) -> tuple[Store, ...]:
-        """The store of each state, rebuilt from the writes at each call; a
-        step that writes nothing keeps its predecessor's store object."""
-        if not self.commands:
-            return ()
-        out = [self.initial]
-        m = dict(self.initial._m)
-        for w in self.writes:
-            if w:
-                _update(m, w)
-                out.append(Store._of(dict(m)))
-            else:
-                out.append(out[-1])
-        return tuple(out)
+        """Whether the run stopped short of its end: the checks judge it by
+        prefix."""
+        return self.reason in ("budget", "length")
 
     def stores_at(self, positions: Iterable[int]) -> list[Store]:
         """The stores of the states at ``positions``, in increasing order, by
-        one replay of the writes."""
-        out = []
-        m = dict(self.initial._m)
-        done = 0
+        one replay of the writes: positions that no write separates share
+        one ``Store``, the initial store up to the first write."""
+        out, store, done = [], self.initial, 0
+        m = dict(store._m)
         for i in positions:
-            for w in self.writes[done:i]:
-                _update(m, w)
-            done = i
-            out.append(Store._of(dict(m)))
+            writes, done = self.writes[done:i], i
+            if any(writes):
+                for x, v in chain.from_iterable(writes):
+                    if v is UNDEF:
+                        m.pop(x, None)
+                    else:
+                        m[x] = v
+                store = Store._of(dict(m))
+            out.append(store)
         return out
 
     @property
     def states(self) -> tuple[State, ...]:
         """The trace as states, built anew at each call."""
-        return tuple(map(State, self.stores, self.commands))
+        return tuple(map(self.state, self.stores_at(range(len(self))), self.commands))
 
     def __len__(self):
         return len(self.commands)
@@ -317,7 +321,11 @@ class _Emitter:
 # globals dict, and a node's names and literals reach its function as
 # closure cells.
 _FACTORIES: dict[str, Callable] = {}
-_GLOBALS = {"undef": UNDEF, "Bool": Bool, "SemanticsError": SemanticsError}
+_GLOBALS = {"undef": UNDEF, "Bool": Bool, "SemanticsError": SemanticsError,
+            "too_long": _too_long}
+# the formula of a string ``+``: its result, held in a local ``s`` that no
+# other emitted code names, unless it is longer than STR_MAX
+_CONCAT = f"(s if len(s := {{0}} + {{1}}) <= {STR_MAX} else too_long())"
 
 
 # an int index of more digits than Python prints (0: no limit) names no member
@@ -348,18 +356,17 @@ def member_of(key: str) -> tuple[Optional[str], Optional[int]]:
 
 
 def _add_typed(e, em):
-    want = {"Int": int, "Str": str}.get(e.tag)
-    if want is None:
+    formula = {"Int": {int: "{0} + {1}"}, "Str": {str: _CONCAT}}.get(e.tag)
+    if formula is None:
         raise SemanticsError(f"unknown addition tag {e.tag}")
-    return em.classed([e.left, e.right], {want: "{0} + {1}"}, "undef")
+    return em.classed([e.left, e.right], formula, "undef")
 
 
 # expressions: a value or undef
 _emit_expr = _dispatch("an expression", {
     Lit: lambda e, em: em.param(e.value),
     Var: lambda e, em: f"m.get({em.param(e.name)}, undef)",
-    Add: lambda e, em: em.classed([e.left, e.right], {int: "{0} + {1}", str: "{0} + {1}"},
-                                  "undef"),
+    Add: lambda e, em: em.classed([e.left, e.right], {int: "{0} + {1}", str: _CONCAT}, "undef"),
     AddTyped: _add_typed,
     Mod: lambda e, em: em.classed([e.left, e.right], {int: "({0} % {1} if {1} else undef)"},
                                   "undef"),
@@ -567,22 +574,26 @@ def run(p: Program, rho0: Store, budget: int) -> Run:
     writes: list[Write] = []
     add_command, add_write = commands.append, writes.append
     entry = entries[at]
-    for _ in range(budget):
-        fn, c, at, other, other_at, stuck = entry
-        w = fn(m)
-        if other is not None:
-            if w:
-                w = ()
-            elif w is None:
-                c = stuck
-            else:
-                c, at, w = other, other_at, ()
-        add_command(c)
-        if w is None or at is None:
-            reason = "halt" if w is not None and c.succ == HALT else "stuck"
-            return Run(rho0, tuple(commands), tuple(writes), reason)
-        add_write(w)
-        entry = entries[at]
+    try:
+        for _ in range(budget):
+            fn, c, at, other, other_at, stuck = entry
+            w = fn(m)
+            if other is not None:
+                if w:
+                    w = ()
+                elif w is None:
+                    c = stuck
+                else:
+                    c, at, w = other, other_at, ()
+            add_command(c)
+            if w is None or at is None:
+                reason = "halt" if w is not None and c.succ == HALT else "stuck"
+                return Run(rho0, tuple(commands), tuple(writes), reason)
+            add_write(w)
+            entry = entries[at]
+    except TooLong:  # the state whose step would build the string is the last
+        add_command(c if other is None else stuck)
+        return Run(rho0, tuple(commands), tuple(writes), "length")
     if entry[1] is None:
         entry[0](m)  # a nondeterministic label: raises
     # one more state would have been possible; the step to it is not recorded

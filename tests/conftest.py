@@ -77,6 +77,11 @@ L2: !(y <= 0) -> L0
 L3: skip -> .
 """
 
+# A string that doubles at every step, by each string addition: from
+# {"z": "a"} the run ends where z would pass ``semantics.STR_MAX``.
+DOUBLING_SRC = {"+": "#entry L0\nL0: z := z + z -> L0\n",
+                "+Str": "#entry L0\nL0: z := z +Str z -> L0\n"}
+
 
 @pytest.fixture(scope="session")
 def loop_program():

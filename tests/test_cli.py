@@ -10,7 +10,7 @@ import pytest
 
 from tracelab import cli, textio
 from tracelab.values import int_of
-from tests.conftest import CF_SRC, DSE_SRC, LOOP_SRC, SIEVE_SRC
+from tests.conftest import CF_SRC, DOUBLING_SRC, DSE_SRC, LOOP_SRC, SIEVE_SRC
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 
@@ -130,7 +130,7 @@ def test_shrink_uses_the_check_that_judged(tmp_path, monkeypatch):
                                   "GPError", "ill-formed",
                                   "bad --domain", "--hotpath -9", "--hotpath -1",
                                   "--initials [1]", "--initials [[1]]", "--initials []",
-                                  "--sample -1", "--rounds 0"])
+                                  "--sample -1", "--rounds 0", "--seed without --sample"])
 def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
     from tracelab.extract import ExtractError
     loop = tmp_path / "loop.tl"
@@ -166,6 +166,7 @@ def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
         "--initials []": ["run", loop, "--initials", "[]"],
         "--sample -1": ["run", loop, "--sample", "-1"],
         "--rounds 0": ["pipeline", loop, "--rounds", "0"],
+        "--seed without --sample": ["run", loop, "--seed", "7"],
     }[case]
     rc, out, err = call(argv)
     assert rc == 2 and out == ""
@@ -609,3 +610,44 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     assert outs[0] == outs[1]
     assert outs[0] == "".join(call(argv)[1] for argv in calls)
     assert len(json.loads(outs[0][:outs[0].index("\n}\n") + 2])["hotpaths"]) == 3
+
+
+@pytest.mark.parametrize("cmd", ["run", "hot", "pipeline", "gp-check"])
+def test_seed_is_read_only_with_sample(tmp_path, cmd):
+    """``--seed`` without ``--sample`` is refused, ``--sample 0`` included;
+    ``--sample`` without ``--seed`` draws the stores of seed 0."""
+    path = tmp_path / "prog"
+    path.write_text(GP_LOOP if cmd == "gp-check" else LOOP_SRC)
+    for extra in (["--seed", "3"], ["--seed", "0", "--sample", "0"]):
+        assert call([cmd, path, *extra]) == (2, "", "error: --seed is read only with --sample\n")
+    if cmd != "gp-check":
+        sampled = [cmd, path, "--sample", "3"]
+        assert call(sampled) == call([*sampled, "--seed", "0"])
+
+
+@pytest.mark.parametrize("op", sorted(DOUBLING_SRC))
+def test_a_doubling_string_ends_the_run_without_a_traceback(tmp_path, op):
+    """A string that doubles at every step would exhaust memory: the run ends
+    where a string would pass ``semantics.STR_MAX`` characters, as a
+    truncated run, and the pipeline judges it by prefix."""
+    path = tmp_path / "dbl.tl"
+    path.write_text(DOUBLING_SRC[op])
+    initials = ["--initials", '[{"z": "a"}, {"z": ""}]']
+    rc, out, err = call(["run", path, *initials])
+    assert (rc, err) == (0, "")
+    too_long, empty = out.splitlines()
+    assert too_long.startswith('too-long after 21 states; final <[z/"aaaa')
+    assert empty.startswith("truncated after 2000 states")
+    rc, out, err = call(["pipeline", path, "--domain", "type", "--pass", "ts", *initials])
+    assert rc in (0, 1) and "Traceback" not in err
+    report = json.loads(out)
+    assert report["status"] == "stitched" and "z +Str z" in report["programs"]["after"]
+
+
+def test_a_doubling_while_language_loop_is_an_error(tmp_path):
+    """The while-language baseline evaluates outside ``run``, so the bound
+    is an error there: one line, exit 2."""
+    path = tmp_path / "dbl.w"
+    path.write_text("while (tt) do { z := z + z; }\n")
+    assert call(["gp-check", path, "--initials", '{"z": "a"}']) == \
+        (2, "", "error: a string would hold more than 1048576 characters\n")

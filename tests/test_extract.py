@@ -190,7 +190,7 @@ def _loop_paths(commands, p):
     """The command sequences of the loop paths of a trace, storeless and in
     first-occurrence order: the paths the while-language front end stitches."""
     from tracelab.hotpath import sloop, topo_order
-    segments = sloop(commands, topo_order(p), p)
+    segments = sloop(commands, topo_order(p))
     return list(dict.fromkeys(commands[i:j + 1] for i, j in segments))
 
 

@@ -7,8 +7,9 @@ from the expression grammar: deep and wide expressions, huge and negative
 literals, strings and Booleans where ints are expected, array reads and
 writes at any index, guards of every domain over drawn store literals, long
 arrays and unusual legal names.  Some are then
-made malformed by cutting, repeating or splicing their text.  The draws are
-derandomized, so every run tries the same cases."""
+made malformed by cutting, repeating or splicing their text.  Others are a
+loop that doubles a string at every step.  The draws are derandomized, so
+every run tries the same cases."""
 
 import contextlib
 import io
@@ -111,6 +112,15 @@ def programs(draw):
 
 
 @st.composite
+def doubling_loops(draw):
+    """A loop that concatenates a variable with itself from a drawn start, so
+    a string doubles until the run meets the semantics' string bound."""
+    x, op = draw(names), draw(st.sampled_from(["+", "+Str"]))
+    start = draw(st.sampled_from(['"a"', '"\\u00e9;x"']) | literals)
+    return f"#entry L0\nL0: {x} := {start} -> L1\nL1: {x} := ({x} {op} {x}) -> L1\n"
+
+
+@st.composite
 def malformed(draw, texts):
     """A drawn program cut, with a line repeated or a token spliced in."""
     text = draw(texts)
@@ -141,7 +151,8 @@ _serial = itertools.count()  # each program goes to a new file
 
 @st.composite
 def calls(draw, workdir):
-    text = draw(st.sampled_from([programs()] * 3 + [malformed(programs())]).flatmap(lambda s: s))
+    text = draw(st.sampled_from([programs()] * 3 + [doubling_loops(), malformed(programs())])
+                .flatmap(lambda s: s))
     path = workdir / f"p{next(_serial)}.tl"
     path.write_text(text)
     cmd = draw(st.sampled_from(["run", "hot", "pipeline", "check"]))

@@ -8,7 +8,7 @@ from tracelab.domains import get_domain, onepoint_domain
 from tracelab.extract import extract
 from tracelab.hotpath import (HotPath, HotPathError, count, hot_n, hotcut, sloop,
                               topo_order)
-from tracelab.lang import Assign, Command, Lit, Skip, find_cmpl, is_negation
+from tracelab.lang import Assign, Command, Lit, Program, Skip, find_cmpl, is_negation
 from tracelab.semantics import Run, State, Store, compose, run
 from tracelab.textio import parse_program
 from tracelab.values import FF, TT, UNDEF
@@ -121,12 +121,12 @@ def test_topo_covers_unreachable():
 
 def test_sloop_single_state_empty(loop_program, loop_run):
     rank = topo_order(loop_program)
-    assert sloop(loop_run.commands[:1], rank, loop_program) == []
+    assert sloop(loop_run.commands[:1], rank) == []
 
 
 def test_sloop_contains_first_loop_segment(loop_program, loop_run):
     rank = topo_order(loop_program)
-    segs = sloop(loop_run.commands, rank, loop_program)
+    segs = sloop(loop_run.commands, rank)
     mats = [tuple(s.command.label for s in loop_run.states[i:j + 1]) for i, j in segs]
     assert ("L1", "L2", "L3") in mats
     # the segment carries the stores of its occurrence
@@ -153,7 +153,7 @@ L7: skip -> .
     p = parse_program(src)
     r = run(p, Store(), 500)
     rank = topo_order(p)
-    segs = set(sloop(r.commands, rank, p))
+    segs = set(sloop(r.commands, rank))
 
     states = r.states
     brute = set()
@@ -176,7 +176,7 @@ L7: skip -> .
 
 def _counts(p, r, domain_tag):
     return count(hotpath.abstract_trace(r, domain_tag),
-                 sloop(r.commands, topo_order(p), p))
+                 sloop(r.commands, topo_order(p)))
 
 
 def test_count_golden(loop_program, loop_run):
@@ -201,14 +201,16 @@ def test_count_overlapping():
     """Four states of a self-loop: three segments and the trailing window."""
     p = parse_program("#entry L\nL: skip -> L\n")
     r = run_of([State(Store(), command_at(p, "L"))] * 4)
-    assert sloop(r.commands, topo_order(p), p) == [(0, 0), (1, 1), (2, 2)]
+    assert sloop(r.commands, topo_order(p)) == [(0, 0), (1, 1), (2, 2)]
     a = onepoint_domain.top()
     assert _counts(p, r, "onepoint") == {((a, command_at(p, "L")),): 4}
 
 
-def _sloop_by_definition(commands, rank, p):
+def _sloop_by_definition(commands, rank):
     """Loop segments straight from their definition: for each start, scan
-    until the start's command or its complement re-occurs."""
+    until the start's command or its complement re-occurs (every command of
+    the program is ranked)."""
+    p = Program(frozenset(rank), "")
     out = []
     for i in range(len(commands) - 1):
         ci = commands[i]
@@ -229,7 +231,7 @@ def _hot_n_by_scan(states, n, domain_tag, p):
     alpha = get_domain(domain_tag).alpha
     abs_tr = [(alpha([s.store]), s.command) for s in states]
     out, seen = [], set()
-    for i, j in _sloop_by_definition([s.command for s in states], topo_order(p), p):
+    for i, j in _sloop_by_definition([s.command for s in states], topo_order(p)):
         image = tuple(abs_tr[i:j + 1])
         if image in seen:
             continue
@@ -260,8 +262,7 @@ def _scan_cases(seed):
 def test_hot_n_agrees_with_the_scan(seed):
     for p, r, _ in _scan_cases(seed):
         states = r.states
-        assert sloop(r.commands, topo_order(p), p) == \
-            _sloop_by_definition(r.commands, topo_order(p), p)
+        assert sloop(r.commands, topo_order(p)) == _sloop_by_definition(r.commands, topo_order(p))
         for tag in ("onepoint", "type", "cp"):
             alpha = get_domain(tag).alpha
             assert hotpath.abstract_trace(r, tag) == \
@@ -274,9 +275,9 @@ def _spy_sloop(monkeypatch):
     """Records the arguments of every ``sloop`` call that mining makes."""
     calls, real = [], hotpath.sloop
 
-    def spy(commands, rank, p):
-        calls.append((commands, rank, p))
-        return real(commands, rank, p)
+    def spy(commands, rank):
+        calls.append((commands, rank))
+        return real(commands, rank)
 
     monkeypatch.setattr(hotpath, "sloop", spy)
     return calls
@@ -291,9 +292,9 @@ def test_sloop_is_the_definition_on_the_sieve_rounds(sieve_program, sieve_store,
     calls = _spy_sloop(monkeypatch)
     rep = pipeline.pipeline(sieve_program, [sieve_store], "type", 2, 20000, ["ts"], 3)
     assert len(rep.hotpaths) == 2
-    assert [len(commands) for commands, _, _ in calls] == [779, 347, 3]
-    for commands, rank, p in calls:
-        assert sloop(commands, rank, p) == _sloop_by_definition(commands, rank, p)
+    assert [len(commands) for commands, _ in calls] == [779, 347, 3]
+    for commands, rank in calls:
+        assert sloop(commands, rank) == _sloop_by_definition(commands, rank)
 
 
 @pytest.mark.parametrize("domain, rounds", [("onepoint", 3), ("type", 2)])
@@ -309,9 +310,9 @@ def test_sloop_is_the_definition_on_finals_without_a_pass(domain, rounds, monkey
         final = pipeline.pipeline(p, stores, domain, 2, 2000, [], rounds).program
         monkeypatch.undo()
         ranked = topo_order(final)
-        calls += [(hotcut(r, p).commands, ranked, final) for r in observe.runs(final, stores, 2000)]
-        for commands, rank, q in calls:
-            assert sloop(commands, rank, q) == _sloop_by_definition(commands, rank, q), seed
+        calls += [(hotcut(r, p).commands, ranked) for r in observe.runs(final, stores, 2000)]
+        for commands, rank in calls:
+            assert sloop(commands, rank) == _sloop_by_definition(commands, rank), seed
 
 
 def test_sloop_is_the_definition_on_a_while_language_trace(monkeypatch):
@@ -323,9 +324,9 @@ def test_sloop_is_the_definition_on_a_while_language_trace(monkeypatch):
     stm = parse_gp_program("while (i <= 30) do { if ((i % 2) = 0) then { x := x + 3; } "
                            "while (j <= 2) do { j := j + 1; } i := i + 1; }")
     gp.gp_record_hot_path(stm, Store({"i": 0, "j": 0, "x": 0}), 500)
-    ((commands, rank, p),) = calls
-    segments = sloop(commands, rank, p)
-    assert len(segments) > 1 and segments == _sloop_by_definition(commands, rank, p)
+    ((commands, rank),) = calls
+    segments = sloop(commands, rank)
+    assert len(segments) > 1 and segments == _sloop_by_definition(commands, rank)
 
 
 def test_only_unlinked_stores_are_abstracted_whole(monkeypatch):
@@ -405,7 +406,7 @@ def test_abstract_trace_is_pointwise_alpha_after_one_write(case, tag):
     after = {k: v for k, v in {**rho, **dict(w)}.items() if v is not UNDEF}
     cmds = (Command("L0", Assign("x", Lit(0)), "L1"), Command("L1", Skip(), "L0"))
     r = Run(Store(rho), cmds, (w,), "budget")
-    assert r.stores == (Store(rho), Store(after))
+    assert r.stores_at(range(2)) == [Store(rho), Store(after)]
     dom = get_domain(tag)
     with mock.patch.object(dom, "alpha", wraps=dom.alpha) as alpha:
         abs_tr = hotpath.abstract_trace(r, tag)
@@ -478,7 +479,7 @@ def test_hotcut_drops_middle_of_foreign_runs(loop_program):
     states = [State(Store({"n": i}), foreign) for i in range(4)]
     states.append(State(Store({"n": 9}), keep))
     cut = hotcut(run_of(states), loop_program)
-    assert [rho.get("n") for rho in cut.stores] == [0, 3, 9]
+    assert [rho.get("n") for rho in cut.stores_at(range(len(cut)))] == [0, 3, 9]
 
 
 def test_hotcut_golden_after_extraction(loop_program, loop_run):
@@ -640,7 +641,7 @@ def test_a_run_without_segments_is_not_abstracted(sieve_program, sieve_store, mo
     pipeline.pipeline(sieve_program, [sieve_store], "type", 2, 20000, ["ts"], 3)
     assert abstracted == [779, 347] and len(counted) == 3 and counted[2] == 0
     short = run(sieve_program, sieve_store, 1)
-    assert sloop(short.commands, topo_order(sieve_program), sieve_program) == []
+    assert sloop(short.commands, topo_order(sieve_program)) == []
     with pytest.raises(DomainError):
         hot_n(short, 2, "octagon", sieve_program)
 

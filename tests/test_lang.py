@@ -438,3 +438,51 @@ def test_no_node_class_defines_equality_or_a_hash():
     for cls in classes:
         assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
         assert "_hash" not in vars(cls), cls
+
+
+def _type_guard():
+    from tracelab.domains import type_domain
+    return lang.Guard(type_domain.make({"g": "Int"}, type_domain.top().default), True)
+
+
+def test_node_vars_on_every_kind():
+    """A node's variables are its naming fields and those below it; a
+    guard's store keys are not variables."""
+    L, V = lang.Lit, lang.Var
+    x, y = V("x"), V("y")
+    cases = [
+        (L(3), set()), (L("x"), set()), (x, {"x"}),
+        (lang.Add(x, L(1)), {"x"}), (lang.AddTyped(x, y, "Int"), {"x", "y"}),
+        (lang.Mod(L(7), y), {"y"}), (lang.Index("a", x), {"a", "x"}),
+        (lang.Tt(), set()), (lang.Ff(), set()),
+        (lang.Leq(x, lang.Index("b", L(0))), {"x", "b"}), (lang.Eq(y, L("s")), {"y"}),
+        (lang.Not(lang.Leq(x, L(0))), {"x"}), (lang.And(lang.Eq(x, L(1)), lang.Tt()), {"x"}),
+        (lang.Skip(), set()), (lang.Assign("z", lang.Add(x, y)), {"x", "y", "z"}),
+        (lang.ArrayAssign("a", y, lang.Mod(x, L(2))), {"a", "x", "y"}),
+        (lang.Cond(lang.Not(lang.Eq(x, y))), {"x", "y"}),
+        (_type_guard(), set()), (lang.Put(frozenset({"p", "q"})), {"p", "q"}),
+    ]
+    kinds = {type(node) for node, _ in cases}
+    assert kinds == {lang.Lit, lang.Var, lang.Add, lang.AddTyped, lang.Mod, lang.Index, lang.Tt,
+                     lang.Ff, lang.Leq, lang.Eq, lang.Not, lang.And, lang.Skip, lang.Assign,
+                     lang.ArrayAssign, lang.Cond, lang.Guard, lang.Put}
+    for node, names in cases:
+        assert lang.node_vars(node) == frozenset(names), node
+
+
+def test_subst_expr_on_every_expression_kind():
+    """A bound ``Var`` becomes its literal, an unbound one stays, and every
+    other expression is rebuilt around its substituted operands."""
+    L, V = lang.Lit, lang.Var
+    b = {"x": 2, "s": "t", "f": TT}
+    cases = [
+        (L(5), L(5)), (V("x"), L(2)), (V("y"), V("y")), (V("f"), L(TT)),
+        (lang.Add(V("x"), V("y")), lang.Add(L(2), V("y"))),
+        (lang.AddTyped(V("s"), L("u"), "Str"), lang.AddTyped(L("t"), L("u"), "Str")),
+        (lang.Mod(V("y"), V("x")), lang.Mod(V("y"), L(2))),
+        # an array's name is not a variable read; its index is
+        (lang.Index("x", lang.Add(V("x"), L(1))), lang.Index("x", lang.Add(L(2), L(1)))),
+    ]
+    for e, expected in cases:
+        assert lang.subst_expr(e, b) is expected, e
+        assert lang.subst_expr(e, {}) is e

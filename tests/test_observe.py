@@ -162,7 +162,7 @@ def test_observations_of_a_run_agree_with_a_scan_of_its_states(budget):
         put = Put(p.vars())
         for rho in gen_stores(seed, p.vars(), 2):
             r = run(p, rho, budget)
-            assert r.states == tuple(map(State, r.stores, r.commands))
+            assert r.states == tuple(map(State, r.stores_at(range(len(r))), r.commands))
             assert len(r) == len(r.states) <= budget and trace_linked(p, r.states)
             assert sc(r) == _sc_by_scan(r.states)
             outputs = _out_by_scan(r.states, put.vars)

@@ -5,11 +5,11 @@ from hypothesis import example, given, strategies as st
 
 from tracelab import lang
 from tracelab.lang import Add, AddTyped, Assign, Cond, Index, Leq, Lit, Mod, Var
-from tracelab.semantics import (SemanticsError, State, Store, apply_action,
+from tracelab.semantics import (STR_MAX, SemanticsError, State, Store, TooLong, apply_action,
                                 collecting_eval, eval_bexpr, eval_expr, run,
                                 step, trace_linked)
 from tracelab.values import Bool, FF, TT, UNDEF, value_str
-from tests.conftest import command_at, oracle_cases
+from tests.conftest import DOUBLING_SRC, command_at, oracle_cases
 
 
 def test_eval_add_undef_operand():
@@ -342,7 +342,8 @@ def test_run_is_the_step_relation_iterated():
         assert r.states == states
         assert (r.reason, r.truncated) == (reason, reason == "budget")
         stores = tuple(s.store for s in states)
-        assert r.stores == stores and r.initial is rho and len(r) == len(states)
+        assert r.stores_at(range(len(r))) == list(stores)
+        assert r.initial is rho and len(r) == len(states)
         assert len(r.writes) == len(r) - 1
         for a, w, b in zip(stores, r.writes, stores[1:]):
             assert len(w) <= 1 and Store({**dict(a.items()), **dict(w)}) == b
@@ -368,6 +369,72 @@ def test_a_run_says_why_it_ended(loop_program):
     assert [run(p, Store({"x": x}), 5).reason for x in (1, 2)] == ["halt", "stuck"]
     # a run that halts at the budget's last state halted
     assert run(p, Store({"x": 1}), 2).reason == "halt"
+
+
+def test_stores_at_shares_one_store_between_writes(sieve_program, sieve_store):
+    """Over every position of the sieve run, ``stores_at`` gives one
+    ``Store`` object to the positions that no write separates and a new one
+    after each write, and each equals the initial store with the writes
+    before it applied one by one."""
+    r = run(sieve_program, sieve_store, 20000)
+    stores = r.stores_at(range(len(r)))
+    assert stores[0] is r.initial and len(stores) == len(r)
+    replayed = r.initial
+    for i, w in enumerate(r.writes):
+        assert (stores[i + 1] is stores[i]) == (w == ())
+        for x, v in w:
+            replayed = replayed.set(x, v)
+        assert stores[i + 1] == replayed
+    assert sum(w == () for w in r.writes) > 100
+    # a subset of the positions gets the same stores, one object per stretch
+    some = r.stores_at([0, 0, 5, 6, len(r) - 1])
+    assert some == [stores[i] for i in (0, 0, 5, 6, len(r) - 1)] and some[0] is some[1]
+
+
+@pytest.mark.parametrize("op", sorted(DOUBLING_SRC))
+def test_a_doubling_string_ends_the_run_at_the_bound(op):
+    """The state whose step would build a string of more than ``STR_MAX``
+    characters is the run's last, with the reason ``length``: a truncated
+    run, whose stores are all within the bound."""
+    from tracelab.textio import parse_program
+    p = parse_program(DOUBLING_SRC[op])
+    r = run(p, Store({"z": "a"}), 2000)
+    assert (len(r), r.reason, r.truncated) == (21, "length", True)
+    assert r.commands[-1] == command_at(p, "L0")
+    assert len(r.stores_at([len(r) - 1])[0].get("z")) == STR_MAX
+    # a budget that ends the run first still ends it; the last state's step
+    # is taken, to tell whether one more state was possible
+    assert [run(p, Store({"z": "a"}), n).reason for n in (20, 21)] == ["budget", "length"]
+
+
+def test_a_concatenation_past_the_bound_raises_outside_a_run():
+    rho = Store({"z": "a" * (STR_MAX // 2), "y": "a" * (STR_MAX // 2 + 1)})
+    assert len(eval_expr(Add(Var("z"), Var("z")), rho)) == STR_MAX
+    for e in (Add(Var("z"), Var("y")), AddTyped(Var("y"), Var("y"), "Str"),
+              Add(Add(Var("z"), Var("z")), Lit("b"))):
+        with pytest.raises(TooLong):
+            eval_expr(e, rho)
+    assert issubclass(TooLong, SemanticsError)
+    with pytest.raises(SemanticsError):
+        apply_action(Assign("x", Add(Var("y"), Var("z"))), rho)
+    # ints and Booleans never meet the bound
+    assert eval_expr(Add(Lit(10 ** 400), Lit(10 ** 400)), rho) == 2 * 10 ** 400
+
+
+def test_a_test_that_concatenates_past_the_bound_ends_at_the_pairs_least_command():
+    from tracelab.textio import parse_program
+    p = parse_program("#entry L0\nL0: (x <= (z + z)) -> L1\nL0: !(x <= (z + z)) -> L1\n"
+                      "L1: z := z + z -> L0\n")
+    r = run(p, Store({"z": "a", "x": "b"}), 2000)
+    assert r.reason == "length" and str(r.commands[-1]) == "L0: !(x <= (z + z)) -> L1"
+
+
+def test_typed_string_addition_is_still_typed_str():
+    from tracelab.domains import eval_type, type_domain
+    from tracelab.values import STRING
+    a = type_domain.make({"z": STRING})
+    assert eval_type(AddTyped(Var("z"), Var("z"), "Str"), a) == STRING
+    assert eval_type(Add(Var("z"), Var("z")), a) == STRING
 
 
 # ---------------------------------------------------------------------------
@@ -702,4 +769,4 @@ def test_deep_chains_parse_and_run():
     tests = " && ".join(["(x <= 200)"] * 150)
     p = parse_program(f"#entry L0\nL0: x := x{terms} -> L1\nL1: ({tests}) -> .\n")
     r = run(p, Store({"x": 0}), 10)
-    assert (r.reason, r.stores[-1].get("x")) == ("halt", 150)
+    assert (r.reason, r.stores_at([len(r) - 1])[0].get("x")) == ("halt", 150)
