@@ -9,10 +9,13 @@ meet, membership, alpha) and everything built on them are shared, in
 ``StoreAbstraction``.  Elements are kept sparse: a binding equal to
 the element's default is dropped, and the default of any alpha image is the
 abstraction of {undef}, matching the display convention of omitting v/undef
-bindings.  Concretizations are never materialized; consumers use the decidable
-``contains`` predicate.  An abstract store carries the domain that built it,
-so the store alone decides which gamma applies; the registry only maps the
-names that text uses (guard literals, ``--domain``) to the three domains.
+bindings.  Concretizations are never materialized: membership in one is
+decided by a function that ``semantics`` compiles once per element from its
+domain's ``slot_test`` (``semantics.membership``); guards run it, and the
+``contains`` predicate calls it.  An abstract store carries the domain that
+built it, so the store alone decides which gamma applies; the registry only
+maps the names that text uses (guard literals, ``--domain``) to the three
+domains.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from . import lang
-from .semantics import member_of
+from .semantics import member_of, membership
 from .values import (BOOL, BOT_T, Bool, INT, STRING, TOP_T, TYPE_OF_CLASS, UNDEF,
                      UNDEF_T, UValue, int_of, type_of, value_str)
 
@@ -203,47 +206,27 @@ class StoreAbstraction(ABC):
         return _canon(self, {x: self.value_join(s, v) if member_of(x)[0] == action.array else s
                              for x, s in a.items}, a.default)
 
+    def slot_test(self, slot, v: str, param) -> str:
+        """The Python test that the value of the expression ``v`` lies in
+        gamma(slot), each object it names made a factory parameter by
+        ``param`` (``semantics`` emits membership from it): true for top,
+        else whether the value's class is the one class whose slot it is
+        (``class_slots``; no class has the bottom slot).  A domain whose
+        slot of a value is not its class's overrides it (cp)."""
+        if slot == self.top_slot:
+            return "True"
+        cls = next((c for c, s in (self.class_slots or {}).items() if s == slot), None)
+        return "False" if cls is None else f"type({v}) is {param(cls)}"
+
     def contains(self, a: AbstractStore, store) -> bool:
         """Decides store in gamma(a), for a store given as any mapping from
         variables to values (a ``Store`` or a run's dict), read through
-        ``get(x, UNDEF)`` and ``keys()``.  A non-universal default constrains every
-        variable, including the unmentioned ones; gamma(bottom) is empty
-        unless the bottom slot is universal (one-point: bottom is top).
-
-        There are two paths.  The class-slot path takes a universal default
-        (every sliced guard, so every pipeline guard) in a domain where a
-        value's slot depends only on its class (``class_slots``, set by the
-        type domain): an element keeps no binding equal to its default, so
-        each binding is below top and holds a value exactly when it is the
-        value's slot, one lookup of the class of the value read from the
-        store, with no Python call per binding.  The general loop decides
-        each binding by ``value_has`` and returns there for a universal
-        default; otherwise it makes one more pass, over the store's keys that
-        a leaves to its default: O(|a| + |store|).  The set of a's keys is
-        built per call, not cached on the element: guards keep their
-        elements alive for as long as the program, and a cached index per
-        element costs more memory than the rebuild costs time."""
-        default = a.default
-        if default == self.top_slot:
-            slots = self.class_slots
-            if slots is not None:
-                for x, v in a.items:
-                    if slots[type(store.get(x, UNDEF))] != v:
-                        return False
-                return True
-        elif default == self.bot_slot:
-            return False
-        has = self.value_has
-        for x, v in a.items:
-            if not has(v, store.get(x, UNDEF)):
-                return False
-        if default == self.top_slot:
-            return True
-        bound = {x for x, _ in a.items}
-        for x in store.keys():
-            if x not in bound and not has(default, store.get(x, UNDEF)):
-                return False
-        return True
+        ``get(x, UNDEF)`` and ``items()``.  A non-universal default constrains
+        every variable the store binds, including the unmentioned ones;
+        gamma(bottom) is empty unless the bottom slot is universal (one-point:
+        bottom is top).  The decision is the call of a's compiled membership
+        test (``semantics.membership``), the function its guards run."""
+        return membership(a)(store)
 
     def is_universal(self, a: AbstractStore) -> bool:
         """gamma(a) is the whole store space (only the one-point top, in practice)."""
@@ -382,6 +365,12 @@ class CPDomain(StoreAbstraction):
     tag = "cp"
     bot_slot, top_slot = CP_BOT, CP_TOP
     of = CPConst
+
+    def slot_test(self, slot, v, param):
+        # of(v) == CPConst(c) exactly when v == c
+        if type(slot) is CPConst:
+            return f"{v} == {param(slot.value)}"
+        return super().slot_test(slot, v, param)
 
     def value_str(self, a):
         return repr(a)

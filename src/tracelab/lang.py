@@ -345,6 +345,16 @@ def command_key(c: Command) -> tuple:
     return (c.label, str(c.action), c.succ)
 
 
+def _label_order(cs: list[Command]) -> tuple[Command, ...]:
+    """Several commands at one label, in ``command_key`` order."""
+    if len(cs) == 2:
+        c, d = cs
+        if is_branching(c.action) and negate_action(c.action) == d.action \
+                and is_negation(c.action) != is_negation(d.action):
+            return (d, c) if is_negation(d.action) else (c, d)
+    return tuple(sorted(cs, key=command_key))
+
+
 # ---------------------------------------------------------------------------
 # Programs
 # ---------------------------------------------------------------------------
@@ -357,14 +367,15 @@ class Program:
 
     @cached_property
     def by_label(self) -> Mapping[str, tuple[Command, ...]]:
-        """The commands at each label, in ``command_key`` order.  A label
-        with one command is not sorted: the key prints the action, and a
-        guard's action prints its whole store."""
+        """The commands at each label, in ``command_key`` order.  The key
+        prints the action, and a guard's action prints its whole store, so
+        only a label with several commands that are not a complement pair
+        is sorted by it: a complement pair with one negation (``!B`` or
+        ``!guard``) puts it first, as the key does."""
         table: dict[str, list[Command]] = {}
         for c in self.commands:
             table.setdefault(c.label, []).append(c)
-        return {l: tuple(cs) if len(cs) == 1 else tuple(sorted(cs, key=command_key))
-                for l, cs in table.items()}
+        return {l: tuple(cs) if len(cs) == 1 else _label_order(cs) for l, cs in table.items()}
 
     def at(self, label: str) -> tuple[Command, ...]:
         return self.by_label.get(label, ())

@@ -18,16 +18,28 @@ function refers to its node, so none keeps its node alive.  ``eval_expr``,
 
 The functions are emitted as Python source, one emitter per node kind: an
 expression emits a Python expression over the store's dict ``m``, a test a
-three-valued one, and every action but a guard one function body with its
-operands inline, so an action is one call.  Each operator tests its
-operands' classes once; a literal's class is known when it compiles, so its
-test is dropped, and that is the only specialization.  A node's names and
-literals are parameters of a factory (``def make(k1, ...)``), never its
-source, so the source depends on the node's shape only and no program text
-reaches ``exec``.  Each distinct source is compiled once, into a factory
-kept for the life of the process (shapes are few); all factories share one
-globals dict.  An operand nested deeper than ``_DEPTH`` is a call of its own
-function, so no source nests deeper than Python's parser takes.
+three-valued one, and an action one function body with its operands inline,
+so an action is one call.  Each operator tests its operands' classes once; a
+literal's class is known when it compiles, so its test is dropped, and that
+is the only specialization.  A node's names and literals are parameters of a
+factory (``def make(k1, ...)``), never its source, so the source depends on
+the node's shape only and no program text reaches ``exec``.  Each distinct
+source is compiled once, into a factory kept for the life of the process
+(shapes are few); all factories share one globals dict.  An operand nested
+deeper than ``_DEPTH`` is a call of its own function, so no source nests
+deeper than Python's parser takes.
+
+An abstract store (``domains.AbstractStore``) compiles the same way, into
+its membership test ``membership``: whether a mapping (a run's dict or a
+``Store``) lies in gamma of the store.  Each binding is its domain's
+``slot_test`` on the value read (in the type domain one class comparison,
+in cp one equality), the bindings are one conjunction, and a default that
+is not universal adds a pass over the mapping's other variables.  A
+binding's variable and class or constant are factory parameters too, and a
+conjunction past ``_SPAN`` bindings is one of calls, so no source grows with
+its store.  A positive guard's function is its store's membership test, a
+negative guard's the emitted negation, and ``StoreAbstraction.contains``
+calls the same test: membership is defined once.
 
 A run compiles its program once into a table with one entry per label,
 holding its command's compiled step and the index of its successor's entry.
@@ -37,9 +49,9 @@ the tested command, false its complement, and undef sticks at the pair's
 least command (by ``command_key``).  A pair led by a negation (``!B`` or
 ``!guard``, which sort first) tests the positive side and swaps.  A test
 that fires leaves the store unchanged, so it is not evaluated again, and a
-guard visit is one ``StoreAbstraction.contains`` call on the dict, looked up
-at each visit.  Any other label with several commands is nondeterministic
-and raises ``SemanticsError``.  The table is kept on its program and refers
+guard visit is one call of the guard's compiled function on the dict.  Any
+other label with several commands is nondeterministic and raises
+``SemanticsError``.  The table is kept on its program and refers
 to commands only.
 
 A run steps one private dict in place and hands the dict itself to every
@@ -412,13 +424,48 @@ def _assignment(em: _Emitter, target: str, member: Optional[str], e: Expr) -> li
             "    return None", *write]
 
 
-def _guard(a):
-    abstract, domain, positive = a.store, a.store.domain, a.positive
-    # ``contains`` is looked up at every visit, so a wrapped or patched
-    # membership test sees each guard run
-    if positive:
-        return lambda m: domain.contains(abstract, m)
-    return lambda m: not domain.contains(abstract, m)
+# A conjunction of more bindings than this is a conjunction of calls, each
+# of a function over at most this many of them, so no guard's source grows
+# with its store.
+_SPAN = 32
+
+
+def _all_of(em: _Emitter, domain, items: Sequence[tuple[str, object]]) -> str:
+    """The Python test over ``m`` that each ``(variable, slot)`` binding
+    holds its variable's value, by the domain's ``slot_test``; past
+    ``_SPAN`` bindings, calls of the tests of consecutive runs of them."""
+    if len(items) > _SPAN:
+        n = -(-len(items) // _SPAN)
+        return " and ".join(f"{em.param(_conjunction(domain, items[i:i + n]))}(m)"
+                            for i in range(0, len(items), n))
+    return " and ".join(domain.slot_test(slot, f"m.get({em.param(x)}, undef)", em.param)
+                        for x, slot in items) or "True"
+
+
+def _conjunction(domain, items) -> Callable:
+    em = _Emitter()
+    return em.function("m", [f"return {_all_of(em, domain, items)}"])
+
+
+def _membership(a, em: _Emitter, positive: bool) -> list[str]:
+    """The body that decides whether the store ``m`` (any mapping with
+    ``get`` and ``items``) lies in gamma(a), or with ``positive`` false
+    whether it does not.  A universal default leaves the conjunction of
+    a's bindings; bottom holds no store; any other default also tests every
+    variable of ``m`` that a leaves to it."""
+    domain = a.domain
+    yes, no = ("True", "False") if positive else ("False", "True")
+    if domain.value_universal(a.default):
+        test = _all_of(em, domain, a.items)
+        return [f"return {test}" if positive else f"return not ({test})"]
+    if a.default == domain.bot_slot:
+        return [f"return {no}"]
+    return [f"if not ({_all_of(em, domain, a.items)}):", f"    return {no}",
+            "for x, v in m.items():",
+            f"    if x not in {em.param(a.keys())} and not "
+            f"({domain.slot_test(a.default, 'v', em.param)}):",
+            f"        return {no}",
+            f"return {yes}"]
 
 
 def _emitted(arg: str, body: Callable) -> Callable:
@@ -448,8 +495,12 @@ _test = _compiler(_emitted("m", lambda b, em: [f"return {em.test(b)}"]))
 # actions: dict -> Write or None (bottom), the write made in the dict; a
 # branching action is its three-valued test of the dict instead
 _skip = _emitted("m", lambda a, em: ["return ()"])
+# abstract stores: mapping -> whether it lies in gamma of the store
+membership = _compiler(_emitted("m", lambda a, em: _membership(a, em, True)))
+_not_member = _emitted("m", lambda a, em: _membership(a.store, em, False))
 _action = _compiler(_dispatch("an action", {
-    Skip: _skip, Put: _skip, Guard: _guard,
+    Skip: _skip, Put: _skip,
+    Guard: lambda a: membership(a.store) if a.positive else _not_member(a),
     Assign: _emitted("m", lambda a, em: _assignment(em, em.param(a.var), None, a.expr)),
     ArrayAssign: _emitted("m", lambda a, em: _assignment(
         em, em.temp(), _member(em, a.array, a.index), a.expr)),

@@ -113,6 +113,22 @@ def dse_program():
     return textio.parse_program(DSE_SRC)
 
 
+SAMPLE_VARS = ("x", "y", "z", "w", "s", "i", "j")  # the CLI's --sample variables
+
+
+@pytest.fixture(scope="session")
+def type_ts_finals(sieve_program, sieve_store):
+    """(original, final, stores, budget) of ``tracelab pipeline`` with
+    ``--domain type --pass ts --rounds 3`` on generated programs 0-299 with
+    ``--sample 4 --seed <seed>``, then on the sieve from its store with
+    ``--budget 20000``."""
+    from tracelab import gen, pipeline
+    cases = [(gen.gen_program(s), gen.gen_stores(s, SAMPLE_VARS, 4), 2000) for s in range(300)]
+    cases.append((sieve_program, [sieve_store], 20000))
+    return [(p, pipeline.pipeline(p, stores, "type", 2, budget, ["ts"], 3).program, stores, budget)
+            for p, stores, budget in cases]
+
+
 def writes_of(stores):
     """The write linking each store to the next: every binding that differs,
     in variable order, an unbound variable as undef."""

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -268,6 +269,75 @@ def test_contains_agrees_with_the_per_variable_definition(case):
     that either side binds (bottom holds nothing unless it is top)."""
     dom, a, store = case
     assert dom.contains(a, store) == _contains_by_scan(dom, a, store)
+
+
+# every family member bound to one slot, over a universal or an undef default
+_FAMILY = 5000
+
+
+@pytest.mark.parametrize("dom, slot, value, other", [
+    (type_domain, INT, 7, "a"), (cp_domain, CPConst(7), 7, 8)], ids=["type", "cp"])
+@pytest.mark.parametrize("default", ["top", "undef"])
+def test_a_guard_over_a_long_family_decides_as_the_scan(dom, slot, value, other, default):
+    """A guard whose store binds a 5,000-member family decides, in both
+    polarities, as the scan does, and compiles in bounded time: no factory
+    source it adds tests more than ``_SPAN`` bindings."""
+    from tracelab import semantics
+    from tracelab.lang import Guard
+    family = f"long_{dom.tag}_{default}"
+    a = dom.make({f"{family}_{i}": slot for i in range(_FAMILY)},
+                 dom.top_slot if default == "top" else dom.undef_slot)
+    before = set(semantics._FACTORIES)
+    start = time.perf_counter()
+    yes, no = semantics.fires(Guard(a, True), Store()), semantics.fires(Guard(a, False), Store())
+    assert time.perf_counter() - start < 5.0 and (yes, no) == (False, True)
+    assert all(src.count("m.get(") <= semantics._SPAN for src in set(semantics._FACTORIES) - before)
+    full = {f"{family}_{i}": value for i in range(_FAMILY)}
+    stores = [Store(full), Store({**full, f"{family}_4999": other}),
+              Store({**full, f"{family}_0": other}), Store({**full, "x": value}),
+              Store({k: v for k, v in full.items() if k != f"{family}_2500"})]
+    answers = [_contains_by_scan(dom, a, rho) for rho in stores]
+    assert answers == [True, False, False, default == "top", False]
+    for rho, answer in zip(stores, answers):
+        assert semantics.fires(Guard(a, True), rho) is answer
+        assert semantics.fires(Guard(a, False), rho) is (not answer)
+        assert dom.contains(a, rho) is answer
+
+
+@pytest.mark.parametrize("first, second", [
+    (type_domain.make({"shape_x": INT}, TOP_T), type_domain.make({"shape_y": STRING}, TOP_T)),
+    (cp_domain.make({"shape_x": CPConst(1)}, CP_TOP),
+     cp_domain.make({"shape_y": CPConst("a")}, CP_TOP)),
+    (type_domain.make({"shape_x": INT, "shape_y": BOOL}),
+     type_domain.make({"shape_x": STRING, "shape_z": INT}))], ids=["type", "cp", "tail"])
+@pytest.mark.parametrize("positive", [True, False])
+def test_guards_of_one_shape_share_one_factory(first, second, positive):
+    """Names, classes and constants are factory parameters, so guards that
+    differ only in them share one factory and one code object."""
+    from tracelab import semantics
+    from tracelab.lang import Guard
+    f = semantics._action(Guard(first, positive))
+    count = len(semantics._FACTORIES)
+    g = semantics._action(Guard(second, positive))
+    assert len(semantics._FACTORIES) == count and f is not g and f.__code__ is g.__code__
+
+
+def test_every_guard_visit_of_the_finals_decides_as_the_scan(type_ts_finals):
+    """At every guard state of the runs of the type/ts finals of generated
+    programs 0-299 and of the sieve, the run took the guard's side exactly
+    when the scan puts the store in gamma of the guard's store."""
+    from tracelab.lang import Guard
+    from tracelab.semantics import run
+    visits = 0
+    for _, final, stores, budget in type_ts_finals:
+        for rho in stores:
+            r = run(final, rho, budget)
+            at = [i for i, c in enumerate(r.commands) if type(c.action) is Guard]
+            for i, store in zip(at, r.stores_at(at)):
+                g = r.commands[i].action
+                assert _contains_by_scan(g.store.domain, g.store, store) is g.positive
+            visits += len(at)
+    assert visits > 10000
 
 
 # ---------------------------------------------------------------------------

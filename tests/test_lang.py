@@ -5,13 +5,15 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from tracelab import lang, textio
+from tracelab.domains import DomainError
 from tracelab.lang import (Command, HALT, LabelScope, Program, find_cmpl,
                            negate_bexpr, rename_equal, well_formed)
 from tracelab.textio import ParseError, parse_program, print_program
 from tracelab.values import Bool, TT
+from tests import test_fuzz as fuzz
 from tests.conftest import LOOP_SRC, command_at
 
 
@@ -147,8 +149,10 @@ def test_well_formed_reports_in_a_fixed_order():
 
 def test_only_labels_with_several_commands_are_sorted(monkeypatch):
     """``command_key`` prints an action, and a guard's action prints its
-    store: a label with one command is not sorted, and ``well_formed`` of a
-    well-formed program sorts nothing more."""
+    store: a label with one command is not sorted, a complement pair is
+    ordered by ``is_negation`` alone, and only a label with other commands
+    is sorted by the key.  So ``well_formed`` of a well-formed program calls
+    it on nothing, and its order is still the key's."""
     from tracelab import gen, pipeline
     stores = gen.gen_stores(3, ("x", "y", "z", "w", "s", "i", "j"), 4)
     final = pipeline.pipeline(gen.gen_program(3), stores, "type", 2, 2000, ["ts"], 3).program
@@ -162,9 +166,41 @@ def test_only_labels_with_several_commands_are_sorted(monkeypatch):
     monkeypatch.setattr(lang, "command_key", counting)
     p = Program(final.commands, final.entry, final.arrays)  # no cached tables
     assert well_formed(p) == []
-    shared = [c for c in p.commands if len(p.at(c.label)) > 1]
-    assert shared and len(keys) == len(shared) and set(keys) == set(shared)
+    shared = {c.label for c in p.commands if len(p.at(c.label)) > 1}
+    assert shared and keys == []
+    assert all(p.at(l) == tuple(sorted(p.at(l), key=real)) for l in shared)
     assert "sorted_commands" not in p.__dict__
+    # three commands at a label are sorted by the key
+    q = parse_program("#entry L0\nL0: (x <= 1) -> L1\nL0: !(x <= 1) -> L1\nL0: skip -> L1\n"
+                      "L1: skip -> .\n")
+    assert well_formed(q) and len(keys) == 3
+    assert [str(c) for c in q.at("L0")] == ["L0: !(x <= 1) -> L1", "L0: (x <= 1) -> L1",
+                                            "L0: skip -> L1"]
+
+
+def _in_key_order(p: Program) -> bool:
+    return all(p.at(l) == tuple(sorted(p.at(l), key=lang.command_key))
+               for l in p.labels() if len(p.at(l)) > 1)
+
+
+def test_labels_of_the_corpus_and_the_sieve_are_in_key_order(type_ts_finals):
+    """``by_label`` orders the commands at every label of generated programs
+    0-299, the sieve and their type/ts finals as ``command_key`` does."""
+    assert all(_in_key_order(p) and _in_key_order(final) for p, final, _, _ in type_ts_finals)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
+                                 HealthCheck.data_too_large])
+@given(fuzz.programs())
+def test_labels_of_fuzzed_programs_are_in_key_order(text):
+    """Likewise on the programs the CLI fuzzing draws, guards of every
+    domain and ``!tt`` pairs among them."""
+    try:
+        p = parse_program(text)
+    except (ParseError, DomainError):  # an unknown domain or slot name
+        assume(False)
+    assert _in_key_order(p)
 
 
 def test_halt_cannot_label_a_command():

@@ -1,10 +1,13 @@
 """Seeded run golden: the end of every bounded run of the generated corpus, and
-of its ts-stitched versions, pinned byte for byte."""
+of its ts-stitched versions, pinned byte for byte; and every run of the corpus
+and the sieve, before and after the pipeline, pinned by digest."""
 
+import hashlib
 from pathlib import Path
 
 from tracelab import gen, hotpath, optimize
 from tracelab.semantics import run
+from tracelab.textio import print_program
 
 GOLDEN = Path(__file__).parent / "golden" / "runs.txt"
 
@@ -40,3 +43,23 @@ def run_golden_lines(seeds=range(50)) -> list[str]:
 
 def test_run_golden():
     assert "\n".join(run_golden_lines()) + "\n" == GOLDEN.read_text()
+
+
+# sha256 of every run below, and of the finals' text
+RUNS_DIGEST = "7bf7d3c4933554d6962d7f6ec9513217ae0b71a9d3e82b78a84abaa3ac90fe24"
+FINALS_DIGEST = "39ddbab4a169fe4f5e9ffd1d3fdea3d183f8b9a8cf573101fb66be6314578281"
+
+
+def test_runs_of_the_corpus_and_the_sieve_are_pinned(type_ts_finals):
+    """The runs of generated programs 0-299 from their four sample stores and
+    of the sieve, on the originals and on their 3-round type/ts finals, hash
+    (commands, writes, reason) to a digest pinned when runs were last
+    changed on purpose; the finals print to a pinned digest too."""
+    runs, finals = hashlib.sha256(), hashlib.sha256()
+    for p, final, stores, budget in type_ts_finals:
+        finals.update(print_program(final).encode())
+        for q in (p, final):
+            for rho in stores:
+                r = run(q, rho, budget)
+                runs.update(repr((tuple(map(str, r.commands)), r.writes, r.reason)).encode())
+    assert (runs.hexdigest(), finals.hexdigest()) == (RUNS_DIGEST, FINALS_DIGEST)

@@ -240,16 +240,20 @@ def test_run_undef_test_takes_least_command_and_sticks():
 
 def test_run_tests_each_guard_once(monkeypatch, sieve_program, sieve_store):
     """A guard pair costs one membership test per visit: the chosen side's
-    store is carried on, not tested again when it fires."""
-    from tracelab import domains
+    store is carried on, not tested again when it fires.  Each guard's
+    compiled function is wrapped to count its calls."""
+    from tracelab import semantics
     from tracelab.hotpath import hot_n
     from tracelab.optimize import optimize_full, type_specialize
     hp = hot_n(run(sieve_program, sieve_store, 20000), 2, "type", sieve_program)[0][0]
     p = optimize_full(sieve_program, hp, [type_specialize], sieve_program)
     calls = []
-    contains = domains.StoreAbstraction.contains
-    monkeypatch.setattr(domains.StoreAbstraction, "contains",
-                        lambda self, a, store: calls.append(a) or contains(self, a, store))
+    for c in p.commands:
+        if isinstance(c.action, lang.Guard):
+            fn = semantics._action(c.action)
+            monkeypatch.setitem(c.action.__dict__, "_fn",
+                                lambda m, fn=fn, a=c.action: calls.append(a) or fn(m))
+    monkeypatch.delitem(p.__dict__, "_steps", raising=False)  # built anew, from the wrappers
     r = run(p, sieve_store, 20000)
     guards = sum(isinstance(s.command.action, lang.Guard) for s in r.states)
     assert guards > 100 and not r.truncated
