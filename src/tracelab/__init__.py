@@ -22,8 +22,7 @@ _EXPORTS = {
     "values": "Bool FF TT UNDEF",
     "lang": "Command Program find_cmpl rename_equal well_formed",
     "semantics": "Run State Store collecting_eval eval_bexpr eval_expr apply_action run step",
-    "domains": "AbstractStore abstract_add_type cp_domain eval_type get_domain onepoint_domain "
-               "type_domain",
+    "domains": "AbstractStore cp_domain eval_type get_domain onepoint_domain type_domain",
     "observe": "out out_equiv_check sc sc_equiv_check st",
     "hotpath": "HotPath count hot_n hotcut sloop topo_order",
     "extract": "StitchResult extract_gp extract_nested",

@@ -4,8 +4,9 @@ Each domain abstracts sets of concrete stores nonrelationally, by pointwise
 lifting of a flat value lattice.  A domain supplies only the facts of its
 lattice: ``of(v)``, the slot of one value; ``bot_slot`` and ``top_slot``; and
 the text hooks ``value_str`` and ``parse_value`` (the type domain also types
-stored expressions, ``stored_slot``).  The lattice operations (order, join,
-meet, membership, alpha) and everything built on them are shared, in
+stored expressions, ``stored_slot``, by E^t, which ``eval_type`` reads off
+``semantics.OPERATORS``).  The lattice operations (order, join, meet,
+membership, alpha) and everything built on them are shared, in
 ``StoreAbstraction``.  Elements are kept sparse: a binding equal to
 the element's default is dropped, and the default of any alpha image is the
 abstraction of {undef}, matching the display convention of omitting v/undef
@@ -26,7 +27,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from . import lang
-from .semantics import member_of, membership
+from .semantics import ADDITIONS, member_of, membership, operator
 from .values import (BOOL, BOT_T, Bool, INT, STRING, TOP_T, TYPE_OF_CLASS, UNDEF,
                      UNDEF_T, UValue, int_of, type_of, value_str)
 
@@ -112,9 +113,8 @@ class StoreAbstraction(ABC):
         return b if self.value_leq(b, a) else self.bot_slot
 
     def value_has(self, a, v: UValue) -> bool:
-        """Decides v in gamma(a), that is of(v) <= a, where of(v) is an atom
-        unless it is top."""
-        return a == self.top_slot or (a != self.bot_slot and self.of(v) == a)
+        """Decides v in gamma(a), that is of(v) <= a."""
+        return self.value_leq(self.of(v), a)
 
     def value_universal(self, a) -> bool:
         """gamma(a) is all of UValue."""
@@ -167,17 +167,15 @@ class StoreAbstraction(ABC):
                       self.undef_slot)
 
     def leq(self, a1: AbstractStore, a2: AbstractStore) -> bool:
-        """a1 below a2 per slot and default."""
-        leq, d1, d2 = self.value_leq, a1.default, a2.default
-        m1, m2 = dict(a1.items), dict(a2.items)
-        for x in m1.keys() | m2.keys():
-            if not leq(m1.get(x, d1), m2.get(x, d2)):
-                return False
-        return leq(d1, d2)
+        """a1 below a2 per slot and default: their meet is a1, and elements
+        are canonical and hash-consed, so that is one identity test."""
+        return self.meet(a1, a2) is a1
 
     def meet(self, a1: AbstractStore, a2: AbstractStore) -> AbstractStore:
         """a1 and a2 met per slot and default: gamma(a1 meet a2) is
         gamma(a1) & gamma(a2)."""
+        if a2 is self._top:  # the unit, and the slice of every copy no pass rewrote
+            return a1
         meet, d1, d2 = self.value_meet, a1.default, a2.default
         m1, m2 = dict(a1.items), dict(a2.items)
         return _canon(self, {x: meet(m1.get(x, d1), m2.get(x, d2)) for x in m1.keys() | m2.keys()},
@@ -229,9 +227,9 @@ class StoreAbstraction(ABC):
         return membership(a)(store)
 
     def is_universal(self, a: AbstractStore) -> bool:
-        """gamma(a) is the whole store space (only the one-point top, in practice)."""
-        return self.value_universal(a.default) and \
-            all(self.value_universal(v) for _, v in a.items)
+        """gamma(a) is the whole store space: a is top, the one canonical
+        element with a universal default and no binding."""
+        return a is self.top()
 
     def pretty(self, a: AbstractStore) -> str:
         """``{x: V, a: V[n]}`` over an undef default; any other default is
@@ -324,8 +322,8 @@ class TypeDomain(StoreAbstraction):
         return eval_type(expr, a)
 
     def parse_value(self, text):
-        alias = {"Str": STRING}
-        t = alias.get(text, text)
+        # a typed addition's tag names its class's type too: ``Str`` is String
+        t = TYPE_OF_CLASS[ADDITIONS[text]] if text in ADDITIONS else text
         if t not in TYPE_NAMES:
             raise DomainError(f"unknown type name: {text}")
         return t
@@ -416,43 +414,26 @@ def domain_tags() -> tuple[str, ...]:
 # Abstract type semantics of expressions
 # ---------------------------------------------------------------------------
 
-def abstract_add_type(t1: str, t2: str) -> str:
-    """Best correct approximation of generic addition on type names."""
-    if BOT_T in (t1, t2):
-        return BOT_T
-    if t1 == t2 and t1 in (INT, STRING):
-        return t1
-    if t1 != TOP_T and t2 != TOP_T:
-        return UNDEF_T
-    return TOP_T
-
-
-def _abstract_typed_add(t1: str, t2: str, want: str) -> str:
-    if BOT_T in (t1, t2):
-        return BOT_T
-    if t1 == t2 == want:
-        return want
-    if t1 in (want, TOP_T) and t2 in (want, TOP_T):
-        return TOP_T
-    return UNDEF_T
-
-
 def eval_type(e, tstore: AbstractStore) -> str:
-    """Abstract type of an expression under a type-domain store."""
+    """E^t: the abstract type of an expression under a type-domain store,
+    read off ``semantics.OPERATORS``: Bot if an operand is Bot; the type of a
+    class the operator takes if both operands have it (Top if partial); Top
+    if each operand has that type or Top; otherwise Undef."""
     if tstore.domain is not type_domain:
         raise DomainError("eval_type needs a type-domain store")
     if isinstance(e, lang.Lit):
         return type_of(e.value)
     if isinstance(e, lang.Var):
         return tstore.get(e.name)
-    if isinstance(e, lang.Add):
-        return abstract_add_type(eval_type(e.left, tstore), eval_type(e.right, tstore))
-    if isinstance(e, lang.AddTyped):
-        want = INT if e.tag == "Int" else STRING
-        return _abstract_typed_add(eval_type(e.left, tstore), eval_type(e.right, tstore), want)
-    if isinstance(e, lang.Mod):  # x % 0 is undef, so Int % Int is Int or undef
-        t = _abstract_typed_add(eval_type(e.left, tstore), eval_type(e.right, tstore), INT)
-        return TOP_T if t == INT else t
     if isinstance(e, lang.Index):
         return TOP_T  # index resolution is concrete; no relational precision here
-    raise DomainError(f"not an expression: {e!r}")
+    formulas, total = operator(e)
+    types = {eval_type(e.left, tstore), eval_type(e.right, tstore)}
+    if BOT_T in types:
+        return BOT_T
+    for t in map(TYPE_OF_CLASS.get, formulas):
+        if types == {t}:
+            return t if total else TOP_T
+        if types <= {t, TOP_T}:
+            return TOP_T
+    return UNDEF_T

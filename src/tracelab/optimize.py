@@ -39,14 +39,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Iterable, Sequence
 
-from .domains import (AbstractStore, CPConst, INT, STRING, cp_domain, eval_type,
-                      type_domain)
+from .domains import AbstractStore, CPConst, cp_domain, eval_type, type_domain
 from .extract import StitchResult, extract_nested
 from .hotpath import HotPath
 from .lang import (Add, AddTyped, Assign, Command, Expr, Guard, Lit, Program, is_branching,
                    node_vars, subst_expr)
-from .semantics import member_of
-from .values import UNDEF
+from .semantics import ADDITIONS, member_of
+from .values import TYPE_OF_CLASS, UNDEF
 
 Optimization = Callable[[StitchResult], frozenset[Command]]
 
@@ -74,7 +73,7 @@ def _rewrite_assignments(st: StitchResult,
     return frozenset(out)
 
 
-_ADD_TAGS = {INT: "Int", STRING: "Str"}
+_ADD_TAGS = {TYPE_OF_CLASS[cls]: tag for tag, cls in ADDITIONS.items()}  # by operand type
 
 
 def type_specialize(st: StitchResult) -> frozenset[Command]:
@@ -212,10 +211,11 @@ def _residual(st: StitchResult, cur: StitchResult) -> Program:
         yes = st.guards[i][0]
         a = stores[yes.label] = (dom.top() if copy is None or copy.action == c.action
                                  else _slice(yes.action.store, _action_reads(c)))
-        if dom.leq(state, a):  # implied, or universal: a universal slice is above any state
+        met = dom.meet(state, a)
+        if met is state:  # implied, or universal: a universal slice is above any state
             route[yes.label] = yes.succ
         else:
-            state = dom.meet(state, a)
+            state = met
         if copy is None:
             route[c.label] = c.succ
         else:

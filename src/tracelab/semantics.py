@@ -21,7 +21,10 @@ expression emits a Python expression over the store's dict ``m``, a test a
 three-valued one, and an action one function body with its operands inline,
 so an action is one call.  Each operator tests its operands' classes once; a
 literal's class is known when it compiles, so its test is dropped, and that
-is the only specialization.  A node's names and literals are parameters of a
+is the only specialization.  An expression operator's formula and totality
+per operand class are one table, ``OPERATORS``, which the emitter compiles
+from and the abstract type semantics E^t (``domains.eval_type``) is read
+off.  A node's names and literals are parameters of a
 factory (``def make(k1, ...)``), never its source, so the source depends on
 the node's shape only and no program text reaches ``exec``.  Each distinct
 source is compiled once, into a factory kept for the life of the process
@@ -367,21 +370,37 @@ def member_of(key: str) -> tuple[Optional[str], Optional[int]]:
     return (array, i) if array and str(i) == digits else (None, None)
 
 
-def _add_typed(e, em):
-    formula = {"Int": {int: "{0} + {1}"}, "Str": {str: _CONCAT}}.get(e.tag)
-    if formula is None:
-        raise SemanticsError(f"unknown addition tag {e.tag}")
-    return em.classed([e.left, e.right], formula, "undef")
+# The class each typed addition's tag names: ``x +Int y`` is ``+`` on ints only.
+ADDITIONS = {"Int": int, "Str": str}
+_PLUS = {int: "{0} + {1}", str: _CONCAT}
+
+# The expression operators by node class (a typed addition by its tag): for
+# each operand class taken, the result's formula over the operands ``{0}`` and
+# ``{1}``, of that class, and whether it is total there; other operands give undef.
+OPERATORS: dict = {
+    Add: (_PLUS, True),
+    Mod: ({int: "({0} % {1} if {1} else undef)"}, False),  # x % 0 is undef
+    **{tag: ({cls: _PLUS[cls]}, True) for tag, cls in ADDITIONS.items()},
+}
+
+
+def operator(e) -> tuple[Mapping[type, str], bool]:
+    """The table's entry of a binary expression node."""
+    entry = OPERATORS.get(e.tag if type(e) is AddTyped else type(e))
+    if entry is None:
+        raise SemanticsError(f"no operator: {e!r}")
+    return entry
+
+
+def _binary(e, em):
+    return em.classed([e.left, e.right], operator(e)[0], "undef")
 
 
 # expressions: a value or undef
 _emit_expr = _dispatch("an expression", {
     Lit: lambda e, em: em.param(e.value),
     Var: lambda e, em: f"m.get({em.param(e.name)}, undef)",
-    Add: lambda e, em: em.classed([e.left, e.right], {int: "{0} + {1}", str: _CONCAT}, "undef"),
-    AddTyped: _add_typed,
-    Mod: lambda e, em: em.classed([e.left, e.right], {int: "({0} % {1} if {1} else undef)"},
-                                  "undef"),
+    Add: _binary, AddTyped: _binary, Mod: _binary,
     Index: lambda e, em: f"m.get({_member(em, e.array, e.index)}, undef)",
 })
 
@@ -546,8 +565,8 @@ def fires(a: lang.Action, store: Store) -> Optional[bool]:
 # ---------------------------------------------------------------------------
 
 def collecting_eval(e: Expr, stores: Iterable[Store]) -> set[UValue]:
-    """The values of e over a set of stores (test oracle: ``abstract_add_type``
-    soundness in ``test_domains``)."""
+    """The values of e over a set of stores (test oracle: ``eval_type`` is
+    alpha of it in ``test_domains``)."""
     f = _expr(e)
     return {f(s._m) for s in stores}
 

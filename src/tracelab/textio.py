@@ -15,13 +15,15 @@ Line-oriented, UTF-8::
 Comments start with ``;``.  ``.`` is the final successor.  ``#entry`` comes
 once, ``#array`` once per family.  Typed additions print as ``+Int`` /
 ``+Str``.  An array guard entry ``name: Bool[100]`` binds the family
-members ``name_0`` to ``name_99``.  Entries are separated by commas.
-A guard store leaves every variable it does not mention to its default,
-which is undef unless a last entry ``*: V`` names it: ``{i: Int, *: Top}``
-constrains ``i`` only.  ``bot`` and ``top`` are the empty and the universal
-guard store.  Quoted strings are cp constants only.  An expression or test
-nests at most ``MAX_DEPTH`` levels, each operator, parenthesis, index and
-negation one, so no walk over what it parses to recurses too deep.
+members ``name_0`` to ``name_99``; a guard store binds at most
+``MAX_BINDINGS`` variables, each member one.  Entries are separated by
+commas.  A guard store leaves every variable it does not mention to its
+default, which is undef unless a last entry ``*: V`` names it:
+``{i: Int, *: Top}`` constrains ``i`` only.  ``bot`` and ``top`` are the
+empty and the universal guard store.  Quoted strings are cp constants only.
+An expression or test nests at most ``MAX_DEPTH`` levels, each operator,
+parenthesis, index and negation one, so no walk over what it parses to
+recurses too deep.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from json.encoder import encode_basestring_ascii as _quoted
 from typing import Optional
 
 from . import lang
-from .domains import AbstractStore, CPConst, cp_domain, get_domain
+from .domains import AbstractStore, CPConst, DomainError, cp_domain, get_domain
 from .lang import (Add, AddTyped, And, ArrayAssign, Assign, Command, Cond, Eq,
                    Ff, Guard, HALT, Index, Leq, Lit, Mod, Program, Put, Skip,
                    Tt, Var)
@@ -252,8 +254,15 @@ def _braced(c: _Cursor, entry) -> None:
     c.expect("}")
 
 
+# the most variables one guard store literal binds, a family's members each
+MAX_BINDINGS = 65536
+
+
 def _parse_abstract_store(c: _Cursor, tag: str) -> AbstractStore:
-    dom = get_domain(tag)
+    try:
+        dom = get_domain(tag)
+    except DomainError as exc:
+        c.fail(str(exc))
     if c.peek() in ("bot", "top"):
         return dom.bottom() if c.next() == "bot" else dom.top()
     bindings: dict[str, object] = {}
@@ -266,7 +275,7 @@ def _parse_abstract_store(c: _Cursor, tag: str) -> AbstractStore:
         c.next()
         try:
             return dom.parse_value(tok)
-        except Exception as exc:
+        except (DomainError, ValueError) as exc:
             c.fail(str(exc))
 
     def entry():
@@ -281,15 +290,17 @@ def _parse_abstract_store(c: _Cursor, tag: str) -> AbstractStore:
         name = _var_name(c)
         c.expect(":")
         val = value()
-        names = [name]
-        if c.peek() == "[":  # a family: name: Bool[100]
+        family, size = c.peek() == "[", 1
+        if family:  # name: Bool[100]
             c.next()
             size = c.next()
             if not size.isdigit():
                 c.fail(f"bad family size {size!r}")
             c.expect("]")
-            names = [f"{name}_{i}" for i in range(int_of(size))]
-        for x in names:
+            size = int_of(size)
+        if len(bindings) + size > MAX_BINDINGS:  # refused before any member is named
+            c.fail(f"a guard store binds more than {MAX_BINDINGS} variables")
+        for x in (f"{name}_{i}" for i in range(size)) if family else (name,):
             if x in bindings:
                 c.fail(f"variable {x} bound twice")
             bindings[x] = val

@@ -21,8 +21,7 @@ from typing import Callable, Sequence
 from .extract import StitchResult
 from .lang import AddTyped, Command, Program
 from .optimize import _rebody
-from .semantics import State, Store, eval_expr, trace_linked
-from .values import INT, STRING, type_of
+from .semantics import ADDITIONS, State, Store, eval_expr, trace_linked
 
 
 class WitnessError(Exception):
@@ -125,9 +124,7 @@ def td(st: StitchResult, spec_map: dict[Command, Command],
         if c in rev:
             generic = rev[c]
             out.append(State(s.store, generic))
-            want = INT if c.action.expr.tag == "Int" else STRING
-            got = type_of(eval_expr(generic.action.expr, s.store))
-            if got != want:
+            if type(eval_expr(generic.action.expr, s.store)) is not ADDITIONS[c.action.expr.tag]:
                 break
         else:
             out.append(s)

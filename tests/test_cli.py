@@ -322,6 +322,18 @@ def test_run_names_why_each_run_ended(tmp_path):
                                  "<[i/0, w/0], s2: (i <= 7) -> s3>\n", "")
 
 
+@pytest.mark.parametrize("store, message", [
+    ("interval {}", "unregistered store abstraction: interval"),
+    ("type {a: Int[65537]}", "a guard store binds more than 65536 variables")])
+def test_a_guard_literal_the_parser_refuses_exits_2(tmp_path, store, message):
+    """An unregistered domain and a literal past ``textio.MAX_BINDINGS``
+    bindings are parse errors that name their line."""
+    path = tmp_path / "guard.tl"
+    path.write_text(f"#entry L0\nL0: guard {store} -> L1\nL0: !guard {store} -> .\n"
+                    "L1: skip -> .\n")
+    assert call(["run", path]) == (2, "", f"error: line 2: {message}\n")
+
+
 def test_a_program_nested_past_the_bound_exits_2(tmp_path):
     """A 600-term ``x := x + 1 + ... + 1`` nests 599 levels: refused as a
     parse error, where printing its command recursed past Python's limit."""

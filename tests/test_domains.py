@@ -6,9 +6,8 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from tracelab import domains
-from tracelab.domains import (AbstractStore, CPConst, CP_BOT, CP_TOP, abstract_add_type,
-                              cp_domain, eval_type, get_domain,
-                              onepoint_domain, type_domain)
+from tracelab.domains import (AbstractStore, CPConst, CP_BOT, CP_TOP, cp_domain, eval_type,
+                              get_domain, onepoint_domain, type_domain)
 from tracelab.lang import Add, AddTyped, ArrayAssign, Assign, Index, Lit, Mod, Var
 from tracelab.semantics import Store, apply_action, collecting_eval, eval_expr, member_of
 from tracelab.textio import _Cursor, _parse_abstract_store, tokenize
@@ -111,27 +110,27 @@ def test_abstract_add_golden_cases():
 
 def _gamma_samples(t):
     return {
-        BOT_T: [], INT: [-1, 0, 1], STRING: ["", "a"], BOOL: [TT],
-        UNDEF_T: [UNDEF], TOP_T: [-1, 0, 1, "", "a", UNDEF],
+        BOT_T: [], INT: [-1, 0, 1], STRING: ["", "a"], BOOL: [TT, Bool(False)],
+        UNDEF_T: [UNDEF], TOP_T: [-1, 0, 1, "", "a", TT, UNDEF],
     }[t]
 
 
-def test_abstract_add_is_best_on_samples():
-    """One-sided by sampling: alpha of the collecting image never exceeds E^t."""
-    for t1 in (BOT_T, INT, STRING, UNDEF_T, TOP_T):
-        for t2 in (BOT_T, INT, STRING, UNDEF_T, TOP_T):
-            tstore = type_domain.make({"x": t1, "y": t2})
-            stores = set()
-            for v1 in _gamma_samples(t1):
-                for v2 in _gamma_samples(t2):
-                    bindings = {}
-                    if v1 is not UNDEF:
-                        bindings["x"] = v1
-                    if v2 is not UNDEF:
-                        bindings["y"] = v2
-                    stores.add(Store(bindings))
-            image = collecting_eval(Add(Var("x"), Var("y")), stores)
-            assert type_leq(type_alpha(image), abstract_add_type(t1, t2))
+@pytest.mark.parametrize("e", [Add(Var("x"), Var("y")), AddTyped(Var("x"), Var("y"), "Int"),
+                               AddTyped(Var("x"), Var("y"), "Str"), Mod(Var("x"), Var("y"))],
+                         ids=["add", "add-int", "add-str", "mod"])
+def test_eval_type_is_alpha_of_the_collecting_image(e):
+    """E^t is the best approximation, on samples: over all 36 pairs of
+    operand types, the type of ``x op y`` is alpha of its values over the
+    stores whose x and y are drawn from the samples of those types (Top's
+    include tt, and 0 for ``%``)."""
+    wrong = []
+    for t1, t2 in itertools.product(domains.TYPE_NAMES, repeat=2):
+        stores = [Store({x: v for x, v in (("x", v1), ("y", v2)) if v is not UNDEF})
+                  for v1 in _gamma_samples(t1) for v2 in _gamma_samples(t2)]
+        image = type_alpha(collecting_eval(e, stores))
+        if eval_type(e, type_domain.make({"x": t1, "y": t2})) != image:
+            wrong.append((t1, t2, image))
+    assert wrong == []
 
 
 @st.composite

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from tracelab import lang, textio
-from tracelab.domains import DomainError
 from tracelab.lang import (Command, HALT, LabelScope, Program, find_cmpl,
                            negate_bexpr, rename_equal, well_formed)
 from tracelab.textio import ParseError, parse_program, print_program
@@ -61,6 +60,9 @@ def test_parse_errors():
     ("L0: guard type {*: Top, x: Int} -> L1", "*: V is the last entry"),
     ("L0: guard type {x: Int, *: Top[2]} -> L1", "expected '}', got '['"),
     ("#entry L9", "#entry given twice"),
+    ("L0: guard interval {} -> L1", "unregistered store abstraction: interval"),
+    ("L0: guard type {a: Int[65537]} -> L1", "a guard store binds more than 65536 variables"),
+    ("L0: guard cp {x: 1, a: 2[65536]} -> L1", "a guard store binds more than 65536 variables"),
 ])
 def test_parse_errors_name_the_line(line, message):
     """Forms the printer never emits are refused with the line they are on."""
@@ -82,6 +84,15 @@ def test_a_guard_family_names_its_size():
         parse_program("#entry L0\n#array primes 2\nL0: guard type {primes: Bool[]} -> L1\n"
                       "L1: skip -> .\n")
     assert str(exc.value) == "line 3: bad family size ']'"
+
+
+def test_a_guard_store_may_bind_up_to_the_bound():
+    """The bound counts a family member by member, and a literal that binds
+    exactly ``MAX_BINDINGS`` variables parses."""
+    p = parse_program(f"#entry L0\nL0: guard type {{x: Int, a: Int[{textio.MAX_BINDINGS - 1}]}}"
+                      " -> L1\nL1: skip -> .\n")
+    (guard,) = p.at("L0")
+    assert len(guard.action.store.items) == textio.MAX_BINDINGS == 65536
 
 
 @pytest.mark.parametrize("src, message", [
@@ -198,7 +209,7 @@ def test_labels_of_fuzzed_programs_are_in_key_order(text):
     domain and ``!tt`` pairs among them."""
     try:
         p = parse_program(text)
-    except (ParseError, DomainError):  # an unknown domain or slot name
+    except ParseError:  # an unknown domain or slot name
         assume(False)
     assert _in_key_order(p)
 

@@ -11,8 +11,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tracelab"
 
 # qualified name -> the tests that use it as an oracle
 ORACLES = {
-    "semantics.collecting_eval": "abstract_add_type soundness in test_domains",
+    "semantics.collecting_eval": "eval_type as alpha of the collecting image in test_domains",
     "domains.StoreAbstraction.value_has": "emitted guard membership against a scan in test_domains",
+    "domains.StoreAbstraction.leq": "the lattice laws of stores in test_domains",
     "observe.st": "while-language runs against their compiled runs in test_gp",
     "extract.extract": "the paper's plain transform; extract, optimize and witness tests",
     "witness.tr_out": "extraction proof in test_witness",
