@@ -83,8 +83,7 @@ def _initial_stores(args) -> list[Store]:
             raise CliError("--initials holds no store")
         stores.extend(textio.store_from_json(obj) for obj in data)
     if args.sample:
-        pool_vars = ("x", "y", "z", "w", "s", "i", "j")
-        stores.extend(genmod.gen_stores(args.seed or 0, pool_vars, args.sample))
+        stores.extend(genmod.gen_stores(args.seed or 0, genmod.SAMPLE_VARS, args.sample))
     if not stores:
         stores.append(Store())
     return stores

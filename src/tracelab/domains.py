@@ -28,8 +28,8 @@ from typing import Iterable, Optional
 
 from . import lang
 from .semantics import ADDITIONS, member_of, membership, operator
-from .values import (BOOL, BOT_T, Bool, INT, STRING, TOP_T, TYPE_OF_CLASS, UNDEF,
-                     UNDEF_T, UValue, int_of, type_of, value_str)
+from .values import (BOT_T, Bool, TOP_T, TYPE_OF_CLASS, UNDEF, UNDEF_T, UValue, int_of,
+                     type_of, value_str)
 
 
 class DomainError(Exception):
@@ -258,25 +258,17 @@ def _compress_families(items) -> list[tuple[str, object, Optional[int]]]:
         name, i = member_of(k)
         if name is not None:
             groups.setdefault(name, {})[i] = v
-    full: dict[str, tuple[object, int]] = {}
-    skip: set[str] = set()
-    for name, idxs in groups.items():
-        n = len(idxs)
-        vals = set(map(repr, idxs.values()))
-        if n >= 2 and set(idxs) == set(range(n)) and len(vals) == 1:
-            full[name] = (next(iter(idxs.values())), n)
-            skip |= {f"{name}_{i}" for i in range(n)}
+    full = {name: (next(iter(idxs.values())), len(idxs)) for name, idxs in groups.items()
+            if len(idxs) >= 2 and set(idxs) == set(range(len(idxs)))
+            and len(set(map(repr, idxs.values()))) == 1}
     out: list[tuple[str, object, Optional[int]]] = []
-    emitted: set[str] = set()
     for k, v in items:
-        if k in skip:
-            name = k.rpartition("_")[0]
-            if name not in emitted:
-                val, n = full[name]
-                out.append((name, val, n))
-                emitted.add(name)
-        else:
+        name = member_of(k)[0]
+        if name not in full:
             out.append((k, v, None))
+        elif full[name]:  # the family, at its first member; None once printed
+            out.append((name, *full[name]))
+            full[name] = None
     return out
 
 
@@ -304,7 +296,7 @@ class OnePointDomain(StoreAbstraction):
 # Type domain
 # ---------------------------------------------------------------------------
 
-TYPE_NAMES = (BOT_T, INT, STRING, BOOL, UNDEF_T, TOP_T)
+TYPE_NAMES = (BOT_T, *TYPE_OF_CLASS.values(), TOP_T)
 
 
 class TypeDomain(StoreAbstraction):
@@ -384,8 +376,6 @@ class CPDomain(StoreAbstraction):
             return CPConst(Bool(True))
         if text == "ff":
             return CPConst(Bool(False))
-        if text.startswith('"'):
-            raise DomainError("string constants are parsed by the tokenizer")
         return CPConst(int_of(text))
 
 

@@ -20,6 +20,9 @@ from .values import Value
 _INT_POOL = (-3, -1, 0, 1, 2, 3, 5, 10)
 _STR_POOL = ("", "a", "ab", "foo")
 _INT_VARS = ("x", "y", "z", "w")
+# the variables of the stores that ``--sample`` draws (``gen_stores``): the
+# generated programs' int variables, their string and their loop counters
+SAMPLE_VARS = (*_INT_VARS, "s", "i", "j")
 
 
 def _body_stmt(rng: random.Random, counter: str, depth: int) -> Stm:

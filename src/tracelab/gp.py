@@ -75,7 +75,10 @@ class GBail(Node):
 GCmd = Union[GSkip, GAssign, GIf, GWhile, GBail]
 Stm = tuple[GCmd, ...]
 EMPTY: Stm = ()
-_HEADS = {GIf: "if {} then {{", GWhile: "while {} do {{", GBail: "bail {} to {{"}
+# each block statement's head word and the keyword between its test and its
+# block (``if B then { s }``), as ``stm_str`` prints and
+# ``textio.parse_gp_program`` reads them
+BLOCKS = {GIf: ("if", "then"), GWhile: ("while", "do"), GBail: ("bail", "to")}
 
 
 def stm_str(s: Stm) -> str:
@@ -84,12 +87,12 @@ def stm_str(s: Stm) -> str:
     out, todo = [], [*reversed(s)]
     while todo:
         c = todo.pop()
-        head = _HEADS.get(type(c))
-        if head is None:  # a statement without a block, or a block's "}"
+        words = BLOCKS.get(type(c))
+        if words is None:  # a statement without a block, or a block's "}"
             out.append(str(c))
             continue
         body = c.target if type(c) is GBail else c.body
-        out.append(head.format(c.test) + ("" if body else "  }"))
+        out.append(f"{words[0]} {c.test} {words[1]} {{" + ("" if body else "  }"))
         if body:
             todo += ["}", *reversed(body)]
     return " ".join(out)

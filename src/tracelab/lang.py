@@ -15,6 +15,10 @@ cannot be assigned or deleted (``dataclasses.FrozenInstanceError``), and
 ``repr`` prints ``Add(left=Var(name='x'), right=Lit(value=1))`` as a
 dataclass would.
 
+A binary node (``Infix``) prints as ``(left op right)`` from the one ``op``
+spelling its class declares, which is what ``textio`` parses; a literal
+prints as ``values.value_str`` writes it, a string as an ASCII JSON string.
+
 ``node_vars`` and ``subst_expr`` walk a node by its declared fields
 (``__match_args__``), not by its kind: one table names the fields that name
 variables, and only ``Var`` is substituted.
@@ -126,31 +130,39 @@ class Var(Node):
         return self.name
 
 
-class Add(Node):
-    left: "Expr"
-    right: "Expr"
+class Infix(Node):
+    """A binary node, printed ``(left op right)``.  Each subclass declares
+    its spelling ``op`` once, as a plain class attribute (an annotation would
+    make it a field), and ``textio`` builds its parser from these spellings."""
+
+    left: Node  # two expressions, or two tests (``And``)
+    right: Node
 
     def __str__(self):
-        return f"({self.left} + {self.right})"
+        return f"({self.left} {self.op} {self.right})"
 
 
-class AddTyped(Node):
-    """Type-specific addition; tag is "Int" or "Str"."""
+class Add(Infix):
+    op = "+"
 
-    left: "Expr"
-    right: "Expr"
+
+class AddTyped(Infix):
+    """Type-specific addition: ``tag`` is a key of ``semantics.ADDITIONS``
+    ("Int" or "Str"), spelled after the ``+`` (``+Int``)."""
+
     tag: str
 
-    def __str__(self):
-        return f"({self.left} +{self.tag} {self.right})"
+    @staticmethod
+    def spelling(tag: str) -> str:
+        return Add.op + tag
+
+    @property
+    def op(self):
+        return self.spelling(self.tag)
 
 
-class Mod(Node):
-    left: "Expr"
-    right: "Expr"
-
-    def __str__(self):
-        return f"({self.left} % {self.right})"
+class Mod(Infix):
+    op = "%"
 
 
 class Index(Node):
@@ -180,20 +192,12 @@ class Ff(Node):
         return "ff"
 
 
-class Leq(Node):
-    left: Expr
-    right: Expr
-
-    def __str__(self):
-        return f"({self.left} <= {self.right})"
+class Leq(Infix):
+    op = "<="
 
 
-class Eq(Node):
-    left: Expr
-    right: Expr
-
-    def __str__(self):
-        return f"({self.left} = {self.right})"
+class Eq(Infix):
+    op = "="
 
 
 class Not(Node):
@@ -203,12 +207,8 @@ class Not(Node):
         return f"!{self.arg}"
 
 
-class And(Node):
-    left: "BExpr"
-    right: "BExpr"
-
-    def __str__(self):
-        return f"({self.left} && {self.right})"
+class And(Infix):
+    op = "&&"
 
 
 BExpr = Union[Tt, Ff, Leq, Eq, Not, And]

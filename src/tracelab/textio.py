@@ -13,14 +13,19 @@ Line-oriented, UTF-8::
     L6: skip -> .
 
 Comments start with ``;``.  ``.`` is the final successor.  ``#entry`` comes
-once, ``#array`` once per family.  Typed additions print as ``+Int`` /
-``+Str``.  An array guard entry ``name: Bool[100]`` binds the family
-members ``name_0`` to ``name_99``; a guard store binds at most
-``MAX_BINDINGS`` variables, each member one.  Entries are separated by
-commas.  A guard store leaves every variable it does not mention to its
-default, which is undef unless a last entry ``*: V`` names it:
-``{i: Int, *: Top}`` constrains ``i`` only.  ``bot`` and ``top`` are the
-empty and the universal guard store.  Quoted strings are cp constants only.
+once, ``#array`` once per family.  The binary operators are spelled as their
+node classes declare (``lang.Infix.op``), the typed additions ``+Int`` and
+``+Str`` (one per tag of ``semantics.ADDITIONS``) included, and the parser's
+tables and tokenizer are built from those spellings.  A string literal is a
+JSON string, printed with ASCII escapes (``values.value_str``), so that no
+control, line-breaking or non-ASCII character leaves its line.  An array
+guard entry ``name: Bool[100]`` binds the family members ``name_0`` to
+``name_99``; a guard store binds at most ``MAX_BINDINGS`` variables, each
+member one.  Entries are separated by commas.  A guard store leaves every
+variable it does not mention to its default, which is undef unless a last
+entry ``*: V`` names it: ``{i: Int, *: Top}`` constrains ``i`` only.
+``bot`` and ``top`` are the empty and the universal guard store.  In a guard
+store, strings are cp constants only.
 An expression or test nests at most ``MAX_DEPTH`` levels, each operator,
 parenthesis, index and negation one, so no walk over what it parses to
 recurses too deep.
@@ -38,7 +43,7 @@ from .domains import AbstractStore, CPConst, DomainError, cp_domain, get_domain
 from .lang import (Add, AddTyped, And, ArrayAssign, Assign, Command, Cond, Eq,
                    Ff, Guard, HALT, Index, Leq, Lit, Mod, Program, Put, Skip,
                    Tt, Var)
-from .semantics import Store
+from .semantics import ADDITIONS, Store
 from .values import Bool, int_of, int_str
 
 
@@ -52,15 +57,24 @@ class _TooDeep(ParseError):
     """Nesting past ``MAX_DEPTH``, which no other reading of the text avoids."""
 
 
-_TOKEN_RE = re.compile(
-    r"""
-        (?P<string>"(?:[^"\\]|\\.)*") |
-        (?P<int>-?\d+) |
-        (?P<name>[A-Za-z_][A-Za-z0-9_#]*) |
-        (?P<op>:=|->|<=|&&|\+Int|\+Str|[():{},=%+!\[\].*])
-    """,
-    re.X,
-)
+# The binary nodes by their spelling (``Infix.op``): the expression
+# operators, a typed addition for each tag of ``semantics.ADDITIONS``, and the
+# comparisons.  ``&&`` is ``And.op``.
+_OPERATORS = {Add.op: Add, Mod.op: Mod,
+              **{AddTyped.spelling(tag): lambda l, r, tag=tag: AddTyped(l, r, tag)
+                 for tag in ADDITIONS}}
+_COMPARISONS = {Leq.op: Leq, Eq.op: Eq}
+
+
+def _token_re(name: str, fixed: str, spellings, chars: str) -> re.Pattern:
+    """Strings, ints, names of the characters ``name``, and the other tokens:
+    ``fixed``, then ``spellings`` longest first, then one of ``chars``."""
+    ops = "|".join(map(re.escape, sorted(spellings, key=len, reverse=True)))
+    return re.compile(rf'''(?P<string>"(?:[^"\\]|\\.)*") | (?P<int>-?\d+) |
+        (?P<name>[A-Za-z_][{name}]*) | (?P<op>{fixed}|{ops}|[{chars}])''', re.X)
+
+
+_TOKEN_RE = _token_re("A-Za-z0-9_#", ":=|->", [*_OPERATORS, *_COMPARISONS, And.op], r"():{},!\[\].*")
 _SPACE_RE = re.compile(r"\s*")
 MAX_DEPTH = 200  # printing a node recurses past Python's limit at about 400
 
@@ -142,10 +156,11 @@ class _Cursor:
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_#]*$")
+KEYWORDS = ("tt", "ff", "skip", "guard", "put", "undef")  # names that are not variables
 
 
 def _is_name(tok: Optional[str]) -> bool:
-    return tok is not None and bool(_NAME_RE.match(tok)) and tok not in ("tt", "ff", "skip", "guard", "put", "undef")
+    return tok is not None and bool(_NAME_RE.match(tok)) and tok not in KEYWORDS
 
 
 def _unquote(c: _Cursor) -> str:
@@ -192,21 +207,15 @@ def _parse_term(c: _Cursor):
 
 def _parse_expr(c: _Cursor):
     e = _parse_term(c)
-    while c.peek() in ("+", "+Int", "+Str", "%"):
-        op = c.next()
-        rhs = c.operand(_parse_term)
-        if op == "+":
-            e = Add(e, rhs)
-        elif op == "%":
-            e = Mod(e, rhs)
-        else:
-            e = AddTyped(e, rhs, op[1:])
+    while c.peek() in _OPERATORS:
+        make = _OPERATORS[c.next()]
+        e = make(e, c.operand(_parse_term))
     return e
 
 
 def _parse_bexpr(c: _Cursor):
     b = _parse_bterm(c)
-    while c.peek() == "&&":
+    while c.peek() == And.op:
         c.next()
         b = And(b, c.operand(_parse_bterm))
     return b
@@ -216,7 +225,7 @@ def _parse_bterm(c: _Cursor):
     t = c.peek()
     if t == "!":
         return lang.negate_bexpr(c.inner(_parse_bterm))
-    if t in ("tt", "ff") and c.toks[c.i + 1:c.i + 2] not in (["<="], ["="]):
+    if t in ("tt", "ff") and "".join(c.toks[c.i + 1:c.i + 2]) not in _COMPARISONS:
         c.next()  # a boolean literal that is not the left side of a comparison
         c.deeper(1)
         return Tt() if t == "tt" else Ff()
@@ -224,11 +233,9 @@ def _parse_bterm(c: _Cursor):
     mark = c.i, c.open
     try:
         left = _parse_expr(c)
-        op = c.peek()
-        if op in ("<=", "="):
-            c.next()
-            right = c.operand(_parse_expr)
-            return Leq(left, right) if op == "<=" else Eq(left, right)
+        if c.peek() in _COMPARISONS:
+            make = _COMPARISONS[c.next()]
+            return make(left, c.operand(_parse_expr))
         raise ParseError("not a comparison", c.line_no)
     except _TooDeep:
         raise
@@ -468,15 +475,7 @@ def trace_to_jsonl(states, truncated: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-_GP_TOKEN_RE = re.compile(
-    r"""
-        (?P<string>"(?:[^"\\]|\\.)*") |
-        (?P<int>-?\d+) |
-        (?P<name>[A-Za-z_][A-Za-z0-9_]*) |
-        (?P<op>:=|<=|&&|[(){},=%+!;])
-    """,
-    re.X,
-)
+_GP_TOKEN_RE = _token_re("A-Za-z0-9_", ":=", [Add.op, Mod.op, *_COMPARISONS, And.op], "(){},!;")
 
 
 def parse_gp_program(text: str):
@@ -485,7 +484,7 @@ def parse_gp_program(text: str):
     Comments start with ``#``.  A block is one level of nesting, so blocks
     and the expressions and tests inside them nest at most ``MAX_DEPTH``
     levels in all."""
-    from .gp import GAssign, GBail, GIf, GSkip, GWhile
+    from .gp import BLOCKS, GAssign, GSkip
 
     toks, lines = [], []
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -493,7 +492,7 @@ def parse_gp_program(text: str):
         toks += line_toks
         lines += [line_no] * len(line_toks)
     c = _Cursor(toks, lines, "input")
-    blocks = {"if": ("then", GIf), "while": ("do", GWhile), "bail": ("to", GBail)}
+    blocks = {head: (keyword, make) for make, (head, keyword) in BLOCKS.items()}
 
     def parse_seq(block: Optional[_Cursor] = None):
         """The statements up to the end, or in a block (``inner`` passes the

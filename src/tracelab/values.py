@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Union
 
 
@@ -72,13 +73,15 @@ def type_of(v: UValue) -> str:
 
 
 def value_str(v: UValue) -> str:
-    """Literal syntax for a value (ints bare, strings quoted, booleans tt/ff)."""
+    """Literal syntax for a value: ints bare, strings as ASCII JSON strings
+    (every control, non-ASCII and line-breaking character escaped, so a
+    literal stays on its line), booleans tt/ff."""
     if v is UNDEF:
         return "undef"
     if isinstance(v, Bool):
         return repr(v)
     if isinstance(v, str):
-        return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return encode_basestring_ascii(v)
     return int_str(v)
 
 

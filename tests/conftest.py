@@ -113,9 +113,6 @@ def dse_program():
     return textio.parse_program(DSE_SRC)
 
 
-SAMPLE_VARS = ("x", "y", "z", "w", "s", "i", "j")  # the CLI's --sample variables
-
-
 @pytest.fixture(scope="session")
 def type_ts_finals(sieve_program, sieve_store):
     """(original, final, stores, budget) of ``tracelab pipeline`` with
@@ -123,7 +120,7 @@ def type_ts_finals(sieve_program, sieve_store):
     ``--sample 4 --seed <seed>``, then on the sieve from its store with
     ``--budget 20000``."""
     from tracelab import gen, pipeline
-    cases = [(gen.gen_program(s), gen.gen_stores(s, SAMPLE_VARS, 4), 2000) for s in range(300)]
+    cases = [(gen.gen_program(s), gen.gen_stores(s, gen.SAMPLE_VARS, 4), 2000) for s in range(300)]
     cases.append((sieve_program, [sieve_store], 20000))
     return [(p, pipeline.pipeline(p, stores, "type", 2, budget, ["ts"], 3).program, stores, budget)
             for p, stores, budget in cases]
@@ -159,13 +156,13 @@ def oracle_cases(with_put=False):
     2000, and again at half its length there, which truncates every run of
     two states or more."""
     from tracelab import gen, pipeline
-    from tests.test_pipeline import SAMPLE_VARS, _with_put
+    from tests.test_pipeline import _with_put
     cases = []
     for seed in range(60):
         p = gen.gen_program(seed)
         if with_put:
             p = _with_put(p)
-        stores = gen.gen_stores(seed, SAMPLE_VARS, 4)
+        stores = gen.gen_stores(seed, gen.SAMPLE_VARS, 4)
         final = pipeline.pipeline(p, stores, "type", 2, 2000, ["ts"], 1).program
         for q in (p, final):
             for rho in stores:

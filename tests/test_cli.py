@@ -130,7 +130,8 @@ def test_shrink_uses_the_check_that_judged(tmp_path, monkeypatch):
                                   "GPError", "ill-formed",
                                   "bad --domain", "--hotpath -9", "--hotpath -1",
                                   "--initials [1]", "--initials [[1]]", "--initials []",
-                                  "--sample -1", "--rounds 0", "--seed without --sample"])
+                                  "--sample -1", "--rounds 0", "--seed without --sample",
+                                  "extract: no hot path", "optimize: no hot path"])
 def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
     from tracelab.extract import ExtractError
     loop = tmp_path / "loop.tl"
@@ -142,6 +143,8 @@ def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
     prologue.write_text(GP_PROLOGUE)
     ill_formed = tmp_path / "ill_formed.tl"
     ill_formed.write_text("#entry L0\nL0: x := 1 -> L0\nL0: skip -> .\n")
+    straight = tmp_path / "straight.tl"
+    straight.write_text("#entry L0\nL0: skip -> .\n")
 
     def refuse(*args):
         raise ExtractError("refused")
@@ -167,11 +170,15 @@ def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
         "--sample -1": ["run", loop, "--sample", "-1"],
         "--rounds 0": ["pipeline", loop, "--rounds", "0"],
         "--seed without --sample": ["run", loop, "--seed", "7"],
+        "extract: no hot path": ["extract", straight],
+        "optimize: no hot path": ["optimize", straight, "--domain", "type", "--pass", "ts"],
     }[case]
     rc, out, err = call(argv)
     assert rc == 2 and out == ""
     assert "Traceback" not in err and err.count("error: ") == 1
     assert err.startswith("error: ") or "error: argument --domain" in err
+    if case.endswith("no hot path"):
+        assert err == "error: no hot path found\n"
 
 
 GP_PROLOGUE = "x := 0; while (x <= 3) do { x := x + 1; }\n"  # not headed by while

@@ -106,6 +106,7 @@ def test_abstract_add_golden_cases():
     assert eval_type(e, type_domain.make({"x": INT, "y": STRING})) == UNDEF_T
     assert eval_type(e, type_domain.make({"x": INT, "y": TOP_T})) == TOP_T
     assert eval_type(e, type_domain.make({"x": STRING, "y": BOT_T})) == BOT_T
+    assert eval_type(Index("a", Var("x")), tstore) == TOP_T  # the member read is not typed
 
 
 def _gamma_samples(t):

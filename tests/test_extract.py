@@ -256,7 +256,7 @@ def test_a_path_leaving_a_stitched_command_twice_is_refused(seed, command):
     a second time would make its label nondeterministic."""
     from tracelab import gen, pipeline
     p = gen.gen_program(seed)
-    stores = gen.gen_stores(seed, ("x", "y", "z", "w", "s", "i", "j"), 4)
+    stores = gen.gen_stores(seed, gen.SAMPLE_VARS, 4)
     current = p
     for _ in range(2):
         runs = observe.runs(current, stores, 2000)

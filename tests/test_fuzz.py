@@ -9,7 +9,12 @@ writes at any index, guards of every domain over drawn store literals, long
 arrays and unusual legal names.  Some are then
 made malformed by cutting, repeating or splicing their text.  Others are a
 loop that doubles a string at every step.  The draws are derandomized, so
-every run tries the same cases."""
+every run tries the same cases.
+
+The same grammar, with strings that print with escapes among its literals
+and without the expressions nested near the depth bound, draws the programs
+of the round-trip test: a program that parses prints to text that parses back
+to it."""
 
 import contextlib
 import io
@@ -17,14 +22,13 @@ import itertools
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from tracelab import cli
+from tracelab import cli, textio
 
 # legal names that look like something else: a label, a member of an
 # array, a keyword with a suffix, a scope-suffixed label, an underscore
 NAMES = ["x", "y", "i", "_", "x#1", "L1", "a_0", "a_01", "tt_", "skipx", "h0#1", "__9"]
-KEYWORDS = ["tt", "ff", "skip", "guard", "put", "undef"]  # not variables
 
 names = st.sampled_from(NAMES) | st.from_regex(r"[A-Za-z_][A-Za-z0-9_#]{0,5}", fullmatch=True)
 # ints as text: some have more digits than Python converts by default
@@ -41,9 +45,6 @@ def _expr(children):
     )
 
 
-exprs = st.recursive(names | literals, _expr, max_leaves=12)
-
-
 @st.composite
 def deep_exprs(draw):
     """A chain of additions or a parenthesized nest, around the parser's
@@ -54,61 +55,67 @@ def deep_exprs(draw):
     return "(" * depth + "x" + ")" * depth
 
 
-# guard store literals of each domain, families and defaults included
-slots = {"type": st.sampled_from(["Int", "Str", "Bool", "Top", "Bot", "Undef", "Nat"]),
-         "cp": literals | st.sampled_from(["top", "bot", "undef"]),
-         "onepoint": st.sampled_from(["top", "x"])}
+def grammar(pool, deep: bool):
+    """The strategy of drawn program texts over the literal pool ``pool``;
+    an assignment of ``deep_exprs`` is among the actions when ``deep``."""
+    exprs = st.recursive(names | pool, _expr, max_leaves=12)
+
+    # guard store literals of each domain, families and defaults included
+    slots = {"type": st.sampled_from(["Int", "Str", "Bool", "Top", "Bot", "Undef", "Nat"]),
+             "cp": pool | st.sampled_from(["top", "bot", "undef"]),
+             "onepoint": st.sampled_from(["top", "x"])}
+
+    @st.composite
+    def guards(draw):
+        tag = draw(st.sampled_from(["type", "type", "cp", "onepoint", "interval"]))
+        entries = [f"{draw(names)}: {draw(slots.get(tag, names))}"
+                   + draw(st.sampled_from(["", "", "[3]", "[5000]", "[-1]"]))
+                   for _ in range(draw(st.integers(0, 3)))]
+        entries += draw(st.sampled_from([[], [], [f"*: {draw(slots.get(tag, names))}"]]))
+        store = draw(st.sampled_from(["{" + ", ".join(entries) + "}"] * 3 + ["top", "bot"]))
+        return f"guard {tag} {store}"
+
+    branch_tests = st.one_of(
+        st.tuples(exprs, st.sampled_from(["<=", "="]), exprs).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.sampled_from(["tt", "ff"]),
+        guards(),
+    )
+
+    @st.composite
+    def actions(draw):
+        kind = draw(st.sampled_from(["assign"] * 4 + ["index"] * 2 + ["put", "skip"] + ["deep"] * deep))
+        if kind == "assign":
+            return f"{draw(names)} := {draw(exprs)}"
+        if kind == "index":
+            return f"a[{draw(exprs)}] := {draw(exprs)}"
+        if kind == "put":
+            return "put {" + ", ".join(draw(st.lists(names, max_size=3))) + "}"
+        if kind == "deep":
+            return f"x := {draw(deep_exprs())}"
+        return "skip"
+
+    @st.composite
+    def programs(draw):
+        """A counting loop around drawn actions, with a drawn branch inside."""
+        n = draw(st.sampled_from([0, 1, 3, 100, 5000]))
+        test, body = draw(branch_tests), draw(st.lists(actions(), min_size=1, max_size=3))
+        bound = draw(ints)
+        lines = ["#entry L0"] + ([f"#array a {n}"] if n else [])
+        lines += ["L0: i := 0 -> L1",
+                  f"L1: (i <= {bound}) -> B0",
+                  f"L1: !(i <= {bound}) -> E",
+                  f"B0: {test} -> B1",
+                  f"B0: !{test} -> S"]
+        lines += [f"B{k + 1}: {a} -> B{k + 2}" for k, a in enumerate(body)]
+        lines += [f"B{len(body) + 1}: skip -> S",
+                  "S: i := (i + 1) -> L1",
+                  "E: skip -> ."]
+        return "\n".join(lines) + "\n"
+
+    return programs
 
 
-@st.composite
-def guards(draw):
-    tag = draw(st.sampled_from(["type", "type", "cp", "onepoint", "interval"]))
-    entries = [f"{draw(names)}: {draw(slots.get(tag, names))}"
-               + draw(st.sampled_from(["", "", "[3]", "[5000]", "[-1]"]))
-               for _ in range(draw(st.integers(0, 3)))]
-    entries += draw(st.sampled_from([[], [], [f"*: {draw(slots.get(tag, names))}"]]))
-    store = draw(st.sampled_from(["{" + ", ".join(entries) + "}"] * 3 + ["top", "bot"]))
-    return f"guard {tag} {store}"
-
-
-branch_tests = st.one_of(
-    st.tuples(exprs, st.sampled_from(["<=", "="]), exprs).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
-    st.sampled_from(["tt", "ff"]),
-    guards(),
-)
-
-
-@st.composite
-def actions(draw):
-    kind = draw(st.sampled_from(["assign"] * 4 + ["index"] * 2 + ["put", "skip", "deep"]))
-    if kind == "assign":
-        return f"{draw(names)} := {draw(exprs)}"
-    if kind == "index":
-        return f"a[{draw(exprs)}] := {draw(exprs)}"
-    if kind == "put":
-        return "put {" + ", ".join(draw(st.lists(names, max_size=3))) + "}"
-    if kind == "deep":
-        return f"x := {draw(deep_exprs())}"
-    return "skip"
-
-
-@st.composite
-def programs(draw):
-    """A counting loop around drawn actions, with a drawn branch inside."""
-    n = draw(st.sampled_from([0, 1, 3, 100, 5000]))
-    test, body = draw(branch_tests), draw(st.lists(actions(), min_size=1, max_size=3))
-    bound = draw(ints)
-    lines = ["#entry L0"] + ([f"#array a {n}"] if n else [])
-    lines += ["L0: i := 0 -> L1",
-              f"L1: (i <= {bound}) -> B0",
-              f"L1: !(i <= {bound}) -> E",
-              f"B0: {test} -> B1",
-              f"B0: !{test} -> S"]
-    lines += [f"B{k + 1}: {a} -> B{k + 2}" for k, a in enumerate(body)]
-    lines += [f"B{len(body) + 1}: skip -> S",
-              "S: i := (i + 1) -> L1",
-              "E: skip -> ."]
-    return "\n".join(lines) + "\n"
+programs = grammar(literals, deep=True)
 
 
 @st.composite
@@ -134,7 +141,7 @@ def malformed(draw, texts):
         return "".join(lines[:k + 1] + [lines[k]] + lines[k + 1:])
     token = draw(st.sampled_from(["(", ")", "[", "]", "{", "}", "->", ":=", "!", "#entry L9",
                                   "\n", '"', ";", ".", "*"]) if how == "splice"
-                 else st.sampled_from(KEYWORDS))
+                 else st.sampled_from(textio.KEYWORDS))
     return text[:at] + token + text[at:]
 
 
@@ -190,3 +197,30 @@ def test_the_cli_contract_holds_on_fuzzed_input(workdir, data):
         code = cli.main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+# strings that print with escapes: a line break, a tab, a control character,
+# two characters that end a line for ``str.splitlines``, a non-ASCII letter
+# and a quote.  The draws hold them in expressions and, seldom, as cp guard
+# constants; the example holds them in both.
+ESCAPED = ["a\nb", "\t", "\u0001", "\u2028", "\u0085", "\u00e9", 'q"r']
+round_trip_programs = grammar(literals | st.sampled_from(ESCAPED).map(json.dumps), deep=False)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
+                                 HealthCheck.data_too_large])
+@given(text=round_trip_programs())
+@example("#entry L0\n"
+         'L0: guard cp {x: "a\\nb", a: "\\u2028"[2], *: "\\t"} -> L1\n'
+         'L0: !guard cp {x: "a\\nb", a: "\\u2028"[2], *: "\\t"} -> L1\n'
+         'L1: s := (s + "q\\"r\\u0001") -> L2\n'
+         "L2: skip -> .\n")
+def test_a_parsed_program_prints_to_text_that_parses_back_to_it(text):
+    """``print_program`` writes what ``parse_program`` reads: the printed
+    text of every drawn program that parses is the same program."""
+    try:
+        p = textio.parse_program(text)
+    except textio.ParseError:  # an unknown domain or slot name, a keyword as a name
+        assume(False)
+    assert textio.parse_program(textio.print_program(p)) == p

@@ -79,7 +79,7 @@ def test_topo_order_matches_the_oracle_on_generated_finals_and_unreachable_comma
     from tracelab import gen, pipeline
     from tracelab.lang import HALT, Program
     for seed in range(30):
-        stores = gen.gen_stores(seed, ("x", "y", "z", "w", "s", "i", "j"), 4)
+        stores = gen.gen_stores(seed, gen.SAMPLE_VARS, 4)
         final = pipeline.pipeline(gen.gen_program(seed), stores, "type", 2, 2000, ["ts"],
                                   3).program
         fresh = Program(final.commands, final.entry, final.arrays)  # no cached tables
@@ -302,11 +302,10 @@ def test_sloop_is_the_definition_on_finals_without_a_pass(domain, rounds, monkey
     """Every mining call of a pipeline with no pass, and the runs of its
     final program cut against the original, on generated programs."""
     from tracelab import gen, pipeline
-    from tests.test_pipeline import SAMPLE_VARS
     for seed in range(0, 60, 3):
         calls = _spy_sloop(monkeypatch)
         p = gen.gen_program(seed)
-        stores = gen.gen_stores(seed, SAMPLE_VARS, 4)
+        stores = gen.gen_stores(seed, gen.SAMPLE_VARS, 4)
         final = pipeline.pipeline(p, stores, domain, 2, 2000, [], rounds).program
         monkeypatch.undo()
         ranked = topo_order(final)
@@ -573,9 +572,8 @@ def test_hotcut_is_the_keep_rule_on_generated_finals(seed):
     program, at three budgets, cut against the original: one scan for the
     dropped stretches gives the keep rule's run."""
     from tracelab import gen, pipeline
-    from tests.test_pipeline import SAMPLE_VARS
     p = gen.gen_program(seed)
-    stores = gen.gen_stores(seed, SAMPLE_VARS, 4)
+    stores = gen.gen_stores(seed, gen.SAMPLE_VARS, 4)
     for domain, passes, rounds in [("type", ["ts"], 3), ("onepoint", [], 3), ("type", [], 2)]:
         final = pipeline.pipeline(p, stores, domain, 2, 2000, passes, rounds).program
         for rho in stores:

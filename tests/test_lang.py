@@ -63,6 +63,11 @@ def test_parse_errors():
     ("L0: guard interval {} -> L1", "unregistered store abstraction: interval"),
     ("L0: guard type {a: Int[65537]} -> L1", "a guard store binds more than 65536 variables"),
     ("L0: guard cp {x: 1, a: 2[65536]} -> L1", "a guard store binds more than 65536 variables"),
+    ("5: skip -> L1", "bad label '5'"),
+    ("L0: skip -> 5", "bad successor label '5'"),
+    ("L0: skip -> L1 L2", "trailing tokens: 'L2'"),
+    ("#entry L0 L1", "#entry takes one label"),
+    ("#array a", "#array takes a name and a size"),
 ])
 def test_parse_errors_name_the_line(line, message):
     """Forms the printer never emits are refused with the line they are on."""
@@ -98,6 +103,9 @@ def test_a_guard_store_may_bind_up_to_the_bound():
 @pytest.mark.parametrize("src, message", [
     ("x := 1;\ny := ;", "line 2: expected expression, got ';'"),
     ("x := 0;\nwhile (x <= 3) do {\n  x := x + 1;\n", "line 3: unexpected end of input"),
+    ("skip;\nskip", "line 2: unexpected end of input"),
+    ("while (x <= 3) do\n  x := 1; }", "line 2: expected '{', got 'x'"),
+    ("x := 1;\n}", "line 2: expected a statement, got '}'"),
 ])
 def test_while_language_errors_name_their_line(src, message):
     with pytest.raises(ParseError) as exc:
@@ -165,7 +173,7 @@ def test_only_labels_with_several_commands_are_sorted(monkeypatch):
     is sorted by the key.  So ``well_formed`` of a well-formed program calls
     it on nothing, and its order is still the key's."""
     from tracelab import gen, pipeline
-    stores = gen.gen_stores(3, ("x", "y", "z", "w", "s", "i", "j"), 4)
+    stores = gen.gen_stores(3, gen.SAMPLE_VARS, 4)
     final = pipeline.pipeline(gen.gen_program(3), stores, "type", 2, 2000, ["ts"], 3).program
     assert any(isinstance(c.action, lang.Guard) for c in final.commands)
     keys, real = [], lang.command_key
@@ -241,6 +249,14 @@ def test_well_formed_after_removing_complement(loop_program):
     p = loop_program.replace(remove=[c1c])
     diags = well_formed(p)
     assert any("L1" in d for d in diags)
+
+
+def test_an_entry_label_without_a_command_is_diagnosed_and_cannot_run():
+    from tracelab.semantics import SemanticsError, Store, run
+    p = parse_program("#entry L9\nL0: skip -> .\n")
+    assert well_formed(p) == ["entry label L9 has no command"]
+    with pytest.raises(SemanticsError, match="^no command at entry label L9$"):
+        run(p, Store(), 10)
 
 
 def test_determinism_diagnostic():
@@ -349,7 +365,7 @@ def test_rename_equal_returns_the_relabeling_of_final_programs(seed, domain, pas
     relabeled a final program, and no renaming once one edge moves.  The type
     rounds stitch guarded chains; cp mines no path on these programs."""
     from tracelab import gen, pipeline
-    stores = gen.gen_stores(seed, ("x", "y", "z", "w", "s", "i", "j"), 4)
+    stores = gen.gen_stores(seed, gen.SAMPLE_VARS, 4)
     rep = pipeline.pipeline(gen.gen_program(seed), stores, domain, 2, 2000, passes, rounds)
     assert bool(rep.hotpaths) == (domain == "type")
     p = rep.program

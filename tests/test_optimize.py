@@ -267,7 +267,7 @@ def test_dse_on_generated_programs_matches_its_golden():
     assert sorted(golden) == [(362, "dse"), (992, "dse")]
     for (seed, names), text in golden.items():
         p = gen.gen_program(seed)
-        stores = gen.gen_stores(seed, ("x", "y", "z", "w", "s", "i", "j"), 4)
+        stores = gen.gen_stores(seed, gen.SAMPLE_VARS, 4)
         removed = []
 
         def dse(st):
@@ -559,7 +559,7 @@ def test_generated_programs_keep_few_guards():
     (192 with only the universal pairs dropped)."""
     kept = 0
     for seed in range(30):
-        stores = gen.gen_stores(seed, ("x", "y", "z", "w", "s", "i", "j"), 4)
+        stores = gen.gen_stores(seed, gen.SAMPLE_VARS, 4)
         rep = pipeline.pipeline(gen.gen_program(seed), stores, "type", 2, 2000, ["ts"], 3)
         assert well_formed(rep.program) == [] and rep.check.passed, seed
         kept += len(_guards(rep.program))

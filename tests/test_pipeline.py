@@ -34,13 +34,10 @@ def test_no_round_is_refused_not_passed(loop_program, rounds):
         pipeline.pipeline(loop_program, [Store()], "onepoint", 2, 2000, [], rounds)
 
 
-SAMPLE_VARS = ("x", "y", "z", "w", "s", "i", "j")  # the CLI's --sample variables
-
-
 def _gen_pipeline(seed, domain, passes, rounds):
     """The report of ``tracelab pipeline`` on generated program ``seed`` with
     ``--sample 4 --seed seed``."""
-    stores = gen.gen_stores(seed, SAMPLE_VARS, 4)
+    stores = gen.gen_stores(seed, gen.SAMPLE_VARS, 4)
     return pipeline.pipeline(gen.gen_program(seed), stores, domain, 2, 2000, passes, rounds)
 
 
@@ -61,9 +58,9 @@ def _held_out_stores(seed):
     the generator draws for another seed, and 16 it never draws, with unbound
     variables, strings in int variables and ints outside its pool."""
     rng = random.Random(seed)
-    stores = gen.gen_stores(seed + 10 ** 6, SAMPLE_VARS, 16)
+    stores = gen.gen_stores(seed + 10 ** 6, gen.SAMPLE_VARS, 16)
     for _ in range(16):
-        roll = {v: rng.random() for v in SAMPLE_VARS}
+        roll = {v: rng.random() for v in gen.SAMPLE_VARS}
         stores.append(Store({v: rng.choice(("", "a", "zz")) if r < 0.5 else
                              rng.choice((-1000, -7, 4, 11, 97, 10 ** 20))
                              for v, r in roll.items() if r >= 0.2}))
@@ -93,6 +90,8 @@ def test_final_programs_pass_sc_on_held_out_stores():
 # and a ts rewrite of that evaluates as the original on every store; the
 # rewrite of a sum of two variables differs from it when both operands are
 # of the other class (``+Int`` of two strings is undef, ``+`` concatenates).
+# The last one reassigns an operand between two sums: the guard of the second
+# sum is implied only if the transfer of ``x := y`` (``post``) were dropped.
 ADDING_LOOPS = [
     """#entry L0
 L0: i := 0 -> L1
@@ -122,6 +121,16 @@ L3: x := (z + y) -> L4
 L4: i := (i + 1) -> L1
 L5: skip -> .
 """,
+    """#entry L0
+L0: i := 0 -> L1
+L1: (i <= 6) -> L2
+L1: !(i <= 6) -> L5
+L2: x := (x + x) -> L3
+L3: x := y -> L4
+L4: w := (x + x) -> L6
+L6: i := (i + 1) -> L1
+L5: skip -> .
+""",
 ]
 
 # mining sees ints in both operands, or strings, so ts rewrites to +Int or +Str
@@ -132,7 +141,8 @@ ADDING_HELD_OUT = [{"x": 5, "y": 7}, {"x": "p", "y": "q"}, {"x": "p", "y": ""}, 
                    {"x": "p", "y": 2}, {"x": 10 ** 20, "y": -1}, {"x": 3}, {"y": "q"}, {}]
 
 
-@pytest.mark.parametrize("src", ADDING_LOOPS, ids=["one-sum", "two-branches", "chained-sums"])
+@pytest.mark.parametrize("src", ADDING_LOOPS,
+                         ids=["one-sum", "two-branches", "chained-sums", "reassigned-operand"])
 @pytest.mark.parametrize("mined", ADDING_STORES)
 def test_loops_that_add_two_variables_pass_sc_on_held_out_stores(src, mined):
     """Mined from stores of one class, each final program passes sc on the
@@ -163,7 +173,7 @@ def test_final_programs_print_parse_and_check(domain, passes, rounds):
             with pytest.raises(observe.ObserveError, match="out check observes nothing"):
                 _gen_pipeline(seed, domain, passes, rounds)
             p = gen.gen_program(seed)
-            runs = observe.runs(p, gen.gen_stores(seed, SAMPLE_VARS, 4), 2000)
+            runs = observe.runs(p, gen.gen_stores(seed, gen.SAMPLE_VARS, 4), 2000)
             found = list(pipeline.mine(p, p, runs, 2, domain))
             program = optimize.optimize_full(p, found[0][0],
                                              [optimize.PASSES[name] for name in passes], p)
@@ -217,7 +227,7 @@ def test_without_a_pass_the_final_program_runs_as_long_as_the_original(domain):
     left is the original program under other labels: from every store it
     runs exactly as many states."""
     for seed in range(60):
-        p, stores = gen.gen_program(seed), gen.gen_stores(seed, SAMPLE_VARS, 4)
+        p, stores = gen.gen_program(seed), gen.gen_stores(seed, gen.SAMPLE_VARS, 4)
         rep = pipeline.pipeline(p, stores, domain, 2, 2000, [], 3)
         assert [len(run(rep.program, rho, 2000)) for rho in stores] == \
             [len(run(p, rho, 2000)) for rho in stores], seed
@@ -239,7 +249,7 @@ def test_dse_results_on_generated_programs_pass_their_out_check(domain, passes):
     stitched = 0
     for seed in range(100):
         p = _with_put(gen.gen_program(seed))
-        rep = pipeline.pipeline(p, gen.gen_stores(seed, SAMPLE_VARS, 4), domain, 2, 2000,
+        rep = pipeline.pipeline(p, gen.gen_stores(seed, gen.SAMPLE_VARS, 4), domain, 2, 2000,
                                 passes, 3)
         assert rep.check.observation == "out" and rep.check.passed, seed
         stitched += bool(rep.hotpaths)
@@ -300,7 +310,7 @@ def test_reused_runs_judge_as_fresh_runs_do(domain, passes):
         p = gen.gen_program(seed)
         if "dse" in passes:
             p = _with_put(p)
-        stores = gen.gen_stores(seed, SAMPLE_VARS, 4)
+        stores = gen.gen_stores(seed, gen.SAMPLE_VARS, 4)
         rep = pipeline.pipeline(p, stores, domain, 2, 2000, passes, 3)
         assert rep.check == fresh(p, rep.program, stores, 2000), seed
 
@@ -344,7 +354,7 @@ def test_a_round_mines_only_up_to_the_hot_path_it_stitches(domain, passes, monke
     monkeypatch.setattr(hotpath, "topo_order", topo_order)
     monkeypatch.setattr(hotpath, "hot_n", hot_n)
     for seed in range(60):
-        p, stores = gen.gen_program(seed), gen.gen_stores(seed, SAMPLE_VARS, 4)
+        p, stores = gen.gen_program(seed), gen.gen_stores(seed, gen.SAMPLE_VARS, 4)
         if "dse" in passes:
             p = _with_put(p)
         want = _mine_fully_then_stitch(p, stores, domain, passes, 3)

@@ -11,7 +11,6 @@ from tracelab.textio import print_program
 
 GOLDEN = Path(__file__).parent / "golden" / "runs.txt"
 
-SAMPLE_VARS = ("x", "y", "z", "w", "s", "i", "j")  # the CLI's --sample variables
 BUDGETS = (2000, 13, 2, 1)
 
 
@@ -29,7 +28,7 @@ def run_golden_lines(seeds=range(50)) -> list[str]:
     lines = []
     for seed in seeds:
         p = gen.gen_program(seed)
-        stores = gen.gen_stores(seed, SAMPLE_VARS, 4)
+        stores = gen.gen_stores(seed, gen.SAMPLE_VARS, 4)
         variants = [("orig", p), ("ts", ts_stitched(p, stores))]
         for name, q in variants:
             if q is None:

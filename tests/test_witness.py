@@ -162,7 +162,7 @@ def test_witnesses_on_generated_programs(seed, domain):
     """Unfolding then refolding a source run gives it back, and both
     witnesses keep store changes, for the first hot path of each program."""
     p = gen.gen_program(seed)
-    stores = gen.gen_stores(seed, ("x", "y", "z", "w", "s", "i", "j"), 4)
+    stores = gen.gen_stores(seed, gen.SAMPLE_VARS, 4)
     st = extract(p, list(pipeline.mine(p, p, observe.runs(p, stores, 2000), 2, domain))[0][0])
     for rho in stores:
         tau = run(p, rho, 2000).states
