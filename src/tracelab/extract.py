@@ -16,7 +16,7 @@ stitch from that record rather than searching the program for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
 
 from .hotpath import HotPath
 from .lang import Command, Guard, LabelScope, Program, find_cmpl
@@ -28,37 +28,44 @@ class ExtractError(Exception):
 
 @dataclass(frozen=True)
 class StitchResult:
-    """The program after extraction and the commands extraction built, each
-    keyed by its index i on the hot path (``hp.commands[i]``):
+    """The commands extraction built into ``program``, one field per role,
+    each keyed by its index i on the hot path (``hp.commands[i]``):
 
     - ``guards[i]``: the (positive, negative) guard pair in front of copy i;
-      ``guards[0]`` is the entry pair at the head label, absent when the head
-      belongs to a previously stitched path;
-    - ``body[i]``: the action copy of command i or, for a command of a
-      previously stitched path, that command retargeted into this stitch;
+      ``guards[0]`` is the entry pair at the head label.  Pairs and copies
+      are at exactly the indices of the path's original commands;
+    - ``body[i]``: the freshly labeled action copy of command i;
+    - ``nested[i]``: command i of a previously stitched path, retargeted into
+      this stitch when command i + 1 is original;
     - ``exits[i]``: the complement exit beside copy i, when command i branches;
-    - ``slow``: the relabeled head and then its complement, if it has one;
-      empty without an entry pair.
+    - ``slow``: the relabeled head and its complement, if any; empty without
+      ``guards[0]``.
 
-    ``stitched`` is the union of the guards, the body and the exits; the slow
-    copies are original code under a fresh label and not part of it.
-    Optimization passes replace ``stitched`` and ``body`` only, by rewriting
-    the action of a copy or deleting a copy.
+    ``stitched`` (the guards, body, nested commands and exits) and
+    ``transformed`` (``program`` with the head and the retargeted commands
+    swapped for the stitch and the slow copies) are derived.  Optimization
+    passes may only rewrite or delete copies (``optimize.optimize_full``).
     """
 
-    transformed: Program
-    stitched: frozenset[Command]
+    program: Program
     hp: HotPath
-    body: dict[int, Command]
-    exits: dict[int, Command]
     guards: dict[int, tuple[Command, Command]]
+    body: dict[int, Command]
+    nested: dict[int, Command]
+    exits: dict[int, Command]
     slow: tuple[Command, ...]
 
-    @property
-    def entry_label(self) -> Optional[str]:
-        """Label of the entry guard pair; None when the path head is itself
-        part of a previously stitched path (no entry clause then)."""
-        return self.guards[0][0].label if 0 in self.guards else None
+    @cached_property
+    def stitched(self) -> frozenset[Command]:
+        return frozenset([*(c for g in self.guards.values() for c in g), *self.body.values(),
+                          *self.nested.values(), *self.exits.values()])
+
+    @cached_property
+    def transformed(self) -> Program:
+        cmds = self.hp.commands
+        head = [Command(cmds[0].label, c.action, c.succ) for c in self.slow]
+        return self.program.replace(remove=[*head, *(cmds[i] for i in self.nested)],
+                                    add=self.stitched | frozenset(self.slow))
 
 
 def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> StitchResult:
@@ -81,10 +88,10 @@ def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> Stit
                 Command(label, Guard(a, False), no))
 
     c0 = cmds[0]
-    removed: set[Command] = set()
-    body: dict[int, Command] = {}
-    exits: dict[int, Command] = {}
     guards: dict[int, tuple[Command, Command]] = {}
+    body: dict[int, Command] = {}
+    nested: dict[int, Command] = {}
+    exits: dict[int, Command] = {}
     slow: tuple[Command, ...] = ()
 
     if in_orig[0]:
@@ -92,7 +99,6 @@ def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> Stit
         bar = scope.bar(c0.label)
         cmpl0 = find_cmpl(c0, p_current)
         head = (c0,) if cmpl0 is None else (c0, cmpl0)
-        removed.update(head)
         slow = tuple(Command(bar, c.action, c.succ) for c in head)
         guards[0] = guard_pair(0, c0.label, bar)
 
@@ -113,14 +119,11 @@ def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> Stit
                 guards[i] = guard_pair(i, scope.bbl(i), ci.label)
         elif i < n and in_orig[i + 1]:
             # (8)-(9): retarget a nested path's exit into this stitch
-            if ci in removed:
+            if any(cmds[j] == ci for j in nested):
                 raise ExtractError(f"hot path leaves the stitched command {ci} twice")
-            removed.add(ci)
-            body[i] = Command(ci.label, ci.action, nxt)
+            nested[i] = Command(ci.label, ci.action, nxt)
 
-    stitched = frozenset([*body.values(), *exits.values(), *(c for g in guards.values() for c in g)])
-    transformed = p_current.replace(remove=removed, add=stitched | frozenset(slow))
-    return StitchResult(transformed, stitched, hp, body, exits, guards, slow)
+    return StitchResult(p_current, hp, guards, body, nested, exits, slow)
 
 
 def extract(p: Program, hp: HotPath) -> StitchResult:

@@ -2,10 +2,10 @@
 
 A pass maps the stitch (``StitchResult``) to a new set of stitched commands
 and may only rewrite the action of a copy or delete a copy.  ``optimize_full``
-checks that rather than trusting it: every label and successor of a pass's
-output must be one of the stitch, and the entry pair must be kept.  Each pass
-sees the previous one's output.  Passes read extraction's record by path
-index rather than searching the stitch for labels.
+checks that rather than trusting it: it reads the output back as a new
+``body`` (``_rebody``) and refuses it unless it is exactly the stitch so
+derived.  Each pass sees the previous one's output.  Passes read extraction's
+record by path index rather than searching the stitch for labels.
 
 One residual step then builds the program.  As the paper's residual program
 guards an optimized path with sufficient conditions, it walks each stitch
@@ -30,8 +30,7 @@ copy's successor, followed through further drops.  If that route is a cycle
 is kept with the universal store.  Then only labels the entry reaches are
 kept, which drops the slow head copies and the original commands only a
 dropped negative guard reached; with no pass the stitch is the original loop
-under fresh labels.  A pass's rewrite or deletion of a command of a
-previously stitched path is undone.
+under fresh labels.
 """
 
 from __future__ import annotations
@@ -139,9 +138,9 @@ def dead_store_eliminate(st: StitchResult) -> frozenset[Command]:
     The walk from copy i reads the record at the path positions after i, in
     order and round the loop.  A guard pair that can fail or guards a copy
     with an exit, a position inside a previously stitched path (no guard
-    pair, no body entry), a read of the variable and a branch stop it.  It
-    steps over a copy an earlier pass deleted and over a universal guard of
-    a nested path; only a reassignment reached first makes the store dead.
+    pair, no nested command), a read of the variable and a branch stop it.
+    It steps over a copy an earlier pass deleted and over a universal guard
+    of a nested path; only a reassignment reached first makes the store dead.
     """
     n = len(st.hp.commands)
 
@@ -150,7 +149,7 @@ def dead_store_eliminate(st: StitchResult) -> frozenset[Command]:
 
     def overwritten(i: int, z: str) -> bool:
         for j in ((i + k) % n for k in range(1, n + 1)):
-            cmd = st.body.get(j)
+            cmd = st.body.get(j, st.nested.get(j))
             if j in st.guards and (j in st.exits or not universal(st.guards[j][0])):
                 return False
             if cmd is None:
@@ -198,17 +197,12 @@ def _residual(st: StitchResult, cur: StitchResult) -> Program:
     dom = st.hp.domain
     route: dict[str, str] = {}  # where a jump to a dropped label goes, in path order
     stores: dict[str, AbstractStore] = {}
-    stitched = set(cur.stitched)
     state = dom.top()  # the walk: what every store reaching position i is known to be in
     for i in range(len(st.hp.commands)):
-        c, copy = st.body.get(i), cur.body.get(i)
         if i not in st.guards:  # a command of a previously stitched path
-            if c is not None:
-                stitched.discard(copy)
-                stitched.add(c)
             state = dom.top()
             continue
-        yes = st.guards[i][0]
+        yes, c, copy = st.guards[i][0], st.body[i], cur.body.get(i)
         a = stores[yes.label] = (dom.top() if copy is None or copy.action == c.action
                                  else _slice(yes.action.store, _action_reads(c)))
         met = dom.meet(state, a)
@@ -239,7 +233,7 @@ def _residual(st: StitchResult, cur: StitchResult) -> Program:
             act = Guard(stores[c.label], act.positive)
         return c if act is c.action and succ == c.succ else Command(c.label, act, succ)
 
-    built = [residual(c) for c in (st.transformed.commands - st.stitched) | stitched
+    built = [residual(c) for c in (st.transformed.commands - st.stitched) | cur.stitched
              if c.label not in route]
     succs: dict[str, list[str]] = {}
     for c in built:
@@ -257,18 +251,15 @@ def _residual(st: StitchResult, cur: StitchResult) -> Program:
 def optimize_full(p: Program, hp: HotPath, passes: Sequence[Optimization],
                   original: Program) -> Program:
     """Extract once, run the passes in turn on the stitch (each sees the
-    previous pass's output), check that they kept to the contract, and build
-    the residual program."""
+    previous pass's output), refuse an output that is more than the stitch
+    with copies rewritten or deleted, and build the residual program."""
     st = extract_nested(p, hp, original)
-    edges = {(c.label, c.succ) for c in st.stitched}
     cur = st
     for opt in passes:
         new = opt(cur)
-        if not all((c.label, c.succ) in edges for c in new):
-            raise OptimizeError("optimization moved a successor or added a command in the stitch")
-        cur = replace(cur, stitched=new, body=_rebody(cur, new))
-    if st.entry_label is not None and all(c.label != st.entry_label for c in cur.stitched):
-        raise OptimizeError("optimization dropped the stitch entry")
+        cur = replace(cur, body=_rebody(cur, new))
+        if new != cur.stitched:
+            raise OptimizeError("optimization did more than rewrite or delete copies")
     return _residual(st, cur)
 
 

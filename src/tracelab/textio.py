@@ -26,9 +26,10 @@ variable it does not mention to its default, which is undef unless a last
 entry ``*: V`` names it: ``{i: Int, *: Top}`` constrains ``i`` only.
 ``bot`` and ``top`` are the empty and the universal guard store.  In a guard
 store, strings are cp constants only.
-An expression or test nests at most ``MAX_DEPTH`` levels, each operator,
-parenthesis, index and negation one, so no walk over what it parses to
-recurses too deep.
+An expression or test opens at most ``MAX_DEPTH`` brackets (parentheses,
+indexes, negations) and nests at most ``MAX_DEPTH`` node levels (operators,
+indexes, negations), so neither the parser nor a walk recurses too deep.
+Parentheses only group, so a printed operator's pair adds no level.
 """
 
 from __future__ import annotations
@@ -103,23 +104,26 @@ class _Cursor:
         self.lines = lines
         self.end = end
         self.i = 0
-        self.open = self.depth = 0  # levels open around the next token; depth of what was read
+        self.open = self.levels = self.depth = 0  # open brackets, open levels, levels read
 
     def deeper(self, depth: int) -> None:
-        """Records the depth of what was just read, up to ``MAX_DEPTH`` in all."""
-        if self.open + depth > MAX_DEPTH:
+        """Records the levels of what was just read: up to ``MAX_DEPTH`` with
+        the open levels, under up to ``MAX_DEPTH`` open brackets."""
+        if max(self.open, self.levels + depth) > MAX_DEPTH:
             raise _TooDeep(f"nested deeper than {MAX_DEPTH} levels", self.line_no)
         self.depth = depth
 
-    def inner(self, parse, close: str = ""):
-        """``parse(self)`` past the next token, one level down (refused before
-        it recurses), and then the token ``close`` if one is given."""
+    def inner(self, parse, close: str = "", level: int = 1):
+        """``parse(self)`` past the next token, a bracket and ``level`` levels
+        down (refused before it recurses), then the token ``close`` if given."""
         self.next()
         self.open += 1
+        self.levels += level
         self.deeper(0)
         node = parse(self)
         self.open -= 1
-        self.deeper(self.depth + 1)
+        self.levels -= level
+        self.deeper(self.depth + level)
         if close:
             self.expect(close)
         return node
@@ -187,7 +191,7 @@ def _parse_term(c: _Cursor):
     if t is None:
         c.fail("expected expression")
     if t == "(":
-        return c.inner(_parse_expr, ")")
+        return c.inner(_parse_expr, ")", 0)
     c.deeper(1)
     if t in ("tt", "ff"):
         c.next()
@@ -230,7 +234,7 @@ def _parse_bterm(c: _Cursor):
         c.deeper(1)
         return Tt() if t == "tt" else Ff()
     # try a comparison first; fall back to a parenthesized boolean
-    mark = c.i, c.open
+    mark = c.i, c.open, c.levels
     try:
         left = _parse_expr(c)
         if c.peek() in _COMPARISONS:
@@ -240,9 +244,9 @@ def _parse_bterm(c: _Cursor):
     except _TooDeep:
         raise
     except ParseError:
-        c.i, c.open = mark
+        c.i, c.open, c.levels = mark
     if c.peek() == "(":
-        return c.inner(_parse_bexpr, ")")
+        return c.inner(_parse_bexpr, ")", 0)
     c.fail(f"expected boolean expression, got {c.peek()!r}")
 
 

@@ -6,9 +6,9 @@ output is validated against the claimed program's transition relation, which
 is the executable content of their well-definedness lemmas.
 
 They read the stitch from extraction's record (``StitchResult``): the guard
-pair, action copy and complement exit at each path index, and the relabeled
-slow head.  A source complement is the exit's action and successor under the
-path command's label.
+pair, action copy, retargeted nested command and complement exit at each path
+index, and the relabeled slow head.  A source complement is the exit's action
+and successor under the path command's label.
 
 Nothing in the pipeline calls this module: it is the executable form of the
 extraction and specialization proofs, which ``test_witness`` checks.
@@ -87,11 +87,11 @@ def tr_out(st: StitchResult, states: Sequence[State]) -> tuple[State, ...]:
 def rtr(st: StitchResult, source: Program, states: Sequence[State]) -> tuple[State, ...]:
     """Map a trace of the extracted program back onto ``source``: drop guard
     states (a terminal guard becomes the guarded command itself), send the
-    copies, exits and slow head back to their path commands, keep everything
-    else."""
+    copies, retargeted nested commands, exits and slow head back to their
+    path commands, keep everything else."""
     cmds = st.hp.commands
     guard_index = {g: i for i, pair in st.guards.items() for g in pair}
-    to_src = {copy: cmds[i] for i, copy in st.body.items()}
+    to_src = {c: cmds[i] for i, c in [*st.body.items(), *st.nested.items()]}
     to_src.update((ex, _relabel(ex, cmds[i].label)) for i, ex in st.exits.items())
     to_src.update((c, _relabel(c, cmds[0].label)) for c in st.slow)
 

@@ -353,23 +353,26 @@ def test_a_program_nested_past_the_bound_exits_2(tmp_path):
 
 @pytest.mark.parametrize("cmd", ["run", "hot", "pipeline"])
 def test_a_program_nested_to_the_bound_runs(tmp_path, cmd):
-    """A loop whose tests and assignment nest exactly ``MAX_DEPTH`` levels
-    (parentheses around a comparison, a negation, a chain of additions) runs,
-    mines and stitches; one more parenthesis or negation is refused."""
+    """A loop whose tests open ``MAX_DEPTH`` brackets (parentheses around a
+    comparison, a negation and parentheses) and whose assignment is
+    ``MAX_DEPTH`` parentheses around a chain of additions ``MAX_DEPTH``
+    levels deep runs, mines and stitches.  One more parenthesis or negation
+    (a bracket), or one more addition (a level), is refused."""
     n = textio.MAX_DEPTH
     text = ("#entry L0\n"
-            f"L0: {'(' * (n - 2)}x <= 2000{')' * (n - 2)} -> L1\n"
-            f"L0: !{'(' * (n - 3)}x <= 2000{')' * (n - 3)} -> .\n"
-            f"L1: x := x{' + 1' * (n - 1)} -> L0\n")
+            f"L0: {'(' * n}x <= 2000{')' * n} -> L1\n"
+            f"L0: !{'(' * (n - 1)}x <= 2000{')' * (n - 1)} -> .\n"
+            f"L1: x := {'(' * n}x{' + 1' * (n - 1)}{')' * n} -> L0\n")
     path = tmp_path / "deep.tl"
     path.write_text(text)
     flags = ["--initials", '{"x": 0}'] + (["--domain", "type"] if cmd != "run" else [])
     rc, out, err = call([cmd, path, *flags])
     assert (rc, err) == (0, "") and ("stitched" in out if cmd == "pipeline" else out)
-    for deeper in ("L0: ((", "L0: !("):
-        path.write_text(text.replace("L0: (", deeper, 1))
+    for old, deeper, line in (("L0: (", "L0: ((", 2), ("L0: !(", "L0: !!(", 3),
+                              ("+ 1)", "+ 1 + 1)", 4)):
+        path.write_text(text.replace(old, deeper, 1))
         rc, out, err = call([cmd, path, *flags])
-        assert (rc, out, err) == (2, "", f"error: line 2: nested deeper than {n} levels\n")
+        assert (rc, out, err) == (2, "", f"error: line {line}: nested deeper than {n} levels\n")
 
 
 def test_run_sticks_at_an_index_too_long_to_print(tmp_path):
@@ -457,8 +460,30 @@ def test_pipeline_without_a_pass_passes_gen_seed_75(tmp_path):
 
 
 def test_pipeline_refuses_an_ill_formed_result(tmp_path, monkeypatch):
-    """The final well-formedness check stays as a safety net behind the
-    passes: a pass that adds a second command at a stitched label is refused."""
+    """The well-formedness check of each round stays as a safety net behind
+    ``optimize_full``: a round whose program has a second command at its
+    entry label is refused."""
+    from tracelab import optimize
+    from tracelab.lang import Command, Skip
+
+    optimize_full = optimize.optimize_full
+
+    def forking_optimize_full(p, hp, passes, original):
+        out = optimize_full(p, hp, passes, original)
+        first = out.at(out.entry)[0]  # x := 0
+        return out.replace(add=[Command(first.label, Skip(), first.succ)])
+
+    monkeypatch.setattr(optimize, "optimize_full", forking_optimize_full)
+    path = tmp_path / "loop.tl"
+    path.write_text(LOOP_SRC)
+    rc, out, err = call(["pipeline", path, "--domain", "type", "--pass", "ts"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: pipeline produced an ill-formed program: nondeterministic label")
+
+
+def test_pipeline_refuses_a_pass_that_adds_a_command(tmp_path, monkeypatch):
+    """A pass that adds a second command at a copy's label breaks the pass
+    contract, and ``optimize_full`` refuses it before any program is built."""
     from tracelab import optimize
     from tracelab.lang import Command, Skip
 
@@ -472,8 +497,7 @@ def test_pipeline_refuses_an_ill_formed_result(tmp_path, monkeypatch):
     path = tmp_path / "loop.tl"
     path.write_text(LOOP_SRC)
     rc, out, err = call(["pipeline", path, "--domain", "type", "--pass", "ts"])
-    assert (rc, out) == (2, "")
-    assert err.startswith("error: pipeline produced an ill-formed program: nondeterministic label")
+    assert (rc, out, err) == (2, "", "error: optimization did more than rewrite or delete copies\n")
 
 
 def test_out_check_of_an_optimized_program_observes_its_puts(tmp_path):

@@ -63,7 +63,7 @@ def test_extract_well_formed_and_deterministic(loop_p1):
 def test_extract_stitch_shape(loop_p1):
     st = loop_p1
     # entry guard pair sits at the path head label
-    entries = [c for c in st.stitched if c.label == st.entry_label]
+    entries = [c for c in st.stitched if c.label == st.guards[0][0].label]
     assert len(entries) == 2
     assert all(isinstance(c.action, Guard) for c in entries)
     # each fresh label labels at most a complement pair, and is targeted once
@@ -71,7 +71,7 @@ def test_extract_stitch_shape(loop_p1):
     for c in st.stitched:
         labels.setdefault(c.label, []).append(c)
     assert all(len(cs) <= 2 for cs in labels.values())
-    for l in set(labels) - {st.entry_label}:
+    for l in set(labels) - {st.guards[0][0].label}:
         preds = [c for c in st.stitched if c.succ == l]
         assert len(preds) == 1
     # no stitched command loops back into an earlier stitched label except
@@ -152,7 +152,7 @@ def test_extract_nested_golden(loop_program, loop_hp1):
     hp2 = hot_n(hotcut(r1, loop_program), 2, "onepoint", p1)[0][0]
     labels = [c.label for c in hp2.commands]
     st1 = extract(loop_program, loop_hp1)
-    assert labels == [st1.entry_label, st1.body[2].label, "L4"]
+    assert labels == [st1.guards[0][0].label, st1.body[2].label, "L4"]
 
     p2 = extract_nested(p1, hp2, loop_program).transformed
     assert well_formed(p2) == []

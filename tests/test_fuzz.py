@@ -11,10 +11,9 @@ made malformed by cutting, repeating or splicing their text.  Others are a
 loop that doubles a string at every step.  The draws are derandomized, so
 every run tries the same cases.
 
-The same grammar, with strings that print with escapes among its literals
-and without the expressions nested near the depth bound, draws the programs
-of the round-trip test: a program that parses prints to text that parses back
-to it."""
+The same grammar, with strings that print with escapes among its literals,
+draws the programs of the round-trip test: a program that parses prints to
+text that parses back to it, also when it nests near the depth bound."""
 
 import contextlib
 import io
@@ -55,9 +54,9 @@ def deep_exprs(draw):
     return "(" * depth + "x" + ")" * depth
 
 
-def grammar(pool, deep: bool):
+def grammar(pool):
     """The strategy of drawn program texts over the literal pool ``pool``;
-    an assignment of ``deep_exprs`` is among the actions when ``deep``."""
+    an assignment of ``deep_exprs`` is among the actions."""
     exprs = st.recursive(names | pool, _expr, max_leaves=12)
 
     # guard store literals of each domain, families and defaults included
@@ -67,12 +66,16 @@ def grammar(pool, deep: bool):
 
     @st.composite
     def guards(draw):
+        """A guard literal; a cp one binds at least one variable, so that
+        the draws hold cp constants."""
         tag = draw(st.sampled_from(["type", "type", "cp", "onepoint", "interval"]))
+        cp = tag == "cp"
         entries = [f"{draw(names)}: {draw(slots.get(tag, names))}"
                    + draw(st.sampled_from(["", "", "[3]", "[5000]", "[-1]"]))
-                   for _ in range(draw(st.integers(0, 3)))]
+                   for _ in range(draw(st.integers(cp, 3)))]
         entries += draw(st.sampled_from([[], [], [f"*: {draw(slots.get(tag, names))}"]]))
-        store = draw(st.sampled_from(["{" + ", ".join(entries) + "}"] * 3 + ["top", "bot"]))
+        braced = "{" + ", ".join(entries) + "}"
+        store = draw(st.sampled_from([braced] * 3 + ["top", "bot"] * (not cp)))
         return f"guard {tag} {store}"
 
     branch_tests = st.one_of(
@@ -83,7 +86,7 @@ def grammar(pool, deep: bool):
 
     @st.composite
     def actions(draw):
-        kind = draw(st.sampled_from(["assign"] * 4 + ["index"] * 2 + ["put", "skip"] + ["deep"] * deep))
+        kind = draw(st.sampled_from(["assign"] * 4 + ["index"] * 2 + ["put", "skip", "deep"]))
         if kind == "assign":
             return f"{draw(names)} := {draw(exprs)}"
         if kind == "index":
@@ -115,7 +118,7 @@ def grammar(pool, deep: bool):
     return programs
 
 
-programs = grammar(literals, deep=True)
+programs = grammar(literals)
 
 
 @st.composite
@@ -204,7 +207,7 @@ def test_the_cli_contract_holds_on_fuzzed_input(workdir, data):
 # and a quote.  The draws hold them in expressions and, seldom, as cp guard
 # constants; the example holds them in both.
 ESCAPED = ["a\nb", "\t", "\u0001", "\u2028", "\u0085", "\u00e9", 'q"r']
-round_trip_programs = grammar(literals | st.sampled_from(ESCAPED).map(json.dumps), deep=False)
+round_trip_programs = grammar(literals | st.sampled_from(ESCAPED).map(json.dumps))
 
 
 @settings(max_examples=250, derandomize=True, deadline=None, database=None,

@@ -488,7 +488,7 @@ def test_hotcut_golden_after_extraction(loop_program, loop_run):
     cut = hotcut(r1, loop_program).states
     head = [(s.store.get("x"), s.command.label) for s in cut[:7]]
     st_ = extract(loop_program, hp1)
-    entry_pos = st_.entry_label
+    entry_pos = st_.guards[0][0].label
     h5c_label = st_.body[2].label
     from tracelab.values import UNDEF
     assert head[0] == (UNDEF, "L0")
@@ -514,7 +514,7 @@ def test_outerhot_finds_nested_path(loop_program, loop_run):
     r1 = run(st_.transformed, Store(), 2000)
     outer = hot_n(hotcut(r1, loop_program), 2, "onepoint", st_.transformed)
     labels = [tuple(c.label for c in hp.commands) for hp, _ in outer]
-    assert (st_.entry_label, st_.body[2].label, "L4") in labels
+    assert (st_.guards[0][0].label, st_.body[2].label, "L4") in labels
 
 
 def test_hotcut_never_changes_stores(loop_program, loop_run):

@@ -1,8 +1,8 @@
 import pytest
 
 from tracelab import gen, observe, pipeline
-from tracelab.extract import extract
-from tracelab.hotpath import hot_n
+from tracelab.extract import extract, extract_nested
+from tracelab.hotpath import hot_n, hotcut
 from tracelab.lang import AddTyped, Assign, Command, Lit, Var, find_cmpl
 from tracelab.observe import sc
 from tracelab.optimize import type_specialize
@@ -109,6 +109,19 @@ def test_rtr_terminal_guard_singleton(loop_program, loop_st):
     s0 = State(Store({"x": 1}), names["H0"])
     assert rtr(loop_st, loop_program, (s0,)) == \
         (State(Store({"x": 1}), _loop_cmd(loop_program, "C1")),)
+
+
+def test_rtr_refolds_a_nested_stitch(loop_program, loop_st):
+    """The second round's path runs through the first stitch, and its
+    retargeted nested command refolds to that stitch's command: a run of the
+    twice stitched program maps onto the once stitched one, with the same
+    store changes."""
+    p1 = loop_st.transformed
+    hp2 = hot_n(hotcut(run(p1, Store(), 2000), loop_program), 2, "onepoint", p1)[0][0]
+    st2 = extract_nested(p1, hp2, loop_program)
+    assert list(st2.nested) == [1]
+    r = run(st2.transformed, Store(), 2000).states
+    assert sc(run_of(rtr(st2, p1, r))) == sc(run_of(r))
 
 
 def test_tr_out_guard_failure_midpath(cf_program):
