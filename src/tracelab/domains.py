@@ -260,7 +260,7 @@ def _compress_families(items) -> list[tuple[str, object, Optional[int]]]:
             groups.setdefault(name, {})[i] = v
     full = {name: (next(iter(idxs.values())), len(idxs)) for name, idxs in groups.items()
             if len(idxs) >= 2 and set(idxs) == set(range(len(idxs)))
-            and len(set(map(repr, idxs.values()))) == 1}
+            and len(set(idxs.values())) == 1}
     out: list[tuple[str, object, Optional[int]]] = []
     for k, v in items:
         name = member_of(k)[0]

@@ -41,8 +41,9 @@ is not universal adds a pass over the mapping's other variables.  A
 binding's variable and class or constant are factory parameters too, and a
 conjunction past ``_SPAN`` bindings is one of calls, so no source grows with
 its store.  A positive guard's function is its store's membership test, a
-negative guard's the emitted negation, and ``StoreAbstraction.contains``
-calls the same test: membership is defined once.
+negative guard's is ``not`` of that function (a run never calls it, as a
+pair tests its positive side), and ``StoreAbstraction.contains`` calls the
+same test: membership is defined once.
 
 A run compiles its program once into a table with one entry per label,
 holding its command's compiled step and the index of its successor's entry.
@@ -466,25 +467,22 @@ def _conjunction(domain, items) -> Callable:
     return em.function("m", [f"return {_all_of(em, domain, items)}"])
 
 
-def _membership(a, em: _Emitter, positive: bool) -> list[str]:
+def _membership(a, em: _Emitter) -> list[str]:
     """The body that decides whether the store ``m`` (any mapping with
-    ``get`` and ``items``) lies in gamma(a), or with ``positive`` false
-    whether it does not.  A universal default leaves the conjunction of
-    a's bindings; bottom holds no store; any other default also tests every
-    variable of ``m`` that a leaves to it."""
+    ``get`` and ``items``) lies in gamma(a).  A universal default leaves the
+    conjunction of a's bindings; bottom holds no store; any other default
+    also tests every variable of ``m`` that a leaves to it."""
     domain = a.domain
-    yes, no = ("True", "False") if positive else ("False", "True")
     if domain.value_universal(a.default):
-        test = _all_of(em, domain, a.items)
-        return [f"return {test}" if positive else f"return not ({test})"]
+        return [f"return {_all_of(em, domain, a.items)}"]
     if a.default == domain.bot_slot:
-        return [f"return {no}"]
-    return [f"if not ({_all_of(em, domain, a.items)}):", f"    return {no}",
+        return ["return False"]
+    return [f"if not ({_all_of(em, domain, a.items)}):", "    return False",
             "for x, v in m.items():",
             f"    if x not in {em.param(a.keys())} and not "
             f"({domain.slot_test(a.default, 'v', em.param)}):",
-            f"        return {no}",
-            f"return {yes}"]
+            "        return False",
+            "return True"]
 
 
 def _emitted(arg: str, body: Callable) -> Callable:
@@ -515,11 +513,11 @@ _test = _compiler(_emitted("m", lambda b, em: [f"return {em.test(b)}"]))
 # branching action is its three-valued test of the dict instead
 _skip = _emitted("m", lambda a, em: ["return ()"])
 # abstract stores: mapping -> whether it lies in gamma of the store
-membership = _compiler(_emitted("m", lambda a, em: _membership(a, em, True)))
-_not_member = _emitted("m", lambda a, em: _membership(a.store, em, False))
+membership = _compiler(_emitted("m", _membership))
 _action = _compiler(_dispatch("an action", {
     Skip: _skip, Put: _skip,
-    Guard: lambda a: membership(a.store) if a.positive else _not_member(a),
+    Guard: lambda a: membership(a.store) if a.positive else (
+        lambda m, member=membership(a.store): not member(m)),
     Assign: _emitted("m", lambda a, em: _assignment(em, em.param(a.var), None, a.expr)),
     ArrayAssign: _emitted("m", lambda a, em: _assignment(
         em, em.temp(), _member(em, a.array, a.index), a.expr)),

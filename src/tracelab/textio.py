@@ -26,6 +26,13 @@ variable it does not mention to its default, which is undef unless a last
 entry ``*: V`` names it: ``{i: Int, *: Top}`` constrains ``i`` only.
 ``bot`` and ``top`` are the empty and the universal guard store.  In a guard
 store, strings are cp constants only.
+A test is ``B && B``, ``!B``, ``tt``, ``ff``, ``E <= E``, ``E = E`` or
+``(B)``; the reader reads each token once, never backing up.  It reads
+what a ``(`` in a test holds as a test or an expression, and an operator or
+a comparison after the ``)`` makes the group a comparison's first operand,
+else a test.  ``tt`` and ``ff`` are tests unless a comparison follows; in
+a group they begin an expression, and a bare one reads both ways.  An
+action is an assignment if its line holds ``:=``, which no test holds.
 An expression or test opens at most ``MAX_DEPTH`` brackets (parentheses,
 indexes, negations) and nests at most ``MAX_DEPTH`` node levels (operators,
 indexes, negations), so neither the parser nor a walk recurses too deep.
@@ -37,7 +44,7 @@ from __future__ import annotations
 import json
 import re
 from json.encoder import encode_basestring_ascii as _quoted
-from typing import Optional
+from typing import Optional, get_args
 
 from . import lang
 from .domains import AbstractStore, CPConst, DomainError, cp_domain, get_domain
@@ -54,10 +61,6 @@ class ParseError(Exception):
         super().__init__(msg if line is None else f"line {line}: {msg}")
 
 
-class _TooDeep(ParseError):
-    """Nesting past ``MAX_DEPTH``, which no other reading of the text avoids."""
-
-
 # The binary nodes by their spelling (``Infix.op``): the expression
 # operators, a typed addition for each tag of ``semantics.ADDITIONS``, and the
 # comparisons.  ``&&`` is ``And.op``.
@@ -65,6 +68,7 @@ _OPERATORS = {Add.op: Add, Mod.op: Mod,
               **{AddTyped.spelling(tag): lambda l, r, tag=tag: AddTyped(l, r, tag)
                  for tag in ADDITIONS}}
 _COMPARISONS = {Leq.op: Leq, Eq.op: Eq}
+_OPERAND_ENDS = {*_OPERATORS, *_COMPARISONS}  # what can follow an expression in a test
 
 
 def _token_re(name: str, fixed: str, spellings, chars: str) -> re.Pattern:
@@ -110,7 +114,7 @@ class _Cursor:
         """Records the levels of what was just read: up to ``MAX_DEPTH`` with
         the open levels, under up to ``MAX_DEPTH`` open brackets."""
         if max(self.open, self.levels + depth) > MAX_DEPTH:
-            raise _TooDeep(f"nested deeper than {MAX_DEPTH} levels", self.line_no)
+            raise ParseError(f"nested deeper than {MAX_DEPTH} levels", self.line_no)
         self.depth = depth
 
     def inner(self, parse, close: str = "", level: int = 1):
@@ -139,8 +143,8 @@ class _Cursor:
         """The line of the next token, or of the last one at the end."""
         return self.lines[min(self.i, len(self.lines) - 1)] if self.lines else None
 
-    def peek(self) -> Optional[str]:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+    def peek(self, ahead: int = 0) -> Optional[str]:
+        return self.toks[self.i + ahead] if self.i + ahead < len(self.toks) else None
 
     def next(self) -> str:
         t = self.peek()
@@ -149,11 +153,10 @@ class _Cursor:
         self.i += 1
         return t
 
-    def expect(self, tok: str) -> None:
-        line_no = self.line_no
-        t = self.next()
-        if t != tok:
-            raise ParseError(f"expected {tok!r}, got {t!r}", line_no)
+    def expect(self, *toks: str) -> str:
+        if self.peek() not in (*toks, None):
+            self.fail(f"expected {' or '.join(map(repr, toks))}, got {self.peek()!r}")
+        return self.next()
 
     def fail(self, msg: str):
         raise ParseError(msg, self.line_no)
@@ -203,51 +206,55 @@ def _parse_term(c: _Cursor):
         return Lit(int_of(t))
     if _is_name(t):
         c.next()
-        if c.peek() == "[":
-            return Index(t, c.inner(_parse_expr, "]"))
-        return Var(t)
+        return Index(t, c.inner(_parse_expr, "]")) if c.peek() == "[" else Var(t)
     c.fail(f"expected expression, got {t!r}")
 
 
-def _parse_expr(c: _Cursor):
-    e = _parse_term(c)
+def _parse_expr(c: _Cursor, e=None):
+    """An expression; ``e``, if given, is its first term, already read."""
+    e = _parse_term(c) if e is None else e
     while c.peek() in _OPERATORS:
         make = _OPERATORS[c.next()]
         e = make(e, c.operand(_parse_term))
     return e
 
 
-def _parse_bexpr(c: _Cursor):
-    b = _parse_bterm(c)
+_TESTS = get_args(lang.BExpr)
+
+
+def _test(c: _Cursor, node):
+    """``node`` where a test stands: a bare boolean literal is ``tt`` or ``ff``."""
+    if type(node) is Lit and type(node.value) is Bool:
+        return Tt() if node.value.value else Ff()
+    return node if isinstance(node, _TESTS) else c.fail(f"expected boolean expression, got {c.peek()!r}")
+
+
+def _parse_bexpr(c: _Cursor, group: bool = False):
+    b = _parse_bterm(c, group)
     while c.peek() == And.op:
         c.next()
-        b = And(b, c.operand(_parse_bterm))
+        b = And(_test(c, b), c.operand(_parse_bterm))
     return b
 
 
-def _parse_bterm(c: _Cursor):
+def _parse_bterm(c: _Cursor, group: bool = False):
+    """A test; first in a group (``group``), also an expression that the
+    group's ``)`` ends, for the token after the group to decide."""
     t = c.peek()
     if t == "!":
         return lang.negate_bexpr(c.inner(_parse_bterm))
-    if t in ("tt", "ff") and "".join(c.toks[c.i + 1:c.i + 2]) not in _COMPARISONS:
-        c.next()  # a boolean literal that is not the left side of a comparison
-        c.deeper(1)
-        return Tt() if t == "tt" else Ff()
-    # try a comparison first; fall back to a parenthesized boolean
-    mark = c.i, c.open, c.levels
-    try:
+    if t in ("tt", "ff") and c.peek(1) not in _COMPARISONS:  # in a group, maybe (tt + 1) <= 2
+        return _parse_expr(c) if group else _test(c, _parse_term(c))
+    if t == "(":
+        left = c.inner(lambda c: _parse_bexpr(c, True), ")", 0)
+        if isinstance(left, _TESTS) or c.peek() not in _OPERAND_ENDS:
+            return left if group else _test(c, left)
+        left = _parse_expr(c, left)
+    else:
         left = _parse_expr(c)
-        if c.peek() in _COMPARISONS:
-            make = _COMPARISONS[c.next()]
-            return make(left, c.operand(_parse_expr))
-        raise ParseError("not a comparison", c.line_no)
-    except _TooDeep:
-        raise
-    except ParseError:
-        c.i, c.open, c.levels = mark
-    if c.peek() == "(":
-        return c.inner(_parse_bexpr, ")", 0)
-    c.fail(f"expected boolean expression, got {c.peek()!r}")
+    if group and c.peek() not in _COMPARISONS:
+        return left
+    return _COMPARISONS[c.expect(*_COMPARISONS)](left, c.operand(_parse_expr))
 
 
 # ---------------------------------------------------------------------------
@@ -334,26 +341,21 @@ def _parse_action(c: _Cursor) -> lang.Action:
         names = []
         _braced(c, lambda: names.append(_var_name(c)))
         return Put(frozenset(names))
-    if t == "guard" or (t == "!" and c.toks[c.i + 1:c.i + 2] == ["guard"]):
+    if t == "guard" or (t == "!" and c.peek(1) == "guard"):
         positive = c.next() == "guard"
         if not positive:
             c.expect("guard")
         return Guard(_parse_abstract_store(c, c.next()), positive)
-    # assignment heads: x := E  or  a[i] := E
-    if _is_name(t):
-        mark = c.i
+    if _is_name(t) and ":=" in c.toks[c.i:]:  # a test holds no ':='
         name = c.next()
-        if c.peek() == ":=":
-            c.next()
-            return Assign(name, _parse_expr(c))
-        if c.peek() == "[":
+        if c.peek() == "[":  # a[i] := E
             c.next()
             idx = _parse_expr(c)
             c.expect("]")
-            if c.peek() == ":=":
-                c.next()
-                return ArrayAssign(name, idx, _parse_expr(c))
-        c.i = mark
+            c.expect(":=")
+            return ArrayAssign(name, idx, _parse_expr(c))
+        c.expect(":=")
+        return Assign(name, _parse_expr(c))
     return Cond(_parse_bexpr(c))
 
 

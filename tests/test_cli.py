@@ -375,6 +375,17 @@ def test_a_program_nested_to_the_bound_runs(tmp_path, cmd):
         assert (rc, out, err) == (2, "", f"error: line {line}: nested deeper than {n} levels\n")
 
 
+def test_run_takes_either_side_of_a_cp_guard(tmp_path):
+    """A store on the guard's constant takes the guard, one off it takes its
+    complement."""
+    path = tmp_path / "cp.tl"
+    path.write_text("#entry L0\nL0: guard cp {x: 3} -> L1\nL0: !guard cp {x: 3} -> L2\n"
+                    "L1: y := 1 -> .\nL2: y := 2 -> .\n")
+    assert call(["run", path, "--initials", '[{"x": 3}, {"x": 4}]']) == \
+        (0, "complete after 2 states; final <[x/3], L1: y := 1 -> .>\n"
+            "complete after 2 states; final <[x/4], L2: y := 2 -> .>\n", "")
+
+
 def test_run_sticks_at_an_index_too_long_to_print(tmp_path):
     """A loop doubles x 15,000 times, so ``a[x]`` reads at an index of 4,516
     digits, more than Python prints: the read is undef and its write sticks,

@@ -6,7 +6,12 @@ Programs are drawn from a loop skeleton whose actions and tests are drawn
 from the expression grammar: deep and wide expressions, huge and negative
 literals, strings and Booleans where ints are expected, array reads and
 writes at any index, guards of every domain over drawn store literals, long
-arrays and unusual legal names.  Some are then
+arrays and unusual legal names.  Branch tests put comparisons inside 1 to
+210 parentheses, and negate and conjoin them and ``tt`` and ``ff`` (alone
+or in parentheses), so every way a ``(`` can open a test is read.  Some
+loops branch on a cp guard that leaves other variables to top; they loop 1
+to 13 times, and their calls run one store on the guard's constants and
+one off one of them.  Some are then
 made malformed by cutting, repeating or splicing their text.  Others are a
 loop that doubles a string at every step.  The draws are derandomized, so
 every run tries the same cases.
@@ -55,8 +60,10 @@ def deep_exprs(draw):
 
 
 def grammar(pool):
-    """The strategy of drawn program texts over the literal pool ``pool``;
-    an assignment of ``deep_exprs`` is among the actions."""
+    """The strategy of drawn programs over the literal pool ``pool``: each
+    draw is a text and the ``(variable, constant)`` bindings of its branch's
+    cp guard, if it has one.  An assignment of ``deep_exprs`` is among the
+    actions."""
     exprs = st.recursive(names | pool, _expr, max_leaves=12)
 
     # guard store literals of each domain, families and defaults included
@@ -65,24 +72,38 @@ def grammar(pool):
              "onepoint": st.sampled_from(["top", "x"])}
 
     @st.composite
-    def guards(draw):
-        """A guard literal; a cp one binds at least one variable, so that
-        the draws hold cp constants."""
-        tag = draw(st.sampled_from(["type", "type", "cp", "onepoint", "interval"]))
+    def guards(draw, cp_loop=False):
+        """A guard literal and its cp constants; a cp one binds at least one
+        variable.  With ``cp_loop`` it is a cp one that leaves the other
+        variables to top."""
+        tag = "cp" if cp_loop else draw(st.sampled_from(["type", "type", "cp", "onepoint", "interval"]))
         cp = tag == "cp"
-        entries = [f"{draw(names)}: {draw(slots.get(tag, names))}"
-                   + draw(st.sampled_from(["", "", "[3]", "[5000]", "[-1]"]))
-                   for _ in range(draw(st.integers(cp, 3)))]
-        entries += draw(st.sampled_from([[], [], [f"*: {draw(slots.get(tag, names))}"]]))
+        entries, consts = [], []
+        for _ in range(draw(st.integers(cp, 3))):
+            x, slot = draw(names), draw(slots.get(tag, names))
+            family = draw(st.sampled_from(["", "", "[3]", "[5000]", "[-1]"]))
+            entries.append(f"{x}: {slot}{family}")
+            if cp and slot not in ("top", "bot", "undef"):
+                members = {"": [x], "[3]": [f"{x}_{k}" for k in range(3)]}.get(family, [f"{x}_0"])
+                consts += [(member, slot) for member in members]
+        if cp_loop:
+            entries.append("*: top")
+        else:
+            entries += draw(st.sampled_from([[], [], [f"*: {draw(slots.get(tag, names))}"]]))
         braced = "{" + ", ".join(entries) + "}"
         store = draw(st.sampled_from([braced] * 3 + ["top", "bot"] * (not cp)))
-        return f"guard {tag} {store}"
+        return f"guard {tag} {store}", consts if store == braced else []
 
-    branch_tests = st.one_of(
-        st.tuples(exprs, st.sampled_from(["<=", "="]), exprs).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
-        st.sampled_from(["tt", "ff"]),
-        guards(),
-    )
+    # tests: comparisons inside 1 to 210 parentheses, tt and ff alone and in
+    # parentheses, and negations and conjunctions of these
+    comparisons = st.tuples(st.integers(1, 3) | st.integers(1, 210) | st.integers(195, 210), exprs,
+                            st.sampled_from(["<=", "="]), exprs)
+    tests = st.recursive(
+        comparisons.map(lambda t: f"{'(' * t[0]}{t[1]} {t[2]} {t[3]}{')' * t[0]}")
+        | st.sampled_from(["tt", "ff", "(tt)", "(ff)", "((tt))"]),
+        lambda ts: ts.map(lambda b: f"!{b}") | st.tuples(ts, ts).map(lambda t: f"({t[0]} && {t[1]})"),
+        max_leaves=3)
+    branch_tests = tests.map(lambda b: (b, [])) | guards()
 
     @st.composite
     def actions(draw):
@@ -98,11 +119,14 @@ def grammar(pool):
         return "skip"
 
     @st.composite
-    def programs(draw):
-        """A counting loop around drawn actions, with a drawn branch inside."""
+    def programs(draw, cp_loop=False):
+        """A counting loop around drawn actions, with a drawn branch inside,
+        with ``cp_loop`` a cp guard; a loop around a cp guard runs 1 to 13
+        times."""
         n = draw(st.sampled_from([0, 1, 3, 100, 5000]))
-        test, body = draw(branch_tests), draw(st.lists(actions(), min_size=1, max_size=3))
-        bound = draw(ints)
+        test, consts = draw(guards(cp_loop=True) if cp_loop else branch_tests)
+        body = draw(st.lists(actions(), min_size=1, max_size=3))
+        bound = draw(st.integers(0, 12).map(str) if consts else ints)
         lines = ["#entry L0"] + ([f"#array a {n}"] if n else [])
         lines += ["L0: i := 0 -> L1",
                   f"L1: (i <= {bound}) -> B0",
@@ -113,12 +137,16 @@ def grammar(pool):
         lines += [f"B{len(body) + 1}: skip -> S",
                   "S: i := (i + 1) -> L1",
                   "E: skip -> ."]
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n", consts
 
     return programs
 
 
-programs = grammar(literals)
+loops = grammar(literals)
+
+
+def programs():
+    return loops().map(lambda drawn: drawn[0])
 
 
 @st.composite
@@ -159,10 +187,19 @@ initials = st.dictionaries(names | st.sampled_from(["", " ", "a_2", "a_4999"]), 
 _serial = itertools.count()  # each program goes to a new file
 
 
+JSON_OF = {"tt": "true", "ff": "false"}
+
+
+def _store(bindings) -> str:
+    """JSON text of a store binding each variable to a cp constant's text."""
+    return "{" + ", ".join(f"{json.dumps(x)}: {JSON_OF.get(v, v)}" for x, v in bindings) + "}"
+
+
 @st.composite
 def calls(draw, workdir):
-    text = draw(st.sampled_from([programs()] * 3 + [doubling_loops(), malformed(programs())])
-                .flatmap(lambda s: s))
+    kinds = [loops()] * 3 + [loops(cp_loop=True)] + [
+        s.map(lambda text: (text, [])) for s in (doubling_loops(), malformed(programs()))]
+    text, consts = draw(st.sampled_from(kinds).flatmap(lambda s: s))
     path = workdir / f"p{next(_serial)}.tl"
     path.write_text(text)
     cmd = draw(st.sampled_from(["run", "hot", "pipeline", "check"]))
@@ -179,9 +216,13 @@ def calls(draw, workdir):
                                                         max_size=2))),
                  "--rounds", str(draw(st.integers(1, 3)))]
     stores = draw(st.lists(initials, max_size=2))
+    if consts:  # the branch's cp guard: a store on its constants, one off one of them
+        k = draw(st.integers(0, len(consts) - 1))
+        off = draw(st.sampled_from(["0", "1", '"a"', "tt"]).filter(lambda v: v != consts[k][1]))
+        stores = [_store(consts), _store(consts[:k] + [(consts[k][0], off)] + consts[k + 1:])]
     if stores:
         argv += ["--initials", "[" + ", ".join(stores) + "]"]
-    argv += ["--budget", str(draw(st.sampled_from([1, 40, 300])))]
+    argv += ["--budget", str(draw(st.sampled_from([40, 300] if consts else [1, 40, 300])))]
     return argv
 
 
@@ -207,13 +248,13 @@ def test_the_cli_contract_holds_on_fuzzed_input(workdir, data):
 # and a quote.  The draws hold them in expressions and, seldom, as cp guard
 # constants; the example holds them in both.
 ESCAPED = ["a\nb", "\t", "\u0001", "\u2028", "\u0085", "\u00e9", 'q"r']
-round_trip_programs = grammar(literals | st.sampled_from(ESCAPED).map(json.dumps))
+round_trip_loops = grammar(literals | st.sampled_from(ESCAPED).map(json.dumps))
 
 
 @settings(max_examples=250, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
                                  HealthCheck.data_too_large])
-@given(text=round_trip_programs())
+@given(text=round_trip_loops().map(lambda drawn: drawn[0]))
 @example("#entry L0\n"
          'L0: guard cp {x: "a\\nb", a: "\\u2028"[2], *: "\\t"} -> L1\n'
          'L0: !guard cp {x: "a\\nb", a: "\\u2028"[2], *: "\\t"} -> L1\n'

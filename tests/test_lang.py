@@ -7,7 +7,7 @@ import weakref
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from tracelab import lang, textio
+from tracelab import gen, lang, textio
 from tracelab.lang import (Command, HALT, LabelScope, Program, find_cmpl,
                            negate_bexpr, rename_equal, well_formed)
 from tracelab.textio import ParseError, parse_program, print_program
@@ -111,6 +111,62 @@ def test_while_language_errors_name_their_line(src, message):
     with pytest.raises(ParseError) as exc:
         textio.parse_gp_program(src)
     assert str(exc.value) == message
+
+
+def test_the_reader_reads_each_token_once(monkeypatch):
+    """The cursor only moves forward: each token of a line is read by one
+    ``_Cursor.next`` call, in order, on the printed gen corpus, the conftest
+    programs, an array read that heads a test, and tests inside 1, 50 and 199
+    parentheses in both formats."""
+    from tests import conftest
+    read = []
+    next_token = textio._Cursor.next
+    monkeypatch.setattr(textio._Cursor, "next", lambda c: read.append(c.i) or next_token(c))
+
+    def reads_once(parse, text, toks):
+        read.clear()
+        parse(text)
+        assert read == list(range(len(toks))), text[:80]
+
+    texts = [print_program(gen.gen_program(seed)) for seed in range(120)]
+    texts += [conftest.LOOP_SRC, conftest.SIEVE_SRC, conftest.CF_SRC, conftest.DSE_SRC,
+              conftest.SHARED_EXIT_SRC, *conftest.DOUBLING_SRC.values(), "L0: a[x + 1] <= 3 -> L1"]
+    tests = []
+    for n in (1, 50, 199):
+        o, c = "(" * n, ")" * n
+        tests += [o + b + c for b in ("x <= 3", "tt", "ff && x = 1", "(x) + 1 <= 3", "!x <= 3")]
+        tests += [f"{o}x{c} + 1 <= 3", f"!{o}x <= 3{c}"]
+    for test in tests:
+        texts.append(f"L0: {test} -> L1")
+        gp = f"while {test} do {{ x := x + 1; }}"
+        reads_once(textio.parse_gp_program, gp, textio.tokenize(gp, None, textio._GP_TOKEN_RE, "#"))
+    lines = [l for text in texts for l in text.splitlines() if l.strip() and l[0] not in "#;"]
+    assert len(lines) > 1400
+    for line in lines:
+        reads_once(textio.parse_command, line, textio.tokenize(line))
+
+
+@pytest.mark.parametrize("test, parsed", [
+    ("(tt)", "tt"),
+    ("((tt)) <= 1", "(tt <= 1)"),
+    ("(tt + 1) <= 2", "((tt + 1) <= 2)"),
+    ("((x) + 1 <= 2) && (ff)", "(((x + 1) <= 2) && ff)"),
+    ("!((x) = y)", "!(x = y)"),
+    ("(tt + 1 <= 2)", None),
+    ('("a" && tt)', None),
+    ("((x <= 1)) + 1 <= 2", None),
+    ("(x)", None),
+    ("tt + 1 <= 2", None),
+])
+def test_a_group_in_a_test_is_decided_by_what_it_holds_and_what_follows(test, parsed):
+    """A group is the first operand of a comparison when an operator or a
+    comparison follows it, else a test; a bare ``tt`` or ``ff`` reads both
+    ways, and only in a group may it begin an expression."""
+    if parsed is None:
+        with pytest.raises(ParseError):
+            textio.parse_command(f"L0: {test} -> L1")
+    else:
+        assert str(textio.parse_command(f"L0: {test} -> L1").action) == parsed
 
 
 def test_comment_after_whitespace_in_the_documented_example():

@@ -240,6 +240,30 @@ L6: skip -> .
     assert dead_store_eliminate(st) == st.stitched
 
 
+def test_dse_steps_over_a_nested_command():
+    """In the loop ``z := 1; y := 2; z := 3``, ``y := 2`` is missing from
+    the original, so the stitch nests it (retargets it, with no copy and no
+    guard pair).  The walk from the copy of ``z := 1`` steps over it to the
+    copy of ``z := 3``, so dse deletes ``z := 1``."""
+    p = parse_program("""
+#entry L0
+L0: (i <= 5) -> L1
+L0: !(i <= 5) -> L5
+L1: z := 1 -> L2
+L2: y := 2 -> L3
+L3: z := 3 -> L4
+L4: i := i + 1 -> L0
+L5: put {i, y, z} -> .
+""")
+    y2 = command_at(p, "L2")
+    original = Program(p.commands - {y2}, p.entry, p.arrays)
+    hp = hot_n(run(p, Store({"i": 0}), 2000), 2, "onepoint", p)[0][0]
+    st = extract_nested(p, hp, original)
+    assert list(st.nested.values()) == [Command("L2", y2.action, st.guards[3][0].label)]
+    assert [str(st.body[i].action) for i in (1, 3)] == ["z := 1", "z := 3"]
+    assert st.stitched - dead_store_eliminate(st) == {st.body[1]}
+
+
 def test_dse_is_out_sound_but_not_sc_sound(dse_program):
     st = _dse_stitch(dse_program)
     p1 = optimize_full(dse_program, st.hp, [dead_store_eliminate], dse_program)
