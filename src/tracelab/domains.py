@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from . import lang
-from .semantics import ADDITIONS, member_of, membership, operator
+from .semantics import ADDITIONS, COMPARISONS, member_of, membership, operator
 from .values import (BOT_T, Bool, TOP_T, TYPE_OF_CLASS, UNDEF, UNDEF_T, UValue, int_of,
                      type_of, value_str)
 
@@ -189,7 +189,27 @@ class StoreAbstraction(ABC):
         An array store joins the stored slot into the known members of its
         family; a member left to the default is unbound, whose write sticks,
         or the default is top, as a finite store is undef almost everywhere.
-        Every other action is the identity."""
+        A test (``Cond``) that a store passes, in either polarity, evaluated
+        every operand to a value of a class its operator takes there
+        (``semantics.OPERATORS`` and ``COMPARISONS``; an array index is an
+        int), since any other operand gives undef, which passes neither
+        polarity.  In a domain whose slots are classes (``class_slots``) the
+        classes left for an operand are those the operator takes that both
+        operands' stored slots admit, the rule of ``eval_type``; a variable
+        operand with one class left is met with its slot, and a test with an
+        operand with none left is bottom (``_passed``).  ``!`` and ``&&``
+        narrow through their operands, as both sides of an ``&&`` are
+        evaluated.  Every other action, and a test in any other domain, is
+        the identity."""
+        if isinstance(action, lang.Cond) and self.class_slots:
+            need: dict[str, object] = {}
+            if not self._passed(action.test, a, need):
+                return self.bottom()
+            bindings = dict(a.items)
+            met = {x: self.value_meet(bindings.get(x, a.default), slot) for x, slot in need.items()}
+            if all(bindings.get(x, a.default) == slot for x, slot in met.items()):
+                return a
+            return _canon(self, {**bindings, **met}, a.default)
         if not isinstance(action, (lang.Assign, lang.ArrayAssign)):
             return a
         v = self.stored_slot(action.expr, a)
@@ -203,6 +223,44 @@ class StoreAbstraction(ABC):
             return _canon(self, bindings, a.default)
         return _canon(self, {x: self.value_join(s, v) if member_of(x)[0] == action.array else s
                              for x, s in a.items}, a.default)
+
+    def _passed(self, b, a: AbstractStore, need: dict) -> bool:
+        """Adds to ``need`` the slot each variable's value lies in when the
+        test ``b`` gives true or false on a store of gamma(a); False when no
+        such store can exist."""
+        if isinstance(b, lang.Not):
+            return self._passed(b.arg, a, need)
+        if isinstance(b, lang.And):
+            return self._passed(b.left, a, need) and self._passed(b.right, a, need)
+        if type(b) in COMPARISONS:
+            return self._operands(b, COMPARISONS[type(b)], a, need)
+        return True  # tt, ff
+
+    def _operands(self, node, classes: Iterable[type], a: AbstractStore, need: dict) -> bool:
+        """Adds to ``need`` what both operands of ``node`` evaluating to
+        values of one class among ``classes`` tells: the classes that each
+        operand's stored slot admits (top, or the class's own slot), as
+        ``eval_type`` reads them."""
+        # the slot of a class is below top and its own slot only (the lattice is flat)
+        known = {self.stored_slot(node.left, a), self.stored_slot(node.right, a)} - {self.top_slot}
+        fits = [c for c in classes if known <= {self.class_slots[c]}]
+        return bool(fits) and self._evaluated(node.left, fits, a, need) \
+            and self._evaluated(node.right, fits, a, need)
+
+    def _evaluated(self, e, classes: list[type], a: AbstractStore, need: dict) -> bool:
+        """Adds to ``need`` what ``e`` evaluating to a value of a class in
+        ``classes`` tells: a variable has that class if it is one, an array
+        index is an int, and an operator's operands have the result's class."""
+        if isinstance(e, lang.Var):
+            if len(classes) == 1:
+                need[e.name] = self.value_meet(need.get(e.name, self.top_slot),
+                                               self.class_slots[classes[0]])
+            return True
+        if isinstance(e, lang.Lit):
+            return type(e.value) in classes
+        if isinstance(e, lang.Index):
+            return self._evaluated(e.index, [int], a, need)
+        return self._operands(e, [c for c in operator(e)[0] if c in classes], a, need)
 
     def slot_test(self, slot, v: str, param) -> str:
         """The Python test that the value of the expression ``v`` lies in
@@ -253,17 +311,16 @@ class StoreAbstraction(ABC):
 
 def _compress_families(items) -> list[tuple[str, object, Optional[int]]]:
     """Display name_0..name_{n-1} sharing one slot value as ``name: V[n]``."""
+    members = [(k, v, *member_of(k)) for k, v in items]
     groups: dict[str, dict[int, object]] = {}
-    for k, v in items:
-        name, i = member_of(k)
+    for _, v, name, i in members:
         if name is not None:
             groups.setdefault(name, {})[i] = v
     full = {name: (next(iter(idxs.values())), len(idxs)) for name, idxs in groups.items()
             if len(idxs) >= 2 and set(idxs) == set(range(len(idxs)))
             and len(set(idxs.values())) == 1}
     out: list[tuple[str, object, Optional[int]]] = []
-    for k, v in items:
-        name = member_of(k)[0]
+    for k, v, name, _ in members:
         if name not in full:
             out.append((k, v, None))
         elif full[name]:  # the family, at its first member; None once printed

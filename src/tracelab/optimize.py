@@ -13,24 +13,38 @@ once in path order with an abstract store, from top: a kept guard pair meets
 the walk state with its slice, a copy a pass deleted leaves it as it is, any
 other copy applies the domain's transfer function (``post``) to the pass's
 action, and a command of a previously stitched path, which has no guard pair
-here, resets it to top.  Guard pair i is kept only when a pass rewrote copy i,
-its slice is not universal, and the walk state at the pair is not already
-below the slice.  The slice is the binding of each variable the original
-command reads, over the universal default; an unrewritten copy does what its
-original command does, so its pair goes.  The walk is sound because a
-stitch's interior is entered only along its own chain (a pair's label is the
-successor of the command before it on the path and of nothing else), and its
-head pair, which the entry and the back edge both reach, is walked from top.
-A sliced guard contains every store that the full guard contains and changes
-none, and a dropped pair fails on no store that reaches it, so store changes
-(sc) are kept.  A jump to a dropped pair (the program entry included) goes
-to its positive guard's successor, and a jump to a deleted copy to the
-copy's successor, followed through further drops.  If that route is a cycle
-(dse deleted every copy of a branchless loop), its first pair in path order
-is kept with the universal store.  Then only labels the entry reaches are
-kept, which drops the slow head copies and the original commands only a
-dropped negative guard reached; with no pass the stitch is the original loop
-under fresh labels.
+here, resets it to top.  ``post`` of a test narrows the state, as a
+conditional filters the store: a store that passes a test copy, in either
+polarity, evaluated its operands to values of the classes the operators
+take, so after ``(i <= 10)`` the walk knows ``i: Int`` (in the type domain;
+see ``StoreAbstraction.post``).  Guard pair i is kept only when a pass
+rewrote copy i, its slice is not universal, and the walk state at the pair
+is not already below the slice.  The slice is the binding of each variable
+the original command reads, over the universal default; an unrewritten copy
+does what its original command does, so its pair goes.  The walk is sound
+because a stitch's interior is entered only along its own chain (a pair's
+label is the successor of the command before it on the path and of nothing
+else), and its head pair, which the entry and the back edge both reach, is
+walked from top.  A sliced guard contains every store that the full guard
+contains and changes none, and a dropped pair fails on no store that
+reaches it, so store changes (sc) are kept.
+
+A kept pair j then folds into the earliest kept pair i < j whose stretch
+i..j-1 holds no command of a previously stitched path and no copy that
+writes a variable, or an array family, that j's slice binds: pair i tests
+the meet of both slices, and pair j goes.  A store that passes pair i still
+lies in j's slice at j, since nothing on the chain between them changed
+what the slice binds.  A store that pair i now refuses goes to the original
+command at i, which runs the same actions as the stitch, so a stronger
+guard only sends more stores to original code, and sc is kept.
+
+A jump to a dropped pair (the program entry included) goes to its positive
+guard's successor, and a jump to a deleted copy to the copy's successor,
+followed through further drops.  If that route is a cycle (dse deleted every
+copy of a branchless loop), its first pair in path order is kept with the
+universal store.  Then only labels the entry reaches are kept, which drops
+the slow head copies and the original commands only a dropped negative guard
+reached; with no pass the stitch is the original loop under fresh labels.
 """
 
 from __future__ import annotations
@@ -41,8 +55,8 @@ from typing import Callable, Iterable, Sequence
 from .domains import AbstractStore, CPConst, cp_domain, eval_type, type_domain
 from .extract import StitchResult, extract_nested
 from .hotpath import HotPath
-from .lang import (Add, AddTyped, Assign, Command, Expr, Guard, Lit, Program, is_branching,
-                   node_vars, subst_expr)
+from .lang import (Add, AddTyped, ArrayAssign, Assign, Command, Expr, Guard, Lit, Program,
+                   is_branching, node_vars, subst_expr)
 from .semantics import ADDITIONS, member_of
 from .values import TYPE_OF_CLASS, UNDEF
 
@@ -182,6 +196,14 @@ def _rebody(st: StitchResult, new: frozenset[Command]) -> dict[int, Command]:
     return {i: at[c.label, c.succ] for i, c in st.body.items() if (c.label, c.succ) in at}
 
 
+def _written(cur: StitchResult, start: int, stop: int) -> frozenset[str]:
+    """The variables, and the array families, that the copies at path
+    positions start..stop-1 assign; a copy a pass deleted assigns nothing."""
+    acts = [cur.body[j].action for j in range(start, stop) if j in cur.body]
+    return frozenset([a.var for a in acts if isinstance(a, Assign)]
+                     + [a.array for a in acts if isinstance(a, ArrayAssign)])
+
+
 def _slice(a: AbstractStore, reads: frozenset[str]) -> AbstractStore:
     """``a`` cut down to the variables in ``reads`` and the members
     (``semantics.member_of``) of the arrays among them, over the universal
@@ -193,14 +215,16 @@ def _slice(a: AbstractStore, reads: frozenset[str]) -> AbstractStore:
 
 def _residual(st: StitchResult, cur: StitchResult) -> Program:
     """The program of ``st.transformed`` with the passes' stitch ``cur`` in
-    place, its guard pairs kept or dropped as the module docstring says."""
+    place, its guard pairs kept, folded or dropped as the module docstring
+    says."""
     dom = st.hp.domain
     route: dict[str, str] = {}  # where a jump to a dropped label goes, in path order
     stores: dict[str, AbstractStore] = {}
     state = dom.top()  # the walk: what every store reaching position i is known to be in
+    kept: list[int] = []  # the positions of the pairs kept since the walk was last top
     for i in range(len(st.hp.commands)):
         if i not in st.guards:  # a command of a previously stitched path
-            state = dom.top()
+            state, kept = dom.top(), []
             continue
         yes, c, copy = st.guards[i][0], st.body[i], cur.body.get(i)
         a = stores[yes.label] = (dom.top() if copy is None or copy.action == c.action
@@ -210,6 +234,14 @@ def _residual(st: StitchResult, cur: StitchResult) -> Program:
             route[yes.label] = yes.succ
         else:
             state = met
+            # the earliest kept pair since which no copy wrote what this slice binds
+            into = next((k for k in kept if _slice(a, _written(cur, k, i)) is dom.top()), None)
+            if into is None:
+                kept.append(i)
+            else:  # folded: the earlier pair tests both slices
+                label = st.guards[into][0].label
+                stores[label] = dom.meet(stores[label], a)
+                route[yes.label] = yes.succ
         if copy is None:
             route[c.label] = c.succ
         else:

@@ -22,15 +22,16 @@ three-valued one, and an action one function body with its operands inline,
 so an action is one call.  Each operator tests its operands' classes once; a
 literal's class is known when it compiles, so its test is dropped, and that
 is the only specialization.  An expression operator's formula and totality
-per operand class are one table, ``OPERATORS``, which the emitter compiles
-from and the abstract type semantics E^t (``domains.eval_type``) is read
-off.  A node's names and literals are parameters of a
-factory (``def make(k1, ...)``), never its source, so the source depends on
-the node's shape only and no program text reaches ``exec``.  Each distinct
-source is compiled once, into a factory kept for the life of the process
-(shapes are few); all factories share one globals dict.  An operand nested
-deeper than ``_DEPTH`` is a call of its own function, so no source nests
-deeper than Python's parser takes.
+per operand class are one table, ``OPERATORS``, and a comparison's one more,
+``COMPARISONS``; the emitter compiles from them, and the abstract type
+semantics E^t (``domains.eval_type``) and the narrowing of a passed test
+(``StoreAbstraction.post``) are read off them.  A node's names and literals
+are parameters of a factory (``def make(k1, ...)``), never its source, so
+the source depends on the node's shape only and no program text reaches
+``exec``.  Each distinct source is compiled once, into a factory kept for
+the life of the process (shapes are few); all factories share one globals
+dict.  An operand nested deeper than ``_DEPTH`` is a call of its own
+function, so no source nests deeper than Python's parser takes.
 
 An abstract store (``domains.AbstractStore``) compiles the same way, into
 its membership test ``membership``: whether a mapping (a run's dict or a
@@ -417,15 +418,24 @@ def _and(b, em):
            f"({u} := {em.test(b.right)}) is None else {t} and {u})"
 
 
+# The comparisons by node class: for each operand class taken, the test's
+# formula over the operands ``{0}`` and ``{1}``, of that class; other operands
+# give undef.  ``<=`` on strings is the prefix order, not the lexicographic one.
+COMPARISONS: dict = {
+    Leq: {int: "{0} <= {1}", str: "{1}.startswith({0})"},
+    Eq: {int: "{0} == {1}", str: "{0} == {1}", Bool: "{0}.value == {1}.value"},
+}
+
+
+def _compare(b, em):
+    return em.classed([b.left, b.right], COMPARISONS[type(b)], "None")
+
+
 # tests: True, False or None (undef)
 _emit_test = _dispatch("a boolean expression", {
     Tt: lambda b, em: "True",
     Ff: lambda b, em: "False",
-    # ``<=`` on strings is the prefix order, not the lexicographic one
-    Leq: lambda b, em: em.classed([b.left, b.right],
-                                  {int: "{0} <= {1}", str: "{1}.startswith({0})"}, "None"),
-    Eq: lambda b, em: em.classed([b.left, b.right], {
-        int: "{0} == {1}", str: "{0} == {1}", Bool: "{0}.value == {1}.value"}, "None"),
+    Leq: _compare, Eq: _compare,
     Not: _not,
     And: _and,
 })

@@ -192,7 +192,7 @@ def _var_name(c: _Cursor) -> str:
 def _parse_term(c: _Cursor):
     t = c.peek()
     if t is None:
-        c.fail("expected expression")
+        c.next()  # raises: unexpected end of the line or the input
     if t == "(":
         return c.inner(_parse_expr, ")", 0)
     c.deeper(1)

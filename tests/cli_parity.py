@@ -36,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from conftest import CF_SRC, DSE_SRC, LOOP_SRC, SHARED_EXIT_SRC, SIEVE_SRC  # noqa: E402
 from tracelab import cli, gen, lang, textio  # noqa: E402
 
-DIGEST = "03b40243f0490d6006b715223efbfbf70eb70d7d8b98b58d545cf6a760cf7593"
+DIGEST = "5a1c720b72c296bf74eec92b66f9d1caf3fce6b44b536a9be1f72344fde11eb7"
 
 
 def _with_put(p):

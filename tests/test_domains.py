@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, strategies as st
 from tracelab import domains
 from tracelab.domains import (AbstractStore, CPConst, CP_BOT, CP_TOP, cp_domain, eval_type,
                               get_domain, onepoint_domain, type_domain)
-from tracelab.lang import Add, AddTyped, ArrayAssign, Assign, Index, Lit, Mod, Var
+from tracelab.lang import (Add, AddTyped, And, ArrayAssign, Assign, Cond, Eq, Index, Leq, Lit,
+                           Mod, Not, Var, negate_bexpr)
 from tracelab.semantics import Store, apply_action, collecting_eval, eval_expr, member_of
 from tracelab.textio import _Cursor, _parse_abstract_store, tokenize
 from tracelab.values import (BOOL, BOT_T, Bool, INT, STRING, TOP_T, TT, UNDEF,
@@ -369,18 +370,36 @@ _EXPRS = st.recursive(
     lambda e: (st.builds(Add, e, e) | st.builds(AddTyped, e, e, st.sampled_from(["Int", "Str"]))
                | st.builds(Mod, e, e) | st.builds(Index, st.just("primes"), e)),
     max_leaves=4)
+_TESTS = st.recursive(
+    st.builds(Leq, _EXPRS, _EXPRS) | st.builds(Eq, _EXPRS, _EXPRS),
+    lambda b: st.builds(Not, b) | st.builds(And, b, b), max_leaves=3)
 _ACTIONS = (st.builds(Assign, st.sampled_from(_VARS), _EXPRS)
             | st.builds(ArrayAssign, st.just("primes"),
-                        st.sampled_from([Lit(0), Lit(1), Var("x")]), _EXPRS))
+                        st.sampled_from([Lit(0), Lit(1), Var("x")]), _EXPRS)
+            # a test in both polarities: its copy, or its complement's
+            | st.builds(lambda b, positive: Cond(b if positive else negate_bexpr(b)),
+                        _TESTS, st.booleans()))
 
 
-@given(st.data(), _ALL_DOMAINS, _ACTIONS)
-def test_post_is_sound(data, dom, action):
-    """Every store of gamma(a) that the action does not stick lands in
-    gamma(post(action, a))."""
-    a = _element(data.draw, dom)
-    rho = _member(data.draw, dom, a)
+@st.composite
+def _element_and_member(draw):
+    dom = draw(_ALL_DOMAINS)
+    a = _element(draw, dom)
+    rho = _member(draw, dom, a)
     assume(rho is not None)
+    return dom, a, rho
+
+
+@given(_element_and_member(), _ACTIONS)
+# a test passed on operands of a class other than the first its operator takes
+@example((type_domain, type_domain.top(), Store({"x": "a"})), Cond(Leq(Var("x"), Lit("a"))))
+@example((type_domain, type_domain.top(), Store({"x": "", "y": "a"})),
+         Cond(Not(Leq(Var("y"), Var("x")))))
+@example((type_domain, type_domain.top(), Store({"x": TT})), Cond(Eq(Lit(TT), Var("x"))))
+def test_post_is_sound(case, action):
+    """Every store of gamma(a) that the action does not stick, or that a
+    test passes, lands in gamma(post(action, a))."""
+    dom, a, rho = case
     assert dom.contains(a, rho)
     after = apply_action(action, rho)
     assert after is None or dom.contains(dom.post(action, a), after)
@@ -428,6 +447,39 @@ def test_the_type_domain_refines_post_by_the_stored_type():
     stored = type_domain.post(ArrayAssign("primes", Var("x"), Var("x")), a)
     assert (stored.get("primes_0"), stored.get("x")) == (TOP_T, INT)
     assert cp_domain.post(Assign("y", Lit(3)), cp_domain.make({"y": CPConst(3)})).get("y") is CP_TOP
+
+
+_TOP_DEFAULT = type_domain.top().default
+
+
+@pytest.mark.parametrize("test, binds", [
+    (Leq(Var("i"), Lit(10)), {"i": INT}),
+    (Eq(Mod(Var("i"), Lit(3)), Lit(0)), {"i": INT}),  # % takes ints only
+    (Eq(Index("primes", Var("i")), Lit(TT)), {"i": INT}),  # an index is an int
+    (Not(Eq(Var("s"), Lit("a"))), {"s": STRING}),
+    (Leq(Add(Var("x"), Lit(1)), Var("y")), {"x": INT}),
+    (And(Leq(Var("i"), Lit(10)), Eq(Var("s"), Lit("a"))), {"i": INT, "s": STRING}),
+    (Leq(Var("x"), Var("y")), {}),  # Int and String both fit
+])
+def test_a_passed_test_binds_the_class_of_its_operands(test, binds):
+    """A test that passes, in either polarity, evaluated each operand to a
+    value of a class its operator takes there; over top, post binds each
+    variable whose class that decides, and nothing else."""
+    for action in (Cond(test), Cond(negate_bexpr(test))):
+        assert type_domain.post(action, type_domain.top()) is type_domain.make(binds, _TOP_DEFAULT)
+
+
+def test_a_test_no_store_passes_is_bottom_and_other_domains_keep_the_element():
+    """A string and an int compare to undef, so nothing passes (x <= "a")
+    when x is an Int.  The one-point and cp domains' slots are not classes:
+    their post of a test is the element itself."""
+    a = type_domain.make({"x": INT}, _TOP_DEFAULT)
+    assert type_domain.post(Cond(Leq(Var("x"), Lit("a"))), a) is type_domain.bottom()
+    assert type_domain.post(Cond(Leq(Var("x"), Var("y"))), a) is \
+        type_domain.make({"x": INT, "y": INT}, _TOP_DEFAULT)
+    for dom in (onepoint_domain, cp_domain):
+        for a in (dom.top(), dom.make({"i": dom.of(1)})):
+            assert dom.post(Cond(Leq(Var("i"), Lit(10))), a) is a
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,7 @@ def test_parse_errors():
     ("L0: skip -> L1 L2", "trailing tokens: 'L2'"),
     ("#entry L0 L1", "#entry takes one label"),
     ("#array a", "#array takes a name and a size"),
+    ("L0: y := x +", "unexpected end of line"),  # a missing operand names the end
 ])
 def test_parse_errors_name_the_line(line, message):
     """Forms the printer never emits are refused with the line they are on."""
@@ -102,6 +103,7 @@ def test_a_guard_store_may_bind_up_to_the_bound():
 
 @pytest.mark.parametrize("src, message", [
     ("x := 1;\ny := ;", "line 2: expected expression, got ';'"),
+    ("if x <= ", "line 1: unexpected end of input"),
     ("x := 0;\nwhile (x <= 3) do {\n  x := x + 1;\n", "line 3: unexpected end of input"),
     ("skip;\nskip", "line 2: unexpected end of input"),
     ("while (x <= 3) do\n  x := 1; }", "line 2: expected '{', got 'x'"),

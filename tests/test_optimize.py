@@ -18,6 +18,7 @@ from tracelab.textio import parse_program, print_program
 from tracelab.values import BOOL, INT, TOP_T, TT
 from tests.conftest import SHARED_EXIT_SRC, command_at
 from tests.test_domains import _element_and_store
+from tests.test_pipeline import ADDING_HELD_OUT, ADDING_LOOPS, ADDING_STORES
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +450,17 @@ def test_a_copy_is_told_from_an_exit_with_its_label_and_successor():
     """Both branches of L2 jump to the head, so the last copy and its exit
     share a label and a successor.  A pass's copies are still found by them,
     and the unrewritten branch is not taken for a rewrite that needs a guard:
-    only the specialized addition keeps one."""
+    the specialized addition's pair is implied by (x <= 10), and no pair is
+    left, where a test (y <= 0) taken for rewritten would keep {y: Int}."""
     p = parse_program(SHARED_EXIT_SRC)
     hp = list(pipeline.mine(p, p, observe.runs(p, [Store({"x": 0, "y": 1})], 500), 2, "type"))[0][0]
     st = extract(p, hp)
     assert (st.exits[2].label, st.exits[2].succ) == (st.body[2].label, st.body[2].succ)
     assert _rebody(st, st.stitched) == st.body
     p1 = optimize_full(p, hp, [type_specialize], p)
-    assert {str(a) for a in _guards(p1).values()} == {"{x: Int, *: Top}"}
+    assert Command(st.body[1].label, Assign("x", AddTyped(Var("x"), Lit(1), "Int")),
+                   st.body[2].label) in p1.commands
+    assert _guards(p1) == {}
 
 
 def test_sieve_full_specialization_correct(sieve_program, sieve_store):
@@ -555,43 +559,129 @@ L4: skip -> .
 
 def test_a_previously_stitched_command_resets_the_walk():
     """The inner loop is stitched in the first round.  In the second, the
-    outer path runs through it between i := (i +Int 1) and j := (i +Int i),
-    whose slices are the same {i: Int}.  The nested commands have no guard
-    pair and may do anything to i, so the walk starts again from top there
-    and the second pair is kept."""
+    outer path runs through it between m := (m +Int 1) and j := (m +Int m),
+    whose slices are the same {m: Int}; no test reads m, and the pair of
+    i := (i +Int 1) is implied by (i <= 20).  The nested commands have no
+    guard pair and may do anything to m, so the walk starts again from top
+    there, and the pair of j is neither implied nor folded into m's."""
     p = parse_program("""
 #entry L0
 L0: i := 0 -> L1
 L1: (i <= 20) -> L2
 L1: !(i <= 20) -> L9
-L2: i := i + 1 -> L3
+L2: i := i + 1 -> L7
+L7: m := m + 1 -> L3
 L3: k := 0 -> L4
 L4: (k <= 5) -> L5
 L4: !(k <= 5) -> L6
 L5: k := k + 1 -> L4
-L6: j := i + i -> L1
+L6: j := m + m -> L1
 L9: skip -> .
 """)
-    hp1 = list(pipeline.mine(p, p, observe.runs(p, [Store()], 2000), 2, "type"))[0][0]
+    hp1 = list(pipeline.mine(p, p, observe.runs(p, [Store({"m": 0})], 2000), 2, "type"))[0][0]
     p1 = optimize_full(p, hp1, [type_specialize], p)
-    hp = list(pipeline.mine(p1, p, observe.runs(p1, [Store()], 2000), 2, "type"))[0][0]
+    hp = list(pipeline.mine(p1, p, observe.runs(p1, [Store({"m": 0})], 2000), 2, "type"))[0][0]
     st = extract_nested(p1, hp, p)
-    assert [i for i in range(len(hp.commands)) if i not in st.guards] == [2, 3]
+    assert [i for i in range(len(hp.commands)) if i not in st.guards] == [3, 4]
     p2 = optimize_full(p1, hp, [type_specialize], p)
     assert {label: str(a) for label, a in _guards(p2).items() if label not in _guards(p1)} == \
-        {st.guards[1][0].label: "{i: Int, *: Top}", st.guards[4][0].label: "{i: Int, *: Top}"}
+        {st.guards[2][0].label: "{m: Int, *: Top}", st.guards[5][0].label: "{m: Int, *: Top}"}
     assert well_formed(p2) == []
-    assert sc_equiv_check(p, p2, [Store(), Store({"i": 15}), Store({"j": "a"})], 2000).passed
+    initials = [Store({"m": 0}), Store({"i": 15, "m": 1}), Store({"m": "a"}), Store()]
+    assert sc_equiv_check(p, p2, initials, 2000).passed
 
 
 def test_generated_programs_keep_few_guards():
     """Under type/ts with 3 rounds on gen 0-29 every final program is
-    well-formed and passes sc, and the walk leaves 81 kept pairs in all
-    (192 with only the universal pairs dropped)."""
-    kept = 0
+    well-formed and passes sc, and 30 kept pairs are left in all (81 when a
+    test left the walk as it was and no pair folded, 192 with only the
+    universal pairs dropped); the final runs from the sample stores take
+    1,266 guard steps (3,257 then)."""
+    kept = guard_states = 0
     for seed in range(30):
         stores = gen.gen_stores(seed, gen.SAMPLE_VARS, 4)
         rep = pipeline.pipeline(gen.gen_program(seed), stores, "type", 2, 2000, ["ts"], 3)
         assert well_formed(rep.program) == [] and rep.check.passed, seed
         kept += len(_guards(rep.program))
-    assert kept == 81
+        guard_states += sum(isinstance(c.action, Guard)
+                            for r in observe.runs(rep.program, stores, 2000) for c in r.commands)
+    assert (kept, guard_states) == (30, 1266)
+
+
+def test_a_passed_test_implies_the_guard_of_its_operand():
+    """Gen seed 0 adds 2 to w and 1 to i while (i <= 10).  A store that
+    passes the test has an Int i, so the pair of i := (i +Int 1) is implied
+    and only w's pair is left."""
+    rep = pipeline.pipeline(gen.gen_program(0), gen.gen_stores(0, gen.SAMPLE_VARS, 4), "type", 2,
+                            2000, ["ts"], 3)
+    assert sorted(map(str, _guards(rep.program).values())) == ["{w: Int, *: Top}"]
+
+
+TWO_SUMS_SRC = """
+#entry L0
+L0: i := 0 -> L1
+L1: (i <= 6) -> L2
+L1: !(i <= 6) -> L5
+L2: x := (x + 1) -> L3
+L3: y := (y + 1) -> L4
+L4: i := (i + 1) -> L1
+L5: skip -> .
+"""
+
+
+def test_two_kept_pairs_fold_into_one():
+    """x := (x +Int 1) and y := (y +Int 1) need {x: Int} and {y: Int}, which
+    no test implies; nothing between the two pairs writes y, so the first
+    pair tests both slices and the second goes."""
+    p = parse_program(TWO_SUMS_SRC)
+    hp = list(pipeline.mine(p, p, observe.runs(p, [Store({"x": 0, "y": 0})], 500), 2, "type"))[0][0]
+    st = extract(p, hp)
+    assert [str(c.action) for c in hp.commands] == \
+        ["(i <= 6)", "x := (x + 1)", "y := (y + 1)", "i := (i + 1)"]
+    p1 = optimize_full(p, hp, [type_specialize], p)
+    assert {label: str(a) for label, a in _guards(p1).items()} == \
+        {st.guards[1][0].label: "{x: Int, y: Int, *: Top}"}
+    assert well_formed(p1) == []
+    initials = [Store({"x": 0, "y": 0}), Store({"x": 0, "y": "a"}), Store({"x": "a", "y": 0}),
+                Store({"x": 0})]
+    assert sc_equiv_check(p, p1, initials, 2000).passed
+
+
+def test_no_pair_folds_across_a_copy_that_writes_its_operand():
+    """x := (x + x), then x := y, then w := (x + x): both additions need
+    {x: String}, but x := y writes x between them, so the second pair stays
+    (folded into the first, it would let {x: "a", y: 1} reach w := (x +Str x))."""
+    p = parse_program(ADDING_LOOPS[3])
+    rep = pipeline.pipeline(p, [Store(s) for s in ADDING_STORES["str"]], "type", 2, 2000, ["ts"], 3)
+    assert sorted(map(str, _guards(rep.program).values())) == ["{x: String, *: Top}"] * 2
+    held_out = [Store(s) for s in ADDING_HELD_OUT]
+    assert sc_equiv_check(p, rep.program, held_out, 2000).passed
+
+
+def test_no_pair_folds_across_a_previously_stitched_command():
+    """The inner loop, stitched in the first round, writes y := s.  In the
+    second, j := (y +Int y) needs {y: Int} after it, which the pair of
+    m := (m +Int 1) before it cannot test: the nested commands may change
+    y's class (from {y: 1, s: "a"} they make it a String).  The walk starts
+    again after them, and i := (i +Int 1)'s pair folds into j's."""
+    p = parse_program("""
+#entry L0
+L0: i := 0 -> L1
+L1: (i <= 20) -> L2
+L1: !(i <= 20) -> L9
+L2: m := m + 1 -> L3
+L3: k := 0 -> L4
+L4: (k <= 5) -> L5
+L4: !(k <= 5) -> L6
+L5: y := s -> L8
+L8: k := k + 1 -> L4
+L6: j := y + y -> L7
+L7: i := i + 1 -> L1
+L9: skip -> .
+""")
+    rep = pipeline.pipeline(p, [Store({"m": 0, "y": 1, "s": 2})], "type", 2, 2000, ["ts"], 3)
+    assert len(rep.hotpaths) == 2
+    assert sorted(map(str, _guards(rep.program).values())) == \
+        ["{i: Int, y: Int, *: Top}", "{m: Int, *: Top}"]
+    held_out = [Store({"m": 0, "y": 1, "s": "a"}), Store({"m": 0, "y": 1, "s": 2})]
+    assert sc_equiv_check(p, rep.program, held_out, 2000).passed
