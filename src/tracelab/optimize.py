@@ -10,24 +10,24 @@ record by path index rather than searching the stitch for labels.
 One residual step then builds the program.  As the paper's residual program
 guards an optimized path with sufficient conditions, it walks each stitch
 once in path order with an abstract store, from top: a kept guard pair meets
-the walk state with its slice, a copy a pass deleted leaves it as it is, any
-other copy applies the domain's transfer function (``post``) to the pass's
-action, and a command of a previously stitched path, which has no guard pair
-here, resets it to top.  ``post`` of a test narrows the state, as a
-conditional filters the store: a store that passes a test copy, in either
-polarity, evaluated its operands to values of the classes the operators
-take, so after ``(i <= 10)`` the walk knows ``i: Int`` (in the type domain;
-see ``StoreAbstraction.post``).  Guard pair i is kept only when a pass
-rewrote copy i, its slice is not universal, and the walk state at the pair
-is not already below the slice.  The slice is the binding of each variable
-the original command reads, over the universal default; an unrewritten copy
-does what its original command does, so its pair goes.  The walk is sound
-because a stitch's interior is entered only along its own chain (a pair's
-label is the successor of the command before it on the path and of nothing
-else), and its head pair, which the entry and the back edge both reach, is
-walked from top.  A sliced guard contains every store that the full guard
-contains and changes none, and a dropped pair fails on no store that
-reaches it, so store changes (sc) are kept.
+the walk state with its slice, a copy a pass deleted or whose action is
+``skip`` leaves it as it is, any other copy applies the domain's transfer
+function (``post``) to the pass's action, and a command of a previously
+stitched path, which has no guard pair here, resets it to top.  ``post`` of
+a test narrows the state, as a conditional filters the store: a store that
+passes a test copy, in either polarity, evaluated its operands to values of
+the classes the operators take, so after ``(i <= 10)`` the walk knows
+``i: Int`` (in the type domain; see ``StoreAbstraction.post``).  Guard pair
+i is kept only when a pass rewrote copy i, its slice is not universal, and
+the walk state at the pair is not already below the slice.  The slice is the
+binding of each variable the original command reads, over the universal
+default; an unrewritten copy does what its original command does, so its
+pair goes.  The walk is sound because a stitch's interior is entered only
+along its own chain (a pair's label is the successor of the command before
+it on the path and of nothing else), and its head pair, which the entry and
+the back edge both reach, is walked from top.  A sliced guard contains every
+store that the full guard contains and changes none, and a dropped pair
+fails on no store that reaches it, so store changes (sc) are kept.
 
 A kept pair j then folds into the earliest kept pair i < j whose stretch
 i..j-1 holds no command of a previously stitched path and no copy that
@@ -39,12 +39,16 @@ command at i, which runs the same actions as the stitch, so a stronger
 guard only sends more stores to original code, and sc is kept.
 
 A jump to a dropped pair (the program entry included) goes to its positive
-guard's successor, and a jump to a deleted copy to the copy's successor,
-followed through further drops.  If that route is a cycle (dse deleted every
-copy of a branchless loop), its first pair in path order is kept with the
-universal store.  Then only labels the entry reaches are kept, which drops
-the slow head copies and the original commands only a dropped negative guard
-reached; with no pass the stitch is the original loop under fresh labels.
+guard's successor, and a jump to a deleted copy or a ``skip`` copy to the
+copy's successor, followed through further drops.  A ``skip`` changes no
+store and tests nothing, so dropping it removes only a step that sc, which
+collapses consecutive equal stores, does not see; a ``put`` copy stays, as
+out observes it, and original code keeps its skips.  If that route is a
+cycle (dse deleted every copy of a branchless loop, or the loop is all
+skips), its first pair in path order is kept with the universal store.  Then
+only labels the entry reaches are kept, which drops the slow head copies and
+the original commands only a dropped negative guard reached; with no pass
+the stitch is the original loop under fresh labels, less its skip copies.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .domains import AbstractStore, CPConst, cp_domain, eval_type, type_domain
 from .extract import StitchResult, extract_nested
 from .hotpath import HotPath
 from .lang import (Add, AddTyped, ArrayAssign, Assign, Command, Expr, Guard, Lit, Program,
-                   is_branching, node_vars, subst_expr)
+                   Skip, is_branching, node_vars, subst_expr)
 from .semantics import ADDITIONS, member_of
 from .values import TYPE_OF_CLASS, UNDEF
 
@@ -242,7 +246,7 @@ def _residual(st: StitchResult, cur: StitchResult) -> Program:
                 label = st.guards[into][0].label
                 stores[label] = dom.meet(stores[label], a)
                 route[yes.label] = yes.succ
-        if copy is None:
+        if copy is None or isinstance(copy.action, Skip):
             route[c.label] = c.succ
         else:
             state = dom.post(copy.action, state)

@@ -36,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from conftest import CF_SRC, DSE_SRC, LOOP_SRC, SHARED_EXIT_SRC, SIEVE_SRC  # noqa: E402
 from tracelab import cli, gen, lang, textio  # noqa: E402
 
-DIGEST = "5a1c720b72c296bf74eec92b66f9d1caf3fce6b44b536a9be1f72344fde11eb7"
+DIGEST = "691ced29d6e45fcdd46f93bf0cdfb553462efbb3e7d80d7ef06e6d3a8fcd1cff"
 
 
 def _with_put(p):

@@ -10,7 +10,8 @@ from tracelab.domains import (AbstractStore, CPConst, CP_BOT, CP_TOP, cp_domain,
                               get_domain, onepoint_domain, type_domain)
 from tracelab.lang import (Add, AddTyped, And, ArrayAssign, Assign, Cond, Eq, Index, Leq, Lit,
                            Mod, Not, Var, negate_bexpr)
-from tracelab.semantics import Store, apply_action, collecting_eval, eval_expr, member_of
+from tracelab.semantics import (COMPARISONS, Store, apply_action, collecting_eval, eval_bexpr,
+                                eval_expr, member_of)
 from tracelab.textio import _Cursor, _parse_abstract_store, tokenize
 from tracelab.values import (BOOL, BOT_T, Bool, INT, STRING, TOP_T, TT, UNDEF,
                              UNDEF_T, type_of)
@@ -403,6 +404,50 @@ def test_post_is_sound(case, action):
     assert dom.contains(a, rho)
     after = apply_action(action, rho)
     assert after is None or dom.contains(dom.post(action, a), after)
+
+
+@st.composite
+def _member_and_test(draw):
+    """A type element a, a store of gamma(a) and a test defined on it: each
+    comparison is of two operands of one class its operator takes, each a
+    variable the store binds to a value of that class, a literal of it, or
+    their sum.  The type domain is the one whose ``post`` of a test narrows
+    (onepoint and cp return the element)."""
+    a = _element(draw, type_domain)
+    rho = _member(draw, type_domain, a)
+    assume(rho is not None)
+
+    def operand(cls):
+        leaves = st.sampled_from([Var(x) for x, v in rho.items() if type(v) is cls]
+                                 + [Lit(v) for v in _STORE_VALUES if type(v) is cls])
+        if cls is Bool:
+            return draw(leaves)
+        return draw(leaves | st.builds(Add, leaves, leaves))
+
+    def comparison():
+        op = draw(st.sampled_from([Leq, Eq]))
+        cls = draw(st.sampled_from(list(COMPARISONS[op])))
+        return op(operand(cls), operand(cls))
+
+    b = comparison()
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["not", "and", "and-after"]))
+        b = Not(b) if kind == "not" else And(b, comparison()) if kind == "and" else \
+            And(comparison(), b)
+    return a, rho, b
+
+
+@given(_member_and_test())
+def test_post_of_the_polarity_a_member_passes_is_sound(case):
+    """A store of gamma(a) on which a test is defined passes it in one
+    polarity, and lies in gamma(post) of that polarity's copy: every draw
+    passes its test, where a drawn action seldom does."""
+    a, rho, b = case
+    value = eval_bexpr(b, rho)
+    assume(value is not UNDEF)
+    action = Cond(b if value == TT else negate_bexpr(b))
+    assert apply_action(action, rho) is rho
+    assert type_domain.contains(type_domain.post(action, a), rho)
 
 
 @given(st.data(), _ALL_DOMAINS, st.sampled_from(["first", "second", "any"]))

@@ -391,6 +391,24 @@ L1: x := 2 -> L0
     assert run(p1, Store(), 20).truncated
 
 
+@pytest.mark.parametrize("entry", ["", "S: i := 0 -> L0\n"], ids=["bare", "assigned"])
+@pytest.mark.parametrize("domain, passes", [("type", ["ts"]), ("type", []), ("onepoint", [])],
+                         ids=["type-ts", "type", "onepoint"])
+def test_a_loop_of_skips_keeps_its_first_pair(entry, domain, passes):
+    """Every copy of a loop of skips is routed around, so the route from the
+    head's pair closes on itself: the pair is kept with the universal store
+    and jumps to itself.  The final program is well-formed, passes sc, and
+    runs to the end of its budget, as the original does."""
+    p = parse_program(f"#entry {'S' if entry else 'L0'}\n{entry}L0: skip -> L1\nL1: skip -> L0\n")
+    stores = [Store(), Store({"i": "a"})]
+    rep = pipeline.pipeline(p, stores, domain, 2, 50, passes, 3)
+    assert rep.hotpaths and well_formed(rep.program) == [] and rep.check.passed
+    top = rep.program.at("L0")[0].action.store
+    assert top.domain.is_universal(top)
+    assert Command("L0", Guard(top, True), "L0") in rep.program.commands
+    assert all(len(run(rep.program, rho, 50)) == 50 for rho in stores)
+
+
 # ---------------------------------------------------------------------------
 # optimize_full composition
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 import json
 import random
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from tracelab import gen, hotpath, lang, observe, optimize, pipeline, textio
-from tracelab.lang import Guard
+from tracelab.lang import Assign, Cond, Guard, Skip
 from tracelab.semantics import Store, run
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
@@ -221,16 +223,51 @@ def test_final_programs_keep_no_guard_that_cannot_fail():
         assert _reachable(rep.program) == rep.program.labels(), seed
 
 
+def _less_skips(r):
+    """The actions of r's states that are not skips, and the writes of the
+    steps out of them."""
+    kept = [not isinstance(c.action, Skip) for c in r.commands]
+    return ([c.action for c, k in zip(r.commands, kept) if k],
+            [w for w, k in zip(r.writes, kept) if k])
+
+
 @pytest.mark.parametrize("domain", ["type", "onepoint"])
-def test_without_a_pass_the_final_program_runs_as_long_as_the_original(domain):
-    """With no pass every guard pair is universal and bypassed, so what is
-    left is the original program under other labels: from every store it
-    runs exactly as many states."""
+def test_without_a_pass_the_final_program_runs_the_original_less_its_skips(domain):
+    """With no pass every guard pair is universal and bypassed, and every
+    skip copy routed around, so what is left is the original program under
+    other labels less the skips of its stitched loops: from every store the
+    two runs, their skip states dropped, take the same actions in order with
+    the same writes (the shorter a prefix of the other only when it was
+    truncated), and the final's run is never the longer."""
     for seed in range(60):
         p, stores = gen.gen_program(seed), gen.gen_stores(seed, gen.SAMPLE_VARS, 4)
         rep = pipeline.pipeline(p, stores, domain, 2, 2000, [], 3)
-        assert [len(run(rep.program, rho, 2000)) for rho in stores] == \
-            [len(run(p, rho, 2000)) for rho in stores], seed
+        for rho in stores:
+            final, orig = run(rep.program, rho, 2000), run(p, rho, 2000)
+            assert len(final) <= len(orig), seed
+            (short, r), (long_, _) = sorted([(_less_skips(final), final), (_less_skips(orig), orig)],
+                                            key=lambda x: len(x[0][0]))
+            assert all(x == y[:len(x)] for x, y in zip(short, long_)), seed
+            assert r.truncated or short == long_, seed
+
+
+@pytest.mark.parametrize("domain, passes", [("type", ["ts"]), ("onepoint", [])],
+                         ids=["type-ts", "onepoint"])
+def test_final_programs_stitch_no_skip(domain, passes):
+    """A stitched chain routes around its skip copies: no copy (``h<i>#k``)
+    left in a final program is a skip, and from every store the final's run
+    takes as many assignment and test states as the original's."""
+    for seed in range(30):
+        p, stores = gen.gen_program(seed), gen.gen_stores(seed, gen.SAMPLE_VARS, 4)
+        rep = pipeline.pipeline(p, stores, domain, 2, 2000, passes, 3)
+        assert rep.hotpaths, seed
+        assert not [c for c in rep.program.commands
+                    if re.fullmatch(r"h\d+#\d+", c.label) and isinstance(c.action, Skip)], seed
+        for rho in stores:
+            counts = [Counter(type(c.action) for c in run(q, rho, 2000).commands
+                              if isinstance(c.action, (Assign, Cond)))
+                      for q in (rep.program, p)]
+            assert counts[0] == counts[1], seed
 
 
 def _with_put(p):

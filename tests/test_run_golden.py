@@ -45,8 +45,8 @@ def test_run_golden():
 
 
 # sha256 of every run below, and of the finals' text
-RUNS_DIGEST = "85c6196b7e94802757f0d7d9e73e5683e4a8da63be4e6e6e9d3a5275ce245c5b"
-FINALS_DIGEST = "c0c9039aa7aedf0c50130e88229cb81dcd1b0f3f6765798d99ad8a2c419d3146"
+RUNS_DIGEST = "d6b7a6207f5088b117fdf2805d9c0469035a6c16f6b6dbc759bac8dc0a8c6178"
+FINALS_DIGEST = "a3485ca23bf9a047a36b4387671543dd317e468eaa65644f8b7b9414aac09bf5"
 
 
 def test_runs_of_the_corpus_and_the_sieve_are_pinned(type_ts_finals):
