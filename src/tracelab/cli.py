@@ -155,7 +155,8 @@ def cmd_extract(args) -> int:
     p, original, hp = _mined_path(args)
     st = extract_nested(p, hp, original)
     if args.dot:
-        Path(args.dot).write_text(textio.program_to_dot(st.transformed, st.stitched))
+        stitch = st.stitched.union(*st.guards.values())
+        Path(args.dot).write_text(textio.program_to_dot(st.transformed, stitch))
     sys.stdout.write(textio.print_program(st.transformed))
     return 0
 

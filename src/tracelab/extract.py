@@ -8,9 +8,10 @@ code.  The nested variant additionally relabels into and out of previously
 stitched paths so they are called like subroutines.  The while-language
 variant adds a guardless relabeled chain only and enters the program there.
 
-``extract_nested`` records every command it builds by role and path index
-(``StitchResult``), so that optimizations and the proof witnesses read the
-stitch from that record rather than searching the program for it.
+``extract_nested`` records the stitch by role and path index
+(``StitchResult``), guard pairs by label and negative successor only, so that
+optimizations and the proof witnesses read the stitch from that record
+rather than searching the program for it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .domains import AbstractStore
 from .hotpath import HotPath
 from .lang import Command, Guard, LabelScope, Program, find_cmpl
 
@@ -31,41 +33,53 @@ class StitchResult:
     """The commands extraction built into ``program``, one field per role,
     each keyed by its index i on the hot path (``hp.commands[i]``):
 
-    - ``guards[i]``: the (positive, negative) guard pair in front of copy i;
-      ``guards[0]`` is the entry pair at the head label.  Pairs and copies
-      are at exactly the indices of the path's original commands;
+    - ``pairs[i]``: the label and negative successor of the pair guarding
+      copy i with ``hp.pairs[i][0]``; ``pairs[0]`` is the entry pair.  Pairs
+      and copies are at exactly the indices of the path's original commands;
     - ``body[i]``: the freshly labeled action copy of command i;
     - ``nested[i]``: command i of a previously stitched path, retargeted into
       this stitch when command i + 1 is original;
     - ``exits[i]``: the complement exit beside copy i, when command i branches;
     - ``slow``: the relabeled head and its complement, if any; empty without
-      ``guards[0]``.
+      ``pairs[0]``.
 
-    ``stitched`` (the guards, body, nested commands and exits) and
-    ``transformed`` (``program`` with the head and the retargeted commands
-    swapped for the stitch and the slow copies) are derived.  Optimization
-    passes may only rewrite or delete copies (``optimize.optimize_full``).
+    ``outside`` (``program`` less what the stitch replaces), ``stitched``
+    (body, nested commands and exits), ``guards`` and ``transformed`` (all of
+    it) are derived.  Passes see ``stitched`` and may only rewrite or delete
+    copies (``optimize.optimize_full``).
     """
 
     program: Program
     hp: HotPath
-    guards: dict[int, tuple[Command, Command]]
+    pairs: dict[int, tuple[str, str]]
     body: dict[int, Command]
     nested: dict[int, Command]
     exits: dict[int, Command]
     slow: tuple[Command, ...]
 
     @cached_property
+    def outside(self) -> frozenset[Command]:
+        head = {Command(self.hp.commands[0].label, c.action, c.succ) for c in self.slow}
+        return self.program.commands - {*head, *(self.hp.commands[i] for i in self.nested)}
+
+    @cached_property
     def stitched(self) -> frozenset[Command]:
-        return frozenset([*(c for g in self.guards.values() for c in g), *self.body.values(),
-                          *self.nested.values(), *self.exits.values()])
+        return frozenset([*self.body.values(), *self.nested.values(), *self.exits.values()])
+
+    @cached_property
+    def guards(self) -> dict[int, tuple[Command, Command]]:
+        return {i: guard_pair(label, self.hp.pairs[i][0], self.body[i].label, no)
+                for i, (label, no) in self.pairs.items()}
 
     @cached_property
     def transformed(self) -> Program:
-        cmds = self.hp.commands
-        head = [Command(cmds[0].label, c.action, c.succ) for c in self.slow]
-        return self.program.replace(remove=[*head, *(cmds[i] for i in self.nested)],
-                                    add=self.stitched | frozenset(self.slow))
+        cmds = self.outside | self.stitched.union(*self.guards.values(), self.slow)
+        return Program(cmds, self.program.entry, self.program.arrays)
+
+
+def guard_pair(label: str, a: AbstractStore, yes: str, no: str) -> tuple[Command, Command]:
+    """The positive and negative guard of ``a`` at ``label``."""
+    return Command(label, Guard(a, True), yes), Command(label, Guard(a, False), no)
 
 
 def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> StitchResult:
@@ -82,13 +96,8 @@ def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> Stit
     in_orig = [c in p_original.commands for c in cmds]
     scope = LabelScope.fresh_for(p_current, p_original)
 
-    def guard_pair(i: int, label: str, no: str) -> tuple[Command, Command]:
-        a = hp.pairs[i][0]
-        return (Command(label, Guard(a, True), scope.ell(i)),
-                Command(label, Guard(a, False), no))
-
     c0 = cmds[0]
-    guards: dict[int, tuple[Command, Command]] = {}
+    pairs: dict[int, tuple[str, str]] = {}
     body: dict[int, Command] = {}
     nested: dict[int, Command] = {}
     exits: dict[int, Command] = {}
@@ -100,7 +109,7 @@ def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> Stit
         cmpl0 = find_cmpl(c0, p_current)
         head = (c0,) if cmpl0 is None else (c0, cmpl0)
         slow = tuple(Command(bar, c.action, c.succ) for c in head)
-        guards[0] = guard_pair(0, c0.label, bar)
+        pairs[0] = (c0.label, bar)
 
     for i, ci in enumerate(cmds):
         if i == n:
@@ -116,14 +125,14 @@ def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> Stit
                 exits[i] = Command(scope.ell(i), compl.action, compl.succ)
             # (6): interior guard pair in front of the copy
             if i >= 1:
-                guards[i] = guard_pair(i, scope.bbl(i), ci.label)
+                pairs[i] = (scope.bbl(i), ci.label)
         elif i < n and in_orig[i + 1]:
             # (8)-(9): retarget a nested path's exit into this stitch
             if any(cmds[j] == ci for j in nested):
                 raise ExtractError(f"hot path leaves the stitched command {ci} twice")
             nested[i] = Command(ci.label, ci.action, nxt)
 
-    return StitchResult(p_current, hp, guards, body, nested, exits, slow)
+    return StitchResult(p_current, hp, pairs, body, nested, exits, slow)
 
 
 def extract(p: Program, hp: HotPath) -> StitchResult:

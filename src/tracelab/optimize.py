@@ -1,33 +1,37 @@
 """Optimizations confined to stitched hot paths, and their composition.
 
 A pass maps the stitch (``StitchResult``) to a new set of stitched commands
-and may only rewrite the action of a copy or delete a copy.  ``optimize_full``
-checks that rather than trusting it: it reads the output back as a new
-``body`` (``_rebody``) and refuses it unless it is exactly the stitch so
-derived.  Each pass sees the previous one's output.  Passes read extraction's
-record by path index rather than searching the stitch for labels.
+(copies, nested commands and exits: no guard pair) and may only rewrite the
+action of a copy or delete a copy.  ``optimize_full`` checks that: it reads
+the output back as a new ``body`` (``_rebody``) and refuses it unless it is
+exactly the stitch so derived.  Each pass sees the previous one's output.
+Passes read extraction's record by path index rather than searching the
+stitch for labels.
 
-One residual step then builds the program.  As the paper's residual program
-guards an optimized path with sufficient conditions, it walks each stitch
-once in path order with an abstract store, from top: a kept guard pair meets
-the walk state with its slice, a copy a pass deleted or whose action is
-``skip`` leaves it as it is, any other copy applies the domain's transfer
-function (``post``) to the pass's action, and a command of a previously
-stitched path, which has no guard pair here, resets it to top.  ``post`` of
-a test narrows the state, as a conditional filters the store: a store that
-passes a test copy, in either polarity, evaluated its operands to values of
-the classes the operators take, so after ``(i <= 10)`` the walk knows
-``i: Int`` (in the type domain; see ``StoreAbstraction.post``).  Guard pair
-i is kept only when a pass rewrote copy i, its slice is not universal, and
-the walk state at the pair is not already below the slice.  The slice is the
-binding of each variable the original command reads, over the universal
-default; an unrewritten copy does what its original command does, so its
-pair goes.  The walk is sound because a stitch's interior is entered only
-along its own chain (a pair's label is the successor of the command before
-it on the path and of nothing else), and its head pair, which the entry and
-the back edge both reach, is walked from top.  A sliced guard contains every
-store that the full guard contains and changes none, and a dropped pair
-fails on no store that reaches it, so store changes (sc) are kept.
+One residual step then builds the program, each guard pair it keeps once,
+with its final store.  As the paper's residual program guards an optimized
+path with sufficient conditions, it walks each stitch once in path order
+with an abstract store, from top: a kept guard pair meets the walk state
+with its slice, a copy a pass deleted or whose action is ``skip`` leaves it
+as it is, any other copy applies the domain's transfer function (``post``)
+to the pass's action, and a command of a previously stitched path, which has
+no guard pair here, resets it to top.  ``post`` of a test narrows the state,
+as a conditional filters the store: a store that passes a test copy, in
+either polarity, evaluated its operands to values of the classes the
+operators take, so after ``(i <= 10)`` the walk knows ``i: Int`` (in the
+type domain; see ``StoreAbstraction.post``).  Guard pair i is kept only when
+a pass rewrote copy i, its slice is not universal, and the walk state at the
+pair is not already below the slice.  The slice is the binding of each
+variable the original command reads, over the universal default; an
+unrewritten copy does what its original command does, so its pair goes.  The
+walk is sound because a stitch's interior is entered only along its own
+chain (a pair's label is the successor of the command before it on the path
+and of nothing else), and its head pair, which the entry and the back edge
+both reach, is walked from top.  A sliced guard contains every store that
+the full guard contains and changes none, and a dropped pair fails on no
+store that reaches it, so store changes (sc) are kept.  Each distinct
+``post``, ``meet`` and ``_slice`` of the walk is computed once per call, as
+an unrolled inner loop repeats them.
 
 A kept pair j then folds into the earliest kept pair i < j whose stretch
 i..j-1 holds no command of a previously stitched path and no copy that
@@ -45,7 +49,8 @@ store and tests nothing, so dropping it removes only a step that sc, which
 collapses consecutive equal stores, does not see; a ``put`` copy stays, as
 out observes it, and original code keeps its skips.  If that route is a
 cycle (dse deleted every copy of a branchless loop, or the loop is all
-skips), its first pair in path order is kept with the universal store.  Then
+skips), its first pair in path order is kept with the universal store, and
+its negative guard, which never fires, goes where its positive goes.  Then
 only labels the entry reaches are kept, which drops the slow head copies and
 the original commands only a dropped negative guard reached; with no pass
 the stitch is the original loop under fresh labels, less its skip copies.
@@ -53,11 +58,12 @@ the stitch is the original loop under fresh labels, less its skip copies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 from typing import Callable, Iterable, Sequence
 
 from .domains import AbstractStore, CPConst, cp_domain, eval_type, type_domain
-from .extract import StitchResult, extract_nested
+from .extract import StitchResult, extract_nested, guard_pair
 from .hotpath import HotPath
 from .lang import (Add, AddTyped, ArrayAssign, Assign, Command, Expr, Guard, Lit, Program,
                    Skip, is_branching, node_vars, subst_expr)
@@ -162,19 +168,18 @@ def dead_store_eliminate(st: StitchResult) -> frozenset[Command]:
     """
     n = len(st.hp.commands)
 
-    def universal(c: Command) -> bool:
-        return c.action.store.domain.is_universal(c.action.store)
+    universal = st.hp.domain.is_universal
 
     def overwritten(i: int, z: str) -> bool:
         for j in ((i + k) % n for k in range(1, n + 1)):
             cmd = st.body.get(j, st.nested.get(j))
-            if j in st.guards and (j in st.exits or not universal(st.guards[j][0])):
+            if j in st.pairs and (j in st.exits or not universal(st.hp.pairs[j][0])):
                 return False
             if cmd is None:
-                if j not in st.guards:
+                if j not in st.pairs:
                     return False
             elif isinstance(cmd.action, Guard):
-                if not universal(cmd):
+                if not universal(cmd.action.store):
                     return False
             elif z in _action_reads(cmd) or is_branching(cmd.action):
                 return False
@@ -218,38 +223,39 @@ def _slice(a: AbstractStore, reads: frozenset[str]) -> AbstractStore:
 
 
 def _residual(st: StitchResult, cur: StitchResult) -> Program:
-    """The program of ``st.transformed`` with the passes' stitch ``cur`` in
-    place, its guard pairs kept, folded or dropped as the module docstring
-    says."""
+    """The program of ``st`` with the passes' stitch ``cur`` in place, its
+    guard pairs kept, folded or dropped as the module docstring says."""
     dom = st.hp.domain
+    once = functools.cache(lambda f, *args: f(*args))  # each distinct step of this walk, once
     route: dict[str, str] = {}  # where a jump to a dropped label goes, in path order
     stores: dict[str, AbstractStore] = {}
     state = dom.top()  # the walk: what every store reaching position i is known to be in
     kept: list[int] = []  # the positions of the pairs kept since the walk was last top
     for i in range(len(st.hp.commands)):
-        if i not in st.guards:  # a command of a previously stitched path
+        if i not in st.pairs:  # a command of a previously stitched path
             state, kept = dom.top(), []
             continue
-        yes, c, copy = st.guards[i][0], st.body[i], cur.body.get(i)
-        a = stores[yes.label] = (dom.top() if copy is None or copy.action == c.action
-                                 else _slice(yes.action.store, _action_reads(c)))
-        met = dom.meet(state, a)
+        label, c, copy = st.pairs[i][0], st.body[i], cur.body.get(i)
+        a = stores[label] = (dom.top() if copy is None or copy.action == c.action
+                             else once(_slice, st.hp.pairs[i][0], _action_reads(c)))
+        met = once(dom.meet, state, a)
         if met is state:  # implied, or universal: a universal slice is above any state
-            route[yes.label] = yes.succ
+            route[label] = c.label
         else:
             state = met
             # the earliest kept pair since which no copy wrote what this slice binds
-            into = next((k for k in kept if _slice(a, _written(cur, k, i)) is dom.top()), None)
+            into = next((k for k in kept if once(_slice, a, _written(cur, k, i)) is dom.top()),
+                        None)
             if into is None:
                 kept.append(i)
             else:  # folded: the earlier pair tests both slices
-                label = st.guards[into][0].label
-                stores[label] = dom.meet(stores[label], a)
-                route[yes.label] = yes.succ
+                first = st.pairs[into][0]
+                stores[first] = once(dom.meet, stores[first], a)
+                route[label] = c.label
         if copy is None or isinstance(copy.action, Skip):
             route[c.label] = c.succ
         else:
-            state = dom.post(copy.action, state)
+            state = once(dom.post, copy.action, state)
 
     def target(label: str) -> str:
         if label not in route:
@@ -263,25 +269,23 @@ def _residual(st: StitchResult, cur: StitchResult) -> Program:
     for label in list(route):
         route.pop(target(label), None)  # present only when the route closes a cycle
 
-    def residual(c: Command) -> Command:
-        act, succ = c.action, target(c.succ)
-        if c.label in stores and isinstance(act, Guard) and act.store is not stores[c.label]:
-            act = Guard(stores[c.label], act.positive)
-        return c if act is c.action and succ == c.succ else Command(c.label, act, succ)
-
-    built = [residual(c) for c in (st.transformed.commands - st.stitched) | cur.stitched
-             if c.label not in route]
+    built = [c if target(c.succ) == c.succ else Command(c.label, c.action, target(c.succ))
+             for c in (*st.outside, *st.slow, *cur.stitched) if c.label not in route]
+    for i, (label, no) in st.pairs.items():
+        if label not in route:  # kept: a universal pair's negative guard never fires
+            yes, a = target(st.body[i].label), stores[label]
+            built += guard_pair(label, a, yes, yes if a is dom.top() else target(no))
     succs: dict[str, list[str]] = {}
     for c in built:
         succs.setdefault(c.label, []).append(c.succ)
-    entry = target(st.transformed.entry)
+    entry = target(st.program.entry)
     reached, todo = {entry}, [entry]
     while todo:
         for succ in succs.get(todo.pop(), ()):
             if succ not in reached:
                 reached.add(succ)
                 todo.append(succ)
-    return Program(frozenset(c for c in built if c.label in reached), entry, st.transformed.arrays)
+    return Program(frozenset(c for c in built if c.label in reached), entry, st.program.arrays)
 
 
 def optimize_full(p: Program, hp: HotPath, passes: Sequence[Optimization],

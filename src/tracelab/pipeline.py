@@ -51,13 +51,14 @@ def mine(p: Program, original: Program, runs: Sequence[Run], threshold: int,
     p is ranked once.  Runs are mined one at a time as the caller iterates,
     so ``next`` mines only up to the first run with a hot path.  When p is
     the original, a run is its own hotcut and is mined as it is; these are
-    then the paper's alpha-hot_N."""
+    then the paper's alpha-hot_N.  A path with no command of the original
+    program has nothing to copy, and is not yielded."""
     rank = hotpath.topo_order(p)
     seen: set[hotpath.HotPath] = set()
     for r in runs:
         cut = r if p is original else hotpath.hotcut(r, original)
         for hp, c in hotpath.hot_n(cut, threshold, domain, p, rank):
-            if hp not in seen:
+            if hp not in seen and not original.commands.isdisjoint(hp.commands):
                 seen.add(hp)
                 yield hp, c
 

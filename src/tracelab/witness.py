@@ -154,7 +154,7 @@ def sp(st: StitchResult, spec_map: dict[Command, Command],
 
 
 def _fragment_program(st: StitchResult, cmds: frozenset[Command]) -> Program:
-    return Program(cmds, st.transformed.entry, st.transformed.arrays)
+    return Program(cmds.union(*st.guards.values()), st.program.entry, st.program.arrays)
 
 
 def specialization_map(st: StitchResult, optimized: frozenset[Command]) -> dict[Command, Command]:

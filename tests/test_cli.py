@@ -282,8 +282,10 @@ def test_extract_dot_highlights_exactly_the_stitch(tmp_path):
     runs = observe.runs(p, [Store()], 2000)
     st = extract_nested(p, list(pipeline.mine(p, p, runs, 2, "type"))[0][0], p)
     assert out == textio.print_program(st.transformed)
+    pairs = [c for pair in st.guards.values() for c in pair]
+    assert len(pairs) == 6
     assert _dot_edges(dot.read_text(), True) == \
-        {(c.label, c.succ, str(c.action)) for c in st.stitched}
+        {(c.label, c.succ, str(c.action)) for c in [*st.stitched, *pairs]}
 
 
 def test_optimize_with_original_continues_the_pipeline_rounds(tmp_path):

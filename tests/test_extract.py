@@ -1,14 +1,15 @@
 import pytest
 
-from tracelab import observe
+from tracelab import observe, pipeline
 from tracelab.extract import ExtractError, extract, extract_gp, extract_nested
 from tracelab.hotpath import hot_n, hotcut
 from tracelab.lang import Guard, rename_equal, well_formed
 from tracelab.observe import sc_equiv_check
+from tracelab.optimize import optimize_full, type_specialize
 from tracelab.semantics import Store, run
 from tracelab.textio import parse_program
 from tracelab.domains import onepoint_domain
-from tests.conftest import command_at
+from tests.conftest import LOOP_SRC, command_at
 
 
 EXPECTED_LOOP_EXTRACTION = """
@@ -62,23 +63,24 @@ def test_extract_well_formed_and_deterministic(loop_p1):
 
 def test_extract_stitch_shape(loop_p1):
     st = loop_p1
+    whole = st.stitched.union(*st.guards.values())  # the stitch, guard pairs included
     # entry guard pair sits at the path head label
-    entries = [c for c in st.stitched if c.label == st.guards[0][0].label]
+    entries = [c for c in whole if c.label == st.guards[0][0].label]
     assert len(entries) == 2
     assert all(isinstance(c.action, Guard) for c in entries)
     # each fresh label labels at most a complement pair, and is targeted once
     labels = {}
-    for c in st.stitched:
+    for c in whole:
         labels.setdefault(c.label, []).append(c)
     assert all(len(cs) <= 2 for cs in labels.values())
     for l in set(labels) - {st.guards[0][0].label}:
-        preds = [c for c in st.stitched if c.succ == l]
+        preds = [c for c in whole if c.succ == l]
         assert len(preds) == 1
     # no stitched command loops back into an earlier stitched label except
     # the closing jump to the head
     order = {st.body[i].label: 2 * i for i in st.body} \
         | {st.guards[i][0].label: 2 * i - 1 for i in st.guards if i >= 1}
-    for c in st.stitched:
+    for c in whole:
         if c.succ in order and c.label in order:
             assert order[c.succ] > order[c.label]
 
@@ -91,7 +93,7 @@ def test_extract_self_loop_single_command():
     st = extract(p, hp)
     assert well_formed(st.transformed) == []
     # stitch is the entry guard pair plus one relabeled action closing the loop
-    assert len(st.stitched) == 3
+    assert len(st.stitched) == 1 and len(st.stitched.union(*st.guards.values())) == 3
     body = st.body[0]
     assert body.succ == "L1"
     rep = sc_equiv_check(p, st.transformed, [Store()], 300)
@@ -113,6 +115,46 @@ def test_sieve_stitch_guards(sieve_program, sieve_store):
         if isinstance(c.action, Guard):
             assert str(c.action.store) == "{i: Int, k: Int, primes: Bool[100]}"
     assert well_formed(st.transformed) == []
+
+
+# the exact guard pairs of LOOP_SRC's first stitch under type, and of the
+# sieve's second round under type/ts, whose position 3 is the inner loop
+LOOP_TYPE_PAIRS = {
+    0: ("L1: guard type {x: Int} -> h0#1", "L1: !guard type {x: Int} -> bar_L1#1"),
+    1: ("g1#1: guard type {x: Int} -> h1#1", "g1#1: !guard type {x: Int} -> L2"),
+    2: ("g2#1: guard type {x: Int} -> h2#1", "g2#1: !guard type {x: Int} -> L3"),
+}
+SIEVE_STORE = "{i: Int, k: Int, primes: Bool[100]}"
+SIEVE_ROUND2_PAIRS = {
+    0: (f"L1: guard type {SIEVE_STORE} -> h0#2", f"L1: !guard type {SIEVE_STORE} -> bar_L1#2"),
+    1: (f"g1#2: guard type {SIEVE_STORE} -> h1#2", f"g1#2: !guard type {SIEVE_STORE} -> L2"),
+    4: (f"g4#2: guard type {SIEVE_STORE} -> h4#2", f"g4#2: !guard type {SIEVE_STORE} -> L7"),
+}
+
+
+def test_the_stitch_a_pass_sees_holds_no_guard(sieve_program, sieve_store):
+    """``stitched``, what a pass sees, is the copies, the nested commands
+    and the exits.  The pairs (``guards``) are built from the record, each
+    testing its path store, and ``transformed`` holds them."""
+    p = parse_program(LOOP_SRC)
+    hp = next(pipeline.mine(p, p, observe.runs(p, [Store()], 2000), 2, "type"))[0]
+    st1 = extract_nested(p, hp, p)
+    p1 = optimize_full(sieve_program, _first_hot(sieve_program, sieve_program, sieve_store),
+                       [type_specialize], sieve_program)
+    st2 = extract_nested(p1, _first_hot(p1, sieve_program, sieve_store), sieve_program)
+    assert list(st2.nested) == [3]  # the inner loop, stitched in round 1
+    for st, pairs in ((st1, LOOP_TYPE_PAIRS), (st2, SIEVE_ROUND2_PAIRS)):
+        assert not any(isinstance(c.action, Guard) for c in st.stitched)
+        assert {i: tuple(map(str, pair)) for i, pair in st.guards.items()} == pairs
+        assert all(c.action.store is st.hp.pairs[i][0] and c.action.positive is positive
+                   for i, pair in st.guards.items() for c, positive in zip(pair, (True, False)))
+        assert st.transformed.commands == st.outside | st.stitched.union(*st.guards.values(),
+                                                                          st.slow)
+
+
+def _first_hot(p, original, store):
+    runs = observe.runs(p, [store], 20000)
+    return next(pipeline.mine(p, original, runs, 2, "type"))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,19 @@ def test_no_hot_path_leaves_the_program_unchanged(cf_program):
     assert rep.check.passed and rep.minimized == {}
 
 
+def test_a_path_with_no_original_command_is_not_mined():
+    """The skip loop's first round leaves only its kept pair, which the
+    second round's runs find hot; that path has nothing to copy."""
+    p = textio.parse_program("#entry L0\nL0: skip -> L1\nL1: skip -> L0\n")
+    found = list(pipeline.mine(p, p, observe.runs(p, [Store()], 50), 2, "type"))
+    assert len(found) == 1
+    p1 = optimize.optimize_full(p, found[0][0], [], p)
+    assert all(c.label == "L0" and isinstance(c.action, Guard) for c in p1.commands)
+    runs = observe.runs(p1, [Store()], 50)
+    assert list(hotpath.hot_n(hotpath.hotcut(runs[0], p), 2, "type", p1)) != []
+    assert list(pipeline.mine(p1, p, runs, 2, "type")) == []
+
+
 def test_sieve_matches_the_cli_golden(sieve_program, sieve_store):
     rep = pipeline.pipeline(sieve_program, [sieve_store], "type", 2, 20000, ["ts"], 3)
     golden = json.loads((GOLDEN / "sieve_pipeline.out").read_text())

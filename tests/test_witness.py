@@ -225,7 +225,7 @@ def test_sp_td_identity_under_guards(sieve_program, sieve_store, sieve_ts):
     st, smap = sieve_ts
     p1 = st.transformed
     r = run(p1, sieve_store, 6000)
-    member = st.stitched
+    member = st.stitched.union(*st.guards.values())  # the whole stitch, pairs included
     # collect a maximal in-stitch fragment of the unoptimized extraction
     frag = []
     for s in r.states:
