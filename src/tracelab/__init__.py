@@ -11,8 +11,8 @@ comparison model on top of the same machinery.
 Every name in ``__all__`` loads on first use (PEP 562): importing the package
 runs none of its modules, and ``import tracelab.textio`` runs only ``values``,
 ``lang``, ``semantics``, ``domains`` and ``textio``.  A module's name is the
-module, so ``tracelab.extract`` is the module, whose ``extract`` function is
-``tracelab.extract.extract``.
+module, so ``tracelab.pipeline`` is the module, whose ``pipeline`` function is
+``tracelab.pipeline.pipeline``.
 """
 
 import importlib
@@ -21,13 +21,12 @@ import importlib
 _EXPORTS = {
     "values": "Bool FF TT UNDEF",
     "lang": "Command Program find_cmpl rename_equal well_formed",
-    "semantics": "Run State Store collecting_eval eval_bexpr eval_expr apply_action run step",
+    "semantics": "Run State Store eval_bexpr eval_expr run",
     "domains": "AbstractStore cp_domain eval_type get_domain onepoint_domain type_domain",
-    "observe": "out out_equiv_check sc sc_equiv_check st",
+    "observe": "out out_equiv_check sc sc_equiv_check",
     "hotpath": "HotPath count hot_n hotcut sloop topo_order",
     "extract": "StitchResult extract_gp extract_nested",
     "optimize": "const_fold dead_store_eliminate free_vars optimize_full type_specialize",
-    "witness": "lift_full rtr sp specialization_map td tr_out",
     "gp": "GPCompiler GAssign GBail GIf GSkip GWhile gp_equivalence_check gp_record_hot_path "
           "gp_run gp_step gp_trace_step",
     "textio": "parse_gp_program parse_program print_program",

@@ -17,7 +17,8 @@ while-language loop stuck before its hot path is recorded.  So is input a
 command would ignore: trace, gp-trace and gp-check take one initial store,
 only an out check (``check --observe out``, ``pipeline --pass dse``) reads
 ``--vars``, and only ``--sample`` reads ``--seed``; a negative ``--sample`` or
-an empty ``--initials`` list is refused rather than run as the empty store.
+an empty ``--initials`` list is refused rather than run as the empty store,
+and so is a ``--vars`` list that is empty or holds a name that is no variable.
 
 Only the mining subcommands (hot, extract, optimize, pipeline) take
 ``--domain`` and ``--threshold``.
@@ -87,6 +88,18 @@ def _initial_stores(args) -> list[Store]:
     if not stores:
         stores.append(Store())
     return stores
+
+
+def _out_vars(args) -> Optional[frozenset[str]]:
+    """The variables ``--vars`` names, None without it (then an out check
+    observes the variables of both programs)."""
+    if args.vars is None:
+        return None
+    xs = args.vars.split(",")
+    bad = next((x for x in xs if not textio.is_variable(x)), None)
+    if bad is not None:
+        raise CliError(f"--vars takes comma-separated variable names, got {bad!r}")
+    return frozenset(xs)
 
 
 def _one_store(args) -> Store:
@@ -171,11 +184,11 @@ def cmd_optimize(args) -> int:
 def cmd_check(args) -> int:
     if args.vars is not None and args.observe != "out":
         raise CliError("--vars is read only by --observe out")
+    xs = _out_vars(args)
     p1 = _load_program(args.program)
     p2 = _load_program(args.other)
     stores = _initial_stores(args)
     if args.observe == "out":
-        xs = frozenset(args.vars.split(",")) if args.vars else None
         report = observe.out_equiv_check(p1, p2, stores, args.budget, xs)
     else:
         report = observe.sc_equiv_check(p1, p2, stores, args.budget)
@@ -186,8 +199,8 @@ def cmd_check(args) -> int:
 def cmd_pipeline(args) -> int:
     if args.vars is not None and "dse" not in args.passes:
         raise CliError("--vars is read only by the out check of --pass dse")
+    xs = _out_vars(args)
     p = _load_program(args.program)
-    xs = frozenset(args.vars.split(",")) if args.vars else None
     rep = pipeline.pipeline(p, _initial_stores(args), args.domain, args.threshold, args.budget,
                             args.passes, args.rounds, xs)
     verdicts = []

@@ -112,10 +112,6 @@ class StoreAbstraction(ABC):
             return a
         return b if self.value_leq(b, a) else self.bot_slot
 
-    def value_has(self, a, v: UValue) -> bool:
-        """Decides v in gamma(a), that is of(v) <= a."""
-        return self.value_leq(self.of(v), a)
-
     def value_universal(self, a) -> bool:
         """gamma(a) is all of UValue."""
         return a == self.top_slot
@@ -165,11 +161,6 @@ class StoreAbstraction(ABC):
         keys = set().union(*(s.keys() for s in stores))
         return _canon(self, {x: self.value_alpha([s.get(x) for s in stores]) for x in keys},
                       self.undef_slot)
-
-    def leq(self, a1: AbstractStore, a2: AbstractStore) -> bool:
-        """a1 below a2 per slot and default: their meet is a1, and elements
-        are canonical and hash-consed, so that is one identity test."""
-        return self.meet(a1, a2) is a1
 
     def meet(self, a1: AbstractStore, a2: AbstractStore) -> AbstractStore:
         """a1 and a2 met per slot and default: gamma(a1 meet a2) is

@@ -10,8 +10,8 @@ variant adds a guardless relabeled chain only and enters the program there.
 
 ``extract_nested`` records the stitch by role and path index
 (``StitchResult``), guard pairs by label and negative successor only, so that
-optimizations and the proof witnesses read the stitch from that record
-rather than searching the program for it.
+optimizations read the stitch from that record rather than searching the
+program for it.
 """
 
 from __future__ import annotations
@@ -133,12 +133,6 @@ def extract_nested(p_current: Program, hp: HotPath, p_original: Program) -> Stit
             nested[i] = Command(ci.label, ci.action, nxt)
 
     return StitchResult(p_current, hp, pairs, body, nested, exits, slow)
-
-
-def extract(p: Program, hp: HotPath) -> StitchResult:
-    """The paper's plain extraction: every hot-path command must be in ``p``
-    (test oracle: the extract, optimize and witness tests stitch with it)."""
-    return extract_nested(p, hp, p)
 
 
 def extract_gp(p_w: Program, hp_commands: tuple[Command, ...]) -> Program:

@@ -54,21 +54,20 @@ class HotPathError(Exception):
 # ---------------------------------------------------------------------------
 
 def topo_order(p: Program) -> dict[Command, int]:
-    """The rank of each command in a reverse-postorder DFS from the entry,
-    positive branches first, ties in ``Program.at``'s order; commands
-    unreachable from the entry are numbered afterwards the same way, from
-    DFS roots in ``sorted_commands`` order.  That order prints every action,
-    a guard's with its store, so it is built only when such commands exist.
-    Each label's commands are put in branch order once per call, not at
-    every stack pop."""
+    """The rank of each command reachable from the entry, in a
+    reverse-postorder DFS from it, positive branches first, ties in
+    ``Program.at``'s order.  A run visits only reachable commands, so its
+    segments are ranked in full.  Each label's commands are put in branch
+    order once per call, not at every stack pop."""
     # positive branches explore first, so a loop's head ranks at or before
     # its exit commands; negations are the cold side
     order = {label: cs if len(cs) == 1 else tuple(sorted(cs, key=lambda c: is_negation(c.action)))
              for label, cs in p.by_label.items()}
     post: list[Command] = []
     visited: set[Command] = set()
-
-    def dfs(root: Command) -> None:
+    for root in p.at(p.entry):
+        if root in visited:
+            continue
         stack: list[tuple[Command, int]] = [(root, 0)]
         visited.add(root)
         while stack:
@@ -82,13 +81,6 @@ def topo_order(p: Program) -> dict[Command, int]:
                     stack.append((nxt, 0))
             else:
                 post.append(cmd)
-
-    for c in p.at(p.entry):
-        if c not in visited:
-            dfs(c)
-    for c in p.sorted_commands if len(visited) < len(p.commands) else ():
-        if c not in visited:
-            dfs(c)
     return {c: i for i, c in enumerate(reversed(post))}
 
 

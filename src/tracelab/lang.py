@@ -30,7 +30,7 @@ import re
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .values import Value, int_of, int_str, value_str
 
@@ -411,10 +411,6 @@ class Program:
 
     def vars(self) -> frozenset[str]:
         return frozenset().union(*(node_vars(c.action) for c in self.commands))
-
-    def replace(self, remove: Iterable[Command] = (), add: Iterable[Command] = ()) -> "Program":
-        cmds = (self.commands - frozenset(remove)) | frozenset(add)
-        return Program(cmds, self.entry, self.arrays)
 
 
 def find_cmpl(c: Command, p: Program) -> Optional[Command]:

@@ -1,6 +1,6 @@
 """Observational abstractions of traces and the bounded equivalence checker.
 
-``sc`` observes store changes, ``st`` keeps every store, and ``out`` keeps
+``sc`` observes store changes, and ``out`` keeps
 restricted stores at output commands only.  They read a run's record (its
 initial store, commands and writes), so core runs and while-language runs
 share them.  ``sc`` reads the writes: it gives the initial store, then each
@@ -63,12 +63,6 @@ def sc(r: Run) -> Observations:
         out.append(w)
         m.update(w)  # an unbound variable reads undef, bound to undef or not
     return tuple(out)
-
-
-def st(r: Run) -> Observations:
-    """Every store (test oracle: while-language runs against their compiled
-    runs in ``test_gp``)."""
-    return tuple(r.stores_at(range(len(r))))
 
 
 def out(r: Run, xs: Iterable[str]) -> Observations:

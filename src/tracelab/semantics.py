@@ -1,4 +1,4 @@
-"""Concrete semantics: expression/action evaluation, transitions, bounded runs.
+"""Concrete semantics: expression and action evaluation, bounded runs.
 
 Evaluation is total with ``undef`` as the error value; actions map a store to a
 new store or to bottom (None here), and bottom is what makes states stick.
@@ -10,11 +10,10 @@ Every expression, test and action is compiled once into a function of a
 store's dict, kept on its node (equal nodes are one node, ``lang.Node``): an
 expression's gives a value or undef, a test's True, False or None (undef),
 and an action's writes its binding into a dict that nothing else holds (the
-run's, or ``apply_action``'s copy) and returns the write (see ``Run``), or
-None for bottom; a branching action's returns its three-valued test.  No
-function refers to its node, so none keeps its node alive.  ``eval_expr``,
-``eval_bexpr``, ``apply_action`` and ``fires`` call these functions with a
-``Store``'s dict; there is no second evaluator.
+run's) and returns the write (see ``Run``), or None for bottom; a branching
+action's returns its three-valued test.  No function refers to its node, so
+none keeps its node alive.  ``eval_expr``, ``eval_bexpr`` and ``fires`` call
+these functions with a ``Store``'s dict; there is no second evaluator.
 
 The functions are emitted as Python source, one emitter per node kind: an
 expression emits a Python expression over the store's dict ``m``, a test a
@@ -551,17 +550,6 @@ def eval_bexpr(b: BExpr, store: Store) -> UValue:
     return _TRUTH[_test(b)(store._m)]
 
 
-def apply_action(a: lang.Action, store: Store) -> Optional[Store]:
-    """New store, or None for bottom (failed test, error, guard miss)."""
-    if is_branching(a):
-        return store if _action(a)(store._m) else None
-    m = dict(store._m)
-    w = _action(a)(m)
-    if not w:
-        return None if w is None else store
-    return Store._of(m)
-
-
 def fires(a: lang.Action, store: Store) -> Optional[bool]:
     """Three-valued test of a conditional or guard: whether it fires, None
     when the test is undef (then neither it nor its complement fires)."""
@@ -569,29 +557,8 @@ def fires(a: lang.Action, store: Store) -> Optional[bool]:
 
 
 # ---------------------------------------------------------------------------
-# Collecting versions
+# Bounded runs
 # ---------------------------------------------------------------------------
-
-def collecting_eval(e: Expr, stores: Iterable[Store]) -> set[UValue]:
-    """The values of e over a set of stores (test oracle: ``eval_type`` is
-    alpha of it in ``test_domains``)."""
-    f = _expr(e)
-    return {f(s._m) for s in stores}
-
-
-# ---------------------------------------------------------------------------
-# Transitions and bounded runs
-# ---------------------------------------------------------------------------
-
-def step(p: Program, s: State) -> tuple[State, ...]:
-    """All program successors of a state; empty means stuck (the relation
-    ``trace_linked`` checks witnesses against; test oracle in ``test_gp``)."""
-    rho = apply_action(s.command.action, s.store)
-    if rho is None or s.command.succ == HALT:
-        return ()
-    nexts = p.at(s.command.succ)
-    return tuple(State(rho, c) for c in nexts)
-
 
 # One entry per label, successors by index into the table (None at HALT and
 # at a label without commands):
@@ -677,12 +644,3 @@ def run(p: Program, rho0: Store, budget: int) -> Run:
     # one more state would have been possible; the step to it is not recorded
     writes.pop()
     return Run(rho0, tuple(commands), tuple(writes), "budget")
-
-
-def trace_linked(p: Program, states: Sequence[State]) -> bool:
-    """Checks the partial-trace linkage: each state is a step-successor of the
-    last (the witnesses' validation; test oracle in ``test_gp``)."""
-    for a, b in zip(states, states[1:]):
-        if b not in step(p, a):
-            return False
-    return all(s.command in p.commands for s in states)

@@ -166,7 +166,8 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_#]*$")
 KEYWORDS = ("tt", "ff", "skip", "guard", "put", "undef")  # names that are not variables
 
 
-def _is_name(tok: Optional[str]) -> bool:
+def is_variable(tok: Optional[str]) -> bool:
+    """Whether ``tok`` is a variable's name: a name that is no keyword."""
     return tok is not None and bool(_NAME_RE.match(tok)) and tok not in KEYWORDS
 
 
@@ -204,7 +205,7 @@ def _parse_term(c: _Cursor):
     if re.fullmatch(r"-?\d+", t):
         c.next()
         return Lit(int_of(t))
-    if _is_name(t):
+    if is_variable(t):
         c.next()
         return Index(t, c.inner(_parse_expr, "]")) if c.peek() == "[" else Var(t)
     c.fail(f"expected expression, got {t!r}")
@@ -346,7 +347,7 @@ def _parse_action(c: _Cursor) -> lang.Action:
         if not positive:
             c.expect("guard")
         return Guard(_parse_abstract_store(c, c.next()), positive)
-    if _is_name(t) and ":=" in c.toks[c.i:]:  # a test holds no ':='
+    if is_variable(t) and ":=" in c.toks[c.i:]:  # a test holds no ':='
         name = c.next()
         if c.peek() == "[":  # a[i] := E
             c.next()
@@ -521,7 +522,7 @@ def parse_gp_program(text: str):
             if c.peek() != "{":
                 c.expect("{")
             return make(b, c.inner(parse_seq, "}"))
-        if _is_name(t):
+        if is_variable(t):
             name = c.next()
             c.expect(":=")
             e = _parse_expr(c)

@@ -42,7 +42,8 @@ DIGEST = "691ced29d6e45fcdd46f93bf0cdfb553462efbb3e7d80d7ef06e6d3a8fcd1cff"
 def _with_put(p):
     """p with its halting ``skip`` replaced by a put of all its variables."""
     (halt,) = [c for c in p.commands if c.succ == lang.HALT]
-    return p.replace(remove=[halt], add=[lang.Command(halt.label, lang.Put(p.vars()), lang.HALT)])
+    put = lang.Command(halt.label, lang.Put(p.vars()), lang.HALT)
+    return lang.Program(p.commands - {halt} | {put}, p.entry, p.arrays)
 
 
 def programs():

@@ -1,28 +1,68 @@
-"""Executable proof witnesses: trace unfolding, refolding, and respecialization.
+"""Oracles the tests check the library against, which the library never runs.
 
-These functions move execution traces between a program and its extracted (or
-type-specialized) form.  They exist to be checked, not to be fast: every
-output is validated against the claimed program's transition relation, which
-is the executable content of their well-definedness lemmas.
+The transition relation: ``apply_action`` is one action on a copy of a store,
+``step`` all program successors of a state and ``trace_linked`` whether a
+sequence of states is a partial trace of a program.  ``semantics.run`` must
+give exactly the traces ``step`` links (``test_semantics``).
+
+The executable proof witnesses: trace unfolding, refolding and
+respecialization.  These functions move execution traces between a program
+and its extracted (or type-specialized) form.  They exist to be checked, not
+to be fast: every output is validated against the claimed program's
+transition relation, which is the executable content of their
+well-definedness lemmas (``test_witness``).
 
 They read the stitch from extraction's record (``StitchResult``): the guard
 pair, action copy, retargeted nested command and complement exit at each path
 index, and the relabeled slow head.  A source complement is the exit's action
 and successor under the path command's label.
-
-Nothing in the pipeline calls this module: it is the executable form of the
-extraction and specialization proofs, which ``test_witness`` checks.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
-from .extract import StitchResult
-from .lang import AddTyped, Command, Program
-from .optimize import _rebody
-from .semantics import ADDITIONS, State, Store, eval_expr, trace_linked
+from tracelab.extract import StitchResult
+from tracelab.lang import HALT, Action, AddTyped, Command, Program, is_branching
+from tracelab.optimize import _rebody
+from tracelab.semantics import ADDITIONS, State, Store, _action, eval_expr
 
+
+# ---------------------------------------------------------------------------
+# The transition relation
+# ---------------------------------------------------------------------------
+
+def apply_action(a: Action, store: Store) -> Optional[Store]:
+    """New store, or None for bottom (failed test, error, guard miss): the
+    action's compiled function on a copy of the store's dict."""
+    if is_branching(a):
+        return store if _action(a)(store._m) else None
+    m = dict(store._m)
+    w = _action(a)(m)
+    if not w:
+        return None if w is None else store
+    return Store._of(m)
+
+
+def step(p: Program, s: State) -> tuple[State, ...]:
+    """All program successors of a state; empty means stuck."""
+    rho = apply_action(s.command.action, s.store)
+    if rho is None or s.command.succ == HALT:
+        return ()
+    return tuple(State(rho, c) for c in p.at(s.command.succ))
+
+
+def trace_linked(p: Program, states: Sequence[State]) -> bool:
+    """Each state is a step-successor of the last, and every command is in p."""
+    for a, b in zip(states, states[1:]):
+        if b not in step(p, a):
+            return False
+    return all(s.command in p.commands for s in states)
+
+
+# ---------------------------------------------------------------------------
+# Witnesses
+# ---------------------------------------------------------------------------
 
 class WitnessError(Exception):
     pass
@@ -41,10 +81,6 @@ def _check(program: Program, states: Sequence[State], what: str):
     if not trace_linked(program, states):
         raise WitnessError(f"{what} produced an illegal trace")
 
-
-# ---------------------------------------------------------------------------
-# Unfolding: source traces into the extracted program
-# ---------------------------------------------------------------------------
 
 def tr_out(st: StitchResult, states: Sequence[State]) -> tuple[State, ...]:
     """Unfold occurrences of the hot path in a source trace into its stitch.
@@ -80,10 +116,6 @@ def tr_out(st: StitchResult, states: Sequence[State]) -> tuple[State, ...]:
     return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# Refolding: extracted-program traces back into the source
-# ---------------------------------------------------------------------------
-
 def rtr(st: StitchResult, source: Program, states: Sequence[State]) -> tuple[State, ...]:
     """Map a trace of the extracted program back onto ``source``: drop guard
     states (a terminal guard becomes the guarded command itself), send the
@@ -107,10 +139,6 @@ def rtr(st: StitchResult, source: Program, states: Sequence[State]) -> tuple[Sta
     _check(source, out, "rtr")
     return tuple(out)
 
-
-# ---------------------------------------------------------------------------
-# Type specialization witnesses
-# ---------------------------------------------------------------------------
 
 def td(st: StitchResult, spec_map: dict[Command, Command],
        states: Sequence[State]) -> tuple[State, ...]:
@@ -163,10 +191,6 @@ def specialization_map(st: StitchResult, optimized: frozenset[Command]) -> dict[
     new = _rebody(st, optimized)
     return {c: new[i] for i, c in st.body.items() if i in new and new[i].action != c.action}
 
-
-# ---------------------------------------------------------------------------
-# Lifting fragment witnesses to whole traces
-# ---------------------------------------------------------------------------
 
 def lift_full(f: Callable[[Sequence[State]], Sequence[State]],
               member: frozenset[Command], states: Sequence[State]) -> tuple[State, ...]:

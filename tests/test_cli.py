@@ -131,6 +131,8 @@ def test_shrink_uses_the_check_that_judged(tmp_path, monkeypatch):
                                   "bad --domain", "--hotpath -9", "--hotpath -1",
                                   "--initials [1]", "--initials [[1]]", "--initials []",
                                   "--sample -1", "--rounds 0", "--seed without --sample",
+                                  "check --vars ''", "pipeline --vars ''", "check --vars ,",
+                                  "pipeline --vars x,", "check --vars tt",
                                   "extract: no hot path", "optimize: no hot path"])
 def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
     from tracelab.extract import ExtractError
@@ -145,6 +147,10 @@ def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
     ill_formed.write_text("#entry L0\nL0: x := 1 -> L0\nL0: skip -> .\n")
     straight = tmp_path / "straight.tl"
     straight.write_text("#entry L0\nL0: skip -> .\n")
+    put = tmp_path / "put.tl"
+    put.write_text("#entry L0\nL0: x := 1 -> L1\nL1: put {x} -> .\n")
+    out_check = ["check", put, put, "--observe", "out", "--vars"]
+    dse = ["pipeline", put, "--pass", "dse", "--vars"]
 
     def refuse(*args):
         raise ExtractError("refused")
@@ -170,6 +176,11 @@ def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
         "--sample -1": ["run", loop, "--sample", "-1"],
         "--rounds 0": ["pipeline", loop, "--rounds", "0"],
         "--seed without --sample": ["run", loop, "--seed", "7"],
+        "check --vars ''": [*out_check, ""],
+        "pipeline --vars ''": [*dse, ""],
+        "check --vars ,": [*out_check, ","],
+        "pipeline --vars x,": [*dse, "x,"],
+        "check --vars tt": [*out_check, "tt"],
         "extract: no hot path": ["extract", straight],
         "optimize: no hot path": ["optimize", straight, "--domain", "type", "--pass", "ts"],
     }[case]
@@ -179,6 +190,8 @@ def test_errors_exit_2_without_traceback(tmp_path, monkeypatch, case):
     assert err.startswith("error: ") or "error: argument --domain" in err
     if case.endswith("no hot path"):
         assert err == "error: no hot path found\n"
+    if "--vars" in case:
+        assert err.startswith("error: --vars takes comma-separated variable names, got ")
 
 
 GP_PROLOGUE = "x := 0; while (x <= 3) do { x := x + 1; }\n"  # not headed by while
@@ -477,14 +490,15 @@ def test_pipeline_refuses_an_ill_formed_result(tmp_path, monkeypatch):
     ``optimize_full``: a round whose program has a second command at its
     entry label is refused."""
     from tracelab import optimize
-    from tracelab.lang import Command, Skip
+    from tracelab.lang import Command, Program, Skip
 
     optimize_full = optimize.optimize_full
 
     def forking_optimize_full(p, hp, passes, original):
         out = optimize_full(p, hp, passes, original)
         first = out.at(out.entry)[0]  # x := 0
-        return out.replace(add=[Command(first.label, Skip(), first.succ)])
+        return Program(out.commands | {Command(first.label, Skip(), first.succ)}, out.entry,
+                       out.arrays)
 
     monkeypatch.setattr(optimize, "optimize_full", forking_optimize_full)
     path = tmp_path / "loop.tl"

@@ -10,11 +10,11 @@ from tracelab.domains import (AbstractStore, CPConst, CP_BOT, CP_TOP, cp_domain,
                               get_domain, onepoint_domain, type_domain)
 from tracelab.lang import (Add, AddTyped, And, ArrayAssign, Assign, Cond, Eq, Index, Leq, Lit,
                            Mod, Not, Var, negate_bexpr)
-from tracelab.semantics import (COMPARISONS, Store, apply_action, collecting_eval, eval_bexpr,
-                                eval_expr, member_of)
+from tracelab.semantics import COMPARISONS, Store, eval_bexpr, eval_expr, member_of
 from tracelab.textio import _Cursor, _parse_abstract_store, tokenize
 from tracelab.values import (BOOL, BOT_T, Bool, INT, STRING, TOP_T, TT, UNDEF,
                              UNDEF_T, type_of)
+from tests.oracles import apply_action
 
 type_alpha, type_leq = type_domain.value_alpha, type_domain.value_leq
 
@@ -30,7 +30,7 @@ def test_onepoint_collapses_everything():
     assert onepoint_domain.alpha([Store({"x": 1}), Store({"x": "a"})]) == top
     assert onepoint_domain.alpha([]) == top
     assert onepoint_domain.contains(top, Store())
-    assert onepoint_domain.leq(top, top)
+    assert onepoint_domain.meet(top, top) is top
     assert onepoint_domain.is_universal(top)
     assert str(top) == "{}"
 
@@ -130,7 +130,7 @@ def test_eval_type_is_alpha_of_the_collecting_image(e):
     for t1, t2 in itertools.product(domains.TYPE_NAMES, repeat=2):
         stores = [Store({x: v for x, v in (("x", v1), ("y", v2)) if v is not UNDEF})
                   for v1 in _gamma_samples(t1) for v2 in _gamma_samples(t2)]
-        image = type_alpha(collecting_eval(e, stores))
+        image = type_alpha({eval_expr(e, s) for s in stores})
         if eval_type(e, type_domain.make({"x": t1, "y": t2})) != image:
             wrong.append((t1, t2, image))
     assert wrong == []
@@ -190,7 +190,7 @@ def _contains_by_scan(dom, a, store):
         return False
     for x in a.keys() | frozenset(store.keys()):
         slot = next((v for k, v in a.items if k == x), a.default)
-        if not dom.value_has(slot, store.get(x)):
+        if not dom.value_leq(dom.of(store.get(x)), slot):
             return False
     return True
 
@@ -213,7 +213,7 @@ def _element_and_store(draw):
                                     max_size=5))
     if draw(st.booleans()):
         for x, slot in a.items:
-            fits = [v for v in _STORE_VALUES if dom.value_has(slot, v)]
+            fits = [v for v in _STORE_VALUES if dom.value_leq(dom.of(v), slot)]
             if fits:
                 bindings[x] = draw(st.sampled_from(fits))
     return dom, a, Store(bindings)
@@ -255,7 +255,7 @@ def _element_with_any_default_and_store(draw):
                                     max_size=5))
     if draw(st.booleans()):
         for x, slot in a.items:
-            fits = [v for v in _STORE_VALUES if dom.value_has(slot, v)]
+            fits = [v for v in _STORE_VALUES if dom.value_leq(dom.of(v), slot)]
             if fits:
                 bindings[x] = draw(st.sampled_from(fits))
     return dom, a, Store(bindings)
@@ -267,7 +267,7 @@ def _element_with_any_default_and_store(draw):
 @example((cp_domain, cp_domain.make({"x": CPConst(1)}, CP_TOP), Store({"x": 1})))
 @example((type_domain, type_domain.make({"x": INT}, INT), Store({"x": 1, "y": 2})))
 def test_contains_agrees_with_the_per_variable_definition(case):
-    """Membership, whatever the default, is value_has on every variable
+    """Membership, whatever the default, is ``of(v)`` below its slot on every variable
     that either side binds (bottom holds nothing unless it is top)."""
     dom, a, store = case
     assert dom.contains(a, store) == _contains_by_scan(dom, a, store)
@@ -352,11 +352,11 @@ _ALL_DOMAINS = st.sampled_from(["onepoint", "type", "cp"]).map(get_domain)
 def _member(draw, dom, a):
     """A store of gamma(a) that binds only ``_VARS``, or None when gamma(a)
     has no such store."""
-    if not dom.value_has(a.default, UNDEF):
+    if not dom.value_leq(dom.of(UNDEF), a.default):
         return None
     bindings = {}
     for x in _VARS:
-        fits = [v for v in _STORE_VALUES + (UNDEF,) if dom.value_has(a.get(x), v)]
+        fits = [v for v in _STORE_VALUES + (UNDEF,) if dom.value_leq(dom.of(v), a.get(x))]
         if not fits:
             return None
         v = draw(st.sampled_from(fits))
@@ -593,7 +593,8 @@ def test_alpha_monotone(tag):
     for _ in range(60):
         s2 = rng.sample(universe, rng.randrange(0, 6))
         s1 = [s for s in s2 if rng.random() < 0.6]
-        assert dom.leq(dom.alpha(s1), dom.alpha(s2))
+        a1 = dom.alpha(s1)
+        assert dom.meet(a1, dom.alpha(s2)) is a1
 
 
 @pytest.mark.parametrize("tag", ["onepoint", "type", "cp"])
@@ -619,7 +620,7 @@ def test_alpha_is_least_covering(tag):
         a = dom.alpha(ss)
         other = dom.alpha(rng.sample(universe, rng.randrange(1, 6)))
         if all(dom.contains(other, s) for s in ss):
-            assert dom.leq(a, other)
+            assert dom.meet(a, other) is a
 
 
 @pytest.mark.parametrize("tag", ["type", "cp"])
@@ -629,13 +630,13 @@ def test_leq_is_partial_order(tag):
     rng = random.Random(8)
     elems = [dom.alpha(rng.sample(universe, rng.randrange(0, 5))) for _ in range(25)]
     for a in elems:
-        assert dom.leq(a, a)
+        assert dom.meet(a, a) is a
     for a, b in itertools.product(elems, repeat=2):
-        if dom.leq(a, b) and dom.leq(b, a):
+        if dom.meet(a, b) is a and dom.meet(b, a) is b:
             assert a == b
     for a, b, c in zip(elems, elems[1:], elems[2:]):
-        if dom.leq(a, b) and dom.leq(b, c):
-            assert dom.leq(a, c)
+        if dom.meet(a, b) is a and dom.meet(b, c) is b:
+            assert dom.meet(a, c) is a
 
 
 def _parse_literal(tag, text):

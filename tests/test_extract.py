@@ -1,7 +1,7 @@
 import pytest
 
 from tracelab import observe, pipeline
-from tracelab.extract import ExtractError, extract, extract_gp, extract_nested
+from tracelab.extract import ExtractError, extract_gp, extract_nested
 from tracelab.hotpath import hot_n, hotcut
 from tracelab.lang import Guard, rename_equal, well_formed
 from tracelab.observe import sc_equiv_check
@@ -44,7 +44,7 @@ def loop_hp1(loop_program):
 
 @pytest.fixture(scope="module")
 def loop_p1(loop_program, loop_hp1):
-    return extract(loop_program, loop_hp1)
+    return extract_nested(loop_program, loop_hp1, loop_program)
 
 
 def test_extract_matches_expected_set(loop_program, loop_p1):
@@ -90,7 +90,7 @@ def test_extract_self_loop_single_command():
     r = run(p, Store(), 50)
     hp = hot_n(r, 2, "onepoint", p)[0][0]
     assert len(hp) == 1
-    st = extract(p, hp)
+    st = extract_nested(p, hp, p)
     assert well_formed(st.transformed) == []
     # stitch is the entry guard pair plus one relabeled action closing the loop
     assert len(st.stitched) == 1 and len(st.stitched.union(*st.guards.values())) == 3
@@ -104,13 +104,13 @@ def test_extract_requires_commands_in_program(loop_program, cf_program):
     r = run(cf_program, Store(), 500)
     foreign = hot_n(r, 2, "onepoint", cf_program)[0][0]
     with pytest.raises(ExtractError):
-        extract(loop_program, foreign)
+        extract_nested(loop_program, foreign, loop_program)
 
 
 def test_sieve_stitch_guards(sieve_program, sieve_store):
     r = run(sieve_program, sieve_store, 5000)
     hp1 = hot_n(r, 2, "type", sieve_program)[0][0]
-    st = extract(sieve_program, hp1)
+    st = extract_nested(sieve_program, hp1, sieve_program)
     for c in st.stitched:
         if isinstance(c.action, Guard):
             assert str(c.action.store) == "{i: Int, k: Int, primes: Bool[100]}"
@@ -189,11 +189,11 @@ L5: skip -> .
 
 
 def test_extract_nested_golden(loop_program, loop_hp1):
-    p1 = extract(loop_program, loop_hp1).transformed
+    p1 = extract_nested(loop_program, loop_hp1, loop_program).transformed
     r1 = run(p1, Store(), 2000)
     hp2 = hot_n(hotcut(r1, loop_program), 2, "onepoint", p1)[0][0]
     labels = [c.label for c in hp2.commands]
-    st1 = extract(loop_program, loop_hp1)
+    st1 = extract_nested(loop_program, loop_hp1, loop_program)
     assert labels == [st1.guards[0][0].label, st1.body[2].label, "L4"]
 
     p2 = extract_nested(p1, hp2, loop_program).transformed
@@ -210,13 +210,13 @@ def test_extract_nested_golden(loop_program, loop_hp1):
 
 
 def test_extract_nested_degenerates_to_plain(loop_program, loop_hp1):
-    a = extract(loop_program, loop_hp1).transformed
+    a = extract_nested(loop_program, loop_hp1, loop_program).transformed
     b = extract_nested(loop_program, loop_hp1, loop_program).transformed
     assert a == b
 
 
 def test_nested_extraction_correct(loop_program, loop_hp1):
-    p1 = extract(loop_program, loop_hp1).transformed
+    p1 = extract_nested(loop_program, loop_hp1, loop_program).transformed
     hp2 = hot_n(hotcut(run(p1, Store(), 2000), loop_program), 2, "onepoint", p1)[0][0]
     p2 = extract_nested(p1, hp2, loop_program).transformed
     initials = [Store()] + [Store({"x": v}) for v in (-5, 3, 19, 20, 21, 100)]
@@ -283,7 +283,7 @@ def test_extraction_preserves_well_formedness(seed):
     (rho,) = gen_stores(seed, p.vars(), 1)
     r = run(p, rho, 400)
     for hp, _ in hot_n(r, 2, "onepoint", p)[:2]:
-        st = extract(p, hp)
+        st = extract_nested(p, hp, p)
         assert well_formed(st.transformed) == []
         # stitched copies of repeated commands carry distinct labels
         body_labels = [c.label for c in st.body.values()]

@@ -5,13 +5,14 @@ from tracelab.extract import extract_gp
 from tracelab.gp import (EMPTY, GAssign, GBail, GIf, GPCompiler, GPError,
                          GPState, GSkip, GWhile, gp_equivalence_check,
                          gp_record_hot_path, gp_run, gp_step, gp_trace_step)
-from tracelab.lang import (Add, Eq, Leq, Lit, Mod, Var, rename_equal,
+from tracelab.lang import (Add, Eq, Leq, Lit, Mod, Program, Var, rename_equal,
                            well_formed)
-from tracelab.observe import sc, st
-from tracelab.semantics import Store, fires, run, step, trace_linked
+from tracelab.observe import sc
+from tracelab.semantics import Store, fires, run
 from tracelab.textio import parse_gp_program, parse_program
 from tracelab.values import UNDEF
 from tests.conftest import run_of
+from tests.oracles import step, trace_linked
 
 QW_SRC = "while x <= 20 do { x := x + 1; if (x % 3) = 0 then { x := x + 3; } }"
 
@@ -164,7 +165,8 @@ def test_compile_trace_is_initial_trace(qw):
     ct = comp.compile_trace(r.states)
     assert trace_linked(p, ct)
     assert ct[0].command.label == p.entry
-    assert st(run_of(ct)) == st(r)
+    r_ct = run_of(ct)
+    assert r_ct.stores_at(range(len(r_ct))) == r.stores_at(range(len(r)))
 
 
 def test_alpha_st_agreement_on_compiled_runs(qw):
@@ -173,7 +175,7 @@ def test_alpha_st_agreement_on_compiled_runs(qw):
     for x0 in (0, 7, 19, 21):
         r_gp = gp_run(qw, Store({"x": x0}), 400)
         r_c = run(p, Store({"x": x0}), 400)
-        assert st(r_gp) == st(r_c)
+        assert r_gp.stores_at(range(len(r_gp))) == r_c.stores_at(range(len(r_c)))
 
 
 def test_monotone_compilation_along_runs(qw):
@@ -304,7 +306,7 @@ def test_equivalence_check_detects_corruption(qw):
     fresh = right.labels() - rec.compiled_program.labels()
     victim = next(c for c in sorted(right.commands, key=str)
                   if c.label in fresh and str(c.action).startswith("!"))
-    corrupted = right.replace(remove=[victim])
+    corrupted = Program(right.commands - {victim}, right.entry, right.arrays)
     assert rename_equal(left, corrupted) is None
 
 
@@ -365,7 +367,7 @@ def test_generated_gp_runs_commute(seed):
     (rho,) = gen_stores(seed, p.vars(), 1)
     r_gp = gp_run(stm, rho, 250)
     r_c = run(p, rho, 250)
-    assert st(r_gp) == st(r_c)
+    assert r_gp.stores_at(range(len(r_gp))) == r_c.stores_at(range(len(r_c)))
     assert comp.compile_trace(r_gp.states) == r_c.states
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from tracelab import hotpath, observe
 from tracelab.domains import get_domain, onepoint_domain
-from tracelab.extract import extract
+from tracelab.extract import extract_nested
 from tracelab.hotpath import (HotPath, HotPathError, count, hot_n, hotcut, sloop,
                               topo_order)
 from tracelab.lang import Assign, Command, Lit, Program, Skip, find_cmpl, is_negation
@@ -48,7 +48,7 @@ def test_topo_order_straight_line_matches_dfs_oracle():
 
 
 def _dfs_oracle_rank(p):
-    """Recursive reverse-postorder with the same branch ordering."""
+    """Recursive reverse-postorder from the entry with the same branch ordering."""
     post = []
     seen = set()
 
@@ -60,7 +60,7 @@ def _dfs_oracle_rank(p):
                     go(nxt)
         post.append(c)
 
-    for c in (*p.at(p.entry), *p.sorted_commands):
+    for c in p.at(p.entry):
         if c not in seen:
             go(c)
     return {c: i for i, c in enumerate(reversed(post))}
@@ -71,11 +71,11 @@ def test_topo_matches_recursive_oracle(loop_program, cf_program, sieve_program):
         assert topo_order(p) == _dfs_oracle_rank(p)
 
 
-def test_topo_order_matches_the_oracle_on_generated_finals_and_unreachable_commands():
-    """``topo_order`` reads the sorted commands only when the entry leaves
-    some unvisited; its ranks are the oracle's, which always seeds from them.
-    Each final program is also ranked behind a fresh entry that halts, so
-    that none of its commands is reachable."""
+def test_topo_order_matches_the_oracle_on_generated_finals():
+    """``topo_order``'s ranks are the oracle's, and it never sorts the
+    commands.  Each final program is also ranked behind a fresh entry that
+    halts, so that none of its commands is reachable: only that entry is
+    ranked."""
     from tracelab import gen, pipeline
     from tracelab.lang import HALT, Program
     for seed in range(30):
@@ -83,11 +83,11 @@ def test_topo_order_matches_the_oracle_on_generated_finals_and_unreachable_comma
         final = pipeline.pipeline(gen.gen_program(seed), stores, "type", 2, 2000, ["ts"],
                                   3).program
         fresh = Program(final.commands, final.entry, final.arrays)  # no cached tables
-        cut_off = Program(final.commands | {Command("E#0", Skip(), HALT)}, "E#0", final.arrays)
-        for p in (fresh, cut_off):
-            rank = topo_order(p)
-            assert ("sorted_commands" in p.__dict__) == (p is cut_off), seed
-            assert rank == _dfs_oracle_rank(p), seed
+        halt = Command("E#0", Skip(), HALT)
+        cut_off = Program(final.commands | {halt}, "E#0", final.arrays)
+        assert topo_order(fresh) == _dfs_oracle_rank(fresh), seed
+        assert topo_order(cut_off) == {halt: 0}, seed
+        assert not any("sorted_commands" in q.__dict__ for q in (fresh, cut_off)), seed
 
 
 def test_topo_order_prints_no_guard_store(sieve_program, sieve_store, monkeypatch):
@@ -95,7 +95,7 @@ def test_topo_order_prints_no_guard_store(sieve_program, sieve_store, monkeypatc
     ranking a stitched program never prints its guard stores."""
     from tracelab.domains import AbstractStore
     hp = hot_n(run(sieve_program, sieve_store, 5000), 2, "type", sieve_program)[0][0]
-    p = extract(sieve_program, hp).transformed
+    p = extract_nested(sieve_program, hp, sieve_program).transformed
     want = _dfs_oracle_rank(p)  # builds the program's cached tables
     calls = []
     real = AbstractStore.__str__
@@ -109,10 +109,9 @@ def test_topo_order_prints_no_guard_store(sieve_program, sieve_store, monkeypatc
     assert calls == []
 
 
-def test_topo_covers_unreachable():
+def test_topo_ranks_only_reachable_commands():
     p = parse_program("#entry L0\nL0: skip -> .\nU0: skip -> U1\nU1: skip -> .\n")
-    rank = topo_order(p)
-    assert len(rank) == 3
+    assert topo_order(p) == {command_at(p, "L0"): 0}
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +482,11 @@ def test_hotcut_drops_middle_of_foreign_runs(loop_program):
 
 def test_hotcut_golden_after_extraction(loop_program, loop_run):
     hp1 = hot_n(loop_run, 2, "onepoint", loop_program)[0][0]
-    p1 = extract(loop_program, hp1).transformed
+    p1 = extract_nested(loop_program, hp1, loop_program).transformed
     r1 = run(p1, Store(), 2000)
     cut = hotcut(r1, loop_program).states
     head = [(s.store.get("x"), s.command.label) for s in cut[:7]]
-    st_ = extract(loop_program, hp1)
+    st_ = extract_nested(loop_program, hp1, loop_program)
     entry_pos = st_.guards[0][0].label
     h5c_label = st_.body[2].label
     from tracelab.values import UNDEF
@@ -510,7 +509,7 @@ def test_outerhot_reduces_to_hot_on_same_program(loop_program, loop_run):
 
 def test_outerhot_finds_nested_path(loop_program, loop_run):
     hp1 = hot_n(loop_run, 2, "onepoint", loop_program)[0][0]
-    st_ = extract(loop_program, hp1)
+    st_ = extract_nested(loop_program, hp1, loop_program)
     r1 = run(st_.transformed, Store(), 2000)
     outer = hot_n(hotcut(r1, loop_program), 2, "onepoint", st_.transformed)
     labels = [tuple(c.label for c in hp.commands) for hp, _ in outer]
@@ -519,7 +518,7 @@ def test_outerhot_finds_nested_path(loop_program, loop_run):
 
 def test_hotcut_never_changes_stores(loop_program, loop_run):
     hp1 = hot_n(loop_run, 2, "onepoint", loop_program)[0][0]
-    p1 = extract(loop_program, hp1).transformed
+    p1 = extract_nested(loop_program, hp1, loop_program).transformed
     r1 = run(p1, Store(), 2000)
     cut = hotcut(r1, loop_program)
     # the cut is a subsequence of the input, states untouched

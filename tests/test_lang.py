@@ -297,14 +297,14 @@ def test_cmpl_requires_conditional(loop_program):
     assert find_cmpl(c0, loop_program) is None
     c1 = command_at(loop_program, "L1", lambda c: not str(c.action).startswith("!"))
     twin = Command("L1", lang.Cond(lang.negate_bexpr(c1.action.test)), "L2")
-    p = loop_program.replace(add=[twin])
+    p = Program(loop_program.commands | {twin}, loop_program.entry, loop_program.arrays)
     assert find_cmpl(c1, p) is None
     assert any("multiple complements for conditional at L1" in d for d in well_formed(p))
 
 
 def test_well_formed_after_removing_complement(loop_program):
     c1c = command_at(loop_program, "L1", lambda c: str(c.action).startswith("!"))
-    p = loop_program.replace(remove=[c1c])
+    p = Program(loop_program.commands - {c1c}, loop_program.entry, loop_program.arrays)
     diags = well_formed(p)
     assert any("L1" in d for d in diags)
 
@@ -378,7 +378,8 @@ def test_rename_equal_finds_relabeling(loop_program):
 
 def test_rename_equal_detects_redirected_edge(loop_program):
     c4 = command_at(loop_program, "L4")
-    q = loop_program.replace(remove=[c4], add=[Command("L4", c4.action, "L5")])
+    q = Program(loop_program.commands - {c4} | {Command("L4", c4.action, "L5")},
+                loop_program.entry, loop_program.arrays)
     assert rename_equal(loop_program, q) is None
     assert brute_force_bijection(loop_program, q) is None
 
@@ -433,12 +434,13 @@ def test_rename_equal_returns_the_relabeling_of_final_programs(seed, domain, pas
     mapping = dict(zip(labels, names))
     assert rename_equal(p, _relabel(p, mapping)) == mapping
     c = next(c for c in p.sorted_commands if c.succ not in (HALT, p.entry))
-    moved = p.replace(remove=[c], add=[Command(c.label, c.action, p.entry)])
+    moved = Program(p.commands - {c} | {Command(c.label, c.action, p.entry)}, p.entry, p.arrays)
     assert rename_equal(p, _relabel(moved, mapping)) is None
 
 
 def test_rename_equal_refuses_a_label_the_entry_cannot_reach(loop_program):
-    p = loop_program.replace(add=[Command("U", lang.Skip(), loop_program.entry)])
+    p = Program(loop_program.commands | {Command("U", lang.Skip(), loop_program.entry)},
+                loop_program.entry, loop_program.arrays)
     assert brute_force_bijection(p, p) is not None
     assert rename_equal(p, p) is None
 
@@ -450,7 +452,8 @@ def test_fresh_labels_disjoint(loop_program):
     assert len(names) == 11
     assert names.isdisjoint(loop_program.labels())
     # a second scope over a program containing the first scope's labels stays fresh
-    p2 = loop_program.replace(add=[Command(scope.ell(0), lang.Skip(), HALT)])
+    p2 = Program(loop_program.commands | {Command(scope.ell(0), lang.Skip(), HALT)},
+                 loop_program.entry, loop_program.arrays)
     scope2 = LabelScope.fresh_for(p2)
     assert scope2.ell(0) != scope.ell(0)
 

@@ -5,12 +5,13 @@ from hypothesis import given, strategies as hst
 
 from tracelab import observe
 from tracelab.hotpath import hotcut
-from tracelab.lang import Command, Put, Skip
-from tracelab.observe import out, out_equiv_check, sc, sc_equiv_check, st
-from tracelab.semantics import State, Store, run, trace_linked
+from tracelab.lang import Command, Program, Put, Skip
+from tracelab.observe import out, out_equiv_check, sc, sc_equiv_check
+from tracelab.semantics import State, Store, run
 from tracelab.textio import parse_program
 from tracelab.values import FF, UNDEF
 from tests.conftest import command_at, oracle_cases, run_of, writes_of
+from tests.oracles import trace_linked
 
 
 def _state(bindings, label="L", action=None, succ="M"):
@@ -30,7 +31,7 @@ def test_sc_all_skip_trace():
 
 
 def test_sc_is_subsequence_of_st(loop_run):
-    full = st(loop_run)
+    full = loop_run.stores_at(range(len(loop_run)))
     changes = _rebuilt(sc(loop_run))
     assert len(changes) <= len(full)
     it = iter(full)
@@ -69,8 +70,9 @@ def test_sc_equiv_check_self(loop_program):
 def test_sc_equiv_check_detects_change(loop_program):
     c4 = command_at(loop_program, "L4")
     from tracelab.lang import Add, Assign, Lit, Var
-    mutated = loop_program.replace(
-        remove=[c4], add=[Command("L4", Assign("x", Add(Var("x"), Lit(4))), "L1")])
+    mutated = Program(loop_program.commands - {c4}
+                      | {Command("L4", Assign("x", Add(Var("x"), Lit(4))), "L1")},
+                      loop_program.entry, loop_program.arrays)
     rep = sc_equiv_check(loop_program, mutated, [Store()], 500)
     assert not rep.passed
     v = rep.verdicts[0]

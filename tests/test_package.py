@@ -99,9 +99,12 @@ except ImportError:
 
 
 def test_extract_is_the_module_whatever_was_imported_first():
-    check = ("import sys\nfrom tracelab import extract\nimport tracelab.extract as m\n"
-             "print(extract is m is tracelab.extract is sys.modules['tracelab.extract'], "
-             "callable(m.extract))")
-    for first in ("import tracelab", "import tracelab.optimize", "import tracelab.extract",
-                  "import tracelab.cli"):
-        assert _fresh(first + "\n" + check).split() == ["True", "True"], first
+    """So is ``pipeline``, whose function of the same name stays
+    ``tracelab.pipeline.pipeline``."""
+    for name, fn in (("extract", "extract_nested"), ("pipeline", "pipeline")):
+        check = (f"import sys\nfrom tracelab import {name}\nimport tracelab.{name} as m\n"
+                 f"print({name} is m is tracelab.{name} is sys.modules['tracelab.{name}'], "
+                 f"callable(m.{fn}))")
+        for first in ("import tracelab", "import tracelab.optimize", f"import tracelab.{name}",
+                      "import tracelab.cli"):
+            assert _fresh(first + "\n" + check).split() == ["True", "True"], (name, first)

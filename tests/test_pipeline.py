@@ -286,7 +286,8 @@ def test_final_programs_stitch_no_skip(domain, passes):
 def _with_put(p):
     """p with its halting ``skip`` replaced by a put of all its variables."""
     (halt,) = [c for c in p.commands if c.succ == lang.HALT]
-    return p.replace(remove=[halt], add=[lang.Command(halt.label, lang.Put(p.vars()), lang.HALT)])
+    put = lang.Command(halt.label, lang.Put(p.vars()), lang.HALT)
+    return lang.Program(p.commands - {halt} | {put}, p.entry, p.arrays)
 
 
 @pytest.mark.parametrize("domain, passes", [("onepoint", ["dse"]), ("type", ["dse"]),

@@ -5,11 +5,11 @@ from hypothesis import example, given, strategies as st
 
 from tracelab import lang
 from tracelab.lang import Add, AddTyped, Assign, Cond, Index, Leq, Lit, Mod, Var
-from tracelab.semantics import (STR_MAX, SemanticsError, State, Store, TooLong, apply_action,
-                                collecting_eval, eval_bexpr, eval_expr, run,
-                                step, trace_linked)
+from tracelab.semantics import (STR_MAX, SemanticsError, State, Store, TooLong, eval_bexpr,
+                                eval_expr, run)
 from tracelab.values import Bool, FF, TT, UNDEF, value_str
 from tests.conftest import DOUBLING_SRC, command_at, oracle_cases
+from tests.oracles import apply_action, step, trace_linked
 
 
 def test_eval_add_undef_operand():
@@ -188,15 +188,15 @@ def test_run_rejects_nondeterminism():
 def test_collecting_semantics():
     rho = Store({"y": 3, "z": "foo"})
     e = Add(Var("y"), Var("z"))
-    assert collecting_eval(e, {rho}) == {UNDEF}
+    assert {eval_expr(e, s) for s in {rho}} == {UNDEF}
     assert apply_action(Assign("x", e), rho) is None
     assert eval_bexpr(Leq(Var("y"), Var("x")), rho) is UNDEF
-    assert collecting_eval(e, set()) == set()
+    assert {eval_expr(e, s) for s in set()} == set()
 
 
 def test_collecting_enumeration_oracle():
     stores = {Store({"x": x, "y": y}) for x in (1, 2) for y in (10, 20)}
-    got = collecting_eval(Add(Var("x"), Var("y")), stores)
+    got = {eval_expr(Add(Var("x"), Var("y")), s) for s in stores}
     want = {x + y for x in (1, 2) for y in (10, 20)}  # brute-force enumeration
     assert got == want
 

@@ -1,23 +1,23 @@
 import pytest
 
 from tracelab import gen, observe, pipeline
-from tracelab.extract import extract, extract_nested
+from tracelab.extract import extract_nested
 from tracelab.hotpath import hot_n, hotcut
-from tracelab.lang import AddTyped, Assign, Command, Lit, Var, find_cmpl
+from tracelab.lang import AddTyped, Assign, Command, Lit, Program, Var, find_cmpl
 from tracelab.observe import sc
 from tracelab.optimize import type_specialize
-from tracelab.semantics import State, Store, run, trace_linked
+from tracelab.semantics import State, Store, run
 from tracelab.textio import parse_program
-from tracelab.witness import (WitnessError, lift_full, rtr, sp, specialization_map,
-                              td, tr_out)
 from tests.conftest import SHARED_EXIT_SRC, command_at, run_of
+from tests.oracles import (WitnessError, lift_full, rtr, sp, specialization_map, td,
+                           trace_linked, tr_out)
 
 
 @pytest.fixture(scope="module")
 def loop_st(loop_program):
     r = run(loop_program, Store(), 1000)
     hp1 = hot_n(r, 2, "onepoint", loop_program)[0][0]
-    return extract(loop_program, hp1)
+    return extract_nested(loop_program, hp1, loop_program)
 
 
 def _named_stitch(st):
@@ -134,7 +134,7 @@ def test_tr_out_guard_failure_midpath(cf_program):
     c3 = command_at(cf_program, "L3", lambda c: not str(c.action).startswith("!"))
     c4 = command_at(cf_program, "L4")
     hp = HotPath(((a, c2), (a, c3), (a, c4)))
-    st = extract(cf_program, hp)
+    st = extract_nested(cf_program, hp, cf_program)
     # a = 9 violates the guards: entry fails, the slow copies run
     tau = tuple(State(Store({"x": 0, "a": 9}), c) for c in (c2, c3)) + \
         (State(Store({"x": 0, "a": 9}), c4), State(Store({"x": 9, "a": 9}), c2),)
@@ -176,7 +176,8 @@ def test_witnesses_on_generated_programs(seed, domain):
     witnesses keep store changes, for the first hot path of each program."""
     p = gen.gen_program(seed)
     stores = gen.gen_stores(seed, gen.SAMPLE_VARS, 4)
-    st = extract(p, list(pipeline.mine(p, p, observe.runs(p, stores, 2000), 2, domain))[0][0])
+    hp = list(pipeline.mine(p, p, observe.runs(p, stores, 2000), 2, domain))[0][0]
+    st = extract_nested(p, hp, p)
     for rho in stores:
         tau = run(p, rho, 2000).states
         unfolded = tr_out(st, tau)
@@ -204,7 +205,7 @@ def test_round_trip_command_projection(loop_program, loop_st):
 def sieve_ts(sieve_program, sieve_store):
     r = run(sieve_program, sieve_store, 5000)
     hp1 = hot_n(r, 2, "type", sieve_program)[0][0]
-    st = extract(sieve_program, hp1)
+    st = extract_nested(sieve_program, hp1, sieve_program)
     smap = specialization_map(st, type_specialize(st))
     return st, smap
 
@@ -215,7 +216,7 @@ def test_specialization_map_holds_only_the_rewritten_addition():
     keeps it in the optimized fragment."""
     p = parse_program(SHARED_EXIT_SRC)
     hp = list(pipeline.mine(p, p, observe.runs(p, [Store({"x": 0, "y": 1})], 500), 2, "type"))[0][0]
-    st = extract(p, hp)
+    st = extract_nested(p, hp, p)
     add = st.body[1]
     assert specialization_map(st, type_specialize(st)) == {
         add: Command(add.label, Assign("x", AddTyped(Var("x"), Lit(1), "Int")), add.succ)}
@@ -305,8 +306,9 @@ def test_lift_full_composes_sp(sieve_store, sieve_ts):
     the lifted trace (the witnesses prove ts; guard slicing only weakens
     guards, which test_optimize's inclusion test covers)."""
     st, smap = sieve_ts
-    p_opt = st.transformed.replace(remove=st.stitched, add=type_specialize(st))
-    r = run(st.transformed, sieve_store, 4000)
+    p1 = st.transformed
+    p_opt = Program((p1.commands - st.stitched) | type_specialize(st), p1.entry, p1.arrays)
+    r = run(p1, sieve_store, 4000)
     lifted = lift_full(lambda seg: sp(st, smap, seg), st.stitched, r.states)
     assert trace_linked(p_opt, lifted)
     assert sc(run_of(lifted)) == sc(r)
